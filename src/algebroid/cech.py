@@ -415,10 +415,6 @@ class ClassComparison:
         return self.status == "inequivalent"
 
 
-def _chart_window_monomials(ring: ChartRing, window: TruncationWindow):
-    return window.monomials(ring)
-
-
 def coboundary_test(cover: Cover, pair_a: CechPair, pair_b: CechPair,
                     window: TruncationWindow | None = None) -> ClassComparison:
     """Decide whether the two cocycle pairs differ by a coboundary
@@ -430,38 +426,29 @@ def coboundary_test(cover: Cover, pair_a: CechPair, pair_b: CechPair,
     """
     window = window or TruncationWindow()
     diff = pair_b.difference(pair_a)
+    monos = [window.monomials(cover.chart_ring(a))
+             for a in range(len(cover.charts))]
 
-    unknowns = []           # (chart, basis index, monomial)
-    position = {}
+    position = {}           # (chart, basis index, monomial) -> column
     for a in range(len(cover.charts)):
-        ring = cover.chart_ring(a)
-        alg = cover.chart_algebroid(a)
-        for i in range(alg.rank):
-            for mono in _chart_window_monomials(ring, window):
-                position[(a, i, mono)] = len(unknowns)
-                unknowns.append((a, i, mono))
-
-    rows = {}               # row key -> row index
-    entries = []            # (row, col, coeff)
-    rhs_entries = {}
-
-    def row_of(key):
-        if key not in rows:
-            rows[key] = len(rows)
-        return rows[key]
+        for i in range(cover.chart_algebroid(a).rank):
+            for mono in monos[a]:
+                position[(a, i, mono)] = len(position)
+    # no row key repeats within a column: a < b on every overlap
+    cols: List[Dict[tuple, Fraction]] = [{} for _ in position]
+    rhs: Dict[tuple, Fraction] = {}
 
     # overlap equations: push_a(eta_a) - push_b(eta_b) = phi_diff
     for (a, b), ov in sorted(cover.overlaps.items()):
         frame = cover.frame_algebroid(a, b)
-        pa, pb = cover.pushed_pair(a, b)
         for i in range(cover.chart_algebroid(a).rank):
-            for mono in _chart_window_monomials(cover.chart_ring(a), window):
+            for mono in monos[a]:
                 col = position[(a, i, mono)]
                 img = ov.map_a(cover.chart_ring(a).monomial(mono, 1))
                 for exps, c in img.terms.items():
-                    entries.append((row_of(("ov", a, b, i, exps)), col, c))
+                    cols[col][("ov", a, b, i, exps)] = c
         for i in range(cover.chart_algebroid(b).rank):
-            for mono in _chart_window_monomials(cover.chart_ring(b), window):
+            for mono in monos[b]:
                 col = position[(b, i, mono)]
                 img = ov.map_b(cover.chart_ring(b).monomial(mono, 1))
                 # frame change: component j picks S[i][j] * img
@@ -471,12 +458,12 @@ def coboundary_test(cover: Cover, pair_a: CechPair, pair_b: CechPair,
                         continue
                     prod = coeff * img
                     for exps, c in prod.terms.items():
-                        entries.append((row_of(("ov", a, b, j, exps)), col, -c))
+                        cols[col][("ov", a, b, j, exps)] = -c
         target = diff.phi[(a, b)]
         for j in range(frame.rank):
             val = target.component((j,))
             for exps, c in val.terms.items():
-                rhs_entries[row_of(("ov", a, b, j, exps))] = c
+                rhs[("ov", a, b, j, exps)] = c
 
     # chart equations: d eta_a = q_diff_a
     for a in range(len(cover.charts)):
@@ -486,24 +473,18 @@ def coboundary_test(cover: Cover, pair_a: CechPair, pair_b: CechPair,
         alg.require_verified("coboundary testing")
         ring = cover.chart_ring(a)
         for i in range(alg.rank):
-            for mono in _chart_window_monomials(ring, window):
+            for mono in monos[a]:
                 col = position[(a, i, mono)]
                 image = LForm(alg, 1, {(i,): ring.monomial(mono, 1)})._d_unchecked()
                 for jdx, val in image.coeffs.items():
                     for exps, c in val.terms.items():
-                        entries.append((row_of(("ch", a, jdx, exps)), col, c))
+                        cols[col][("ch", a, jdx, exps)] = c
         target = diff.q[a]
         for jdx, val in target.coeffs.items():
             for exps, c in val.terms.items():
-                rhs_entries[row_of(("ch", a, jdx, exps))] = c
+                rhs[("ch", a, jdx, exps)] = c
 
-    sys = SparseSystem(len(rows), len(unknowns))
-    for r, c, v in entries:
-        sys.add(r, c, v)
-    rhs = [Fraction(0)] * len(rows)
-    for r, v in rhs_entries.items():
-        rhs[r] = v
-    sol = sys.solve(rhs)
+    sol = SparseSystem.from_columns(cols, rhs).solve_keyed(rhs)
     if sol is not None:
         eta = {}
         for a in range(len(cover.charts)):
@@ -512,7 +493,7 @@ def coboundary_test(cover: Cover, pair_a: CechPair, pair_b: CechPair,
             coeffs = {}
             for i in range(alg.rank):
                 total = ring.zero
-                for mono in _chart_window_monomials(ring, window):
+                for mono in monos[a]:
                     val = sol[position[(a, i, mono)]]
                     if val:
                         total = total + ring.monomial(mono, val)
@@ -772,48 +753,28 @@ def line_bundle_cech_dims(cover: Cover, window: TruncationWindow | None = None
         slack = max(slack, abs(lo), abs(hi))
     chart_window = TruncationWindow(window.laurent + slack, window.laurent + slack)
 
-    unknowns = []
+    # no row key repeats within a column: a < b on every overlap
+    cols: List[Dict[tuple, Fraction]] = []
     position = {}
     for a in range(len(cover.charts)):
-        ring = cover.chart_ring(a)
-        for mono in chart_window.monomials(ring):
-            position[(a, mono)] = len(unknowns)
-            unknowns.append((a, mono))
-    rows = {}
-    entries = []
-
-    def row_of(key):
-        if key not in rows:
-            rows[key] = len(rows)
-        return rows[key]
-
-    overlap_window: Dict[Tuple[int, int], set] = {}
+        for mono in chart_window.monomials(cover.chart_ring(a)):
+            position[(a, mono)] = len(cols)
+            cols.append({})
+    box = TruncationWindow(window.laurent, window.laurent)
+    window_keys = set()      # (a, b, exps) inside the overlap exponent window
     for (a, b), ov in sorted(cover.overlaps.items()):
         g = ov.bundle[0][0]
-        box = TruncationWindow(window.laurent, window.laurent)
-        overlap_window[(a, b)] = set(box.monomials(ov.ring))
+        window_keys.update((a, b, exps) for exps in box.monomials(ov.ring))
         for mono in chart_window.monomials(cover.chart_ring(a)):
             img = ov.map_a(cover.chart_ring(a).monomial(mono, 1))
-            col = position[(a, mono)]
             for exps, c in img.terms.items():
-                entries.append((row_of((a, b, exps)), col, -c))
+                cols[position[(a, mono)]][(a, b, exps)] = -c
         for mono in chart_window.monomials(cover.chart_ring(b)):
             img = g * ov.map_b(cover.chart_ring(b).monomial(mono, 1))
-            col = position[(b, mono)]
             for exps, c in img.terms.items():
-                entries.append((row_of((a, b, exps)), col, c))
-    sys = SparseSystem(len(rows), len(unknowns))
-    for rr, cc, vv in entries:
-        sys.add(rr, cc, vv)
-    h0 = sys.nullity()
+                cols[position[(b, mono)]][(a, b, exps)] = c
+    sys = SparseSystem.from_columns(cols)
+    h0 = sys.ncols - sys.rank()
     # windowed cokernel: rank drop after deleting the window rows
-    window_row_set = {idx for key, idx in rows.items()
-                      if key[2] in overlap_window[(key[0], key[1])]}
-    outside = SparseSystem(len(rows), len(unknowns))
-    for rr, cc, vv in entries:
-        if rr not in window_row_set:
-            outside.add(rr, cc, vv)
-    image_in_window = sys.rank() - outside.rank()
-    overlap_dim = sum(len(v) for v in overlap_window.values())
-    h1 = overlap_dim - image_in_window
+    h1 = len(window_keys) - sys.image_rank_inside(window_keys)
     return h0, h1

@@ -65,6 +65,10 @@ class Output:
     def set(self, key: str, value):
         self.payload[key] = value
 
+    def error(self, text: str):
+        self.line("error: " + text)
+        self.set("error", text)
+
     def emit(self, code: int) -> int:
         if self.as_json:
             self.payload["exit"] = code
@@ -77,19 +81,27 @@ class Output:
 
 
 def parse_window(spec: str | None) -> TruncationWindow:
+    """"degree" or "degree,laurent"; ValueError or StructureError if bad."""
     if not spec:
         return TruncationWindow()
     parts = spec.split(",")
+    if len(parts) > 2:
+        raise ValueError("window %r has more than two parts" % spec)
     degree = int(parts[0])
     laurent = int(parts[1]) if len(parts) > 1 else 12
     return TruncationWindow(degree, laurent)
 
 
 def parse_degrees(spec: str) -> list:
+    """"lo..hi" or a comma list of integers; ValueError if bad."""
     if ".." in spec:
-        lo, hi = spec.split("..")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(p) for p in spec.split(",")]
+        lo, _, hi = spec.partition("..")
+        degrees = list(range(int(lo), int(hi) + 1))
+    else:
+        degrees = [int(p) for p in spec.split(",")]
+    if not degrees:
+        raise ValueError("empty degree range %r" % spec)
+    return degrees
 
 
 def load(path: str, out: Output) -> Definitions | None:
@@ -97,8 +109,7 @@ def load(path: str, out: Output) -> Definitions | None:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
     except OSError as err:
-        out.line("error: %s" % err)
-        out.set("error", str(err))
+        out.error(str(err))
         return None
     defs = parse(text)
     if not defs.ok():
@@ -111,8 +122,7 @@ def load(path: str, out: Output) -> Definitions | None:
 
 def need(defs: Definitions, name: str, kind: str, out: Output):
     if name not in defs.objects:
-        out.line("error: undefined name %r" % name)
-        out.set("error", "undefined name %r" % name)
+        out.error("undefined name %r" % name)
         return None
     if defs.kinds[name] != kind:
         out.line("error: %r is a %s, expected a %s"
@@ -125,8 +135,7 @@ def need(defs: Definitions, name: str, kind: str, out: Output):
 def cmd_verify(args, defs: Definitions, out: Output, window) -> int:
     name = args.name
     if name not in defs.objects:
-        out.line("error: undefined name %r" % name)
-        out.set("error", "undefined name %r" % name)
+        out.error("undefined name %r" % name)
         return out.emit(EXIT_USAGE)
     kind = defs.kinds[name]
     obj = defs.objects[name]
@@ -168,8 +177,7 @@ def cmd_verify(args, defs: Definitions, out: Output, window) -> int:
         out.line("verified: %s is a consistent cover" % name)
         out.set("verified", True)
         return out.emit(EXIT_OK)
-    out.line("error: cannot verify a %s" % kind)
-    out.set("error", "cannot verify a %s" % kind)
+    out.error("cannot verify a %s" % kind)
     return out.emit(EXIT_USAGE)
 
 
@@ -196,8 +204,7 @@ def cmd_cohomology(args, defs, out, window) -> int:
     alg = need(defs, args.name, "algebroid", out)
     if alg is None:
         return out.emit(EXIT_USAGE)
-    degrees = parse_degrees(args.degrees)
-    rep = truncated_cohomology(alg, degrees, window)
+    rep = truncated_cohomology(alg, args.degrees, window)
     stable = True
     dims = {}
     for p in sorted(rep.degrees):
@@ -353,8 +360,7 @@ def cmd_compare_total(args, defs, out, window) -> int:
     pair = need(defs, args.name, "matched", out)
     if pair is None:
         return out.emit(EXIT_USAGE)
-    degrees = parse_degrees(args.degrees)
-    rep = total_cohomology_compare(pair, degrees, window)
+    rep = total_cohomology_compare(pair, args.degrees, window)
     for n in sorted(rep.total_dims):
         out.line("degree %d: total %d, twilled %d"
                  % (n, rep.total_dims[n], rep.twilled_dims[n]))
@@ -421,8 +427,7 @@ def cmd_normal_form(args, defs, out, window) -> int:
     try:
         element = parse_word(args.word, system)
     except (ParseError, RingError, StructureError) as err:
-        out.line("error: %s" % err)
-        out.set("error", str(err))
+        out.error(str(err))
         return out.emit(EXIT_USAGE)
     out.line("normal form: %s" % element)
     out.set("terms", {
@@ -464,8 +469,7 @@ def cmd_atiyah(args, defs, out, window) -> int:
     try:
         pair = atiyah_cocycle(cover)
     except StructureError as err:
-        out.line("error: %s" % err)
-        out.set("error", str(err))
+        out.error(str(err))
         return out.emit(EXIT_USAGE)
     for (a, b), form in sorted(pair.phi.items()):
         out.line("phi %d %d = %s" % (a, b, render_form(form)))
@@ -483,8 +487,7 @@ def cmd_class_compare(args, defs, out, window) -> int:
     if p1 is None or p2 is None:
         return out.emit(EXIT_USAGE)
     if p1.cover is not p2.cover:
-        out.line("error: cocycle pairs live on different covers")
-        out.set("error", "cocycle pairs live on different covers")
+        out.error("cocycle pairs live on different covers")
         return out.emit(EXIT_USAGE)
     cmp = coboundary_test(p1.cover, p1, p2, window)
     out.set("status", cmp.status)
@@ -637,7 +640,13 @@ def run(argv) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     out = Output(args.json)
-    window = parse_window(args.window or os.environ.get("ADF_WINDOW"))
+    try:
+        window = parse_window(args.window or os.environ.get("ADF_WINDOW"))
+        if "degrees" in args:
+            args.degrees = parse_degrees(args.degrees)
+    except (ValueError, StructureError) as err:
+        out.error(str(err))
+        return out.emit(EXIT_USAGE)
     defs = load(args.file, out)
     if defs is None:
         return out.emit(EXIT_USAGE)

@@ -340,7 +340,7 @@ def make_foliation(r: ChartRing, generators: Sequence[Sequence],
     bounded-degree linear system; failure means the family is not
     involutive in the given presentation.
     """
-    from .linalg import RationalMatrix, solve_linear
+    from .linalg import SparseSystem
 
     nder = len(r.derivation_names)
     gens = [tuple(r._coerce(c) for c in g) for g in generators]
@@ -374,36 +374,16 @@ def make_foliation(r: ChartRing, generators: Sequence[Sequence],
         target = commutator(gens[i], gens[j])
         if all(t.is_zero() for t in target):
             continue
-        # unknowns: coefficients of each g_k over the monomial window
-        cols = []
-        for k in range(m):
-            for mono in monomials:
-                cols.append((k, mono))
-        row_keys = sorted({(d, exps)
-                           for k in range(m)
-                           for d in range(nder)
-                           for src in [gens[k][d]]
-                           if not src.is_zero()
-                           for sexps in src.terms
-                           for mono in monomials
-                           for exps in [tuple(x + y for x, y in zip(sexps, mono))]}
-                          | {(d, exps)
-                             for d in range(nder)
-                             for exps in target[d].terms})
-        row_index = {key: t for t, key in enumerate(row_keys)}
-        mat = RationalMatrix(len(row_keys), len(cols))
-        for cidx, (k, mono) in enumerate(cols):
-            for d in range(nder):
-                src = gens[k][d]
-                for sexps, scoeff in src.terms.items():
-                    key = (d, tuple(x + y for x, y in zip(sexps, mono)))
-                    mat.entries[row_index[key]][cidx] += scoeff
-        rhs = [Fraction(0)] * len(row_keys)
-        for d in range(nder):
-            for exps, coeff in target[d].terms.items():
-                rhs[row_index[(d, exps)]] = coeff
-        res = solve_linear(mat, rhs)
-        if res.status != "solution":
+        # unknowns: coefficients of each g_k over the monomial window;
+        # column (k, mono) is mono * g_k, keyed by (derivation, exponents)
+        cols = [{(d, tuple(x + y for x, y in zip(sexps, mono))): scoeff
+                 for d in range(nder)
+                 for sexps, scoeff in gens[k][d].terms.items()}
+                for k in range(m) for mono in monomials]
+        rhs = {(d, exps): coeff for d in range(nder)
+               for exps, coeff in target[d].terms.items()}
+        solution = SparseSystem.from_columns(cols, rhs).solve_keyed(rhs)
+        if solution is None:
             raise StructureError(
                 "not involutive in given generators: [g%d, g%d] does not "
                 "re-expand (degree bound %d)" % (i + 1, j + 1, degree_bound))
@@ -411,7 +391,7 @@ def make_foliation(r: ChartRing, generators: Sequence[Sequence],
         for k in range(m):
             val = r.zero
             for t, mono in enumerate(monomials):
-                coeff = res.solution[k * len(monomials) + t]
+                coeff = solution[k * len(monomials) + t]
                 if coeff:
                     val = val + r.monomial(mono, coeff)
             comps.append(val)

@@ -426,30 +426,14 @@ def _dims_at(l: Algebroid, p: int, window: TruncationWindow,
              drop: int) -> Tuple[int, int]:
     """(kernel dim, windowed image dim) for the degree-p slice."""
     dom = _Slice(l, p, window)
-    cols = _differential_entries(l, dom)
-    row_keys = sorted({k for col in cols for k in col})
-    row_pos = {k: t for t, k in enumerate(row_keys)}
-    sys = SparseSystem(len(row_keys), len(dom))
-    for j, col in enumerate(cols):
-        for k, c in col.items():
-            sys.set(row_pos[k], j, c)
-    kernel_dim = len(dom) - sys.rank()
+    kernel_dim = len(dom) - SparseSystem.from_columns(
+        _differential_entries(l, dom)).rank()
 
     image_dim = 0
     if p > 0:
         ext = _Slice(l, p - 1, window.enlarged(drop))
-        ecols = _differential_entries(l, ext)
-        ekeys = sorted({k for col in ecols for k in col})
-        epos = {k: t for t, k in enumerate(ekeys)}
-        full = SparseSystem(len(ekeys), len(ext))
-        outside = SparseSystem(len(ekeys), len(ext))
-        inside = dom.position
-        for j, col in enumerate(ecols):
-            for k, c in col.items():
-                full.set(epos[k], j, c)
-                if k not in inside:
-                    outside.set(epos[k], j, c)
-        image_dim = full.rank() - outside.rank()
+        image_dim = SparseSystem.from_columns(
+            _differential_entries(l, ext)).image_rank_inside(dom.position)
     return kernel_dim, image_dim
 
 
@@ -515,20 +499,10 @@ def exactness_solve(theta: LForm, window: TruncationWindow | None = None
     dom_window = TruncationWindow(max(window.degree, needed) + drop,
                                   max(window.laurent, needed) + drop)
     dom = _Slice(l, theta.degree - 1, dom_window)
-    cols = _differential_entries(l, dom)
-    row_keys = sorted({k for col in cols for k in col}
-                      | {(idx, m) for idx, val in theta.coeffs.items()
-                         for m in val.terms})
-    row_pos = {k: t for t, k in enumerate(row_keys)}
-    sys = SparseSystem(len(row_keys), len(dom))
-    for j, col in enumerate(cols):
-        for k, c in col.items():
-            sys.set(row_pos[k], j, c)
-    rhs = [Fraction(0)] * len(row_keys)
-    for idx, val in theta.coeffs.items():
-        for m, c in val.terms.items():
-            rhs[row_pos[(idx, m)]] = c
-    sol = sys.solve(rhs)
+    rhs = {(idx, m): c for idx, val in theta.coeffs.items()
+           for m, c in val.terms.items()}
+    sol = SparseSystem.from_columns(_differential_entries(l, dom),
+                                    rhs).solve_keyed(rhs)
     if sol is not None:
         primitive = dom.form_from_vector(sol)
         if not (primitive._d_unchecked() - theta).is_zero():

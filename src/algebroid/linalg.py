@@ -1,9 +1,10 @@
 """Exact rational linear algebra.
 
-Dense systems go through fraction-free Bareiss elimination on integer
-rows (denominators cleared per row); back-substitution uses Fractions.
-Large, very sparse systems (cohomology slices) use a sparse eliminator
-with a fixed deterministic pivot order.
+Every linear system the library solves is a `SparseSystem` built from
+keyed sparse columns (`SparseSystem.from_columns`) and reduced by one
+sparse eliminator with a fixed deterministic pivot order.  The dense
+fraction-free Bareiss routines (`rank`, `kernel_basis`, `solve_linear`)
+are kept as the reference the tests compare the sparse path against.
 """
 
 from __future__ import annotations
@@ -11,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import (Container, Dict, Hashable, Iterable, List, Mapping,
+                    Optional, Sequence, Set, Tuple)
 
 from .rings import as_fraction
 
@@ -178,17 +180,31 @@ class SparseSystem:
         self.nrows = nrows
         self.ncols = ncols
         self.rows: List[Dict[int, Fraction]] = [dict() for _ in range(nrows)]
+        self.row_pos: Dict[Hashable, int] = {}
+        self._rank: Optional[int] = None
+
+    @classmethod
+    def from_columns(cls, cols: Sequence[Mapping[Hashable, Fraction]],
+                     keys: Iterable[Hashable] = ()) -> "SparseSystem":
+        """Column j is cols[j], a {row key: value} map; the rows are the
+        sorted union of the column keys and `keys`, placed by `row_pos`.
+        Rank and the solution `solve` returns depend only on column order.
+        """
+        row_keys = sorted({k for col in cols for k in col} | set(keys))
+        system = cls(len(row_keys), len(cols))
+        system.row_pos = {k: t for t, k in enumerate(row_keys)}
+        for j, col in enumerate(cols):
+            for k, c in col.items():
+                system.set(system.row_pos[k], j, c)
+        return system
 
     def set(self, i: int, j: int, value) -> None:
+        self._rank = None
         value = as_fraction(value)
         if value == 0:
             self.rows[i].pop(j, None)
         else:
             self.rows[i][j] = value
-
-    def add(self, i: int, j: int, value) -> None:
-        cur = self.rows[i].get(j, Fraction(0)) + as_fraction(value)
-        self.set(i, j, cur)
 
     def _eliminate(self, rhs: Optional[List[Fraction]] = None):
         """Forward elimination; returns (pivots, reduced rows, reduced rhs).
@@ -231,11 +247,18 @@ class SparseSystem:
         return pivots, rows, vec
 
     def rank(self) -> int:
-        pivots, _, _ = self._eliminate()
-        return len(pivots)
+        if self._rank is None:
+            pivots, _, _ = self._eliminate()
+            self._rank = len(pivots)
+        return self._rank
 
-    def nullity(self) -> int:
-        return self.ncols - self.rank()
+    def image_rank_inside(self, inside: Container[Hashable]) -> int:
+        """Rank minus the rank left after deleting the rows keyed in
+        `inside` (a `from_columns` system): the windowed image dimension."""
+        outside = SparseSystem(self.nrows, self.ncols)
+        outside.rows = [{} if k in inside else self.rows[t]
+                        for k, t in self.row_pos.items()]
+        return self.rank() - outside.rank()
 
     def solve(self, rhs: Sequence) -> Optional[List[Fraction]]:
         """One exact solution of (rows) x = rhs, or None if inconsistent."""
@@ -254,3 +277,12 @@ class SparseSystem:
                     s -= vv * x[cc]
             x[c] = s / rows[i][c]
         return x
+
+    def solve_keyed(self, rhs_by_key: Mapping[Hashable, Fraction]
+                    ) -> Optional[List[Fraction]]:
+        """`solve` with the right-hand side given as {row key: value};
+        keys not named are zero."""
+        rhs = [Fraction(0)] * self.nrows
+        for k, v in rhs_by_key.items():
+            rhs[self.row_pos[k]] = v
+        return self.solve(rhs)

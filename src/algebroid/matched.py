@@ -420,30 +420,14 @@ def total_cohomology_compare(m: MatchedPair, degrees: Sequence[int],
     total_dims: Dict[int, int] = {}
     for n in sorted(set(degrees)):
         dom = _total_basis(sl, n)
-        cols = _total_columns(sl, dom)
-        keys = sorted({k for col in cols for k in col})
-        pos = {k: t for t, k in enumerate(keys)}
-        sys = SparseSystem(len(keys), len(dom))
-        for jcol, col in enumerate(cols):
-            for k, c in col.items():
-                sys.set(pos[k], jcol, c)
-        ker = len(dom) - sys.rank()
+        ker = len(dom) - SparseSystem.from_columns(_total_columns(sl, dom)).rank()
         im = 0
         if n > 0:
             prev = _total_basis(big, n - 1)
-            pcols = _total_columns(big, prev)
-            pkeys = sorted({k for col in pcols for k in col})
-            ppos = {k: t for t, k in enumerate(pkeys)}
-            full = SparseSystem(len(pkeys), len(prev))
-            outside = SparseSystem(len(pkeys), len(prev))
             inside_keys = {((p, q), i1, i2, mono)
-                           for ((p, q), (i1, i2, mono)) in _total_basis(sl, n)}
-            for jcol, col in enumerate(pcols):
-                for k, c in col.items():
-                    full.set(ppos[k], jcol, c)
-                    if k not in inside_keys:
-                        outside.set(ppos[k], jcol, c)
-            im = full.rank() - outside.rank()
+                           for ((p, q), (i1, i2, mono)) in dom}
+            im = SparseSystem.from_columns(
+                _total_columns(big, prev)).image_rank_inside(inside_keys)
         total_dims[n] = ker - im
 
     rep = truncated_cohomology(tw, sorted(set(degrees)), window)

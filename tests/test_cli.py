@@ -90,3 +90,43 @@ def test_json_outputs_are_json():
 def test_usage_error_exit_code():
     code, _ = invoke(["no-such-command", "plane.adf"])
     assert code == 2
+
+
+@pytest.mark.parametrize("flags,env", [
+    (["--window", "abc"], None),
+    (["--window", "-1"], None),
+    (["--window", "0,0"], None),
+    (["--degrees", "x"], None),
+    ([], "abc"),
+    ([], "-1"),
+    ([], "0,0"),
+])
+@pytest.mark.parametrize("as_json", [False, True])
+def test_malformed_flag_exit_code(flags, env, as_json):
+    argv = ["cohomology", "plane.adf", "T"] + flags + (["--json"] if as_json else [])
+    if env is not None:
+        os.environ["ADF_WINDOW"] = env
+    try:
+        code, text = invoke(argv)
+    finally:
+        os.environ.pop("ADF_WINDOW", None)
+    assert code == 2
+    if as_json:
+        assert json.loads(text)["error"]
+    else:
+        assert text.startswith("error: ")
+
+
+def test_cech_dims_eliminates_twice(monkeypatch):
+    from algebroid.linalg import SparseSystem
+    calls = []
+    eliminate = SparseSystem._eliminate
+
+    def counted(self, *args):
+        calls.append(self)
+        return eliminate(self, *args)
+
+    monkeypatch.setattr(SparseSystem, "_eliminate", counted)
+    code, _ = invoke(["cech-dims", "p1.adf", "P"])
+    assert code == 0
+    assert len(calls) == 2

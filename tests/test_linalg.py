@@ -84,3 +84,32 @@ def test_sparse_matches_dense():
             res = solve_linear(a, [Fraction(1)] + [Fraction(0)] * (n - 1))
             sparse_res = s.solve([Fraction(1)] + [Fraction(0)] * (n - 1))
             assert (res.status == "solution") == (sparse_res is not None)
+
+        # the same matrix as tuple-keyed columns: row i is keyed keys[i],
+        # which sorts in row order, and relabelled sorts in another order
+        keys = [(i % 2, (i, -i)) for i in range(n)]
+        keys.sort()
+        relabel = dict(zip(keys, rng.sample([("r", t) for t in range(n)], n)))
+        cols = [{keys[i]: rows[i][j] for i in range(n) if rows[i][j]}
+                for j in range(m)]
+        keyed = SparseSystem.from_columns(cols)
+        moved = SparseSystem.from_columns(
+            [{relabel[k]: c for k, c in col.items()} for col in cols],
+            relabel.values())
+        assert keyed.rank() == moved.rank() == rank(a)
+        inside = set(rng.sample(keys, rng.randint(0, n)))
+        outside = RationalMatrix.from_rows(
+            [rows[i] for i in range(n) if keys[i] not in inside] or [[0] * m])
+        assert keyed.image_rank_inside(inside) == rank(a) - rank(outside)
+        assert moved.image_rank_inside({relabel[k] for k in inside}) == \
+            rank(a) - rank(outside)
+        for rhs in (b, [Fraction(rng.randint(-2, 2)) for _ in range(n)]):
+            dense = solve_linear(a, rhs)
+            by_key = {keys[i]: rhs[i] for i in range(n) if rhs[i]}
+            got = SparseSystem.from_columns(cols, by_key).solve_keyed(by_key)
+            got_moved = moved.solve_keyed(
+                {relabel[k]: c for k, c in by_key.items()})
+            if dense.status == "solution":
+                assert got == got_moved == dense.solution
+            else:
+                assert got is None and got_moved is None
