@@ -26,7 +26,7 @@ from .connections import Connection, curvature
 from .core import Algebroid, AlgebroidMorphism, Section, StructureError
 from .forms import LForm, TruncationWindow, IndexTuple
 from .linalg import SparseSystem
-from .pbw import PbwElement, RelationSystem
+from .pbw import PbwElement, RelationSystem, sum_elements
 from .rings import ChartRing, RingElement, RingMap, laurent_ring, poly_ring
 
 
@@ -557,13 +557,13 @@ class GluingMap:
     def __call__(self, p: PbwElement) -> PbwElement:
         if p.system is not self.source:
             raise StructureError("element not in the source system")
-        total = PbwElement(self.target, {})
+        parts = []
         for word, coeff in p.terms.items():
             acc = self.target.scalar(coeff)
             for i in word:
                 acc = acc * self.image_of_generator(i)
-            total = total + acc
-        return total
+            parts.append(acc)
+        return sum_elements(self.target, parts)
 
 
 def glue_sridharan(cover: Cover, pair: CechPair) -> GluingReport:

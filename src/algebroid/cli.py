@@ -383,7 +383,7 @@ def cmd_relations(args, defs, out, window) -> int:
     if args.form is not None:
         twist = need(defs, args.form, "form", out)
         if twist is None:
-            return EXIT_USAGE
+            return out.emit(EXIT_USAGE)
     try:
         from .pbw import build_relations
         system = build_relations(alg, twist)

@@ -25,6 +25,11 @@ from .rings import RingElement
 Word = Tuple[int, ...]
 Item = Union[int, RingElement]
 
+# a system's normal-form memo is emptied when a reduction starts with more
+# entries than this, so a long-lived system does not grow without bound;
+# e2^16 e1^16 needs about 4,000
+_MEMO_LIMIT = 20000
+
 
 class RelationSystem:
     """Rule set for (algebroid, twist).  This raw constructor performs no
@@ -39,6 +44,8 @@ class RelationSystem:
         if twist.owner is not algebroid or twist.degree != 2:
             raise StructureError("twist must be a 2-form on the same algebroid")
         self.twist = twist
+        # normal-form terms of every word reduced so far, see normal_form
+        self._normal_forms: Dict[tuple, Dict[Word, RingElement]] = {}
 
     def one(self) -> "PbwElement":
         return PbwElement(self, {(): self.ring.one})
@@ -90,9 +97,7 @@ class PbwElement:
     def __add__(self, other: "PbwElement") -> "PbwElement":
         self._check(other)
         out = dict(self.terms)
-        for w, c in other.terms.items():
-            cur = out.get(w)
-            out[w] = c if cur is None else cur + c
+        _add_into(out, other.terms)
         return PbwElement(self.system, out)
 
     def __sub__(self, other: "PbwElement") -> "PbwElement":
@@ -103,15 +108,12 @@ class PbwElement:
 
     def __mul__(self, other: "PbwElement") -> "PbwElement":
         self._check(other)
-        total = PbwElement(self.system, {})
+        out: Dict[Word, RingElement] = {}
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
-                items: List[Item] = [c1]
-                items.extend(w1)
-                items.append(c2)
-                items.extend(w2)
-                total = total + normal_form(items, self.system)
-        return total
+                _add_into(out, normal_form((c1,) + w1 + (c2,) + w2,
+                                           self.system).terms)
+        return PbwElement(self.system, out)
 
     def scale(self, f) -> "PbwElement":
         f = self.system.ring._coerce(f)
@@ -145,6 +147,17 @@ class PbwElement:
         return " + ".join(parts)
 
     __repr__ = __str__
+
+
+def sum_elements(system: RelationSystem,
+                 parts: Iterable[PbwElement]) -> PbwElement:
+    """Sum of elements of one system, accumulated in one term dict."""
+    out: Dict[Word, RingElement] = {}
+    for p in parts:
+        if p.system is not system:
+            raise StructureError("elements belong to different systems")
+        _add_into(out, p.terms)
+    return PbwElement(system, out)
 
 
 def _word_string(word: Word, names: Sequence[str]) -> str:
@@ -189,6 +202,8 @@ def _rewrite_at(system: RelationSystem, word: Tuple[Item, ...], t: int,
     if kind == "gf":
         i, f = word[t], word[t + 1]
         out = [word[:t] + (f, i) + word[t + 2:]]
+        if f.is_constant():      # anchors act by derivations
+            return out
         derived = l.anchor_apply(l.basis_section(i), f)
         if not derived.is_zero():
             out.append(word[:t] + (derived,) + word[t + 2:])
@@ -207,44 +222,96 @@ def _rewrite_at(system: RelationSystem, word: Tuple[Item, ...], t: int,
     raise StructureError("unknown rule kind %r" % kind)
 
 
+def _as_word(items: Iterable[Item], ring) -> Tuple[Item, ...]:
+    """Raw items as a word: generator indices stay, scalars become ring
+    elements of the system's base ring."""
+    word: List[Item] = []
+    for it in items:
+        if isinstance(it, int):
+            word.append(it)
+        elif isinstance(it, RingElement):
+            if it.ring is not ring:
+                raise StructureError("coefficient from a different ring")
+            word.append(it)
+        else:
+            word.append(ring._coerce(it))
+    return tuple(word)
+
+
+def _item_key(item: Item):
+    # RingElement.__eq__ coerces ints (1 == ring.one), so a coefficient is
+    # keyed by its sorted terms, a tuple that never equals a generator index
+    if isinstance(item, int):
+        return item
+    return tuple(sorted(item.terms.items()))
+
+
+def _add_into(out: Dict[Word, RingElement],
+              terms: Dict[Word, RingElement]) -> None:
+    for w, c in terms.items():
+        cur = out.get(w)
+        out[w] = c if cur is None else cur + c
+
+
 def normal_form(items: Iterable[Item], system: RelationSystem) -> PbwElement:
     """Leftmost-innermost reduction of a raw word to the ascending basis.
 
     Items are generator indices (int) or base-ring elements.  Each rule
     strictly decreases (generator degree, inversion count, coefficient
-    position), so the reduction terminates; the result is independent of
-    the strategy exactly when the system is confluent.
+    position), so the reduction terminates.  NF(word) is the sum of NF(r)
+    over the replacements r of the leftmost redex, and NF(c * rest) =
+    c * NF(rest).  The redex choice is fixed, so the answer is that of
+    rewriting every branch separately, for confluent and broken systems
+    alike; it is independent of the strategy exactly when the system is
+    confluent.  The terms of every intermediate word are memoised on the
+    system, so shared subwords are reduced once (e2^n e1^n is polynomial
+    in n), and the evaluation runs on an explicit stack, so word length is
+    not bounded by the recursion limit.
     """
-    ring = system.ring
-    result: Dict[Word, RingElement] = {}
-    start: List[Item] = []
-    for it in items:
-        if isinstance(it, int):
-            start.append(it)
-        elif isinstance(it, RingElement):
-            if it.ring is not ring:
-                raise StructureError("coefficient from a different ring")
-            start.append(it)
-        else:
-            start.append(ring._coerce(it))
-    stack: List[Tuple[Tuple[Item, ...], RingElement]] = [(tuple(start), ring.one)]
+    memo = system._normal_forms
+    if len(memo) > _MEMO_LIMIT:
+        memo.clear()
+    word = _as_word(items, system.ring)
+    key = tuple(map(_item_key, word))
+    one = system.ring.one
+    # frames: (word, key, fold coefficient or None, children or None)
+    stack = [(word, key, None, None)]
     while stack:
-        word, coeff = stack.pop()
-        if coeff.is_zero():
+        word, key, scale, children = stack.pop()
+        if children is None:
+            if key in memo:
+                continue
+            redex = _leftmost_redex(word)
+            if redex is None:
+                memo[key] = {word: one}
+                continue
+            t, kind = redex
+            if kind == "fold":
+                scale = word[0]
+                if scale.is_zero():
+                    memo[key] = {}
+                    continue
+                children = [(word[1:], key[1:])]
+            else:
+                # replacements keep word[:t] and word[t + 2:], so only the
+                # rewritten middle needs new keys
+                after = len(word) - t - 2
+                children = [(r, key[:t] + tuple(map(_item_key,
+                                                    r[t:len(r) - after]))
+                             + key[t + 2:])
+                            for r in _rewrite_at(system, word, t, kind)]
+            stack.append((word, key, scale, children))
+            stack.extend((w, k, None, None) for w, k in children
+                         if k not in memo)
             continue
-        redex = _leftmost_redex(word)
-        if redex is None:
-            key: Word = tuple(word)          # all generators, ascending
-            cur = result.get(key)
-            result[key] = coeff if cur is None else cur + coeff
-            continue
-        t, kind = redex
-        if kind == "fold":
-            stack.append((word[1:], coeff * word[0]))
-            continue
-        for replacement in _rewrite_at(system, word, t, kind):
-            stack.append((replacement, coeff))
-    return PbwElement(system, result)
+        if scale is not None:
+            terms = {w: scale * c for w, c in memo[children[0][1]].items()}
+        else:
+            terms = {}
+            for _, k in children:
+                _add_into(terms, memo[k])
+        memo[key] = {w: c for w, c in terms.items() if not c.is_zero()}
+    return PbwElement(system, memo[key])
 
 
 @dataclass
@@ -266,10 +333,10 @@ class AmbiguityReport:
 
 def _reduce_branches(system: RelationSystem,
                      branches: List[Tuple[Item, ...]]) -> PbwElement:
-    total = PbwElement(system, {})
+    out: Dict[Word, RingElement] = {}
     for b in branches:
-        total = total + normal_form(b, system)
-    return total
+        _add_into(out, normal_form(b, system).terms)
+    return PbwElement(system, out)
 
 
 def confluence_check(system: RelationSystem) -> Optional[AmbiguityReport]:
@@ -455,13 +522,13 @@ class PbwMap:
     def __call__(self, p: PbwElement) -> PbwElement:
         if p.system is not self.source:
             raise StructureError("element is not in the source system")
-        total = PbwElement(self.target, {})
+        parts = []
         for word, coeff in p.terms.items():
             acc = self.target.scalar(coeff)
             for i in word:
                 acc = acc * self.target.of_section(self.morphism.images[i])
-            total = total + acc
-        return total
+            parts.append(acc)
+        return sum_elements(self.target, parts)
 
     def image_of_raw(self, items: Sequence[Item]) -> PbwElement:
         acc = self.target.one()

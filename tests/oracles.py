@@ -3,7 +3,9 @@
 These deliberately avoid the library's structure tables and differentials:
 the Poisson checks work on functions, the Chevalley-Eilenberg ranks come
 from explicitly enumerated basis matrices, and the one-variable
-integration oracle inverts d/dx directly on monomials.
+integration oracle inverts d/dx directly on monomials.  The PBW oracle
+enumerates every rewrite branch of the library's reduction strategy
+separately and merges equal words only at the end.
 """
 
 from fractions import Fraction
@@ -106,3 +108,31 @@ def p1_line_bundle_dims_by_counting(k, exponent_window):
     image = {e for e in range(0, w + 1)} | {k - j for j in range(0, 2 * w + 1)}
     h1 = sum(1 for e in range(-w, w + 1) if e not in image)
     return h0, h1
+
+
+def naive_normal_form(items, system):
+    """Leftmost-innermost PBW reduction, one stack entry per rewrite branch.
+
+    Exponential in the word length but independent of any sharing between
+    branches, so it is the reference for `algebroid.pbw.normal_form`."""
+    from algebroid.pbw import PbwElement, _as_word, _leftmost_redex, _rewrite_at
+
+    ring = system.ring
+    result = {}
+    stack = [(_as_word(items, ring), ring.one)]
+    while stack:
+        word, coeff = stack.pop()
+        if coeff.is_zero():
+            continue
+        redex = _leftmost_redex(word)
+        if redex is None:
+            cur = result.get(word)
+            result[word] = coeff if cur is None else cur + coeff
+            continue
+        t, kind = redex
+        if kind == "fold":
+            stack.append((word[1:], coeff * word[0]))
+            continue
+        for replacement in _rewrite_at(system, word, t, kind):
+            stack.append((replacement, coeff))
+    return PbwElement(system, result)

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import pathlib
 
@@ -115,6 +116,31 @@ def test_malformed_flag_exit_code(flags, env, as_json):
         assert json.loads(text)["error"]
     else:
         assert text.startswith("error: ")
+
+
+@pytest.mark.parametrize("form", ["nosuch", "C"])
+@pytest.mark.parametrize("as_json", [False, True])
+def test_relations_bad_form_reports_error(form, as_json):
+    argv = ["relations", "plane.adf", "T", form] + (["--json"] if as_json else [])
+    code, text = invoke(argv)
+    assert code == 2
+    if as_json:
+        assert json.loads(text)["error"]
+    else:
+        assert text.startswith("error: ")
+
+
+def test_weyl_closed_form_e2_8_e1_8():
+    # plane.adf's monopole twist gives e2 e1 = e1 e2 - 5, so e2^n e1^n is
+    # sum_k (-5)^k k! C(n,k)^2 e1^(n-k) e2^(n-k)
+    n = 8
+    code, text = invoke(["normal-form", "plane.adf", "monopole",
+                         "e2^%d*e1^%d" % (n, n), "--json"])
+    assert code == 0
+    expected = {",".join(["1"] * (n - k) + ["2"] * (n - k)):
+                str((-5) ** k * math.factorial(k) * math.comb(n, k) ** 2)
+                for k in range(n + 1)}
+    assert json.loads(text)["terms"] == expected
 
 
 def test_cech_dims_eliminates_twice(monkeypatch):

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -14,7 +15,10 @@ from algebroid.pbw import (AbelianExtension, PbwElement, RelationSystem,
                            confluence_check, extension_from_cocycle, gr_symbol,
                            normal_form, pushforward_algebra_map,
                            pullback_form, _leftmost_redex, _rewrite_at)
+from algebroid import pbw
 from algebroid.rings import ChartRing, poly_ring
+
+from oracles import naive_normal_form
 
 HEISENBERG = {(0, 1): {2: 1}}
 BAD_RANK3 = {(0, 1): {2: 1}, (0, 2): {0: 1}, (1, 2): {1: 1}}
@@ -193,6 +197,57 @@ def test_strategy_independence_when_confluent():
             fixed = normal_form(items, s)
             for _ in range(2):
                 assert (random_normal_form(items, s, rng) - fixed).is_zero()
+
+
+def _random_items(rng, system, length):
+    """Generators mixed with non-constant, constant and zero coefficients."""
+    r = system.ring
+    items = []
+    for _ in range(length):
+        roll = rng.random()
+        if roll < 0.65:
+            items.append(rng.randrange(system.algebroid.rank))
+        elif roll < 0.8:
+            exps = tuple(rng.randint(0, 2) for _ in r.variables)
+            items.append(r.monomial(exps, rng.randint(1, 3)) + rng.randint(-2, 2))
+        elif roll < 0.92:
+            items.append(r.const(rng.choice([-2, 1, 3])))
+        else:
+            items.append(r.zero)
+    return items
+
+
+def test_memoised_normal_form_matches_naive_randomized(monkeypatch):
+    rng = random.Random(53)
+    r3 = poly_ring("x", "y", "z")
+    t3 = make_tangent(r3)
+    broken = [RelationSystem(make_lie_algebra_bundle(poly_ring("x"), 3,
+                                                     BAD_RANK3)),
+              RelationSystem(t3, LForm(t3, 2, {(1, 2): r3.var("x")}))]
+    systems = [random_valid_system(rng) for _ in range(12)] + broken
+    for s in systems:
+        for _ in range(10):
+            items = _random_items(rng, s, rng.randint(1, 8))
+            got = normal_form(items, s)
+            assert got.terms == naive_normal_form(items, s).terms
+        with monkeypatch.context() as m:
+            m.setattr(pbw, "normal_form", naive_normal_form)
+            before = confluence_check(s)
+        after = confluence_check(s)
+        if before is None:
+            assert after is None
+        else:
+            assert after.word == before.word
+            assert after.difference.terms == before.difference.terms
+    assert all(confluence_check(s) is not None for s in broken)
+
+
+def test_long_word_reduces_without_recursion():
+    w = weyl()
+    r = w.ring
+    n = sys.getrecursionlimit() + 100
+    got = normal_form([0] * n + [r.var("x")], w)
+    assert got.terms == {(0,) * n: r.var("x"), (0,) * (n - 1): r.const(n)}
 
 
 def test_confluence_iff_axioms_randomized():
