@@ -17,7 +17,7 @@ from .core import (Algebroid, AlgebroidMorphism, Section, StructureError,
                    make_tangent, make_trivial_bundle, make_lie_algebra_bundle,
                    make_foliation, make_poisson, make_log, verify_axioms)
 from .forms import (LForm, TruncationWindow, CohomologyReport, d_L, wedge,
-                    contract, function_form, basis_covector,
+                    contract, function_form, basis_covector, covariant_d,
                     truncated_cohomology, exactness_solve, residue_certificate)
 from .connections import (Connection, CurvatureTensor, EValuedForm, curvature,
                           is_flat, extend_connection, chern_trace_form,

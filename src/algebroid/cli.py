@@ -22,7 +22,8 @@ from .cech import (atiyah_cocycle, coboundary_test, glue_sridharan,
 from .connections import (chern_trace_form, curvature, is_flat,
                           obstruction_trace_check)
 from .core import StructureError, verify_axioms
-from .forms import LForm, TruncationWindow, exactness_solve, truncated_cohomology
+from .forms import (LForm, TruncationWindow, WindowError, exactness_solve,
+                    truncated_cohomology)
 from .matched import (MatchedPair, total_cohomology_compare, twilled_sum,
                       verify_matched)
 from .pbw import confluence_check
@@ -653,6 +654,9 @@ def run(argv) -> int:
     handler = COMMANDS[args.command]
     try:
         return handler(args, defs, out, window)
+    except WindowError as err:
+        out.error(str(err))
+        return out.emit(EXIT_USAGE)
     except (StructureError, RingError) as err:
         out.line("refuted: %s" % err)
         out.set("error", str(err))

@@ -15,7 +15,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .core import Algebroid, AlgebroidMorphism, Section, StructureError
 from .forms import (ExactnessResult, IndexTuple, LForm, TruncationWindow,
-                    exactness_solve, sort_with_sign)
+                    covariant_d, exactness_solve, sort_with_sign)
 from .rings import RingElement
 
 Matrix = Tuple[Tuple[RingElement, ...], ...]
@@ -213,35 +213,16 @@ def extend_connection(c: Connection, omega: EValuedForm) -> EValuedForm:
     l.require_verified("the covariant differential")
     if omega.algebroid is not l or omega.rank != c.rank:
         raise StructureError("form does not match the connection's module")
-    p = omega.degree
+    # column t of A_i: nabla_{e_i} b_t = sum_s A_i[s][t] b_s
+    columns = [[[(s, row[t]) for s, row in enumerate(mat) if not row[t].is_zero()]
+                for t in range(c.rank)] for mat in c.matrices]
+    image = covariant_d(l, {(idx, t): v for idx, vec in omega.coeffs.items()
+                            for t, v in enumerate(vec) if not v.is_zero()},
+                        columns)
     out: Dict[IndexTuple, List[RingElement]] = {}
-
-    def accumulate(idx: IndexTuple, vec: Sequence[RingElement], sign: int):
-        cur = out.setdefault(idx, [l.base.zero] * c.rank)
-        for a in range(c.rank):
-            cur[a] = cur[a] + vec[a] if sign == 1 else cur[a] - vec[a]
-
-    for big in combinations(range(l.rank), p + 1):
-        for a in range(p + 1):
-            rest = big[:a] + big[a + 1:]
-            vec = omega.coeffs.get(rest)
-            if vec is None:
-                continue
-            accumulate(big, c.apply_basis(big[a], vec), (-1) ** a)
-        for a, b in combinations(range(p + 1), 2):
-            struct = l.structure_coefficients(big[a], big[b])
-            if all(x.is_zero() for x in struct):
-                continue
-            rest = tuple(x for t, x in enumerate(big) if t not in (a, b))
-            for k in range(l.rank):
-                if struct[k].is_zero():
-                    continue
-                vec = omega.component((k,) + rest)
-                if all(v.is_zero() for v in vec):
-                    continue
-                scaled = tuple(struct[k] * v for v in vec)
-                accumulate(big, scaled, (-1) ** (a + b))
-    return EValuedForm(l, c.rank, p + 1, out)
+    for (idx, t), v in image.items():
+        out.setdefault(idx, [l.base.zero] * c.rank)[t] = v
+    return EValuedForm(l, c.rank, omega.degree + 1, out)
 
 
 def chern_trace_form(c: Connection, k: int = 1) -> LForm:

@@ -181,14 +181,6 @@ class Algebroid:
                 result = result + vec[d] * self.base.derive(name, f)
         return result
 
-    def apply_derivation_vector(self, vec: Sequence[RingElement],
-                                f: RingElement) -> RingElement:
-        result = self.base.zero
-        for d, name in enumerate(self.base.derivation_names):
-            if not vec[d].is_zero():
-                result = result + vec[d] * self.base.derive(name, f)
-        return result
-
     def bracket(self, u: Section, v: Section) -> Section:
         """Bracket of sections, expanded by bilinearity and Leibniz."""
         if u.owner is not self or v.owner is not self:
@@ -240,27 +232,12 @@ class Algebroid:
         for i, j in combinations(range(self.rank), 2):
             lhs = self.anchor_derivation(
                 Section(self, self.structure_coefficients(i, j)))
-            rhs = self._anchor_commutator(i, j)
+            rhs = vector_field_bracket(self.base, self.anchor[i], self.anchor[j])
             diff = [a - b for a, b in zip(lhs, rhs)]
             if any(not d.is_zero() for d in diff):
                 return Verification(False, AxiomWitness(
                     "anchor-morphism-failure", (i, j), tuple(diff)))
         return Verification(True)
-
-    def _anchor_commutator(self, i: int, j: int) -> Tuple[RingElement, ...]:
-        """[a(e_i), a(e_j)] in the declared (commuting) derivation frame."""
-        nder = len(self.base.derivation_names)
-        names = self.base.derivation_names
-        out = [self.base.zero] * nder
-        for d in range(nder):
-            acc = self.base.zero
-            for e in range(nder):
-                if not self.anchor[i][e].is_zero():
-                    acc = acc + self.anchor[i][e] * self.base.derive(names[e], self.anchor[j][d])
-                if not self.anchor[j][e].is_zero():
-                    acc = acc - self.anchor[j][e] * self.base.derive(names[e], self.anchor[i][d])
-            out[d] = acc
-        return tuple(out)
 
     def require_verified(self, context: str = "operation") -> None:
         v = self.verify()
@@ -293,6 +270,23 @@ class Algebroid:
 
     def __repr__(self):
         return "Algebroid(rank %d over %r)" % (self.rank, self.base)
+
+
+def vector_field_bracket(r: ChartRing, v: Sequence[RingElement],
+                         w: Sequence[RingElement]) -> Tuple[RingElement, ...]:
+    """[v, w] of vector fields given as coefficients of the ring's declared
+    (commuting) derivations: [v, w]_d = sum_e v_e d_e(w_d) - w_e d_e(v_d)."""
+    names = r.derivation_names
+    out = []
+    for d in range(len(names)):
+        acc = r.zero
+        for e, name in enumerate(names):
+            if not v[e].is_zero():
+                acc = acc + v[e] * r.derive(name, w[d])
+            if not w[e].is_zero():
+                acc = acc - w[e] * r.derive(name, v[d])
+        out.append(acc)
+    return tuple(out)
 
 
 def verify_axioms(l: Algebroid) -> Verification:
@@ -348,18 +342,6 @@ def make_foliation(r: ChartRing, generators: Sequence[Sequence],
         raise StructureError("generator rows must match the derivation count")
     m = len(gens)
 
-    def commutator(a, b):
-        out = []
-        for d in range(nder):
-            acc = r.zero
-            for e in range(nder):
-                if not a[e].is_zero():
-                    acc = acc + a[e] * r.derive(r.derivation_names[e], b[d])
-                if not b[e].is_zero():
-                    acc = acc - b[e] * r.derive(r.derivation_names[e], a[d])
-            out.append(acc)
-        return out
-
     maxdeg = 0
     for g in gens:
         for c in g:
@@ -371,7 +353,7 @@ def make_foliation(r: ChartRing, generators: Sequence[Sequence],
     monomials = _poly_monomials(r, degree_bound)
     structure = {}
     for i, j in combinations(range(m), 2):
-        target = commutator(gens[i], gens[j])
+        target = vector_field_bracket(r, gens[i], gens[j])
         if all(t.is_zero() for t in target):
             continue
         # unknowns: coefficients of each g_k over the monomial window;

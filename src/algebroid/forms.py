@@ -15,10 +15,12 @@ unless a residue functional certifies them outright.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from itertools import chain, combinations
+from typing import (Dict, Hashable, Iterable, List, Mapping, Optional,
+                    Sequence, Tuple)
 
 from .core import Algebroid, Section, StructureError
 from .linalg import SparseSystem
@@ -41,6 +43,76 @@ def sort_with_sign(indices: Sequence[int]) -> Tuple[Optional[IndexTuple], int]:
         if a == b:
             return None, 0
     return tuple(idx), sign
+
+
+def covariant_d(l: Algebroid,
+                coeffs: Mapping[Tuple[IndexTuple, Hashable], RingElement],
+                matrices: Optional[Sequence[Mapping]] = None
+                ) -> Dict[Tuple[IndexTuple, Hashable], RingElement]:
+    """The Chevalley-Eilenberg differential with values in a module that
+    carries an l-connection.
+
+    `coeffs` maps (ascending index tuple I, module label t) to the ring
+    coefficient of theta^I (x) b_t.  `matrices[i][t]` lists the (s, m)
+    with nabla_{e_i} b_t = sum m * b_s; without `matrices` the connection
+    is trivial.  The formula
+
+        d w(e_0..e_p) = sum_a (-1)^a nabla_{e_a} w(.., no e_a, ..)
+                        + sum_{a<b} (-1)^(a+b) w([e_a, e_b], .., no e_a, e_b, ..)
+
+    is evaluated by scattering each input term to the (p+1)-tuples it
+    reaches: anchor and connection terms for each i not in I, bracket
+    terms for each k in I (through the c_ij^k with i, j outside I - {k}).
+    The cost follows the number of terms, not C(rank, p+1).  The result
+    uses the same keys and holds no zero values.
+    """
+    base = l.base
+    fields = [[(name, g) for name, g in zip(base.derivation_names, row)
+               if not g.is_zero()] for row in l.anchor]
+    feeds: List[List[Tuple[int, int, RingElement]]] = [[] for _ in range(l.rank)]
+    for (i, j), comps in l.structure.items():
+        for k, c in enumerate(comps):
+            if not c.is_zero():
+                feeds[k].append((i, j, c))
+    out: Dict[Tuple[IndexTuple, Hashable], RingElement] = {}
+
+    def add(key, val: RingElement, negate: bool):
+        cur = out.get(key)
+        if cur is None:
+            out[key] = -val if negate else val
+        else:
+            out[key] = cur - val if negate else cur + val
+
+    for (idx, t), f in coeffs.items():
+        derivs: Dict[str, RingElement] = {}
+        for i in range(l.rank):
+            pos = bisect_left(idx, i)
+            if pos < len(idx) and idx[pos] == i:
+                continue
+            big = idx[:pos] + (i,) + idx[pos:]
+            negate = pos % 2 == 1
+            val = None
+            for name, g in fields[i]:
+                df = derivs.get(name)
+                if df is None:
+                    df = derivs[name] = base.derive(name, f)
+                if not df.is_zero():
+                    val = g * df if val is None else val + g * df
+            if val is not None:
+                add((big, t), val, negate)
+            if matrices is not None:
+                for s, m in matrices[i][t]:
+                    add((big, s), m * f, negate)
+        for pos, k in enumerate(idx):
+            if not feeds[k]:
+                continue
+            rest = idx[:pos] + idx[pos + 1:]
+            for i, j, c in feeds[k]:
+                if i in rest or j in rest:
+                    continue
+                big = tuple(sorted(rest + (i, j)))
+                add((big, t), c * f, (big.index(i) + big.index(j) + pos) % 2 == 1)
+    return {key: val for key, val in out.items() if not val.is_zero()}
 
 
 class LForm:
@@ -165,43 +237,10 @@ class LForm:
         return self._d_unchecked()
 
     def _d_unchecked(self) -> "LForm":
-        L = self.owner
-        p = self.degree
-        out: Dict[IndexTuple, RingElement] = {}
-
-        def accumulate(idx: IndexTuple, val: RingElement):
-            if val.is_zero():
-                return
-            cur = out.get(idx)
-            out[idx] = val if cur is None else cur + val
-
-        for big in combinations(range(L.rank), p + 1):
-            total = L.base.zero
-            # anchor terms
-            for a in range(p + 1):
-                rest = big[:a] + big[a + 1:]
-                coeff = self.coeffs.get(rest)
-                if coeff is None:
-                    continue
-                term = L.anchor_apply(L.basis_section(big[a]), coeff)
-                total = total + (term if a % 2 == 0 else -term)
-            # bracket terms
-            for a, b in combinations(range(p + 1), 2):
-                struct = L.structure_coefficients(big[a], big[b])
-                if all(c.is_zero() for c in struct):
-                    continue
-                rest = tuple(x for t, x in enumerate(big) if t not in (a, b))
-                sign_ab = (-1) ** (a + b)
-                for k in range(L.rank):
-                    if struct[k].is_zero():
-                        continue
-                    val = self.component((k,) + rest)
-                    if val.is_zero():
-                        continue
-                    term = struct[k] * val
-                    total = total + (term if sign_ab == 1 else -term)
-            accumulate(big, total)
-        return LForm(L, p + 1, out)
+        image = covariant_d(self.owner, {(idx, 0): val
+                                         for idx, val in self.coeffs.items()})
+        return LForm(self.owner, self.degree + 1,
+                     {idx: val for (idx, _), val in image.items()})
 
     # -- rendering -------------------------------------------------------------
 
@@ -274,6 +313,11 @@ def basis_covector(l: Algebroid, i: int) -> LForm:
 
 
 # -- windowed slices ------------------------------------------------------------
+
+
+class WindowError(StructureError):
+    """A window too small for the question: an input error, not a
+    refutation."""
 
 
 @dataclass(frozen=True)
@@ -400,24 +444,15 @@ def _differential_entries(l: Algebroid, domain: _Slice):
 def _window_check(l: Algebroid, window: TruncationWindow) -> None:
     maxdeg = 0
     maxexp = 1
-    for row in l.anchor:
-        for g in row:
-            if not g.is_zero():
-                maxdeg = max(maxdeg, g.total_degree_range()[1])
-                for i, v in enumerate(l.base.variables):
-                    if v in l.base.laurent:
-                        lo, hi = g.exponent_range(i)
-                        maxexp = max(maxexp, abs(lo), abs(hi))
-    for coeffs in l.structure.values():
-        for c in coeffs:
-            if not c.is_zero():
-                maxdeg = max(maxdeg, c.total_degree_range()[1])
-                for i, v in enumerate(l.base.variables):
-                    if v in l.base.laurent:
-                        lo, hi = c.exponent_range(i)
-                        maxexp = max(maxexp, abs(lo), abs(hi))
+    for g in chain(*l.anchor, *l.structure.values()):
+        if not g.is_zero():
+            maxdeg = max(maxdeg, g.total_degree_range()[1])
+            for i, v in enumerate(l.base.variables):
+                if v in l.base.laurent:
+                    lo, hi = g.exponent_range(i)
+                    maxexp = max(maxexp, abs(lo), abs(hi))
     if window.degree < maxdeg or window.laurent < maxexp:
-        raise StructureError(
+        raise WindowError(
             "window too small relative to coefficient degrees "
             "(need degree >= %d, laurent >= %d)" % (maxdeg, maxexp))
 

@@ -335,6 +335,9 @@ class RingElement:
         return "<%s>" % self
 
     def __hash__(self):
+        # constants equal their Fraction (and int), so they hash alike
+        if self.is_constant():
+            return hash(self.constant_term())
         return hash((id(self.ring), tuple(sorted(self.terms.items()))))
 
 

@@ -5,7 +5,10 @@ the Poisson checks work on functions, the Chevalley-Eilenberg ranks come
 from explicitly enumerated basis matrices, and the one-variable
 integration oracle inverts d/dx directly on monomials.  The PBW oracle
 enumerates every rewrite branch of the library's reduction strategy
-separately and merges equal words only at the end.
+separately and merges equal words only at the end.  The gather
+differentials evaluate the Chevalley-Eilenberg formula one output tuple
+at a time, the way the library did before `forms.covariant_d` scattered
+input terms instead; they are the references for that kernel.
 """
 
 from fractions import Fraction
@@ -136,3 +139,206 @@ def naive_normal_form(items, system):
         for replacement in _rewrite_at(system, word, t, kind):
             stack.append((replacement, coeff))
     return PbwElement(system, result)
+
+
+# -- gather-style Chevalley-Eilenberg differentials ------------------------------
+
+
+def gather_d_form(theta):
+    """d of an LForm: for each (p+1)-tuple, the alternating sum of anchor
+    terms plus the bracket terms."""
+    from algebroid.forms import LForm
+
+    L = theta.owner
+    p = theta.degree
+    out = {}
+
+    def accumulate(idx, val):
+        if val.is_zero():
+            return
+        cur = out.get(idx)
+        out[idx] = val if cur is None else cur + val
+
+    for big in combinations(range(L.rank), p + 1):
+        total = L.base.zero
+        # anchor terms
+        for a in range(p + 1):
+            rest = big[:a] + big[a + 1:]
+            coeff = theta.coeffs.get(rest)
+            if coeff is None:
+                continue
+            term = L.anchor_apply(L.basis_section(big[a]), coeff)
+            total = total + (term if a % 2 == 0 else -term)
+        # bracket terms
+        for a, b in combinations(range(p + 1), 2):
+            struct = L.structure_coefficients(big[a], big[b])
+            if all(c.is_zero() for c in struct):
+                continue
+            rest = tuple(x for t, x in enumerate(big) if t not in (a, b))
+            sign_ab = (-1) ** (a + b)
+            for k in range(L.rank):
+                if struct[k].is_zero():
+                    continue
+                val = theta.component((k,) + rest)
+                if val.is_zero():
+                    continue
+                term = struct[k] * val
+                total = total + (term if sign_ab == 1 else -term)
+        accumulate(big, total)
+    return LForm(L, p + 1, out)
+
+
+def gather_extend_connection(c, omega):
+    """Covariant differential of a module-valued form, tuple by tuple."""
+    from algebroid.connections import EValuedForm
+
+    l = c.algebroid
+    p = omega.degree
+    out = {}
+
+    def accumulate(idx, vec, sign):
+        cur = out.setdefault(idx, [l.base.zero] * c.rank)
+        for a in range(c.rank):
+            cur[a] = cur[a] + vec[a] if sign == 1 else cur[a] - vec[a]
+
+    for big in combinations(range(l.rank), p + 1):
+        for a in range(p + 1):
+            rest = big[:a] + big[a + 1:]
+            vec = omega.coeffs.get(rest)
+            if vec is None:
+                continue
+            accumulate(big, c.apply_basis(big[a], vec), (-1) ** a)
+        for a, b in combinations(range(p + 1), 2):
+            struct = l.structure_coefficients(big[a], big[b])
+            if all(x.is_zero() for x in struct):
+                continue
+            rest = tuple(x for t, x in enumerate(big) if t not in (a, b))
+            for k in range(l.rank):
+                if struct[k].is_zero():
+                    continue
+                vec = omega.component((k,) + rest)
+                if all(v.is_zero() for v in vec):
+                    continue
+                scaled = tuple(struct[k] * v for v in vec)
+                accumulate(big, scaled, (-1) ** (a + b))
+    return EValuedForm(l, c.rank, p + 1, out)
+
+
+def _component_value(coeffs, i1, i2):
+    """look up with antisymmetrization in each slot separately."""
+    from algebroid.forms import sort_with_sign
+
+    s1, sign1 = sort_with_sign(i1)
+    s2, sign2 = sort_with_sign(i2)
+    if s1 is None or s2 is None:
+        return None
+    val = coeffs.get((s1, s2))
+    if val is None:
+        return None
+    return val if sign1 * sign2 == 1 else -val
+
+
+def gather_d1(m, p, q, coeffs):
+    """d1 of a (p, q) cochain {(I, J): element} of the matched pair's
+    double complex, as {(I, J): element} without zero values."""
+    base = m.l1.base
+    out = {}
+
+    def add(i1, i2, val):
+        if val.is_zero():
+            return
+        cur = out.get((i1, i2))
+        out[(i1, i2)] = val if cur is None else cur + val
+
+    for big in combinations(range(m.l1.rank), p + 1):
+        for j2 in combinations(range(m.l2.rank), q):
+            total = base.zero
+            for a in range(p + 1):
+                rest = big[:a] + big[a + 1:]
+                sign = (-1) ** a
+                # action of e_{big[a]} on the q-slot with coefficients
+                got = coeffs.get((rest, j2))
+                if got is not None:
+                    val = m.l1.anchor_apply(m.l1.basis_section(big[a]), got)
+                    total = total + (val if sign == 1 else -val)
+                # substitution terms: - omega(rest; ..., act f_jt, ...)
+                for t in range(q):
+                    col = m.action12.matrices[big[a]]
+                    for l in range(m.l2.rank):
+                        entry = col[l][j2[t]]
+                        if entry.is_zero():
+                            continue
+                        replaced = j2[:t] + (l,) + j2[t + 1:]
+                        v = _component_value(coeffs, rest, replaced)
+                        if v is None:
+                            continue
+                        term = entry * v
+                        total = total - (term if sign == 1 else -term)
+            for a, b in combinations(range(p + 1), 2):
+                struct = m.l1.structure_coefficients(big[a], big[b])
+                if all(c.is_zero() for c in struct):
+                    continue
+                rest = tuple(x for t, x in enumerate(big) if t not in (a, b))
+                sgn = (-1) ** (a + b)
+                for k in range(m.l1.rank):
+                    if struct[k].is_zero():
+                        continue
+                    v = _component_value(coeffs, (k,) + rest, j2)
+                    if v is None:
+                        continue
+                    term = struct[k] * v
+                    total = total + (term if sgn == 1 else -term)
+            add(big, j2, total)
+    return out
+
+
+def gather_d2(m, p, q, coeffs):
+    """The mirror of gather_d1: l2 differentiates the second slot with
+    action21 on the first."""
+    base = m.l1.base
+    out = {}
+
+    def add(i1, i2, val):
+        if val.is_zero():
+            return
+        cur = out.get((i1, i2))
+        out[(i1, i2)] = val if cur is None else cur + val
+
+    for j1 in combinations(range(m.l1.rank), p):
+        for big in combinations(range(m.l2.rank), q + 1):
+            total = base.zero
+            for a in range(q + 1):
+                rest = big[:a] + big[a + 1:]
+                sign = (-1) ** a
+                got = coeffs.get((j1, rest))
+                if got is not None:
+                    val = m.l2.anchor_apply(m.l2.basis_section(big[a]), got)
+                    total = total + (val if sign == 1 else -val)
+                for t in range(p):
+                    col = m.action21.matrices[big[a]]
+                    for l in range(m.l1.rank):
+                        entry = col[l][j1[t]]
+                        if entry.is_zero():
+                            continue
+                        replaced = j1[:t] + (l,) + j1[t + 1:]
+                        v = _component_value(coeffs, replaced, rest)
+                        if v is None:
+                            continue
+                        term = entry * v
+                        total = total - (term if sign == 1 else -term)
+            for a, b in combinations(range(q + 1), 2):
+                struct = m.l2.structure_coefficients(big[a], big[b])
+                if all(c.is_zero() for c in struct):
+                    continue
+                rest = tuple(x for t, x in enumerate(big) if t not in (a, b))
+                sgn = (-1) ** (a + b)
+                for k in range(m.l2.rank):
+                    if struct[k].is_zero():
+                        continue
+                    v = _component_value(coeffs, j1, (k,) + rest)
+                    if v is None:
+                        continue
+                    term = struct[k] * v
+                    total = total + (term if sgn == 1 else -term)
+            add(j1, big, total)
+    return out

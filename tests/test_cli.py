@@ -118,6 +118,32 @@ def test_malformed_flag_exit_code(flags, env, as_json):
         assert text.startswith("error: ")
 
 
+WINDOW_TOO_SMALL = """ring R = poly(Q; x, y);
+algebroid A over R { basis e1; anchor e1 -> x^3*d/dx; }
+algebroid B over R { basis f1; anchor f1 -> d/dy; }
+connection act12 on A rank 1 { }
+connection act21 on B rank 1 { }
+matched M { l1 A; l2 B; action12 act12; action21 act21; }
+"""
+
+
+@pytest.mark.parametrize("argv", [["cohomology", "A"],
+                                  ["compare-total", "M", "--degrees", "0..1"]])
+@pytest.mark.parametrize("as_json", [False, True])
+def test_window_too_small_is_usage_error(tmp_path, argv, as_json):
+    path = tmp_path / "w.adf"
+    path.write_text(WINDOW_TOO_SMALL)
+    code, text = invoke([argv[0], str(path)] + argv[1:] + ["--window", "2"]
+                        + (["--json"] if as_json else []))
+    assert code == 2
+    if as_json:
+        assert "window too small" in json.loads(text)["error"]
+    else:
+        assert text.startswith("error: window too small")
+    code, _ = invoke([argv[0], str(path)] + argv[1:] + ["--window", "3"])
+    assert code in (0, 3)
+
+
 @pytest.mark.parametrize("form", ["nosuch", "C"])
 @pytest.mark.parametrize("as_json", [False, True])
 def test_relations_bad_form_reports_error(form, as_json):

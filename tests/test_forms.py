@@ -1,16 +1,21 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
-from algebroid.core import (StructureError, make_lie_algebra_bundle, make_log,
-                            make_poisson, make_tangent, make_trivial_bundle)
+from algebroid.connections import Connection, EValuedForm, extend_connection
+from algebroid.core import (Algebroid, StructureError, make_foliation,
+                            make_lie_algebra_bundle, make_log, make_poisson,
+                            make_tangent, make_trivial_bundle)
 from algebroid.forms import (LForm, TruncationWindow, basis_covector, contract,
-                             d_L, exactness_solve, function_form,
+                             covariant_d, d_L, exactness_solve, function_form,
                              residue_certificate, truncated_cohomology, wedge)
+from algebroid.matched import MatchedPair, twilled_sum
 from algebroid.rings import ChartRing, laurent_ring, poly_ring
 
-from oracles import ce_cohomology_dims, integrate_univariate
+from oracles import (ce_cohomology_dims, gather_d_form, gather_extend_connection,
+                     integrate_univariate)
 
 HEISENBERG = {(0, 1): {2: 1}}
 BAD_RANK3 = {(0, 1): {2: 1}, (0, 2): {0: 1}, (1, 2): {1: 1}}
@@ -20,18 +25,21 @@ def constants_ring():
     return ChartRing(())
 
 
+def rand_poly(r, rng, coeff_degree=4):
+    total = r.zero
+    for _ in range(rng.randint(0, 2)):
+        exps = []
+        for v in r.variables:
+            lo = -coeff_degree if v in r.laurent else 0
+            exps.append(rng.randint(lo, coeff_degree))
+        total = total + r.monomial(tuple(exps), Fraction(rng.randint(-4, 4)))
+    return total
+
+
 def rand_form(l, rng, degree, coeff_degree=4):
-    from itertools import combinations
-    r = l.base
     coeffs = {}
     for idx in combinations(range(l.rank), degree):
-        total = r.zero
-        for _ in range(rng.randint(0, 2)):
-            exps = []
-            for v in r.variables:
-                lo = -coeff_degree if v in r.laurent else 0
-                exps.append(rng.randint(lo, coeff_degree))
-            total = total + r.monomial(tuple(exps), Fraction(rng.randint(-4, 4)))
+        total = rand_poly(l.base, rng, coeff_degree)
         if not total.is_zero():
             coeffs[idx] = total
     return LForm(l, degree, coeffs)
@@ -46,6 +54,60 @@ def catalog():
     yield make_poisson(poly_ring("x", "y"), {(0, 1): 1})
     r = poly_ring("x", "y")
     yield make_poisson(r, {(0, 1): r.var("x")})
+
+
+def kernel_catalog():
+    """Anchors and brackets of every kind the package builds: identity,
+    linear Poisson (so(3)*), logarithmic, Laurent, a foliation with a
+    non-constant bracket and a twilled sum with mixed brackets."""
+    r3 = poly_ring("x", "y", "z")
+    x, y, z = (r3.var(v) for v in ("x", "y", "z"))
+    yield make_tangent(r3)
+    yield make_poisson(r3, {(0, 1): z, (1, 2): x, (2, 0): y})
+    yield make_log(poly_ring("x", "y"), ["x"])
+    yield make_tangent(laurent_ring("x", "y"))
+    r2 = poly_ring("x", "y")
+    yield make_foliation(r2, [[r2.var("x"), r2.var("y")], [1, 0], [0, 1]])
+    r4 = poly_ring("x", "y", "z", "w")
+    l1 = Algebroid(r4, 2, [[1, 0, 0, 0], [0, 1, 0, 0]], {})
+    l2 = Algebroid(r4, 2, [[r4.var("x"), 0, 1, 0], [0, 0, 0, 1]], {})
+    yield twilled_sum(MatchedPair(
+        l1, l2, Connection.trivial(l1, 2),
+        Connection(l2, 2, [[[-1, 0], [0, 0]], [[0, 0], [0, 0]]])))
+
+
+def test_covariant_d_matches_gather_on_forms():
+    rng = random.Random(131)
+    for l in kernel_catalog():
+        assert l.verify().verified
+        for degree in range(l.rank + 1):
+            for _ in range(4):
+                theta = rand_form(l, rng, degree, coeff_degree=3)
+                expected = gather_d_form(theta).coeffs
+                got = covariant_d(l, {(idx, 0): v for idx, v in theta.coeffs.items()})
+                assert got == {(idx, 0): v for idx, v in expected.items()}
+                assert all(not v.is_zero() for v in got.values())
+                assert theta.d().coeffs == expected
+
+
+def test_extend_connection_matches_gather():
+    # random connections, flat or not, of module rank 1-3
+    rng = random.Random(137)
+    for l in kernel_catalog():
+        r = l.base
+        for rank in (1, 2, 3):
+            mats = [[[rand_poly(r, rng, 2) if rng.random() < 0.4 else 0
+                      for _ in range(rank)] for _ in range(rank)]
+                    for _ in range(l.rank)]
+            c = Connection(l, rank, mats)
+            for degree in range(l.rank + 1):
+                omega = EValuedForm(l, rank, degree, {
+                    idx: [rand_poly(r, rng, 3) for _ in range(rank)]
+                    for idx in combinations(range(l.rank), degree)})
+                got = extend_connection(c, omega)
+                expected = gather_extend_connection(c, omega)
+                assert got.coeffs == expected.coeffs
+                assert (got.degree, got.rank) == (degree + 1, rank)
 
 
 def test_d_of_function_tangent():

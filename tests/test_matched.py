@@ -1,16 +1,18 @@
+import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from algebroid.connections import Connection
 from algebroid.core import (Algebroid, StructureError, make_lie_algebra_bundle,
                             make_tangent, make_trivial_bundle)
-from algebroid.forms import TruncationWindow, truncated_cohomology
+from algebroid.forms import TruncationWindow, covariant_d, truncated_cohomology
 from algebroid.matched import (DoubleComplexSlice, MatchedPair, twilled_sum,
                                total_cohomology_compare, verify_matched)
 from algebroid.rings import ChartRing, poly_ring
 
-from oracles import ce_cohomology_dims
+from oracles import ce_cohomology_dims, gather_d1, gather_d2
 
 HEISENBERG = {(0, 1): {2: 1}}
 
@@ -35,6 +37,13 @@ def sheared_tangent_pair():
     act12 = Connection(l1, 2, [[[0, 0], [0, 0]], [[0, 0], [0, 0]]])
     act21 = Connection(l2, 2, [[[-1, 0], [0, 0]], [[0, 0], [0, 0]]])
     return MatchedPair(l1, l2, act12, act21)
+
+
+def swapped_sheared_pair():
+    """The sheared pair with its factors exchanged, so that action12 is
+    the nonzero action of <dz + x dx, dw> on <dx, dy>."""
+    m = sheared_tangent_pair()
+    return MatchedPair(m.l2, m.l1, m.action21, m.action12)
 
 
 def kunneth_pair():
@@ -119,10 +128,10 @@ def test_double_complex_differentials_square_to_zero():
             continue
         for (i1, i2, mono) in basis:
             once = sl.d1_of_basis(p, q, i1, i2, mono)
-            twice = sl._d1_general(p + 1, q, once)
+            twice = sl.d1(once)
             assert all(v.is_zero() for v in twice.values())
             once2 = sl.d2_of_basis(p, q, i1, i2, mono)
-            twice2 = sl._d2_general(p, q + 1, once2)
+            twice2 = sl.d2(once2)
             assert all(v.is_zero() for v in twice2.values())
 
 
@@ -190,3 +199,57 @@ def test_rank_zero_second_factor_reduces():
     direct = truncated_cohomology(l1, [0, 1], TruncationWindow(4, 2))
     assert rep.total_dims == {0: direct.dim(0), 1: direct.dim(1)}
     assert rep.agree
+
+
+def test_swapped_sheared_pair_nonzero_action12():
+    m = swapped_sheared_pair()
+    assert any(not x.is_zero() for mat in m.action12.matrices
+               for row in mat for x in row)
+    assert verify_matched(m).verified
+    sl = DoubleComplexSlice(m, 3, TruncationWindow(2, 2))
+    assert sl.commutation_check() is None
+    acted = 0
+    for (p, q), basis in sorted(sl.bases.items()):
+        for (i1, i2, mono) in basis:
+            once = sl.d1_of_basis(p, q, i1, i2, mono)
+            assert all(v.is_zero() for v in sl.d1(once).values())
+            once2 = sl.d2_of_basis(p, q, i1, i2, mono)
+            assert all(v.is_zero() for v in sl.d2(once2).values())
+            plain = covariant_d(m.l1, {(i1, i2): m.l1.base.monomial(mono)})
+            acted += once != plain
+    assert acted          # the action12 term of d1 is live
+    rep = total_cohomology_compare(m, [0, 1, 2], TruncationWindow(2, 2))
+    assert rep.total_dims == rep.twilled_dims
+
+
+def random_cochain(m, rng, p, q):
+    r = m.l1.base
+    out = {}
+    for i1 in combinations(range(m.l1.rank), p):
+        for i2 in combinations(range(m.l2.rank), q):
+            if rng.random() < 0.3:
+                continue
+            val = r.zero
+            for _ in range(rng.randint(1, 2)):
+                exps = tuple(rng.randint(0, 2) for _ in r.variables)
+                val = val + r.monomial(exps, Fraction(rng.randint(-3, 3)))
+            if not val.is_zero():
+                out[(i1, i2)] = val
+    return out
+
+
+def test_double_complex_matches_gather_randomized():
+    sheared = sheared_tangent_pair()
+    broken = MatchedPair(sheared.l1, sheared.l2, sheared.action12, Connection(
+        sheared.l2, 2, [[[-1, 0], [0, 1]], [[0, 0], [0, 0]]]))
+    pairs = [two_foliation_pair(), sheared, swapped_sheared_pair(),
+             kunneth_pair(), polynomial_action_pair(), broken]
+    rng = random.Random(139)
+    for m in pairs:
+        sl = DoubleComplexSlice(m, m.l1.rank + m.l2.rank, TruncationWindow(2, 2))
+        for p in range(m.l1.rank + 1):
+            for q in range(m.l2.rank + 1):
+                for _ in range(3):
+                    coeffs = random_cochain(m, rng, p, q)
+                    assert sl.d1(coeffs) == gather_d1(m, p, q, coeffs)
+                    assert sl.d2(coeffs) == gather_d2(m, p, q, coeffs)

@@ -145,3 +145,15 @@ def test_derivations_commute_check():
         "d1": {"x": 1, "y": 0},
         "d2": {"x": 0, "y": 2},
     })
+
+
+def test_constants_hash_like_their_fraction():
+    r = poly_ring("x", "y")
+    assert r.one == 1 and 1 in {r.one} and r.one in {1}
+    assert r.zero == 0 and 0 in {r.zero} and r.zero in {0}
+    half = r.const(Fraction(1, 2))
+    assert half == Fraction(1, 2)
+    assert half in {Fraction(1, 2)} and Fraction(1, 2) in {half}
+    assert {r.const(3): "c"}[3] == "c"
+    x = r.var("x")
+    assert x in {x + 0} and x not in {1}
