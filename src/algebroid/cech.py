@@ -24,7 +24,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .connections import Connection, curvature
 from .core import Algebroid, AlgebroidMorphism, Section, StructureError
-from .forms import LForm, TruncationWindow, IndexTuple
+from .forms import LForm, TruncationWindow, IndexTuple, compile_d, _perm_sign
 from .linalg import SparseSystem
 from .pbw import PbwElement, RelationSystem, sum_elements
 from .rings import ChartRing, RingElement, RingMap, laurent_ring, poly_ring
@@ -74,18 +74,7 @@ def _ring_det(ring: ChartRing, mat: Sequence[Sequence[RingElement]]) -> RingElem
     n = len(mat)
     total = ring.zero
     for perm in permutations(range(n)):
-        sign = 1
-        seen = [False] * n
-        for s in range(n):
-            if seen[s]:
-                continue
-            t, ln = s, 0
-            while not seen[t]:
-                seen[t] = True
-                t = perm[t]
-                ln += 1
-            if ln % 2 == 0:
-                sign = -sign
+        sign = _perm_sign(perm)
         prod = ring.one
         for r in range(n):
             prod = prod * mat[r][perm[r]]
@@ -471,14 +460,12 @@ def coboundary_test(cover: Cover, pair_a: CechPair, pair_b: CechPair,
         if alg.rank < 2:
             continue
         alg.require_verified("coboundary testing")
-        ring = cover.chart_ring(a)
+        stencil = compile_d(alg)
         for i in range(alg.rank):
             for mono in monos[a]:
-                col = position[(a, i, mono)]
-                image = LForm(alg, 1, {(i,): ring.monomial(mono, 1)})._d_unchecked()
-                for jdx, val in image.coeffs.items():
-                    for exps, c in val.terms.items():
-                        cols[col][("ch", a, jdx, exps)] = c
+                col = cols[position[(a, i, mono)]]
+                for ((jdx, _), exps), c in stencil.column((i,), 0, mono).items():
+                    col[("ch", a, jdx, exps)] = c
         target = diff.q[a]
         for jdx, val in target.coeffs.items():
             for exps, c in val.terms.items():

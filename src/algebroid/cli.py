@@ -21,8 +21,8 @@ from .cech import (atiyah_cocycle, coboundary_test, glue_sridharan,
                    verify_lambda_module)
 from .connections import (chern_trace_form, curvature, is_flat,
                           obstruction_trace_check)
-from .core import StructureError, verify_axioms
-from .forms import (LForm, TruncationWindow, WindowError, exactness_solve,
+from .core import InputError, StructureError, verify_axioms
+from .forms import (LForm, TruncationWindow, exactness_solve,
                     truncated_cohomology)
 from .matched import (MatchedPair, total_cohomology_compare, twilled_sum,
                       verify_matched)
@@ -654,7 +654,7 @@ def run(argv) -> int:
     handler = COMMANDS[args.command]
     try:
         return handler(args, defs, out, window)
-    except WindowError as err:
+    except InputError as err:
         out.error(str(err))
         return out.emit(EXIT_USAGE)
     except (StructureError, RingError) as err:

@@ -13,9 +13,10 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .core import Algebroid, AlgebroidMorphism, Section, StructureError
+from .core import (Algebroid, AlgebroidMorphism, InputError, Section,
+                   StructureError)
 from .forms import (ExactnessResult, IndexTuple, LForm, TruncationWindow,
-                    covariant_d, exactness_solve, sort_with_sign)
+                    covariant_d, exactness_solve, sort_with_sign, _perm_sign)
 from .rings import RingElement
 
 Matrix = Tuple[Tuple[RingElement, ...], ...]
@@ -247,7 +248,7 @@ def chern_trace_form(c: Connection, k: int = 1) -> LForm:
             for first in combinations(range(4), 2):
                 second = tuple(t for t in range(4) if t not in first)
                 perm = first + second
-                sign = _shuffle_sign(perm)
+                sign = _perm_sign(perm)
                 fa = f.entry(big[perm[0]], big[perm[1]])
                 fb = f.entry(big[perm[2]], big[perm[3]])
                 prod = _mat_mul(fa, fb, zero)
@@ -263,15 +264,6 @@ def chern_trace_form(c: Connection, k: int = 1) -> LForm:
     if not out.d().is_zero():
         raise StructureError("internal error: trace form is not closed")
     return out
-
-
-def _shuffle_sign(perm: Sequence[int]) -> int:
-    sign = 1
-    for a in range(len(perm)):
-        for b in range(a + 1, len(perm)):
-            if perm[a] > perm[b]:
-                sign = -sign
-    return sign
 
 
 @dataclass
@@ -290,9 +282,9 @@ def obstruction_trace_check(c: Connection, q: LForm,
     """Requiring curvature Q * id forces trace(F) = rank * Q, whose class
     must vanish; decide exactness of rank * Q in the window."""
     if q.owner is not c.algebroid or q.degree != 2:
-        raise StructureError("the twist must be a 2-form on the same algebroid")
+        raise InputError("the twist must be a 2-form on the same algebroid")
     if not q.d().is_zero():
-        raise StructureError("the twist form must be closed")
+        raise InputError("the twist form must be closed")
     scaled = q.scale(c.algebroid.base.const(c.rank))
     if scaled.is_zero():
         return ObstructionReport("consistent", ExactnessResult(

@@ -22,6 +22,11 @@ class StructureError(Exception):
     """Malformed algebroid data (shape problems, not axiom failures)."""
 
 
+class InputError(StructureError):
+    """A question its input does not admit (a window too small, a form of
+    the wrong degree or not closed): a usage error, not a refutation."""
+
+
 class Section:
     """A section of an algebroid: coordinates in the module basis."""
 
@@ -124,6 +129,7 @@ class Algebroid:
         if len(self.basis_names) != rank:
             raise StructureError("basis name count does not match rank")
         self._verification: Optional[Verification] = None
+        self._stencil = None        # forms.compile_d's trivial-connection kernel
 
     def _anchor_row(self, row, nder) -> Tuple[RingElement, ...]:
         vals = tuple(self.base._coerce(c) for c in row)

@@ -19,10 +19,11 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, combinations
+from operator import add
 from typing import (Dict, Hashable, Iterable, List, Mapping, Optional,
                     Sequence, Tuple)
 
-from .core import Algebroid, Section, StructureError
+from .core import Algebroid, InputError, Section, StructureError
 from .linalg import SparseSystem
 from .rings import ChartRing, RingElement
 
@@ -45,6 +46,17 @@ def sort_with_sign(indices: Sequence[int]) -> Tuple[Optional[IndexTuple], int]:
     return tuple(idx), sign
 
 
+def compile_d(l: Algebroid, matrices: Optional[Sequence[Mapping]] = None
+              ) -> "Stencil":
+    """`covariant_d` compiled for one (algebroid, connection); the trivial
+    connection's kernel is compiled once per algebroid and kept on it."""
+    if matrices is not None:
+        return Stencil(l, matrices)
+    if l._stencil is None:
+        l._stencil = Stencil(l)
+    return l._stencil
+
+
 def covariant_d(l: Algebroid,
                 coeffs: Mapping[Tuple[IndexTuple, Hashable], RingElement],
                 matrices: Optional[Sequence[Mapping]] = None
@@ -60,59 +72,117 @@ def covariant_d(l: Algebroid,
         d w(e_0..e_p) = sum_a (-1)^a nabla_{e_a} w(.., no e_a, ..)
                         + sum_{a<b} (-1)^(a+b) w([e_a, e_b], .., no e_a, e_b, ..)
 
-    is evaluated by scattering each input term to the (p+1)-tuples it
-    reaches: anchor and connection terms for each i not in I, bracket
-    terms for each k in I (through the c_ij^k with i, j outside I - {k}).
-    The cost follows the number of terms, not C(rank, p+1).  The result
-    uses the same keys and holds no zero values.
+    is evaluated by the compiled kernel (`compile_d`), term by term.  The
+    result uses the same keys and holds no zero values.
     """
-    base = l.base
-    fields = [[(name, g) for name, g in zip(base.derivation_names, row)
-               if not g.is_zero()] for row in l.anchor]
-    feeds: List[List[Tuple[int, int, RingElement]]] = [[] for _ in range(l.rank)]
-    for (i, j), comps in l.structure.items():
-        for k, c in enumerate(comps):
-            if not c.is_zero():
-                feeds[k].append((i, j, c))
-    out: Dict[Tuple[IndexTuple, Hashable], RingElement] = {}
+    return compile_d(l, matrices).apply(coeffs)
 
-    def add(key, val: RingElement, negate: bool):
-        cur = out.get(key)
-        if cur is None:
-            out[key] = -val if negate else val
-        else:
-            out[key] = cur - val if negate else cur + val
 
-    for (idx, t), f in coeffs.items():
-        derivs: Dict[str, RingElement] = {}
-        for i in range(l.rank):
+class Stencil:
+    """The differential of `covariant_d` for one (algebroid, connection),
+    as integer stencils.
+
+    Every ring coefficient d touches becomes a list of (exponent shift,
+    Fraction): the structure constants, the connection entries, and the
+    anchor of e_i folded through the ring's derivation actions, whose
+    terms also name a variable v (they act on x^m with the factor m_v).  The
+    entry list of each (index tuple I, module label t) gathers the terms
+    that theta^I (x) b_t scatters: anchor and connection terms for each
+    i not in I, bracket terms for each k in I through the c_ij^k with
+    i, j outside I - {k}.  It is built on first use and kept.
+    """
+
+    def __init__(self, l: Algebroid, matrices: Optional[Sequence[Mapping]] = None):
+        ring = l.base
+        self.owner = l
+        self.matrices = matrices
+        # e_i acts on x^m as sum over (v, shift, c) of m_v * c * x^(m + shift)
+        self.anchor: List[List[Tuple[int, IndexTuple, Fraction]]] = []
+        for row in l.anchor:
+            acc: Dict[Tuple[int, IndexTuple], Fraction] = {}
+            for name, g in zip(ring.derivation_names, row):
+                for v, act in enumerate(ring.derivation_action(name)):
+                    for gexp, gc in g.terms.items():
+                        for aexp, ac in act.terms.items():
+                            shift = tuple(a + b - (w == v) for w, (a, b)
+                                          in enumerate(zip(gexp, aexp)))
+                            acc[(v, shift)] = acc.get((v, shift), 0) + gc * ac
+            self.anchor.append([(v, shift, c) for (v, shift), c in acc.items() if c])
+        self.feeds: List[List[Tuple[int, int, RingElement]]] = [[] for _ in range(l.rank)]
+        for (i, j), comps in l.structure.items():
+            for k, c in enumerate(comps):
+                if not c.is_zero():
+                    self.feeds[k].append((i, j, c))
+        self._entries: Dict[Tuple[IndexTuple, Hashable], tuple] = {}
+
+    def _compile(self, idx: IndexTuple, t: Hashable) -> tuple:
+        """(constant terms [(key, shift, c)], anchor terms [(key, v, shift, c)])
+        of theta^idx (x) b_t, keyed by (target tuple, module label)."""
+        consts: Dict[tuple, Fraction] = {}
+        anchors: Dict[tuple, Fraction] = {}
+
+        def put(table, key, c, negate):
+            table[key] = table.get(key, 0) + (-c if negate else c)
+
+        for i in range(self.owner.rank):
             pos = bisect_left(idx, i)
             if pos < len(idx) and idx[pos] == i:
                 continue
             big = idx[:pos] + (i,) + idx[pos:]
             negate = pos % 2 == 1
-            val = None
-            for name, g in fields[i]:
-                df = derivs.get(name)
-                if df is None:
-                    df = derivs[name] = base.derive(name, f)
-                if not df.is_zero():
-                    val = g * df if val is None else val + g * df
-            if val is not None:
-                add((big, t), val, negate)
-            if matrices is not None:
-                for s, m in matrices[i][t]:
-                    add((big, s), m * f, negate)
+            for v, shift, c in self.anchor[i]:
+                put(anchors, ((big, t), v, shift), c, negate)
+            if self.matrices is not None:
+                for s, m in self.matrices[i][t]:
+                    for shift, c in m.terms.items():
+                        put(consts, ((big, s), shift), c, negate)
         for pos, k in enumerate(idx):
-            if not feeds[k]:
-                continue
             rest = idx[:pos] + idx[pos + 1:]
-            for i, j, c in feeds[k]:
+            for i, j, c_ij in self.feeds[k]:
                 if i in rest or j in rest:
                     continue
                 big = tuple(sorted(rest + (i, j)))
-                add((big, t), c * f, (big.index(i) + big.index(j) + pos) % 2 == 1)
-    return {key: val for key, val in out.items() if not val.is_zero()}
+                negate = (big.index(i) + big.index(j) + pos) % 2 == 1
+                for shift, c in c_ij.terms.items():
+                    put(consts, ((big, t), shift), c, negate)
+        return ([(key, shift, c) for (key, shift), c in consts.items() if c],
+                [(key, v, shift, c) for (key, v, shift), c in anchors.items() if c])
+
+    def column(self, idx: IndexTuple, t: Hashable, mono: IndexTuple
+               ) -> Dict[Tuple[Tuple[IndexTuple, Hashable], IndexTuple], Fraction]:
+        """The image of theta^idx (x) b_t * x^mono, keyed by ((target
+        tuple, module label), monomial), without zero values."""
+        entries = self._entries.get((idx, t))
+        if entries is None:
+            entries = self._entries[(idx, t)] = self._compile(idx, t)
+        consts, anchors = entries
+        out: Dict[tuple, Fraction] = {}
+        for key, shift, c in consts:
+            k = (key, tuple(map(add, mono, shift)))
+            cur = out.get(k)
+            out[k] = c if cur is None else cur + c
+        for key, v, shift, c in anchors:
+            e = mono[v]
+            if e:
+                k = (key, tuple(map(add, mono, shift)))
+                cur = out.get(k)
+                out[k] = c * e if cur is None else cur + c * e
+        return {k: c for k, c in out.items() if c}
+
+    def apply(self, coeffs: Mapping[Tuple[IndexTuple, Hashable], RingElement]
+              ) -> Dict[Tuple[IndexTuple, Hashable], RingElement]:
+        """`covariant_d` of `coeffs`: the columns of its terms, summed."""
+        flat: Dict[tuple, Fraction] = {}
+        for (idx, t), f in coeffs.items():
+            for mono, a in f.terms.items():
+                for k, c in self.column(idx, t, mono).items():
+                    flat[k] = flat.get(k, 0) + a * c
+        grouped: Dict[tuple, Dict[IndexTuple, Fraction]] = {}
+        for (key, mono), c in flat.items():
+            if c:
+                grouped.setdefault(key, {})[mono] = c
+        return {key: RingElement(self.owner.base, terms)
+                for key, terms in grouped.items()}
 
 
 class LForm:
@@ -315,9 +385,8 @@ def basis_covector(l: Algebroid, i: int) -> LForm:
 # -- windowed slices ------------------------------------------------------------
 
 
-class WindowError(StructureError):
-    """A window too small for the question: an input error, not a
-    refutation."""
+class WindowError(InputError):
+    """A window too small for the question."""
 
 
 @dataclass(frozen=True)
@@ -414,31 +483,13 @@ class _Slice:
                 comp[idx] = cur + ring.monomial(m, vec[t])
         return LForm(self.owner, self.degree, comp)
 
-    def vector_from_form(self, theta: LForm) -> Optional[List[Fraction]]:
-        vec = [Fraction(0)] * len(self.basis)
-        for idx, val in theta.coeffs.items():
-            for m, c in val.terms.items():
-                pos = self.position.get((idx, m))
-                if pos is None:
-                    return None
-                vec[pos] = c
-        return vec
-
 
 def _differential_entries(l: Algebroid, domain: _Slice):
     """Images of the domain basis forms under d, as sparse columns keyed by
     (index tuple, monomial)."""
-    cols = []
-    ring = l.base
-    for idx, m in domain.basis:
-        theta = LForm(l, domain.degree, {idx: ring.monomial(m, 1)})
-        image = theta._d_unchecked()
-        col: Dict[Tuple[IndexTuple, IndexTuple], Fraction] = {}
-        for jdx, val in image.coeffs.items():
-            for mm, c in val.terms.items():
-                col[(jdx, mm)] = c
-        cols.append(col)
-    return cols
+    stencil = compile_d(l)
+    return [{(big, mm): c for ((big, _), mm), c in stencil.column(idx, 0, m).items()}
+            for idx, m in domain.basis]
 
 
 def _window_check(l: Algebroid, window: TruncationWindow) -> None:
@@ -518,9 +569,9 @@ def exactness_solve(theta: LForm, window: TruncationWindow | None = None
     l.require_verified("exactness solving")
     window = window or TruncationWindow()
     if theta.degree == 0:
-        raise StructureError("exactness is a question for degree >= 1")
+        raise InputError("exactness is a question for degree >= 1")
     if not theta.d().is_zero():
-        raise StructureError("form is not closed; exactness is undefined")
+        raise InputError("form is not closed; exactness is undefined")
 
     drop, _ = l.coefficient_degree_profile()
     needed = 0

@@ -12,14 +12,13 @@ total differential carries the alternating sign on the second one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .connections import Connection, is_flat
 from .core import Algebroid, Section, StructureError, vector_field_bracket
-from .forms import IndexTuple, TruncationWindow, covariant_d, \
-    sort_with_sign, truncated_cohomology, _window_check
+from .forms import IndexTuple, TruncationWindow, compile_d, sort_with_sign, \
+    truncated_cohomology, _window_check
 from .linalg import SparseSystem
 from .rings import RingElement
 
@@ -172,7 +171,7 @@ def twilled_sum(m: MatchedPair, check: bool = True) -> Algebroid:
 
 def _on_forms(action: Connection) -> List[Dict[IndexTuple, list]]:
     """The connection that `action` induces on forms of every degree over
-    its module, in covariant_d's column form: nabla_i theta^J has the
+    its module, in covariant_d's matrices form: nabla_i theta^J has the
     coefficient -sum_t theta^J(f_k1, .., nabla_i f_kt, .., f_kq) at
     theta^K."""
     labels = [big for q in range(action.rank + 1)
@@ -218,8 +217,9 @@ class DoubleComplexSlice:
                     for i1 in combinations(range(m.l1.rank), p)
                     for i2 in combinations(range(m.l2.rank), q)
                     for mm in monos]
-        self._forms12 = _on_forms(m.action12)
-        self._forms21 = _on_forms(m.action21)
+        # d1 on l1 with values in the forms of l2; d2 the mirror, keys swapped
+        self._d1 = compile_d(m.l1, _on_forms(m.action12))
+        self._d2 = compile_d(m.l2, _on_forms(m.action21))
 
     def d1_of_basis(self, p, q, i1, i2, mono):
         """image in K^{p+1,q} of the basis element, as {(I,J): element}."""
@@ -228,7 +228,7 @@ class DoubleComplexSlice:
     def d1(self, coeffs):
         """The l1-differential of a cochain {(I, J): element}, with values
         in the forms of l2 under action12."""
-        return covariant_d(self.pair.l1, coeffs, self._forms12)
+        return self._d1.apply(coeffs)
 
     def d2_of_basis(self, p, q, i1, i2, mono):
         return self.d2({(i1, i2): self.pair.l1.base.monomial(mono, 1)})
@@ -236,9 +236,7 @@ class DoubleComplexSlice:
     def d2(self, coeffs):
         """The mirror of d1: the l2-differential, with values in the forms
         of l1 under action21."""
-        image = covariant_d(self.pair.l2,
-                            {(i2, i1): v for (i1, i2), v in coeffs.items()},
-                            self._forms21)
+        image = self._d2.apply({(i2, i1): v for (i1, i2), v in coeffs.items()})
         return {(i1, i2): v for (i2, i1), v in image.items()}
 
     def commutation_check(self) -> Optional[Tuple[int, int, tuple]]:
@@ -282,19 +280,14 @@ def _total_basis(sl: DoubleComplexSlice, n: int):
 
 def _total_columns(sl: DoubleComplexSlice, dom):
     """Columns of the total differential d1 + (-1)^p d2, keyed by
-    (bidegree, I, J, monomial)."""
+    (bidegree, I, J, monomial); the two parts land in different bidegrees."""
     cols = []
     for (p, q), (i1, i2, mono) in dom:
-        col: Dict[tuple, Fraction] = {}
-        for (a1, a2), val in sl.d1_of_basis(p, q, i1, i2, mono).items():
-            for mm, c in val.terms.items():
-                key = ((p + 1, q), a1, a2, mm)
-                col[key] = col.get(key, Fraction(0)) + c
+        col = {((p + 1, q), a1, a2, mm): c
+               for ((a1, a2), mm), c in sl._d1.column(i1, i2, mono).items()}
         sgn = (-1) ** p
-        for (a1, a2), val in sl.d2_of_basis(p, q, i1, i2, mono).items():
-            for mm, c in val.terms.items():
-                key = ((p, q + 1), a1, a2, mm)
-                col[key] = col.get(key, Fraction(0)) + sgn * c
+        for ((a2, a1), mm), c in sl._d2.column(i2, i1, mono).items():
+            col[((p, q + 1), a1, a2, mm)] = sgn * c
         cols.append(col)
     return cols
 

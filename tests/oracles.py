@@ -7,10 +7,12 @@ integration oracle inverts d/dx directly on monomials.  The PBW oracle
 enumerates every rewrite branch of the library's reduction strategy
 separately and merges equal words only at the end.  The gather
 differentials evaluate the Chevalley-Eilenberg formula one output tuple
-at a time, the way the library did before `forms.covariant_d` scattered
-input terms instead; they are the references for that kernel.
+at a time; the scatter differential pushes each input term to the tuples
+it reaches with ring arithmetic.  Both are references for the compiled
+kernel behind `forms.covariant_d`.
 """
 
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import combinations
 
@@ -141,7 +143,66 @@ def naive_normal_form(items, system):
     return PbwElement(system, result)
 
 
-# -- gather-style Chevalley-Eilenberg differentials ------------------------------
+# -- gather- and scatter-style Chevalley-Eilenberg differentials ----------------
+
+
+def scatter_covariant_d(l, coeffs, matrices=None):
+    """`forms.covariant_d` evaluated with ring arithmetic: each nonzero
+    input term theta^I (x) b_t goes to the (p+1)-tuples it reaches, anchor
+    and connection terms for i not in I, bracket terms for k in I through
+    the c_ij^k with i, j outside I - {k}.  No zero values in the result."""
+    base = l.base
+    fields = [[(name, g) for name, g in zip(base.derivation_names, row)
+               if not g.is_zero()] for row in l.anchor]
+    feeds = [[] for _ in range(l.rank)]
+    for (i, j), comps in l.structure.items():
+        for k, c in enumerate(comps):
+            if not c.is_zero():
+                feeds[k].append((i, j, c))
+    out = {}
+
+    def add(key, val, negate):
+        cur = out.get(key)
+        if cur is None:
+            out[key] = -val if negate else val
+        else:
+            out[key] = cur - val if negate else cur + val
+
+    for (idx, t), f in coeffs.items():
+        derivs = {}
+        for i in range(l.rank):
+            pos = bisect_left(idx, i)
+            if pos < len(idx) and idx[pos] == i:
+                continue
+            big = idx[:pos] + (i,) + idx[pos:]
+            negate = pos % 2 == 1
+            val = None
+            for name, g in fields[i]:
+                df = derivs.get(name)
+                if df is None:
+                    df = derivs[name] = base.derive(name, f)
+                if not df.is_zero():
+                    val = g * df if val is None else val + g * df
+            if val is not None:
+                add((big, t), val, negate)
+            if matrices is not None:
+                for s, m in matrices[i][t]:
+                    add((big, s), m * f, negate)
+        for pos, k in enumerate(idx):
+            rest = idx[:pos] + idx[pos + 1:]
+            for i, j, c in feeds[k]:
+                if i in rest or j in rest:
+                    continue
+                big = tuple(sorted(rest + (i, j)))
+                add((big, t), c * f, (big.index(i) + big.index(j) + pos) % 2 == 1)
+    return {key: val for key, val in out.items() if not val.is_zero()}
+
+
+def flatten_columns(images, key):
+    """Sparse columns from ring-valued images {label: element}: the term
+    x^m of the value at `label` goes to row `key(label, m)`."""
+    return [{key(label, m): c for label, val in image.items()
+             for m, c in val.terms.items()} for image in images]
 
 
 def gather_d_form(theta):

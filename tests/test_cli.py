@@ -144,6 +144,37 @@ def test_window_too_small_is_usage_error(tmp_path, argv, as_json):
     assert code in (0, 3)
 
 
+NOT_CLOSED = """ring R = poly(Q; x, y);
+algebroid T over R { basis e1, e2; anchor e1 -> d/dx, e2 -> d/dy; }
+form nc on T = y * e1^;
+connection C on T rank 1 { }
+ring S = poly(Q; x, y, z);
+algebroid U over S { basis e1, e2, e3; anchor e1 -> d/dx, e2 -> d/dy, e3 -> d/dz; }
+form nc2 on U = z * e1^ ^ e2^;
+connection D on U rank 1 { }
+"""
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["exact", "plane.adf", "fx2"], "exactness is a question for degree >= 1"),
+    (["exact", "{tmp}", "nc"], "form is not closed"),
+    (["obstruction", "plane.adf", "C", "fx2"], "the twist must be a 2-form"),
+    (["obstruction", "{tmp}", "D", "nc2"], "the twist form must be closed"),
+])
+@pytest.mark.parametrize("as_json", [False, True])
+def test_inapplicable_form_is_usage_error(tmp_path, argv, message, as_json):
+    # nothing was refuted: exit 2 with error, not exit 1 with refuted
+    path = tmp_path / "nc.adf"
+    path.write_text(NOT_CLOSED)
+    argv = [str(path) if a == "{tmp}" else a for a in argv]
+    code, text = invoke(argv + (["--json"] if as_json else []))
+    assert code == 2
+    if as_json:
+        assert json.loads(text)["error"].startswith(message)
+    else:
+        assert text.startswith("error: " + message)
+
+
 @pytest.mark.parametrize("form", ["nosuch", "C"])
 @pytest.mark.parametrize("as_json", [False, True])
 def test_relations_bad_form_reports_error(form, as_json):

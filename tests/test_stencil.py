@@ -1,0 +1,210 @@
+"""The compiled Chevalley-Eilenberg kernel (`forms.compile_d`) against its
+references: the ring-arithmetic scatter loop and the gather loops of
+oracles.py, image by image, and every windowed column it builds against
+the columns flattened from those references."""
+
+import random
+from fractions import Fraction
+from itertools import combinations
+
+import pytest
+
+from algebroid import cech
+from algebroid.cech import Cover, coboundary_test, zero_pair
+from algebroid.connections import Connection, EValuedForm, extend_connection
+from algebroid.core import (Algebroid, make_foliation, make_log, make_poisson,
+                            make_tangent)
+from algebroid.forms import (LForm, TruncationWindow, _Slice, _differential_entries,
+                             compile_d, covariant_d)
+from algebroid.linalg import SparseSystem
+from algebroid.matched import DoubleComplexSlice, _total_basis, _total_columns
+from algebroid.rings import ChartRing, laurent_ring, poly_ring
+
+from oracles import (flatten_columns, gather_d1, gather_d2, gather_d_form,
+                     gather_extend_connection, scatter_covariant_d)
+from test_matched import (kunneth_pair, polynomial_action_pair,
+                          sheared_tangent_pair, swapped_sheared_pair,
+                          two_foliation_pair)
+
+
+def euler_algebroid():
+    """Q[x,y] whose declared derivations are the Euler field x d/dx + y d/dy
+    and the rotation x d/dy - y d/dx (they commute); e1 -> E, e2 -> x R
+    with [e1, e2] = e2, since [E, x R] = x R."""
+    r = ChartRing(("x", "y"), derivations={
+        "E": {"x": {(1, 0): 1}, "y": {(0, 1): 1}},
+        "R": {"x": {(0, 1): -1}, "y": {(1, 0): 1}}})
+    return Algebroid(r, 2, [[1, 0], [0, r.var("x")]], {(0, 1): [0, 1]})
+
+
+def algebroids():
+    r3 = poly_ring("x", "y", "z")
+    x, y, z = (r3.var(v) for v in ("x", "y", "z"))
+    r2 = poly_ring("x", "y")
+    yield make_tangent(r3)
+    yield make_poisson(r3, {(0, 1): z, (1, 2): x, (2, 0): y})
+    yield make_log(r2, ["x"])
+    yield make_tangent(laurent_ring("x", "y"))
+    yield euler_algebroid()
+    yield make_foliation(r2, [[r2.var("x"), r2.var("y")], [1, 0], [0, 1]])
+
+
+def rand_poly(r, rng, degree, terms=2):
+    total = r.zero
+    for _ in range(rng.randint(1, terms)):
+        exps = tuple(rng.randint(-degree if v in r.laurent else 0, degree)
+                     for v in r.variables)
+        total = total + r.monomial(exps, Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+    return total
+
+
+def rank2_connection(l, rng):
+    """Rank-2 matrices with non-constant entries in every direction."""
+    r = l.base
+    mats = [[[rand_poly(r, rng, 2) if rng.random() < 0.6 else r.zero
+              for _ in range(2)] for _ in range(2)] for _ in range(l.rank)]
+    for i in range(l.rank):
+        mats[i][0][1] = mats[i][0][1] + r.var(r.variables[i % len(r.variables)])
+    return Connection(l, 2, mats)
+
+
+def sparse_columns(c):
+    """covariant_d's matrices argument for a Connection."""
+    return [[[(s, row[t]) for s, row in enumerate(mat) if not row[t].is_zero()]
+             for t in range(c.rank)] for mat in c.matrices]
+
+
+def test_algebroids_verified():
+    for l in algebroids():
+        assert l.verify().verified, l
+    l = euler_algebroid()
+    assert l.base.derivation_names == ("E", "R")
+    assert l.structure == {(0, 1): (0, 1)}
+
+
+def test_covariant_d_matches_scatter_and_gather():
+    rng = random.Random(211)
+    for l in algebroids():
+        for degree in range(l.rank + 1):
+            for _ in range(4):
+                coeffs = {(idx, 0): rand_poly(l.base, rng, 3)
+                          for idx in combinations(range(l.rank), degree)
+                          if rng.random() < 0.7}
+                got = covariant_d(l, coeffs)
+                assert got == scatter_covariant_d(l, coeffs)
+                assert all(not v.is_zero() for v in got.values())
+                theta = LForm(l, degree, {idx: v for (idx, _), v in coeffs.items()})
+                assert got == {(idx, 0): v
+                               for idx, v in gather_d_form(theta).coeffs.items()}
+
+
+def test_connection_kernel_matches_scatter_and_gather():
+    rng = random.Random(223)
+    for l in algebroids():
+        c = rank2_connection(l, rng)
+        mats = sparse_columns(c)
+        stencil = compile_d(l, mats)
+        for degree in range(l.rank + 1):
+            for _ in range(3):
+                coeffs = {(idx, t): rand_poly(l.base, rng, 2)
+                          for idx in combinations(range(l.rank), degree)
+                          for t in range(2) if rng.random() < 0.7}
+                expected = scatter_covariant_d(l, coeffs, mats)
+                assert covariant_d(l, coeffs, mats) == expected
+                assert stencil.apply(coeffs) == expected
+                omega = EValuedForm(l, 2, degree, {
+                    idx: [coeffs.get((idx, t), 0) for t in range(2)]
+                    for idx in combinations(range(l.rank), degree)})
+                assert (extend_connection(c, omega).coeffs
+                        == gather_extend_connection(c, omega).coeffs)
+
+
+def test_columns_match_scatter_monomial_by_monomial():
+    rng = random.Random(227)
+    for l in algebroids():
+        ring = l.base
+        mats = sparse_columns(rank2_connection(l, rng))
+        plain, twisted = compile_d(l), compile_d(l, mats)
+        assert compile_d(l) is plain           # kept on the algebroid
+        for degree in range(l.rank + 1):
+            for idx in combinations(range(l.rank), degree):
+                for _ in range(3):
+                    mono = tuple(rng.randint(-3 if v in ring.laurent else 0, 3)
+                                 for v in ring.variables)
+                    basis = ring.monomial(mono)
+                    for stencil, matrices, labels in ((plain, None, [0]),
+                                                      (twisted, mats, [0, 1])):
+                        for t in labels:
+                            (want,) = flatten_columns(
+                                [scatter_covariant_d(l, {(idx, t): basis}, matrices)],
+                                lambda key, m: (key, m))
+                            assert stencil.column(idx, t, mono) == want
+
+
+@pytest.mark.parametrize("window", [TruncationWindow(2, 1), TruncationWindow(3, 2)])
+def test_differential_entries_match_oracle_columns(window):
+    for l in algebroids():
+        ring = l.base
+        for p in range(l.rank + 1):
+            dom = _Slice(l, p, window)
+            want = flatten_columns(
+                [scatter_covariant_d(l, {(idx, 0): ring.monomial(m)})
+                 for idx, m in dom.basis], lambda key, m: (key[0], m))
+            assert _differential_entries(l, dom) == want
+            gathered = flatten_columns(
+                [gather_d_form(LForm(l, p, {idx: ring.monomial(m)})).coeffs
+                 for idx, m in dom.basis], lambda idx, m: (idx, m))
+            assert want == gathered
+
+
+def matched_pairs():
+    return [two_foliation_pair(), sheared_tangent_pair(), swapped_sheared_pair(),
+            kunneth_pair(), polynomial_action_pair()]
+
+
+def test_total_columns_match_gather_columns():
+    for m in matched_pairs():
+        ring = m.l1.base
+        top = m.l1.rank + m.l2.rank
+        sl = DoubleComplexSlice(m, top, TruncationWindow(2, 2))
+        for n in range(top + 1):
+            dom = _total_basis(sl, n)
+            want = []
+            for (p, q), (i1, i2, mono) in dom:
+                basis = {(i1, i2): ring.monomial(mono)}
+                col = {((p + 1, q), a1, a2, mm): c
+                       for (a1, a2), val in gather_d1(m, p, q, basis).items()
+                       for mm, c in val.terms.items()}
+                col.update({((p, q + 1), a1, a2, mm): (-1) ** p * c
+                            for (a1, a2), val in gather_d2(m, p, q, basis).items()
+                            for mm, c in val.terms.items()})
+                want.append(col)
+            assert _total_columns(sl, dom) == want
+
+
+def test_cech_chart_columns_match_scatter(monkeypatch):
+    """The chart equations d eta_a of coboundary_test, on a cover of
+    unglued charts of rank 2 and 3, column by column."""
+    captured = []
+
+    class Recording(SparseSystem):
+        @classmethod
+        def from_columns(cls, cols, keys=()):
+            captured.append(cols)
+            return SparseSystem.from_columns(cols, keys)
+
+    monkeypatch.setattr(cech, "SparseSystem", Recording)
+    charts = [(l.base, l) for l in algebroids()]
+    cover = Cover(charts, {})
+    window = TruncationWindow(2, 2)
+    assert coboundary_test(cover, zero_pair(cover), zero_pair(cover),
+                           window).status == "equivalent"
+    (cols,) = captured
+    want = []
+    for a, (ring, l) in enumerate(charts):
+        for i in range(l.rank):
+            for mono in window.monomials(ring):
+                image = scatter_covariant_d(l, {((i,), 0): ring.monomial(mono)})
+                want.extend(flatten_columns(
+                    [image], lambda key, m, a=a: ("ch", a, key[0], m)))
+    assert cols == want
