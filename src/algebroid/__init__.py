@@ -12,7 +12,7 @@ labeled window-relative.
 
 from .rings import (ChartRing, RingElement, RingMap, RingError, poly_ring,
                     laurent_ring, ring_arith, apply_derivation, apply_ring_map)
-from .linalg import RationalMatrix, SparseSystem, solve_linear, kernel_basis
+from .linalg import SparseSystem
 from .core import (Algebroid, AlgebroidMorphism, Section, StructureError,
                    InputError, make_tangent, make_trivial_bundle,
                    make_lie_algebra_bundle, make_foliation, make_poisson,

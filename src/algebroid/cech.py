@@ -27,7 +27,8 @@ from .core import Algebroid, AlgebroidMorphism, Section, StructureError
 from .forms import LForm, TruncationWindow, IndexTuple, compile_d, _perm_sign
 from .linalg import SparseSystem
 from .pbw import PbwElement, RelationSystem, sum_elements
-from .rings import ChartRing, RingElement, RingMap, laurent_ring, poly_ring
+from .rings import (ChartRing, RingElement, RingMap, laurent_ring, mul_terms,
+                    poly_ring)
 
 
 def push_algebroid(alg: Algebroid, rmap: RingMap,
@@ -432,22 +433,20 @@ def coboundary_test(cover: Cover, pair_a: CechPair, pair_b: CechPair,
         frame = cover.frame_algebroid(a, b)
         for i in range(cover.chart_algebroid(a).rank):
             for mono in monos[a]:
-                col = position[(a, i, mono)]
-                img = ov.map_a(cover.chart_ring(a).monomial(mono, 1))
-                for exps, c in img.terms.items():
-                    cols[col][("ov", a, b, i, exps)] = c
+                col = cols[position[(a, i, mono)]]
+                for exps, c in ov.map_a.monomial_terms(mono).items():
+                    col[("ov", a, b, i, exps)] = c
         for i in range(cover.chart_algebroid(b).rank):
             for mono in monos[b]:
-                col = position[(b, i, mono)]
-                img = ov.map_b(cover.chart_ring(b).monomial(mono, 1))
+                col = cols[position[(b, i, mono)]]
+                img = ov.map_b.monomial_terms(mono)
                 # frame change: component j picks S[i][j] * img
                 for j in range(frame.rank):
                     coeff = ov.transition_inverse[i][j]
                     if coeff.is_zero():
                         continue
-                    prod = coeff * img
-                    for exps, c in prod.terms.items():
-                        cols[col][("ov", a, b, j, exps)] = -c
+                    for exps, c in mul_terms(coeff.terms, img).items():
+                        col[("ov", a, b, j, exps)] = -c
         target = diff.phi[(a, b)]
         for j in range(frame.rank):
             val = target.component((j,))
@@ -753,12 +752,10 @@ def line_bundle_cech_dims(cover: Cover, window: TruncationWindow | None = None
         g = ov.bundle[0][0]
         window_keys.update((a, b, exps) for exps in box.monomials(ov.ring))
         for mono in chart_window.monomials(cover.chart_ring(a)):
-            img = ov.map_a(cover.chart_ring(a).monomial(mono, 1))
-            for exps, c in img.terms.items():
+            for exps, c in ov.map_a.monomial_terms(mono).items():
                 cols[position[(a, mono)]][(a, b, exps)] = -c
         for mono in chart_window.monomials(cover.chart_ring(b)):
-            img = g * ov.map_b(cover.chart_ring(b).monomial(mono, 1))
-            for exps, c in img.terms.items():
+            for exps, c in mul_terms(g.terms, ov.map_b.monomial_terms(mono)).items():
                 cols[position[(b, mono)]][(a, b, exps)] = c
     sys = SparseSystem.from_columns(cols)
     h0 = sys.ncols - sys.rank()

@@ -634,10 +634,16 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return top
 
 
+_PARSER: argparse.ArgumentParser | None = None
+
+
 def run(argv) -> int:
-    parser = build_arg_parser()
+    global _PARSER
+    if _PARSER is None:
+        # parse_args leaves the parser unchanged, so one serves every call
+        _PARSER = build_arg_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     out = Output(args.json)

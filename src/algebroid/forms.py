@@ -78,18 +78,26 @@ def covariant_d(l: Algebroid,
     return compile_d(l, matrices).apply(coeffs)
 
 
+def _int_if_integral(c: Fraction):
+    """c as an int when it is integral, so columns of integer algebroids
+    need no Fraction arithmetic."""
+    return c.numerator if c.denominator == 1 else c
+
+
 class Stencil:
     """The differential of `covariant_d` for one (algebroid, connection),
     as integer stencils.
 
     Every ring coefficient d touches becomes a list of (exponent shift,
-    Fraction): the structure constants, the connection entries, and the
-    anchor of e_i folded through the ring's derivation actions, whose
-    terms also name a variable v (they act on x^m with the factor m_v).  The
-    entry list of each (index tuple I, module label t) gathers the terms
-    that theta^I (x) b_t scatters: anchor and connection terms for each
-    i not in I, bracket terms for each k in I through the c_ij^k with
-    i, j outside I - {k}.  It is built on first use and kept.
+    coefficient): the structure constants, the connection entries, and
+    the anchor of e_i folded through the ring's derivation actions, whose
+    terms also name a variable v (they act on x^m with the factor m_v).
+    Integral coefficients are stored as int, so on integer algebroids a
+    column costs only int arithmetic.  The entry list of each (index
+    tuple I, module label t) gathers the terms that theta^I (x) b_t
+    scatters: anchor and connection terms for each i not in I, bracket
+    terms for each k in I through the c_ij^k with i, j outside I - {k}.
+    It is built on first use and kept.
     """
 
     def __init__(self, l: Algebroid, matrices: Optional[Sequence[Mapping]] = None):
@@ -145,13 +153,16 @@ class Stencil:
                 negate = (big.index(i) + big.index(j) + pos) % 2 == 1
                 for shift, c in c_ij.terms.items():
                     put(consts, ((big, t), shift), c, negate)
-        return ([(key, shift, c) for (key, shift), c in consts.items() if c],
-                [(key, v, shift, c) for (key, v, shift), c in anchors.items() if c])
+        return ([(key, shift, _int_if_integral(c))
+                 for (key, shift), c in consts.items() if c],
+                [(key, v, shift, _int_if_integral(c))
+                 for (key, v, shift), c in anchors.items() if c])
 
     def column(self, idx: IndexTuple, t: Hashable, mono: IndexTuple
                ) -> Dict[Tuple[Tuple[IndexTuple, Hashable], IndexTuple], Fraction]:
         """The image of theta^idx (x) b_t * x^mono, keyed by ((target
-        tuple, module label), monomial), without zero values."""
+        tuple, module label), monomial), without zero values; each value
+        is an int or a Fraction."""
         entries = self._entries.get((idx, t))
         if entries is None:
             entries = self._entries[(idx, t)] = self._compile(idx, t)
@@ -403,40 +414,21 @@ class TruncationWindow:
     def enlarged(self, amount: int) -> "TruncationWindow":
         return TruncationWindow(self.degree + amount, self.laurent + amount)
 
-    def admits(self, ring: ChartRing, exponents: IndexTuple) -> bool:
-        pos_total = 0
-        for v, e in zip(ring.variables, exponents):
-            if v in ring.laurent:
-                if not (-self.laurent <= e <= self.laurent):
-                    return False
-            else:
-                if e < 0:
-                    return False
-            if e > 0:
-                pos_total += e
-        return pos_total <= self.degree
-
-    def monomials(self, ring: ChartRing) -> List[IndexTuple]:
-        ranges = []
-        for v in ring.variables:
-            if v in ring.laurent:
-                ranges.append(range(-self.laurent, self.laurent + 1))
-            else:
-                ranges.append(range(0, self.degree + 1))
-        out: List[IndexTuple] = []
-
-        def rec(prefix: List[int], pos: int):
-            if pos == len(ranges):
-                out.append(tuple(prefix))
-                return
-            for e in ranges[pos]:
-                prefix.append(e)
-                if sum(x for x in prefix if x > 0) <= self.degree:
-                    rec(prefix, pos + 1)
-                prefix.pop()
-
-        rec([], 0)
-        return sorted(out)
+    def monomials(self, ring: ChartRing) -> Tuple[IndexTuple, ...]:
+        """The exponent tuples of the window in ascending order, built
+        once per (ring, window) and kept on the ring."""
+        monos = ring._window_monomials.get(self)
+        if monos is None:
+            # (prefix, degree budget left); extending in ascending exponent
+            # order keeps the prefixes sorted
+            level = [((), self.degree)]
+            for v in ring.variables:
+                lo, hi = ((-self.laurent, self.laurent) if v in ring.laurent
+                          else (0, self.degree))
+                level = [(m + (e,), left - max(e, 0)) for m, left in level
+                         for e in range(lo, min(hi, left) + 1)]
+            monos = ring._window_monomials[self] = tuple(m for m, _ in level)
+        return monos
 
 
 @dataclass
@@ -523,6 +515,14 @@ def _dims_at(l: Algebroid, p: int, window: TruncationWindow,
     return kernel_dim, image_dim
 
 
+def _window_dims(l: Algebroid, degrees: Iterable[int], window: TruncationWindow,
+                drop: int) -> Dict[int, Tuple[int, int]]:
+    """(kernel dim, windowed image dim) for each degree, ascending; (0, 0)
+    outside 0..rank."""
+    return {p: _dims_at(l, p, window, drop) if 0 <= p <= l.rank else (0, 0)
+            for p in sorted(set(degrees))}
+
+
 def truncated_cohomology(l: Algebroid, degrees: Iterable[int],
                          window: TruncationWindow | None = None) -> CohomologyReport:
     """Exact kernel/image dimensions on the window slice.
@@ -537,13 +537,12 @@ def truncated_cohomology(l: Algebroid, degrees: Iterable[int],
     window = window or TruncationWindow()
     _window_check(l, window)
     drop, _bump = l.coefficient_degree_profile()
+    degrees = set(degrees)
+    dims = _window_dims(l, degrees, window, drop)
+    wider = _window_dims(l, degrees, window.enlarged(2), drop)
     report = CohomologyReport(window)
-    for p in sorted(set(degrees)):
-        if p < 0 or p > l.rank:
-            report.degrees[p] = DegreeReport(0, 0, True)
-            continue
-        ker, im = _dims_at(l, p, window, drop)
-        ker2, im2 = _dims_at(l, p, window.enlarged(2), drop)
+    for p, (ker, im) in dims.items():
+        ker2, im2 = wider[p]
         report.degrees[p] = DegreeReport(
             ker, im, stable=(ker - im) == (ker2 - im2))
     return report

@@ -2,14 +2,14 @@
 
 Every linear system the library solves is a `SparseSystem` built from
 keyed sparse columns (`SparseSystem.from_columns`) and reduced by one
-sparse eliminator with a fixed deterministic pivot order.  The dense
-fraction-free Bareiss routines (`rank`, `kernel_basis`, `solve_linear`)
-are kept as the reference the tests compare the sparse path against.
+sparse eliminator with a fixed deterministic pivot order.  Elimination
+runs on integers: each column is scaled by the lcm of its denominators,
+rows are combined fraction-free and divided by their content, and only
+back-substitution returns to `Fraction`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import (Container, Dict, Hashable, Iterable, List, Mapping,
@@ -22,154 +22,29 @@ class DimensionError(Exception):
     pass
 
 
-class RationalMatrix:
-    def __init__(self, rows: int, cols: int, entries: Sequence[Sequence] | None = None):
-        self.rows = rows
-        self.cols = cols
-        if entries is None:
-            self.entries = [[Fraction(0)] * cols for _ in range(rows)]
-        else:
-            if len(entries) != rows or any(len(r) != cols for r in entries):
-                raise DimensionError("entry grid does not match declared shape")
-            self.entries = [[as_fraction(x) for x in row] for row in entries]
-
-    @classmethod
-    def from_rows(cls, entries: Sequence[Sequence]) -> "RationalMatrix":
-        rows = len(entries)
-        cols = len(entries[0]) if rows else 0
-        return cls(rows, cols, entries)
-
-    @classmethod
-    def identity(cls, n: int) -> "RationalMatrix":
-        m = cls(n, n)
-        for i in range(n):
-            m.entries[i][i] = Fraction(1)
-        return m
-
-    def __getitem__(self, ij):
-        return self.entries[ij[0]][ij[1]]
-
-    def __eq__(self, other):
-        return (isinstance(other, RationalMatrix)
-                and self.entries == other.entries)
-
-    def mul_vector(self, v: Sequence[Fraction]) -> List[Fraction]:
-        if len(v) != self.cols:
-            raise DimensionError("vector length does not match columns")
-        return [sum((row[j] * v[j] for j in range(self.cols)), Fraction(0))
-                for row in self.entries]
-
-    def __repr__(self):
-        return "RationalMatrix(%d x %d)" % (self.rows, self.cols)
-
-
-def _integer_rows(entries: Sequence[Sequence[Fraction]]) -> List[List[int]]:
-    out = []
-    for row in entries:
-        denom = 1
-        for x in row:
-            denom = denom * x.denominator // gcd(denom, x.denominator)
-        out.append([int(x * denom) for x in row])
-    return out
-
-
-def _bareiss(rows: List[List[int]]) -> Tuple[List[List[int]], List[Tuple[int, int]]]:
-    """Fraction-free forward elimination.
-
-    Returns the echelon rows and the list of (row, col) pivot positions.
-    Destructive on `rows`. Division steps are exact by the Bareiss identity.
-    """
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    pivots: List[Tuple[int, int]] = []
-    prev = 1
-    pr = 0
-    for pc in range(ncols):
-        pivot_row = None
-        for r in range(pr, nrows):
-            if rows[r][pc] != 0:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            continue
-        if pivot_row != pr:
-            rows[pr], rows[pivot_row] = rows[pivot_row], rows[pr]
-        piv = rows[pr][pc]
-        for r in range(pr + 1, nrows):
-            factor = rows[r][pc]
-            for c in range(ncols):
-                rows[r][c] = (rows[r][c] * piv - factor * rows[pr][c]) // prev
-        prev = piv
-        pivots.append((pr, pc))
-        pr += 1
-        if pr == nrows:
-            break
-    return rows, pivots
-
-
-@dataclass
-class LinearSolveResult:
-    status: str                       # "solution" | "inconsistent"
-    solution: Optional[List[Fraction]] = None
-    certificate: Optional[List[Fraction]] = None   # y with y.A = 0, y.b != 0
-
-
-def solve_linear(a: RationalMatrix, b: Sequence) -> LinearSolveResult:
-    """Solve A x = b exactly; on failure return a Fredholm witness y."""
-    b = [as_fraction(x) for x in b]
-    if len(b) != a.rows:
-        raise DimensionError("right-hand side length does not match rows")
-    n, m = a.rows, a.cols
-    # augmented [A | b | I]: the I block tracks row operations so an
-    # inconsistent row yields a left null combination of the original rows.
-    aug = []
-    for i in range(n):
-        row = list(a.entries[i]) + [b[i]] + [Fraction(0)] * n
-        row[m + 1 + i] = Fraction(1)
-        aug.append(row)
-    rows, pivots = _bareiss(_integer_rows(aug))
-    a_pivots = [(r, c) for (r, c) in pivots if c < m]
-    for r, c in pivots:
-        if c == m:  # pivot in the b column: inconsistent row found
-            cert = [Fraction(rows[r][m + 1 + j]) for j in range(n)]
-            return LinearSolveResult("inconsistent", certificate=cert)
-    # back-substitution over the A|b part
-    x = [Fraction(0)] * m
-    for r, c in reversed(a_pivots):
-        s = Fraction(rows[r][m])
-        for j in range(c + 1, m):
-            if rows[r][j]:
-                s -= Fraction(rows[r][j]) * x[j]
-        x[c] = s / Fraction(rows[r][c])
-    return LinearSolveResult("solution", solution=x)
-
-
-def kernel_basis(a: RationalMatrix) -> List[List[Fraction]]:
-    """Exact basis of the null space, one vector per free column."""
-    rows, pivots = _bareiss(_integer_rows(a.entries))
-    pivot_cols = [c for (_, c) in pivots]
-    free_cols = [c for c in range(a.cols) if c not in pivot_cols]
-    basis = []
-    for fc in free_cols:
-        v = [Fraction(0)] * a.cols
-        v[fc] = Fraction(1)
-        for r, c in reversed(pivots):
-            s = Fraction(0)
-            for j in range(c + 1, a.cols):
-                if rows[r][j]:
-                    s -= Fraction(rows[r][j]) * v[j]
-            v[c] = s / Fraction(rows[r][c])
-        basis.append(v)
-    return basis
-
-
-def rank(a: RationalMatrix) -> int:
-    _, pivots = _bareiss(_integer_rows(a.entries))
-    return len(pivots)
+def _scale_columns(rows: List[Dict[int, Fraction]]) -> Dict[int, int]:
+    """Multiply each column by the lcm of its denominators, in place;
+    returns the multipliers other than 1."""
+    scales: Dict[int, int] = {}
+    for r in rows:
+        for c, v in r.items():
+            if type(v) is not int:
+                d = as_fraction(v).denominator
+                if d != 1:
+                    s = scales.get(c, 1)
+                    scales[c] = s * d // gcd(s, d)
+    for r in rows:
+        for c, v in r.items():
+            s = scales.get(c, 1)
+            if type(v) is not int:
+                r[c] = v.numerator * (s // v.denominator)
+            elif s != 1:
+                r[c] = v * s
+    return scales
 
 
 class SparseSystem:
-    """Rows as {column: Fraction}; deterministic sparse elimination.
+    """Rows as {column: exact rational}; deterministic sparse elimination.
 
     Used for the big windowed cochain matrices, which touch only a few
     columns per row. Pivot choice is by ascending column, then sparsest
@@ -192,10 +67,12 @@ class SparseSystem:
         """
         row_keys = sorted({k for col in cols for k in col} | set(keys))
         system = cls(len(row_keys), len(cols))
-        system.row_pos = {k: t for t, k in enumerate(row_keys)}
+        pos = system.row_pos = {k: t for t, k in enumerate(row_keys)}
+        rows = system.rows
         for j, col in enumerate(cols):
             for k, c in col.items():
-                system.set(system.row_pos[k], j, c)
+                if c:
+                    rows[pos[k]][j] = c
         return system
 
     def set(self, i: int, j: int, value) -> None:
@@ -206,50 +83,78 @@ class SparseSystem:
         else:
             self.rows[i][j] = value
 
-    def _eliminate(self, rhs: Optional[List[Fraction]] = None):
-        """Forward elimination; returns (pivots, reduced rows, reduced rhs).
+    def _eliminate(self, rhs: Optional[List[int]] = None):
+        """Forward elimination on the integer-scaled columns; returns
+        (pivots, reduced rows, reduced rhs, column scales).
 
-        After the sweep every non-pivot row is empty, so consistency and
-        back-substitution read off directly.
+        What is reduced is the system with column c multiplied by
+        scales.get(c, 1), and the integer `rhs`.  After the sweep every
+        non-pivot row is empty, so consistency and back-substitution read
+        off directly.
         """
         rows = [dict(r) for r in self.rows]
-        vec = list(rhs) if rhs is not None else None
         col_rows: Dict[int, Set[int]] = {}
+        integral = True
         for i, r in enumerate(rows):
-            for c in r:
+            for c, v in r.items():
                 col_rows.setdefault(c, set()).add(i)
+                if type(v) is not int:
+                    integral = False
+        scales = {} if integral else _scale_columns(rows)
+        vec = list(rhs) if rhs is not None else None
         used = [False] * len(rows)
         pivots: List[Tuple[int, int]] = []
-        for c in range(self.ncols):
-            holders = [i for i in sorted(col_rows.get(c, ()))
-                       if not used[i] and c in rows[i]]
+        # fill-in only reaches columns of the pivot row, so no key is added
+        for c in sorted(col_rows):
+            holders = [i for i in col_rows[c] if not used[i]]
             if not holders:
                 continue
-            pivot = min(holders, key=lambda i: (len(rows[i]), i))
+            if len(holders) == 1:
+                pivot = holders[0]
+                used[pivot] = True
+                pivots.append((pivot, c))
+                continue
+            holders.sort()
+            pivot = min(holders, key=lambda i: len(rows[i]))
             used[pivot] = True
             pivots.append((pivot, c))
-            pv = rows[pivot][c]
+            prow = rows[pivot]
+            pv = prow[c]
             for i in holders:
                 if i == pivot:
                     continue
-                factor = rows[i][c] / pv
-                for cc, vv in rows[pivot].items():
-                    new = rows[i].get(cc, Fraction(0)) - factor * vv
-                    if new == 0:
-                        if cc in rows[i]:
-                            del rows[i][cc]
-                            col_rows[cc].discard(i)
-                    else:
-                        rows[i][cc] = new
+                # row_i := (pv * row_i - f * row_pivot) / gcd(pv, f), then
+                # divided by its content; the same zero pattern as over Q
+                row = rows[i]
+                f = row[c]
+                g = gcd(pv, f)
+                a, b = pv // g, f // g
+                if a != 1:
+                    for cc in row:
+                        row[cc] *= a
+                for cc, vv in prow.items():
+                    new = row.get(cc, 0) - b * vv
+                    if new:
+                        row[cc] = new
                         col_rows.setdefault(cc, set()).add(i)
+                    elif cc in row:
+                        del row[cc]
+                        col_rows[cc].discard(i)
                 if vec is not None:
-                    vec[i] = vec[i] - factor * vec[pivot]
-        return pivots, rows, vec
+                    vec[i] = a * vec[i] - b * vec[pivot]
+                    content = gcd(vec[i], *row.values())
+                else:
+                    content = gcd(*row.values())
+                if content > 1:
+                    for cc in row:
+                        row[cc] //= content
+                    if vec is not None:
+                        vec[i] //= content
+        return pivots, rows, vec, scales
 
     def rank(self) -> int:
         if self._rank is None:
-            pivots, _, _ = self._eliminate()
-            self._rank = len(pivots)
+            self._rank = len(self._eliminate()[0])
         return self._rank
 
     def image_rank_inside(self, inside: Container[Hashable]) -> int:
@@ -264,25 +169,29 @@ class SparseSystem:
         """One exact solution of (rows) x = rhs, or None if inconsistent."""
         if len(rhs) != self.nrows:
             raise DimensionError("rhs length does not match rows")
-        pivots, rows, vec = self._eliminate([as_fraction(x) for x in rhs])
+        column = [{0: v} for v in rhs]
+        rhs_scale = _scale_columns(column).get(0, 1)
+        pivots, rows, vec, scales = self._eliminate([r[0] for r in column])
         pivot_rows = {i for (i, _) in pivots}
         for i in range(self.nrows):
             if i not in pivot_rows and vec[i] != 0:
                 return None
-        x = [Fraction(0)] * self.ncols
+        # y solves the scaled system; x_c = scales[c] * y_c / rhs_scale
+        y = [Fraction(0)] * self.ncols
         for i, c in reversed(pivots):
-            s = vec[i]
+            s = Fraction(vec[i])
             for cc, vv in rows[i].items():
-                if cc != c:
-                    s -= vv * x[cc]
-            x[c] = s / rows[i][c]
-        return x
+                if cc != c and y[cc]:
+                    s -= vv * y[cc]
+            y[c] = s / rows[i][c]
+        return [v * scales.get(c, 1) / rhs_scale if v else v
+                for c, v in enumerate(y)]
 
     def solve_keyed(self, rhs_by_key: Mapping[Hashable, Fraction]
                     ) -> Optional[List[Fraction]]:
         """`solve` with the right-hand side given as {row key: value};
         keys not named are zero."""
-        rhs = [Fraction(0)] * self.nrows
+        rhs = [0] * self.nrows
         for k, v in rhs_by_key.items():
             rhs[self.row_pos[k]] = v
         return self.solve(rhs)

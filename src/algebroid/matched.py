@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .connections import Connection, is_flat
 from .core import Algebroid, Section, StructureError, vector_field_bracket
 from .forms import IndexTuple, TruncationWindow, compile_d, sort_with_sign, \
-    truncated_cohomology, _window_check
+    _window_check, _window_dims
 from .linalg import SparseSystem
 from .rings import RingElement
 
@@ -327,6 +327,6 @@ def total_cohomology_compare(m: MatchedPair, degrees: Sequence[int],
                 _total_columns(big, prev)).image_rank_inside(inside_keys)
         total_dims[n] = ker - im
 
-    rep = truncated_cohomology(tw, sorted(set(degrees)), window)
-    twilled_dims = {n: rep.dim(n) for n in sorted(set(degrees))}
+    twilled_dims = {n: ker - im for n, (ker, im)
+                    in _window_dims(tw, degrees, window, drop).items()}
     return TotalCompareReport(window, total_dims, twilled_dims)

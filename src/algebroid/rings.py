@@ -12,9 +12,11 @@ Elements are immutable; all operations return fresh values.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 from typing import Dict, Iterable, Mapping, Sequence, Tuple
 
 Exponents = Tuple[int, ...]
+Terms = Mapping[Exponents, Fraction]
 
 
 class RingError(Exception):
@@ -50,6 +52,8 @@ class ChartRing:
         self.laurent: frozenset = frozenset(laurent)
         self.zero = RingElement(self, {})
         self.one = RingElement(self, {(0,) * len(self.variables): Fraction(1)})
+        # TruncationWindow -> its monomials, filled by forms on first use
+        self._window_monomials: Dict[object, tuple] = {}
 
         if derivations is None:
             derivations = {
@@ -99,9 +103,6 @@ class ChartRing:
         if name not in self._index:
             raise RingError("unknown variable %r" % name)
         return self._index[name]
-
-    def is_laurent(self, name: str) -> bool:
-        return name in self.laurent
 
     # -- derivations ------------------------------------------------------
 
@@ -158,6 +159,18 @@ class ChartRing:
 
     def __hash__(self):
         return id(self)
+
+
+def mul_terms(a: Terms, b: Terms) -> Dict[Exponents, Fraction]:
+    """The product of two term dicts {exponents: coefficient}, without
+    zero values."""
+    out: Dict[Exponents, Fraction] = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            key = tuple(map(add, e1, e2))
+            cur = out.get(key)
+            out[key] = c1 * c2 if cur is None else cur + c1 * c2
+    return {e: c for e, c in out.items() if c}
 
 
 def poly_ring(*variables: str) -> ChartRing:
@@ -225,12 +238,7 @@ class RingElement:
 
     def __mul__(self, other):
         other = self._coerce(other)
-        out: Dict[Exponents, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                key = tuple(x + y for x, y in zip(e1, e2))
-                out[key] = out.get(key, Fraction(0)) + c1 * c2
-        return RingElement(self.ring, out)
+        return RingElement(self.ring, mul_terms(self.terms, other.terms))
 
     __rmul__ = __mul__
 
@@ -346,6 +354,10 @@ class RingMap:
 
     Images of Laurent variables must be units of the target (checked at
     construction so substitution of negative exponents is always defined).
+    The powers of each image (of its inverse, for negative exponents) are
+    kept in a table filled outward from exponent 0 as they are first
+    needed, each from its neighbour by one product; every image of a
+    monomial is read from it.
     """
 
     def __init__(self, source: ChartRing, target: ChartRing,
@@ -366,22 +378,40 @@ class RingMap:
                     raise RingError(
                         "image of Laurent variable %r must be a unit" % v)
                 self._inverses[v] = img.inverse()
+        self._powers = [{0: target.one.terms} for _ in source.variables]
+
+    def _power(self, i: int, e: int) -> Terms:
+        table = self._powers[i]
+        if e not in table:
+            v = self.source.variables[i]
+            step = 1 if e > 0 else -1
+            factor = (self.images[v] if e > 0 else self._inverses[v]).terms
+            k = e
+            while k - step not in table:
+                k -= step
+            for k in range(k, e + step, step):
+                table[k] = mul_terms(table[k - step], factor)
+        return table[e]
+
+    def monomial_terms(self, exps: Exponents) -> Terms:
+        """The terms of the image of the monomial x^exps.  The dict may be
+        the table's own and must not be changed."""
+        out = None
+        for i, e in enumerate(exps):
+            if e:
+                power = self._power(i, e)
+                out = power if out is None else mul_terms(out, power)
+        return self.target.one.terms if out is None else out
 
     def __call__(self, f: RingElement) -> RingElement:
         if f.ring is not self.source:
             raise RingError("element is not in the source ring")
-        result = self.target.zero
+        out: Dict[Exponents, Fraction] = {}
         for exps, coeff in f.terms.items():
-            term = self.target.const(coeff)
-            for v, e in zip(self.source.variables, exps):
-                if e == 0:
-                    continue
-                if e > 0:
-                    term = term * (self.images[v] ** e)
-                else:
-                    term = term * (self._inverses[v] ** (-e))
-            result = result + term
-        return result
+            for key, c in self.monomial_terms(exps).items():
+                cur = out.get(key)
+                out[key] = coeff * c if cur is None else cur + coeff * c
+        return RingElement(self.target, out)
 
     @classmethod
     def identity(cls, ring: ChartRing) -> "RingMap":

@@ -9,12 +9,22 @@ separately and merges equal words only at the end.  The gather
 differentials evaluate the Chevalley-Eilenberg formula one output tuple
 at a time; the scatter differential pushes each input term to the tuples
 it reaches with ring arithmetic.  Both are references for the compiled
-kernel behind `forms.covariant_d`.
+kernel behind `forms.covariant_d`.  The dense fraction-free Bareiss
+routines (`RationalMatrix`, `rank`, `kernel_basis`, `solve_linear`) are
+the reference for the sparse integer eliminator `linalg.SparseSystem`,
+`fraction_eliminate` is that eliminator's pivot rule over Fraction, and
+`substitute` is the ring-arithmetic reference for `rings.RingMap`.
 """
 
 from bisect import bisect_left
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
+from typing import List, Optional, Sequence, Tuple
+
+from algebroid.linalg import DimensionError
+from algebroid.rings import RingError, as_fraction
 
 
 def poisson_bracket_of_functions(ring, pi_entry, f, g):
@@ -49,7 +59,7 @@ def ce_cohomology_dims(rank, constants, max_degree):
     """Chevalley-Eilenberg cohomology dims over Q for constant structure
     tables with zero anchor, by explicit matrices of the alternating-sum
     differential on basis index tuples."""
-    from algebroid.linalg import RationalMatrix, kernel_basis, rank as mat_rank
+    from oracles import RationalMatrix, rank as mat_rank  # `rank` is a parameter here
 
     def bracket(i, j):
         out = {}
@@ -403,3 +413,205 @@ def gather_d2(m, p, q, coeffs):
                     total = total + (term if sgn == 1 else -term)
             add(j1, big, total)
     return out
+
+
+# -- dense fraction-free linear algebra ----------------------------------------
+
+
+class RationalMatrix:
+    def __init__(self, rows: int, cols: int, entries: Sequence[Sequence] | None = None):
+        self.rows = rows
+        self.cols = cols
+        if entries is None:
+            self.entries = [[Fraction(0)] * cols for _ in range(rows)]
+        else:
+            if len(entries) != rows or any(len(r) != cols for r in entries):
+                raise DimensionError("entry grid does not match declared shape")
+            self.entries = [[as_fraction(x) for x in row] for row in entries]
+
+    @classmethod
+    def from_rows(cls, entries: Sequence[Sequence]) -> "RationalMatrix":
+        rows = len(entries)
+        cols = len(entries[0]) if rows else 0
+        return cls(rows, cols, entries)
+
+    @classmethod
+    def identity(cls, n: int) -> "RationalMatrix":
+        m = cls(n, n)
+        for i in range(n):
+            m.entries[i][i] = Fraction(1)
+        return m
+
+    def __getitem__(self, ij):
+        return self.entries[ij[0]][ij[1]]
+
+    def __eq__(self, other):
+        return (isinstance(other, RationalMatrix)
+                and self.entries == other.entries)
+
+    def mul_vector(self, v: Sequence[Fraction]) -> List[Fraction]:
+        if len(v) != self.cols:
+            raise DimensionError("vector length does not match columns")
+        return [sum((row[j] * v[j] for j in range(self.cols)), Fraction(0))
+                for row in self.entries]
+
+    def __repr__(self):
+        return "RationalMatrix(%d x %d)" % (self.rows, self.cols)
+
+
+def _integer_rows(entries: Sequence[Sequence[Fraction]]) -> List[List[int]]:
+    out = []
+    for row in entries:
+        denom = 1
+        for x in row:
+            denom = denom * x.denominator // gcd(denom, x.denominator)
+        out.append([int(x * denom) for x in row])
+    return out
+
+
+def _bareiss(rows: List[List[int]]) -> Tuple[List[List[int]], List[Tuple[int, int]]]:
+    """Fraction-free forward elimination.
+
+    Returns the echelon rows and the list of (row, col) pivot positions.
+    Destructive on `rows`. Division steps are exact by the Bareiss identity.
+    """
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
+    pivots: List[Tuple[int, int]] = []
+    prev = 1
+    pr = 0
+    for pc in range(ncols):
+        pivot_row = None
+        for r in range(pr, nrows):
+            if rows[r][pc] != 0:
+                pivot_row = r
+                break
+        if pivot_row is None:
+            continue
+        if pivot_row != pr:
+            rows[pr], rows[pivot_row] = rows[pivot_row], rows[pr]
+        piv = rows[pr][pc]
+        for r in range(pr + 1, nrows):
+            factor = rows[r][pc]
+            for c in range(ncols):
+                rows[r][c] = (rows[r][c] * piv - factor * rows[pr][c]) // prev
+        prev = piv
+        pivots.append((pr, pc))
+        pr += 1
+        if pr == nrows:
+            break
+    return rows, pivots
+
+
+@dataclass
+class LinearSolveResult:
+    status: str                       # "solution" | "inconsistent"
+    solution: Optional[List[Fraction]] = None
+    certificate: Optional[List[Fraction]] = None   # y with y.A = 0, y.b != 0
+
+
+def solve_linear(a: RationalMatrix, b: Sequence) -> LinearSolveResult:
+    """Solve A x = b exactly; on failure return a Fredholm witness y."""
+    b = [as_fraction(x) for x in b]
+    if len(b) != a.rows:
+        raise DimensionError("right-hand side length does not match rows")
+    n, m = a.rows, a.cols
+    # augmented [A | b | I]: the I block tracks row operations so an
+    # inconsistent row yields a left null combination of the original rows.
+    aug = []
+    for i in range(n):
+        row = list(a.entries[i]) + [b[i]] + [Fraction(0)] * n
+        row[m + 1 + i] = Fraction(1)
+        aug.append(row)
+    rows, pivots = _bareiss(_integer_rows(aug))
+    a_pivots = [(r, c) for (r, c) in pivots if c < m]
+    for r, c in pivots:
+        if c == m:  # pivot in the b column: inconsistent row found
+            cert = [Fraction(rows[r][m + 1 + j]) for j in range(n)]
+            return LinearSolveResult("inconsistent", certificate=cert)
+    # back-substitution over the A|b part
+    x = [Fraction(0)] * m
+    for r, c in reversed(a_pivots):
+        s = Fraction(rows[r][m])
+        for j in range(c + 1, m):
+            if rows[r][j]:
+                s -= Fraction(rows[r][j]) * x[j]
+        x[c] = s / Fraction(rows[r][c])
+    return LinearSolveResult("solution", solution=x)
+
+
+def kernel_basis(a: RationalMatrix) -> List[List[Fraction]]:
+    """Exact basis of the null space, one vector per free column."""
+    rows, pivots = _bareiss(_integer_rows(a.entries))
+    pivot_cols = [c for (_, c) in pivots]
+    free_cols = [c for c in range(a.cols) if c not in pivot_cols]
+    basis = []
+    for fc in free_cols:
+        v = [Fraction(0)] * a.cols
+        v[fc] = Fraction(1)
+        for r, c in reversed(pivots):
+            s = Fraction(0)
+            for j in range(c + 1, a.cols):
+                if rows[r][j]:
+                    s -= Fraction(rows[r][j]) * v[j]
+            v[c] = s / Fraction(rows[r][c])
+        basis.append(v)
+    return basis
+
+
+def rank(a: RationalMatrix) -> int:
+    _, pivots = _bareiss(_integer_rows(a.entries))
+    return len(pivots)
+
+
+def fraction_eliminate(rows, ncols, rhs=None):
+    """Sparse forward elimination over Fraction with the pivot rule of
+    `linalg.SparseSystem` (ascending column, sparsest eligible row, lowest
+    row index): row_i -= (row_i[c] / pivot) * row_pivot.  Returns
+    (pivots, reduced rows, reduced rhs)."""
+    rows = [{c: Fraction(v) for c, v in r.items() if v} for r in rows]
+    vec = [Fraction(v) for v in rhs] if rhs is not None else None
+    used = [False] * len(rows)
+    pivots = []
+    for c in range(ncols):
+        holders = [i for i in range(len(rows)) if not used[i] and c in rows[i]]
+        if not holders:
+            continue
+        pivot = min(holders, key=lambda i: (len(rows[i]), i))
+        used[pivot] = True
+        pivots.append((pivot, c))
+        pv = rows[pivot][c]
+        for i in holders:
+            if i == pivot:
+                continue
+            factor = rows[i][c] / pv
+            for cc, vv in rows[pivot].items():
+                new = rows[i].get(cc, Fraction(0)) - factor * vv
+                if new == 0:
+                    rows[i].pop(cc, None)
+                else:
+                    rows[i][cc] = new
+            if vec is not None:
+                vec[i] = vec[i] - factor * vec[pivot]
+    return pivots, rows, vec
+
+
+# -- ring maps by ring arithmetic --------------------------------------------------
+
+
+def substitute(rmap, f):
+    """rmap(f) with RingElement arithmetic: each term's coefficient times
+    the powers of the variable images (of their inverses for negative
+    exponents), each power rebuilt by repeated squaring."""
+    if f.ring is not rmap.source:
+        raise RingError("element is not in the source ring")
+    result = rmap.target.zero
+    for exps, coeff in f.terms.items():
+        term = rmap.target.const(coeff)
+        for v, e in zip(rmap.source.variables, exps):
+            if e > 0:
+                term = term * (rmap.images[v] ** e)
+            elif e < 0:
+                term = term * (rmap.images[v].inverse() ** (-e))
+        result = result + term
+    return result

@@ -4,9 +4,12 @@ import json
 import math
 import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import algebroid
 from algebroid.cli import run
 
 from golden_cases import CASES
@@ -213,3 +216,26 @@ def test_cech_dims_eliminates_twice(monkeypatch):
     code, _ = invoke(["cech-dims", "p1.adf", "P"])
     assert code == 0
     assert len(calls) == 2
+
+
+def test_parser_reuse_matches_fresh_process():
+    # run builds its argument parser once per process; a usage error must
+    # leave nothing behind for the questions that follow it
+    src = str(pathlib.Path(algebroid.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    sequence = [
+        (["cohomology", "plane.adf", "T", "--bogus"], 2),
+        (["exact", "torus.adf", "qres", "--json"], 1),
+        (["cech-dims", "p1.adf", "P"], 0),
+    ]
+    for argv, expected in sequence:
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code, text = invoke(argv)
+        fresh = subprocess.run(
+            [sys.executable, "-c", "from algebroid.cli import main; main()"] + argv,
+            cwd=DATA, env=env, capture_output=True, text=True)
+        assert code == fresh.returncode == expected
+        assert text == fresh.stdout
+        assert err.getvalue() == fresh.stderr

@@ -301,3 +301,19 @@ def test_dims_consistent_across_growing_windows():
                 bigger = truncated_cohomology(l, [p], TruncationWindow(d + 2, d + 2))
                 assert rep.degrees[p].stable == (rep.dim(p) == bigger.dim(p))
             previous = dims
+
+
+def test_cohomology_invariant_under_rational_rescaling():
+    # {x,y} = a z, {y,z} = b x, {z,x} = c y is Poisson for any a, b, c, and
+    # a diagonal change of coordinates (over R) takes positive (a, b, c)
+    # to (1, 1, 1) degree by degree, so every windowed dim agrees; the
+    # rescaled columns mix int and Fraction entries
+    r3 = poly_ring("x", "y", "z")
+    x, y, z = (r3.var(v) for v in ("x", "y", "z"))
+    reports = [truncated_cohomology(
+        make_poisson(r3, {(0, 1): a * z, (1, 2): b * x, (2, 0): c * y}),
+        [0, 1, 2, 3], TruncationWindow(3, 3))
+        for a, b, c in [(1, 1, 1), (1, Fraction(1, 2), Fraction(1, 6)),
+                        (Fraction(2, 3), 3, Fraction(5, 7))]]
+    for rep in reports[1:]:
+        assert rep.degrees == reports[0].degrees

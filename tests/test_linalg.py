@@ -3,8 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from algebroid.linalg import (DimensionError, RationalMatrix, SparseSystem,
-                              kernel_basis, rank, solve_linear)
+from algebroid.linalg import DimensionError, SparseSystem
+from algebroid.rings import RingError
+
+from oracles import (RationalMatrix, fraction_eliminate, kernel_basis, rank,
+                     solve_linear)
 
 
 def test_rank_one_kernel():
@@ -113,3 +116,85 @@ def test_sparse_matches_dense():
                 assert got == got_moved == dense.solution
             else:
                 assert got is None and got_moved is None
+
+
+def rand_system(rng, n, m):
+    """Rows of a random n x m matrix: integral and non-integral entries,
+    about a third of them zero, and one all-zero column when m > 1."""
+    empty = rng.randrange(m) if m > 1 else None
+    return [[Fraction(rng.randint(-4, 4), rng.choice((1, 1, 2, 3, 6)))
+             if j != empty and rng.random() < 0.65 else Fraction(0)
+             for j in range(m)] for _ in range(n)]
+
+
+def test_integer_elimination_matches_fraction_and_dense():
+    rng = random.Random(43)
+    for trial in range(60):
+        n, m = rng.randint(1, 7), rng.randint(1, 7)
+        rows = rand_system(rng, n, m)
+        a = RationalMatrix.from_rows(rows)
+        by_set = SparseSystem(n, m)
+        for i in range(n):
+            for j in range(m):
+                by_set.set(i, j, rows[i][j])
+        # integral entries as int, so columns mix int and Fraction values
+        cols = [{(i % 3, i): int(v) if v.denominator == 1 else v
+                 for i, v in enumerate(rows[t][j] for t in range(n)) if v}
+                for j in range(m)]
+        keys = [(i % 3, i) for i in range(n)]
+        by_cols = SparseSystem.from_columns(cols, keys)
+
+        # the same pivots, and each reduced row a multiple of the Fraction
+        # one on the integer-scaled columns
+        ref_pivots, ref_rows, _ = fraction_eliminate(by_set.rows, m)
+        pivots, int_rows, _, scales = by_set._eliminate()
+        assert pivots == ref_pivots
+        for got, ref in zip(int_rows, ref_rows):
+            assert got.keys() == ref.keys()
+            assert all(type(v) is int for v in got.values())
+            ratios = {v / (ref[c] * scales.get(c, 1)) for c, v in got.items()}
+            assert len(ratios) <= 1
+        col_pivots = by_cols._eliminate()[0]
+        assert [c for _, c in col_pivots] == [c for _, c in pivots]
+
+        assert by_set.rank() == by_cols.rank() == rank(a)
+        inside = set(rng.sample(keys, rng.randint(0, n)))
+        outside = RationalMatrix.from_rows(
+            [rows[i] for i in range(n) if keys[i] not in inside] or [[0] * m])
+        assert by_cols.image_rank_inside(inside) == rank(a) - rank(outside)
+
+        x = [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(m)]
+        for rhs in (a.mul_vector(x),
+                    [Fraction(rng.randint(-3, 3), rng.randint(1, 5)) for _ in range(n)],
+                    [Fraction(0)] * n):
+            dense = solve_linear(a, rhs)
+            got_set = by_set.solve(rhs)
+            got_cols = by_cols.solve_keyed({keys[i]: rhs[i] for i in range(n)})
+            if dense.status == "solution":
+                assert got_set == got_cols == dense.solution
+                assert all(type(v) is Fraction for v in got_set + got_cols)
+            else:
+                assert got_set is None and got_cols is None
+
+
+def test_inconsistent_integer_systems():
+    # a zero row with a nonzero rhs, and a dependent row whose rhs breaks
+    # the dependency, each with a rational rhs
+    s = SparseSystem.from_columns(
+        [{"a": 2, "b": 4}, {"a": Fraction(1, 3), "b": Fraction(2, 3)}], ["c"])
+    assert s.rank() == 1
+    assert s.solve_keyed({"c": Fraction(1, 2)}) is None
+    assert s.solve_keyed({"a": 1, "b": 3}) is None
+    assert s.solve_keyed({"a": Fraction(1, 2), "b": 1}) == [Fraction(1, 4), Fraction(0)]
+    empty = SparseSystem(2, 3)
+    assert empty.rank() == 0
+    assert empty.solve([0, 0]) == [Fraction(0)] * 3
+    assert empty.solve([0, Fraction(1, 7)]) is None
+
+
+def test_set_rejects_inexact_values():
+    s = SparseSystem(1, 1)
+    with pytest.raises(RingError):
+        s.set(0, 0, 0.5)
+    with pytest.raises(RingError):
+        SparseSystem.from_columns([{"a": 0.5}]).rank()

@@ -6,6 +6,8 @@ import pytest
 from algebroid.rings import (ChartRing, RingError, RingMap, apply_derivation,
                              apply_ring_map, laurent_ring, poly_ring, ring_arith)
 
+from oracles import substitute
+
 
 def rand_element(ring, rng, max_degree=3, nterms=4):
     terms = {}
@@ -157,3 +159,31 @@ def test_constants_hash_like_their_fraction():
     assert {r.const(3): "c"}[3] == "c"
     x = r.var("x")
     assert x in {x + 0} and x not in {1}
+
+
+def test_ring_map_power_table_matches_substitution():
+    # the table path of RingMap against repeated squaring of the images:
+    # non-monomial images, Laurent inverses with non-unit coefficients, and
+    # monomials mixing negative and positive exponents, asked in an order
+    # that fills each table from both ends
+    rng = random.Random(17)
+    dst = ChartRing(("z", "w", "t"), laurent=("z", "w"))
+    z, w, t = (dst.var(v) for v in dst.variables)
+    src = ChartRing(("u", "v", "s"), laurent=("u", "v"))
+    maps = [
+        RingMap(src, dst, {"u": z ** -1, "v": dst.monomial((2, -1, 0), Fraction(-3, 2)),
+                           "s": t + z * w - Fraction(1, 3)}),
+        RingMap(src, dst, {"u": dst.monomial((-1, 3, 0), 5), "v": w,
+                           "s": (z + w ** -1) * (t - 2)}),
+        RingMap(src, src, {"u": src.var("u") ** 2, "v": src.var("v") ** -1,
+                           "s": src.var("s") + src.var("u") * src.var("v")}),
+    ]
+    for m in maps:
+        for _ in range(40):
+            f = rand_element(src, rng, max_degree=4, nterms=5)
+            assert m(f).terms == substitute(m, f).terms
+        for exps in [(-3, 2, 1), (4, -4, 0), (0, 0, 3), (0, 0, 0), (-1, -1, 2)]:
+            mono = src.monomial(exps)
+            assert m.monomial_terms(exps) == substitute(m, mono).terms
+    with pytest.raises(RingError):
+        maps[0](dst.var("z"))

@@ -208,3 +208,28 @@ def test_cech_chart_columns_match_scatter(monkeypatch):
                 want.extend(flatten_columns(
                     [image], lambda key, m, a=a: ("ch", a, key[0], m)))
     assert cols == want
+
+
+def test_column_values_are_int_on_integer_data():
+    # integer algebroids give int columns; rational data and connections
+    # give int or Fraction, never a float
+    rng = random.Random(229)
+    r3 = poly_ring("x", "y", "z")
+    x, y, z = (r3.var(v) for v in ("x", "y", "z"))
+    halves = make_poisson(r3, {(0, 1): z * Fraction(1, 2), (1, 2): x * Fraction(1, 3),
+                               (2, 0): y * Fraction(1, 6)})
+    for l in list(algebroids()) + [halves]:
+        ring = l.base
+        integral = l is not halves
+        mats = sparse_columns(rank2_connection(l, rng))
+        for stencil, labels in ((compile_d(l), [0]), (compile_d(l, mats), [0, 1])):
+            for degree in range(l.rank + 1):
+                for idx in combinations(range(l.rank), degree):
+                    mono = tuple(rng.randint(-2 if v in ring.laurent else 0, 3)
+                                 for v in ring.variables)
+                    for t in labels:
+                        for v in stencil.column(idx, t, mono).values():
+                            if integral and stencil.matrices is None:
+                                assert type(v) is int
+                            else:
+                                assert type(v) in (int, Fraction)
