@@ -18,7 +18,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import chain, combinations, product
 from operator import add
 from typing import (Dict, Hashable, Iterable, List, Mapping, Optional,
                     Sequence, Tuple)
@@ -451,37 +451,57 @@ class CohomologyReport:
         return self.degrees[p].cohomology_dim
 
 
-class _Slice:
-    """The window slice of p-forms: ordered basis (index tuple, monomial)."""
+class _WindowedComplex:
+    """A cochain complex on window slices.
 
-    def __init__(self, l: Algebroid, p: int, window: TruncationWindow):
-        self.owner = l
-        self.degree = p
-        self.window = window
-        monos = window.monomials(l.base)
-        self.basis: List[Tuple[IndexTuple, IndexTuple]] = [
-            (idx, m) for idx in combinations(range(l.rank), p) for m in monos]
-        self.position = {b: t for t, b in enumerate(self.basis)}
+    Degree p has the basis (ascending p-tuple of 0..rank-1, window
+    monomial), in that order, and `column(idx, mono)` is the image of a
+    basis element keyed ((index tuple, 0), monomial), as `Stencil.column`
+    keys it.
+    """
 
-    def __len__(self):
-        return len(self.basis)
+    def __init__(self, ring: ChartRing, rank: int, column):
+        self.ring = ring
+        self.rank = rank
+        self.column = column
 
-    def form_from_vector(self, vec: Sequence[Fraction]) -> LForm:
-        comp: Dict[IndexTuple, RingElement] = {}
-        ring = self.owner.base
-        for t, (idx, m) in enumerate(self.basis):
-            if vec[t]:
-                cur = comp.get(idx, ring.zero)
-                comp[idx] = cur + ring.monomial(m, vec[t])
-        return LForm(self.owner, self.degree, comp)
+    def basis(self, p: int, window: TruncationWindow
+              ) -> List[Tuple[IndexTuple, IndexTuple]]:
+        monos = window.monomials(self.ring)
+        return [(idx, m) for idx in combinations(range(self.rank), p) for m in monos]
+
+    def system(self, p: int, window: TruncationWindow, keys=()) -> SparseSystem:
+        return SparseSystem.from_columns(
+            [self.column(idx, m) for idx, m in self.basis(p, window)], keys)
+
+    def dims(self, degrees: Iterable[int], windows: Sequence[TruncationWindow],
+             drop: int) -> Dict[TruncationWindow, Dict[int, Tuple[int, int]]]:
+        """{window: {p: (kernel dim, windowed image dim)}}, degrees ascending,
+        (0, 0) outside 0..rank.  The image counts the coboundaries of
+        (p-1)-cochains from the window enlarged by `drop` that land inside
+        the window.  Each (degree, window) system is built and eliminated
+        once, answers every question put to it, and is then dropped."""
+        degrees = sorted(set(degrees))
+        kernel, image, reads = {}, {}, {}
+        for w, p in product(windows, degrees):
+            if 0 <= p <= self.rank:
+                reads.setdefault((p, w), []).append((kernel, w, p))
+                if p > 0:
+                    reads.setdefault((p - 1, w.enlarged(drop)), []).append((image, w, p))
+        for key, asks in reads.items():
+            system = self.system(*key)
+            for table, w, p in asks:
+                table[w, p] = (system.ncols - system.rank() if table is kernel
+                               else system.image_rank_inside(
+                                   {((idx, 0), m) for idx, m in self.basis(p, w)}))
+        return {w: {p: (kernel.get((w, p), 0), image.get((w, p), 0))
+                    for p in degrees} for w in windows}
 
 
-def _differential_entries(l: Algebroid, domain: _Slice):
-    """Images of the domain basis forms under d, as sparse columns keyed by
-    (index tuple, monomial)."""
-    stencil = compile_d(l)
-    return [{(big, mm): c for ((big, _), mm), c in stencil.column(idx, 0, m).items()}
-            for idx, m in domain.basis]
+def _ce_complex(l: Algebroid) -> _WindowedComplex:
+    """The Chevalley-Eilenberg complex of l with trivial coefficients."""
+    column = compile_d(l).column
+    return _WindowedComplex(l.base, l.rank, lambda idx, m: column(idx, 0, m))
 
 
 def _window_check(l: Algebroid, window: TruncationWindow) -> None:
@@ -500,29 +520,6 @@ def _window_check(l: Algebroid, window: TruncationWindow) -> None:
             "(need degree >= %d, laurent >= %d)" % (maxdeg, maxexp))
 
 
-def _dims_at(l: Algebroid, p: int, window: TruncationWindow,
-             drop: int) -> Tuple[int, int]:
-    """(kernel dim, windowed image dim) for the degree-p slice."""
-    dom = _Slice(l, p, window)
-    kernel_dim = len(dom) - SparseSystem.from_columns(
-        _differential_entries(l, dom)).rank()
-
-    image_dim = 0
-    if p > 0:
-        ext = _Slice(l, p - 1, window.enlarged(drop))
-        image_dim = SparseSystem.from_columns(
-            _differential_entries(l, ext)).image_rank_inside(dom.position)
-    return kernel_dim, image_dim
-
-
-def _window_dims(l: Algebroid, degrees: Iterable[int], window: TruncationWindow,
-                drop: int) -> Dict[int, Tuple[int, int]]:
-    """(kernel dim, windowed image dim) for each degree, ascending; (0, 0)
-    outside 0..rank."""
-    return {p: _dims_at(l, p, window, drop) if 0 <= p <= l.rank else (0, 0)
-            for p in sorted(set(degrees))}
-
-
 def truncated_cohomology(l: Algebroid, degrees: Iterable[int],
                          window: TruncationWindow | None = None) -> CohomologyReport:
     """Exact kernel/image dimensions on the window slice.
@@ -537,12 +534,11 @@ def truncated_cohomology(l: Algebroid, degrees: Iterable[int],
     window = window or TruncationWindow()
     _window_check(l, window)
     drop, _bump = l.coefficient_degree_profile()
-    degrees = set(degrees)
-    dims = _window_dims(l, degrees, window, drop)
-    wider = _window_dims(l, degrees, window.enlarged(2), drop)
+    wider = window.enlarged(2)
+    dims = _ce_complex(l).dims(degrees, (window, wider), drop)
     report = CohomologyReport(window)
-    for p, (ker, im) in dims.items():
-        ker2, im2 = wider[p]
+    for p, (ker, im) in dims[window].items():
+        ker2, im2 = dims[wider][p]
         report.degrees[p] = DegreeReport(
             ker, im, stable=(ker - im) == (ker2 - im2))
     return report
@@ -583,13 +579,16 @@ def exactness_solve(theta: LForm, window: TruncationWindow | None = None
                 needed = max(needed, abs(elo), abs(ehi))
     dom_window = TruncationWindow(max(window.degree, needed) + drop,
                                   max(window.laurent, needed) + drop)
-    dom = _Slice(l, theta.degree - 1, dom_window)
-    rhs = {(idx, m): c for idx, val in theta.coeffs.items()
+    complex_, p = _ce_complex(l), theta.degree - 1
+    rhs = {((idx, 0), m): c for idx, val in theta.coeffs.items()
            for m, c in val.terms.items()}
-    sol = SparseSystem.from_columns(_differential_entries(l, dom),
-                                    rhs).solve_keyed(rhs)
+    sol = complex_.system(p, dom_window, rhs).solve_keyed(rhs)
     if sol is not None:
-        primitive = dom.form_from_vector(sol)
+        terms = {}
+        for (idx, m), c in zip(complex_.basis(p, dom_window), sol):
+            if c:
+                terms.setdefault(idx, {})[m] = c
+        primitive = LForm(l, p, {idx: RingElement(l.base, t) for idx, t in terms.items()})
         if not (primitive._d_unchecked() - theta).is_zero():
             raise StructureError("internal error: primitive failed verification")
         return ExactnessResult("primitive", primitive=primitive, window=window)

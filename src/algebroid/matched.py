@@ -11,6 +11,7 @@ total differential carries the alternating sign on the second one.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -18,8 +19,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .connections import Connection, is_flat
 from .core import Algebroid, Section, StructureError, vector_field_bracket
 from .forms import IndexTuple, TruncationWindow, compile_d, sort_with_sign, \
-    _window_check, _window_dims
-from .linalg import SparseSystem
+    _ce_complex, _window_check, _WindowedComplex
 from .rings import RingElement
 
 
@@ -270,26 +270,26 @@ class TotalCompareReport:
                    for n in self.total_dims)
 
 
-def _total_basis(sl: DoubleComplexSlice, n: int):
-    out = []
-    for (p, q), basis in sorted(sl.bases.items()):
-        if p + q == n:
-            out.extend(((p, q), b) for b in basis)
-    return out
+def _total_complex(sl: DoubleComplexSlice) -> _WindowedComplex:
+    """The total complex of the double complex, d1 + (-1)^p d2, keyed like
+    the twilled sum's cochains: l2's indices follow l1's, shifted by its
+    rank, and the two parts land in different bidegrees."""
+    n1 = sl.pair.l1.rank
 
+    def merged(i1, i2):
+        return (i1 + tuple(n1 + j for j in i2), 0)
 
-def _total_columns(sl: DoubleComplexSlice, dom):
-    """Columns of the total differential d1 + (-1)^p d2, keyed by
-    (bidegree, I, J, monomial); the two parts land in different bidegrees."""
-    cols = []
-    for (p, q), (i1, i2, mono) in dom:
-        col = {((p + 1, q), a1, a2, mm): c
+    def column(idx, mono):
+        p = bisect_left(idx, n1)
+        i1, i2 = idx[:p], tuple(j - n1 for j in idx[p:])
+        col = {(merged(a1, a2), mm): c
                for ((a1, a2), mm), c in sl._d1.column(i1, i2, mono).items()}
-        sgn = (-1) ** p
+        sgn = -1 if p % 2 else 1
         for ((a2, a1), mm), c in sl._d2.column(i2, i1, mono).items():
-            col[((p, q + 1), a1, a2, mm)] = sgn * c
-        cols.append(col)
-    return cols
+            col[(merged(a1, a2), mm)] = sgn * c
+        return col
+
+    return _WindowedComplex(sl.pair.l1.base, n1 + sl.pair.l2.rank, column)
 
 
 def total_cohomology_compare(m: MatchedPair, degrees: Sequence[int],
@@ -307,26 +307,14 @@ def total_cohomology_compare(m: MatchedPair, degrees: Sequence[int],
     _window_check(tw, window)
     drop, _ = tw.coefficient_degree_profile()
 
-    max_total = max(degrees)
-    sl = DoubleComplexSlice(m, max_total + 1, window)
+    sl = DoubleComplexSlice(m, max(degrees) + 1, window)
     wit = sl.commutation_check()
     if wit is not None:
         raise StructureError("double complex commutation fails at %s" % (wit,))
 
-    big = DoubleComplexSlice(m, max_total + 1, window.enlarged(drop))
-    total_dims: Dict[int, int] = {}
-    for n in sorted(set(degrees)):
-        dom = _total_basis(sl, n)
-        ker = len(dom) - SparseSystem.from_columns(_total_columns(sl, dom)).rank()
-        im = 0
-        if n > 0:
-            prev = _total_basis(big, n - 1)
-            inside_keys = {((p, q), i1, i2, mono)
-                           for ((p, q), (i1, i2, mono)) in dom}
-            im = SparseSystem.from_columns(
-                _total_columns(big, prev)).image_rank_inside(inside_keys)
-        total_dims[n] = ker - im
+    def cohomology(complex_):
+        dims = complex_.dims(degrees, (window,), drop)[window]
+        return {n: ker - im for n, (ker, im) in dims.items()}
 
-    twilled_dims = {n: ker - im for n, (ker, im)
-                    in _window_dims(tw, degrees, window, drop).items()}
-    return TotalCompareReport(window, total_dims, twilled_dims)
+    return TotalCompareReport(window, cohomology(_total_complex(sl)),
+                              cohomology(_ce_complex(tw)))

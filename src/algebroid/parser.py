@@ -303,9 +303,14 @@ class Parser:
         while not self.accept("SYM", "}"):
             key = self.expect("IDENT")
             if key.text == "basis":
-                basis.append(self.expect("IDENT").text)
-                while self.accept("SYM", ","):
-                    basis.append(self.expect("IDENT").text)
+                while True:
+                    tok = self.expect("IDENT")
+                    if tok.text in basis:
+                        raise ParseError("basis element %r is declared twice"
+                                         % tok.text, tok)
+                    basis.append(tok.text)
+                    if not self.accept("SYM", ","):
+                        break
                 self.expect("SYM", ";")
             elif key.text == "anchor":
                 while True:
@@ -600,9 +605,7 @@ class Parser:
                 phi[(a, b)] = self.form_expr(frame, expect_degree=1)
                 self.expect("SYM", ";")
             elif key.text == "q":
-                a = int(self.expect("INT").text)
-                if not (0 <= a < len(cover.charts)):
-                    raise ParseError("no chart %d in the cover" % a, key)
+                a = self.chart_ref(cover, key)
                 self.expect("SYM", "=")
                 q[a] = self.form_expr(cover.chart_algebroid(a), expect_degree=2)
                 self.expect("SYM", ";")
@@ -621,8 +624,7 @@ class Parser:
         self.expect("SYM", "{")
         conns: Dict[int, Connection] = {}
         while not self.accept("SYM", "}"):
-            self.expect("IDENT", "connection")
-            a = int(self.expect("INT").text)
+            a = self.chart_ref(cover, self.expect("IDENT", "connection"))
             alg = cover.chart_algebroid(a)
             self.expect("SYM", "{")
             mats: Dict[int, List[List[RingElement]]] = {}
@@ -642,6 +644,12 @@ class Parser:
                                      [conns[a] for a in range(len(cover.charts))])
         self.defs.define(name, "bunch", bunch,
                          {"cover": c_tok.text, "rank": rank})
+
+    def chart_ref(self, cover, key: Token) -> int:
+        a = int(self.expect("INT").text)
+        if not (0 <= a < len(cover.charts)):
+            raise ParseError("no chart %d in the cover" % a, key)
+        return a
 
     # -- expressions -----------------------------------------------------------
 
@@ -688,8 +696,10 @@ class Parser:
             self.advance()
             num = int(tok.text)
             if self.accept("SYM", "/"):
-                den = int(self.expect("INT").text)
-                return ring.const(Fraction(num, den))
+                den_tok = self.expect("INT")
+                if int(den_tok.text) == 0:
+                    raise ParseError("division by zero", den_tok)
+                return ring.const(Fraction(num, int(den_tok.text)))
             return ring.const(num)
         if tok.kind == "IDENT":
             if tok.text in ring.variables:
@@ -716,6 +726,8 @@ class Parser:
                     self.advance()
                     if tok.text not in ring.derivation_names:
                         raise ParseError("unknown derivation %r" % tok.text, tok)
+                    if saw_deriv is not None:
+                        raise ParseError("two derivation factors in one term", tok)
                     saw_deriv = ring.derivation_names.index(tok.text)
                 else:
                     coeff = coeff * self.scalar_factor(ring)

@@ -9,7 +9,8 @@ separately and merges equal words only at the end.  The gather
 differentials evaluate the Chevalley-Eilenberg formula one output tuple
 at a time; the scatter differential pushes each input term to the tuples
 it reaches with ring arithmetic.  Both are references for the compiled
-kernel behind `forms.covariant_d`.  The dense fraction-free Bareiss
+kernel behind `forms.covariant_d`, and `total_dims_by_bidegree` lays
+the matched-pair total complex out by bidegree from them.  The dense fraction-free Bareiss
 routines (`RationalMatrix`, `rank`, `kernel_basis`, `solve_linear`) are
 the reference for the sparse integer eliminator `linalg.SparseSystem`,
 `fraction_eliminate` is that eliminator's pivot rule over Fraction, and
@@ -413,6 +414,51 @@ def gather_d2(m, p, q, coeffs):
                     total = total + (term if sgn == 1 else -term)
             add(j1, big, total)
     return out
+
+
+def total_dims_by_bidegree(m, degrees, window):
+    """Cohomology dims of the total complex of a matched pair's double
+    complex on the window, laid out by bidegree: degree n has the basis
+    ((p, q), I, J, monomial) over every p + q = n, the columns are
+    gather_d1 + (-1)^p gather_d2 keyed the same way, and the image of
+    degree n - 1 comes from the window enlarged by the twilled sum's
+    degree drop."""
+    from algebroid.linalg import SparseSystem
+    from algebroid.matched import twilled_sum
+
+    ring = m.l1.base
+    drop, _ = twilled_sum(m).coefficient_degree_profile()
+
+    def basis(n, w):
+        monos = w.monomials(ring)
+        return [((p, n - p), i1, i2, mono) for p in range(n + 1)
+                for i1 in combinations(range(m.l1.rank), p)
+                for i2 in combinations(range(m.l2.rank), n - p)
+                for mono in monos]
+
+    def columns(dom):
+        cols = []
+        for (p, q), i1, i2, mono in dom:
+            term = {(i1, i2): ring.monomial(mono)}
+            col = {((p + 1, q), a1, a2, mm): c
+                   for (a1, a2), val in gather_d1(m, p, q, term).items()
+                   for mm, c in val.terms.items()}
+            col.update({((p, q + 1), a1, a2, mm): (-1) ** p * c
+                        for (a1, a2), val in gather_d2(m, p, q, term).items()
+                        for mm, c in val.terms.items()})
+            cols.append(col)
+        return cols
+
+    dims = {}
+    for n in sorted(set(degrees)):
+        dom = basis(n, window)
+        ker = len(dom) - SparseSystem.from_columns(columns(dom)).rank()
+        im = 0
+        if n > 0:
+            prev = basis(n - 1, window.enlarged(drop))
+            im = SparseSystem.from_columns(columns(prev)).image_rank_inside(set(dom))
+        dims[n] = ker - im
+    return dims
 
 
 # -- dense fraction-free linear algebra ----------------------------------------

@@ -218,6 +218,60 @@ def test_cech_dims_eliminates_twice(monkeypatch):
     assert len(calls) == 2
 
 
+@pytest.mark.parametrize("text,message", [
+    ("ring R = poly(Q; x);\nalgebroid T over R { basis e1; anchor e1 -> 1/0*d/dx; }\n",
+     "error:2:47: division by zero"),
+    ("cover P = p1(tangent, bundle=1);\nbunch T on P rank 1 { connection 5 { } }\n",
+     "error:2:23: no chart 5 in the cover"),
+], ids=["zero-denominator", "missing-chart"])
+@pytest.mark.parametrize("as_json", [False, True])
+def test_invalid_literal_is_positioned_usage_error(tmp_path, text, message, as_json):
+    # these raised ZeroDivisionError and IndexError out of run
+    path = tmp_path / "bad.adf"
+    path.write_text(text)
+    code, out = invoke(["verify", str(path), "T"] + (["--json"] if as_json else []))
+    assert code == 2
+    if as_json:
+        assert json.loads(out)["diagnostics"][0] == message
+    else:
+        assert out.splitlines()[0] == message
+
+
+SO3_AND_TANGENT = """ring R3 = poly(Q; x, y, z);
+algebroid S over R3 {
+  basis e1, e2, e3;
+  anchor e1 -> z*d/dy - y*d/dz, e2 -> -z*d/dx + x*d/dz, e3 -> y*d/dx - x*d/dy;
+  bracket [e1, e2] = e3; bracket [e2, e3] = e1; bracket [e3, e1] = e2;
+}
+algebroid T over R3 { basis e1, e2, e3; anchor e1 -> d/dx, e2 -> d/dy, e3 -> d/dz; }
+"""
+
+
+@pytest.mark.parametrize("argv,expected", [
+    # so(3)* has degree drop 0: d_p at the window serves the kernel of H^p
+    # and the image in H^{p+1}, 7 eliminations per window instead of 10
+    (["cohomology", "{tmp}", "S", "--degrees", "0..3", "--window", "4"], 14),
+    # the tangent algebroid has drop 1, so no system is shared
+    (["cohomology", "{tmp}", "T", "--degrees", "0..3", "--window", "4"], 20),
+    (["compare-total", "matched.adf", "M", "--degrees", "0..2", "--window", "2,2"], 14),
+])
+def test_windowed_cohomology_eliminations(tmp_path, monkeypatch, argv, expected):
+    from algebroid.linalg import SparseSystem
+    path = tmp_path / "so3.adf"
+    path.write_text(SO3_AND_TANGENT)
+    calls = []
+    eliminate = SparseSystem._eliminate
+
+    def counted(self, *args):
+        calls.append(self)
+        return eliminate(self, *args)
+
+    monkeypatch.setattr(SparseSystem, "_eliminate", counted)
+    code, _ = invoke([str(path) if a == "{tmp}" else a for a in argv])
+    assert code in (0, 3)
+    assert len(calls) == expected
+
+
 def test_parser_reuse_matches_fresh_process():
     # run builds its argument parser once per process; a usage error must
     # leave nothing behind for the questions that follow it

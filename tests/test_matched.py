@@ -12,7 +12,7 @@ from algebroid.matched import (DoubleComplexSlice, MatchedPair, twilled_sum,
                                total_cohomology_compare, verify_matched)
 from algebroid.rings import ChartRing, poly_ring
 
-from oracles import ce_cohomology_dims, gather_d1, gather_d2
+from oracles import ce_cohomology_dims, gather_d1, gather_d2, total_dims_by_bidegree
 
 HEISENBERG = {(0, 1): {2: 1}}
 
@@ -172,6 +172,19 @@ def polynomial_action_pair():
     act12 = Connection(l1, 1, [[[0]]])
     act21 = Connection(l2, 1, [[[-2 * r.var("x")]]])
     return MatchedPair(l1, l2, act12, act21)
+
+
+def matched_pairs():
+    return [two_foliation_pair(), sheared_tangent_pair(), swapped_sheared_pair(),
+            kunneth_pair(), polynomial_action_pair()]
+
+
+@pytest.mark.parametrize("window", [TruncationWindow(2, 2), TruncationWindow(3, 2)])
+def test_total_dims_match_bidegree_oracle(window):
+    for m in matched_pairs():
+        degrees = range(m.l1.rank + m.l2.rank + 2)
+        rep = total_cohomology_compare(m, degrees, window)
+        assert rep.total_dims == total_dims_by_bidegree(m, degrees, window)
 
 
 def test_polynomial_action_pair():

@@ -200,3 +200,44 @@ cover C {
     pair = atiyah_cocycle(cover)
     z = cover.overlaps[(0, 1)].ring.var("z")
     assert pair.phi[(0, 1)].coeffs == {(0,): z ** -1}
+
+
+def first_error(text):
+    defs = parse(text)
+    assert not defs.ok()
+    return defs.diagnostics[0]
+
+
+def test_division_by_zero_diagnostic():
+    diag = first_error("""ring R = poly(Q; x);
+algebroid T over R { basis e1; anchor e1 -> d/dx; }
+form f on T = x + 1/0;
+""")
+    assert diag == Diagnostic("error", 3, 21, "division by zero")
+
+
+def test_bunch_chart_out_of_range_diagnostic():
+    # the same message a cocycle's q clause gives for a missing chart
+    for clause, column in (("bunch B on P rank 1 { connection 5 { } }", 23),
+                           ("cocycle Q on P { q 5 = 0; }", 18)):
+        diag = first_error("cover P = p1(tangent, bundle=1);\n" + clause + "\n")
+        assert diag == Diagnostic("error", 2, column, "no chart 5 in the cover")
+
+
+def test_anchor_two_derivation_factors_diagnostic():
+    diag = first_error("""ring R = poly(Q; x, y);
+algebroid A over R { basis e1; anchor e1 -> d/dx*d/dy; }
+""")
+    assert diag == Diagnostic("error", 2, 50, "two derivation factors in one term")
+    defs = parse("""ring R = poly(Q; x, y);
+algebroid A over R { basis e1; anchor e1 -> d/dx*y + x*d/dy; }
+""")
+    assert defs.ok(), defs.diagnostics
+
+
+def test_duplicate_basis_element_diagnostic():
+    for clauses, column in (("basis e1, e1;", 32), ("basis e1; basis f, e1;", 41)):
+        diag = first_error("ring R = poly(Q; x, y);\nalgebroid A over R { %s }\n"
+                           % clauses)
+        assert diag == Diagnostic("error", 2, column,
+                                  "basis element 'e1' is declared twice")

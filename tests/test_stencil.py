@@ -14,17 +14,15 @@ from algebroid.cech import Cover, coboundary_test, zero_pair
 from algebroid.connections import Connection, EValuedForm, extend_connection
 from algebroid.core import (Algebroid, make_foliation, make_log, make_poisson,
                             make_tangent)
-from algebroid.forms import (LForm, TruncationWindow, _Slice, _differential_entries,
-                             compile_d, covariant_d)
+from algebroid.forms import (LForm, TruncationWindow, _ce_complex, compile_d,
+                             covariant_d)
 from algebroid.linalg import SparseSystem
-from algebroid.matched import DoubleComplexSlice, _total_basis, _total_columns
+from algebroid.matched import DoubleComplexSlice, _total_complex
 from algebroid.rings import ChartRing, laurent_ring, poly_ring
 
 from oracles import (flatten_columns, gather_d1, gather_d2, gather_d_form,
                      gather_extend_connection, scatter_covariant_d)
-from test_matched import (kunneth_pair, polynomial_action_pair,
-                          sheared_tangent_pair, swapped_sheared_pair,
-                          two_foliation_pair)
+from test_matched import matched_pairs
 
 
 def euler_algebroid():
@@ -145,41 +143,46 @@ def test_columns_match_scatter_monomial_by_monomial():
 def test_differential_entries_match_oracle_columns(window):
     for l in algebroids():
         ring = l.base
+        complex_ = _ce_complex(l)
         for p in range(l.rank + 1):
-            dom = _Slice(l, p, window)
+            basis = complex_.basis(p, window)
             want = flatten_columns(
                 [scatter_covariant_d(l, {(idx, 0): ring.monomial(m)})
-                 for idx, m in dom.basis], lambda key, m: (key[0], m))
-            assert _differential_entries(l, dom) == want
+                 for idx, m in basis], lambda key, m: (key, m))
+            assert [complex_.column(idx, m) for idx, m in basis] == want
             gathered = flatten_columns(
                 [gather_d_form(LForm(l, p, {idx: ring.monomial(m)})).coeffs
-                 for idx, m in dom.basis], lambda idx, m: (idx, m))
+                 for idx, m in basis], lambda idx, m: ((idx, 0), m))
             assert want == gathered
-
-
-def matched_pairs():
-    return [two_foliation_pair(), sheared_tangent_pair(), swapped_sheared_pair(),
-            kunneth_pair(), polynomial_action_pair()]
 
 
 def test_total_columns_match_gather_columns():
     for m in matched_pairs():
         ring = m.l1.base
-        top = m.l1.rank + m.l2.rank
-        sl = DoubleComplexSlice(m, top, TruncationWindow(2, 2))
+        n1 = m.l1.rank
+        top = n1 + m.l2.rank
+        window = TruncationWindow(2, 2)
+        complex_ = _total_complex(DoubleComplexSlice(m, top, window))
+
+        def merged(a1, a2):
+            return (a1 + tuple(n1 + j for j in a2), 0)
+
         for n in range(top + 1):
-            dom = _total_basis(sl, n)
+            basis = complex_.basis(n, window)
             want = []
-            for (p, q), (i1, i2, mono) in dom:
-                basis = {(i1, i2): ring.monomial(mono)}
-                col = {((p + 1, q), a1, a2, mm): c
-                       for (a1, a2), val in gather_d1(m, p, q, basis).items()
+            for idx, mono in basis:
+                i1 = tuple(i for i in idx if i < n1)
+                i2 = tuple(i - n1 for i in idx if i >= n1)
+                p, q = len(i1), len(i2)
+                term = {(i1, i2): ring.monomial(mono)}
+                col = {(merged(a1, a2), mm): c
+                       for (a1, a2), val in gather_d1(m, p, q, term).items()
                        for mm, c in val.terms.items()}
-                col.update({((p, q + 1), a1, a2, mm): (-1) ** p * c
-                            for (a1, a2), val in gather_d2(m, p, q, basis).items()
+                col.update({(merged(a1, a2), mm): (-1) ** p * c
+                            for (a1, a2), val in gather_d2(m, p, q, term).items()
                             for mm, c in val.terms.items()})
                 want.append(col)
-            assert _total_columns(sl, dom) == want
+            assert [complex_.column(idx, mono) for idx, mono in basis] == want
 
 
 def test_cech_chart_columns_match_scatter(monkeypatch):
