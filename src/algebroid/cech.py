@@ -19,12 +19,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .connections import Connection, curvature
 from .core import Algebroid, AlgebroidMorphism, Section, StructureError
-from .forms import LForm, TruncationWindow, IndexTuple, compile_d, _perm_sign
+from .forms import LForm, TruncationWindow, IndexTuple, compile_d, _ring_det
 from .linalg import SparseSystem
 from .pbw import PbwElement, RelationSystem, sum_elements
 from .rings import (ChartRing, RingElement, RingMap, laurent_ring, mul_terms,
@@ -69,20 +69,6 @@ def push_algebroid(alg: Algebroid, rmap: RingMap,
         structure[(i, j)] = [rmap(c) for c in comps]
     return Algebroid(target, alg.rank, anchor, structure,
                      basis_names=alg.basis_names)
-
-
-def _ring_det(ring: ChartRing, mat: Sequence[Sequence[RingElement]]) -> RingElement:
-    n = len(mat)
-    total = ring.zero
-    for perm in permutations(range(n)):
-        sign = _perm_sign(perm)
-        prod = ring.one
-        for r in range(n):
-            prod = prod * mat[r][perm[r]]
-            if prod.is_zero():
-                break
-        total = total + (prod if sign == 1 else -prod)
-    return total
 
 
 def ring_matrix_inverse(ring: ChartRing,
@@ -186,33 +172,33 @@ class Cover:
                     "transition on overlap (%d,%d) does not match structures"
                     % (a, b))
         for (a, b, c) in self.triples:
-            oab = self.overlaps[(a, b)]
-            obc = self.overlaps[(b, c)]
-            oac = self.overlaps[(a, c)]
-            if not (oab.ring is obc.ring is oac.ring):
+            keys = ((a, b), (b, c), (a, c))
+            missing = [k for k in keys if k not in self.overlaps]
+            if missing:
+                raise StructureError("triple (%d,%d,%d) names no overlap (%d,%d)"
+                                     % ((a, b, c) + missing[0]))
+            trio = [self.overlaps[k] for k in keys]
+            ring = trio[0].ring
+            if any(o.ring is not ring for o in trio):
                 raise StructureError(
                     "triple (%d,%d,%d) requires one shared overlap ring"
                     % (a, b, c))
-            n = len(oab.transition)
-            prod = [[sum((oab.transition[i][k] * obc.transition[k][j]
-                          for k in range(n)), oab.ring.zero)
-                     for j in range(n)] for i in range(n)]
-            if any(prod[i][j] != oac.transition[i][j]
-                   for i in range(n) for j in range(n)):
-                raise StructureError(
-                    "frame transitions break the cocycle rule on (%d,%d,%d)"
-                    % (a, b, c))
-            if oab.bundle is not None:
-                n = len(oab.bundle)
-                prod = [[sum((oab.bundle[i][k] * obc.bundle[k][j]
-                              for k in range(n)), oab.ring.zero)
-                         for j in range(n)] for i in range(n)]
-                for i in range(n):
-                    for j in range(n):
-                        if prod[i][j] != oac.bundle[i][j]:
-                            raise StructureError(
-                                "bundle transitions break the cocycle rule on "
-                                "(%d,%d,%d)" % (a, b, c))
+            for label, mats in (("frame", [o.transition for o in trio]),
+                                ("bundle", [o.bundle for o in trio])):
+                if mats == [None] * 3:
+                    continue
+                if None in mats or len({len(m) for m in mats}) > 1:
+                    raise StructureError(
+                        "triple (%d,%d,%d) needs %s data of one size on all "
+                        "three overlaps" % (a, b, c, label))
+                m_ab, m_bc, m_ac = mats
+                n = len(m_ab)
+                if any(m_ac[i][j] != sum((m_ab[i][k] * m_bc[k][j]
+                                          for k in range(n)), ring.zero)
+                       for i in range(n) for j in range(n)):
+                    raise StructureError(
+                        "%s transitions break the cocycle rule on (%d,%d,%d)"
+                        % (label, a, b, c))
 
 
 def change_frame(form: LForm, target: Algebroid,
@@ -405,6 +391,26 @@ class ClassComparison:
         return self.status == "inequivalent"
 
 
+def _restriction_column(cover: Cover, frames: Mapping[Tuple[int, int], Sequence],
+                        a: int, i: int, mono: IndexTuple) -> Dict[tuple, Fraction]:
+    """The Cech image of x^mono * e_i on chart a: its restriction to every
+    overlap (a, b) with sign +, and to every overlap (b, a) with sign -,
+    where the second chart's component j is frames[(b, a)][i][j] times the
+    restricted monomial.  Keyed ("ov", first chart, second chart, j,
+    overlap exponents)."""
+    col: Dict[tuple, Fraction] = {}
+    for (first, second), ov in cover.overlaps.items():
+        if a == first:
+            for exps, c in ov.map_a.monomial_terms(mono).items():
+                col[("ov", first, second, i, exps)] = c
+        elif a == second:
+            img = ov.map_b.monomial_terms(mono)
+            for j, coeff in enumerate(frames[(first, second)][i]):
+                for exps, c in mul_terms(coeff.terms, img).items():
+                    col[("ov", first, second, j, exps)] = -c
+    return col
+
+
 def coboundary_test(cover: Cover, pair_a: CechPair, pair_b: CechPair,
                     window: TruncationWindow | None = None) -> ClassComparison:
     """Decide whether the two cocycle pairs differ by a coboundary
@@ -416,76 +422,45 @@ def coboundary_test(cover: Cover, pair_a: CechPair, pair_b: CechPair,
     """
     window = window or TruncationWindow()
     diff = pair_b.difference(pair_a)
-    monos = [window.monomials(cover.chart_ring(a))
-             for a in range(len(cover.charts))]
-
-    position = {}           # (chart, basis index, monomial) -> column
-    for a in range(len(cover.charts)):
-        for i in range(cover.chart_algebroid(a).rank):
-            for mono in monos[a]:
-                position[(a, i, mono)] = len(position)
-    # no row key repeats within a column: a < b on every overlap
-    cols: List[Dict[tuple, Fraction]] = [{} for _ in position]
-    rhs: Dict[tuple, Fraction] = {}
-
-    # overlap equations: push_a(eta_a) - push_b(eta_b) = phi_diff
-    for (a, b), ov in sorted(cover.overlaps.items()):
-        frame = cover.frame_algebroid(a, b)
-        for i in range(cover.chart_algebroid(a).rank):
-            for mono in monos[a]:
-                col = cols[position[(a, i, mono)]]
-                for exps, c in ov.map_a.monomial_terms(mono).items():
-                    col[("ov", a, b, i, exps)] = c
-        for i in range(cover.chart_algebroid(b).rank):
-            for mono in monos[b]:
-                col = cols[position[(b, i, mono)]]
-                img = ov.map_b.monomial_terms(mono)
-                # frame change: component j picks S[i][j] * img
-                for j in range(frame.rank):
-                    coeff = ov.transition_inverse[i][j]
-                    if coeff.is_zero():
-                        continue
-                    for exps, c in mul_terms(coeff.terms, img).items():
-                        col[("ov", a, b, j, exps)] = -c
-        target = diff.phi[(a, b)]
-        for j in range(frame.rank):
-            val = target.component((j,))
-            for exps, c in val.terms.items():
-                rhs[("ov", a, b, j, exps)] = c
-
-    # chart equations: d eta_a = q_diff_a
+    # unknowns: (chart a, basis index i) x window monomial of chart a
+    basis = [((a, i), mono) for a in range(len(cover.charts))
+             for i in range(cover.chart_algebroid(a).rank)
+             for mono in window.monomials(cover.chart_ring(a))]
+    stencils = {}
     for a in range(len(cover.charts)):
         alg = cover.chart_algebroid(a)
-        if alg.rank < 2:
-            continue
-        alg.require_verified("coboundary testing")
-        stencil = compile_d(alg)
-        for i in range(alg.rank):
-            for mono in monos[a]:
-                col = cols[position[(a, i, mono)]]
-                for ((jdx, _), exps), c in stencil.column((i,), 0, mono).items():
-                    col[("ch", a, jdx, exps)] = c
-        target = diff.q[a]
-        for jdx, val in target.coeffs.items():
+        if alg.rank >= 2:
+            alg.require_verified("coboundary testing")
+            stencils[a] = compile_d(alg)
+    frames = {key: ov.transition_inverse for key, ov in cover.overlaps.items()}
+
+    # overlap equations push_a(eta_a) - push_b(eta_b) = phi_diff, then the
+    # chart equations d eta_a = q_diff_a
+    cols = []
+    for (a, i), mono in basis:
+        col = _restriction_column(cover, frames, a, i, mono)
+        if a in stencils:
+            for ((jdx, _), exps), c in stencils[a].column((i,), 0, mono).items():
+                col[("ch", a, jdx, exps)] = c
+        cols.append(col)
+    rhs = {}
+    for (a, b), form in diff.phi.items():
+        for (j,), val in form.coeffs.items():
+            for exps, c in val.terms.items():
+                rhs[("ov", a, b, j, exps)] = c
+    for a in stencils:
+        for jdx, val in diff.q[a].coeffs.items():
             for exps, c in val.terms.items():
                 rhs[("ch", a, jdx, exps)] = c
 
-    sol = SparseSystem.from_columns(cols, rhs).solve_keyed(rhs)
-    if sol is not None:
+    terms = SparseSystem.from_columns(cols, rhs).solve_terms(rhs, basis)
+    if terms is not None:
         eta = {}
         for a in range(len(cover.charts)):
             ring = cover.chart_ring(a)
             alg = cover.chart_algebroid(a)
-            coeffs = {}
-            for i in range(alg.rank):
-                total = ring.zero
-                for mono in monos[a]:
-                    val = sol[position[(a, i, mono)]]
-                    if val:
-                        total = total + ring.monomial(mono, val)
-                if not total.is_zero():
-                    coeffs[(i,)] = total
-            eta[a] = LForm(alg, 1, coeffs)
+            eta[a] = LForm(alg, 1, {(i,): RingElement(ring, terms[(a, i)])
+                                    for i in range(alg.rank) if (a, i) in terms})
         _verify_coboundary(cover, diff, eta)
         return ClassComparison("equivalent", eta=eta, window=window)
 
@@ -739,24 +714,13 @@ def line_bundle_cech_dims(cover: Cover, window: TruncationWindow | None = None
         slack = max(slack, abs(lo), abs(hi))
     chart_window = TruncationWindow(window.laurent + slack, window.laurent + slack)
 
-    # no row key repeats within a column: a < b on every overlap
-    cols: List[Dict[tuple, Fraction]] = []
-    position = {}
-    for a in range(len(cover.charts)):
-        for mono in chart_window.monomials(cover.chart_ring(a)):
-            position[(a, mono)] = len(cols)
-            cols.append({})
     box = TruncationWindow(window.laurent, window.laurent)
-    window_keys = set()      # (a, b, exps) inside the overlap exponent window
-    for (a, b), ov in sorted(cover.overlaps.items()):
-        g = ov.bundle[0][0]
-        window_keys.update((a, b, exps) for exps in box.monomials(ov.ring))
-        for mono in chart_window.monomials(cover.chart_ring(a)):
-            for exps, c in ov.map_a.monomial_terms(mono).items():
-                cols[position[(a, mono)]][(a, b, exps)] = -c
-        for mono in chart_window.monomials(cover.chart_ring(b)):
-            for exps, c in mul_terms(g.terms, ov.map_b.monomial_terms(mono)).items():
-                cols[position[(b, mono)]][(a, b, exps)] = c
+    window_keys = {("ov", a, b, 0, exps) for (a, b), ov in cover.overlaps.items()
+                   for exps in box.monomials(ov.ring)}
+    frames = {key: ov.bundle for key, ov in cover.overlaps.items()}
+    cols = [_restriction_column(cover, frames, a, 0, mono)
+            for a in range(len(cover.charts))
+            for mono in chart_window.monomials(cover.chart_ring(a))]
     sys = SparseSystem.from_columns(cols)
     h0 = sys.ncols - sys.rank()
     # windowed cokernel: rank drop after deleting the window rows

@@ -26,7 +26,7 @@ from .forms import (LForm, TruncationWindow, exactness_solve,
                     truncated_cohomology)
 from .matched import (MatchedPair, total_cohomology_compare, twilled_sum,
                       verify_matched)
-from .pbw import confluence_check
+from .pbw import build_relations, confluence_check
 from .parser import Definitions, ParseError, parse, parse_word, render_form
 from .rings import RingError
 
@@ -121,25 +121,29 @@ def load(path: str, out: Output) -> Definitions | None:
     return defs
 
 
-def need(defs: Definitions, name: str, kind: str, out: Output):
+class UsageError(InputError):
+    """A question the definitions cannot answer as asked; `json_error` is
+    the JSON "error" text, the message itself unless given."""
+
+    def __init__(self, message: str, json_error: str | None = None):
+        super().__init__(message)
+        self.json_error = json_error or message
+
+
+def need(defs: Definitions, name: str, kind: str | None = None):
     if name not in defs.objects:
-        out.error("undefined name %r" % name)
-        return None
-    if defs.kinds[name] != kind:
-        out.line("error: %r is a %s, expected a %s"
-                 % (name, defs.kinds[name], kind))
-        out.set("error", "wrong kind for %r" % name)
-        return None
+        raise UsageError("undefined name %r" % name)
+    if kind is not None and defs.kinds[name] != kind:
+        raise UsageError("%r is a %s, expected a %s"
+                         % (name, defs.kinds[name], kind),
+                         "wrong kind for %r" % name)
     return defs.objects[name]
 
 
 def cmd_verify(args, defs: Definitions, out: Output, window) -> int:
     name = args.name
-    if name not in defs.objects:
-        out.error("undefined name %r" % name)
-        return out.emit(EXIT_USAGE)
+    obj = need(defs, name)
     kind = defs.kinds[name]
-    obj = defs.objects[name]
     if kind == "algebroid":
         v = verify_axioms(obj)
         out.set("kind", "algebroid")
@@ -178,8 +182,7 @@ def cmd_verify(args, defs: Definitions, out: Output, window) -> int:
         out.line("verified: %s is a consistent cover" % name)
         out.set("verified", True)
         return out.emit(EXIT_OK)
-    out.error("cannot verify a %s" % kind)
-    return out.emit(EXIT_USAGE)
+    raise UsageError("cannot verify a %s" % kind)
 
 
 def _matched_verdict(pair: MatchedPair, out: Output, name: str) -> int:
@@ -202,9 +205,7 @@ def _matched_verdict(pair: MatchedPair, out: Output, name: str) -> int:
 
 
 def cmd_cohomology(args, defs, out, window) -> int:
-    alg = need(defs, args.name, "algebroid", out)
-    if alg is None:
-        return out.emit(EXIT_USAGE)
+    alg = need(defs, args.name, "algebroid")
     rep = truncated_cohomology(alg, args.degrees, window)
     stable = True
     dims = {}
@@ -225,9 +226,7 @@ def cmd_cohomology(args, defs, out, window) -> int:
 
 
 def cmd_d(args, defs, out, window) -> int:
-    form = need(defs, args.name, "form", out)
-    if form is None:
-        return out.emit(EXIT_USAGE)
+    form = need(defs, args.name, "form")
     result = form.d()
     out.line("d %s = %s" % (args.name, render_form(result)))
     out.set("differential", form_json(result))
@@ -235,9 +234,7 @@ def cmd_d(args, defs, out, window) -> int:
 
 
 def cmd_exact(args, defs, out, window) -> int:
-    form = need(defs, args.name, "form", out)
-    if form is None:
-        return out.emit(EXIT_USAGE)
+    form = need(defs, args.name, "form")
     res = exactness_solve(form, window)
     if res.status == "primitive":
         out.line("primitive: %s" % render_form(res.primitive))
@@ -257,9 +254,7 @@ def cmd_exact(args, defs, out, window) -> int:
 
 
 def cmd_curvature(args, defs, out, window) -> int:
-    conn = need(defs, args.name, "connection", out)
-    if conn is None:
-        return out.emit(EXIT_USAGE)
+    conn = need(defs, args.name, "connection")
     f = curvature(conn)
     names = conn.algebroid.basis_names
     payload = {}
@@ -276,9 +271,7 @@ def cmd_curvature(args, defs, out, window) -> int:
 
 
 def cmd_flat(args, defs, out, window) -> int:
-    conn = need(defs, args.name, "connection", out)
-    if conn is None:
-        return out.emit(EXIT_USAGE)
+    conn = need(defs, args.name, "connection")
     rep = is_flat(conn)
     if rep.flat:
         out.line("flat")
@@ -294,9 +287,7 @@ def cmd_flat(args, defs, out, window) -> int:
 
 
 def cmd_chern(args, defs, out, window) -> int:
-    conn = need(defs, args.name, "connection", out)
-    if conn is None:
-        return out.emit(EXIT_USAGE)
+    conn = need(defs, args.name, "connection")
     form = chern_trace_form(conn, args.k)
     out.line("chern trace (k=%d): %s" % (args.k, render_form(form)))
     out.set("k", args.k)
@@ -305,10 +296,8 @@ def cmd_chern(args, defs, out, window) -> int:
 
 
 def cmd_obstruction(args, defs, out, window) -> int:
-    conn = need(defs, args.connection, "connection", out)
-    form = need(defs, args.form, "form", out) if conn is not None else None
-    if conn is None or form is None:
-        return out.emit(EXIT_USAGE)
+    conn = need(defs, args.connection, "connection")
+    form = need(defs, args.form, "form")
     rep = obstruction_trace_check(conn, form, window)
     out.set("status", rep.status)
     if rep.status == "consistent":
@@ -327,22 +316,13 @@ def cmd_obstruction(args, defs, out, window) -> int:
 
 
 def cmd_matched(args, defs, out, window) -> int:
-    pair = need(defs, args.name, "matched", out)
-    if pair is None:
-        return out.emit(EXIT_USAGE)
+    pair = need(defs, args.name, "matched")
     return _matched_verdict(pair, out, args.name)
 
 
 def cmd_twilled(args, defs, out, window) -> int:
-    pair = need(defs, args.name, "matched", out)
-    if pair is None:
-        return out.emit(EXIT_USAGE)
-    try:
-        tw = twilled_sum(pair)
-    except StructureError as err:
-        out.line("refuted: %s" % err)
-        out.set("error", str(err))
-        return out.emit(EXIT_REFUTED)
+    pair = need(defs, args.name, "matched")
+    tw = twilled_sum(pair)
     out.line("twilled sum: rank %d over %d chart variables"
              % (tw.rank, len(tw.base.variables)))
     brackets = {}
@@ -358,9 +338,7 @@ def cmd_twilled(args, defs, out, window) -> int:
 
 
 def cmd_compare_total(args, defs, out, window) -> int:
-    pair = need(defs, args.name, "matched", out)
-    if pair is None:
-        return out.emit(EXIT_USAGE)
+    pair = need(defs, args.name, "matched")
     rep = total_cohomology_compare(pair, args.degrees, window)
     for n in sorted(rep.total_dims):
         out.line("degree %d: total %d, twilled %d"
@@ -377,21 +355,9 @@ def cmd_compare_total(args, defs, out, window) -> int:
 
 
 def cmd_relations(args, defs, out, window) -> int:
-    alg = need(defs, args.algebroid, "algebroid", out)
-    if alg is None:
-        return out.emit(EXIT_USAGE)
-    twist = None
-    if args.form is not None:
-        twist = need(defs, args.form, "form", out)
-        if twist is None:
-            return out.emit(EXIT_USAGE)
-    try:
-        from .pbw import build_relations
-        system = build_relations(alg, twist)
-    except StructureError as err:
-        out.line("refuted: %s" % err)
-        out.set("error", str(err))
-        return out.emit(EXIT_REFUTED)
+    alg = need(defs, args.algebroid, "algebroid")
+    twist = need(defs, args.form, "form") if args.form is not None else None
+    system = build_relations(alg, twist)
     names = alg.basis_names
     rules = []
     for v in alg.base.variables:
@@ -422,14 +388,11 @@ def cmd_relations(args, defs, out, window) -> int:
 
 
 def cmd_normal_form(args, defs, out, window) -> int:
-    system = need(defs, args.relations, "relations", out)
-    if system is None:
-        return out.emit(EXIT_USAGE)
+    system = need(defs, args.relations, "relations")
     try:
         element = parse_word(args.word, system)
     except (ParseError, RingError, StructureError) as err:
-        out.error(str(err))
-        return out.emit(EXIT_USAGE)
+        raise UsageError(str(err)) from err
     out.line("normal form: %s" % element)
     out.set("terms", {
         ",".join(str(t + 1) for t in word): str(coeff)
@@ -438,9 +401,7 @@ def cmd_normal_form(args, defs, out, window) -> int:
 
 
 def cmd_confluence(args, defs, out, window) -> int:
-    system = need(defs, args.name, "relations", out)
-    if system is None:
-        return out.emit(EXIT_USAGE)
+    system = need(defs, args.name, "relations")
     rep = confluence_check(system)
     if rep is None:
         out.line("confluent: all minimal overlaps resolve")
@@ -460,18 +421,14 @@ def cmd_atiyah(args, defs, out, window) -> int:
     if args.k is not None:
         cover = make_p1_cover(args.algebroid or "tangent", bundle=args.k)
     elif args.cover is None:
-        out.line("error: name a cover or pass --k for the built-in line")
-        out.set("error", "no cover given")
-        return out.emit(EXIT_USAGE)
+        raise UsageError("name a cover or pass --k for the built-in line",
+                         "no cover given")
     else:
-        cover = need(defs, args.cover, "cover", out)
-        if cover is None:
-            return out.emit(EXIT_USAGE)
+        cover = need(defs, args.cover, "cover")
     try:
         pair = atiyah_cocycle(cover)
     except StructureError as err:
-        out.error(str(err))
-        return out.emit(EXIT_USAGE)
+        raise UsageError(str(err)) from err
     for (a, b), form in sorted(pair.phi.items()):
         out.line("phi %d %d = %s" % (a, b, render_form(form)))
     rep = verify_cocycle(cover, pair)
@@ -483,13 +440,10 @@ def cmd_atiyah(args, defs, out, window) -> int:
 
 
 def cmd_class_compare(args, defs, out, window) -> int:
-    p1 = need(defs, args.first, "cocycle", out)
-    p2 = need(defs, args.second, "cocycle", out) if p1 is not None else None
-    if p1 is None or p2 is None:
-        return out.emit(EXIT_USAGE)
+    p1 = need(defs, args.first, "cocycle")
+    p2 = need(defs, args.second, "cocycle")
     if p1.cover is not p2.cover:
-        out.error("cocycle pairs live on different covers")
-        return out.emit(EXIT_USAGE)
+        raise UsageError("cocycle pairs live on different covers")
     cmp = coboundary_test(p1.cover, p1, p2, window)
     out.set("status", cmp.status)
     if cmp.status == "equivalent":
@@ -508,10 +462,8 @@ def cmd_class_compare(args, defs, out, window) -> int:
 
 
 def cmd_glue(args, defs, out, window) -> int:
-    cover = need(defs, args.cover, "cover", out)
-    pair = need(defs, args.pair, "cocycle", out) if cover is not None else None
-    if cover is None or pair is None:
-        return out.emit(EXIT_USAGE)
+    cover = need(defs, args.cover, "cover")
+    pair = need(defs, args.pair, "cocycle")
     rep = glue_sridharan(cover, pair)
     gens = {}
     for (a, b), gmap in sorted(rep.maps.items()):
@@ -533,11 +485,9 @@ def cmd_glue(args, defs, out, window) -> int:
 
 
 def cmd_lambda_check(args, defs, out, window) -> int:
-    cover = need(defs, args.cover, "cover", out)
-    pair = need(defs, args.pair, "cocycle", out) if cover is not None else None
-    bunch = need(defs, args.bunch, "bunch", out) if pair is not None else None
-    if cover is None or pair is None or bunch is None:
-        return out.emit(EXIT_USAGE)
+    cover = need(defs, args.cover, "cover")
+    pair = need(defs, args.pair, "cocycle")
+    bunch = need(defs, args.bunch, "bunch")
     rep = verify_lambda_module(cover, pair, bunch)
     for note in rep.degenerate:
         out.line("degenerate: %s" % note)
@@ -554,9 +504,7 @@ def cmd_lambda_check(args, defs, out, window) -> int:
 
 
 def cmd_cech_dims(args, defs, out, window) -> int:
-    cover = need(defs, args.cover, "cover", out)
-    if cover is None:
-        return out.emit(EXIT_USAGE)
+    cover = need(defs, args.cover, "cover")
     h0, h1 = line_bundle_cech_dims(cover, window)
     out.line("h0 = %d" % h0)
     out.line("h1 = %d" % h1)
@@ -661,7 +609,8 @@ def run(argv) -> int:
     try:
         return handler(args, defs, out, window)
     except InputError as err:
-        out.error(str(err))
+        out.line("error: %s" % err)
+        out.set("error", getattr(err, "json_error", str(err)))
         return out.emit(EXIT_USAGE)
     except (StructureError, RingError) as err:
         out.line("refuted: %s" % err)

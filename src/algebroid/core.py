@@ -356,7 +356,8 @@ def make_foliation(r: ChartRing, generators: Sequence[Sequence],
     if degree_bound is None:
         degree_bound = 2 * maxdeg + 2
 
-    monomials = _poly_monomials(r, degree_bound)
+    basis = [(k, mono) for k in range(m)
+             for mono in _poly_monomials(r, degree_bound)]
     structure = {}
     for i, j in combinations(range(m), 2):
         target = vector_field_bracket(r, gens[i], gens[j])
@@ -367,23 +368,15 @@ def make_foliation(r: ChartRing, generators: Sequence[Sequence],
         cols = [{(d, tuple(x + y for x, y in zip(sexps, mono))): scoeff
                  for d in range(nder)
                  for sexps, scoeff in gens[k][d].terms.items()}
-                for k in range(m) for mono in monomials]
+                for k, mono in basis]
         rhs = {(d, exps): coeff for d in range(nder)
                for exps, coeff in target[d].terms.items()}
-        solution = SparseSystem.from_columns(cols, rhs).solve_keyed(rhs)
-        if solution is None:
+        terms = SparseSystem.from_columns(cols, rhs).solve_terms(rhs, basis)
+        if terms is None:
             raise StructureError(
                 "not involutive in given generators: [g%d, g%d] does not "
                 "re-expand (degree bound %d)" % (i + 1, j + 1, degree_bound))
-        comps = []
-        for k in range(m):
-            val = r.zero
-            for t, mono in enumerate(monomials):
-                coeff = solution[k * len(monomials) + t]
-                if coeff:
-                    val = val + r.monomial(mono, coeff)
-            comps.append(val)
-        structure[(i, j)] = comps
+        structure[(i, j)] = [RingElement(r, terms.get(k, {})) for k in range(m)]
 
     anchor = [[g[d] for d in range(nder)] for g in gens]
     return Algebroid(r, m, anchor, structure)

@@ -18,7 +18,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, combinations, product
+from itertools import chain, combinations, permutations, product
 from operator import add
 from typing import (Dict, Hashable, Iterable, List, Mapping, Optional,
                     Sequence, Tuple)
@@ -275,8 +275,8 @@ class LForm:
         if self.degree == 0:
             return self.coeffs.get((), base.zero)
         for idx, val in self.coeffs.items():
-            # expand over permutations via the determinant of coordinates
-            total = total + val * _alt_product(base, sections, idx)
+            total = total + val * _ring_det(
+                base, [[s.coefficients[t] for t in idx] for s in sections])
         return total
 
     # -- calculus -------------------------------------------------------------
@@ -339,17 +339,14 @@ class LForm:
     __repr__ = __str__
 
 
-def _alt_product(base: ChartRing, sections: Sequence[Section],
-                 idx: IndexTuple) -> RingElement:
-    """det of the coordinate matrix sections x idx (Leibniz expansion)."""
-    from itertools import permutations
-    n = len(idx)
-    total = base.zero
-    for perm in permutations(range(n)):
+def _ring_det(ring: ChartRing, mat: Sequence[Sequence[RingElement]]) -> RingElement:
+    """Determinant of a square matrix over the ring (Leibniz expansion)."""
+    total = ring.zero
+    for perm in permutations(range(len(mat))):
         sign = _perm_sign(perm)
-        prod = base.one
+        prod = ring.one
         for row, col in enumerate(perm):
-            prod = prod * sections[row].coefficients[idx[col]]
+            prod = prod * mat[row][col]
             if prod.is_zero():
                 break
         total = total + (prod if sign == 1 else -prod)
@@ -504,16 +501,23 @@ def _ce_complex(l: Algebroid) -> _WindowedComplex:
     return _WindowedComplex(l.base, l.rank, lambda idx, m: column(idx, 0, m))
 
 
-def _window_check(l: Algebroid, window: TruncationWindow) -> None:
-    maxdeg = 0
-    maxexp = 1
-    for g in chain(*l.anchor, *l.structure.values()):
+def _extent(ring: ChartRing, elements: Iterable[RingElement]) -> Tuple[int, int]:
+    """(largest total degree, largest |Laurent exponent|) over the nonzero
+    elements, each at least 0."""
+    maxdeg = maxexp = 0
+    for g in elements:
         if not g.is_zero():
             maxdeg = max(maxdeg, g.total_degree_range()[1])
-            for i, v in enumerate(l.base.variables):
-                if v in l.base.laurent:
+            for i, v in enumerate(ring.variables):
+                if v in ring.laurent:
                     lo, hi = g.exponent_range(i)
                     maxexp = max(maxexp, abs(lo), abs(hi))
+    return maxdeg, maxexp
+
+
+def _window_check(l: Algebroid, window: TruncationWindow) -> None:
+    maxdeg, maxexp = _extent(l.base, chain(*l.anchor, *l.structure.values()))
+    maxexp = max(maxexp, 1)
     if window.degree < maxdeg or window.laurent < maxexp:
         raise WindowError(
             "window too small relative to coefficient degrees "
@@ -569,25 +573,15 @@ def exactness_solve(theta: LForm, window: TruncationWindow | None = None
         raise InputError("form is not closed; exactness is undefined")
 
     drop, _ = l.coefficient_degree_profile()
-    needed = 0
-    for idx, val in theta.coeffs.items():
-        lo, hi = val.total_degree_range()
-        needed = max(needed, hi)
-        for i, v in enumerate(l.base.variables):
-            if v in l.base.laurent:
-                elo, ehi = val.exponent_range(i)
-                needed = max(needed, abs(elo), abs(ehi))
+    needed = max(_extent(l.base, theta.coeffs.values()))
     dom_window = TruncationWindow(max(window.degree, needed) + drop,
                                   max(window.laurent, needed) + drop)
     complex_, p = _ce_complex(l), theta.degree - 1
     rhs = {((idx, 0), m): c for idx, val in theta.coeffs.items()
            for m, c in val.terms.items()}
-    sol = complex_.system(p, dom_window, rhs).solve_keyed(rhs)
-    if sol is not None:
-        terms = {}
-        for (idx, m), c in zip(complex_.basis(p, dom_window), sol):
-            if c:
-                terms.setdefault(idx, {})[m] = c
+    terms = complex_.system(p, dom_window, rhs).solve_terms(
+        rhs, complex_.basis(p, dom_window))
+    if terms is not None:
         primitive = LForm(l, p, {idx: RingElement(l.base, t) for idx, t in terms.items()})
         if not (primitive._d_unchecked() - theta).is_zero():
             raise StructureError("internal error: primitive failed verification")

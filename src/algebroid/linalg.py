@@ -195,3 +195,18 @@ class SparseSystem:
         for k, v in rhs_by_key.items():
             rhs[self.row_pos[k]] = v
         return self.solve(rhs)
+
+    def solve_terms(self, rhs_by_key: Mapping[Hashable, Fraction],
+                    basis: Sequence[Tuple[Hashable, Hashable]]
+                    ) -> Optional[Dict[Hashable, Dict[Hashable, Fraction]]]:
+        """`solve_keyed`, grouped: column j is keyed basis[j] = (label,
+        monomial) and the nonzero solution comes back as {label:
+        {monomial: value}}; None when the system has no solution."""
+        sol = self.solve_keyed(rhs_by_key)
+        if sol is None:
+            return None
+        terms: Dict[Hashable, Dict[Hashable, Fraction]] = {}
+        for (label, mono), c in zip(basis, sol):
+            if c:
+                terms.setdefault(label, {})[mono] = c
+        return terms

@@ -205,21 +205,35 @@ class Parser:
             return self.advance()
         return None
 
-    def _skip_statement(self):
-        depth = 0
+    def _skip_statement(self, start: int):
+        """Move past the failed statement whose first token is
+        tokens[start]: to its ';' outside braces, or to the '}' that closes
+        its outermost brace.  Braces opened since `start` count, so an
+        error inside a nested block skips the whole statement."""
+        if self.pos == start:
+            self.advance()
+        depth = parens = 0
+        for tok in self.tokens[start:self.pos]:
+            if tok.kind == "SYM":
+                depth += (tok.text == "{") - (tok.text == "}")
+                parens += (tok.text == "(") - (tok.text == ")")
+        last = self.tokens[self.pos - 1]
+        if last.kind == "SYM" and (last.text == "}" and depth <= 0 or
+                                   last.text == ";" and depth == parens == 0):
+            return      # the error came after the statement had ended
         while True:
             tok = self.advance()
             if tok.kind == "EOF":
                 return
-            if tok.kind == "SYM" and tok.text == "{":
+            if tok.kind != "SYM":
+                continue
+            if tok.text == "{":
                 depth += 1
-            elif tok.kind == "SYM" and tok.text == "}":
-                if depth == 0:
-                    return
+            elif tok.text == "}":
                 depth -= 1
-                if depth == 0:
+                if depth <= 0:
                     return
-            elif tok.kind == "SYM" and tok.text == ";" and depth == 0:
+            elif tok.text == ";" and depth <= 0:
                 return
 
     # -- driver ---------------------------------------------------------------
@@ -232,14 +246,12 @@ class Parser:
             except (ParseError,) as err:
                 self.defs.diagnostics.append(Diagnostic(
                     "error", err.token.line, err.token.column, err.message))
-                if self.pos == start:
-                    self.advance()
-                self._skip_statement()
+                self._skip_statement(start)
             except (RingError, StructureError) as err:
                 tok = self.tokens[min(self.pos, len(self.tokens) - 1)]
                 self.defs.diagnostics.append(Diagnostic(
                     "error", tok.line, tok.column, str(err)))
-                self._skip_statement()
+                self._skip_statement(start)
         return self.defs
 
     def statement(self):

@@ -15,6 +15,9 @@ routines (`RationalMatrix`, `rank`, `kernel_basis`, `solve_linear`) are
 the reference for the sparse integer eliminator `linalg.SparseSystem`,
 `fraction_eliminate` is that eliminator's pivot rule over Fraction, and
 `substitute` is the ring-arithmetic reference for `rings.RingMap`.
+`coboundary_system` and `line_bundle_dims_by_overlaps` lay the Cech
+systems out overlap by overlap, the reference for the one restriction
+column in `cech`.
 """
 
 from bisect import bisect_left
@@ -661,3 +664,97 @@ def substitute(rmap, f):
                 term = term * (rmap.images[v].inverse() ** (-e))
         result = result + term
     return result
+
+
+# -- Cech systems, overlap by overlap ------------------------------------------------
+
+
+def coboundary_system(cover, pair_a, pair_b, window):
+    """(columns, rhs) of `cech.coboundary_test`, laid out overlap by
+    overlap: per overlap, the restricted monomials of the first chart's
+    unknowns with sign + and of the second chart's with sign -, moved to
+    the reference frame by the inverse transition; per chart of rank >= 2,
+    d eta from `scatter_covariant_d`.  Columns run over (chart, basis
+    index, window monomial)."""
+    from algebroid.rings import mul_terms
+    diff = pair_b.difference(pair_a)
+    monos = [window.monomials(cover.chart_ring(a)) for a in range(len(cover.charts))]
+    position = {}
+    for a in range(len(cover.charts)):
+        for i in range(cover.chart_algebroid(a).rank):
+            for mono in monos[a]:
+                position[(a, i, mono)] = len(position)
+    cols = [{} for _ in position]
+    rhs = {}
+    for (a, b), ov in sorted(cover.overlaps.items()):
+        frame = cover.frame_algebroid(a, b)
+        for i in range(cover.chart_algebroid(a).rank):
+            for mono in monos[a]:
+                col = cols[position[(a, i, mono)]]
+                for exps, c in ov.map_a.monomial_terms(mono).items():
+                    col[("ov", a, b, i, exps)] = c
+        for i in range(cover.chart_algebroid(b).rank):
+            for mono in monos[b]:
+                col = cols[position[(b, i, mono)]]
+                img = ov.map_b.monomial_terms(mono)
+                for j in range(frame.rank):
+                    coeff = ov.transition_inverse[i][j]
+                    if coeff.is_zero():
+                        continue
+                    for exps, c in mul_terms(coeff.terms, img).items():
+                        col[("ov", a, b, j, exps)] = -c
+        for j in range(frame.rank):
+            for exps, c in diff.phi[(a, b)].component((j,)).terms.items():
+                rhs[("ov", a, b, j, exps)] = c
+    for a in range(len(cover.charts)):
+        alg = cover.chart_algebroid(a)
+        if alg.rank < 2:
+            continue
+        ring = cover.chart_ring(a)
+        for i in range(alg.rank):
+            for mono in monos[a]:
+                col = cols[position[(a, i, mono)]]
+                image = scatter_covariant_d(alg, {((i,), 0): ring.monomial(mono)})
+                for (jdx, _), val in image.items():
+                    for exps, c in val.terms.items():
+                        col[("ch", a, jdx, exps)] = c
+        for jdx, val in diff.q[a].coeffs.items():
+            for exps, c in val.terms.items():
+                rhs[("ch", a, jdx, exps)] = c
+    return cols, rhs
+
+
+def line_bundle_dims_by_overlaps(cover, window):
+    """(h0, h1) as `cech.line_bundle_cech_dims` defines them, with the
+    columns laid out overlap by overlap: a first-chart section restricts
+    with sign -, a second-chart section with sign + after multiplication
+    by the bundle transition g."""
+    from algebroid.forms import TruncationWindow
+    from algebroid.linalg import SparseSystem
+    from algebroid.rings import mul_terms
+    slack = 0
+    for ov in cover.overlaps.values():
+        lo, hi = ov.bundle[0][0].total_degree_range()
+        slack = max(slack, abs(lo), abs(hi))
+    chart_window = TruncationWindow(window.laurent + slack, window.laurent + slack)
+    cols = []
+    position = {}
+    for a in range(len(cover.charts)):
+        for mono in chart_window.monomials(cover.chart_ring(a)):
+            position[(a, mono)] = len(cols)
+            cols.append({})
+    box = TruncationWindow(window.laurent, window.laurent)
+    window_keys = set()
+    for (a, b), ov in sorted(cover.overlaps.items()):
+        g = ov.bundle[0][0]
+        window_keys.update((a, b, exps) for exps in box.monomials(ov.ring))
+        for mono in chart_window.monomials(cover.chart_ring(a)):
+            for exps, c in ov.map_a.monomial_terms(mono).items():
+                cols[position[(a, mono)]][(a, b, exps)] = -c
+        for mono in chart_window.monomials(cover.chart_ring(b)):
+            for exps, c in mul_terms(g.terms, ov.map_b.monomial_terms(mono)).items():
+                cols[position[(b, mono)]][(a, b, exps)] = c
+    system = SparseSystem.from_columns(cols)
+    h0 = system.ncols - system.rank()
+    h1 = len(window_keys) - system.image_rank_inside(window_keys)
+    return h0, h1

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from algebroid import cech
 from algebroid.cech import (CechPair, Cover, GluingReport, LocalConnectionBunch,
                             Overlap, atiyah_cocycle, change_frame,
                             coboundary_test, glue_sridharan,
@@ -12,10 +13,12 @@ from algebroid.cech import (CechPair, Cover, GluingReport, LocalConnectionBunch,
 from algebroid.connections import Connection, curvature, is_flat
 from algebroid.core import StructureError, make_tangent
 from algebroid.forms import LForm, TruncationWindow, d_L
+from algebroid.linalg import SparseSystem
 from algebroid.pbw import normal_form
 from algebroid.rings import RingMap, laurent_ring, poly_ring
 
-from oracles import integrate_univariate, p1_line_bundle_dims_by_counting
+from oracles import (coboundary_system, integrate_univariate,
+                     line_bundle_dims_by_overlaps, p1_line_bundle_dims_by_counting)
 
 
 def test_p1_cover_tangent_transition_agrees():
@@ -360,3 +363,65 @@ def test_gluing_maps_are_algebra_morphisms_on_short_words():
     for _ in range(10):
         a, b = rand_el(), rand_el()
         assert (gmap(a * b) - gmap(a) * gmap(b)).is_zero()
+
+
+def coboundary_pairs():
+    """(cover, pair_a, pair_b): the p1 tangent and log covers with their
+    Atiyah pairs, the three-chart cover, and the sheared planes with chart
+    2-forms, so that overlap and chart rows both occur."""
+    for structure, k in (("tangent", 2), ("log", 3)):
+        cover = make_p1_cover(structure, bundle=k)
+        yield cover, zero_pair(cover), atiyah_cocycle(cover)
+    cover, frames = toy_three_chart_cover()
+    z = cover.chart_ring(0).var("z")
+    yield cover, zero_pair(cover), CechPair(cover, {
+        key: LForm(frame, 1, {(0,): z ** 2 + key[1]}) for key, frame in frames.items()}, {})
+    cover = sheared_plane_cover()
+    r = cover.chart_ring(0)
+    x, y = r.var("x"), r.var("y")
+    frame = cover.frame_algebroid(0, 1)
+    yield cover, zero_pair(cover), CechPair(
+        cover, {(0, 1): LForm(frame, 1, {(0,): x * y, (1,): r.const(4)})},
+        {a: LForm(cover.chart_algebroid(a), 2,
+                  {(0, 1): cover.chart_ring(a).var("xu"[a]) + a}) for a in (0, 1)})
+
+
+def sheared_plane_cover():
+    """Two planes glued by u = x, v = y + x: the transition [[1, 0], [-1, 1]]
+    is not symmetric, so a transposed frame matrix shows."""
+    r, s = poly_ring("x", "y"), poly_ring("u", "v")
+    x, y = r.var("x"), r.var("y")
+    ov = Overlap(r, RingMap.identity(r), RingMap(s, r, {"u": x, "v": y + x}),
+                 [[r.one, r.zero], [r.zero, r.one]],
+                 [[r.one, -r.one], [r.zero, r.one]],
+                 [[r.one, r.zero], [-r.one, r.one]])
+    cover = Cover([(r, make_tangent(r)), (s, make_tangent(s))], {(0, 1): ov})
+    cover.verify()
+    return cover
+
+
+def test_coboundary_system_matches_overlap_oracle(monkeypatch):
+    captured = []
+
+    class Recording(SparseSystem):
+        @classmethod
+        def from_columns(cls, cols, keys=()):
+            captured.append((cols, keys))
+            return SparseSystem.from_columns(cols, keys)
+
+    monkeypatch.setattr(cech, "SparseSystem", Recording)
+    for window in (TruncationWindow(2, 2), TruncationWindow(4, 5)):
+        for cover, pair_a, pair_b in coboundary_pairs():
+            captured.clear()
+            coboundary_test(cover, pair_a, pair_b, window)
+            ((cols, rhs),) = captured
+            assert (cols, rhs) == coboundary_system(cover, pair_a, pair_b, window)
+
+
+def test_cech_dims_match_overlap_oracle():
+    for k in range(-3, 4):
+        cover = make_p1_cover("tangent", bundle=k)
+        for window in (TruncationWindow(8, 2), TruncationWindow(8, 5),
+                       TruncationWindow(3, 12)):
+            assert (line_bundle_cech_dims(cover, window)
+                    == line_bundle_dims_by_overlaps(cover, window))

@@ -58,8 +58,19 @@ def test_parse_error_exit_code():
 
 
 def test_unknown_name_exit_code():
-    code, _ = invoke(["verify", "plane.adf", "nothere"])
-    assert code == 2
+    # undefined and wrong-kind names, first or later argument: exit 2
+    for argv, line, error in (
+            (["verify", "plane.adf", "nothere"], "undefined name 'nothere'", None),
+            (["cohomology", "plane.adf", "nothere"], "undefined name 'nothere'", None),
+            (["d", "plane.adf", "T"], "'T' is a algebroid, expected a form",
+             "wrong kind for 'T'"),
+            (["obstruction", "plane.adf", "C", "T"],
+             "'T' is a algebroid, expected a form", "wrong kind for 'T'"),
+            (["glue", "p1.adf", "P", "P"], "'P' is a cover, expected a cocycle",
+             "wrong kind for 'P'")):
+        assert invoke(argv) == (2, "error: %s\n" % line)
+        assert invoke(argv + ["--json"]) == (
+            2, '{"error": "%s", "exit": 2}\n' % (error or line))
 
 
 def test_window_env_override():
@@ -293,3 +304,31 @@ def test_parser_reuse_matches_fresh_process():
         assert code == fresh.returncode == expected
         assert text == fresh.stdout
         assert err.getvalue() == fresh.stderr
+
+
+COVER_HEAD = """ring R = poly(Q; z);
+algebroid T over R { basis e1; anchor e1 -> d/dz; }
+cover C {
+"""
+
+
+def identity_overlap(a, b, bundle):
+    return ("  overlap %d %d { ring R; map %d { z -> z; } map %d { z -> z; }\n"
+            "    derivations %d { d/dz -> d/dz; } derivations %d { d/dz -> d/dz; }\n"
+            "    transition [[1]];%s }\n"
+            % (a, b, a, b, a, b, " bundle [[1]];" if bundle else ""))
+
+
+@pytest.mark.parametrize("body,message", [
+    ("  chart R T;\n  chart R T;\n" + identity_overlap(0, 1, True),
+     "error:11:1: triple (0,1,2) names no overlap (1,2)"),
+    ("  chart R T;\n  chart R T;\n  chart R T;\n" + identity_overlap(0, 1, True)
+     + identity_overlap(0, 2, False) + identity_overlap(1, 2, True),
+     "error:18:1: triple (0,1,2) needs bundle data of one size on all three overlaps"),
+], ids=["missing-overlap", "partial-bundle"])
+def test_bad_cover_triple_is_diagnostic(tmp_path, body, message):
+    # these raised KeyError and TypeError out of Cover.verify; the
+    # statement after the cover still parses
+    path = tmp_path / "triple.adf"
+    path.write_text(COVER_HEAD + body + "  triple 0 1 2;\n}\nring S = poly(Q; y);\n")
+    assert invoke(["verify", str(path), "S"]) == (2, message + "\n")

@@ -10,7 +10,8 @@ from algebroid.core import (Algebroid, StructureError, make_foliation,
                             make_tangent, make_trivial_bundle)
 from algebroid.forms import (LForm, TruncationWindow, basis_covector, contract,
                              covariant_d, d_L, exactness_solve, function_form,
-                             residue_certificate, truncated_cohomology, wedge)
+                             WindowError, residue_certificate,
+                             truncated_cohomology, wedge)
 from algebroid.matched import MatchedPair, twilled_sum
 from algebroid.rings import ChartRing, laurent_ring, poly_ring
 
@@ -231,6 +232,19 @@ def test_exactness_on_affine_line():
     assert res.primitive.coeffs[()] == x ** 2
     # cross-check with the direct integration oracle
     assert integrate_univariate(2 * x) == x ** 2
+
+
+def test_window_extent_reads_negative_laurent_exponents():
+    t = make_tangent(laurent_ring("z"))
+    z = t.base.var("z")
+    # z^-20 dz: the solve window grows to exponent 20, past the given 12
+    res = exactness_solve(LForm(t, 1, {(0,): z ** -20}), TruncationWindow(6, 12))
+    assert res.status == "primitive"
+    assert res.primitive.coeffs[()] == z ** -19 * Fraction(-1, 19)
+    # an anchor z^-13 d/dz needs laurent >= 13
+    l = Algebroid(t.base, 1, [[z ** -13]], {})
+    with pytest.raises(WindowError, match="laurent >= 13"):
+        truncated_cohomology(l, [0], TruncationWindow(6, 12))
 
 
 def test_exactness_area_form_affine_plane():

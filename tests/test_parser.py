@@ -224,6 +224,16 @@ def test_bunch_chart_out_of_range_diagnostic():
         assert diag == Diagnostic("error", 2, column, "no chart 5 in the cover")
 
 
+def test_recovery_skips_the_whole_nested_statement():
+    # an error inside a nested block skips to the statement's own '}'
+    for clause in ("bunch B on P rank 1 { connection 5 { } }",
+                   "cocycle Q on P { q 5 = 0; }"):
+        defs = parse("cover P = p1(tangent, bundle=1);\n" + clause
+                     + "\nring S = poly(Q; y);\n")
+        assert len(defs.diagnostics) == 1, defs.diagnostics
+        assert defs.kinds["S"] == "ring"
+
+
 def test_anchor_two_derivation_factors_diagnostic():
     diag = first_error("""ring R = poly(Q; x, y);
 algebroid A over R { basis e1; anchor e1 -> d/dx*d/dy; }
