@@ -53,7 +53,7 @@ from .cech import CechPair, Cover, LocalConnectionBunch, Overlap, atiyah_cocycle
     make_p1_cover
 from .connections import Connection
 from .core import Algebroid, StructureError
-from .forms import LForm
+from .forms import LForm, sort_with_sign
 from .matched import MatchedPair
 from .pbw import PbwElement, RelationSystem
 from .rings import ChartRing, RingElement, RingError, RingMap
@@ -248,7 +248,9 @@ class Parser:
                     "error", err.token.line, err.token.column, err.message))
                 self._skip_statement(start)
             except (RingError, StructureError) as err:
-                tok = self.tokens[min(self.pos, len(self.tokens) - 1)]
+                # at the last token the failed statement read: the error
+                # may come after its ';' or '}' (e.g. Cover.verify)
+                tok = self.tokens[max(self.pos - 1, start)]
                 self.defs.diagnostics.append(Diagnostic(
                     "error", tok.line, tok.column, str(err)))
                 self._skip_statement(start)
@@ -280,6 +282,11 @@ class Parser:
             raise ParseError("name %r is already defined" % tok.text, tok)
         return tok.text
 
+    def ref(self, kind: str) -> Tuple[str, object]:
+        """A name defined earlier with the given kind: (name, object)."""
+        tok = self.expect("IDENT")
+        return tok.text, self.defs.lookup(tok.text, kind, tok)
+
     # -- statements -------------------------------------------------------------
 
     def ring_stmt(self):
@@ -305,13 +312,11 @@ class Parser:
     def algebroid_stmt(self):
         name = self.fresh_name()
         self.expect("IDENT", "over")
-        ring_tok = self.expect("IDENT")
-        ring = self.defs.lookup(ring_tok.text, "ring", ring_tok)
+        ring_name, ring = self.ref("ring")
         self.expect("SYM", "{")
         basis: List[str] = []
         anchors: Dict[str, List[RingElement]] = {}
         brackets: Dict[Tuple[int, int], List[RingElement]] = {}
-        bracket_order: List[Tuple[int, int]] = []
         while not self.accept("SYM", "}"):
             key = self.expect("IDENT")
             if key.text == "basis":
@@ -344,7 +349,10 @@ class Parser:
                     if t.text not in basis:
                         raise ParseError("unknown basis element %r" % t.text, t)
                 self.expect("SYM", "=")
-                section = self.section_expr(ring, basis)
+                section = self.named_sum(
+                    ring, basis, lambda: self.basis_name(basis), (";",),
+                    "two basis factors in one term",
+                    "section term needs a basis element")
                 self.expect("SYM", ";")
                 i, j = basis.index(a.text), basis.index(b.text)
                 if i == j:
@@ -356,7 +364,6 @@ class Parser:
                     i, j = j, i
                     section = [-c for c in section]
                 brackets[(i, j)] = section
-                bracket_order.append((i, j))
             else:
                 raise ParseError("unknown algebroid clause %r" % key.text, key)
         nder = len(ring.derivation_names)
@@ -365,69 +372,69 @@ class Parser:
             anchor_rows.append(anchors.get(bname, [ring.zero] * nder))
         alg = Algebroid(ring, len(basis), anchor_rows, brackets,
                         basis_names=basis)
-        self.defs.define(name, "algebroid", alg, {"ring": ring_tok.text})
+        self.defs.define(name, "algebroid", alg, {"ring": ring_name})
 
     def form_stmt(self):
         name = self.fresh_name()
         self.expect("IDENT", "on")
-        l_tok = self.expect("IDENT")
-        alg = self.defs.lookup(l_tok.text, "algebroid", l_tok)
+        alg_name, alg = self.ref("algebroid")
         self.expect("SYM", "=")
         form = self.form_expr(alg)
         self.expect("SYM", ";")
-        self.defs.define(name, "form", form, {"algebroid": l_tok.text})
+        self.defs.define(name, "form", form, {"algebroid": alg_name})
 
-    def basis_ref(self, alg: Algebroid) -> int:
+    def basis_name(self, names: Sequence[str], kinds=("IDENT", "DERIV")
+                   ) -> Optional[str]:
+        """The name in `names` spelled by the next tokens, which are then
+        consumed, or None: one token of the given kinds, or a compound
+        name like z*d/dz (logarithmic frames) spanning three tokens."""
         tok = self.peek()
-        if tok.kind in ("IDENT", "DERIV") and tok.text in alg.basis_names:
+        if tok.kind in kinds and tok.text in names:
             self.advance()
-            return alg.basis_names.index(tok.text)
-        # compound names like z*d/dz (logarithmic frames) span three tokens
+            return tok.text
         if (tok.kind == "IDENT"
                 and self.tokens[self.pos + 1].text == "*"
                 and self.tokens[self.pos + 2].kind == "DERIV"):
             compound = tok.text + "*" + self.tokens[self.pos + 2].text
-            if compound in alg.basis_names:
+            if compound in names:
                 self.pos += 3
-                return alg.basis_names.index(compound)
-        raise ParseError("unknown basis element %r" % tok.text, tok)
+                return compound
+        return None
+
+    def basis_ref(self, alg: Algebroid) -> int:
+        tok = self.peek()
+        name = self.basis_name(alg.basis_names)
+        if name is None:
+            raise ParseError("unknown basis element %r" % tok.text, tok)
+        return alg.basis_names.index(name)
 
     def connection_stmt(self):
         name = self.fresh_name()
         self.expect("IDENT", "on")
-        l_tok = self.expect("IDENT")
-        alg = self.defs.lookup(l_tok.text, "algebroid", l_tok)
+        alg_name, alg = self.ref("algebroid")
         self.expect("IDENT", "rank")
-        rank = int(self.expect("INT").text)
-        self.expect("SYM", "{")
-        mats: Dict[int, List[List[RingElement]]] = {}
-        while not self.accept("SYM", "}"):
-            idx = self.basis_ref(alg)
-            self.expect("SYM", "->")
-            mats[idx] = self.matrix_expr(alg.base, rank)
-            self.expect("SYM", ";")
-        rows = []
-        for i in range(alg.rank):
-            rows.append(mats.get(i, [[alg.base.zero] * rank
-                                     for _ in range(rank)]))
-        conn = Connection(alg, rank, rows)
-        self.defs.define(name, "connection", conn, {"algebroid": l_tok.text})
+        conn = self.connection_body(alg, int(self.expect("INT").text))
+        self.defs.define(name, "connection", conn, {"algebroid": alg_name})
+
+    def connection_body(self, alg: Algebroid, rank: int) -> Connection:
+        """`{ e -> [[...]]; ... }`; basis elements left out act by zero."""
+        mats = self.arrows(lambda: self.basis_ref(alg),
+                           lambda: self.matrix_expr(alg.base, rank))
+        rows = [mats.get(i, [[alg.base.zero] * rank for _ in range(rank)])
+                for i in range(alg.rank)]
+        return Connection(alg, rank, rows)
 
     def relations_stmt(self):
         name = self.fresh_name()
         self.expect("IDENT", "on")
-        l_tok = self.expect("IDENT")
-        alg = self.defs.lookup(l_tok.text, "algebroid", l_tok)
-        twist = None
-        twist_name = None
+        alg_name, alg = self.ref("algebroid")
+        twist_name, twist = None, None
         if self.accept("IDENT", "twist"):
-            q_tok = self.expect("IDENT")
-            twist = self.defs.lookup(q_tok.text, "form", q_tok)
-            twist_name = q_tok.text
+            twist_name, twist = self.ref("form")
         self.expect("SYM", ";")
         system = RelationSystem(alg, twist)
         self.defs.define(name, "relations", system,
-                         {"algebroid": l_tok.text, "twist": twist_name})
+                         {"algebroid": alg_name, "twist": twist_name})
 
     def matched_stmt(self):
         name = self.fresh_name()
@@ -437,9 +444,8 @@ class Parser:
             key = self.expect("IDENT")
             if key.text not in ("l1", "l2", "action12", "action21"):
                 raise ParseError("unknown matched-pair clause %r" % key.text, key)
-            val = self.expect("IDENT")
             kind = "algebroid" if key.text in ("l1", "l2") else "connection"
-            pieces[key.text] = (val.text, self.defs.lookup(val.text, kind, val))
+            pieces[key.text] = self.ref(kind)
             self.expect("SYM", ";")
         for required in ("l1", "l2", "action12", "action21"):
             if required not in pieces:
@@ -474,7 +480,7 @@ class Parser:
         self.expect("SYM", "{")
         charts: List[Tuple[str, str]] = []
         overlaps: Dict[Tuple[int, int], Overlap] = {}
-        overlap_meta = {}
+        overlap_rings = {}
         triples: List[Tuple[int, int, int]] = []
         while not self.accept("SYM", "}"):
             key = self.expect("IDENT")
@@ -488,9 +494,8 @@ class Parser:
             elif key.text == "overlap":
                 a = int(self.expect("INT").text)
                 b = int(self.expect("INT").text)
-                ov, meta = self.overlap_block(charts, a, b)
-                overlaps[(a, b)] = ov
-                overlap_meta[(a, b)] = meta
+                overlaps[(a, b)], overlap_rings[(a, b)] = \
+                    self.overlap_block(charts, a, b)
             elif key.text == "triple":
                 t = tuple(int(self.expect("INT").text) for _ in range(3))
                 triples.append(t)
@@ -502,7 +507,7 @@ class Parser:
         cover = Cover(chart_objs, overlaps, triples=triples)
         cover.verify()
         self.defs.define(name, "cover", cover,
-                         {"charts": charts, "overlaps": overlap_meta,
+                         {"charts": charts, "overlap_rings": overlap_rings,
                           "triples": triples})
 
     def overlap_block(self, charts, a, b):
@@ -510,78 +515,53 @@ class Parser:
         if not (0 <= a < len(charts)) or not (0 <= b < len(charts)) or a >= b:
             raise ParseError("overlap indices must name earlier charts, "
                              "ascending", open_tok)
-        ring = None
-        ring_name = None
+        ring = ring_name = None
         maps = {}
-        map_meta = {}
         ders = {}
-        der_meta = {}
         transition = None
         bundle = None
         while not self.accept("SYM", "}"):
             key = self.expect("IDENT")
             if key.text == "ring":
-                r_tok = self.expect("IDENT")
-                ring = self.defs.lookup(r_tok.text, "ring", r_tok)
-                ring_name = r_tok.text
+                ring_name, ring = self.ref("ring")
                 self.expect("SYM", ";")
-            elif key.text == "map":
+                continue
+            if key.text not in ("map", "derivations", "transition", "bundle"):
+                raise ParseError("unknown overlap clause %r" % key.text, key)
+            if key.text in ("map", "derivations"):
                 side = int(self.expect("INT").text)
                 if side not in (a, b):
-                    raise ParseError("map side must be %d or %d" % (a, b), key)
-                if ring is None:
-                    raise ParseError("declare the overlap ring first", key)
-                images = {}
-                self.expect("SYM", "{")
-                while not self.accept("SYM", "}"):
-                    v = self.expect("IDENT")
-                    self.expect("SYM", "->")
-                    images[v.text] = self.scalar_expr(ring)
-                    self.expect("SYM", ";")
-                src = self.defs.objects[charts[a][0] if side == a else charts[b][0]]
+                    raise ParseError("%s side must be %d or %d"
+                                     % (key.text, a, b), key)
+                src = self.defs.objects[charts[side][0]]
+            if ring is None:
+                raise ParseError("declare the overlap ring first", key)
+            if key.text == "map":
+                images = self.arrows(lambda: self.expect("IDENT").text,
+                                     lambda: self.scalar_expr(ring))
                 maps[side] = RingMap(src, ring, images)
-                map_meta[side] = {v: str(e) for v, e in images.items()}
             elif key.text == "derivations":
-                side = int(self.expect("INT").text)
-                if side not in (a, b):
-                    raise ParseError("derivations side must be %d or %d"
-                                     % (a, b), key)
-                if ring is None:
-                    raise ParseError("declare the overlap ring first", key)
-                src_ring = self.defs.objects[charts[a][0] if side == a
-                                             else charts[b][0]]
-                rows = {}
-                self.expect("SYM", "{")
-                while not self.accept("SYM", "}"):
+                def chart_derivation():
                     d = self.expect("DERIV")
-                    if d.text not in src_ring.derivation_names:
+                    if d.text not in src.derivation_names:
                         raise ParseError("unknown chart derivation %r" % d.text, d)
-                    self.expect("SYM", "->")
-                    rows[d.text] = self.anchor_expr(ring)
-                    self.expect("SYM", ";")
+                    return d.text
+                rows = self.arrows(chart_derivation,
+                                   lambda: self.anchor_expr(ring))
                 ders[side] = [rows.get(dn, [ring.zero] * len(ring.derivation_names))
-                              for dn in src_ring.derivation_names]
-                der_meta[side] = True
+                              for dn in src.derivation_names]
             elif key.text == "transition":
-                if ring is None:
-                    raise ParseError("declare the overlap ring first", key)
                 rank = self.defs.objects[charts[a][1]].rank
                 transition = self.matrix_expr(ring, rank)
                 self.expect("SYM", ";")
-            elif key.text == "bundle":
-                if ring is None:
-                    raise ParseError("declare the overlap ring first", key)
+            else:
                 bundle = self.square_matrix_expr(ring)
                 self.expect("SYM", ";")
-            else:
-                raise ParseError("unknown overlap clause %r" % key.text, key)
         if ring is None or a not in maps or b not in maps \
                 or a not in ders or b not in ders or transition is None:
             raise ParseError("overlap block is incomplete", open_tok)
-        ov = Overlap(ring, maps[a], maps[b], ders[a], ders[b], transition,
-                     bundle)
-        meta = {"ring": ring_name, "maps": map_meta}
-        return ov, meta
+        return Overlap(ring, maps[a], maps[b], ders[a], ders[b], transition,
+                       bundle), ring_name
 
     def cocycle_stmt(self):
         name = self.fresh_name()
@@ -590,17 +570,15 @@ class Parser:
             if fn.text != "atiyah":
                 raise ParseError("unknown cocycle constructor %r" % fn.text, fn)
             self.expect("SYM", "(")
-            c_tok = self.expect("IDENT")
-            cover = self.defs.lookup(c_tok.text, "cover", c_tok)
+            cover_name, cover = self.ref("cover")
             self.expect("SYM", ")")
             self.expect("SYM", ";")
             pair = atiyah_cocycle(cover)
             self.defs.define(name, "cocycle", pair,
-                             {"atiyah": c_tok.text, "cover": c_tok.text})
+                             {"atiyah": cover_name, "cover": cover_name})
             return
         self.expect("IDENT", "on")
-        c_tok = self.expect("IDENT")
-        cover = self.defs.lookup(c_tok.text, "cover", c_tok)
+        cover_name, cover = self.ref("cover")
         self.expect("SYM", "{")
         phi = {}
         q = {}
@@ -624,30 +602,19 @@ class Parser:
             else:
                 raise ParseError("unknown cocycle clause %r" % key.text, key)
         pair = CechPair(cover, phi, q)
-        self.defs.define(name, "cocycle", pair, {"cover": c_tok.text})
+        self.defs.define(name, "cocycle", pair, {"cover": cover_name})
 
     def bunch_stmt(self):
         name = self.fresh_name()
         self.expect("IDENT", "on")
-        c_tok = self.expect("IDENT")
-        cover = self.defs.lookup(c_tok.text, "cover", c_tok)
+        cover_name, cover = self.ref("cover")
         self.expect("IDENT", "rank")
         rank = int(self.expect("INT").text)
         self.expect("SYM", "{")
         conns: Dict[int, Connection] = {}
         while not self.accept("SYM", "}"):
             a = self.chart_ref(cover, self.expect("IDENT", "connection"))
-            alg = cover.chart_algebroid(a)
-            self.expect("SYM", "{")
-            mats: Dict[int, List[List[RingElement]]] = {}
-            while not self.accept("SYM", "}"):
-                idx = self.basis_ref(alg)
-                self.expect("SYM", "->")
-                mats[idx] = self.matrix_expr(alg.base, rank)
-                self.expect("SYM", ";")
-            rows = [mats.get(i, [[alg.base.zero] * rank for _ in range(rank)])
-                    for i in range(alg.rank)]
-            conns[a] = Connection(alg, rank, rows)
+            conns[a] = self.connection_body(cover.chart_algebroid(a), rank)
         missing = [a for a in range(len(cover.charts)) if a not in conns]
         if missing:
             raise ParseError("bunch is missing connections for charts %s"
@@ -655,7 +622,18 @@ class Parser:
         bunch = LocalConnectionBunch(cover, rank,
                                      [conns[a] for a in range(len(cover.charts))])
         self.defs.define(name, "bunch", bunch,
-                         {"cover": c_tok.text, "rank": rank})
+                         {"cover": cover_name, "rank": rank})
+
+    def arrows(self, key, value) -> dict:
+        """`{ k -> v; ... }` with k read by `key()`, v by `value()`."""
+        self.expect("SYM", "{")
+        out = {}
+        while not self.accept("SYM", "}"):
+            k = key()
+            self.expect("SYM", "->")
+            out[k] = value()
+            self.expect("SYM", ";")
+        return out
 
     def chart_ref(self, cover, key: Token) -> int:
         a = int(self.expect("INT").text)
@@ -671,22 +649,28 @@ class Parser:
             sign = -1
         return sign * int(self.expect("INT").text)
 
-    def scalar_expr(self, ring: ChartRing) -> RingElement:
-        """+ - * ^ expression in the ring variables."""
-        total = self.scalar_term(ring)
+    def sum_of(self, term):
+        """term ((+|-) term)*"""
+        total = term()
         while True:
             if self.accept("SYM", "+"):
-                total = total + self.scalar_term(ring)
+                total = total + term()
             elif self.accept("SYM", "-"):
-                total = total - self.scalar_term(ring)
+                total = total - term()
             else:
                 return total
 
-    def scalar_term(self, ring: ChartRing) -> RingElement:
-        value = self.scalar_factor(ring)
+    def product_of(self, factor):
+        """factor (* factor)*"""
+        value = factor()
         while self.accept("SYM", "*"):
-            value = value * self.scalar_factor(ring)
+            value = value * factor()
         return value
+
+    def scalar_expr(self, ring: ChartRing) -> RingElement:
+        """+ - * ^ expression in the ring variables."""
+        return self.sum_of(
+            lambda: self.product_of(lambda: self.scalar_factor(ring)))
 
     def scalar_factor(self, ring: ChartRing) -> RingElement:
         if self.accept("SYM", "-"):
@@ -698,8 +682,6 @@ class Parser:
 
     def scalar_atom(self, ring: ChartRing) -> RingElement:
         tok = self.peek()
-        if self.accept("SYM", "-"):
-            return -self.scalar_factor(ring)
         if self.accept("SYM", "("):
             value = self.scalar_expr(ring)
             self.expect("SYM", ")")
@@ -720,141 +702,116 @@ class Parser:
             raise ParseError("unknown variable %r" % tok.text, tok)
         raise ParseError("expected a scalar expression", tok)
 
+    def combination(self, ring: ChartRing, special, ends: Sequence[str]):
+        """The terms `[+-] factor * factor ...` of a linear combination.
+
+        `special(hits)` reads a factor that is not a scalar and appends what
+        it read to the term's hits; it reads nothing and returns False when
+        the next factor is a scalar.  Yields (hits, signed coefficient,
+        first token of the term's last factor) per term.  A bare 0 before a
+        token in `ends` is the empty combination."""
+        tok = self.peek()
+        if tok.kind == "INT" and tok.text == "0" \
+                and self.tokens[self.pos + 1].text in ends:
+            self.advance()
+            return
+        sign = 1
+        while True:
+            coeff, hits = ring.one, []
+            while True:
+                tok = self.peek()
+                if not special(hits):
+                    coeff = coeff * self.scalar_factor(ring)
+                if not self.accept("SYM", "*"):
+                    break
+            yield hits, (coeff if sign == 1 else -coeff), tok
+            if self.accept("SYM", "+"):
+                sign = 1
+            elif self.accept("SYM", "-"):
+                sign = -1
+            else:
+                return
+
+    def named_sum(self, ring: ChartRing, names: Sequence[str], read, ends,
+                  twice: str, missing: str) -> List[RingElement]:
+        """The coefficient of each of `names` in a combination whose terms
+        have exactly one named factor each.  `read()` consumes a named
+        factor and returns its name, or returns None before a scalar
+        factor; `twice` and `missing` are the messages for a term with two
+        named factors and for one with none."""
+        out = [ring.zero] * len(names)
+
+        def special(hits):
+            tok = self.peek()
+            name = read()
+            if name is None:
+                return False
+            if hits:
+                raise ParseError(twice, tok)
+            hits.append(names.index(name))
+            return True
+
+        for hits, coeff, tok in self.combination(ring, special, ends):
+            if not hits:
+                raise ParseError(missing, tok)
+            out[hits[0]] = out[hits[0]] + coeff
+        return out
+
     def anchor_expr(self, ring: ChartRing) -> List[RingElement]:
         """Sum of scalar multiples of declared derivations."""
-        nder = len(ring.derivation_names)
-        out = [ring.zero] * nder
-        if self.peek().kind == "INT" and self.peek().text == "0" \
-                and self.tokens[self.pos + 1].text in (";", ","):
-            self.advance()
-            return out
-        sign = 1
-        while True:
-            coeff = ring.one
-            saw_deriv = None
-            while True:
-                tok = self.peek()
-                if tok.kind == "DERIV":
-                    self.advance()
-                    if tok.text not in ring.derivation_names:
-                        raise ParseError("unknown derivation %r" % tok.text, tok)
-                    if saw_deriv is not None:
-                        raise ParseError("two derivation factors in one term", tok)
-                    saw_deriv = ring.derivation_names.index(tok.text)
-                else:
-                    coeff = coeff * self.scalar_factor(ring)
-                if not self.accept("SYM", "*"):
-                    break
-            if saw_deriv is None:
-                raise ParseError("anchor term needs a derivation factor", tok)
-            out[saw_deriv] = out[saw_deriv] + (coeff if sign == 1 else -coeff)
-            if self.accept("SYM", "+"):
-                sign = 1
-            elif self.accept("SYM", "-"):
-                sign = -1
-            else:
-                return out
-
-    def section_expr(self, ring: ChartRing, basis: Sequence[str]
-                     ) -> List[RingElement]:
-        out = [ring.zero] * len(basis)
-        if self.peek().kind == "INT" and self.peek().text == "0" \
-                and self.tokens[self.pos + 1].text == ";":
-            self.advance()
-            return out
-        sign = 1
-        while True:
-            coeff = ring.one
-            index = None
+        def derivation() -> Optional[str]:
             tok = self.peek()
-            while True:
-                tok = self.peek()
-                if tok.kind == "IDENT" and tok.text in basis:
-                    self.advance()
-                    if index is not None:
-                        raise ParseError("two basis factors in one term", tok)
-                    index = list(basis).index(tok.text)
-                else:
-                    coeff = coeff * self.scalar_factor(ring)
-                if not self.accept("SYM", "*"):
-                    break
-            if index is None:
-                raise ParseError("section term needs a basis element", tok)
-            out[index] = out[index] + (coeff if sign == 1 else -coeff)
-            if self.accept("SYM", "+"):
-                sign = 1
-            elif self.accept("SYM", "-"):
-                sign = -1
-            else:
-                return out
+            if tok.kind != "DERIV":
+                return None
+            self.advance()
+            if tok.text not in ring.derivation_names:
+                raise ParseError("unknown derivation %r" % tok.text, tok)
+            return tok.text
+
+        return self.named_sum(ring, ring.derivation_names, derivation,
+                              (";", ","), "two derivation factors in one term",
+                              "anchor term needs a derivation factor")
+
+    def dual_name(self, names: Sequence[str]) -> Optional[str]:
+        """A dual basis element, or None: a DUAL token, or a derivation or
+        compound basis name followed by the marker caret (d/dz lexes as
+        DERIV, so d/dz^ is two tokens; likewise z*d/dz^)."""
+        tok = self.peek()
+        if tok.kind == "DUAL":
+            self.advance()
+            return tok.text
+        name = self.basis_name(names, ("DERIV",))
+        if name is not None:
+            self.expect("SYM", "^")
+        return name
 
     def form_expr(self, alg: Algebroid, expect_degree: Optional[int] = None
                   ) -> LForm:
         """Sum of wedge terms of dual basis factors with scalar coefficients."""
-        ring = alg.base
         names = list(alg.basis_names)
-        terms: List[Tuple[Tuple[int, ...], RingElement]] = []
         first_tok = self.peek()
-        if first_tok.kind == "INT" and first_tok.text == "0" \
-                and self.tokens[self.pos + 1].text == ";":
-            self.advance()
-            degree = expect_degree if expect_degree is not None else 0
-            return LForm(alg, degree, {})
-        sign = 1
-        while True:
-            coeff = ring.one
-            duals: List[int] = []
 
-            def dual_name() -> Optional[str]:
+        def wedge(duals: List[int]) -> bool:
+            tok = self.peek()
+            got = self.dual_name(names)
+            if got is None:
+                return False
+            if got not in names:
+                raise ParseError("unknown dual basis element %r" % got, tok)
+            duals.append(names.index(got))
+            # a bare ^ continues the wedge chain
+            while self.accept("SYM", "^"):
                 tok = self.peek()
-                if tok.kind == "DUAL":
-                    self.advance()
-                    return tok.text
-                if tok.kind == "DERIV" and tok.text in names:
-                    # d/dz^ lexes as DERIV then the marker caret
-                    self.advance()
-                    self.expect("SYM", "^")
-                    return tok.text
-                if (tok.kind == "IDENT"
-                        and self.tokens[self.pos + 1].text == "*"
-                        and self.tokens[self.pos + 2].kind == "DERIV"):
-                    compound = tok.text + "*" + self.tokens[self.pos + 2].text
-                    if compound in names:
-                        # compound duals like z*d/dz^ on logarithmic frames
-                        self.pos += 3
-                        self.expect("SYM", "^")
-                        return compound
-                return None
+                got = self.dual_name(names)
+                if got is None or got not in names:
+                    raise ParseError("expected a dual basis element", tok)
+                duals.append(names.index(got))
+            return True
 
-            while True:
-                tok = self.peek()
-                got = dual_name()
-                if got is not None:
-                    if got not in names:
-                        raise ParseError("unknown dual basis element %r"
-                                         % got, tok)
-                    duals.append(names.index(got))
-                    # a bare ^ continues the wedge chain
-                    while self.accept("SYM", "^"):
-                        nxt_tok = self.peek()
-                        nxt = dual_name()
-                        if nxt is None or nxt not in names:
-                            raise ParseError("expected a dual basis element",
-                                             nxt_tok)
-                        duals.append(names.index(nxt))
-                else:
-                    coeff = coeff * self.scalar_factor(ring)
-                if not self.accept("SYM", "*"):
-                    break
-            if sign == -1:
-                coeff = -coeff
-            terms.append((tuple(duals), coeff))
-            if self.accept("SYM", "+"):
-                sign = 1
-            elif self.accept("SYM", "-"):
-                sign = -1
-            else:
-                break
+        terms = [(duals, coeff) for duals, coeff, _
+                 in self.combination(alg.base, wedge, (";",))]
+        if not terms:
+            return LForm(alg, 0 if expect_degree is None else expect_degree, {})
         degrees = {len(d) for d, _ in terms}
         if len(degrees) > 1:
             raise ParseError("form terms have mixed degrees", first_tok)
@@ -863,7 +820,6 @@ class Parser:
                 and any(not c.is_zero() for _, c in terms):
             raise ParseError("expected a degree-%d form" % expect_degree,
                              first_tok)
-        from .forms import sort_with_sign
         coeffs: Dict[Tuple[int, ...], RingElement] = {}
         for duals, coeff in terms:
             idx, sgn = sort_with_sign(duals)
@@ -899,39 +855,24 @@ class Parser:
     def word_expr(self, system: RelationSystem) -> PbwElement:
         """Entry point for normal-form inputs: products and sums of
         generators and scalars; evaluation is reduction."""
-        total = self.word_term(system)
-        while True:
-            if self.accept("SYM", "+"):
-                total = total + self.word_term(system)
-            elif self.accept("SYM", "-"):
-                total = total - self.word_term(system)
-            else:
-                return total
-
-    def word_term(self, system: RelationSystem) -> PbwElement:
-        value = self.word_factor(system)
-        while self.accept("SYM", "*"):
-            value = value * self.word_factor(system)
-        return value
+        return self.sum_of(
+            lambda: self.product_of(lambda: self.word_factor(system)))
 
     def word_factor(self, system: RelationSystem) -> PbwElement:
         tok = self.peek()
         names = list(system.algebroid.basis_names)
         if tok.kind in ("IDENT", "DERIV") and tok.text in names:
             self.advance()
-            base = system.generator(names.index(tok.text))
-            if self.accept("SYM", "^"):
-                power = self.int_literal()
-                if power < 0:
-                    raise ParseError("generators cannot carry negative powers",
-                                     tok)
-                out = system.one()
-                for _ in range(power):
-                    out = out * base
-                return out
-            return base
+            i = names.index(tok.text)
+            if not self.accept("SYM", "^"):
+                return system.generator(i)
+            power = self.int_literal()
+            if power < 0:
+                raise ParseError("generators cannot carry negative powers",
+                                 tok)
+            # a generator power is already an ascending word
+            return PbwElement(system, {(i,) * power: system.ring.one})
         return system.scalar(self.scalar_factor(system.ring))
-
 
 def parse(text: str) -> Definitions:
     return Parser(text).parse()
@@ -948,28 +889,17 @@ def parse_word(text: str, system: RelationSystem) -> PbwElement:
 # -- canonical renderer ----------------------------------------------------------
 
 
-def _render_anchor(ring: ChartRing, row: Sequence[RingElement]) -> str:
+def _render_sum(ring: ChartRing, names: Sequence[str],
+                coeffs: Sequence[RingElement]) -> str:
+    """An anchor or a section: the nonzero terms `(c)*name`."""
     parts = []
-    for d, coeff in enumerate(row):
+    for name, coeff in zip(names, coeffs):
         if coeff.is_zero():
             continue
-        name = ring.derivation_names[d]
         if coeff == ring.one:
             parts.append(name)
         else:
             parts.append("(%s)*%s" % (coeff, name))
-    return " + ".join(parts) if parts else "0"
-
-
-def _render_section(alg: Algebroid, comps: Sequence[RingElement]) -> str:
-    parts = []
-    for i, coeff in enumerate(comps):
-        if coeff.is_zero():
-            continue
-        if coeff == alg.base.one:
-            parts.append(alg.basis_names[i])
-        else:
-            parts.append("(%s)*%s" % (coeff, alg.basis_names[i]))
     return " + ".join(parts) if parts else "0"
 
 
@@ -993,6 +923,13 @@ def _render_matrix(rows) -> str:
         "[" + ", ".join(str(x) for x in row) + "]" for row in rows) + "]"
 
 
+def _render_connection(conn: Connection) -> List[str]:
+    """The `e -> [[...]];` entries of a connection body, zeros left out."""
+    return ["%s -> %s;" % (bname, _render_matrix(conn.matrices[i]))
+            for i, bname in enumerate(conn.algebroid.basis_names)
+            if any(not x.is_zero() for row in conn.matrices[i] for x in row)]
+
+
 def render(defs: Definitions) -> str:
     out: List[str] = []
     for name in defs.order:
@@ -1008,15 +945,15 @@ def render(defs: Definitions) -> str:
             anchors = []
             for i, bname in enumerate(obj.basis_names):
                 if any(not c.is_zero() for c in obj.anchor[i]):
-                    anchors.append("%s -> %s"
-                                   % (bname, _render_anchor(obj.base,
-                                                            obj.anchor[i])))
+                    anchors.append("%s -> %s" % (bname, _render_sum(
+                        obj.base, obj.base.derivation_names, obj.anchor[i])))
             if anchors:
                 lines.append("  anchor %s;" % ", ".join(anchors))
             for (i, j) in sorted(obj.structure):
                 lines.append("  bracket [%s, %s] = %s;"
                              % (obj.basis_names[i], obj.basis_names[j],
-                                _render_section(obj, obj.structure[(i, j)])))
+                                _render_sum(obj.base, obj.basis_names,
+                                            obj.structure[(i, j)])))
             lines.append("}")
             out.append("\n".join(lines))
         elif kind == "form":
@@ -1025,10 +962,7 @@ def render(defs: Definitions) -> str:
         elif kind == "connection":
             lines = ["connection %s on %s rank %d {"
                      % (name, meta["algebroid"], obj.rank)]
-            for i, bname in enumerate(obj.algebroid.basis_names):
-                if any(not x.is_zero() for row in obj.matrices[i] for x in row):
-                    lines.append("  %s -> %s;"
-                                 % (bname, _render_matrix(obj.matrices[i])))
+            lines += ["  " + entry for entry in _render_connection(obj)]
             lines.append("}")
             out.append("\n".join(lines))
         elif kind == "relations":
@@ -1053,18 +987,17 @@ def render(defs: Definitions) -> str:
                 for r, l in meta["charts"]:
                     lines.append("  chart %s %s;" % (r, l))
                 for (a, b), ov in sorted(obj.overlaps.items()):
-                    m = meta["overlaps"][(a, b)]
                     lines.append("  overlap %d %d {" % (a, b))
-                    lines.append("    ring %s;" % m["ring"])
-                    for side, srcring in ((a, obj.charts[a][0]),
-                                          (b, obj.charts[b][0])):
-                        rm = ov.map_a if side == a else ov.map_b
+                    lines.append("    ring %s;" % meta["overlap_rings"][(a, b)])
+                    for side, rm, der in ((a, ov.map_a, ov.der_a),
+                                          (b, ov.map_b, ov.der_b)):
+                        srcring = obj.charts[side][0]
                         entries = "; ".join("%s -> %s" % (v, rm.images[v])
                                             for v in srcring.variables)
                         lines.append("    map %d { %s; }" % (side, entries))
-                        der = ov.der_a if side == a else ov.der_b
                         dentries = "; ".join(
-                            "%s -> %s" % (dn, _render_anchor(ov.ring, der[k]))
+                            "%s -> %s" % (dn, _render_sum(
+                                ov.ring, ov.ring.derivation_names, der[k]))
                             for k, dn in enumerate(srcring.derivation_names))
                         lines.append("    derivations %d { %s; }"
                                      % (side, dentries))
@@ -1093,13 +1026,8 @@ def render(defs: Definitions) -> str:
             lines = ["bunch %s on %s rank %d {"
                      % (name, meta["cover"], meta["rank"])]
             for a, conn in enumerate(obj.connections):
-                body = []
-                for i, bname in enumerate(conn.algebroid.basis_names):
-                    if any(not x.is_zero() for row in conn.matrices[i]
-                           for x in row):
-                        body.append("%s -> %s;" % (bname,
-                                                   _render_matrix(conn.matrices[i])))
-                lines.append("  connection %d { %s }" % (a, " ".join(body)))
+                lines.append("  connection %d { %s }"
+                             % (a, " ".join(_render_connection(conn))))
             lines.append("}")
             out.append("\n".join(lines))
     return "\n".join(out) + "\n"

@@ -190,10 +190,9 @@ def _leftmost_redex(word: Tuple[Item, ...]) -> Optional[Tuple[int, str]]:
 
 def _rewrite_at(system: RelationSystem, word: Tuple[Item, ...], t: int,
                 kind: str) -> List[Tuple[Item, ...]]:
-    """One rule application; returns replacement words (to be summed)."""
-    l, ring = system.algebroid, system.ring
-    if kind == "fold":
-        return [word]            # handled by caller (coefficient fold)
+    """One merge, gf or gg rule application; returns replacement words (to
+    be summed).  A leading coefficient ("fold") is the caller's to scale by."""
+    l = system.algebroid
     if kind == "merge":
         merged = word[t] * word[t + 1]
         if merged.is_zero():
@@ -333,10 +332,7 @@ class AmbiguityReport:
 
 def _reduce_branches(system: RelationSystem,
                      branches: List[Tuple[Item, ...]]) -> PbwElement:
-    out: Dict[Word, RingElement] = {}
-    for b in branches:
-        _add_into(out, normal_form(b, system).terms)
-    return PbwElement(system, out)
+    return sum_elements(system, (normal_form(b, system) for b in branches))
 
 
 def confluence_check(system: RelationSystem) -> Optional[AmbiguityReport]:

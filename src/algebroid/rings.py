@@ -55,7 +55,8 @@ class ChartRing:
         # TruncationWindow -> its monomials, filled by forms on first use
         self._window_monomials: Dict[object, tuple] = {}
 
-        if derivations is None:
+        declared = derivations is not None
+        if not declared:
             derivations = {
                 "d/d" + v: {w: (1 if w == v else 0) for w in self.variables}
                 for v in self.variables
@@ -72,7 +73,8 @@ class ChartRing:
                                              for k, c in val.items()})
                 row.append(self._coerce(val))
             self._derivation_actions[name] = tuple(row)
-        self._check_derivations_commute()
+        if declared:    # coordinate derivations have constant actions
+            self._check_derivations_commute()
 
     # -- construction helpers -------------------------------------------
 

@@ -321,14 +321,15 @@ def identity_overlap(a, b, bundle):
 
 @pytest.mark.parametrize("body,message", [
     ("  chart R T;\n  chart R T;\n" + identity_overlap(0, 1, True),
-     "error:11:1: triple (0,1,2) names no overlap (1,2)"),
+     "error:10:1: triple (0,1,2) names no overlap (1,2)"),
     ("  chart R T;\n  chart R T;\n  chart R T;\n" + identity_overlap(0, 1, True)
      + identity_overlap(0, 2, False) + identity_overlap(1, 2, True),
-     "error:18:1: triple (0,1,2) needs bundle data of one size on all three overlaps"),
+     "error:17:1: triple (0,1,2) needs bundle data of one size on all three overlaps"),
 ], ids=["missing-overlap", "partial-bundle"])
 def test_bad_cover_triple_is_diagnostic(tmp_path, body, message):
     # these raised KeyError and TypeError out of Cover.verify; the
-    # statement after the cover still parses
+    # diagnostic sits at the cover's closing '}' and the statement after
+    # the cover still parses
     path = tmp_path / "triple.adf"
     path.write_text(COVER_HEAD + body + "  triple 0 1 2;\n}\nring S = poly(Q; y);\n")
     assert invoke(["verify", str(path), "S"]) == (2, message + "\n")

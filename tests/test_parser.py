@@ -126,11 +126,30 @@ def test_round_trip_render():
                     == {i: str(v) for i, v in b.coeffs.items()}
 
 
+def held_data(defs):
+    """What each cover, cocycle and bunch holds, as text: a renderer that
+    drops data renders stably, so comparing renderings alone misses it."""
+    out = []
+    for name in defs.order:
+        kind, obj = defs.kinds[name], defs.objects[name]
+        if kind == "cover":
+            out.append(repr([(key, ov.map_a.images, ov.map_b.images, ov.der_a,
+                              ov.der_b, ov.transition, ov.bundle)
+                             for key, ov in sorted(obj.overlaps.items())]))
+        elif kind == "cocycle":
+            out.append(repr((obj.phi, obj.q)))
+        elif kind == "bunch":
+            out.append(repr([c.matrices for c in obj.connections]))
+    return out
+
+
 def test_round_trip_catalog_files():
     import pathlib
     data = pathlib.Path(__file__).parent / "data"
-    for path in sorted(data.glob("*.adf")):
-        text = path.read_text()
+    inputs = [(path, path.read_text()) for path in sorted(data.glob("*.adf"))]
+    # every data file uses the built-in p1 cover
+    inputs.append(("explicit cover", EXPLICIT_COVER))
+    for path, text in inputs:
         defs = parse(text)
         assert defs.ok(), (path, defs.diagnostics)
         canonical = render(defs)
@@ -139,6 +158,7 @@ def test_round_trip_catalog_files():
         assert render(defs2) == canonical
         assert defs.order == defs2.order
         assert defs.kinds == defs2.kinds
+        assert held_data(defs) == held_data(defs2)
 
 
 def test_p1_builtin_and_cocycle_blocks():
@@ -172,8 +192,7 @@ connection C on L rank 2 { e1 -> [[0,1],[0,0]]; e2 -> [[0,x],[0,0]]; }
     assert w.degree == 2
 
 
-def test_explicit_cover_block():
-    defs = parse("""
+EXPLICIT_COVER = """
 ring R0 = poly(Q; z);
 ring R1 = poly(Q; w);
 ring O = laurent(Q; z);
@@ -192,7 +211,13 @@ cover C {
     bundle [[z]];
   }
 }
-""")
+cocycle Z on C { phi 0 1 = 2*z^-1*e1^; q 0 = 0; }
+bunch B on C rank 1 { connection 0 { e1 -> [[0]]; } connection 1 { f1 -> [[w]]; } }
+"""
+
+
+def test_explicit_cover_block():
+    defs = parse(EXPLICIT_COVER)
     assert defs.ok(), defs.diagnostics
     cover = defs.objects["C"]
     assert (0, 1) in cover.overlaps
