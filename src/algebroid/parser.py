@@ -334,6 +334,8 @@ class Parser:
                     e = self.expect("IDENT")
                     if e.text not in basis:
                         raise ParseError("unknown basis element %r" % e.text, e)
+                    if e.text in anchors:
+                        raise ParseError("anchor of %r is given twice" % e.text, e)
                     self.expect("SYM", "->")
                     anchors[e.text] = self.anchor_expr(ring)
                     if not self.accept("SYM", ","):
@@ -348,13 +350,16 @@ class Parser:
                 for t in (a, b):
                     if t.text not in basis:
                         raise ParseError("unknown basis element %r" % t.text, t)
+                i, j = basis.index(a.text), basis.index(b.text)
+                if (min(i, j), max(i, j)) in brackets:
+                    raise ParseError("bracket [%s, %s] is given twice"
+                                     % (a.text, b.text), a)
                 self.expect("SYM", "=")
                 section = self.named_sum(
                     ring, basis, lambda: self.basis_name(basis), (";",),
                     "two basis factors in one term",
                     "section term needs a basis element")
                 self.expect("SYM", ";")
-                i, j = basis.index(a.text), basis.index(b.text)
                 if i == j:
                     if any(not c.is_zero() for c in section):
                         raise ParseError(
@@ -492,8 +497,11 @@ class Parser:
                 charts.append((r_tok.text, l_tok.text))
                 self.expect("SYM", ";")
             elif key.text == "overlap":
-                a = int(self.expect("INT").text)
-                b = int(self.expect("INT").text)
+                a_tok = self.expect("INT")
+                a, b = int(a_tok.text), int(self.expect("INT").text)
+                if (a, b) in overlaps:
+                    raise ParseError("overlap %d %d is given twice" % (a, b),
+                                     a_tok)
                 overlaps[(a, b)], overlap_rings[(a, b)] = \
                     self.overlap_block(charts, a, b)
             elif key.text == "triple":
@@ -585,11 +593,13 @@ class Parser:
         while not self.accept("SYM", "}"):
             key = self.expect("IDENT")
             if key.text == "phi":
-                a = int(self.expect("INT").text)
-                b = int(self.expect("INT").text)
+                a_tok = self.expect("INT")
+                a, b = int(a_tok.text), int(self.expect("INT").text)
                 if (a, b) not in cover.overlaps:
                     raise ParseError("no overlap (%d,%d) in the cover"
                                      % (a, b), key)
+                if (a, b) in phi:
+                    raise ParseError("phi %d %d is given twice" % (a, b), a_tok)
                 self.expect("SYM", "=")
                 frame = cover.frame_algebroid(a, b)
                 phi[(a, b)] = self.form_expr(frame, expect_degree=1)
@@ -613,7 +623,12 @@ class Parser:
         self.expect("SYM", "{")
         conns: Dict[int, Connection] = {}
         while not self.accept("SYM", "}"):
-            a = self.chart_ref(cover, self.expect("IDENT", "connection"))
+            key = self.expect("IDENT", "connection")
+            a_tok = self.peek()
+            a = self.chart_ref(cover, key)
+            if a in conns:
+                raise ParseError("connection of chart %d is given twice" % a,
+                                 a_tok)
             conns[a] = self.connection_body(cover.chart_algebroid(a), rank)
         missing = [a for a in range(len(cover.charts)) if a not in conns]
         if missing:
@@ -625,11 +640,17 @@ class Parser:
                          {"cover": cover_name, "rank": rank})
 
     def arrows(self, key, value) -> dict:
-        """`{ k -> v; ... }` with k read by `key()`, v by `value()`."""
+        """`{ k -> v; ... }` with k read by `key()`, v by `value()`; each k
+        at most once."""
         self.expect("SYM", "{")
         out = {}
         while not self.accept("SYM", "}"):
+            start = self.pos
             k = key()
+            if k in out:
+                raise ParseError("arrow from %r is given twice" % "".join(
+                    t.text for t in self.tokens[start:self.pos]),
+                    self.tokens[start])
             self.expect("SYM", "->")
             out[k] = value()
             self.expect("SYM", ";")

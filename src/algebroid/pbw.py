@@ -15,19 +15,25 @@ resolves the minimal overlaps and returns the first broken diamond.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .core import Algebroid, AlgebroidMorphism, Section, StructureError
-from .forms import LForm
-from .rings import RingElement
+from .forms import LForm, _int_if_integral
+from .rings import Exponents, RingElement, mul_terms
 
+# a word is a tuple of generator indices (>= 0) and coefficient codes (< 0,
+# see RelationSystem._code); normal-form words are ascending generator words
 Word = Tuple[int, ...]
 Item = Union[int, RingElement]
+Number = Union[int, Fraction]
+# normal-form terms: ascending word -> {exponents: int or Fraction}
+Terms = Dict[Word, Dict[Exponents, Number]]
 
 # a system's normal-form memo is emptied when a reduction starts with more
 # entries than this, so a long-lived system does not grow without bound;
-# e2^16 e1^16 needs about 4,000
+# e2^16 e1^16 needs about 1,500 and e2^32 e1^32 about 11,500
 _MEMO_LIMIT = 20000
 
 
@@ -45,7 +51,91 @@ class RelationSystem:
             raise StructureError("twist must be a 2-form on the same algebroid")
         self.twist = twist
         # normal-form terms of every word reduced so far, see normal_form
-        self._normal_forms: Dict[tuple, Dict[Word, RingElement]] = {}
+        self._normal_forms: Dict[Word, Terms] = {}
+        # the non-constant coefficients that words hold, by code
+        self._coefficients: List[RingElement] = []
+        self._codes: Dict[tuple, int] = {}
+        self._rules = None      # see _compiled
+
+    def _bound_memo(self) -> None:
+        """Empty the memo (and the codes its words hold) when it has grown
+        past _MEMO_LIMIT; called before a reduction encodes its word."""
+        if len(self._normal_forms) > _MEMO_LIMIT:
+            self._normal_forms = {}
+            self._coefficients = []
+            self._codes = {}
+            self._rules = None
+
+    def _code(self, f: RingElement) -> int:
+        """The word item of the non-constant coefficient f: -1 - k, where
+        f is _coefficients[k]."""
+        key = tuple(sorted(f.terms.items()))
+        code = self._codes.get(key)
+        if code is None:
+            code = self._codes[key] = ~len(self._coefficients)
+            self._coefficients.append(f)
+        return code
+
+    def _encode(self, items: Iterable[Item]) -> Tuple[Number, Word]:
+        """(c, word) with raw items = c * word: the constants factored out,
+        the other coefficients coded."""
+        scale: Number = 1
+        word = []
+        for it in _as_word(items, self.ring, self.algebroid.rank):
+            if isinstance(it, int):
+                word.append(it)
+            elif it.is_constant():
+                scale *= _int_if_integral(it.constant_term())
+            else:
+                word.append(self._code(it))
+        return scale, tuple(word)
+
+    def _edge(self, f: RingElement, items: Word = ()
+              ) -> Optional[Tuple[Number, Word]]:
+        """The rewrite edge to f * items: a constant f is the edge's
+        number, any other f a leading item; None if f is zero."""
+        if f.is_zero():
+            return None
+        if f.is_constant():
+            return _int_if_integral(f.constant_term()), items
+        return 1, (self._code(f),) + items
+
+    def _compiled(self):
+        """The rule tables, built on first use: for j > i the edges of
+        e_j e_i -> e_i e_j + [e_j, e_i] + Q(e_j, e_i), and for each
+        generator its anchor as (derivation name, coefficient) pairs."""
+        if self._rules is None:
+            l = self.algebroid
+            gg = {}
+            for j in range(l.rank):
+                for i in range(j):
+                    edges = [(1, (i, j))]
+                    edges += [self._edge(c, (k,)) for k, c
+                              in enumerate(l.structure_coefficients(j, i))]
+                    edges.append(self._edge(self.twist.component((j, i))))
+                    gg[j, i] = [e for e in edges if e is not None]
+            anchors = [[(name, c) for name, c
+                        in zip(self.ring.derivation_names, row)
+                        if not c.is_zero()] for row in l.anchor]
+            self._rules = (gg, anchors)
+        return self._rules
+
+    def _rewrite(self, word: Word, t: int) -> List[Tuple[Number, Word]]:
+        """One rule application at the generator word[t] and word[t + 1]
+        (a gg redex, or gf when word[t + 1] is a coefficient): the edges
+        (c, r) such that word = sum of c * r."""
+        gg, anchors = self._compiled()
+        a, b = word[t], word[t + 1]
+        if b >= 0:
+            edges = gg[a, b]
+        else:           # e_a f -> f e_a + a(e_a)(f)
+            f = self._coefficients[~b]
+            derived = self.ring.zero
+            for name, c in anchors[a]:
+                derived = derived + c * self.ring.derive(name, f)
+            edges = [(1, (b, a)), self._edge(derived)]
+        head, tail = word[:t], word[t + 2:]
+        return [(c, head + mid + tail) for c, mid in filter(None, edges)]
 
     def one(self) -> "PbwElement":
         return PbwElement(self, {(): self.ring.one})
@@ -173,60 +263,26 @@ def _word_string(word: Word, names: Sequence[str]) -> str:
     return "*".join(pieces)
 
 
-def _leftmost_redex(word: Tuple[Item, ...]) -> Optional[Tuple[int, str]]:
-    if word and isinstance(word[0], RingElement):
-        return (0, "fold")
+def _leftmost_redex(word: Word) -> Optional[int]:
+    """The position of the leftmost gf or gg redex of an encoded word that
+    starts with a generator; None if it is an ascending generator word.
+    Its first coefficient follows a generator, so a merge of two adjacent
+    coefficients is never the leftmost redex."""
     for t in range(len(word) - 1):
-        a, b = word[t], word[t + 1]
-        a_gen, b_gen = isinstance(a, int), isinstance(b, int)
-        if not a_gen and not b_gen:
-            return (t, "merge")
-        if a_gen and not b_gen:
-            return (t, "gf")
-        if a_gen and b_gen and a > b:
-            return (t, "gg")
+        b = word[t + 1]
+        if b < 0 or word[t] > b:
+            return t
     return None
 
 
-def _rewrite_at(system: RelationSystem, word: Tuple[Item, ...], t: int,
-                kind: str) -> List[Tuple[Item, ...]]:
-    """One merge, gf or gg rule application; returns replacement words (to
-    be summed).  A leading coefficient ("fold") is the caller's to scale by."""
-    l = system.algebroid
-    if kind == "merge":
-        merged = word[t] * word[t + 1]
-        if merged.is_zero():
-            return []
-        return [word[:t] + (merged,) + word[t + 2:]]
-    if kind == "gf":
-        i, f = word[t], word[t + 1]
-        out = [word[:t] + (f, i) + word[t + 2:]]
-        if f.is_constant():      # anchors act by derivations
-            return out
-        derived = l.anchor_apply(l.basis_section(i), f)
-        if not derived.is_zero():
-            out.append(word[:t] + (derived,) + word[t + 2:])
-        return out
-    if kind == "gg":
-        j, i = word[t], word[t + 1]
-        out = [word[:t] + (i, j) + word[t + 2:]]
-        struct = l.structure_coefficients(j, i)
-        for k in range(l.rank):
-            if not struct[k].is_zero():
-                out.append(word[:t] + (struct[k], k) + word[t + 2:])
-        q = system.twist.component((j, i))
-        if not q.is_zero():
-            out.append(word[:t] + (q,) + word[t + 2:])
-        return out
-    raise StructureError("unknown rule kind %r" % kind)
-
-
-def _as_word(items: Iterable[Item], ring) -> Tuple[Item, ...]:
+def _as_word(items: Iterable[Item], ring, rank: int) -> Tuple[Item, ...]:
     """Raw items as a word: generator indices stay, scalars become ring
     elements of the system's base ring."""
     word: List[Item] = []
     for it in items:
         if isinstance(it, int):
+            if not 0 <= it < rank:
+                raise StructureError("generator index out of range")
             word.append(it)
         elif isinstance(it, RingElement):
             if it.ring is not ring:
@@ -237,14 +293,6 @@ def _as_word(items: Iterable[Item], ring) -> Tuple[Item, ...]:
     return tuple(word)
 
 
-def _item_key(item: Item):
-    # RingElement.__eq__ coerces ints (1 == ring.one), so a coefficient is
-    # keyed by its sorted terms, a tuple that never equals a generator index
-    if isinstance(item, int):
-        return item
-    return tuple(sorted(item.terms.items()))
-
-
 def _add_into(out: Dict[Word, RingElement],
               terms: Dict[Word, RingElement]) -> None:
     for w, c in terms.items():
@@ -252,65 +300,99 @@ def _add_into(out: Dict[Word, RingElement],
         out[w] = c if cur is None else cur + c
 
 
+def _reduce(system: RelationSystem, root: Word) -> Terms:
+    """The memoised normal-form terms of an encoded word.
+
+    NF(word) is the sum over the edges (c, r) of the leftmost redex of
+    c * NF(r), and NF(f * rest) = f * NF(rest) for a leading coefficient
+    f.  The evaluation runs on an explicit stack, so word length is not
+    bounded by the recursion limit."""
+    memo = system._normal_forms
+    zero = (0,) * len(system.ring.variables)
+    # frames: (word, leading coefficient's terms or None, edges or None)
+    stack = [(root, None, None)]
+    while stack:
+        word, fold, edges = stack.pop()
+        if edges is None:
+            if word in memo:
+                continue
+            if word and word[0] < 0:
+                fold = system._coefficients[~word[0]].terms
+                edges = [(1, word[1:])]
+            else:
+                t = _leftmost_redex(word)
+                if t is None:
+                    memo[word] = {word: {zero: 1}}
+                    continue
+                edges = system._rewrite(word, t)
+            stack.append((word, fold, edges))
+            stack.extend((w, None, None) for _, w in edges if w not in memo)
+        elif fold is not None:
+            memo[word] = {w: mul_terms(fold, coeffs)
+                          for w, coeffs in memo[edges[0][1]].items()}
+        else:
+            memo[word] = _edge_sum(memo, edges)
+    return memo[root]
+
+
+def _edge_sum(memo: Dict[Word, Terms],
+              edges: List[Tuple[Number, Word]]) -> Terms:
+    """The sum of c * NF(r) over the edges (c, r), without zero values.
+    It may be the memo's own dict and must not be changed."""
+    if len(edges) == 1 and edges[0][0] == 1:
+        return memo[edges[0][1]]
+    out: Terms = {}
+    for c, r in edges:
+        for w, coeffs in memo[r].items():
+            acc = out.get(w)
+            if acc is None:
+                out[w] = acc = {}
+            for e, v in coeffs.items():
+                if c != 1:
+                    v = c * v
+                cur = acc.get(e)
+                acc[e] = v if cur is None else cur + v
+    clean: Terms = {}
+    for w, acc in out.items():
+        acc = {e: v for e, v in acc.items() if v}
+        if acc:
+            clean[w] = acc
+    return clean
+
+
+def _element(system: RelationSystem, terms: Terms,
+             scale: Number = 1) -> PbwElement:
+    """scale * terms as an element, with Fraction coefficients."""
+    ring = system.ring
+    return PbwElement(system, {
+        w: RingElement._trusted(ring, {e: Fraction(scale * v)
+                                       for e, v in coeffs.items()})
+        for w, coeffs in terms.items()})
+
+
 def normal_form(items: Iterable[Item], system: RelationSystem) -> PbwElement:
     """Leftmost-innermost reduction of a raw word to the ascending basis.
 
     Items are generator indices (int) or base-ring elements.  Each rule
     strictly decreases (generator degree, inversion count, coefficient
-    position), so the reduction terminates.  NF(word) is the sum of NF(r)
-    over the replacements r of the leftmost redex, and NF(c * rest) =
-    c * NF(rest).  The redex choice is fixed, so the answer is that of
-    rewriting every branch separately, for confluent and broken systems
-    alike; it is independent of the strategy exactly when the system is
-    confluent.  The terms of every intermediate word are memoised on the
-    system, so shared subwords are reduced once (e2^n e1^n is polynomial
-    in n), and the evaluation runs on an explicit stack, so word length is
-    not bounded by the recursion limit.
+    position), so the reduction terminates.  The redex choice is fixed,
+    so the answer is that of rewriting every branch separately, for
+    confluent and broken systems alike; it is independent of the strategy
+    exactly when the system is confluent.
+
+    A constant c is central and anchors kill it: once the redexes left of
+    it are gone, the fixed strategy only swaps c leftward and folds it,
+    so NF(u c v) = c NF(u v).  Constants therefore never enter a word:
+    they are factored out of the input, and a rewrite that yields one
+    carries it as its edge's number.
+    The terms of every intermediate word are memoised on the system, so
+    shared subwords are reduced once (e2^n e1^n is polynomial in n).
     """
-    memo = system._normal_forms
-    if len(memo) > _MEMO_LIMIT:
-        memo.clear()
-    word = _as_word(items, system.ring)
-    key = tuple(map(_item_key, word))
-    one = system.ring.one
-    # frames: (word, key, fold coefficient or None, children or None)
-    stack = [(word, key, None, None)]
-    while stack:
-        word, key, scale, children = stack.pop()
-        if children is None:
-            if key in memo:
-                continue
-            redex = _leftmost_redex(word)
-            if redex is None:
-                memo[key] = {word: one}
-                continue
-            t, kind = redex
-            if kind == "fold":
-                scale = word[0]
-                if scale.is_zero():
-                    memo[key] = {}
-                    continue
-                children = [(word[1:], key[1:])]
-            else:
-                # replacements keep word[:t] and word[t + 2:], so only the
-                # rewritten middle needs new keys
-                after = len(word) - t - 2
-                children = [(r, key[:t] + tuple(map(_item_key,
-                                                    r[t:len(r) - after]))
-                             + key[t + 2:])
-                            for r in _rewrite_at(system, word, t, kind)]
-            stack.append((word, key, scale, children))
-            stack.extend((w, k, None, None) for w, k in children
-                         if k not in memo)
-            continue
-        if scale is not None:
-            terms = {w: scale * c for w, c in memo[children[0][1]].items()}
-        else:
-            terms = {}
-            for _, k in children:
-                _add_into(terms, memo[k])
-        memo[key] = {w: c for w, c in terms.items() if not c.is_zero()}
-    return PbwElement(system, memo[key])
+    system._bound_memo()
+    scale, word = system._encode(items)
+    if not scale:
+        return PbwElement(system, {})
+    return _element(system, _reduce(system, word), scale)
 
 
 @dataclass
@@ -330,9 +412,13 @@ class AmbiguityReport:
                    self.difference))
 
 
-def _reduce_branches(system: RelationSystem,
-                     branches: List[Tuple[Item, ...]]) -> PbwElement:
-    return sum_elements(system, (normal_form(b, system) for b in branches))
+def _resolve(system: RelationSystem, word: Word, t: int) -> PbwElement:
+    """The normal form of an encoded word after one rule application at
+    word[t], word[t + 1]."""
+    edges = system._rewrite(word, t)
+    for _, r in edges:
+        _reduce(system, r)
+    return _element(system, _edge_sum(system._normal_forms, edges))
 
 
 def confluence_check(system: RelationSystem) -> Optional[AmbiguityReport]:
@@ -343,19 +429,17 @@ def confluence_check(system: RelationSystem) -> Optional[AmbiguityReport]:
     settles the general coefficient case.
     """
     l, ring = system.algebroid, system.ring
-    for i, j, k in combinations(range(l.rank), 3):
-        word: Tuple[Item, ...] = (k, j, i)
-        left = _reduce_branches(system, _rewrite_at(system, word, 0, "gg"))
-        right = _reduce_branches(system, _rewrite_at(system, word, 1, "gg"))
+    overlaps: List[Tuple[Item, ...]] = [
+        (k, j, i) for i, j, k in combinations(range(l.rank), 3)]
+    overlaps += [(j, i, ring.var(v)) for i, j in combinations(range(l.rank), 2)
+                 for v in ring.variables]
+    for items in overlaps:
+        system._bound_memo()
+        _, word = system._encode(items)
+        left = _resolve(system, word, 0)
+        right = _resolve(system, word, 1)
         if not (left - right).is_zero():
-            return AmbiguityReport(word, left, right)
-    for i, j in combinations(range(l.rank), 2):
-        for v in ring.variables:
-            word = (j, i, ring.var(v))
-            left = _reduce_branches(system, _rewrite_at(system, word, 0, "gg"))
-            right = _reduce_branches(system, _rewrite_at(system, word, 1, "gf"))
-            if not (left - right).is_zero():
-                return AmbiguityReport(word, left, right)
+            return AmbiguityReport(items, left, right)
     return None
 
 

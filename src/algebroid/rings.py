@@ -133,7 +133,7 @@ class ChartRing:
                 for aexps, acoeff in act.terms.items():
                     key = tuple(x + y for x, y in zip(lowered, aexps))
                     out[key] = out.get(key, Fraction(0)) + base * acoeff
-        return RingElement(self, out)
+        return RingElement._trusted(self, out)
 
     def _check_derivations_commute(self) -> None:
         names = self.derivation_names
@@ -211,6 +211,16 @@ class RingElement:
         self.ring = ring
         self.terms = clean
 
+    @classmethod
+    def _trusted(cls, ring: ChartRing,
+                 terms: Mapping[Exponents, Fraction]) -> "RingElement":
+        """An element from terms whose exponents are known to be valid (the
+        result of a closed operation); only zero coefficients are dropped."""
+        self = object.__new__(cls)
+        self.ring = ring
+        self.terms = {e: c for e, c in terms.items() if c}
+        return self
+
     # -- arithmetic ---------------------------------------------------------
 
     def _coerce(self, other) -> "RingElement":
@@ -225,12 +235,13 @@ class RingElement:
         out = dict(self.terms)
         for exps, coeff in other.terms.items():
             out[exps] = out.get(exps, Fraction(0)) + coeff
-        return RingElement(self.ring, out)
+        return RingElement._trusted(self.ring, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RingElement(self.ring, {e: -c for e, c in self.terms.items()})
+        return RingElement._trusted(self.ring,
+                                    {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -240,7 +251,8 @@ class RingElement:
 
     def __mul__(self, other):
         other = self._coerce(other)
-        return RingElement(self.ring, mul_terms(self.terms, other.terms))
+        return RingElement._trusted(self.ring,
+                                    mul_terms(self.terms, other.terms))
 
     __rmul__ = __mul__
 
@@ -413,7 +425,7 @@ class RingMap:
             for key, c in self.monomial_terms(exps).items():
                 cur = out.get(key)
                 out[key] = coeff * c if cur is None else cur + coeff * c
-        return RingElement(self.target, out)
+        return RingElement._trusted(self.target, out)
 
     @classmethod
     def identity(cls, ring: ChartRing) -> "RingMap":

@@ -28,7 +28,7 @@ from math import gcd
 from typing import List, Optional, Sequence, Tuple
 
 from algebroid.linalg import DimensionError
-from algebroid.rings import RingError, as_fraction
+from algebroid.rings import RingElement, RingError, as_fraction
 
 
 def poisson_bracket_of_functions(ring, pi_entry, f, g):
@@ -129,21 +129,72 @@ def p1_line_bundle_dims_by_counting(k, exponent_window):
     return h0, h1
 
 
+def leftmost_redex(word):
+    """(position, kind) of the leftmost redex of a word of generator
+    indices and ring elements, or None."""
+    if word and isinstance(word[0], RingElement):
+        return (0, "fold")
+    for t in range(len(word) - 1):
+        a, b = word[t], word[t + 1]
+        a_gen, b_gen = isinstance(a, int), isinstance(b, int)
+        if not a_gen and not b_gen:
+            return (t, "merge")
+        if a_gen and not b_gen:
+            return (t, "gf")
+        if a_gen and b_gen and a > b:
+            return (t, "gg")
+    return None
+
+
+def rewrite_at(system, word, t, kind):
+    """One merge, gf or gg rule application, with ring elements kept in the
+    word; returns the replacement words (to be summed)."""
+    l = system.algebroid
+    if kind == "merge":
+        merged = word[t] * word[t + 1]
+        if merged.is_zero():
+            return []
+        return [word[:t] + (merged,) + word[t + 2:]]
+    if kind == "gf":
+        i, f = word[t], word[t + 1]
+        out = [word[:t] + (f, i) + word[t + 2:]]
+        if f.is_constant():      # anchors act by derivations
+            return out
+        derived = l.anchor_apply(l.basis_section(i), f)
+        if not derived.is_zero():
+            out.append(word[:t] + (derived,) + word[t + 2:])
+        return out
+    if kind == "gg":
+        j, i = word[t], word[t + 1]
+        out = [word[:t] + (i, j) + word[t + 2:]]
+        struct = l.structure_coefficients(j, i)
+        for k in range(l.rank):
+            if not struct[k].is_zero():
+                out.append(word[:t] + (struct[k], k) + word[t + 2:])
+        q = system.twist.component((j, i))
+        if not q.is_zero():
+            out.append(word[:t] + (q,) + word[t + 2:])
+        return out
+    raise ValueError("unknown rule kind %r" % kind)
+
+
 def naive_normal_form(items, system):
     """Leftmost-innermost PBW reduction, one stack entry per rewrite branch.
 
     Exponential in the word length but independent of any sharing between
-    branches, so it is the reference for `algebroid.pbw.normal_form`."""
-    from algebroid.pbw import PbwElement, _as_word, _leftmost_redex, _rewrite_at
+    branches, and it applies the rules from the algebroid and the twist
+    directly, with every coefficient kept in the word, so it is the
+    reference for `algebroid.pbw.normal_form`."""
+    from algebroid.pbw import PbwElement, _as_word
 
     ring = system.ring
     result = {}
-    stack = [(_as_word(items, ring), ring.one)]
+    stack = [(_as_word(items, ring, system.algebroid.rank), ring.one)]
     while stack:
         word, coeff = stack.pop()
         if coeff.is_zero():
             continue
-        redex = _leftmost_redex(word)
+        redex = leftmost_redex(word)
         if redex is None:
             cur = result.get(word)
             result[word] = coeff if cur is None else cur + coeff
@@ -152,9 +203,32 @@ def naive_normal_form(items, system):
         if kind == "fold":
             stack.append((word[1:], coeff * word[0]))
             continue
-        for replacement in _rewrite_at(system, word, t, kind):
+        for replacement in rewrite_at(system, word, t, kind):
             stack.append((replacement, coeff))
     return PbwElement(system, result)
+
+
+def naive_confluence_check(system):
+    """`algebroid.pbw.confluence_check` from `rewrite_at` and
+    `naive_normal_form`: (overlap word, left-first normal form,
+    right-first normal form) of the first overlap whose two resolutions
+    differ, or None."""
+    from itertools import combinations
+    from algebroid.pbw import sum_elements
+
+    l, ring = system.algebroid, system.ring
+    overlaps = [((k, j, i), "gg") for i, j, k in combinations(range(l.rank), 3)]
+    overlaps += [((j, i, ring.var(v)), "gf")
+                 for i, j in combinations(range(l.rank), 2)
+                 for v in ring.variables]
+    for word, right_kind in overlaps:
+        left, right = (
+            sum_elements(system, (naive_normal_form(r, system)
+                                  for r in rewrite_at(system, word, t, kind)))
+            for t, kind in ((0, "gg"), (1, right_kind)))
+        if not (left - right).is_zero():
+            return word, left, right
+    return None
 
 
 # -- gather- and scatter-style Chevalley-Eilenberg differentials ----------------

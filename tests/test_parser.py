@@ -276,3 +276,58 @@ def test_duplicate_basis_element_diagnostic():
                            % clauses)
         assert diag == Diagnostic("error", 2, column,
                                   "basis element 'e1' is declared twice")
+
+
+# a repeated key is a diagnostic at its first token, never a silent
+# replacement of the earlier entry
+
+def test_repeated_anchor_diagnostic():
+    head = "ring R = poly(Q; x, y);\nalgebroid A over R { basis e1, e2; "
+    for clauses, column in (("anchor e1 -> d/dx, e1 -> x*d/dx;", 55),
+                            ("anchor e1 -> d/dx; anchor e2 -> d/dy, e1 -> y*d/dx;", 74)):
+        diag = first_error(head + clauses + " }\n")
+        assert diag == Diagnostic("error", 2, column, "anchor of 'e1' is given twice")
+
+
+def test_repeated_bracket_diagnostic():
+    head = ("ring R = poly(Q; x);\n"
+            "algebroid A over R { basis e1, e2; bracket [e1, e2] = e1; ")
+    for second in ("[e2, e1] = e2", "[e1, e2] = e1"):
+        diag = first_error(head + "bracket %s; }\n" % second)
+        assert diag == Diagnostic("error", 2, 68,
+                                  "bracket %s is given twice" % second.split(" =")[0])
+
+
+def test_repeated_connection_arrow_diagnostic():
+    diag = first_error("ring R = poly(Q; x);\n"
+                       "algebroid A over R { basis e1; anchor e1 -> d/dx; }\n"
+                       "connection C on A rank 1 { e1 -> [[1]]; e1 -> [[x]]; }\n")
+    assert diag == Diagnostic("error", 3, 41, "arrow from 'e1' is given twice")
+    # a bunch's arrows and its per-chart connections
+    diag = first_error(EXPLICIT_COVER.replace(
+        "connection 1 { f1 -> [[w]]; }", "connection 1 { f1 -> [[w]]; f1 -> [[1]]; }"))
+    assert diag == Diagnostic("error", 21, 81, "arrow from 'f1' is given twice")
+    diag = first_error(EXPLICIT_COVER.replace(
+        "connection 1 { f1 -> [[w]]; }", "connection 1 { f1 -> [[w]]; } connection 1 { }"))
+    assert diag == Diagnostic("error", 21, 94, "connection of chart 1 is given twice")
+
+
+def test_repeated_overlap_variable_diagnostic():
+    for old, new, line, column, name in (
+            ("map 0 { z -> z; }", "map 0 { z -> z; z -> 2*z; }", 12, 21, "z"),
+            ("derivations 0 { d/dz -> d/dz; }",
+             "derivations 0 { d/dz -> d/dz; d/dz -> 2*d/dz; }", 14, 35, "d/dz")):
+        diag = first_error(EXPLICIT_COVER.replace(old, new))
+        assert diag == Diagnostic("error", line, column,
+                                  "arrow from %r is given twice" % name)
+
+
+def test_repeated_overlap_diagnostic():
+    diag = first_error(EXPLICIT_COVER.replace(
+        "  }\n}\ncocycle", "  }\n  overlap 0 1 { ring O; }\n}\ncocycle"))
+    assert diag == Diagnostic("error", 19, 11, "overlap 0 1 is given twice")
+
+
+def test_repeated_phi_diagnostic():
+    diag = first_error(EXPLICIT_COVER.replace("q 0 = 0;", "phi 0 1 = 0; q 0 = 0;"))
+    assert diag == Diagnostic("error", 20, 44, "phi 0 1 is given twice")

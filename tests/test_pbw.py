@@ -2,11 +2,11 @@ import random
 import sys
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, factorial
 
 import pytest
 
-from algebroid.core import (StructureError, make_foliation,
+from algebroid.core import (Algebroid, StructureError, make_foliation,
                             make_lie_algebra_bundle, make_tangent,
                             make_trivial_bundle, AlgebroidMorphism)
 from algebroid.forms import LForm, d_L
@@ -14,11 +14,10 @@ from algebroid.pbw import (AbelianExtension, PbwElement, RelationSystem,
                            build_relations, cocycle_from_extension,
                            confluence_check, extension_from_cocycle, gr_symbol,
                            normal_form, pushforward_algebra_map,
-                           pullback_form, _leftmost_redex, _rewrite_at)
-from algebroid import pbw
-from algebroid.rings import ChartRing, poly_ring
+                           pullback_form)
+from algebroid.rings import ChartRing, laurent_ring, poly_ring
 
-from oracles import naive_normal_form
+from oracles import naive_confluence_check, naive_normal_form, rewrite_at
 
 HEISENBERG = {(0, 1): {2: 1}}
 BAD_RANK3 = {(0, 1): {2: 1}, (0, 2): {0: 1}, (1, 2): {1: 1}}
@@ -154,7 +153,7 @@ def random_normal_form(items, system, rng):
         if kind == "fold":
             stack.append((word[1:], coeff * word[0]))
             continue
-        for replacement in _rewrite_at(system, word, t, kind):
+        for replacement in rewrite_at(system, word, t, kind):
             stack.append((replacement, coeff))
     return PbwElement(system, result)
 
@@ -208,7 +207,8 @@ def _random_items(rng, system, length):
         if roll < 0.65:
             items.append(rng.randrange(system.algebroid.rank))
         elif roll < 0.8:
-            exps = tuple(rng.randint(0, 2) for _ in r.variables)
+            exps = tuple(rng.randint(-2 if v in r.laurent else 0, 2)
+                         for v in r.variables)
             items.append(r.monomial(exps, rng.randint(1, 3)) + rng.randint(-2, 2))
         elif roll < 0.92:
             items.append(r.const(rng.choice([-2, 1, 3])))
@@ -217,7 +217,29 @@ def _random_items(rng, system, length):
     return items
 
 
-def test_memoised_normal_form_matches_naive_randomized(monkeypatch):
+def structure_function_systems():
+    """Systems whose brackets have non-constant coefficients: a valid
+    rank-2 one ([e1, e2] = x e2, e2 anchored to zero) with a twist, and a
+    rank-3 one that breaks Jacobi."""
+    r = poly_ring("x", "y")
+    x, y = r.var("x"), r.var("y")
+    valid = Algebroid(r, 2, [[1, 0], [0, 0]], {(0, 1): [0, x]})
+    broken = Algebroid(r, 3, [[1, 0], [0, 0], [0, y]],
+                       {(0, 1): [0, x, Fraction(1, 2)], (1, 2): [y, 0, 0]})
+    return [build_relations(valid, LForm(valid, 2, {(0, 1): x * y + 2})),
+            RelationSystem(broken, LForm(broken, 2, {(0, 2): x - 1}))]
+
+
+def laurent_twist_system():
+    """The plane with x inverted and the non-constant twist x^-1 + 3y, so
+    that x and x^-1 in one word multiply to a constant."""
+    r = laurent_ring("x", "y")
+    t = make_tangent(r)
+    return build_relations(t, LForm(t, 2, {(0, 1): r.var("x") ** -1
+                                           + 3 * r.var("y")}))
+
+
+def test_memoised_normal_form_matches_naive_randomized():
     rng = random.Random(53)
     r3 = poly_ring("x", "y", "z")
     t3 = make_tangent(r3)
@@ -225,21 +247,71 @@ def test_memoised_normal_form_matches_naive_randomized(monkeypatch):
                                                      BAD_RANK3)),
               RelationSystem(t3, LForm(t3, 2, {(1, 2): r3.var("x")}))]
     systems = [random_valid_system(rng) for _ in range(12)] + broken
+    systems += structure_function_systems() + [laurent_twist_system()]
     for s in systems:
+        r = s.ring
+        x, top = r.var("x"), s.algebroid.rank - 1
+        # constants and zeros between generators, and a coefficient that
+        # meets its inverse
+        words = [[top, Fraction(3, 2), 0, r.const(-2), top],
+                 [top, 0, r.zero, top], [Fraction(-1, 3), top, 0, r.const(5)]]
+        if "x" in r.laurent:
+            words += [[top, x, 0, x ** -1, top],
+                      [x ** -1, top, r.const(2), x, 0]]
+        for items in words:
+            assert normal_form(items, s).terms == naive_normal_form(items, s).terms
         for _ in range(10):
             items = _random_items(rng, s, rng.randint(1, 8))
             got = normal_form(items, s)
             assert got.terms == naive_normal_form(items, s).terms
-        with monkeypatch.context() as m:
-            m.setattr(pbw, "normal_form", naive_normal_form)
-            before = confluence_check(s)
+        before = naive_confluence_check(s)
         after = confluence_check(s)
         if before is None:
             assert after is None
         else:
-            assert after.word == before.word
-            assert after.difference.terms == before.difference.terms
+            word, left, right = before
+            assert after.word == word
+            assert after.normal_form_left.terms == left.terms
+            assert after.normal_form_right.terms == right.terms
+            assert after.difference.terms == (right - left).terms
     assert all(confluence_check(s) is not None for s in broken)
+    assert confluence_check(structure_function_systems()[0]) is None
+    assert confluence_check(laurent_twist_system()) is None
+
+
+def test_memo_keys_hold_no_constant_coefficients():
+    # so(3) brackets are constants: they ride on rewrite edges, never in
+    # a word, so every coefficient a memo key holds is non-constant
+    r = poly_ring("x", "y", "z")
+    x, y, z = r.var("x"), r.var("y"), r.var("z")
+    so3 = Algebroid(r, 3, [[0, z, -y], [-z, 0, x], [y, -x, 0]],
+                    {(0, 1): [0, 0, 1], (1, 2): [1, 0, 0], (0, 2): [0, -1, 0]})
+    s = build_relations(so3)
+    got = normal_form([2] * 3 + [1] * 3 + [0] * 3, s)
+    assert len(got.terms) == 33
+    # generator indices are >= 0, coefficient codes < 0
+    assert s._normal_forms and all(item >= 0 for key in s._normal_forms
+                                   for item in key)
+    # a coefficient in the word is coded; the constants its rewrites
+    # yield (anchor derivatives of x*y) are not
+    normal_form([2, 1, x * y, 0, 2], s)
+    coded = {item for key in s._normal_forms for item in key if item < 0}
+    assert coded
+    assert not any(s._coefficients[~item].is_constant() for item in coded)
+
+
+def test_weyl_closed_form():
+    # e2^n e1^n with e2 e1 = e1 e2 - c: sum_k (-c)^k k! C(n,k)^2 e1^(n-k) e2^(n-k)
+    r = poly_ring("x", "y")
+    t = make_tangent(r)
+    c = Fraction(3, 2)
+    s = build_relations(t, LForm(t, 2, {(0, 1): r.const(c)}))
+    for n in range(13):
+        got = normal_form([1] * n + [0] * n, s)
+        assert got.terms == {
+            (0,) * (n - k) + (1,) * (n - k):
+                r.const((-c) ** k * factorial(k) * comb(n, k) ** 2)
+            for k in range(n + 1)}
 
 
 def test_long_word_reduces_without_recursion():

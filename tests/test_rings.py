@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from algebroid.rings import (ChartRing, RingError, RingMap, apply_derivation,
-                             apply_ring_map, laurent_ring, poly_ring, ring_arith)
+from algebroid.rings import (ChartRing, RingElement, RingError, RingMap,
+                             apply_derivation, apply_ring_map, laurent_ring,
+                             poly_ring, ring_arith)
 
 from oracles import substitute
 
@@ -45,6 +46,28 @@ def test_negative_exponent_rejected_on_polynomial_variable():
     r = poly_ring("x")
     with pytest.raises(RingError):
         r.var("x") ** -1
+
+
+def test_public_constructor_validates_exponents():
+    # closed operations build their results unchecked; the public
+    # constructor still rejects what they can never produce
+    r = poly_ring("x", "y")
+    with pytest.raises(RingError):
+        RingElement(r, {(-1, 0): Fraction(1)})
+    with pytest.raises(RingError):
+        r.monomial((0, -2), 3)
+    with pytest.raises(RingError):
+        RingElement(r, {(1,): Fraction(1)})
+    assert RingElement(laurent_ring("x"), {(-1,): Fraction(1)}).terms == {(-1,): 1}
+
+
+def test_closed_operations_drop_zero_coefficients():
+    r = poly_ring("x", "y")
+    x, y = r.var("x"), r.var("y")
+    assert ((x + y) - x).terms == {(0, 1): 1}
+    assert ((x + 1) * (x - 1) + 1).terms == {(2, 0): 1}
+    assert (x * y).derive("d/dy").derive("d/dy").terms == {}
+    assert (-(x - x)).terms == {}
 
 
 def test_owner_mismatch_is_structural_error():
