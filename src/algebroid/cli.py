@@ -134,9 +134,7 @@ def need(defs: Definitions, name: str, kind: str | None = None):
     if name not in defs.objects:
         raise UsageError("undefined name %r" % name)
     if kind is not None and defs.kinds[name] != kind:
-        raise UsageError("%r is a %s, expected a %s"
-                         % (name, defs.kinds[name], kind),
-                         "wrong kind for %r" % name)
+        raise UsageError(defs.mismatch(name, kind), "wrong kind for %r" % name)
     return defs.objects[name]
 
 

@@ -19,7 +19,8 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, combinations, permutations, product
-from operator import add
+from math import gcd, lcm
+from operator import add, mul
 from typing import (Dict, Hashable, Iterable, List, Mapping, Optional,
                     Sequence, Tuple)
 
@@ -84,6 +85,42 @@ def _int_if_integral(c: Fraction):
     return c.numerator if c.denominator == 1 else c
 
 
+def _integer_kernel(rows: Sequence[Sequence[int]], n: int
+                    ) -> Tuple[Tuple[int, ...], ...]:
+    """A basis of the rational kernel of the integer rows (length n), one
+    vector per free column of the reduced row echelon form, each scaled
+    to coprime integers with a positive entry at its free column."""
+    reduced: List[List[int]] = []       # primitive rows, pivot columns cleared
+    pivots: List[int] = []
+    for row in rows:
+        for r, c in zip(reduced, pivots):
+            if row[c]:
+                row = [r[c] * a - row[c] * b for a, b in zip(row, r)]
+        c = next((c for c, v in enumerate(row) if v), None)
+        if c is None:
+            continue
+        g = gcd(*row)
+        row = [v // g for v in row]
+        for t, r in enumerate(reduced):
+            if r[c]:
+                r = [row[c] * a - r[c] * b for a, b in zip(r, row)]
+                g = gcd(*r)
+                reduced[t] = [v // g for v in r]
+        reduced.append(row)
+        pivots.append(c)
+    scale = lcm(*(r[c] for r, c in zip(reduced, pivots)))
+    basis = []
+    for free in range(n):
+        if free not in pivots:
+            v = [0] * n
+            v[free] = scale
+            for r, c in zip(reduced, pivots):
+                v[c] = -r[free] * scale // r[c]
+            g = gcd(*v)
+            basis.append(tuple(x // g for x in v))
+    return tuple(basis)
+
+
 class Stencil:
     """The differential of `covariant_d` for one (algebroid, connection),
     as integer stencils.
@@ -122,6 +159,43 @@ class Stencil:
                 if not c.is_zero():
                     self.feeds[k].append((i, j, c))
         self._entries: Dict[Tuple[IndexTuple, Hashable], tuple] = {}
+        self._weights: Optional[Tuple[Tuple[int, ...], ...]] = None
+
+    def weights(self) -> Tuple[Tuple[int, ...], ...]:
+        """An integer basis of the gradings that every entry preserves:
+        vectors (w on the ring's variables | u on the basis indices) with
+        theta^idx (x) b_t * x^m of weight w.m + sum of u_i over idx, one
+        component per vector (module labels weigh 0).  An anchor or
+        connection term of e_i with shift s needs w.s + u_i = 0, and a
+        monomial x^s of c_ij^k needs w.s + u_i + u_j - u_k = 0.  Computed
+        on first use and kept; empty when only the zero grading exists."""
+        if self._weights is None:
+            nv = len(self.owner.base.variables)
+            constraints = set()
+
+            def need(shift, plus, minus=None):
+                row = list(shift) + [0] * self.owner.rank
+                for i in plus:
+                    row[nv + i] += 1
+                if minus is not None:
+                    row[nv + minus] -= 1
+                constraints.add(tuple(row))
+
+            for i, terms in enumerate(self.anchor):
+                for _, shift, _ in terms:
+                    need(shift, (i,))
+            for i, by_label in enumerate(self.matrices or ()):
+                for entries in (by_label.values() if isinstance(by_label, Mapping)
+                                else by_label):
+                    for _, m in entries:
+                        for shift in m.terms:
+                            need(shift, (i,))
+            for k, feeds in enumerate(self.feeds):
+                for i, j, c in feeds:
+                    for shift in c.terms:
+                        need(shift, (i, j), k)
+            self._weights = _integer_kernel(sorted(constraints), nv + self.owner.rank)
+        return self._weights
 
     def _compile(self, idx: IndexTuple, t: Hashable) -> tuple:
         """(constant terms [(key, shift, c)], anchor terms [(key, v, shift, c)])
@@ -448,57 +522,174 @@ class CohomologyReport:
         return self.degrees[p].cohomology_dim
 
 
+_RADIX = 1 << 64
+
+
 class _WindowedComplex:
     """A cochain complex on window slices.
 
     Degree p has the basis (ascending p-tuple of 0..rank-1, window
     monomial), in that order, and `column(idx, mono)` is the image of a
     basis element keyed ((index tuple, 0), monomial), as `Stencil.column`
-    keys it.
+    keys it.  `grading` lists vectors (w | u) as `Stencil.weights` gives
+    them: the differential maps the basis elements of each weight into
+    the same weight one degree up, so every slice splits into blocks by
+    weight.  With no grading a slice is one block.
     """
 
-    def __init__(self, ring: ChartRing, rank: int, column):
+    def __init__(self, ring: ChartRing, rank: int, column,
+                 grading: Sequence[Sequence[int]] = ()):
         self.ring = ring
         self.rank = rank
         self.column = column
+        # a weight is kept as one int, component k as the digit at
+        # _RADIX^k (digits signed, so the packing is injective while every
+        # component is smaller than _RADIX / 2 in size); packing is linear,
+        # so an element's weight is its monomial's plus its indices'
+        nv = len(ring.variables)
+        self._mono_weight = [sum(g[v] * _RADIX ** k for k, g in enumerate(grading))
+                             for v in range(nv)]
+        self._index_weight = [sum(g[nv + i] * _RADIX ** k for k, g in enumerate(grading))
+                              for i in range(rank)]
 
     def basis(self, p: int, window: TruncationWindow
               ) -> List[Tuple[IndexTuple, IndexTuple]]:
         monos = window.monomials(self.ring)
         return [(idx, m) for idx in combinations(range(self.rank), p) for m in monos]
 
-    def system(self, p: int, window: TruncationWindow, keys=()) -> SparseSystem:
-        return SparseSystem.from_columns(
-            [self.column(idx, m) for idx, m in self.basis(p, window)], keys)
+    def weight(self, idx: IndexTuple, mono: IndexTuple) -> int:
+        return (sum(map(mul, self._mono_weight, mono))
+                + sum(self._index_weight[i] for i in idx))
+
+    def _grouped(self, window: TruncationWindow) -> Dict[int, List[IndexTuple]]:
+        """{weight of a monomial alone: its window monomials, ascending}."""
+        monos = window.monomials(self.ring)
+        groups: Dict[int, List[IndexTuple]] = {}
+        for m in monos:
+            wt = sum(map(mul, self._mono_weight, m))
+            if wt in groups:
+                groups[wt].append(m)
+            else:
+                groups[wt] = [m]
+        return groups
+
+    def _tuples(self, p: int) -> List[Tuple[IndexTuple, int]]:
+        """(p-tuple, weight of its indices alone), in basis order."""
+        return [(idx, sum(self._index_weight[i] for i in idx))
+                for idx in combinations(range(self.rank), p)]
+
+    def weight_basis(self, p: int, window: TruncationWindow, weights: Iterable[int]
+                     ) -> List[Tuple[IndexTuple, IndexTuple]]:
+        """The basis elements of the given weights, in basis order."""
+        groups, weights = self._grouped(window), set(weights)
+        out = []
+        for idx, shift in self._tuples(p):
+            monos = [m for wt in weights for m in groups.get(wt - shift, ())]
+            out.extend((idx, m) for m in sorted(monos))
+        return out
+
+    def _blocks(self, p: int, groups: Mapping[int, Sequence[IndexTuple]]
+                ) -> Dict[int, List[Tuple[IndexTuple, IndexTuple]]]:
+        """{weight: the degree-p basis elements of that weight, in basis
+        order}, from the window's monomials grouped by weight."""
+        blocks: Dict[int, List[Tuple[IndexTuple, IndexTuple]]] = {}
+        for idx, shift in self._tuples(p):
+            for wt, monos in groups.items():
+                wt += shift
+                if wt in blocks:
+                    blocks[wt].extend([(idx, m) for m in monos])
+                else:
+                    blocks[wt] = [(idx, m) for m in monos]
+        return blocks
 
     def dims(self, degrees: Iterable[int], windows: Sequence[TruncationWindow],
              drop: int) -> Dict[TruncationWindow, Dict[int, Tuple[int, int]]]:
         """{window: {p: (kernel dim, windowed image dim)}}, degrees ascending,
         (0, 0) outside 0..rank.  The image counts the coboundaries of
         (p-1)-cochains from the window enlarged by `drop` that land inside
-        the window.  Each (degree, window) system is built and eliminated
-        once, answers every question put to it, and is then dropped."""
-        degrees = sorted(set(degrees))
-        kernel, image, reads = {}, {}, {}
-        for w, p in product(windows, degrees):
+        the window.  Both are sums over the weight blocks of d_p.
+
+        The windows are nested, so the slices a call reads are too: two
+        blocks of one degree and weight with as many columns are the same
+        block, and with as many basis elements of that weight inside the
+        image's window they split the same way.  Each block's rank, and
+        its rank outside each window, is computed once per call; a block
+        keeps only its rank and the windows that hold all of its rows."""
+        degrees, windows = sorted(set(degrees)), list(windows)
+        reads: Dict[tuple, list] = {}
+        for (t, w), p in product(enumerate(windows), degrees):
             if 0 <= p <= self.rank:
-                reads.setdefault((p, w), []).append((kernel, w, p))
+                reads.setdefault((p, w), []).append((t, p, False))
                 if p > 0:
-                    reads.setdefault((p - 1, w.enlarged(drop)), []).append((image, w, p))
-        for key, asks in reads.items():
-            system = self.system(*key)
-            for table, w, p in asks:
-                table[w, p] = (system.ncols - system.rank() if table is kernel
-                               else system.image_rank_inside(
-                                   {((idx, 0), m) for idx, m in self.basis(p, w)}))
-        return {w: {p: (kernel.get((w, p), 0), image.get((w, p), 0))
-                    for p in degrees} for w in windows}
+                    reads.setdefault((p - 1, w.enlarged(drop)), []).append((t, p, True))
+        grouped = {w: self._grouped(w) for w in
+                   chain(windows, (w.enlarged(drop) for w in windows))}
+        kept = [set(w.monomials(self.ring)) for w in windows]
+        sizes: Dict[tuple, Dict[int, int]] = {}
+        ranks: Dict[tuple, Tuple[int, set]] = {}
+        outside: Dict[tuple, int] = {}
+        kernel: Dict[tuple, int] = {}
+        image: Dict[tuple, int] = {}
+
+        def counts(p, w):
+            if (p, w) not in sizes:
+                sizes[p, w] = {wt: len(b) for wt, b in self._blocks(p, grouped[w]).items()}
+            return sizes[p, w]
+
+        for (p, window), asks in reads.items():
+            blocks = self._blocks(p, grouped[window])
+            sizes[p, window] = {wt: len(b) for wt, b in blocks.items()}
+            keys = [((p, wt, len(b)), wt) for wt, b in blocks.items()]
+            new = {key: [self.column(idx, m) for idx, m in blocks[wt]]
+                   for key, wt in keys if key not in ranks}
+            for (key, cols), r in zip(new.items(), _block_ranks(new.values())):
+                rows = {k[1] for col in cols for k in col}
+                ranks[key] = (r, {t for t, monos in enumerate(kept) if rows <= monos})
+            for t, q, is_image in asks:
+                if not is_image:
+                    kernel[t, q] = sum(key[2] - ranks[key][0] for key, _ in keys)
+                    continue
+                inside, monos = counts(q, windows[t]), kept[t]
+                total, split, todo = 0, [], {}
+                for key, wt in keys:
+                    r, holds = ranks[key]
+                    n_in = inside.get(wt, 0)
+                    if not (r and n_in):
+                        continue
+                    total += r
+                    if t in holds:
+                        continue
+                    split.append(key + (n_in,))
+                    if split[-1] not in outside and split[-1] not in todo:
+                        cols = new.get(key) or [self.column(idx, m) for idx, m in blocks[wt]]
+                        todo[split[-1]] = [{k: c for k, c in col.items() if k[1] not in monos}
+                                           for col in cols]
+                outside.update(zip(todo, _block_ranks(todo.values())))
+                image[t, q] = total - sum(outside[key] for key in split)
+        return {w: {p: (kernel.get((t, p), 0), image.get((t, p), 0)) for p in degrees}
+                for t, w in enumerate(windows)}
+
+
+def _block_ranks(blocks: Iterable[Sequence[Mapping]]) -> List[int]:
+    """The rank of each list of columns, from one elimination of the
+    block-diagonal system they form; columns of different lists must
+    share no row."""
+    blocks = list(blocks)
+    owner = [t for t, cols in enumerate(blocks) for _ in cols]
+    cols = [col for b in blocks for col in b]
+    ranks = [0] * len(blocks)
+    if any(cols):
+        for c in SparseSystem.from_columns(cols).pivot_columns():
+            ranks[owner[c]] += 1
+    return ranks
 
 
 def _ce_complex(l: Algebroid) -> _WindowedComplex:
-    """The Chevalley-Eilenberg complex of l with trivial coefficients."""
-    column = compile_d(l).column
-    return _WindowedComplex(l.base, l.rank, lambda idx, m: column(idx, 0, m))
+    """The Chevalley-Eilenberg complex of l with trivial coefficients,
+    graded by the weights its stencil preserves."""
+    stencil = compile_d(l)
+    return _WindowedComplex(l.base, l.rank, lambda idx, m: stencil.column(idx, 0, m),
+                            stencil.weights())
 
 
 def _extent(ring: ChartRing, elements: Iterable[RingElement]) -> Tuple[int, int]:
@@ -579,8 +770,14 @@ def exactness_solve(theta: LForm, window: TruncationWindow | None = None
     complex_, p = _ce_complex(l), theta.degree - 1
     rhs = {((idx, 0), m): c for idx, val in theta.coeffs.items()
            for m, c in val.terms.items()}
-    terms = complex_.system(p, dom_window, rhs).solve_terms(
-        rhs, complex_.basis(p, dom_window))
+    # d preserves weight, so only the columns of the weights of theta's
+    # terms can reach them; a pivot column is independent of the earlier
+    # columns of its own weight and free columns are zero, so the other
+    # weights would solve to zero
+    basis = complex_.weight_basis(p, dom_window,
+                                  {complex_.weight(idx, m) for (idx, _), m in rhs})
+    terms = SparseSystem.from_columns(
+        [complex_.column(idx, m) for idx, m in basis], rhs).solve_terms(rhs, basis)
     if terms is not None:
         primitive = LForm(l, p, {idx: RingElement(l.base, t) for idx, t in terms.items()})
         if not (primitive._d_unchecked() - theta).is_zero():

@@ -75,14 +75,6 @@ class SparseSystem:
                     rows[pos[k]][j] = c
         return system
 
-    def set(self, i: int, j: int, value) -> None:
-        self._rank = None
-        value = as_fraction(value)
-        if value == 0:
-            self.rows[i].pop(j, None)
-        else:
-            self.rows[i][j] = value
-
     def _eliminate(self, rhs: Optional[List[int]] = None):
         """Forward elimination on the integer-scaled columns; returns
         (pivots, reduced rows, reduced rhs, column scales).
@@ -156,6 +148,11 @@ class SparseSystem:
         if self._rank is None:
             self._rank = len(self._eliminate()[0])
         return self._rank
+
+    def pivot_columns(self) -> List[int]:
+        """The columns independent of the columns before them, ascending:
+        in a block-diagonal system, the pivots of each block."""
+        return [c for _, c in self._eliminate()[0]]
 
     def image_rank_inside(self, inside: Container[Hashable]) -> int:
         """Rank minus the rank left after deleting the rows keyed in

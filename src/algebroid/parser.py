@@ -170,9 +170,17 @@ class Definitions:
         if name not in self.objects:
             raise ParseError("undefined name %r" % name, token)
         if kind is not None and self.kinds[name] != kind:
-            raise ParseError("%r is a %s, expected a %s"
-                             % (name, self.kinds[name], kind), token)
+            raise ParseError(self.mismatch(name, kind), token)
         return self.objects[name]
+
+    def mismatch(self, name: str, kind: str) -> str:
+        """The message for `name` used where a `kind` is expected."""
+        return "%r is %s, expected %s" % (name, _article(self.kinds[name]),
+                                           _article(kind))
+
+
+def _article(noun: str) -> str:
+    return ("an " if noun[0] in "aeiou" else "a ") + noun
 
 
 class Parser:
@@ -528,20 +536,26 @@ class Parser:
         ders = {}
         transition = None
         bundle = None
+        seen = set()
         while not self.accept("SYM", "}"):
             key = self.expect("IDENT")
-            if key.text == "ring":
-                ring_name, ring = self.ref("ring")
-                self.expect("SYM", ";")
-                continue
-            if key.text not in ("map", "derivations", "transition", "bundle"):
+            if key.text not in ("ring", "map", "derivations", "transition", "bundle"):
                 raise ParseError("unknown overlap clause %r" % key.text, key)
+            clause = key.text
             if key.text in ("map", "derivations"):
                 side = int(self.expect("INT").text)
                 if side not in (a, b):
                     raise ParseError("%s side must be %d or %d"
                                      % (key.text, a, b), key)
                 src = self.defs.objects[charts[side][0]]
+                clause = "%s %d" % (key.text, side)
+            if clause in seen:
+                raise ParseError("%s is given twice" % clause, key)
+            seen.add(clause)
+            if key.text == "ring":
+                ring_name, ring = self.ref("ring")
+                self.expect("SYM", ";")
+                continue
             if ring is None:
                 raise ParseError("declare the overlap ring first", key)
             if key.text == "map":
@@ -605,7 +619,10 @@ class Parser:
                 phi[(a, b)] = self.form_expr(frame, expect_degree=1)
                 self.expect("SYM", ";")
             elif key.text == "q":
+                a_tok = self.peek()
                 a = self.chart_ref(cover, key)
+                if a in q:
+                    raise ParseError("q %d is given twice" % a, a_tok)
                 self.expect("SYM", "=")
                 q[a] = self.form_expr(cover.chart_algebroid(a), expect_degree=2)
                 self.expect("SYM", ";")

@@ -17,7 +17,11 @@ the reference for the sparse integer eliminator `linalg.SparseSystem`,
 `substitute` is the ring-arithmetic reference for `rings.RingMap`.
 `coboundary_system` and `line_bundle_dims_by_overlaps` lay the Cech
 systems out overlap by overlap, the reference for the one restriction
-column in `cech`.
+column in `cech`.  `whole_slice_dims` and `whole_slice_primitive` solve
+each windowed cohomology and exactness question from a whole degree
+slice, the reference for the weight blocks of `forms`, and
+`rank_mod_prime` is a rank over a prime field that shares no code with
+the eliminator.
 """
 
 from bisect import bisect_left
@@ -536,6 +540,91 @@ def total_dims_by_bidegree(m, degrees, window):
             im = SparseSystem.from_columns(columns(prev)).image_rank_inside(set(dom))
         dims[n] = ker - im
     return dims
+
+
+# -- windowed cohomology and exactness, one whole slice at a time ----------------
+
+
+def whole_slice_dims(complex_, degrees, windows, drop):
+    """{window: {p: (kernel dim, windowed image dim)}} as
+    `forms._WindowedComplex.dims` defines them, with no weight blocks:
+    the kernel from every column of the degree-p slice, the image as the
+    rank of d_(p-1) on the window enlarged by `drop` minus its rank on
+    the rows outside the window."""
+    from algebroid.linalg import SparseSystem
+
+    def system(p, w):
+        return SparseSystem.from_columns(
+            [complex_.column(idx, m) for idx, m in complex_.basis(p, w)])
+
+    out = {}
+    for w in windows:
+        out[w] = {}
+        for p in sorted(set(degrees)):
+            if not 0 <= p <= complex_.rank:
+                out[w][p] = (0, 0)
+                continue
+            d = system(p, w)
+            im = 0
+            if p > 0:
+                inside = {((idx, 0), m) for idx, m in complex_.basis(p, w)}
+                im = system(p - 1, w.enlarged(drop)).image_rank_inside(inside)
+            out[w][p] = (d.ncols - d.rank(), im)
+    return out
+
+
+def whole_slice_primitive(theta, window):
+    """The {index tuple: {monomial: value}} that `forms.exactness_solve`
+    returns as its primitive, solved from every column of the
+    degree-(p-1) slice of its domain window; None when there is none."""
+    from algebroid.forms import TruncationWindow, _ce_complex, _extent
+    from algebroid.linalg import SparseSystem
+
+    l = theta.owner
+    drop, _ = l.coefficient_degree_profile()
+    needed = max(_extent(l.base, theta.coeffs.values()))
+    dom = TruncationWindow(max(window.degree, needed) + drop,
+                           max(window.laurent, needed) + drop)
+    complex_, p = _ce_complex(l), theta.degree - 1
+    rhs = {((idx, 0), m): c for idx, val in theta.coeffs.items()
+           for m, c in val.terms.items()}
+    basis = complex_.basis(p, dom)
+    return SparseSystem.from_columns(
+        [complex_.column(idx, m) for idx, m in basis], rhs).solve_terms(rhs, basis)
+
+
+PRIME = (1 << 61) - 1
+
+
+def rank_mod_prime(cols, prime=PRIME):
+    """The rank of keyed columns {row key: rational} over Z/prime, by
+    column reduction against pivots normalised at their smallest row key:
+    a second, independent rank (Dumas & Villard, CASC 2002).  It equals
+    the rational rank unless the prime divides a minor."""
+    pivots = {}
+    rank_ = 0
+    for col in cols:
+        v = {}
+        for k, c in col.items():
+            c = Fraction(c)
+            c = c.numerator * pow(c.denominator, -1, prime) % prime
+            if c:
+                v[k] = c
+        while v:
+            lead = min(v)
+            if lead not in pivots:
+                inv = pow(v[lead], -1, prime)
+                pivots[lead] = {k: c * inv % prime for k, c in v.items()}
+                rank_ += 1
+                break
+            f = v[lead]
+            for k, c in pivots[lead].items():
+                c = (v.get(k, 0) - f * c) % prime
+                if c:
+                    v[k] = c
+                else:
+                    v.pop(k, None)
+    return rank_
 
 
 # -- dense fraction-free linear algebra ----------------------------------------

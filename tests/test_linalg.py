@@ -64,6 +64,13 @@ def test_dimension_mismatch():
         solve_linear(a, [1, 2])
 
 
+def system_of_rows(rows):
+    """The system whose row i is rows[i], with row keys 0..n-1."""
+    return SparseSystem.from_columns(
+        [{i: r[j] for i, r in enumerate(rows) if r[j]} for j in range(len(rows[0]))],
+        range(len(rows)))
+
+
 def test_sparse_matches_dense():
     rng = random.Random(31)
     for _ in range(20):
@@ -71,11 +78,7 @@ def test_sparse_matches_dense():
         rows = [[Fraction(rng.randint(-3, 3)) if rng.random() < 0.5 else Fraction(0)
                  for _ in range(m)] for _ in range(n)]
         a = RationalMatrix.from_rows(rows)
-        s = SparseSystem(n, m)
-        for i in range(n):
-            for j in range(m):
-                if rows[i][j]:
-                    s.set(i, j, rows[i][j])
+        s = system_of_rows(rows)
         assert s.rank() == rank(a)
         x = [Fraction(rng.randint(-2, 2)) for _ in range(m)]
         b = a.mul_vector(x)
@@ -133,10 +136,7 @@ def test_integer_elimination_matches_fraction_and_dense():
         n, m = rng.randint(1, 7), rng.randint(1, 7)
         rows = rand_system(rng, n, m)
         a = RationalMatrix.from_rows(rows)
-        by_set = SparseSystem(n, m)
-        for i in range(n):
-            for j in range(m):
-                by_set.set(i, j, rows[i][j])
+        by_set = system_of_rows(rows)
         # integral entries as int, so columns mix int and Fraction values
         cols = [{(i % 3, i): int(v) if v.denominator == 1 else v
                  for i, v in enumerate(rows[t][j] for t in range(n)) if v}
@@ -193,8 +193,8 @@ def test_inconsistent_integer_systems():
 
 
 def test_set_rejects_inexact_values():
-    s = SparseSystem(1, 1)
-    with pytest.raises(RingError):
-        s.set(0, 0, 0.5)
+    # an inexact entry or right-hand side, not a silently rounded one
     with pytest.raises(RingError):
         SparseSystem.from_columns([{"a": 0.5}]).rank()
+    with pytest.raises(RingError):
+        SparseSystem.from_columns([{"a": 1}]).solve_keyed({"a": 0.5})

@@ -331,3 +331,29 @@ def test_repeated_overlap_diagnostic():
 def test_repeated_phi_diagnostic():
     diag = first_error(EXPLICIT_COVER.replace("q 0 = 0;", "phi 0 1 = 0; q 0 = 0;"))
     assert diag == Diagnostic("error", 20, 44, "phi 0 1 is given twice")
+
+
+def test_repeated_q_diagnostic():
+    diag = first_error(EXPLICIT_COVER.replace("q 0 = 0;", "q 0 = 0; q 0 = 0;"))
+    assert diag == Diagnostic("error", 20, 51, "q 0 is given twice")
+
+
+@pytest.mark.parametrize("old,new,line,column,clause", [
+    ("map 1 { w -> z^-1; }", "map 1 { w -> z^-1; } map 1 { w -> z; }", 13, 26, "map 1"),
+    ("derivations 1 { d/dw -> -z^2*d/dz; }",
+     "derivations 1 { d/dw -> -z^2*d/dz; } derivations 1 { d/dw -> d/dz; }",
+     15, 42, "derivations 1"),
+], ids=["map", "derivations"])
+def test_repeated_overlap_side_clause_diagnostic(old, new, line, column, clause):
+    diag = first_error(EXPLICIT_COVER.replace(old, new))
+    assert diag == Diagnostic("error", line, column, "%s is given twice" % clause)
+
+
+@pytest.mark.parametrize("old,new,line,column,clause", [
+    ("transition [[-z^2]];", "transition [[-z^2]]; transition [[1]];", 16, 26, "transition"),
+    ("bundle [[z]];", "bundle [[z]]; bundle [[1]];", 17, 19, "bundle"),
+    ("ring O;", "ring O; ring O;", 11, 13, "ring"),
+], ids=["transition", "bundle", "ring"])
+def test_repeated_overlap_clause_diagnostic(old, new, line, column, clause):
+    diag = first_error(EXPLICIT_COVER.replace(old, new))
+    assert diag == Diagnostic("error", line, column, "%s is given twice" % clause)
