@@ -11,10 +11,9 @@ total differential carries the alternating sign on the second one.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .connections import Connection, is_flat
 from .core import Algebroid, Section, StructureError, vector_field_bracket
@@ -220,6 +219,10 @@ class DoubleComplexSlice:
         # d1 on l1 with values in the forms of l2; d2 the mirror, keys swapped
         self._d1 = compile_d(m.l1, _on_forms(m.action12))
         self._d2 = compile_d(m.l2, _on_forms(m.action21))
+        # the integer columns of d1 and d2 read so far, each keyed by its
+        # basis element ((I, J), monomial) as the columns key their rows
+        self._cols1: Dict[tuple, dict] = {}
+        self._cols2: Dict[tuple, dict] = {}
 
     def d1_of_basis(self, p, q, i1, i2, mono):
         """image in K^{p+1,q} of the basis element, as {(I,J): element}."""
@@ -239,11 +242,31 @@ class DoubleComplexSlice:
         image = self._d2.apply({(i2, i1): v for (i1, i2), v in coeffs.items()})
         return {(i1, i2): v for (i2, i1), v in image.items()}
 
+    def _d1_column(self, key):
+        """The column of d1 at the basis element ((I, J), monomial), as
+        `Stencil.column` gives it; computed once per slice."""
+        col = self._cols1.get(key)
+        if col is None:
+            (i1, i2), mono = key
+            col = self._cols1[key] = self._d1.column(i1, i2, mono)
+        return col
+
+    def _d2_column(self, key):
+        """The column of d2 at ((I, J), monomial), its rows keyed ((I', J'),
+        monomial) like d1's; computed once per slice."""
+        col = self._cols2.get(key)
+        if col is None:
+            (i1, i2), mono = key
+            col = self._cols2[key] = {((a1, a2), mm): c for ((a2, a1), mm), c
+                                      in self._d2.column(i2, i1, mono).items()}
+        return col
+
     def commutation_check(self) -> Optional[Tuple[int, int, tuple]]:
         """d1 d2 = d2 d1 on every bidegree of the slice (the alternating-
         sign rule in the standard normalization is this identity after
         rescaling the second differential by bidegree signs).  Returns a
-        witness (p, q, basis element) or None."""
+        witness (p, q, basis element) or None.  Both composites are sums
+        of integer columns, compared with their zero values dropped."""
         m = self.pair
         for (p, q), basis in sorted(self.bases.items()):
             if p + 1 > m.l1.rank or q + 1 > m.l2.rank:
@@ -251,11 +274,22 @@ class DoubleComplexSlice:
             if p + q + 2 > self.max_total + 1:
                 continue
             for (i1, i2, mono) in basis:
-                # both images hold no zero values, so dict equality decides
-                if (self.d1(self.d2_of_basis(p, q, i1, i2, mono))
-                        != self.d2(self.d1_of_basis(p, q, i1, i2, mono))):
+                key = ((i1, i2), mono)
+                if (_compose(self._d1_column, self._d2_column(key))
+                        != _compose(self._d2_column, self._d1_column(key))):
                     return (p, q, (i1, i2, mono))
         return None
+
+
+def _compose(column, image: Mapping[tuple, object]) -> Dict[tuple, object]:
+    """The sum of c * column(key) over the (key, c) of `image`, without
+    zero values."""
+    out: Dict[tuple, object] = {}
+    for key, c in image.items():
+        for k, v in column(key).items():
+            cur = out.get(k)
+            out[k] = c * v if cur is None else cur + c * v
+    return {k: v for k, v in out.items() if v}
 
 
 @dataclass
@@ -273,23 +307,25 @@ class TotalCompareReport:
 def _total_complex(sl: DoubleComplexSlice) -> _WindowedComplex:
     """The total complex of the double complex, d1 + (-1)^p d2, keyed like
     the twilled sum's cochains: l2's indices follow l1's, shifted by its
-    rank, and the two parts land in different bidegrees."""
-    n1 = sl.pair.l1.rank
-
-    def merged(i1, i2):
-        return (i1 + tuple(n1 + j for j in i2), 0)
+    rank, and the two parts land in different bidegrees.  Both parts come
+    from the slice's column memo, so the columns `commutation_check` has
+    read are not built again."""
+    n1, n2 = sl.pair.l1.rank, sl.pair.l2.rank
+    # (I, J) -> (merged index tuple, 0), and back
+    merged = {(i1, i2): (i1 + tuple(n1 + j for j in i2), 0)
+              for p in range(n1 + 1) for i1 in combinations(range(n1), p)
+              for q in range(n2 + 1) for i2 in combinations(range(n2), q)}
+    split = {idx: pair for pair, (idx, _) in merged.items()}
 
     def column(idx, mono):
-        p = bisect_left(idx, n1)
-        i1, i2 = idx[:p], tuple(j - n1 for j in idx[p:])
-        col = {(merged(a1, a2), mm): c
-               for ((a1, a2), mm), c in sl._d1.column(i1, i2, mono).items()}
-        sgn = -1 if p % 2 else 1
-        for ((a2, a1), mm), c in sl._d2.column(i2, i1, mono).items():
-            col[(merged(a1, a2), mm)] = sgn * c
+        key = (split[idx], mono)
+        col = {(merged[pair], mm): c for (pair, mm), c in sl._d1_column(key).items()}
+        sgn = -1 if len(key[0][0]) % 2 else 1
+        for (pair, mm), c in sl._d2_column(key).items():
+            col[(merged[pair], mm)] = sgn * c
         return col
 
-    return _WindowedComplex(sl.pair.l1.base, n1 + sl.pair.l2.rank, column)
+    return _WindowedComplex(sl.pair.l1.base, n1 + n2, column)
 
 
 def total_cohomology_compare(m: MatchedPair, degrees: Sequence[int],

@@ -259,6 +259,11 @@ class RingElement:
     def __pow__(self, n: int):
         if not isinstance(n, int):
             raise RingError("exponents must be integers")
+        # a negative power of a non-unit falls through to inverse(), which refuses it
+        if len(self.terms) == 1 and (n >= 0 or self.is_unit()):
+            ((exps, coeff),) = self.terms.items()
+            return RingElement._trusted(self.ring, {tuple(e * n for e in exps):
+                                                    as_fraction(coeff) ** n})
         if n < 0:
             return self.inverse() ** (-n)
         result = self.ring.one

@@ -9,12 +9,16 @@ separately and merges equal words only at the end.  The gather
 differentials evaluate the Chevalley-Eilenberg formula one output tuple
 at a time; the scatter differential pushes each input term to the tuples
 it reaches with ring arithmetic.  Both are references for the compiled
-kernel behind `forms.covariant_d`, and `total_dims_by_bidegree` lays
-the matched-pair total complex out by bidegree from them.  The dense fraction-free Bareiss
+kernel behind `forms.covariant_d`, `total_dims_by_bidegree` lays
+the matched-pair total complex out by bidegree from them, and
+`commutation_witness` checks d1 d2 = d2 d1 with RingElement arithmetic,
+the reference for the integer `DoubleComplexSlice.commutation_check`.
+The dense fraction-free Bareiss
 routines (`RationalMatrix`, `rank`, `kernel_basis`, `solve_linear`) are
 the reference for the sparse integer eliminator `linalg.SparseSystem`,
 `fraction_eliminate` is that eliminator's pivot rule over Fraction, and
-`substitute` is the ring-arithmetic reference for `rings.RingMap`.
+`substitute` is the ring-arithmetic reference for `rings.RingMap`, with
+`power_by_squaring` the reference for `RingElement.__pow__`.
 `coboundary_system` and `line_bundle_dims_by_overlaps` lay the Cech
 systems out overlap by overlap, the reference for the one restriction
 column in `cech`.  `whole_slice_dims` and `whole_slice_primitive` solve
@@ -497,6 +501,31 @@ def gather_d2(m, p, q, coeffs):
     return out
 
 
+def commutation_witness(sl, gather=False):
+    """`DoubleComplexSlice.commutation_check` with RingElement arithmetic:
+    the first basis element, in the check's order, where d1 d2 and d2 d1
+    differ, as (p, q, (I, J, monomial)), or None.  The composites come
+    from the slice's RingElement differentials, or with `gather` from
+    gather_d1 and gather_d2."""
+    m = sl.pair
+    for (p, q), basis in sorted(sl.bases.items()):
+        if p + 1 > m.l1.rank or q + 1 > m.l2.rank:
+            continue
+        if p + q + 2 > sl.max_total + 1:
+            continue
+        for (i1, i2, mono) in basis:
+            if gather:
+                term = {(i1, i2): m.l1.base.monomial(mono)}
+                one = gather_d1(m, p, q + 1, gather_d2(m, p, q, term))
+                two = gather_d2(m, p + 1, q, gather_d1(m, p, q, term))
+            else:
+                one = sl.d1(sl.d2_of_basis(p, q, i1, i2, mono))
+                two = sl.d2(sl.d1_of_basis(p, q, i1, i2, mono))
+            if one != two:
+                return (p, q, (i1, i2, mono))
+    return None
+
+
 def total_dims_by_bidegree(m, degrees, window):
     """Cohomology dims of the total complex of a matched pair's double
     complex on the window, laid out by bidegree: degree n has the basis
@@ -811,6 +840,20 @@ def fraction_eliminate(rows, ncols, rhs=None):
 # -- ring maps by ring arithmetic --------------------------------------------------
 
 
+def power_by_squaring(f, n):
+    """f ** n by square-and-multiply, through the inverse for n < 0: the
+    reference for the one-term path of `RingElement.__pow__`."""
+    if n < 0:
+        return power_by_squaring(f.inverse(), -n)
+    result = f.ring.one
+    while n:
+        if n & 1:
+            result = result * f
+        f = f * f
+        n >>= 1
+    return result
+
+
 def substitute(rmap, f):
     """rmap(f) with RingElement arithmetic: each term's coefficient times
     the powers of the variable images (of their inverses for negative
@@ -822,9 +865,9 @@ def substitute(rmap, f):
         term = rmap.target.const(coeff)
         for v, e in zip(rmap.source.variables, exps):
             if e > 0:
-                term = term * (rmap.images[v] ** e)
+                term = term * power_by_squaring(rmap.images[v], e)
             elif e < 0:
-                term = term * (rmap.images[v].inverse() ** (-e))
+                term = term * power_by_squaring(rmap.images[v].inverse(), -e)
         result = result + term
     return result
 

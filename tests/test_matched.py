@@ -12,7 +12,8 @@ from algebroid.matched import (DoubleComplexSlice, MatchedPair, twilled_sum,
                                total_cohomology_compare, verify_matched)
 from algebroid.rings import ChartRing, poly_ring
 
-from oracles import ce_cohomology_dims, gather_d1, gather_d2, total_dims_by_bidegree
+from oracles import (ce_cohomology_dims, commutation_witness, flatten_columns, gather_d1,
+                     gather_d2, total_dims_by_bidegree)
 
 HEISENBERG = {(0, 1): {2: 1}}
 
@@ -251,12 +252,15 @@ def random_cochain(m, rng, p, q):
     return out
 
 
+def broken_sheared_pair():
+    """The sheared pair with action21 perturbed: equation 1 fails."""
+    m = sheared_tangent_pair()
+    return MatchedPair(m.l1, m.l2, m.action12, Connection(
+        m.l2, 2, [[[-1, 0], [0, 1]], [[0, 0], [0, 0]]]))
+
+
 def test_double_complex_matches_gather_randomized():
-    sheared = sheared_tangent_pair()
-    broken = MatchedPair(sheared.l1, sheared.l2, sheared.action12, Connection(
-        sheared.l2, 2, [[[-1, 0], [0, 1]], [[0, 0], [0, 0]]]))
-    pairs = [two_foliation_pair(), sheared, swapped_sheared_pair(),
-             kunneth_pair(), polynomial_action_pair(), broken]
+    pairs = matched_pairs() + [broken_sheared_pair()]
     rng = random.Random(139)
     for m in pairs:
         sl = DoubleComplexSlice(m, m.l1.rank + m.l2.rank, TruncationWindow(2, 2))
@@ -266,3 +270,32 @@ def test_double_complex_matches_gather_randomized():
                     coeffs = random_cochain(m, rng, p, q)
                     assert sl.d1(coeffs) == gather_d1(m, p, q, coeffs)
                     assert sl.d2(coeffs) == gather_d2(m, p, q, coeffs)
+
+
+def cancelling_pair():
+    """Q[x,y,z] split as <dx + dy> + <(x - y) dz>, with zero actions: d1
+    of d2 z = (x - y) f^1 sums two terms to zero, so a composite of the
+    commutation check holds a cancelled entry."""
+    r = poly_ring("x", "y", "z")
+    l1 = Algebroid(r, 1, [[1, 1, 0]], {}, basis_names=("e1",))
+    l2 = Algebroid(r, 1, [[0, 0, r.var("x") - r.var("y")]], {}, basis_names=("f1",))
+    return MatchedPair(l1, l2, Connection(l1, 1, [[[0]]]), Connection(l2, 1, [[[0]]]))
+
+
+@pytest.mark.parametrize("window", [TruncationWindow(2, 2), TruncationWindow(3, 2)])
+def test_integer_commutation_check_matches_oracles(window):
+    """The integer check returns the witness of the RingElement loop and
+    of the composite of the gather differentials, on every pair, and
+    every column it reads is the gather column."""
+    witnesses = []
+    for m in matched_pairs() + [cancelling_pair(), broken_sheared_pair()]:
+        sl = DoubleComplexSlice(m, m.l1.rank + m.l2.rank, window)
+        got = sl.commutation_check()
+        assert got == commutation_witness(sl)
+        assert got == commutation_witness(sl, gather=True)
+        witnesses.append(got)
+        for gather, cols in ((gather_d1, sl._cols1), (gather_d2, sl._cols2)):
+            for ((i1, i2), mono), col in cols.items():
+                image = gather(m, len(i1), len(i2), {(i1, i2): m.l1.base.monomial(mono)})
+                assert [col] == flatten_columns([image], lambda label, mm: (label, mm))
+    assert witnesses[:-1] == [None] * 6 and witnesses[-1] is not None

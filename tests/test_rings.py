@@ -7,7 +7,7 @@ from algebroid.rings import (ChartRing, RingElement, RingError, RingMap,
                              apply_derivation, apply_ring_map, laurent_ring,
                              poly_ring, ring_arith)
 
-from oracles import substitute
+from oracles import power_by_squaring, substitute
 
 
 def rand_element(ring, rng, max_degree=3, nterms=4):
@@ -34,6 +34,31 @@ def test_laurent_unit_cancellation():
     r = laurent_ring("x")
     x = r.var("x")
     assert x ** -1 * x == r.one
+
+
+def test_one_term_power_matches_square_and_multiply():
+    r = ChartRing(("x", "y", "z"), laurent=("y", "z"))
+    x, y, z = r.var("x"), r.var("y"), r.var("z")
+    one_term = [x, r.monomial((2, -1, 3), Fraction(-3, 2)), r.const(7)]
+    units = [y, r.monomial((0, -1, 2), Fraction(-3, 2)), r.const(Fraction(2, 7))]
+    multi = [x + y, y - Fraction(1, 2) * z ** -1, x * y + 3]
+    cases = ([(f, n) for f in one_term + multi for n in (0, 1, 2, 5)]
+             + [(f, n) for f in units for n in (-1, -2, -5)])
+    for f, n in cases:
+        got = f ** n
+        assert got == power_by_squaring(f, n), (f, n)
+        assert all(type(c) is Fraction for c in got.terms.values())
+    assert (r.zero ** 0, r.zero ** 3) == (r.one, r.zero)
+
+
+def test_power_of_non_unit_refused():
+    r = ChartRing(("x", "y"), laurent=("y",))
+    for f in (r.var("x"), r.monomial((1, -2), Fraction(5, 3)), r.var("y") + 1, r.zero):
+        for n in (-1, -3):
+            with pytest.raises(RingError, match="element is not a unit"):
+                f ** n
+            with pytest.raises(RingError, match="element is not a unit"):
+                power_by_squaring(f, n)
 
 
 def test_rational_normalization():

@@ -157,18 +157,25 @@ def test_differential_entries_match_oracle_columns(window):
 
 
 def test_total_columns_match_gather_columns():
+    """On a cold slice, and on one whose column memo commutation_check
+    has filled: those columns are read as they are, not built again."""
     for m in matched_pairs():
         ring = m.l1.base
         n1 = m.l1.rank
         top = n1 + m.l2.rank
         window = TruncationWindow(2, 2)
-        complex_ = _total_complex(DoubleComplexSlice(m, top, window))
+        warm = DoubleComplexSlice(m, top, window)
+        assert warm.commutation_check() is None
+        built = [(memo, key, col) for memo in (warm._cols1, warm._cols2)
+                 for key, col in memo.items()]
+        complexes = [_total_complex(DoubleComplexSlice(m, top, window)),
+                     _total_complex(warm)]
 
         def merged(a1, a2):
             return (a1 + tuple(n1 + j for j in a2), 0)
 
         for n in range(top + 1):
-            basis = complex_.basis(n, window)
+            basis = complexes[0].basis(n, window)
             want = []
             for idx, mono in basis:
                 i1 = tuple(i for i in idx if i < n1)
@@ -182,7 +189,9 @@ def test_total_columns_match_gather_columns():
                             for (a1, a2), val in gather_d2(m, p, q, term).items()
                             for mm, c in val.terms.items()})
                 want.append(col)
-            assert [complex_.column(idx, mono) for idx, mono in basis] == want
+            for complex_ in complexes:
+                assert [complex_.column(idx, mono) for idx, mono in basis] == want
+        assert built and all(memo[key] is col for memo, key, col in built)
 
 
 def test_cech_chart_columns_match_scatter(monkeypatch):
