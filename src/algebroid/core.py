@@ -11,7 +11,6 @@ construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -324,7 +323,7 @@ def make_lie_algebra_bundle(r: ChartRing, rank: int,
     nder = len(r.derivation_names)
     structure = {}
     for (i, j), comps in constants.items():
-        row = [Fraction(0)] * rank
+        row = [0] * rank
         for k, val in comps.items():
             row[k] = as_fraction(val)
         structure[(i, j)] = row

@@ -26,7 +26,7 @@ from typing import (Dict, Hashable, Iterable, List, Mapping, Optional,
 
 from .core import Algebroid, InputError, Section, StructureError
 from .linalg import SparseSystem
-from .rings import ChartRing, RingElement
+from .rings import ChartRing, RingElement, as_fraction
 
 IndexTuple = Tuple[int, ...]
 
@@ -77,12 +77,6 @@ def covariant_d(l: Algebroid,
     result uses the same keys and holds no zero values.
     """
     return compile_d(l, matrices).apply(coeffs)
-
-
-def _int_if_integral(c: Fraction):
-    """c as an int when it is integral, so columns of integer algebroids
-    need no Fraction arithmetic."""
-    return c.numerator if c.denominator == 1 else c
 
 
 def _integer_kernel(rows: Sequence[Sequence[int]], n: int
@@ -227,9 +221,9 @@ class Stencil:
                 negate = (big.index(i) + big.index(j) + pos) % 2 == 1
                 for shift, c in c_ij.terms.items():
                     put(consts, ((big, t), shift), c, negate)
-        return ([(key, shift, _int_if_integral(c))
+        return ([(key, shift, as_fraction(c))
                  for (key, shift), c in consts.items() if c],
-                [(key, v, shift, _int_if_integral(c))
+                [(key, v, shift, as_fraction(c))
                  for (key, v, shift), c in anchors.items() if c])
 
     def column(self, idx: IndexTuple, t: Hashable, mono: IndexTuple

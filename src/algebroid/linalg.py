@@ -5,7 +5,8 @@ keyed sparse columns (`SparseSystem.from_columns`) and reduced by one
 sparse eliminator with a fixed deterministic pivot order.  Elimination
 runs on integers: each column is scaled by the lcm of its denominators,
 rows are combined fraction-free and divided by their content, and only
-back-substitution returns to `Fraction`.
+back-substitution returns to `Fraction`; solutions come back as `int`
+where they are integral (`rings.as_fraction`).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from math import gcd
 from typing import (Container, Dict, Hashable, Iterable, List, Mapping,
                     Optional, Sequence, Set, Tuple)
 
-from .rings import as_fraction
+from .rings import Coefficient, as_fraction
 
 
 class DimensionError(Exception):
@@ -162,8 +163,9 @@ class SparseSystem:
                         for k, t in self.row_pos.items()]
         return self.rank() - outside.rank()
 
-    def solve(self, rhs: Sequence) -> Optional[List[Fraction]]:
-        """One exact solution of (rows) x = rhs, or None if inconsistent."""
+    def solve(self, rhs: Sequence) -> Optional[List[Coefficient]]:
+        """One exact solution of (rows) x = rhs, or None if inconsistent;
+        each value an int when integral, otherwise a Fraction."""
         if len(rhs) != self.nrows:
             raise DimensionError("rhs length does not match rows")
         column = [{0: v} for v in rhs]
@@ -181,11 +183,11 @@ class SparseSystem:
                 if cc != c and y[cc]:
                     s -= vv * y[cc]
             y[c] = s / rows[i][c]
-        return [v * scales.get(c, 1) / rhs_scale if v else v
+        return [as_fraction(v * scales.get(c, 1) / rhs_scale) if v else 0
                 for c, v in enumerate(y)]
 
-    def solve_keyed(self, rhs_by_key: Mapping[Hashable, Fraction]
-                    ) -> Optional[List[Fraction]]:
+    def solve_keyed(self, rhs_by_key: Mapping[Hashable, Coefficient]
+                    ) -> Optional[List[Coefficient]]:
         """`solve` with the right-hand side given as {row key: value};
         keys not named are zero."""
         rhs = [0] * self.nrows
@@ -193,16 +195,16 @@ class SparseSystem:
             rhs[self.row_pos[k]] = v
         return self.solve(rhs)
 
-    def solve_terms(self, rhs_by_key: Mapping[Hashable, Fraction],
+    def solve_terms(self, rhs_by_key: Mapping[Hashable, Coefficient],
                     basis: Sequence[Tuple[Hashable, Hashable]]
-                    ) -> Optional[Dict[Hashable, Dict[Hashable, Fraction]]]:
+                    ) -> Optional[Dict[Hashable, Dict[Hashable, Coefficient]]]:
         """`solve_keyed`, grouped: column j is keyed basis[j] = (label,
         monomial) and the nonzero solution comes back as {label:
         {monomial: value}}; None when the system has no solution."""
         sol = self.solve_keyed(rhs_by_key)
         if sol is None:
             return None
-        terms: Dict[Hashable, Dict[Hashable, Fraction]] = {}
+        terms: Dict[Hashable, Dict[Hashable, Coefficient]] = {}
         for (label, mono), c in zip(basis, sol):
             if c:
                 terms.setdefault(label, {})[mono] = c

@@ -352,5 +352,6 @@ def total_cohomology_compare(m: MatchedPair, degrees: Sequence[int],
         dims = complex_.dims(degrees, (window,), drop)[window]
         return {n: ker - im for n, (ker, im) in dims.items()}
 
-    return TotalCompareReport(window, cohomology(_total_complex(sl)),
-                              cohomology(_ce_complex(tw)))
+    total = cohomology(_total_complex(sl))
+    del sl      # free the column memo before the twilled sum's systems
+    return TotalCompareReport(window, total, cohomology(_ce_complex(tw)))

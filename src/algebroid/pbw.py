@@ -15,21 +15,19 @@ resolves the minimal overlaps and returns the first broken diamond.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .core import Algebroid, AlgebroidMorphism, Section, StructureError
-from .forms import LForm, _int_if_integral
-from .rings import Exponents, RingElement, mul_terms
+from .forms import LForm
+from .rings import Coefficient, Exponents, RingElement, mul_terms
 
 # a word is a tuple of generator indices (>= 0) and coefficient codes (< 0,
 # see RelationSystem._code); normal-form words are ascending generator words
 Word = Tuple[int, ...]
 Item = Union[int, RingElement]
-Number = Union[int, Fraction]
 # normal-form terms: ascending word -> {exponents: int or Fraction}
-Terms = Dict[Word, Dict[Exponents, Number]]
+Terms = Dict[Word, Dict[Exponents, Coefficient]]
 
 # a system's normal-form memo is emptied when a reduction starts with more
 # entries than this, so a long-lived system does not grow without bound;
@@ -76,28 +74,28 @@ class RelationSystem:
             self._coefficients.append(f)
         return code
 
-    def _encode(self, items: Iterable[Item]) -> Tuple[Number, Word]:
+    def _encode(self, items: Iterable[Item]) -> Tuple[Coefficient, Word]:
         """(c, word) with raw items = c * word: the constants factored out,
         the other coefficients coded."""
-        scale: Number = 1
+        scale: Coefficient = 1
         word = []
         for it in _as_word(items, self.ring, self.algebroid.rank):
             if isinstance(it, int):
                 word.append(it)
             elif it.is_constant():
-                scale *= _int_if_integral(it.constant_term())
+                scale *= it.constant_term()
             else:
                 word.append(self._code(it))
         return scale, tuple(word)
 
     def _edge(self, f: RingElement, items: Word = ()
-              ) -> Optional[Tuple[Number, Word]]:
+              ) -> Optional[Tuple[Coefficient, Word]]:
         """The rewrite edge to f * items: a constant f is the edge's
         number, any other f a leading item; None if f is zero."""
         if f.is_zero():
             return None
         if f.is_constant():
-            return _int_if_integral(f.constant_term()), items
+            return f.constant_term(), items
         return 1, (self._code(f),) + items
 
     def _compiled(self):
@@ -120,7 +118,7 @@ class RelationSystem:
             self._rules = (gg, anchors)
         return self._rules
 
-    def _rewrite(self, word: Word, t: int) -> List[Tuple[Number, Word]]:
+    def _rewrite(self, word: Word, t: int) -> List[Tuple[Coefficient, Word]]:
         """One rule application at the generator word[t] and word[t + 1]
         (a gg redex, or gf when word[t + 1] is a coefficient): the edges
         (c, r) such that word = sum of c * r."""
@@ -336,7 +334,7 @@ def _reduce(system: RelationSystem, root: Word) -> Terms:
 
 
 def _edge_sum(memo: Dict[Word, Terms],
-              edges: List[Tuple[Number, Word]]) -> Terms:
+              edges: List[Tuple[Coefficient, Word]]) -> Terms:
     """The sum of c * NF(r) over the edges (c, r), without zero values.
     It may be the memo's own dict and must not be changed."""
     if len(edges) == 1 and edges[0][0] == 1:
@@ -361,12 +359,11 @@ def _edge_sum(memo: Dict[Word, Terms],
 
 
 def _element(system: RelationSystem, terms: Terms,
-             scale: Number = 1) -> PbwElement:
-    """scale * terms as an element, with Fraction coefficients."""
+             scale: Coefficient = 1) -> PbwElement:
+    """scale * terms as an element."""
     ring = system.ring
     return PbwElement(system, {
-        w: RingElement._trusted(ring, {e: Fraction(scale * v)
-                                       for e, v in coeffs.items()})
+        w: RingElement._trusted(ring, {e: scale * v for e, v in coeffs.items()})
         for w, coeffs in terms.items()})
 
 

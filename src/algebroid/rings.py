@@ -5,29 +5,38 @@ rationals, with named derivations (extended from their action on the
 variables by the Leibniz rule) and ring homomorphisms given by variable
 substitution.
 
-Coefficients are `fractions.Fraction`, so every computation is exact.
-Elements are immutable; all operations return fresh values.
+Coefficients are exact rationals: `int` when integral, otherwise
+`fractions.Fraction`, normalised at every constructor (`as_fraction`) and
+after every operation (`_clean`), so integer data stays on `int`
+arithmetic.  Every division of coefficients goes through `Fraction`, so
+no float enters.  Elements are immutable; an operation returns a fresh
+value or an unchanged operand.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from operator import add
-from typing import Dict, Iterable, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, Mapping, Sequence, Tuple, Union
 
 Exponents = Tuple[int, ...]
-Terms = Mapping[Exponents, Fraction]
+Coefficient = Union[int, Fraction]
+Terms = Mapping[Exponents, Coefficient]
 
 
 class RingError(Exception):
     """Structural misuse: mismatched owners, bad exponents, unknown names."""
 
 
-def as_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
+def as_fraction(value) -> Coefficient:
+    """value as an exact rational coefficient: an int when it is integral,
+    otherwise a Fraction; anything else (a float) is refused."""
+    if type(value) is int:
         return value
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
     if isinstance(value, int):
-        return Fraction(value)
+        return int(value)
     raise RingError("not an exact rational scalar: %r" % (value,))
 
 
@@ -51,7 +60,7 @@ class ChartRing:
             raise RingError("laurent flag for unknown variables: %s" % sorted(unknown))
         self.laurent: frozenset = frozenset(laurent)
         self.zero = RingElement(self, {})
-        self.one = RingElement(self, {(0,) * len(self.variables): Fraction(1)})
+        self.one = RingElement(self, {(0,) * len(self.variables): 1})
         # TruncationWindow -> its monomials, filled by forms on first use
         self._window_monomials: Dict[object, tuple] = {}
 
@@ -69,8 +78,7 @@ class ChartRing:
                 val = action.get(v, 0)
                 if isinstance(val, dict):
                     # exponent-tuple spec, usable before the ring exists
-                    val = RingElement(self, {tuple(k): as_fraction(c)
-                                             for k, c in val.items()})
+                    val = RingElement(self, {tuple(k): c for k, c in val.items()})
                 row.append(self._coerce(val))
             self._derivation_actions[name] = tuple(row)
         if declared:    # coordinate derivations have constant actions
@@ -83,11 +91,11 @@ class ChartRing:
             if value.ring is not self:
                 raise RingError("element belongs to a different ring")
             return value
-        return self.const(as_fraction(value))
+        return self.const(value)
 
     def const(self, c) -> "RingElement":
         c = as_fraction(c)
-        if c == 0:
+        if not c:
             return self.zero
         return RingElement(self, {(0,) * len(self.variables): c})
 
@@ -96,10 +104,10 @@ class ChartRing:
             raise RingError("unknown variable %r" % name)
         exps = [0] * len(self.variables)
         exps[self._index[name]] = 1
-        return RingElement(self, {tuple(exps): Fraction(1)})
+        return RingElement(self, {tuple(exps): 1})
 
     def monomial(self, exponents: Sequence[int], coeff=1) -> "RingElement":
-        return RingElement(self, {tuple(exponents): as_fraction(coeff)})
+        return RingElement(self, {tuple(exponents): coeff})
 
     def variable_index(self, name: str) -> int:
         if name not in self._index:
@@ -119,7 +127,7 @@ class ChartRing:
         if f.ring is not self:
             raise RingError("element belongs to a different ring")
         action = self.derivation_action(name)
-        out: Dict[Exponents, Fraction] = {}
+        out: Dict[Exponents, Coefficient] = {}
         for exps, coeff in f.terms.items():
             for i, e in enumerate(exps):
                 if e == 0:
@@ -132,7 +140,7 @@ class ChartRing:
                 base = coeff * e
                 for aexps, acoeff in act.terms.items():
                     key = tuple(x + y for x, y in zip(lowered, aexps))
-                    out[key] = out.get(key, Fraction(0)) + base * acoeff
+                    out[key] = out.get(key, 0) + base * acoeff
         return RingElement._trusted(self, out)
 
     def _check_derivations_commute(self) -> None:
@@ -163,16 +171,28 @@ class ChartRing:
         return id(self)
 
 
-def mul_terms(a: Terms, b: Terms) -> Dict[Exponents, Fraction]:
-    """The product of two term dicts {exponents: coefficient}, without
-    zero values."""
-    out: Dict[Exponents, Fraction] = {}
+def _clean(terms: Terms) -> Dict[Exponents, Coefficient]:
+    """terms without zero values and with integral Fractions as int: the
+    term-dict form of `as_fraction`, for coefficients that are already
+    exact (sums and products of Fractions can be integral)."""
+    return {e: c if type(c) is int or c.denominator != 1 else c.numerator
+            for e, c in terms.items() if c}
+
+
+def _product(a: Terms, b: Terms) -> Dict[Exponents, Coefficient]:
+    out: Dict[Exponents, Coefficient] = {}
     for e1, c1 in a.items():
         for e2, c2 in b.items():
             key = tuple(map(add, e1, e2))
             cur = out.get(key)
             out[key] = c1 * c2 if cur is None else cur + c1 * c2
-    return {e: c for e, c in out.items() if c}
+    return out
+
+
+def mul_terms(a: Terms, b: Terms) -> Dict[Exponents, Coefficient]:
+    """The product of two term dicts {exponents: coefficient}, without
+    zero values and with integral coefficients as int."""
+    return _clean(_product(a, b))
 
 
 def poly_ring(*variables: str) -> ChartRing:
@@ -186,19 +206,22 @@ def laurent_ring(*variables: str) -> ChartRing:
 
 
 class RingElement:
-    """A finite sum of monomials with Fraction coefficients.
+    """A finite sum of monomials with exact rational coefficients.
 
-    `terms` maps exponent tuples to nonzero coefficients; exponents may be
-    negative only at Laurent variables of the owner.
+    `terms` maps exponent tuples to nonzero coefficients, each an int when
+    integral and otherwise a Fraction; exponents may be negative only at
+    Laurent variables of the owner.  The constructor normalises its
+    coefficients with `as_fraction`.
     """
 
     __slots__ = ("ring", "terms")
 
-    def __init__(self, ring: ChartRing, terms: Mapping[Exponents, Fraction]):
-        clean: Dict[Exponents, Fraction] = {}
+    def __init__(self, ring: ChartRing, terms: Mapping[Exponents, Coefficient]):
+        clean: Dict[Exponents, Coefficient] = {}
         nvars = len(ring.variables)
         for exps, coeff in terms.items():
-            if coeff == 0:
+            coeff = as_fraction(coeff)
+            if not coeff:
                 continue
             if len(exps) != nvars:
                 raise RingError("exponent tuple of wrong length")
@@ -213,12 +236,13 @@ class RingElement:
 
     @classmethod
     def _trusted(cls, ring: ChartRing,
-                 terms: Mapping[Exponents, Fraction]) -> "RingElement":
-        """An element from terms whose exponents are known to be valid (the
-        result of a closed operation); only zero coefficients are dropped."""
+                 terms: Mapping[Exponents, Coefficient]) -> "RingElement":
+        """An element from terms whose exponents are known to be valid and
+        whose coefficients are exact (the result of a closed operation);
+        zero coefficients are dropped and integral ones made int."""
         self = object.__new__(cls)
         self.ring = ring
-        self.terms = {e: c for e, c in terms.items() if c}
+        self.terms = _clean(terms)
         return self
 
     # -- arithmetic ---------------------------------------------------------
@@ -228,13 +252,20 @@ class RingElement:
             if other.ring is not self.ring:
                 raise RingError("operands belong to different rings")
             return other
-        return self.ring.const(as_fraction(other))
+        return self.ring.const(other)
+
+    # elements are immutable, so a zero operand returns the other one
 
     def __add__(self, other):
         other = self._coerce(other)
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
         out = dict(self.terms)
         for exps, coeff in other.terms.items():
-            out[exps] = out.get(exps, Fraction(0)) + coeff
+            cur = out.get(exps)
+            out[exps] = coeff if cur is None else cur + coeff
         return RingElement._trusted(self.ring, out)
 
     __radd__ = __add__
@@ -244,26 +275,32 @@ class RingElement:
                                     {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        other = self._coerce(other)
+        return self + (-other) if other.terms else self
 
     def __rsub__(self, other):
         return self._coerce(other) - self
 
     def __mul__(self, other):
         other = self._coerce(other)
-        return RingElement._trusted(self.ring,
-                                    mul_terms(self.terms, other.terms))
+        if not self.terms:
+            return self
+        if not other.terms:
+            return other
+        return RingElement._trusted(self.ring, _product(self.terms, other.terms))
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if not isinstance(n, int):
             raise RingError("exponents must be integers")
-        # a negative power of a non-unit falls through to inverse(), which refuses it
+        # a negative power of a non-unit falls through to inverse(), which
+        # refuses it; a negative power of an int would be a float, so it is
+        # taken in Fraction
         if len(self.terms) == 1 and (n >= 0 or self.is_unit()):
             ((exps, coeff),) = self.terms.items()
-            return RingElement._trusted(self.ring, {tuple(e * n for e in exps):
-                                                    as_fraction(coeff) ** n})
+            power = coeff ** n if n >= 0 else Fraction(coeff) ** n
+            return RingElement._trusted(self.ring, {tuple(e * n for e in exps): power})
         if n < 0:
             return self.inverse() ** (-n)
         result = self.ring.one
@@ -309,9 +346,9 @@ class RingElement:
     def derive(self, name: str) -> "RingElement":
         return self.ring.derive(name, self)
 
-    def constant_term(self) -> Fraction:
+    def constant_term(self) -> Coefficient:
         zero = (0,) * len(self.ring.variables)
-        return self.terms.get(zero, Fraction(0))
+        return self.terms.get(zero, 0)
 
     def is_constant(self) -> bool:
         zero = (0,) * len(self.ring.variables)
@@ -330,8 +367,8 @@ class RingElement:
         exps = [e[var_index] for e in self.terms]
         return (min(exps), max(exps))
 
-    def coefficient(self, exponents: Sequence[int]) -> Fraction:
-        return self.terms.get(tuple(exponents), Fraction(0))
+    def coefficient(self, exponents: Sequence[int]) -> Coefficient:
+        return self.terms.get(tuple(exponents), 0)
 
     # -- rendering -------------------------------------------------------------
 
@@ -425,7 +462,7 @@ class RingMap:
     def __call__(self, f: RingElement) -> RingElement:
         if f.ring is not self.source:
             raise RingError("element is not in the source ring")
-        out: Dict[Exponents, Fraction] = {}
+        out: Dict[Exponents, Coefficient] = {}
         for exps, coeff in f.terms.items():
             for key, c in self.monomial_terms(exps).items():
                 cur = out.get(key)

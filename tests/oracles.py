@@ -18,7 +18,10 @@ routines (`RationalMatrix`, `rank`, `kernel_basis`, `solve_linear`) are
 the reference for the sparse integer eliminator `linalg.SparseSystem`,
 `fraction_eliminate` is that eliminator's pivot rule over Fraction, and
 `substitute` is the ring-arithmetic reference for `rings.RingMap`, with
-`power_by_squaring` the reference for `RingElement.__pow__`.
+`power_by_squaring` the reference for `RingElement.__pow__`.  The `frac_*`
+functions redo ring arithmetic, derivations, ring maps, section brackets
+and covariant derivatives on term dicts whose coefficients are all
+Fraction, the reference for the int-or-Fraction coefficients of `rings`.
 `coboundary_system` and `line_bundle_dims_by_overlaps` lay the Cech
 systems out overlap by overlap, the reference for the one restriction
 column in `cech`.  `whole_slice_dims` and `whole_slice_primitive` solve
@@ -121,7 +124,7 @@ def integrate_univariate(f):
         (e,) = exps
         if e == -1:
             return None
-        out = out + ring.monomial((e + 1,), coeff / (e + 1))
+        out = out + ring.monomial((e + 1,), Fraction(coeff) / (e + 1))
     return out
 
 
@@ -870,6 +873,131 @@ def substitute(rmap, f):
                 term = term * power_by_squaring(rmap.images[v].inverse(), -e)
         result = result + term
     return result
+
+
+# -- ring arithmetic over Fraction only ----------------------------------------------
+
+
+def is_normal_coefficient(c) -> bool:
+    """c is a nonzero int when integral and otherwise a Fraction with
+    denominator > 1: never a float, a bool, a zero or an integral Fraction."""
+    return (type(c) is int and c != 0) or (type(c) is Fraction and c.denominator > 1)
+
+
+def fraction_terms(f):
+    """The terms of a RingElement (or of a term dict) with every
+    coefficient coerced to Fraction."""
+    terms = f.terms if isinstance(f, RingElement) else f
+    return {e: Fraction(c) for e, c in terms.items()}
+
+
+def _nonzero(terms):
+    return {e: c for e, c in terms.items() if c}
+
+
+def frac_add(a, b):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, Fraction(0)) + c
+    return _nonzero(out)
+
+
+def frac_neg(a):
+    return {e: -c for e, c in a.items()}
+
+
+def frac_sub(a, b):
+    return frac_add(a, frac_neg(b))
+
+
+def frac_mul(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            key = tuple(x + y for x, y in zip(e1, e2))
+            out[key] = out.get(key, Fraction(0)) + c1 * c2
+    return _nonzero(out)
+
+
+def frac_inverse(a):
+    """The inverse of a one-term unit a."""
+    ((e, c),) = a.items()
+    return {tuple(-x for x in e): Fraction(1) / c}
+
+
+def frac_pow(a, n, nvars):
+    """a ** n by n repeated products, of the inverse when n < 0."""
+    base = frac_inverse(a) if n < 0 else a
+    out = {(0,) * nvars: Fraction(1)}
+    for _ in range(abs(n)):
+        out = frac_mul(out, base)
+    return out
+
+
+def frac_derive(ring, name, a):
+    """The named derivation of ring applied to the term dict a, by the
+    power rule on each variable and the derivation's action on it."""
+    action = [fraction_terms(g) for g in ring.derivation_action(name)]
+    out = {}
+    for e, c in a.items():
+        for i, ei in enumerate(e):
+            if ei:
+                lowered = e[:i] + (ei - 1,) + e[i + 1:]
+                out = frac_add(out, frac_mul({lowered: c * ei}, action[i]))
+    return out
+
+
+def frac_map(rmap, a):
+    """rmap applied to the term dict a: each monomial replaced by the
+    product of the powers of the variable images."""
+    nvars = len(rmap.target.variables)
+    images = [fraction_terms(rmap.images[v]) for v in rmap.source.variables]
+    out = {}
+    for e, c in a.items():
+        term = {(0,) * nvars: c}
+        for img, ei in zip(images, e):
+            term = frac_mul(term, frac_pow(img, ei, nvars))
+        out = frac_add(out, term)
+    return out
+
+
+def frac_anchor_apply(l, u, f):
+    """a(u)(f) for a section u of l and a term dict f."""
+    out = {}
+    for i, ui in enumerate(u):
+        for name, a in zip(l.base.derivation_names, l.anchor[i]):
+            out = frac_add(out, frac_mul(frac_mul(ui, fraction_terms(a)),
+                                         frac_derive(l.base, name, f)))
+    return out
+
+
+def frac_bracket(l, u, v):
+    """The bracket of the sections u, v of l (lists of term dicts):
+    [u, v]_k = sum_ij u_i v_j c_ij^k + a(u)(v_k) - a(v)(u_k)."""
+    out = []
+    for k in range(l.rank):
+        acc = frac_sub(frac_anchor_apply(l, u, v[k]), frac_anchor_apply(l, v, u[k]))
+        for i in range(l.rank):
+            for j in range(l.rank):
+                c = fraction_terms(l.structure_coefficients(i, j)[k])
+                acc = frac_add(acc, frac_mul(frac_mul(u[i], v[j]), c))
+        out.append(acc)
+    return out
+
+
+def frac_apply_basis(c, i, vector):
+    """The covariant derivative along e_i of a vector of term dicts:
+    a(e_i)(s_a) + sum_b A_i[a][b] s_b."""
+    l = c.algebroid
+    e = [{(0,) * len(l.base.variables): Fraction(1)} if k == i else {}
+         for k in range(l.rank)]
+    out = []
+    for a in range(c.rank):
+        acc = frac_anchor_apply(l, e, vector[a])
+        for b in range(c.rank):
+            acc = frac_add(acc, frac_mul(fraction_terms(c.matrices[i][a][b]), vector[b]))
+        out.append(acc)
+    return out
 
 
 # -- Cech systems, overlap by overlap ------------------------------------------------

@@ -6,8 +6,8 @@ import pytest
 from algebroid.linalg import DimensionError, SparseSystem
 from algebroid.rings import RingError
 
-from oracles import (RationalMatrix, fraction_eliminate, kernel_basis, rank,
-                     solve_linear)
+from oracles import (RationalMatrix, fraction_eliminate, is_normal_coefficient,
+                     kernel_basis, rank, solve_linear)
 
 
 def test_rank_one_kernel():
@@ -172,7 +172,9 @@ def test_integer_elimination_matches_fraction_and_dense():
             got_cols = by_cols.solve_keyed({keys[i]: rhs[i] for i in range(n)})
             if dense.status == "solution":
                 assert got_set == got_cols == dense.solution
-                assert all(type(v) is Fraction for v in got_set + got_cols)
+                # int when integral, else a Fraction with denominator > 1
+                assert all(is_normal_coefficient(v) or (type(v) is int and v == 0)
+                           for v in got_set + got_cols)
             else:
                 assert got_set is None and got_cols is None
 

@@ -1,4 +1,5 @@
 import random
+import weakref
 from fractions import Fraction
 from itertools import combinations
 
@@ -162,6 +163,28 @@ def test_sheared_total_matches_twilled():
     m = sheared_tangent_pair()
     rep = total_cohomology_compare(m, [0, 1, 2], TruncationWindow(2, 2))
     assert rep.agree
+
+
+def test_slice_freed_before_twilled_systems(monkeypatch):
+    # the slice's column memo is released once the total dims are known,
+    # so the twilled sum's systems are built without it
+    from algebroid import matched
+    slices, alive = [], []
+
+    class Recorded(DoubleComplexSlice):
+        def __init__(self, *args):
+            super().__init__(*args)
+            slices.append(weakref.ref(self))
+
+    def ce_complex(tw, real=matched._ce_complex):
+        alive.append(slices[-1]() is not None)
+        return real(tw)
+
+    monkeypatch.setattr(matched, "DoubleComplexSlice", Recorded)
+    monkeypatch.setattr(matched, "_ce_complex", ce_complex)
+    rep = total_cohomology_compare(sheared_tangent_pair(), [0, 1, 2],
+                                   TruncationWindow(2, 2))
+    assert rep.agree and alive == [False]
 
 
 def polynomial_action_pair():
