@@ -22,11 +22,13 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .connections import Connection, curvature
-from .core import Algebroid, AlgebroidMorphism, Section, StructureError
+from .connections import (Connection, curvature, _mat_add, _mat_mul,
+                          _mat_scale, _mat_sub)
+from .core import (Algebroid, AlgebroidMorphism, InputError, Section,
+                   StructureError, make_log, make_tangent)
 from .forms import LForm, TruncationWindow, IndexTuple, compile_d, _ring_det
 from .linalg import SparseSystem
-from .pbw import PbwElement, RelationSystem, sum_elements
+from .pbw import PbwElement, RelationSystem, map_generators
 from .rings import (ChartRing, RingElement, RingMap, laurent_ring, mul_terms,
                     poly_ring)
 
@@ -129,13 +131,11 @@ class Cover:
     def __init__(self, charts: Sequence[Tuple[ChartRing, Algebroid]],
                  overlaps: Mapping[Tuple[int, int], Overlap],
                  triples: Sequence[Tuple[int, int, int]] = (),
-                 residue: Optional[dict] = None,
-                 bundle_rank: int = 1):
+                 residue: Optional[dict] = None):
         self.charts = list(charts)
         self.overlaps = dict(overlaps)
         self.triples = list(triples)
         self.residue = residue
-        self.bundle_rank = bundle_rank
         self._pushed: Dict[Tuple[int, int], Tuple[Algebroid, Algebroid]] = {}
         for (a, b), ov in self.overlaps.items():
             if not (0 <= a < b < len(self.charts)):
@@ -156,6 +156,15 @@ class Cover:
     def frame_algebroid(self, a: int, b: int) -> Algebroid:
         """The reference algebroid on the overlap: the pushed first chart."""
         return self._pushed[(a, b)][0]
+
+    def restrict(self, a: int, b: int,
+                 forms: Mapping[int, LForm]) -> Tuple[LForm, LForm]:
+        """forms[a] and forms[b] on the overlap (a, b), in its reference frame."""
+        ov = self.overlaps[(a, b)]
+        pa, pb = self._pushed[(a, b)]
+        return (push_form(forms[a], ov.map_a, pa),
+                change_frame(push_form(forms[b], ov.map_b, pb), pa,
+                             ov.transition_inverse))
 
     def verify(self) -> None:
         """Transitions identify the pushed structures; bundle transitions
@@ -192,10 +201,7 @@ class Cover:
                         "triple (%d,%d,%d) needs %s data of one size on all "
                         "three overlaps" % (a, b, c, label))
                 m_ab, m_bc, m_ac = mats
-                n = len(m_ab)
-                if any(m_ac[i][j] != sum((m_ab[i][k] * m_bc[k][j]
-                                          for k in range(n)), ring.zero)
-                       for i in range(n) for j in range(n)):
+                if m_ac != _mat_mul(m_ab, m_bc, ring.zero):
                     raise StructureError(
                         "%s transitions break the cocycle rule on (%d,%d,%d)"
                         % (label, a, b, c))
@@ -263,7 +269,8 @@ def zero_pair(cover: Cover) -> CechPair:
 
 
 @dataclass
-class CocycleReport:
+class CheckReport:
+    """Failed conditions, and conditions empty at these ranks, of a check."""
     verified: bool
     failures: List[str] = field(default_factory=list)
     degenerate: List[str] = field(default_factory=list)
@@ -272,7 +279,7 @@ class CocycleReport:
         return self.verified
 
 
-def verify_cocycle(cover: Cover, pair: CechPair) -> CocycleReport:
+def verify_cocycle(cover: Cover, pair: CechPair) -> CheckReport:
     """The three closedness equations, exactly; rank-starved identities
     (no 2- or 3-forms on small charts) are reported as degenerate.
 
@@ -282,14 +289,11 @@ def verify_cocycle(cover: Cover, pair: CechPair) -> CocycleReport:
     pair), so the middle equation reads d phi_ab = Q_a - Q_b."""
     failures = []
     degenerate = []
-    for (a, b), ov in sorted(cover.overlaps.items()):
+    for (a, b) in sorted(cover.overlaps):
         frame = cover.frame_algebroid(a, b)
-        pa, pb = cover.pushed_pair(a, b)
         frame.require_verified("cocycle checking")
         dphi = pair.phi[(a, b)].d()
-        qa = push_form(pair.q[a], ov.map_a, pa)
-        qb = change_frame(push_form(pair.q[b], ov.map_b, pb), frame,
-                          ov.transition_inverse)
+        qa, qb = cover.restrict(a, b, pair.q)
         if frame.rank < 2:
             degenerate.append("overlap (%d,%d): no 2-forms on rank-%d frame"
                               % (a, b, frame.rank))
@@ -314,7 +318,7 @@ def verify_cocycle(cover: Cover, pair: CechPair) -> CocycleReport:
                 total[idx] = cur + (val if sign == 1 else -val)
         if any(not v.is_zero() for v in total.values()):
             failures.append("delta phi != 0 on triple (%d,%d,%d)" % (a, b, c))
-    return CocycleReport(not failures, failures, degenerate)
+    return CheckReport(not failures, failures, degenerate)
 
 
 def make_p1_cover(algebroid: str = "tangent", bundle: Optional[int] = None
@@ -326,12 +330,11 @@ def make_p1_cover(algebroid: str = "tangent", bundle: Optional[int] = None
     overlap = laurent_ring("z")
     z = overlap.var("z")
     if algebroid == "tangent":
-        alg0 = _tangent_named(rz)
-        alg1 = _tangent_named(rw)
+        alg0 = make_tangent(rz)
+        alg1 = make_tangent(rw)
         transition = [[-(z ** 2)]]
         residue = {"overlap": (0, 1), "component": (0,), "exponents": (-1,)}
     elif algebroid == "log":
-        from .core import make_log
         alg0 = make_log(rz, ["z"])
         alg1 = make_log(rw, ["w"])
         transition = [[overlap.const(-1)]]
@@ -349,11 +352,6 @@ def make_p1_cover(algebroid: str = "tangent", bundle: Optional[int] = None
     cover = Cover([(rz, alg0), (rw, alg1)], {(0, 1): ov}, residue=residue)
     cover.verify()
     return cover
-
-
-def _tangent_named(r: ChartRing) -> Algebroid:
-    from .core import make_tangent
-    return make_tangent(r)
 
 
 def atiyah_cocycle(cover: Cover) -> CechPair:
@@ -477,12 +475,8 @@ def coboundary_test(cover: Cover, pair_a: CechPair, pair_b: CechPair,
 
 def _verify_coboundary(cover: Cover, diff: CechPair,
                        eta: Dict[int, LForm]) -> None:
-    for (a, b), ov in cover.overlaps.items():
-        frame = cover.frame_algebroid(a, b)
-        pa, pb = cover.pushed_pair(a, b)
-        ea = push_form(eta[a], ov.map_a, pa)
-        eb = change_frame(push_form(eta[b], ov.map_b, pb), frame,
-                          ov.transition_inverse)
+    for (a, b) in cover.overlaps:
+        ea, eb = cover.restrict(a, b, eta)
         if not ((ea - eb) - diff.phi[(a, b)]).is_zero():
             raise StructureError("internal error: overlap equation unverified")
     for a in range(len(cover.charts)):
@@ -516,15 +510,8 @@ class GluingMap:
             (i,): ring.one, (): self.phi.component((i,))})
 
     def __call__(self, p: PbwElement) -> PbwElement:
-        if p.system is not self.source:
-            raise StructureError("element not in the source system")
-        parts = []
-        for word, coeff in p.terms.items():
-            acc = self.target.scalar(coeff)
-            for i in word:
-                acc = acc * self.image_of_generator(i)
-            parts.append(acc)
-        return sum_elements(self.target, parts)
+        return map_generators(p, self.source, self.target,
+                              self.image_of_generator)
 
 
 def glue_sridharan(cover: Cover, pair: CechPair) -> GluingReport:
@@ -533,12 +520,9 @@ def glue_sridharan(cover: Cover, pair: CechPair) -> GluingReport:
     identity."""
     maps = {}
     failures = []
-    for (a, b), ov in sorted(cover.overlaps.items()):
+    for (a, b) in sorted(cover.overlaps):
         frame = cover.frame_algebroid(a, b)
-        pa, pb = cover.pushed_pair(a, b)
-        qa = push_form(pair.q[a], ov.map_a, pa)
-        qb = change_frame(push_form(pair.q[b], ov.map_b, pb), frame,
-                          ov.transition_inverse)
+        qa, qb = cover.restrict(a, b, pair.q)
         source = RelationSystem(frame, qa)
         target = RelationSystem(frame, qb)
         gmap = GluingMap(source, target, pair.phi[(a, b)])
@@ -593,18 +577,8 @@ class LocalConnectionBunch:
         self.connections = list(connections)
 
 
-@dataclass
-class LambdaModuleReport:
-    verified: bool
-    failures: List[str] = field(default_factory=list)
-    degenerate: List[str] = field(default_factory=list)
-
-    def __bool__(self):
-        return self.verified
-
-
 def verify_lambda_module(cover: Cover, pair: CechPair,
-                         bunch: LocalConnectionBunch) -> LambdaModuleReport:
+                         bunch: LocalConnectionBunch) -> CheckReport:
     """Curvature Q*id on every chart; connection differences id*phi on
     every overlap; and the module-action commutator identity rechecked by
     composing the actions on frame vectors."""
@@ -647,50 +621,37 @@ def verify_lambda_module(cover: Cover, pair: CechPair,
                         % (a, i + 1, j + 1))
     for (a, b), ov in sorted(cover.overlaps.items()):
         frame = cover.frame_algebroid(a, b)
-        pa, pb = cover.pushed_pair(a, b)
-        g = ov.bundle if ov.bundle is not None else tuple(
-            tuple(ov.ring.one if i == j else ov.ring.zero for j in range(r))
-            for i in range(r))
-        ginv = ov.bundle_inverse if ov.bundle_inverse is not None else g
-        conn_a = bunch.connections[a]
-        conn_b = bunch.connections[b]
-        phi = pair.phi[(a, b)]
+        zero = ov.ring.zero
+        ident = tuple(tuple(ov.ring.one if s == t else zero for t in range(r))
+                      for s in range(r))
+        g = ov.bundle if ov.bundle is not None else ident
+        ginv = ov.bundle_inverse if ov.bundle is not None else ident
+        mats_a = [tuple(tuple(ov.map_a(x) for x in row) for row in mat)
+                  for mat in bunch.connections[a].matrices]
+        mats_b = [tuple(tuple(ov.map_b(x) for x in row) for row in mat)
+                  for mat in bunch.connections[b].matrices]
         for jdir in range(frame.rank):
-            a_mat = [[ov.map_a(conn_a.matrices[jdir][s][t])
-                      for t in range(r)] for s in range(r)]
             # second chart matrices, re-indexed to the reference directions
-            b_dir = [[ov.ring.zero] * r for _ in range(r)]
-            for i in range(frame.rank):
-                coeff = ov.transition_inverse[i][jdir]
-                if coeff.is_zero():
-                    continue
-                for s in range(r):
-                    for t in range(r):
-                        b_dir[s][t] = b_dir[s][t] + coeff * ov.map_b(
-                            conn_b.matrices[i][s][t])
-            # gauge to the first chart's module frame
+            b_dir = tuple((zero,) * r for _ in range(r))
+            for i, row in enumerate(ov.transition_inverse):
+                if not row[jdir].is_zero():
+                    b_dir = _mat_add(b_dir, _mat_scale(row[jdir], mats_b[i]))
+            # gauge to the first chart's module frame: g (a(g^-1) + B g^-1)
             direction = frame.basis_section(jdir)
-            gauged = [[ov.ring.zero] * r for _ in range(r)]
+            a_ginv = tuple(tuple(frame.anchor_apply(direction, x) for x in row)
+                           for row in ginv)
+            gauged = _mat_mul(g, _mat_add(a_ginv, _mat_mul(b_dir, ginv, zero)), zero)
+            got = _mat_sub(mats_a[jdir], gauged)
+            phival = pair.phi[(a, b)].component((jdir,))
             for s in range(r):
                 for t in range(r):
-                    val = ov.ring.zero
-                    for u in range(r):
-                        val = val + g[s][u] * frame.anchor_apply(
-                            direction, ginv[u][t])
-                        for w in range(r):
-                            val = val + g[s][u] * b_dir[u][w] * ginv[w][t]
-                    gauged[s][t] = val
-            phival = phi.component((jdir,))
-            for s in range(r):
-                for t in range(r):
-                    want = phival if s == t else ov.ring.zero
-                    got = a_mat[s][t] - gauged[s][t]
-                    if got != want:
+                    want = phival if s == t else zero
+                    if got[s][t] != want:
                         failures.append(
                             "overlap (%d,%d): connection difference in "
                             "direction %d entry (%d,%d) is %s, expected %s"
-                            % (a, b, jdir + 1, s, t, got, want))
-    return LambdaModuleReport(not failures, failures, degenerate)
+                            % (a, b, jdir + 1, s, t, got[s][t], want))
+    return CheckReport(not failures, failures, degenerate)
 
 
 def line_bundle_cech_dims(cover: Cover, window: TruncationWindow | None = None
@@ -703,12 +664,12 @@ def line_bundle_cech_dims(cover: Cover, window: TruncationWindow | None = None
     artifacts: every missing monomial is a genuine cohomology class.
     """
     window = window or TruncationWindow()
-    if cover.bundle_rank != 1:
-        raise StructureError("dimension counts are built for line bundles")
     slack = 0
     for ov in cover.overlaps.values():
         if ov.bundle is None:
-            raise StructureError("cover has no bundle data")
+            raise InputError("cover has no bundle data")
+        if len(ov.bundle) != 1:
+            raise InputError("dimension counts are built for line bundles")
         g = ov.bundle[0][0]
         lo, hi = g.total_degree_range()
         slack = max(slack, abs(lo), abs(hi))

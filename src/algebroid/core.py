@@ -330,8 +330,7 @@ def make_lie_algebra_bundle(r: ChartRing, rank: int,
     return Algebroid(r, rank, [[0] * nder for _ in range(rank)], structure)
 
 
-def make_foliation(r: ChartRing, generators: Sequence[Sequence],
-                   degree_bound: int | None = None) -> Algebroid:
+def make_foliation(r: ChartRing, generators: Sequence[Sequence]) -> Algebroid:
     """Algebroid on free generators of an involutive family of vector fields.
 
     Each generator is a coefficient vector over the declared derivations.
@@ -352,8 +351,7 @@ def make_foliation(r: ChartRing, generators: Sequence[Sequence],
         for c in g:
             if not c.is_zero():
                 maxdeg = max(maxdeg, c.total_degree_range()[1])
-    if degree_bound is None:
-        degree_bound = 2 * maxdeg + 2
+    degree_bound = 2 * maxdeg + 2
 
     basis = [(k, mono) for k in range(m)
              for mono in _poly_monomials(r, degree_bound)]

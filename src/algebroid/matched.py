@@ -51,25 +51,14 @@ class MatchedVerification:
     witness: Optional[MatchedWitness] = None
 
 
-def _act12(m: MatchedPair, i: int, section2: Section) -> Section:
-    """action of e_i (l1 basis) on a section of l2."""
-    vec = m.action12.apply_basis(i, list(section2.coefficients))
-    return Section(m.l2, vec)
+def _act(action: Connection, module: Algebroid, i: int, section: Section) -> Section:
+    """action of e_i (action's algebroid) on a section of `module`."""
+    return Section(module, action.apply_basis(i, list(section.coefficients)))
 
 
-def _act21(m: MatchedPair, j: int, section1: Section) -> Section:
-    vec = m.action21.apply_basis(j, list(section1.coefficients))
-    return Section(m.l1, vec)
-
-
-def _act12_along(m: MatchedPair, direction1: Section, section2: Section) -> Section:
-    vec = m.action12.apply_section(direction1, list(section2.coefficients))
-    return Section(m.l2, vec)
-
-
-def _act21_along(m: MatchedPair, direction2: Section, section1: Section) -> Section:
-    vec = m.action21.apply_section(direction2, list(section1.coefficients))
-    return Section(m.l1, vec)
+def _act_along(action: Connection, module: Algebroid, direction: Section,
+               section: Section) -> Section:
+    return Section(module, action.apply_section(direction, list(section.coefficients)))
 
 
 def verify_matched(m: MatchedPair) -> MatchedVerification:
@@ -81,51 +70,36 @@ def verify_matched(m: MatchedPair) -> MatchedVerification:
             raise StructureError("%s is not flat: curvature witness %s"
                                  % (name, rep.witness))
 
-    base = m.l1.base
-    n1, n2 = m.l1.rank, m.l2.rank
-
     # equation 1: [a1(u1), a2(u2)] = -a1(act21_{u2} u1) + a2(act12_{u1} u2)
-    nder = len(base.derivation_names)
-    for i in range(n1):
-        for j in range(n2):
-            lhs = vector_field_bracket(base, m.l1.anchor[i], m.l2.anchor[j])
-            t21 = m.l1.anchor_derivation(_act21(m, j, m.l1.basis_section(i)))
-            t12 = m.l2.anchor_derivation(_act12(m, i, m.l2.basis_section(j)))
-            residual = [lhs[d] + t21[d] - t12[d] for d in range(nder)]
+    for i in range(m.l1.rank):
+        for j in range(m.l2.rank):
+            lhs = vector_field_bracket(m.l1.base, m.l1.anchor[i], m.l2.anchor[j])
+            u1, u2 = m.l1.basis_section(i), m.l2.basis_section(j)
+            t21 = m.l1.anchor_derivation(_act(m.action21, m.l1, j, u1))
+            t12 = m.l2.anchor_derivation(_act(m.action12, m.l2, i, u2))
+            residual = [x + y - z for x, y, z in zip(lhs, t21, t12)]
             if any(not x.is_zero() for x in residual):
                 return MatchedVerification(False, MatchedWitness(
                     1, (i, j), tuple(residual)))
 
     # equation 2: act12_{u1} {u2, v2} = {act12_{u1} u2, v2} + {u2, act12_{u1} v2}
-    #             + act12_{act21_{v2} u1} u2 - act12_{act21_{u2} u1} v2
-    for i in range(n1):
-        for j, k in combinations(range(n2), 2):
-            u1 = m.l1.basis_section(i)
-            u2, v2 = m.l2.basis_section(j), m.l2.basis_section(k)
-            lhs = _act12_along(m, u1, m.l2.bracket(u2, v2))
-            rhs = (m.l2.bracket(_act12(m, i, u2), v2)
-                   + m.l2.bracket(u2, _act12(m, i, v2))
-                   + _act12_along(m, _act21(m, k, u1), u2)
-                   - _act12_along(m, _act21(m, j, u1), v2))
-            residual = lhs - rhs
-            if not residual.is_zero():
-                return MatchedVerification(False, MatchedWitness(
-                    2, (i, j, k), residual))
-
-    # equation 3: the mirror statement
-    for j in range(n2):
-        for i, k in combinations(range(n1), 2):
-            u2 = m.l2.basis_section(j)
-            u1, v1 = m.l1.basis_section(i), m.l1.basis_section(k)
-            lhs = _act21_along(m, u2, m.l1.bracket(u1, v1))
-            rhs = (m.l1.bracket(_act21(m, j, u1), v1)
-                   + m.l1.bracket(u1, _act21(m, j, v1))
-                   + _act21_along(m, _act12(m, k, u2), u1)
-                   - _act21_along(m, _act12(m, i, u2), v1))
-            residual = lhs - rhs
-            if not residual.is_zero():
-                return MatchedVerification(False, MatchedWitness(
-                    3, (j, i, k), residual))
+    #             + act12_{act21_{v2} u1} u2 - act12_{act21_{u2} u1} v2;
+    # equation 3 is its mirror, with the factors exchanged
+    for eq, la, lb, act, back in ((2, m.l1, m.l2, m.action12, m.action21),
+                                  (3, m.l2, m.l1, m.action21, m.action12)):
+        for i in range(la.rank):
+            u = la.basis_section(i)
+            for j, k in combinations(range(lb.rank), 2):
+                v, w = lb.basis_section(j), lb.basis_section(k)
+                lhs = _act_along(act, lb, u, lb.bracket(v, w))
+                rhs = (lb.bracket(_act(act, lb, i, v), w)
+                       + lb.bracket(v, _act(act, lb, i, w))
+                       + _act_along(act, lb, _act(back, la, k, u), v)
+                       - _act_along(act, lb, _act(back, la, j, u), w))
+                residual = lhs - rhs
+                if not residual.is_zero():
+                    return MatchedVerification(False, MatchedWitness(
+                        eq, (i, j, k), residual))
 
     return MatchedVerification(True)
 
@@ -142,25 +116,20 @@ def twilled_sum(m: MatchedPair, check: bool = True) -> Algebroid:
     base = m.l1.base
     n1, n2 = m.l1.rank, m.l2.rank
     n = n1 + n2
-    nder = len(base.derivation_names)
     anchor = []
-    for i in range(n1):
-        anchor.append(list(m.l1.anchor[i]))
-    for j in range(n2):
-        anchor.append(list(m.l2.anchor[j]))
     structure: Dict[Tuple[int, int], List[RingElement]] = {}
-    for i, j in combinations(range(n1), 2):
-        comps = m.l1.structure_coefficients(i, j)
-        if any(not c.is_zero() for c in comps):
-            structure[(i, j)] = list(comps) + [base.zero] * n2
-    for i, j in combinations(range(n2), 2):
-        comps = m.l2.structure_coefficients(i, j)
-        if any(not c.is_zero() for c in comps):
-            structure[(n1 + i, n1 + j)] = [base.zero] * n1 + list(comps)
+    for alg, offset in ((m.l1, 0), (m.l2, n1)):
+        anchor.extend(list(row) for row in alg.anchor)
+        pad = n - offset - alg.rank
+        for i, j in combinations(range(alg.rank), 2):
+            comps = alg.structure_coefficients(i, j)
+            if any(not c.is_zero() for c in comps):
+                structure[(offset + i, offset + j)] = (
+                    [base.zero] * offset + list(comps) + [base.zero] * pad)
     for i in range(n1):
         for j in range(n2):
-            part2 = _act12(m, i, m.l2.basis_section(j))
-            part1 = _act21(m, j, m.l1.basis_section(i))
+            part2 = _act(m.action12, m.l2, i, m.l2.basis_section(j))
+            part1 = _act(m.action21, m.l1, j, m.l1.basis_section(i))
             comps = [-c for c in part1.coefficients] + list(part2.coefficients)
             if any(not c.is_zero() for c in comps):
                 structure[(i, n1 + j)] = comps

@@ -86,66 +86,33 @@ class Token:
     column: int
 
 
+# a caret glued to an identifier marks a dual basis element, unless it
+# introduces an integer power
 _TOKEN_RE = re.compile(r"""
     (?P<ws>\s+)
   | (?P<comment>\#[^\n]*)
-  | (?P<deriv>d/d[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<int>[0-9]+)
-  | (?P<arrow>->)
-  | (?P<sym>[(){}\[\],;=+\-*^/.])
-""", re.VERBOSE)
+  | (?P<DERIV>d/d[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<DUAL>[A-Za-z_][A-Za-z0-9_]*)\^(?![0-9-])
+  | (?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<INT>[0-9]+)
+  | (?P<SYM>->|[(){}\[\],;=+\-*^/.])
+  | (?P<ERROR>.)
+""", re.VERBOSE | re.DOTALL)
 
 
 def tokenize(text: str) -> List[Token]:
     tokens: List[Token] = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            tokens.append(Token("ERROR", text[pos], line, col))
-            pos += 1
-            col += 1
-            continue
+    line, line_start = 1, 0     # line_start: offset of the line's first character
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        chunk = m.group()
         if kind == "ws":
-            for ch in chunk:
-                if ch == "\n":
-                    line += 1
-                    col = 1
-                else:
-                    col += 1
-            pos = m.end()
-            continue
-        if kind == "comment":
-            pos = m.end()
-            col += len(chunk)
-            continue
-        if kind == "ident":
-            # a caret glued to an identifier marks a dual basis element,
-            # unless it introduces an integer power
-            end = m.end()
-            if end < len(text) and text[end] == "^":
-                nxt = text[end + 1: end + 2]
-                if not (nxt.isdigit() or nxt == "-"):
-                    tokens.append(Token("DUAL", chunk, line, col))
-                    col += len(chunk) + 1
-                    pos = end + 1
-                    continue
-            tokens.append(Token("IDENT", chunk, line, col))
-        elif kind == "deriv":
-            tokens.append(Token("DERIV", chunk, line, col))
-        elif kind == "int":
-            tokens.append(Token("INT", chunk, line, col))
-        elif kind == "arrow":
-            tokens.append(Token("SYM", "->", line, col))
-        else:
-            tokens.append(Token("SYM", chunk, line, col))
-        col += len(chunk)
-        pos = m.end()
-    tokens.append(Token("EOF", "", line, col))
+            newlines = m.group().count("\n")
+            if newlines:
+                line += newlines
+                line_start = text.rindex("\n", 0, m.end()) + 1
+        elif kind != "comment":
+            tokens.append(Token(kind, m.group(kind), line, m.start() - line_start + 1))
+    tokens.append(Token("EOF", "", line, len(text) - line_start + 1))
     return tokens
 
 
@@ -457,6 +424,8 @@ class Parser:
             key = self.expect("IDENT")
             if key.text not in ("l1", "l2", "action12", "action21"):
                 raise ParseError("unknown matched-pair clause %r" % key.text, key)
+            if key.text in pieces:
+                raise ParseError("%s is given twice" % key.text, key)
             kind = "algebroid" if key.text in ("l1", "l2") else "connection"
             pieces[key.text] = self.ref(kind)
             self.expect("SYM", ";")

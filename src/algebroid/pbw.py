@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .core import Algebroid, AlgebroidMorphism, Section, StructureError
 from .forms import LForm
@@ -246,6 +246,21 @@ def sum_elements(system: RelationSystem,
             raise StructureError("elements belong to different systems")
         _add_into(out, p.terms)
     return PbwElement(system, out)
+
+
+def map_generators(p: PbwElement, source: RelationSystem,
+                   target: RelationSystem,
+                   image: Callable[[int], PbwElement]) -> PbwElement:
+    """p under the algebra map that fixes coefficients and sends e_i to image(i)."""
+    if p.system is not source:
+        raise StructureError("element is not in the source system")
+    parts = []
+    for word, coeff in p.terms.items():
+        acc = target.scalar(coeff)
+        for i in word:
+            acc = acc * image(i)
+        parts.append(acc)
+    return sum_elements(target, parts)
 
 
 def _word_string(word: Word, names: Sequence[str]) -> str:
@@ -597,15 +612,8 @@ class PbwMap:
                                      pullback_form(morphism, target.twist))
 
     def __call__(self, p: PbwElement) -> PbwElement:
-        if p.system is not self.source:
-            raise StructureError("element is not in the source system")
-        parts = []
-        for word, coeff in p.terms.items():
-            acc = self.target.scalar(coeff)
-            for i in word:
-                acc = acc * self.target.of_section(self.morphism.images[i])
-            parts.append(acc)
-        return sum_elements(self.target, parts)
+        return map_generators(p, self.source, self.target,
+                              lambda i: self.target.of_section(self.morphism.images[i]))
 
     def image_of_raw(self, items: Sequence[Item]) -> PbwElement:
         acc = self.target.one()

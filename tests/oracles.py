@@ -28,9 +28,16 @@ column in `cech`.  `whole_slice_dims` and `whole_slice_primitive` solve
 each windowed cohomology and exactness question from a whole degree
 slice, the reference for the weight blocks of `forms`, and
 `rank_mod_prime` is a rank over a prime field that shares no code with
-the eliminator.
+the eliminator.  `char_walk_tokenize` is the tokenizer that walks every
+whitespace character, the reference for the one-pass `parser.tokenize`;
+`matched_equations_by_factor` spells the matched-pair equations 2 and 3
+out once per factor, the reference for the one mirrored loop of
+`matched.verify_matched`; and `lambda_overlap_failures` sums the overlap
+gauge of a Lambda-module entry by entry, the reference for the matrix
+products of `cech.verify_lambda_module`.
 """
 
+import re
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -1092,3 +1099,189 @@ def line_bundle_dims_by_overlaps(cover, window):
     h0 = system.ncols - system.rank()
     h1 = len(window_keys) - system.image_rank_inside(window_keys)
     return h0, h1
+
+
+# -- the character-walk tokenizer -------------------------------------------------
+
+_CHAR_WALK_RE = re.compile(r"""
+    (?P<ws>\s+)
+  | (?P<comment>\#[^\n]*)
+  | (?P<deriv>d/d[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<int>[0-9]+)
+  | (?P<arrow>->)
+  | (?P<sym>[(){}\[\],;=+\-*^/.])
+""", re.VERBOSE)
+
+
+def char_walk_tokenize(text):
+    """Tokens with line and column kept by walking every whitespace
+    character, and the dual caret found by looking past each identifier."""
+    from algebroid.parser import Token
+    tokens = []
+    line, col = 1, 1
+    pos = 0
+    while pos < len(text):
+        m = _CHAR_WALK_RE.match(text, pos)
+        if m is None:
+            tokens.append(Token("ERROR", text[pos], line, col))
+            pos += 1
+            col += 1
+            continue
+        kind = m.lastgroup
+        chunk = m.group()
+        if kind == "ws":
+            for ch in chunk:
+                if ch == "\n":
+                    line += 1
+                    col = 1
+                else:
+                    col += 1
+            pos = m.end()
+            continue
+        if kind == "comment":
+            pos = m.end()
+            col += len(chunk)
+            continue
+        if kind == "ident":
+            end = m.end()
+            if end < len(text) and text[end] == "^":
+                nxt = text[end + 1: end + 2]
+                if not (nxt.isdigit() or nxt == "-"):
+                    tokens.append(Token("DUAL", chunk, line, col))
+                    col += len(chunk) + 1
+                    pos = end + 1
+                    continue
+            tokens.append(Token("IDENT", chunk, line, col))
+        elif kind == "deriv":
+            tokens.append(Token("DERIV", chunk, line, col))
+        elif kind == "int":
+            tokens.append(Token("INT", chunk, line, col))
+        elif kind == "arrow":
+            tokens.append(Token("SYM", "->", line, col))
+        else:
+            tokens.append(Token("SYM", chunk, line, col))
+        col += len(chunk)
+        pos = m.end()
+    tokens.append(Token("EOF", "", line, col))
+    return tokens
+
+
+# -- matched-pair equations, one loop per equation -----------------------------------
+
+
+def matched_equations_by_factor(m):
+    """The three compatibility equations of `matched.verify_matched`, each
+    spelled out for its own factor: a MatchedVerification with the first
+    failing equation's number, indices (acting index first) and residual.
+    Flatness of the actions is not checked here."""
+    from algebroid.core import Section, vector_field_bracket
+    from algebroid.matched import MatchedVerification, MatchedWitness
+
+    def act12(i, section2):
+        return Section(m.l2, m.action12.apply_basis(i, list(section2.coefficients)))
+
+    def act21(j, section1):
+        return Section(m.l1, m.action21.apply_basis(j, list(section1.coefficients)))
+
+    def act12_along(direction1, section2):
+        return Section(m.l2, m.action12.apply_section(direction1,
+                                                      list(section2.coefficients)))
+
+    def act21_along(direction2, section1):
+        return Section(m.l1, m.action21.apply_section(direction2,
+                                                      list(section1.coefficients)))
+
+    base = m.l1.base
+    n1, n2 = m.l1.rank, m.l2.rank
+    nder = len(base.derivation_names)
+    for i in range(n1):
+        for j in range(n2):
+            lhs = vector_field_bracket(base, m.l1.anchor[i], m.l2.anchor[j])
+            t21 = m.l1.anchor_derivation(act21(j, m.l1.basis_section(i)))
+            t12 = m.l2.anchor_derivation(act12(i, m.l2.basis_section(j)))
+            residual = [lhs[d] + t21[d] - t12[d] for d in range(nder)]
+            if any(not x.is_zero() for x in residual):
+                return MatchedVerification(False, MatchedWitness(
+                    1, (i, j), tuple(residual)))
+    for i in range(n1):
+        for j, k in combinations(range(n2), 2):
+            u1 = m.l1.basis_section(i)
+            u2, v2 = m.l2.basis_section(j), m.l2.basis_section(k)
+            lhs = act12_along(u1, m.l2.bracket(u2, v2))
+            rhs = (m.l2.bracket(act12(i, u2), v2)
+                   + m.l2.bracket(u2, act12(i, v2))
+                   + act12_along(act21(k, u1), u2)
+                   - act12_along(act21(j, u1), v2))
+            residual = lhs - rhs
+            if not residual.is_zero():
+                return MatchedVerification(False, MatchedWitness(
+                    2, (i, j, k), residual))
+    for j in range(n2):
+        for i, k in combinations(range(n1), 2):
+            u2 = m.l2.basis_section(j)
+            u1, v1 = m.l1.basis_section(i), m.l1.basis_section(k)
+            lhs = act21_along(u2, m.l1.bracket(u1, v1))
+            rhs = (m.l1.bracket(act21(j, u1), v1)
+                   + m.l1.bracket(u1, act21(j, v1))
+                   + act21_along(act12(k, u2), u1)
+                   - act21_along(act12(i, u2), v1))
+            residual = lhs - rhs
+            if not residual.is_zero():
+                return MatchedVerification(False, MatchedWitness(
+                    3, (j, i, k), residual))
+    return MatchedVerification(True)
+
+
+# -- the overlap conditions of a Lambda-module, entry by entry ------------------------
+
+
+def lambda_overlap_failures(cover, pair, bunch):
+    """The overlap failures of `cech.verify_lambda_module`: on every
+    overlap and reference direction, the connection difference
+    A_a - g (a(g^-1) + B g^-1) against phi * id, summed entry by entry."""
+    failures = []
+    r = bunch.rank
+    for (a, b), ov in sorted(cover.overlaps.items()):
+        frame = cover.frame_algebroid(a, b)
+        g = ov.bundle if ov.bundle is not None else tuple(
+            tuple(ov.ring.one if i == j else ov.ring.zero for j in range(r))
+            for i in range(r))
+        ginv = ov.bundle_inverse if ov.bundle_inverse is not None else g
+        conn_a = bunch.connections[a]
+        conn_b = bunch.connections[b]
+        phi = pair.phi[(a, b)]
+        for jdir in range(frame.rank):
+            a_mat = [[ov.map_a(conn_a.matrices[jdir][s][t])
+                      for t in range(r)] for s in range(r)]
+            b_dir = [[ov.ring.zero] * r for _ in range(r)]
+            for i in range(frame.rank):
+                coeff = ov.transition_inverse[i][jdir]
+                if coeff.is_zero():
+                    continue
+                for s in range(r):
+                    for t in range(r):
+                        b_dir[s][t] = b_dir[s][t] + coeff * ov.map_b(
+                            conn_b.matrices[i][s][t])
+            direction = frame.basis_section(jdir)
+            gauged = [[ov.ring.zero] * r for _ in range(r)]
+            for s in range(r):
+                for t in range(r):
+                    val = ov.ring.zero
+                    for u in range(r):
+                        val = val + g[s][u] * frame.anchor_apply(
+                            direction, ginv[u][t])
+                        for w in range(r):
+                            val = val + g[s][u] * b_dir[u][w] * ginv[w][t]
+                    gauged[s][t] = val
+            phival = phi.component((jdir,))
+            for s in range(r):
+                for t in range(r):
+                    want = phival if s == t else ov.ring.zero
+                    got = a_mat[s][t] - gauged[s][t]
+                    if got != want:
+                        failures.append(
+                            "overlap (%d,%d): connection difference in "
+                            "direction %d entry (%d,%d) is %s, expected %s"
+                            % (a, b, jdir + 1, s, t, got, want))
+    return failures

@@ -1,3 +1,4 @@
+import pathlib
 import random
 from fractions import Fraction
 
@@ -17,7 +18,8 @@ from algebroid.linalg import SparseSystem
 from algebroid.pbw import normal_form
 from algebroid.rings import RingMap, laurent_ring, poly_ring
 
-from oracles import (coboundary_system, integrate_univariate,
+from algebroid.parser import parse
+from oracles import (coboundary_system, integrate_univariate, lambda_overlap_failures,
                      line_bundle_dims_by_overlaps, p1_line_bundle_dims_by_counting)
 
 
@@ -425,3 +427,47 @@ def test_cech_dims_match_overlap_oracle():
                        TruncationWindow(3, 12)):
             assert (line_bundle_cech_dims(cover, window)
                     == line_bundle_dims_by_overlaps(cover, window))
+
+
+def perturbed_bunch(cover, bunch, rng):
+    """The bunch with one connection entry per chart moved by a small
+    monomial of the chart ring."""
+    conns = []
+    for a, conn in enumerate(bunch.connections):
+        ring = cover.chart_ring(a)
+        mats = [[list(row) for row in mat] for mat in conn.matrices]
+        i, s, t = (rng.randrange(len(mats)), rng.randrange(bunch.rank),
+                   rng.randrange(bunch.rank))
+        mats[i][s][t] = mats[i][s][t] + ring.monomial(
+            (rng.randint(0, 2),), rng.choice((-2, -1, 1)))
+        conns.append(Connection(conn.algebroid, bunch.rank, mats))
+    return LocalConnectionBunch(cover, bunch.rank, conns)
+
+
+def test_lambda_overlap_matches_entry_oracle():
+    """The overlap gauge built from matrix products gives the failure
+    strings of the entry-by-entry loop, on the p1 and p1log bunches and
+    on rank-2 bunches over bundle-free covers, each perturbed at random."""
+    data = pathlib.Path(__file__).parent / "data"
+    rng = random.Random(1411)
+    cases = []
+    for name, pair_name, bunch_name in (("p1.adf", "A", "triv"),
+                                        ("p1log.adf", "Z", "logconn")):
+        defs = parse((data / name).read_text())
+        cases.append((defs.objects["P"], defs.objects[pair_name],
+                      defs.objects[bunch_name]))
+    for kind in ("tangent", "log"):
+        cover = make_p1_cover(kind)
+        cases.append((cover, zero_pair(cover), LocalConnectionBunch(cover, 2, [
+            Connection(cover.chart_algebroid(a), 2, [[[0, 0], [0, 0]]])
+            for a in range(2)])))
+    failing = 0
+    for cover, pair, bunch in cases:
+        for trial in range(8):
+            if trial:
+                bunch = perturbed_bunch(cover, bunch, rng)
+            got = [f for f in verify_lambda_module(cover, pair, bunch).failures
+                   if f.startswith("overlap")]
+            assert got == lambda_overlap_failures(cover, pair, bunch)
+            failing += bool(got)
+    assert failing > 20

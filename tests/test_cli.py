@@ -336,3 +336,22 @@ def test_bad_cover_triple_is_diagnostic(tmp_path, body, message):
     path = tmp_path / "triple.adf"
     path.write_text(COVER_HEAD + body + "  triple 0 1 2;\n}\nring S = poly(Q; y);\n")
     assert invoke(["verify", str(path), "S"]) == (2, message + "\n")
+
+
+@pytest.mark.parametrize("file,name,message", [
+    ("p1rank2.adf", "C", "dimension counts are built for line bundles"),
+    ("{tmp}", "P", "cover has no bundle data"),
+], ids=["rank-2-bundle", "no-bundle"])
+@pytest.mark.parametrize("as_json", [False, True])
+def test_cech_dims_needs_a_line_bundle(tmp_path, file, name, message, as_json):
+    # the dimension count is built for line bundles only: any other cover is
+    # a question the input does not admit, not a refutation
+    path = tmp_path / "nobundle.adf"
+    path.write_text("cover P = p1(tangent);\n")
+    file = str(path) if file == "{tmp}" else file
+    code, text = invoke(["cech-dims", file, name] + (["--json"] if as_json else []))
+    assert code == 2
+    if as_json:
+        assert json.loads(text) == {"error": message, "exit": 2}
+    else:
+        assert text == "error: %s\n" % message

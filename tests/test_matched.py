@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from algebroid.connections import Connection
+from algebroid.connections import Connection, is_flat
 from algebroid.core import (Algebroid, StructureError, make_lie_algebra_bundle,
                             make_tangent, make_trivial_bundle)
 from algebroid.forms import TruncationWindow, covariant_d, truncated_cohomology
@@ -14,7 +14,7 @@ from algebroid.matched import (DoubleComplexSlice, MatchedPair, twilled_sum,
 from algebroid.rings import ChartRing, poly_ring
 
 from oracles import (ce_cohomology_dims, commutation_witness, flatten_columns, gather_d1,
-                     gather_d2, total_dims_by_bidegree)
+                     gather_d2, matched_equations_by_factor, total_dims_by_bidegree)
 
 HEISENBERG = {(0, 1): {2: 1}}
 
@@ -322,3 +322,52 @@ def test_integer_commutation_check_matches_oracles(window):
                 image = gather(m, len(i1), len(i2), {(i1, i2): m.l1.base.monomial(mono)})
                 assert [col] == flatten_columns([image], lambda label, mm: (label, mm))
     assert witnesses[:-1] == [None] * 6 and witnesses[-1] is not None
+
+
+def heisenberg_line_pair(rng):
+    """The Heisenberg algebra h ([e1, e2] = e3) and a line a, with random
+    integer actions: a acts on h by any 3x3 matrix, h on a by (c1, c2, 0),
+    so both actions are flat and equation 3 holds only by chance."""
+    base = kunneth_pair()
+    h, a = base.l1, base.l2
+    on_a = Connection(h, 1, [[[rng.randint(-1, 1)]], [[rng.randint(-1, 1)]], [[0]]])
+    on_h = Connection(a, 3, [[[rng.randint(-1, 1) for _ in range(3)]
+                              for _ in range(3)]])
+    return MatchedPair(h, a, on_a, on_h)
+
+
+def perturbed_sheared_pair(rng):
+    """The sheared pair with one action entry moved by a small polynomial."""
+    m = sheared_tangent_pair()
+    r = m.l1.base
+    which = rng.randrange(2)
+    action = (m.action12, m.action21)[which]
+    mats = [[list(row) for row in mat] for mat in action.matrices]
+    i, s, t = rng.randrange(2), rng.randrange(2), rng.randrange(2)
+    mats[i][s][t] = mats[i][s][t] + r.monomial(
+        tuple(rng.randint(0, 1) for _ in r.variables), rng.choice((-1, 1)))
+    moved = Connection(action.algebroid, 2, mats)
+    if which == 0:
+        return MatchedPair(m.l1, m.l2, moved, m.action21)
+    return MatchedPair(m.l1, m.l2, m.action12, moved)
+
+
+def test_verify_matched_matches_per_factor_oracle():
+    """One loop over both mirrored equations gives the verdict, equation
+    number, indices and residual of the loops spelled out per factor."""
+    rng = random.Random(1403)
+    pairs = matched_pairs() + [broken_sheared_pair()]
+    for _ in range(12):
+        m = heisenberg_line_pair(rng)
+        pairs += [m, MatchedPair(m.l2, m.l1, m.action21, m.action12)]
+    pairs += [perturbed_sheared_pair(rng) for _ in range(12)]
+    equations = set()
+    for m in pairs:
+        if not (is_flat(m.action12).flat and is_flat(m.action21).flat):
+            with pytest.raises(StructureError, match="not flat"):
+                verify_matched(m)
+            continue
+        got, want = verify_matched(m), matched_equations_by_factor(m)
+        assert got == want
+        equations.add(got.witness.equation if got.witness else None)
+    assert equations == {None, 1, 2, 3}

@@ -1,9 +1,13 @@
+import pathlib
+import random
 from fractions import Fraction
 
 import pytest
 
-from algebroid.parser import Diagnostic, parse, parse_word, render
+from algebroid.parser import Diagnostic, parse, parse_word, render, tokenize
 from algebroid.forms import LForm
+
+from oracles import char_walk_tokenize
 
 PLANE = """
 ring R = poly(Q; x, y);
@@ -357,3 +361,32 @@ def test_repeated_overlap_side_clause_diagnostic(old, new, line, column, clause)
 def test_repeated_overlap_clause_diagnostic(old, new, line, column, clause):
     diag = first_error(EXPLICIT_COVER.replace(old, new))
     assert diag == Diagnostic("error", line, column, "%s is given twice" % clause)
+
+
+@pytest.mark.parametrize("old,new,column,clause", [
+    ("{ l1 L1;", "{ l1 L2; l1 L1;", 20, "l1"),
+    ("act21; }", "act21; l2 L1; }", 59, "l2"),
+    ("act21; }", "act21; action12 act12; }", 59, "action12"),
+    ("act21; }", "act21; action21 act21; }", 59, "action21"),
+], ids=["l1", "l2", "action12", "action21"])
+def test_repeated_matched_clause_diagnostic(old, new, column, clause):
+    text = (pathlib.Path(__file__).parent / "data" / "matched.adf").read_text()
+    diag = first_error(text.replace(old, new))
+    assert diag == Diagnostic("error", 22, column, "%s is given twice" % clause)
+
+
+def test_tokenize_matches_char_walk_oracle():
+    """The one-pass tokenizer gives the character walk's tokens, positions
+    included, on every data file and on seeded random strings built from
+    the language's pieces, whitespace and a few stray characters."""
+    pieces = ["d/d", "d", "x", "e1", "_", "^", "-", ">", "->", "0", "27", "/",
+              "*", "+", "(", ")", "{", "}", "[", "]", ",", ";", "=", ".", "# c",
+              " ", "  ", "\n", "\t", "\r", "\u00a0", "@", "\u00e9", "!"]
+    data = pathlib.Path(__file__).parent / "data"
+    texts = [path.read_text() for path in sorted(data.glob("*.adf"))]
+    texts += [EXPLICIT_COVER, "", "x^", "x^^", "e1^-1", "e1^ ^ e2^"]
+    rng = random.Random(1405)
+    texts += ["".join(rng.choice(pieces) for _ in range(rng.randint(0, 30)))
+              for _ in range(5000)]
+    for text in texts:
+        assert tokenize(text) == char_walk_tokenize(text), text
