@@ -572,6 +572,10 @@ class LocalConnectionBunch:
                 raise StructureError("connection %d is not on its chart" % a)
             if conn.rank != rank:
                 raise StructureError("connection %d has the wrong rank" % a)
+        for (a, b), ov in sorted(cover.overlaps.items()):
+            if ov.bundle is not None and len(ov.bundle) != rank:
+                raise InputError("overlap (%d,%d) has a rank-%d bundle, the "
+                                 "bunch has rank %d" % (a, b, len(ov.bundle), rank))
         self.cover = cover
         self.rank = rank
         self.connections = list(connections)

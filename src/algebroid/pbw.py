@@ -16,18 +16,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from operator import add
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .core import Algebroid, AlgebroidMorphism, Section, StructureError
 from .forms import LForm
-from .rings import Coefficient, Exponents, RingElement, mul_terms
+from .rings import Coefficient, Exponents, RingElement, _clean
 
 # a word is a tuple of generator indices (>= 0) and coefficient codes (< 0,
 # see RelationSystem._code); normal-form words are ascending generator words
 Word = Tuple[int, ...]
 Item = Union[int, RingElement]
-# normal-form terms: ascending word -> {exponents: int or Fraction}
-Terms = Dict[Word, Dict[Exponents, Coefficient]]
+# normal-form terms, flat: (ascending word, exponents) -> int or Fraction
+Terms = Dict[Tuple[Word, Exponents], Coefficient]
 
 # a system's normal-form memo is emptied when a reduction starts with more
 # entries than this, so a long-lived system does not grow without bound;
@@ -177,6 +178,15 @@ class PbwElement:
             if not coeff.is_zero():
                 clean[word] = coeff
         self.terms = clean
+
+    @classmethod
+    def _trusted(cls, system: RelationSystem,
+                 terms: Dict[Word, RingElement]) -> "PbwElement":
+        """An element from terms whose words are known to be ascending and
+        whose coefficients are nonzero (a reduction's result)."""
+        self = object.__new__(cls)
+        self.system, self.terms = system, terms
+        return self
 
     def _check(self, other: "PbwElement"):
         if other.system is not self.system:
@@ -330,19 +340,23 @@ def _reduce(system: RelationSystem, root: Word) -> Terms:
             if word in memo:
                 continue
             if word and word[0] < 0:
-                fold = system._coefficients[~word[0]].terms
+                fold = system._coefficients[~word[0]].terms.items()
                 edges = [(1, word[1:])]
             else:
                 t = _leftmost_redex(word)
                 if t is None:
-                    memo[word] = {word: {zero: 1}}
+                    memo[word] = {(word, zero): 1}
                     continue
                 edges = system._rewrite(word, t)
             stack.append((word, fold, edges))
             stack.extend((w, None, None) for _, w in edges if w not in memo)
         elif fold is not None:
-            memo[word] = {w: mul_terms(fold, coeffs)
-                          for w, coeffs in memo[edges[0][1]].items()}
+            out: Terms = {}
+            for (w, e), v in memo[edges[0][1]].items():
+                for f, c in fold:
+                    key = (w, tuple(map(add, f, e)))
+                    out[key] = out.get(key, 0) + c * v
+            memo[word] = _clean(out)
         else:
             memo[word] = _edge_sum(memo, edges)
     return memo[root]
@@ -352,34 +366,31 @@ def _edge_sum(memo: Dict[Word, Terms],
               edges: List[Tuple[Coefficient, Word]]) -> Terms:
     """The sum of c * NF(r) over the edges (c, r), without zero values.
     It may be the memo's own dict and must not be changed."""
-    if len(edges) == 1 and edges[0][0] == 1:
-        return memo[edges[0][1]]
-    out: Terms = {}
-    for c, r in edges:
-        for w, coeffs in memo[r].items():
-            acc = out.get(w)
-            if acc is None:
-                out[w] = acc = {}
-            for e, v in coeffs.items():
-                if c != 1:
-                    v = c * v
-                cur = acc.get(e)
-                acc[e] = v if cur is None else cur + v
-    clean: Terms = {}
-    for w, acc in out.items():
-        acc = {e: v for e, v in acc.items() if v}
-        if acc:
-            clean[w] = acc
-    return clean
+    c, r = edges[0]
+    if len(edges) == 1:
+        # c and every memo value are nonzero, so no product is zero
+        return memo[r] if c == 1 else {k: c * v for k, v in memo[r].items()}
+    out = dict(memo[r]) if c == 1 else {k: c * v for k, v in memo[r].items()}
+    get = out.get
+    for c, r in edges[1:]:
+        terms = memo[r].items()
+        if c != 1:
+            terms = [(k, c * v) for k, v in terms]
+        for k, v in terms:
+            cur = get(k)
+            out[k] = v if cur is None else cur + v
+    return {k: v for k, v in out.items() if v}
 
 
 def _element(system: RelationSystem, terms: Terms,
              scale: Coefficient = 1) -> PbwElement:
-    """scale * terms as an element."""
+    """scale * terms as an element, one coefficient per word."""
+    by_word: Dict[Word, Dict[Exponents, Coefficient]] = {}
+    for (w, e), v in terms.items():
+        by_word.setdefault(w, {})[e] = scale * v
     ring = system.ring
-    return PbwElement(system, {
-        w: RingElement._trusted(ring, {e: scale * v for e, v in coeffs.items()})
-        for w, coeffs in terms.items()})
+    return PbwElement._trusted(system, {
+        w: RingElement._trusted(ring, coeffs) for w, coeffs in by_word.items()})
 
 
 def normal_form(items: Iterable[Item], system: RelationSystem) -> PbwElement:
@@ -399,11 +410,13 @@ def normal_form(items: Iterable[Item], system: RelationSystem) -> PbwElement:
     carries it as its edge's number.
     The terms of every intermediate word are memoised on the system, so
     shared subwords are reduced once (e2^n e1^n is polynomial in n).
+    Each memo value is one flat dict {(ascending word, exponents):
+    coefficient}; the result is grouped by word only on the way out.
     """
     system._bound_memo()
     scale, word = system._encode(items)
     if not scale:
-        return PbwElement(system, {})
+        return PbwElement._trusted(system, {})
     return _element(system, _reduce(system, word), scale)
 
 

@@ -248,6 +248,24 @@ def test_invalid_literal_is_positioned_usage_error(tmp_path, text, message, as_j
         assert out.splitlines()[0] == message
 
 
+@pytest.mark.parametrize("as_json", [False, True])
+def test_bunch_rank_must_match_overlap_bundles(tmp_path, as_json):
+    # a rank-2 bunch over a line-bundle cover indexed past the bundle
+    # matrix and printed an IndexError traceback from lambda-check
+    path = tmp_path / "bunch.adf"
+    path.write_text("cover P = p1(tangent, bundle=1);\ncocycle A = atiyah(P);\n"
+                    "bunch two on P rank 2 {\n  connection 0 { }\n"
+                    "  connection 1 { }\n}\n")
+    code, out = invoke(["lambda-check", str(path), "P", "A", "two"]
+                       + (["--json"] if as_json else []))
+    message = "error:6:1: overlap (0,1) has a rank-1 bundle, the bunch has rank 2"
+    assert code == 2
+    if as_json:
+        assert json.loads(out) == {"diagnostics": [message], "exit": 2}
+    else:
+        assert out == message + "\n"
+
+
 SO3_AND_TANGENT = """ring R3 = poly(Q; x, y, z);
 algebroid S over R3 {
   basis e1, e2, e3;

@@ -15,9 +15,11 @@ from algebroid.pbw import (AbelianExtension, PbwElement, RelationSystem,
                            confluence_check, extension_from_cocycle, gr_symbol,
                            normal_form, pushforward_algebra_map,
                            pullback_form)
+from algebroid.parser import parse_word
 from algebroid.rings import ChartRing, laurent_ring, poly_ring
 
-from oracles import naive_confluence_check, naive_normal_form, rewrite_at
+from oracles import (is_normal_coefficient, naive_confluence_check,
+                     naive_normal_form, rewrite_at)
 
 HEISENBERG = {(0, 1): {2: 1}}
 BAD_RANK3 = {(0, 1): {2: 1}, (0, 2): {0: 1}, (1, 2): {1: 1}}
@@ -239,15 +241,44 @@ def laurent_twist_system():
                                            + 3 * r.var("y")}))
 
 
-def test_memoised_normal_form_matches_naive_randomized():
-    rng = random.Random(53)
+def broken_systems():
+    """A Lie algebra bundle that breaks Jacobi, and the R^3 tangent
+    algebroid with an unclosed twist."""
     r3 = poly_ring("x", "y", "z")
     t3 = make_tangent(r3)
-    broken = [RelationSystem(make_lie_algebra_bundle(poly_ring("x"), 3,
-                                                     BAD_RANK3)),
-              RelationSystem(t3, LForm(t3, 2, {(1, 2): r3.var("x")}))]
+    return [RelationSystem(make_lie_algebra_bundle(poly_ring("x"), 3,
+                                                   BAD_RANK3)),
+            RelationSystem(t3, LForm(t3, 2, {(1, 2): r3.var("x")}))]
+
+
+def fractional_twist_systems():
+    """The plane with the constant twist c = 3/2, and with a non-constant
+    twist whose coefficients are fractions."""
+    r = poly_ring("x", "y")
+    t = make_tangent(r)
+    return [build_relations(t, LForm(t, 2, {(0, 1): r.const(Fraction(3, 2))})),
+            build_relations(t, LForm(t, 2, {(0, 1): Fraction(2, 3) * r.var("x")
+                                            + Fraction(3, 2)}))]
+
+
+def assert_reduced(p):
+    """Every word of p is an ascending generator word and every
+    coefficient a nonzero element of the system's ring whose coefficients
+    are in normal form: what the unchecked element constructor assumes."""
+    rank, ring = p.system.algebroid.rank, p.system.ring
+    for word, coeff in p.terms.items():
+        assert all(0 <= i < rank for i in word)
+        assert list(word) == sorted(word)
+        assert coeff.ring is ring and coeff.terms
+        assert all(is_normal_coefficient(c) for c in coeff.terms.values())
+
+
+def test_memoised_normal_form_matches_naive_randomized():
+    rng = random.Random(53)
+    broken = broken_systems()
     systems = [random_valid_system(rng) for _ in range(12)] + broken
     systems += structure_function_systems() + [laurent_twist_system()]
+    systems += fractional_twist_systems()
     for s in systems:
         r = s.ring
         x, top = r.var("x"), s.algebroid.rank - 1
@@ -259,10 +290,13 @@ def test_memoised_normal_form_matches_naive_randomized():
             words += [[top, x, 0, x ** -1, top],
                       [x ** -1, top, r.const(2), x, 0]]
         for items in words:
-            assert normal_form(items, s).terms == naive_normal_form(items, s).terms
+            got = normal_form(items, s)
+            assert_reduced(got)
+            assert got.terms == naive_normal_form(items, s).terms
         for _ in range(10):
             items = _random_items(rng, s, rng.randint(1, 8))
             got = normal_form(items, s)
+            assert_reduced(got)
             assert got.terms == naive_normal_form(items, s).terms
         before = naive_confluence_check(s)
         after = confluence_check(s)
@@ -270,6 +304,8 @@ def test_memoised_normal_form_matches_naive_randomized():
             assert after is None
         else:
             word, left, right = before
+            assert_reduced(after.normal_form_left)
+            assert_reduced(after.normal_form_right)
             assert after.word == word
             assert after.normal_form_left.terms == left.terms
             assert after.normal_form_right.terms == right.terms
@@ -277,6 +313,48 @@ def test_memoised_normal_form_matches_naive_randomized():
     assert all(confluence_check(s) is not None for s in broken)
     assert confluence_check(structure_function_systems()[0]) is None
     assert confluence_check(laurent_twist_system()) is None
+
+
+def _random_word_text(rng, system, factors):
+    """A product of generator powers and scalar factors as text, with its
+    items flattened: e.g. e3^2*x*e1*(3/2)*e2."""
+    r = system.ring
+    x = r.var("x")
+    scalars = [("x", x), ("(3/2)", Fraction(3, 2)), ("(-2)", r.const(-2)),
+               ("(1 - x)", 1 - x), ("(x^2 - 1/3)", x ** 2 - Fraction(1, 3))]
+    if "x" in r.laurent:
+        scalars.append(("x^-1", x ** -1))
+    names = system.algebroid.basis_names
+    text, items = [], []
+    for _ in range(factors):
+        if rng.random() < 0.6:
+            i, k = rng.randrange(len(names)), rng.randint(1, 2)
+            text.append(names[i] if k == 1 else "%s^%d" % (names[i], k))
+            items += [i] * k
+        else:
+            name, value = rng.choice(scalars)
+            text.append(name)
+            items.append(value)
+    return "*".join(text), items
+
+
+def test_parsed_products_match_naive_randomized():
+    # a parsed word is a product of elements, so each factor after the
+    # first reaches the rewriter through PbwElement.__mul__
+    rng = random.Random(59)
+    systems = (broken_systems() + fractional_twist_systems()
+               + structure_function_systems() + [laurent_twist_system()])
+    for s in systems:
+        for _ in range(6):
+            text, items = _random_word_text(rng, s, rng.randint(2, 6))
+            got = parse_word(text, s)
+            assert_reduced(got)
+            assert got.terms == naive_normal_form(items, s).terms, text
+    s = broken_systems()[1]
+    x = s.ring.var("x")
+    got = parse_word("d/dz^2*x*d/dx*(3/2)*d/dy", s)
+    assert got.terms == naive_normal_form(
+        [2, 2, x, 0, Fraction(3, 2), 1], s).terms
 
 
 def test_memo_keys_hold_no_constant_coefficients():
