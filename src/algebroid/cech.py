@@ -20,13 +20,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .connections import (Connection, curvature, _mat_add, _mat_mul,
                           _mat_scale, _mat_sub)
 from .core import (Algebroid, AlgebroidMorphism, InputError, Section,
                    StructureError, make_log, make_tangent)
-from .forms import LForm, TruncationWindow, IndexTuple, compile_d, _ring_det
+from .forms import (LForm, TruncationWindow, IndexTuple, compile_d, pullback,
+                    _ring_det)
 from .linalg import SparseSystem
 from .pbw import PbwElement, RelationSystem, map_generators
 from .rings import (ChartRing, RingElement, RingMap, laurent_ring, mul_terms,
@@ -162,9 +163,11 @@ class Cover:
         """forms[a] and forms[b] on the overlap (a, b), in its reference frame."""
         ov = self.overlaps[(a, b)]
         pa, pb = self._pushed[(a, b)]
+        # pa's basis in pb's: e_j = sum_i S[i][j] f_i, S the inverse transition
+        frame = [Section(pb, [row[j] for row in ov.transition_inverse])
+                 for j in range(pa.rank)]
         return (push_form(forms[a], ov.map_a, pa),
-                change_frame(push_form(forms[b], ov.map_b, pb), pa,
-                             ov.transition_inverse))
+                pullback(push_form(forms[b], ov.map_b, pb), pa, frame))
 
     def verify(self) -> None:
         """Transitions identify the pushed structures; bundle transitions
@@ -205,21 +208,6 @@ class Cover:
                     raise StructureError(
                         "%s transitions break the cocycle rule on (%d,%d,%d)"
                         % (label, a, b, c))
-
-
-def change_frame(form: LForm, target: Algebroid,
-                 matrix_inv: Sequence[Sequence[RingElement]]) -> LForm:
-    """Rewrite a form on the second pushed frame in the reference frame:
-    given e_j = sum_i S[i][j] f_i with S the inverse transition."""
-    src = form.owner
-    coeffs = {}
-    for idx in combinations(range(target.rank), form.degree):
-        sections = [Section(src, [matrix_inv[i][j] for i in range(src.rank)])
-                    for j in idx]
-        val = form.evaluate(*sections)
-        if not val.is_zero():
-            coeffs[idx] = val
-    return LForm(target, form.degree, coeffs)
 
 
 def push_form(form: LForm, rmap: RingMap, target: Algebroid) -> LForm:
@@ -513,6 +501,20 @@ class GluingMap:
         return map_generators(p, self.source, self.target,
                               self.image_of_generator)
 
+    def broken_relations(self) -> List[Tuple[int, Union[int, str]]]:
+        """The source relations [u, v] = w that the rule does not carry
+        into the target, [g(u), g(v)] != g(w) there, as (u, v) pairs of a
+        generator index and a generator index or variable name."""
+        target, image = self.target, self.image_of_generator
+        broken = []
+        for i, right, rhs in self.source.relations():
+            u = image(i)
+            v = (target.scalar(target.ring.var(right))
+                 if isinstance(right, str) else image(right))
+            if not (u * v - v * u - self(rhs)).is_zero():
+                broken.append((i, right))
+        return broken
+
 
 def glue_sridharan(cover: Cover, pair: CechPair) -> GluingReport:
     """Build the overlap gluing maps and check they preserve relations on
@@ -523,32 +525,19 @@ def glue_sridharan(cover: Cover, pair: CechPair) -> GluingReport:
     for (a, b) in sorted(cover.overlaps):
         frame = cover.frame_algebroid(a, b)
         qa, qb = cover.restrict(a, b, pair.q)
-        source = RelationSystem(frame, qa)
-        target = RelationSystem(frame, qb)
-        gmap = GluingMap(source, target, pair.phi[(a, b)])
-        maps[(a, b)] = gmap
-        for i, j in combinations(range(frame.rank), 2):
-            gi, gj = gmap.image_of_generator(i), gmap.image_of_generator(j)
-            lhs = gj * gi - gi * gj
-            bracket = frame.structure_coefficients(j, i)
-            rhs = PbwElement(target, {(): qa.component((j, i))})
-            for k in range(frame.rank):
-                if not bracket[k].is_zero():
-                    rhs = rhs + gmap.image_of_generator(k).scale(bracket[k])
-            if not (lhs - rhs).is_zero():
+        gmap = maps[(a, b)] = GluingMap(RelationSystem(frame, qa),
+                                        RelationSystem(frame, qb),
+                                        pair.phi[(a, b)])
+        for i, right in gmap.broken_relations():
+            if isinstance(right, str):
+                failures.append(
+                    "overlap (%d,%d): coefficient relation broken at e%d,%s"
+                    % (a, b, i + 1, right))
+            else:
                 failures.append(
                     "overlap (%d,%d): commutator of images of e%d,e%d "
-                    "does not match the glued relation" % (a, b, j + 1, i + 1))
-        for i in range(frame.rank):
-            for v in frame.base.variables:
-                f = frame.base.var(v)
-                gi = gmap.image_of_generator(i)
-                lhs = gi * target.scalar(f) - target.scalar(f) * gi
-                anchored = frame.anchor_apply(frame.basis_section(i), f)
-                if not (lhs - target.scalar(anchored)).is_zero():
-                    failures.append(
-                        "overlap (%d,%d): coefficient relation broken at e%d,%s"
-                        % (a, b, i + 1, v))
+                    "does not match the glued relation"
+                    % (a, b, i + 1, right + 1))
     for (a, b, c) in cover.triples:
         mab, mbc, mac = maps[(a, b)], maps[(b, c)], maps[(a, c)]
         frame = cover.frame_algebroid(a, b)

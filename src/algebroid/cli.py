@@ -24,10 +24,10 @@ from .connections import (chern_trace_form, curvature, is_flat,
 from .core import InputError, StructureError, verify_axioms
 from .forms import (LForm, TruncationWindow, exactness_solve,
                     truncated_cohomology)
-from .matched import (MatchedPair, total_cohomology_compare, twilled_sum,
-                      verify_matched)
+from .matched import total_cohomology_compare, twilled_sum, verify_matched
 from .pbw import build_relations, confluence_check
-from .parser import Definitions, ParseError, parse, parse_word, render_form
+from .parser import (Definitions, ParseError, parse, parse_word, render_form,
+                     render_matrix)
 from .rings import RingError
 
 EXIT_OK = 0
@@ -70,6 +70,26 @@ class Output:
         self.line("error: " + text)
         self.set("error", text)
 
+    def verdict(self, verified: bool, *lines: str) -> int:
+        """The verdict's lines and "verified" key; exit 0 or 1."""
+        for text in lines:
+            self.line(text)
+        self.set("verified", verified)
+        return self.emit(EXIT_OK if verified else EXIT_REFUTED)
+
+    def report(self, notes: list | None, failures: list, success: str,
+               prefix: str) -> int:
+        """A check's degenerate notes (None for a check that has none to
+        give), then its success line or its failures, one line each."""
+        if notes is not None:
+            for note in notes:
+                self.line("degenerate: %s" % note)
+            self.set("degenerate", notes)
+        if failures:
+            self.set("failures", failures)
+        return self.verdict(not failures,
+                            *([prefix + f for f in failures] or [success]))
+
     def emit(self, code: int) -> int:
         if self.as_json:
             self.payload["exit"] = code
@@ -88,9 +108,7 @@ def parse_window(spec: str | None) -> TruncationWindow:
     parts = spec.split(",")
     if len(parts) > 2:
         raise ValueError("window %r has more than two parts" % spec)
-    degree = int(parts[0])
-    laurent = int(parts[1]) if len(parts) > 1 else 12
-    return TruncationWindow(degree, laurent)
+    return TruncationWindow(*map(int, parts))
 
 
 def parse_degrees(spec: str) -> list:
@@ -146,60 +164,35 @@ def cmd_verify(args, defs: Definitions, out: Output, window) -> int:
         v = verify_axioms(obj)
         out.set("kind", "algebroid")
         if v.verified:
-            out.line("verified: %s satisfies the Lie algebroid axioms" % name)
-            out.set("verified", True)
-            return out.emit(EXIT_OK)
-        out.line("refuted: %s" % v.witness.describe(obj))
-        out.set("verified", False)
+            return out.verdict(
+                True, "verified: %s satisfies the Lie algebroid axioms" % name)
         out.set("witness", v.witness.describe(obj))
-        return out.emit(EXIT_REFUTED)
+        return out.verdict(False, "refuted: %s" % v.witness.describe(obj))
     if kind == "matched":
-        return _matched_verdict(obj, out, name)
+        out.set("kind", "matched")
+        try:
+            v = verify_matched(obj)
+        except StructureError as err:
+            return out.verdict(False, "refuted: %s" % err)
+        if v.verified:
+            return out.verdict(True, "verified: %s is a matched pair" % name)
+        out.set("equation", v.witness.equation)
+        return out.verdict(False, "refuted: equation %d fails at indices %s"
+                           % (v.witness.equation,
+                              tuple(t + 1 for t in v.witness.indices)))
     if kind == "cocycle":
         rep = verify_cocycle(obj.cover, obj)
         out.set("kind", "cocycle")
-        for note in rep.degenerate:
-            out.line("degenerate: %s" % note)
-        out.set("degenerate", rep.degenerate)
-        if rep.verified:
-            out.line("verified: %s satisfies the cocycle equations" % name)
-            out.set("verified", True)
-            return out.emit(EXIT_OK)
-        for f in rep.failures:
-            out.line("refuted: %s" % f)
-        out.set("verified", False)
-        out.set("failures", rep.failures)
-        return out.emit(EXIT_REFUTED)
+        return out.report(rep.degenerate, rep.failures,
+                          "verified: %s satisfies the cocycle equations"
+                          % name, "refuted: ")
     if kind == "cover":
         try:
             obj.verify()
         except StructureError as err:
-            out.line("refuted: %s" % err)
-            out.set("verified", False)
-            return out.emit(EXIT_REFUTED)
-        out.line("verified: %s is a consistent cover" % name)
-        out.set("verified", True)
-        return out.emit(EXIT_OK)
+            return out.verdict(False, "refuted: %s" % err)
+        return out.verdict(True, "verified: %s is a consistent cover" % name)
     raise UsageError("cannot verify a %s" % kind)
-
-
-def _matched_verdict(pair: MatchedPair, out: Output, name: str) -> int:
-    out.set("kind", "matched")
-    try:
-        v = verify_matched(pair)
-    except StructureError as err:
-        out.line("refuted: %s" % err)
-        out.set("verified", False)
-        return out.emit(EXIT_REFUTED)
-    if v.verified:
-        out.line("verified: %s is a matched pair" % name)
-        out.set("verified", True)
-        return out.emit(EXIT_OK)
-    out.line("refuted: equation %d fails at indices %s"
-             % (v.witness.equation, tuple(t + 1 for t in v.witness.indices)))
-    out.set("verified", False)
-    out.set("equation", v.witness.equation)
-    return out.emit(EXIT_REFUTED)
 
 
 def cmd_cohomology(args, defs, out, window) -> int:
@@ -259,10 +252,7 @@ def cmd_curvature(args, defs, out, window) -> int:
     if not f.entries:
         out.line("curvature: 0")
     for (i, j), mat in sorted(f.entries.items()):
-        out.line("F(%s,%s) = %s"
-                 % (names[i], names[j],
-                    "[" + ", ".join("[" + ", ".join(str(x) for x in row) + "]"
-                                    for row in mat) + "]"))
+        out.line("F(%s,%s) = %s" % (names[i], names[j], render_matrix(mat)))
         payload["%d,%d" % (i + 1, j + 1)] = matrix_json(mat)
     out.set("curvature", payload)
     return out.emit(EXIT_OK)
@@ -314,8 +304,8 @@ def cmd_obstruction(args, defs, out, window) -> int:
 
 
 def cmd_matched(args, defs, out, window) -> int:
-    pair = need(defs, args.name, "matched")
-    return _matched_verdict(pair, out, args.name)
+    need(defs, args.name, "matched")
+    return cmd_verify(args, defs, out, window)
 
 
 def cmd_twilled(args, defs, out, window) -> int:
@@ -355,32 +345,16 @@ def cmd_compare_total(args, defs, out, window) -> int:
 def cmd_relations(args, defs, out, window) -> int:
     alg = need(defs, args.algebroid, "algebroid")
     twist = need(defs, args.form, "form") if args.form is not None else None
-    system = build_relations(alg, twist)
     names = alg.basis_names
     rules = []
-    for v in alg.base.variables:
-        for i in range(alg.rank):
-            action = alg.anchor_apply(alg.basis_section(i), alg.base.var(v))
-            rule = "%s*%s -> %s*%s%s" % (
-                names[i], v, v, names[i],
-                "" if action.is_zero() else " + (%s)" % action)
-            rules.append(rule)
-    for j in range(alg.rank):
-        for i in range(j):
-            struct = alg.structure_coefficients(j, i)
-            q = system.twist.component((j, i))
-            extra = []
-            for k, c in enumerate(struct):
-                if not c.is_zero():
-                    extra.append("(%s)*%s" % (c, names[k]))
-            if not q.is_zero():
-                extra.append("(%s)" % q)
-            rule = "%s*%s -> %s*%s%s" % (
-                names[j], names[i], names[i], names[j],
-                (" + " + " + ".join(extra)) if extra else "")
-            rules.append(rule)
-    for rule in rules:
-        out.line(rule)
+    for i, right, rhs in build_relations(alg, twist).relations():
+        left = names[i]
+        if not isinstance(right, str):
+            right = names[right]
+        tail = "".join(" + (%s)*%s" % (c, names[w[0]]) if w else " + (%s)" % c
+                       for w, c in rhs.terms.items())
+        rules.append("%s*%s -> %s*%s%s" % (left, right, right, left, tail))
+        out.line(rules[-1])
     out.set("rules", rules)
     return out.emit(EXIT_OK)
 
@@ -429,12 +403,10 @@ def cmd_atiyah(args, defs, out, window) -> int:
         raise UsageError(str(err)) from err
     for (a, b), form in sorted(pair.phi.items()):
         out.line("phi %d %d = %s" % (a, b, render_form(form)))
-    rep = verify_cocycle(cover, pair)
-    out.line("cocycle equations: %s"
-             % ("verified" if rep.verified else "failed"))
     out.set("phi", {"%d,%d" % k: form_json(v) for k, v in pair.phi.items()})
-    out.set("verified", rep.verified)
-    return out.emit(EXIT_OK if rep.verified else EXIT_REFUTED)
+    verified = verify_cocycle(cover, pair).verified
+    return out.verdict(verified, "cocycle equations: %s"
+                       % ("verified" if verified else "failed"))
 
 
 def cmd_class_compare(args, defs, out, window) -> int:
@@ -471,15 +443,8 @@ def cmd_glue(args, defs, out, window) -> int:
             out.line("g_%d%d(%s) = %s" % (a, b, names[i], img))
             gens["%d,%d:%s" % (a, b, names[i])] = str(img)
     out.set("generators", gens)
-    if rep.verified:
-        out.line("gluing: relations preserved")
-        out.set("verified", True)
-        return out.emit(EXIT_OK)
-    for f in rep.failures:
-        out.line("failure: %s" % f)
-    out.set("verified", False)
-    out.set("failures", rep.failures)
-    return out.emit(EXIT_REFUTED)
+    return out.report(None, rep.failures, "gluing: relations preserved",
+                      "failure: ")
 
 
 def cmd_lambda_check(args, defs, out, window) -> int:
@@ -487,18 +452,9 @@ def cmd_lambda_check(args, defs, out, window) -> int:
     pair = need(defs, args.pair, "cocycle")
     bunch = need(defs, args.bunch, "bunch")
     rep = verify_lambda_module(cover, pair, bunch)
-    for note in rep.degenerate:
-        out.line("degenerate: %s" % note)
-    out.set("degenerate", rep.degenerate)
-    if rep.verified:
-        out.line("verified: bunch is a module for the cocycle pair")
-        out.set("verified", True)
-        return out.emit(EXIT_OK)
-    for f in rep.failures:
-        out.line("failure: %s" % f)
-    out.set("verified", False)
-    out.set("failures", rep.failures)
-    return out.emit(EXIT_REFUTED)
+    return out.report(rep.degenerate, rep.failures,
+                      "verified: bunch is a module for the cocycle pair",
+                      "failure: ")
 
 
 def cmd_cech_dims(args, defs, out, window) -> int:

@@ -16,7 +16,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from .core import (Algebroid, AlgebroidMorphism, InputError, Section,
                    StructureError)
 from .forms import (ExactnessResult, IndexTuple, LForm, TruncationWindow,
-                    covariant_d, exactness_solve, sort_with_sign, _perm_sign)
+                    covariant_d, exactness_solve, sort_with_sign)
 from .rings import RingElement
 
 Matrix = Tuple[Tuple[RingElement, ...], ...]
@@ -248,7 +248,7 @@ def chern_trace_form(c: Connection, k: int = 1) -> LForm:
             for first in combinations(range(4), 2):
                 second = tuple(t for t in range(4) if t not in first)
                 perm = first + second
-                sign = _perm_sign(perm)
+                sign = sort_with_sign(perm)[1]
                 fa = f.entry(big[perm[0]], big[perm[1]])
                 fb = f.entry(big[perm[2]], big[perm[3]])
                 prod = _mat_mul(fa, fb, zero)

@@ -411,7 +411,7 @@ def _ring_det(ring: ChartRing, mat: Sequence[Sequence[RingElement]]) -> RingElem
     """Determinant of a square matrix over the ring (Leibniz expansion)."""
     total = ring.zero
     for perm in permutations(range(len(mat))):
-        sign = _perm_sign(perm)
+        sign = sort_with_sign(perm)[1]
         prod = ring.one
         for row, col in enumerate(perm):
             prod = prod * mat[row][col]
@@ -419,23 +419,6 @@ def _ring_det(ring: ChartRing, mat: Sequence[Sequence[RingElement]]) -> RingElem
                 break
         total = total + (prod if sign == 1 else -prod)
     return total
-
-
-def _perm_sign(perm: Sequence[int]) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j = i
-        length = 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
 
 
 def d_L(theta: LForm) -> LForm:
@@ -456,6 +439,16 @@ def function_form(l: Algebroid, f) -> LForm:
 
 def basis_covector(l: Algebroid, i: int) -> LForm:
     return LForm(l, 1, {(i,): l.base.one})
+
+
+def pullback(form: LForm, source: Algebroid,
+             images: Sequence[Section]) -> LForm:
+    """The form on `source` whose value on basis sections e_i, e_j, ...
+    is form's value on images[i], images[j], ... (sections of its
+    algebroid over the same ring)."""
+    return LForm(source, form.degree, {
+        idx: form.evaluate(*[images[t] for t in idx])
+        for idx in combinations(range(source.rank), form.degree)})
 
 
 # -- windowed slices ------------------------------------------------------------

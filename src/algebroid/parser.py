@@ -925,14 +925,14 @@ def render_form(form: LForm) -> str:
     return " + ".join(parts)
 
 
-def _render_matrix(rows) -> str:
+def render_matrix(rows) -> str:
     return "[" + ", ".join(
         "[" + ", ".join(str(x) for x in row) + "]" for row in rows) + "]"
 
 
 def _render_connection(conn: Connection) -> List[str]:
     """The `e -> [[...]];` entries of a connection body, zeros left out."""
-    return ["%s -> %s;" % (bname, _render_matrix(conn.matrices[i]))
+    return ["%s -> %s;" % (bname, render_matrix(conn.matrices[i]))
             for i, bname in enumerate(conn.algebroid.basis_names)
             if any(not x.is_zero() for row in conn.matrices[i] for x in row)]
 
@@ -1009,9 +1009,9 @@ def render(defs: Definitions) -> str:
                         lines.append("    derivations %d { %s; }"
                                      % (side, dentries))
                     lines.append("    transition %s;"
-                                 % _render_matrix(ov.transition))
+                                 % render_matrix(ov.transition))
                     if ov.bundle is not None:
-                        lines.append("    bundle %s;" % _render_matrix(ov.bundle))
+                        lines.append("    bundle %s;" % render_matrix(ov.bundle))
                     lines.append("  }")
                 for t in meta["triples"]:
                     lines.append("  triple %d %d %d;" % t)

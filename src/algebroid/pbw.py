@@ -19,8 +19,9 @@ from itertools import combinations
 from operator import add
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from .core import Algebroid, AlgebroidMorphism, Section, StructureError
-from .forms import LForm
+from .core import (Algebroid, AlgebroidMorphism, InputError, Section,
+                   StructureError)
+from .forms import LForm, pullback
 from .rings import Coefficient, Exponents, RingElement, _clean
 
 # a word is a tuple of generator indices (>= 0) and coefficient codes (< 0,
@@ -47,7 +48,7 @@ class RelationSystem:
         if twist is None:
             twist = LForm(algebroid, 2, {})
         if twist.owner is not algebroid or twist.degree != 2:
-            raise StructureError("twist must be a 2-form on the same algebroid")
+            raise InputError("twist must be a 2-form on the same algebroid")
         self.twist = twist
         # normal-form terms of every word reduced so far, see normal_form
         self._normal_forms: Dict[Word, Terms] = {}
@@ -99,20 +100,38 @@ class RelationSystem:
             return f.constant_term(), items
         return 1, (self._code(f),) + items
 
+    def _commutator(self, j: int, i: int) -> "PbwElement":
+        """The right-hand side of [e_j, e_i] = [e_j, e_i]_L + Q(e_j, e_i):
+        its bracket terms in ascending generator order, then its twist
+        value."""
+        terms = {(k,): c for k, c
+                 in enumerate(self.algebroid.structure_coefficients(j, i))}
+        terms[()] = self.twist.component((j, i))
+        return PbwElement._trusted(
+            self, {w: c for w, c in terms.items() if not c.is_zero()})
+
+    def relations(self) -> List[Tuple[int, Union[int, str], "PbwElement"]]:
+        """The defining relations [e_i, right] = rhs as triples (i, right,
+        rhs): the gf relations [e_i, x] = a(e_i)(x) on the variable names
+        x, then the gg relations [e_j, e_i] for j > i (see _commutator)."""
+        l, ring = self.algebroid, self.ring
+        rels = [(i, v, self.scalar(
+                    l.anchor_apply(l.basis_section(i), ring.var(v))))
+                for v in ring.variables for i in range(l.rank)]
+        rels += [(j, i, self._commutator(j, i))
+                 for j in range(l.rank) for i in range(j)]
+        return rels
+
     def _compiled(self):
         """The rule tables, built on first use: for j > i the edges of
-        e_j e_i -> e_i e_j + [e_j, e_i] + Q(e_j, e_i), and for each
-        generator its anchor as (derivation name, coefficient) pairs."""
+        e_j e_i -> e_i e_j + [e_j, e_i], and for each generator its anchor
+        as (derivation name, coefficient) pairs."""
         if self._rules is None:
             l = self.algebroid
-            gg = {}
-            for j in range(l.rank):
-                for i in range(j):
-                    edges = [(1, (i, j))]
-                    edges += [self._edge(c, (k,)) for k, c
-                              in enumerate(l.structure_coefficients(j, i))]
-                    edges.append(self._edge(self.twist.component((j, i))))
-                    gg[j, i] = [e for e in edges if e is not None]
+            gg = {(j, i): [(1, (i, j))] + [
+                      self._edge(c, w)
+                      for w, c in self._commutator(j, i).terms.items()]
+                  for j in range(l.rank) for i in range(j)}
             anchors = [[(name, c) for name, c
                         in zip(self.ring.derivation_names, row)
                         if not c.is_zero()] for row in l.anchor]
@@ -160,7 +179,7 @@ def build_relations(l: Algebroid, q: Optional[LForm] = None) -> RelationSystem:
     l.require_verified("building relations")
     system = RelationSystem(l, q)
     if q is not None and not q.d().is_zero():
-        raise StructureError("twist form is not closed")
+        raise InputError("twist form is not closed")
     return system
 
 
@@ -171,10 +190,14 @@ class PbwElement:
 
     def __init__(self, system: RelationSystem, terms: Dict[Word, RingElement]):
         self.system = system
+        rank, coerce = system.algebroid.rank, system.ring._coerce
         clean = {}
         for word, coeff in terms.items():
             if any(a > b for a, b in zip(word, word[1:])):
                 raise StructureError("words must be ascending; reduce first")
+            if word and not (0 <= word[0] and word[-1] < rank):
+                raise StructureError("generator index out of range")
+            coeff = coerce(coeff)
             if not coeff.is_zero():
                 clean[word] = coeff
         self.terms = clean
@@ -599,17 +622,6 @@ def cocycle_from_extension(lp: Algebroid, base: Optional[Algebroid] = None,
     return LForm(base, 2, coeffs)
 
 
-def pullback_form(morphism: AlgebroidMorphism, q: LForm) -> LForm:
-    """(psi^* q)(u, ...) = q(psi u, ...) on basis tuples."""
-    src = morphism.source
-    coeffs = {}
-    for idx in combinations(range(src.rank), q.degree):
-        val = q.evaluate(*[morphism.apply(src.basis_section(t)) for t in idx])
-        if not val.is_zero():
-            coeffs[idx] = val
-    return LForm(src, q.degree, coeffs)
-
-
 class PbwMap:
     """Filtered-algebra map induced by an algebroid morphism; the source
     twist must be the pullback of the target twist (checked)."""
@@ -621,8 +633,8 @@ class PbwMap:
             raise StructureError("not an algebroid morphism")
         self.morphism = morphism
         self.target = target
-        self.source = RelationSystem(morphism.source,
-                                     pullback_form(morphism, target.twist))
+        self.source = RelationSystem(morphism.source, pullback(
+            target.twist, morphism.source, morphism.images))
 
     def __call__(self, p: PbwElement) -> PbwElement:
         return map_generators(p, self.source, self.target,

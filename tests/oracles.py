@@ -34,7 +34,12 @@ whitespace character, the reference for the one-pass `parser.tokenize`;
 out once per factor, the reference for the one mirrored loop of
 `matched.verify_matched`; and `lambda_overlap_failures` sums the overlap
 gauge of a Lambda-module entry by entry, the reference for the matrix
-products of `cech.verify_lambda_module`.
+products of `cech.verify_lambda_module`.  `relation_rules` writes the
+relations of a twisted enveloping algebra out from the anchor, the
+bracket and the twist, and `glue_relation_failures` checks the gluing
+rule on them with its own images, its own frame change and products
+from `naive_normal_form`: the references for `RelationSystem.relations`
+and the `adf relations` and `glue` paths that read it.
 """
 
 import re
@@ -1284,4 +1289,105 @@ def lambda_overlap_failures(cover, pair, bunch):
                             "overlap (%d,%d): connection difference in "
                             "direction %d entry (%d,%d) is %s, expected %s"
                             % (a, b, jdir + 1, s, t, got, want))
+    return failures
+
+
+# -- the relations of a twisted enveloping algebra, written out ----------------------
+
+
+def relation_rules(alg, twist):
+    """The rule lines of `adf relations`: e_i*x -> x*e_i + (a(e_i)(x)) for
+    each variable x, then e_j*e_i -> e_i*e_j + [e_j, e_i] + (Q(e_j, e_i))
+    for j > i, zero terms left out."""
+    names = alg.basis_names
+    rules = []
+    for v in alg.base.variables:
+        for i in range(alg.rank):
+            action = alg.anchor_apply(alg.basis_section(i), alg.base.var(v))
+            rules.append("%s*%s -> %s*%s%s" % (
+                names[i], v, v, names[i],
+                "" if action.is_zero() else " + (%s)" % action))
+    for j in range(alg.rank):
+        for i in range(j):
+            extra = ["(%s)*%s" % (c, names[k])
+                     for k, c in enumerate(alg.structure_coefficients(j, i))
+                     if not c.is_zero()]
+            q = twist.component((j, i))
+            if not q.is_zero():
+                extra.append("(%s)" % q)
+            rules.append("%s*%s -> %s*%s%s" % (
+                names[j], names[i], names[i], names[j],
+                (" + " + " + ".join(extra)) if extra else ""))
+    return rules
+
+
+def naive_product(x, y):
+    """x * y of two elements of one system, each pair of terms reduced by
+    `naive_normal_form`."""
+    from algebroid.pbw import sum_elements
+
+    system = x.system
+    return sum_elements(system, [
+        naive_normal_form((c1,) + w1 + (c2,) + w2, system)
+        for w1, c1 in x.terms.items() for w2, c2 in y.terms.items()])
+
+
+def _overlap_twists(cover, pair, a, b):
+    """Q_a and Q_b on the overlap (a, b) in its reference frame; Q_b is
+    moved from the second chart's frame f by (S^* Q)(e_j1, e_j2) = sum over
+    k < l of Q_kl (S_kj1 S_lj2 - S_lj1 S_kj2), S the inverse transition."""
+    from algebroid.forms import LForm
+
+    ov = cover.overlaps[(a, b)]
+    frame = cover.frame_algebroid(a, b)
+    s = ov.transition_inverse
+    qa = LForm(frame, 2, {idx: ov.map_a(v) for idx, v in pair.q[a].coeffs.items()})
+    qb = {}
+    for (j1, j2) in combinations(range(frame.rank), 2):
+        val = ov.ring.zero
+        for (k, l), v in pair.q[b].coeffs.items():
+            val = val + ov.map_b(v) * (s[k][j1] * s[l][j2] - s[l][j1] * s[k][j2])
+        qb[(j1, j2)] = val
+    return qa, LForm(frame, 2, qb)
+
+
+def glue_relation_failures(cover, pair):
+    """The relation failures of `cech.glue_sridharan`: on each overlap,
+    the images g(e_i) = e_i + phi(e_i) in the target system of Q_b must
+    satisfy [g(e_j), g(e_i)] = g([e_j, e_i] + Q_a(e_j, e_i)) for i < j and
+    [g(e_i), x] = a(e_i)(x) for each variable x."""
+    from algebroid.pbw import PbwElement, RelationSystem
+
+    failures = []
+    for (a, b) in sorted(cover.overlaps):
+        frame = cover.frame_algebroid(a, b)
+        ring = frame.base
+        qa, qb = _overlap_twists(cover, pair, a, b)
+        target = RelationSystem(frame, qb)
+        phi = pair.phi[(a, b)]
+        g = [PbwElement(target, {(i,): ring.one, (): phi.component((i,))})
+             for i in range(frame.rank)]
+
+        def commutator(x, y):
+            return naive_product(x, y) - naive_product(y, x)
+
+        for i, j in combinations(range(frame.rank), 2):
+            rhs = PbwElement(target, {(): qa.component((j, i))})
+            for k, c in enumerate(frame.structure_coefficients(j, i)):
+                if not c.is_zero():
+                    rhs = rhs + PbwElement(target, {(): c * phi.component((k,)),
+                                                    (k,): c})
+            if not (commutator(g[j], g[i]) - rhs).is_zero():
+                failures.append(
+                    "overlap (%d,%d): commutator of images of e%d,e%d "
+                    "does not match the glued relation" % (a, b, j + 1, i + 1))
+        for i in range(frame.rank):
+            for v in ring.variables:
+                x = PbwElement(target, {(): ring.var(v)})
+                anchored = frame.anchor_apply(frame.basis_section(i), ring.var(v))
+                if not (commutator(g[i], x)
+                        - PbwElement(target, {(): anchored})).is_zero():
+                    failures.append(
+                        "overlap (%d,%d): coefficient relation broken at e%d,%s"
+                        % (a, b, i + 1, v))
     return failures

@@ -6,20 +6,21 @@ import pytest
 
 from algebroid import cech
 from algebroid.cech import (CechPair, Cover, GluingReport, LocalConnectionBunch,
-                            Overlap, atiyah_cocycle, change_frame,
+                            Overlap, atiyah_cocycle,
                             coboundary_test, glue_sridharan,
                             line_bundle_cech_dims, make_p1_cover,
                             push_algebroid, verify_cocycle,
                             verify_lambda_module, zero_pair)
 from algebroid.connections import Connection, curvature, is_flat
-from algebroid.core import StructureError, make_tangent
-from algebroid.forms import LForm, TruncationWindow, d_L
+from algebroid.core import Section, StructureError, make_tangent
+from algebroid.forms import LForm, TruncationWindow, d_L, pullback
 from algebroid.linalg import SparseSystem
 from algebroid.pbw import normal_form
 from algebroid.rings import RingMap, laurent_ring, poly_ring
 
 from algebroid.parser import parse
-from oracles import (coboundary_system, integrate_univariate, lambda_overlap_failures,
+from oracles import (coboundary_system, glue_relation_failures,
+                     integrate_univariate, lambda_overlap_failures,
                      line_bundle_dims_by_overlaps, p1_line_bundle_dims_by_counting)
 
 
@@ -99,8 +100,10 @@ def test_coboundary_recovers_constructed_eta():
     ov = cover.overlaps[(0, 1)]
     from algebroid.cech import push_form
     pa, pb = cover.pushed_pair(0, 1)
-    phi = push_form(eta[0], ov.map_a, pa) - change_frame(
-        push_form(eta[1], ov.map_b, pb), frame, ov.transition_inverse)
+    frame_in_b = [Section(pb, [row[j] for row in ov.transition_inverse])
+                  for j in range(frame.rank)]
+    phi = push_form(eta[0], ov.map_a, pa) - pullback(
+        push_form(eta[1], ov.map_b, pb), frame, frame_in_b)
     p2 = CechPair(cover, {(0, 1): phi}, {})
     cmp = coboundary_test(cover, zero_pair(cover), p2, TruncationWindow(6, 8))
     assert cmp.status == "equivalent"
@@ -471,3 +474,63 @@ def test_lambda_overlap_matches_entry_oracle():
             assert got == lambda_overlap_failures(cover, pair, bunch)
             failing += bool(got)
     assert failing > 20
+
+
+def sheared_space_cover():
+    """Two copies of 3-space glued by u = x, v = y + x, w = z: rank-3
+    frames, so three gg relations per gluing, through a non-identity
+    transition."""
+    r, s = poly_ring("x", "y", "z"), poly_ring("u", "v", "w")
+    x, y, z = r.var("x"), r.var("y"), r.var("z")
+    one, zero = r.one, r.zero
+    ident = [[one, zero, zero], [zero, one, zero], [zero, zero, one]]
+    ov = Overlap(r, RingMap.identity(r), RingMap(s, r, {"u": x, "v": y + x, "w": z}),
+                 ident, [[one, -one, zero], [zero, one, zero], [zero, zero, one]],
+                 [[one, zero, zero], [-one, one, zero], [zero, zero, one]])
+    cover = Cover([(r, make_tangent(r)), (s, make_tangent(s))], {(0, 1): ov})
+    cover.verify()
+    return cover
+
+
+def test_glue_failures_match_written_out_loop():
+    """The relation failures of `glue` on perturbed pairs against the loop
+    that builds its own images, frame change and naive products: on the
+    p1 and p1log covers, the three-chart cover and the rank-2 and rank-3
+    covers, starting from pairs that glue with Q_a - Q_b = d phi != 0."""
+    data = pathlib.Path(__file__).parent / "data"
+    rng = random.Random(1603)
+    covers = [parse((data / name).read_text()).objects["P"]
+              for name in ("p1.adf", "p1log.adf")]
+    covers += [toy_three_chart_cover()[0], plane_two_chart_cover(),
+               sheared_plane_cover(), sheared_space_cover()]
+    glued = failing = 0
+    for cover in covers:
+        for trial in range(6):
+            phi = {}
+            for key in cover.overlaps:
+                frame = cover.frame_algebroid(*key)
+                ring = frame.base
+                phi[key] = LForm(frame, 1, {(i,): ring.monomial(
+                    tuple(rng.randint(0, 2) for _ in ring.variables),
+                    rng.randint(1, 3)) for i in range(frame.rank)})
+            # chart 0 restricts to the frame unchanged on these covers, so
+            # Q_0 = d phi_01 and Q_1 = 0 glue
+            alg0 = cover.chart_algebroid(0)
+            q = {0: LForm(alg0, 2, d_L(phi[(0, 1)]).coeffs)} if alg0.rank > 1 else {}
+            if trial % 2:
+                key = rng.choice(sorted(cover.overlaps))
+                i = rng.randrange(cover.frame_algebroid(*key).rank)
+                ring = cover.frame_algebroid(*key).base
+                phi[key] = phi[key] + LForm(phi[key].owner, 1, {(i,): ring.var(
+                    rng.choice(ring.variables))})
+            if trial % 3 == 2 and alg0.rank > 1:
+                ring = cover.chart_ring(1)
+                q[1] = LForm(cover.chart_algebroid(1), 2, {(0, 1): ring.monomial(
+                    (rng.randint(0, 1),) * len(ring.variables), 2)})
+            pair = CechPair(cover, phi, q)
+            got = [f for f in glue_sridharan(cover, pair).failures
+                   if f.startswith("overlap")]
+            assert sorted(got) == sorted(glue_relation_failures(cover, pair))
+            glued += not got
+            failing += any("commutator" in f for f in got)
+    assert glued > 10 and failing > 5

@@ -174,6 +174,8 @@ connection D on U rank 1 { }
     (["exact", "{tmp}", "nc"], "form is not closed"),
     (["obstruction", "plane.adf", "C", "fx2"], "the twist must be a 2-form"),
     (["obstruction", "{tmp}", "D", "nc2"], "the twist form must be closed"),
+    (["relations", "plane.adf", "T", "fx2"], "twist must be a 2-form"),
+    (["relations", "{tmp}", "U", "nc2"], "twist form is not closed"),
 ])
 @pytest.mark.parametrize("as_json", [False, True])
 def test_inapplicable_form_is_usage_error(tmp_path, argv, message, as_json):

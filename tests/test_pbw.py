@@ -1,3 +1,5 @@
+import contextlib
+import io
 import random
 import sys
 from fractions import Fraction
@@ -6,20 +8,21 @@ from math import comb, factorial
 
 import pytest
 
+from algebroid.cli import run
 from algebroid.core import (Algebroid, StructureError, make_foliation,
-                            make_lie_algebra_bundle, make_tangent,
-                            make_trivial_bundle, AlgebroidMorphism)
-from algebroid.forms import LForm, d_L
+                            make_lie_algebra_bundle, make_log, make_poisson,
+                            make_tangent, make_trivial_bundle,
+                            AlgebroidMorphism)
+from algebroid.forms import LForm, d_L, pullback
 from algebroid.pbw import (AbelianExtension, PbwElement, RelationSystem,
                            build_relations, cocycle_from_extension,
                            confluence_check, extension_from_cocycle, gr_symbol,
-                           normal_form, pushforward_algebra_map,
-                           pullback_form)
-from algebroid.parser import parse_word
-from algebroid.rings import ChartRing, laurent_ring, poly_ring
+                           normal_form, pushforward_algebra_map)
+from algebroid.parser import Definitions, parse_word, render
+from algebroid.rings import ChartRing, RingError, laurent_ring, poly_ring
 
 from oracles import (is_normal_coefficient, naive_confluence_check,
-                     naive_normal_form, rewrite_at)
+                     naive_normal_form, relation_rules, rewrite_at)
 
 HEISENBERG = {(0, 1): {2: 1}}
 BAD_RANK3 = {(0, 1): {2: 1}, (0, 2): {0: 1}, (1, 2): {1: 1}}
@@ -580,4 +583,105 @@ def test_pullback_twist_checked():
     f = pushforward_algebra_map(incl, target)
     # rank-1 source: the pullback of any 2-form vanishes
     assert f.source.twist.is_zero()
-    assert pullback_form(incl, q).is_zero()
+    assert pullback(q, fol, incl.images).is_zero()
+
+
+def test_pbw_element_checks_generators_and_coefficients():
+    r = poly_ring("x")
+    s = build_relations(make_trivial_bundle(r, 1))
+    with pytest.raises(StructureError):
+        PbwElement(s, {(7,): r.one})
+    with pytest.raises(StructureError):
+        PbwElement(s, {(-1,): r.one})
+    # a plain number is a constant of the system's ring
+    assert PbwElement(s, {(0,): 3}).terms == {(0,): r.const(3)}
+    assert str(PbwElement(s, {(0,): 3}) * s.generator(0)) == "(3)*e1^2"
+    with pytest.raises(RingError):
+        PbwElement(s, {(0,): poly_ring("x").one})
+
+
+def _random_poly(r, rng):
+    return sum((r.monomial(tuple(rng.randint(0, 2) for _ in r.variables),
+                           rng.choice([-3, -1, 1, 2, Fraction(1, 2)]))
+                for _ in range(rng.randint(1, 2))), r.zero)
+
+
+def _random_algebroid(rng):
+    """A Poisson, foliation, log or Heisenberg algebroid with random data."""
+    kind = rng.choice(["poisson2", "poisson3", "foliation", "log", "heisenberg"])
+    if kind == "poisson2":
+        r = poly_ring("x", "y")
+        return make_poisson(r, {(0, 1): _random_poly(r, rng)})
+    if kind == "poisson3":
+        r = poly_ring("x", "y", "z")
+        return make_poisson(r, {(0, 1): rng.randint(-2, 2),
+                                (0, 2): rng.randint(-2, 2),
+                                (1, 2): rng.randint(1, 3)})
+    if kind == "foliation":
+        r = poly_ring("x", "y", "z")
+        x, z = r.var("x"), r.var("z")
+        # x^k d/dx and c d/dy + c' z d/dz commute
+        return make_foliation(r, [[x ** rng.randint(0, 2), 0, 0],
+                                  [0, rng.randint(1, 3), rng.randint(-2, 2) * z]])
+    if kind == "log":
+        r = poly_ring(*("xyz"[:rng.randint(2, 3)]))
+        return make_log(r, [v for v in r.variables if rng.random() < 0.5])
+    return make_lie_algebra_bundle(poly_ring("x"), 3,
+                                   {(0, 1): {2: rng.choice([-2, 1, 3])}})
+
+
+def _random_closed_twist(l, rng):
+    """A random 2-form if it is closed, else d of a random 1-form."""
+    r = l.base
+    q = LForm(l, 2, {idx: _random_poly(r, rng)
+                     for idx in combinations(range(l.rank), 2)
+                     if rng.random() < 0.7})
+    if d_L(q).is_zero():
+        return q
+    return d_L(LForm(l, 1, {(i,): _random_poly(r, rng) for i in range(l.rank)}))
+
+
+def test_relations_text_matches_written_out_rules(tmp_path):
+    """`adf relations` on random algebroids and closed twists, rendered to
+    a definition file, against the rules written out from the anchor, the
+    bracket and the twist."""
+    rng = random.Random(1601)
+    path = tmp_path / "rel.adf"
+    kinds = set()
+    for _ in range(25):
+        source = _random_algebroid(rng)
+        # basis names the definition language can spell
+        l = Algebroid(source.base, source.rank, source.anchor, source.structure)
+        q = _random_closed_twist(l, rng)
+        defs = Definitions()
+        defs.define("R", "ring", l.base, {"kind": "poly"})
+        defs.define("A", "algebroid", l, {"ring": "R"})
+        argv = ["relations", str(path), "A"]
+        if not q.is_zero():     # a zero form renders as the 0-form "0"
+            defs.define("Q", "form", q, {"algebroid": "A"})
+            argv.append("Q")
+        path.write_text(render(defs))
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            assert run(argv) == 0
+        assert buf.getvalue().splitlines() == relation_rules(l, q)
+        kinds.add((bool(l.structure), q.is_zero()))
+    assert len(kinds) == 4
+
+
+def test_relations_hold_in_naive_normal_forms():
+    """Each relation [e_i, u] = rhs of confluent and broken systems: the
+    naive reductions of e_i u and u e_i differ by rhs."""
+    rng = random.Random(1602)
+    systems = [random_valid_system(rng) for _ in range(6)]
+    systems += structure_function_systems() + broken_systems()
+    systems += fractional_twist_systems() + [laurent_twist_system()]
+    for s in systems:
+        rels = s.relations()
+        assert len(rels) == (s.algebroid.rank * len(s.ring.variables)
+                             + comb(s.algebroid.rank, 2))
+        for i, right, rhs in rels:
+            u = s.ring.var(right) if isinstance(right, str) else right
+            got = naive_normal_form([i, u], s) - naive_normal_form([u, i], s)
+            assert got == rhs
+    assert any(confluence_check(s) is not None for s in systems)
