@@ -439,7 +439,7 @@ def coboundary_test(cover: Cover, pair_a: CechPair, pair_b: CechPair,
             for exps, c in val.terms.items():
                 rhs[("ch", a, jdx, exps)] = c
 
-    terms = SparseSystem.from_columns(cols, rhs).solve_terms(rhs, basis)
+    terms = SparseSystem.from_columns(cols).solve(rhs, basis)
     if terms is not None:
         eta = {}
         for a in range(len(cover.charts)):

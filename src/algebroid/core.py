@@ -346,29 +346,24 @@ def make_foliation(r: ChartRing, generators: Sequence[Sequence]) -> Algebroid:
         raise StructureError("generator rows must match the derivation count")
     m = len(gens)
 
-    maxdeg = 0
-    for g in gens:
-        for c in g:
-            if not c.is_zero():
-                maxdeg = max(maxdeg, c.total_degree_range()[1])
-    degree_bound = 2 * maxdeg + 2
+    degree_bound = 2 * max((c.total_degree_range()[1] for g in gens for c in g
+                            if not c.is_zero()), default=0) + 2
 
+    # unknowns: coefficients of each g_k over the monomial window;
+    # column (k, mono) is mono * g_k, keyed by (derivation, exponents)
     basis = [(k, mono) for k in range(m)
              for mono in _poly_monomials(r, degree_bound)]
+    system = SparseSystem.from_columns(
+        [{(d, tuple(x + y for x, y in zip(sexps, mono))): scoeff
+          for d in range(nder) for sexps, scoeff in gens[k][d].terms.items()}
+         for k, mono in basis])
     structure = {}
     for i, j in combinations(range(m), 2):
         target = vector_field_bracket(r, gens[i], gens[j])
         if all(t.is_zero() for t in target):
             continue
-        # unknowns: coefficients of each g_k over the monomial window;
-        # column (k, mono) is mono * g_k, keyed by (derivation, exponents)
-        cols = [{(d, tuple(x + y for x, y in zip(sexps, mono))): scoeff
-                 for d in range(nder)
-                 for sexps, scoeff in gens[k][d].terms.items()}
-                for k, mono in basis]
-        rhs = {(d, exps): coeff for d in range(nder)
-               for exps, coeff in target[d].terms.items()}
-        terms = SparseSystem.from_columns(cols, rhs).solve_terms(rhs, basis)
+        terms = system.solve({(d, exps): coeff for d in range(nder)
+                              for exps, coeff in target[d].terms.items()}, basis)
         if terms is None:
             raise StructureError(
                 "not involutive in given generators: [g%d, g%d] does not "

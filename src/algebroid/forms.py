@@ -19,7 +19,6 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, combinations, permutations, product
-from math import gcd, lcm
 from operator import add, mul
 from typing import (Dict, Hashable, Iterable, List, Mapping, Optional,
                     Sequence, Tuple)
@@ -79,42 +78,6 @@ def covariant_d(l: Algebroid,
     return compile_d(l, matrices).apply(coeffs)
 
 
-def _integer_kernel(rows: Sequence[Sequence[int]], n: int
-                    ) -> Tuple[Tuple[int, ...], ...]:
-    """A basis of the rational kernel of the integer rows (length n), one
-    vector per free column of the reduced row echelon form, each scaled
-    to coprime integers with a positive entry at its free column."""
-    reduced: List[List[int]] = []       # primitive rows, pivot columns cleared
-    pivots: List[int] = []
-    for row in rows:
-        for r, c in zip(reduced, pivots):
-            if row[c]:
-                row = [r[c] * a - row[c] * b for a, b in zip(row, r)]
-        c = next((c for c, v in enumerate(row) if v), None)
-        if c is None:
-            continue
-        g = gcd(*row)
-        row = [v // g for v in row]
-        for t, r in enumerate(reduced):
-            if r[c]:
-                r = [row[c] * a - r[c] * b for a, b in zip(r, row)]
-                g = gcd(*r)
-                reduced[t] = [v // g for v in r]
-        reduced.append(row)
-        pivots.append(c)
-    scale = lcm(*(r[c] for r, c in zip(reduced, pivots)))
-    basis = []
-    for free in range(n):
-        if free not in pivots:
-            v = [0] * n
-            v[free] = scale
-            for r, c in zip(reduced, pivots):
-                v[c] = -r[free] * scale // r[c]
-            g = gcd(*v)
-            basis.append(tuple(x // g for x in v))
-    return tuple(basis)
-
-
 class Stencil:
     """The differential of `covariant_d` for one (algebroid, connection),
     as integer stencils.
@@ -161,34 +124,35 @@ class Stencil:
         theta^idx (x) b_t * x^m of weight w.m + sum of u_i over idx, one
         component per vector (module labels weigh 0).  An anchor or
         connection term of e_i with shift s needs w.s + u_i = 0, and a
-        monomial x^s of c_ij^k needs w.s + u_i + u_j - u_k = 0.  Computed
-        on first use and kept; empty when only the zero grading exists."""
+        monomial x^s of c_ij^k needs w.s + u_i + u_j - u_k = 0; the basis
+        is `SparseSystem.kernel` of these constraint rows.  Computed on
+        first use and kept; empty when only the zero grading exists."""
         if self._weights is None:
             nv = len(self.owner.base.variables)
             constraints = set()
 
-            def need(shift, plus, minus=None):
+            def need(shift, *signed):
                 row = list(shift) + [0] * self.owner.rank
-                for i in plus:
-                    row[nv + i] += 1
-                if minus is not None:
-                    row[nv + minus] -= 1
+                for i, sign in signed:
+                    row[nv + i] += sign
                 constraints.add(tuple(row))
 
             for i, terms in enumerate(self.anchor):
                 for _, shift, _ in terms:
-                    need(shift, (i,))
+                    need(shift, (i, 1))
             for i, by_label in enumerate(self.matrices or ()):
                 for entries in (by_label.values() if isinstance(by_label, Mapping)
                                 else by_label):
                     for _, m in entries:
                         for shift in m.terms:
-                            need(shift, (i,))
+                            need(shift, (i, 1))
             for k, feeds in enumerate(self.feeds):
                 for i, j, c in feeds:
                     for shift in c.terms:
-                        need(shift, (i, j), k)
-            self._weights = _integer_kernel(sorted(constraints), nv + self.owner.rank)
+                        need(shift, (i, 1), (j, 1), (k, -1))
+            system = SparseSystem(len(constraints), nv + self.owner.rank)
+            system.rows = [{j: x for j, x in enumerate(row) if x} for row in constraints]
+            self._weights = tuple(system.kernel())
         return self._weights
 
     def _compile(self, idx: IndexTuple, t: Hashable) -> tuple:
@@ -764,7 +728,7 @@ def exactness_solve(theta: LForm, window: TruncationWindow | None = None
     basis = complex_.weight_basis(p, dom_window,
                                   {complex_.weight(idx, m) for (idx, _), m in rhs})
     terms = SparseSystem.from_columns(
-        [complex_.column(idx, m) for idx, m in basis], rhs).solve_terms(rhs, basis)
+        [complex_.column(idx, m) for idx, m in basis]).solve(rhs, basis)
     if terms is not None:
         primitive = LForm(l, p, {idx: RingElement(l.base, t) for idx, t in terms.items()})
         if not (primitive._d_unchecked() - theta).is_zero():

@@ -6,21 +6,21 @@ sparse eliminator with a fixed deterministic pivot order.  Elimination
 runs on integers: each column is scaled by the lcm of its denominators,
 rows are combined fraction-free and divided by their content, and only
 back-substitution returns to `Fraction`; solutions come back as `int`
-where they are integral (`rings.as_fraction`).
+where they are integral (`rings.as_fraction`).  A right-hand side is
+eliminated as one more column.  The same elimination gives the
+primitive integer kernel basis (`SparseSystem.kernel`), from which
+`forms.Stencil.weights` reads its grading lattice.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
 from math import gcd
-from typing import (Container, Dict, Hashable, Iterable, List, Mapping,
-                    Optional, Sequence, Set, Tuple)
+from typing import (Container, Dict, Hashable, List, Mapping, Optional,
+                    Sequence, Set, Tuple)
 
 from .rings import Coefficient, as_fraction
-
-
-class DimensionError(Exception):
-    pass
 
 
 def _scale_columns(rows: List[Dict[int, Fraction]]) -> Dict[int, int]:
@@ -60,13 +60,13 @@ class SparseSystem:
         self._rank: Optional[int] = None
 
     @classmethod
-    def from_columns(cls, cols: Sequence[Mapping[Hashable, Fraction]],
-                     keys: Iterable[Hashable] = ()) -> "SparseSystem":
+    def from_columns(cls, cols: Sequence[Mapping[Hashable, Fraction]]
+                     ) -> "SparseSystem":
         """Column j is cols[j], a {row key: value} map; the rows are the
-        sorted union of the column keys and `keys`, placed by `row_pos`.
-        Rank and the solution `solve` returns depend only on column order.
+        sorted union of the column keys, placed by `row_pos`.  Rank, the
+        kernel and the solution `solve` returns depend only on column order.
         """
-        row_keys = sorted({k for col in cols for k in col} | set(keys))
+        row_keys = sorted({k for col in cols for k in col})
         system = cls(len(row_keys), len(cols))
         pos = system.row_pos = {k: t for t, k in enumerate(row_keys)}
         rows = system.rows
@@ -76,25 +76,28 @@ class SparseSystem:
                     rows[pos[k]][j] = c
         return system
 
-    def _eliminate(self, rhs: Optional[List[int]] = None):
+    def _eliminate(self, rhs: Optional[Mapping[int, Coefficient]] = None):
         """Forward elimination on the integer-scaled columns; returns
-        (pivots, reduced rows, reduced rhs, column scales).
+        (pivots, reduced rows, column scales).
 
         What is reduced is the system with column c multiplied by
-        scales.get(c, 1), and the integer `rhs`.  After the sweep every
-        non-pivot row is empty, so consistency and back-substitution read
-        off directly.
+        scales.get(c, 1).  A right-hand side {row: value} joins it as the
+        last column, `ncols`, so the system is inconsistent exactly when
+        that column holds a pivot.  After the sweep every non-pivot row is
+        empty, so back-substitution reads off directly.
         """
         rows = [dict(r) for r in self.rows]
-        col_rows: Dict[int, Set[int]] = {}
+        for t, v in (rhs or {}).items():
+            if v:
+                rows[t][self.ncols] = v
+        col_rows: Dict[int, Set[int]] = defaultdict(set)
         integral = True
         for i, r in enumerate(rows):
             for c, v in r.items():
-                col_rows.setdefault(c, set()).add(i)
+                col_rows[c].add(i)
                 if type(v) is not int:
                     integral = False
         scales = {} if integral else _scale_columns(rows)
-        vec = list(rhs) if rhs is not None else None
         used = [False] * len(rows)
         pivots: List[Tuple[int, int]] = []
         # fill-in only reaches columns of the pivot row, so no key is added
@@ -129,21 +132,15 @@ class SparseSystem:
                     new = row.get(cc, 0) - b * vv
                     if new:
                         row[cc] = new
-                        col_rows.setdefault(cc, set()).add(i)
+                        col_rows[cc].add(i)
                     elif cc in row:
                         del row[cc]
                         col_rows[cc].discard(i)
-                if vec is not None:
-                    vec[i] = a * vec[i] - b * vec[pivot]
-                    content = gcd(vec[i], *row.values())
-                else:
-                    content = gcd(*row.values())
+                content = gcd(*row.values())
                 if content > 1:
                     for cc in row:
                         row[cc] //= content
-                    if vec is not None:
-                        vec[i] //= content
-        return pivots, rows, vec, scales
+        return pivots, rows, scales
 
     def rank(self) -> int:
         if self._rank is None:
@@ -163,49 +160,63 @@ class SparseSystem:
                         for k, t in self.row_pos.items()]
         return self.rank() - outside.rank()
 
-    def solve(self, rhs: Sequence) -> Optional[List[Coefficient]]:
-        """One exact solution of (rows) x = rhs, or None if inconsistent;
-        each value an int when integral, otherwise a Fraction."""
-        if len(rhs) != self.nrows:
-            raise DimensionError("rhs length does not match rows")
-        column = [{0: v} for v in rhs]
-        rhs_scale = _scale_columns(column).get(0, 1)
-        pivots, rows, vec, scales = self._eliminate([r[0] for r in column])
-        pivot_rows = {i for (i, _) in pivots}
-        for i in range(self.nrows):
-            if i not in pivot_rows and vec[i] != 0:
+    def kernel(self) -> List[Tuple[int, ...]]:
+        """The primitive integer basis of the kernel: one vector per
+        non-pivot column, ascending, zero at the other non-pivot columns,
+        with coprime entries and positive at its own column.  Back-substitution stays
+        fraction-free: the vector is rescaled at each pivot instead."""
+        pivots, rows, scales = self._eliminate()
+        back = [(c, rows[i][c], rows[i].items()) for i, c in reversed(pivots)]
+        basis = []
+        for free in sorted(set(range(self.ncols)) - {c for _, c in pivots}):
+            v = [0] * self.ncols
+            v[free] = 1
+            for c, p, items in back:
+                s = 0
+                for cc, vv in items:
+                    if v[cc]:
+                        s -= vv * v[cc]
+                if s:
+                    g = gcd(s, p)
+                    if p != g:
+                        v = [x * (p // g) for x in v]
+                    v[c] = s // g
+            # v solves the scaled system; the kernel vector is scales * v
+            if scales:
+                v = [x * scales.get(c, 1) for c, x in enumerate(v)]
+            g = gcd(*v) if v[free] > 0 else -gcd(*v)
+            basis.append(tuple(v) if g == 1 else tuple(x // g for x in v))
+        return basis
+
+    def solve(self, rhs_by_key: Mapping[Hashable, Coefficient],
+              basis: Sequence[Tuple[Hashable, Hashable]]
+              ) -> Optional[Dict[Hashable, Dict[Hashable, Coefficient]]]:
+        """One exact solution of (rows) x = rhs, with the right-hand side
+        given as {row key: value} (keys not named are zero) and column j
+        keyed basis[j] = (label, monomial).  The nonzero solution comes
+        back as {label: {monomial: value}}, each value an int when
+        integral, otherwise a Fraction; None when there is no solution,
+        as when a nonzero value sits at a key that no column touches."""
+        rhs, m = {}, self.ncols
+        for k, v in rhs_by_key.items():
+            if k in self.row_pos:
+                rhs[self.row_pos[k]] = v
+            elif as_fraction(v):
                 return None
-        # y solves the scaled system; x_c = scales[c] * y_c / rhs_scale
-        y = [Fraction(0)] * self.ncols
+        pivots, rows, scales = self._eliminate(rhs)
+        if pivots and pivots[-1][1] == m:
+            return None
+        # y solves the scaled system; x_c = scales[c] * y_c / scales[m]
+        y = [Fraction(0)] * (m + 1)
         for i, c in reversed(pivots):
-            s = Fraction(vec[i])
+            s = Fraction(rows[i].get(m, 0))
             for cc, vv in rows[i].items():
                 if cc != c and y[cc]:
                     s -= vv * y[cc]
             y[c] = s / rows[i][c]
-        return [as_fraction(v * scales.get(c, 1) / rhs_scale) if v else 0
-                for c, v in enumerate(y)]
-
-    def solve_keyed(self, rhs_by_key: Mapping[Hashable, Coefficient]
-                    ) -> Optional[List[Coefficient]]:
-        """`solve` with the right-hand side given as {row key: value};
-        keys not named are zero."""
-        rhs = [0] * self.nrows
-        for k, v in rhs_by_key.items():
-            rhs[self.row_pos[k]] = v
-        return self.solve(rhs)
-
-    def solve_terms(self, rhs_by_key: Mapping[Hashable, Coefficient],
-                    basis: Sequence[Tuple[Hashable, Hashable]]
-                    ) -> Optional[Dict[Hashable, Dict[Hashable, Coefficient]]]:
-        """`solve_keyed`, grouped: column j is keyed basis[j] = (label,
-        monomial) and the nonzero solution comes back as {label:
-        {monomial: value}}; None when the system has no solution."""
-        sol = self.solve_keyed(rhs_by_key)
-        if sol is None:
-            return None
         terms: Dict[Hashable, Dict[Hashable, Coefficient]] = {}
-        for (label, mono), c in zip(basis, sol):
-            if c:
-                terms.setdefault(label, {})[mono] = c
+        for c, ((label, mono), v) in enumerate(zip(basis, y)):
+            if v:
+                terms.setdefault(label, {})[mono] = as_fraction(
+                    v * scales.get(c, 1) / scales.get(m, 1))
         return terms

@@ -964,8 +964,12 @@ def render(defs: Definitions) -> str:
             lines.append("}")
             out.append("\n".join(lines))
         elif kind == "form":
-            out.append("form %s on %s = %s;"
-                       % (name, meta["algebroid"], render_form(obj)))
+            body, names = render_form(obj), obj.owner.basis_names
+            if obj.degree and not obj.coeffs and names:
+                # one zero term keeps a zero p-form's degree
+                body = "0 * " + " ^ ".join("%s^" % names[t % len(names)]
+                                           for t in range(obj.degree))
+            out.append("form %s on %s = %s;" % (name, meta["algebroid"], body))
         elif kind == "connection":
             lines = ["connection %s on %s rank %d {"
                      % (name, meta["algebroid"], obj.rank)]

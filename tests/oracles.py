@@ -14,9 +14,13 @@ the matched-pair total complex out by bidegree from them, and
 `commutation_witness` checks d1 d2 = d2 d1 with RingElement arithmetic,
 the reference for the integer `DoubleComplexSlice.commutation_check`.
 The dense fraction-free Bareiss
-routines (`RationalMatrix`, `rank`, `kernel_basis`, `solve_linear`) are
-the reference for the sparse integer eliminator `linalg.SparseSystem`,
-`fraction_eliminate` is that eliminator's pivot rule over Fraction, and
+routines (`RationalMatrix`, `rank`, `kernel_basis`, `solve_linear`, which
+raise `DimensionError` on a length mismatch) are the reference for the
+sparse integer eliminator `linalg.SparseSystem`, `fraction_eliminate` is
+that eliminator's pivot rule over Fraction, `integer_kernel` is the dense
+row reduction behind `SparseSystem.kernel`'s primitive basis, and
+`weight_lattice` derives the constraints of `forms.Stencil.weights` from
+the anchor and the structure constants by Fraction arithmetic, and
 `substitute` is the ring-arithmetic reference for `rings.RingMap`, with
 `power_by_squaring` the reference for `RingElement.__pow__`.  The `frac_*`
 functions redo ring arithmetic, derivations, ring maps, section brackets
@@ -47,11 +51,14 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 from typing import List, Optional, Sequence, Tuple
 
-from algebroid.linalg import DimensionError
 from algebroid.rings import RingElement, RingError, as_fraction
+
+
+class DimensionError(Exception):
+    """A dense matrix, vector or right-hand side of the wrong length."""
 
 
 def poisson_bracket_of_functions(ring, pi_entry, f, g):
@@ -634,7 +641,7 @@ def whole_slice_primitive(theta, window):
            for m, c in val.terms.items()}
     basis = complex_.basis(p, dom)
     return SparseSystem.from_columns(
-        [complex_.column(idx, m) for idx, m in basis], rhs).solve_terms(rhs, basis)
+        [complex_.column(idx, m) for idx, m in basis]).solve(rhs, basis)
 
 
 PRIME = (1 << 61) - 1
@@ -850,6 +857,69 @@ def fraction_eliminate(rows, ncols, rhs=None):
             if vec is not None:
                 vec[i] = vec[i] - factor * vec[pivot]
     return pivots, rows, vec
+
+
+def integer_kernel(rows: Sequence[Sequence[int]], n: int
+                    ) -> Tuple[Tuple[int, ...], ...]:
+    """A basis of the rational kernel of the integer rows (length n), one
+    vector per free column of the reduced row echelon form, each scaled
+    to coprime integers with a positive entry at its free column: the
+    dense reference for `SparseSystem.kernel`."""
+    reduced: List[List[int]] = []       # primitive rows, pivot columns cleared
+    pivots: List[int] = []
+    for row in rows:
+        for r, c in zip(reduced, pivots):
+            if row[c]:
+                row = [r[c] * a - row[c] * b for a, b in zip(row, r)]
+        c = next((c for c, v in enumerate(row) if v), None)
+        if c is None:
+            continue
+        g = gcd(*row)
+        row = [v // g for v in row]
+        for t, r in enumerate(reduced):
+            if r[c]:
+                r = [row[c] * a - r[c] * b for a, b in zip(r, row)]
+                g = gcd(*r)
+                reduced[t] = [v // g for v in r]
+        reduced.append(row)
+        pivots.append(c)
+    scale = lcm(*(r[c] for r, c in zip(reduced, pivots)))
+    basis = []
+    for free in range(n):
+        if free not in pivots:
+            v = [0] * n
+            v[free] = scale
+            for r, c in zip(reduced, pivots):
+                v[c] = -r[free] * scale // r[c]
+            g = gcd(*v)
+            basis.append(tuple(x // g for x in v))
+    return tuple(basis)
+
+
+def weight_lattice(l):
+    """The reference for `Stencil.weights` of l with the trivial
+    connection: `integer_kernel` of the rows w.s + u_i for each monomial
+    x_v * x^s of a(e_i)(x_v), from `frac_anchor_apply`, and w.s + u_i +
+    u_j - u_k for each monomial x^s of c_ij^k."""
+    nv, n = len(l.base.variables), len(l.base.variables) + l.rank
+    rows = set()
+    for i in range(l.rank):
+        unit = [{(0,) * nv: Fraction(1)} if t == i else {} for t in range(l.rank)]
+        for v in range(nv):
+            x_v = {tuple(int(t == v) for t in range(nv)): Fraction(1)}
+            for exps in frac_anchor_apply(l, unit, x_v):
+                row = [e - (t == v) for t, e in enumerate(exps)] + [0] * l.rank
+                row[nv + i] += 1
+                rows.add(tuple(row))
+    for i, j in combinations(range(l.rank), 2):
+        for k, c in enumerate(l.structure_coefficients(i, j)):
+            for exps in c.terms:
+                row = list(exps) + [0] * l.rank
+                row[nv + i] += 1
+                row[nv + j] += 1
+                row[nv + k] -= 1
+                rows.add(tuple(row))
+    return integer_kernel(sorted(rows), n)
 
 
 # -- ring maps by ring arithmetic --------------------------------------------------

@@ -410,16 +410,20 @@ def test_coboundary_system_matches_overlap_oracle(monkeypatch):
 
     class Recording(SparseSystem):
         @classmethod
-        def from_columns(cls, cols, keys=()):
-            captured.append((cols, keys))
-            return SparseSystem.from_columns(cols, keys)
+        def from_columns(cls, cols):
+            captured.append(cols)
+            return super().from_columns(cols)
+
+        def solve(self, rhs_by_key, basis):
+            captured.append(rhs_by_key)
+            return super().solve(rhs_by_key, basis)
 
     monkeypatch.setattr(cech, "SparseSystem", Recording)
     for window in (TruncationWindow(2, 2), TruncationWindow(4, 5)):
         for cover, pair_a, pair_b in coboundary_pairs():
             captured.clear()
             coboundary_test(cover, pair_a, pair_b, window)
-            ((cols, rhs),) = captured
+            (cols, rhs) = captured
             assert (cols, rhs) == coboundary_system(cover, pair_a, pair_b, window)
 
 

@@ -290,20 +290,28 @@ algebroid T over R3 { basis e1, e2, e3; anchor e1 -> d/dx, e2 -> d/dy, e3 -> d/d
     (["compare-total", "matched.adf", "M", "--degrees", "0..2", "--window", "2,2"], 14),
 ])
 def test_windowed_cohomology_eliminations(tmp_path, monkeypatch, argv, expected):
+    """Slice eliminations, counted apart from the one elimination of the
+    weight lattice (`SparseSystem.kernel`) each of these questions reads."""
     from algebroid.linalg import SparseSystem
     path = tmp_path / "so3.adf"
     path.write_text(SO3_AND_TANGENT)
-    calls = []
-    eliminate = SparseSystem._eliminate
+    calls, kernels = [], []
+    eliminate, kernel = SparseSystem._eliminate, SparseSystem.kernel
 
     def counted(self, *args):
         calls.append(self)
         return eliminate(self, *args)
 
+    def counted_kernel(self):
+        kernels.append(self)
+        return kernel(self)
+
     monkeypatch.setattr(SparseSystem, "_eliminate", counted)
+    monkeypatch.setattr(SparseSystem, "kernel", counted_kernel)
     code, _ = invoke([str(path) if a == "{tmp}" else a for a in argv])
     assert code in (0, 3)
-    assert len(calls) == expected
+    assert len(kernels) == 1
+    assert len(calls) == expected + 1
 
 
 def test_parser_reuse_matches_fresh_process():
@@ -375,3 +383,82 @@ def test_cech_dims_needs_a_line_bundle(tmp_path, file, name, message, as_json):
         assert json.loads(text) == {"error": message, "exit": 2}
     else:
         assert text == "error: %s\n" % message
+
+
+# -- argv fuzzing --------------------------------------------------------------
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from algebroid.cli import COMMANDS  # noqa: E402
+from algebroid.parser import parse  # noqa: E402
+
+FILES = sorted(p.name for p in DATA.glob("*.adf"))
+# the names each catalog file defines, by kind, and PBW words
+FILE_NAMES = {}
+for f in FILES:
+    defs = parse((DATA / f).read_text())
+    for name in defs.order:
+        FILE_NAMES.setdefault((f, defs.kinds[name]), []).append(name)
+        FILE_NAMES.setdefault((f, None), []).append(name)
+NAMES = sorted({name for f in FILES for name in FILE_NAMES[f, None]})
+WORDS = ["e1*x", "e2^3*e1^3", "e1*e2 - x", "f1*z", "e3", "x^-1*e1"]
+# the kind of each positional after the file (None: any), and the commands
+# whose last positional is optional
+KINDS = {"verify": (None,), "cohomology": ("algebroid",), "d": ("form",),
+         "exact": ("form",), "curvature": ("connection",), "flat": ("connection",),
+         "chern": ("connection",), "obstruction": ("connection", "form"),
+         "matched": ("matched",), "twilled": ("matched",),
+         "compare-total": ("matched",), "relations": ("algebroid", "form"),
+         "normal-form": ("relations", "word"), "confluence": ("relations",),
+         "atiyah": ("cover",), "class-compare": ("cocycle", "cocycle"),
+         "glue": ("cover", "cocycle"), "lambda-check": ("cover", "cocycle", "bunch"),
+         "cech-dims": ("cover",)}
+OPTIONAL_LAST = ("relations", "atiyah")
+
+
+@st.composite
+def argv(draw):
+    """A command line of one of the commands over a catalog file, mostly
+    a file that defines the kinds it asks for and names of those kinds;
+    the windows stay small, since no budget stops a large one yet."""
+    command = draw(st.sampled_from(sorted(KINDS)))
+    kinds = KINDS[command]
+    if command in OPTIONAL_LAST and draw(st.booleans()):
+        kinds = kinds[:-1]
+    if not draw(st.integers(0, 9)):
+        kinds = (None,) * draw(st.integers(0, 3))
+    fitting = [f for f in FILES if all((f, k) in FILE_NAMES for k in kinds if k != "word")]
+    file = draw(st.sampled_from(fitting if fitting and draw(st.integers(0, 4)) else FILES))
+    out = [command, file]
+    for kind in kinds:
+        fitting = WORDS if kind == "word" else FILE_NAMES.get((file, kind))
+        out.append(draw(st.sampled_from(fitting if fitting and draw(st.integers(0, 4))
+                                        else NAMES)))
+    window = draw(st.none() | st.integers(0, 4).map(str)
+                  | st.tuples(st.integers(0, 4), st.integers(1, 4)).map("%d,%d".__mod__))
+    if window is not None:
+        out += ["--window", window]
+    if command in ("cohomology", "compare-total") and draw(st.booleans()):
+        lo, hi = sorted(draw(st.lists(st.integers(0, 3), min_size=2, max_size=2)))
+        out += ["--degrees", draw(st.sampled_from(
+            ("%d..%d" % (lo, hi), "%d,%d" % (lo, hi), "%d.." % lo, "x", "-1..1")))]
+    if command in ("chern", "atiyah") and draw(st.booleans()):
+        out += ["--k", str(draw(st.integers(-2, 3)))]
+    if draw(st.booleans()):
+        out.append("--json")
+    return out
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(argv())
+def test_fuzzed_argv_never_raises(args):
+    """No traceback and an exit code from the README table, for any
+    command line drawn from the commands, files and names above."""
+    assert KINDS.keys() == COMMANDS.keys()
+    with pytest.MonkeyPatch.context() as mp, \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        mp.delenv("ADF_WINDOW", raising=False)
+        code, _ = invoke(args)
+    assert code in (0, 1, 2, 3), args
+    assert "Traceback" not in err.getvalue()

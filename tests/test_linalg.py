@@ -1,13 +1,18 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
-from algebroid.linalg import DimensionError, SparseSystem
+from algebroid.linalg import SparseSystem
 from algebroid.rings import RingError
 
-from oracles import (RationalMatrix, fraction_eliminate, is_normal_coefficient,
-                     kernel_basis, rank, solve_linear)
+from oracles import (DimensionError, RationalMatrix, fraction_eliminate,
+                     integer_kernel, is_normal_coefficient, kernel_basis, rank,
+                     solve_linear)
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 
 def test_rank_one_kernel():
@@ -64,11 +69,21 @@ def test_dimension_mismatch():
         solve_linear(a, [1, 2])
 
 
-def system_of_rows(rows):
-    """The system whose row i is rows[i], with row keys 0..n-1."""
+def system_of_rows(rows, ncols=None):
+    """The system whose row i is rows[i], keyed i; a zero row has no key."""
+    m = len(rows[0]) if ncols is None else ncols
     return SparseSystem.from_columns(
-        [{i: r[j] for i, r in enumerate(rows) if r[j]} for j in range(len(rows[0]))],
-        range(len(rows)))
+        [{i: r[j] for i, r in enumerate(rows) if r[j]} for j in range(m)])
+
+
+def solve_vector(system, rhs_by_key):
+    """`solve` with column j keyed (j, 0), as a dense vector (zeros as
+    int 0); None when there is no solution."""
+    terms = system.solve(rhs_by_key, [(j, 0) for j in range(system.ncols)])
+    if terms is None:
+        return None
+    assert all(is_normal_coefficient(v) for t in terms.values() for v in t.values())
+    return [terms.get(j, {}).get(0, 0) for j in range(system.ncols)]
 
 
 def test_sparse_matches_dense():
@@ -82,13 +97,13 @@ def test_sparse_matches_dense():
         assert s.rank() == rank(a)
         x = [Fraction(rng.randint(-2, 2)) for _ in range(m)]
         b = a.mul_vector(x)
-        got = s.solve(b)
+        got = solve_vector(s, dict(enumerate(b)))
         assert got is not None
         assert a.mul_vector(got) == b
         if rank(a) < n:
             # build an unreachable rhs when the row space is deficient
             res = solve_linear(a, [Fraction(1)] + [Fraction(0)] * (n - 1))
-            sparse_res = s.solve([Fraction(1)] + [Fraction(0)] * (n - 1))
+            sparse_res = solve_vector(s, {0: Fraction(1)})
             assert (res.status == "solution") == (sparse_res is not None)
 
         # the same matrix as tuple-keyed columns: row i is keyed keys[i],
@@ -100,8 +115,7 @@ def test_sparse_matches_dense():
                 for j in range(m)]
         keyed = SparseSystem.from_columns(cols)
         moved = SparseSystem.from_columns(
-            [{relabel[k]: c for k, c in col.items()} for col in cols],
-            relabel.values())
+            [{relabel[k]: c for k, c in col.items()} for col in cols])
         assert keyed.rank() == moved.rank() == rank(a)
         inside = set(rng.sample(keys, rng.randint(0, n)))
         outside = RationalMatrix.from_rows(
@@ -112,9 +126,9 @@ def test_sparse_matches_dense():
         for rhs in (b, [Fraction(rng.randint(-2, 2)) for _ in range(n)]):
             dense = solve_linear(a, rhs)
             by_key = {keys[i]: rhs[i] for i in range(n) if rhs[i]}
-            got = SparseSystem.from_columns(cols, by_key).solve_keyed(by_key)
-            got_moved = moved.solve_keyed(
-                {relabel[k]: c for k, c in by_key.items()})
+            got = solve_vector(keyed, by_key)
+            got_moved = solve_vector(
+                moved, {relabel[k]: c for k, c in by_key.items()})
             if dense.status == "solution":
                 assert got == got_moved == dense.solution
             else:
@@ -142,12 +156,12 @@ def test_integer_elimination_matches_fraction_and_dense():
                  for i, v in enumerate(rows[t][j] for t in range(n)) if v}
                 for j in range(m)]
         keys = [(i % 3, i) for i in range(n)]
-        by_cols = SparseSystem.from_columns(cols, keys)
+        by_cols = SparseSystem.from_columns(cols)
 
         # the same pivots, and each reduced row a multiple of the Fraction
         # one on the integer-scaled columns
         ref_pivots, ref_rows, _ = fraction_eliminate(by_set.rows, m)
-        pivots, int_rows, _, scales = by_set._eliminate()
+        pivots, int_rows, scales = by_set._eliminate()
         assert pivots == ref_pivots
         for got, ref in zip(int_rows, ref_rows):
             assert got.keys() == ref.keys()
@@ -168,8 +182,8 @@ def test_integer_elimination_matches_fraction_and_dense():
                     [Fraction(rng.randint(-3, 3), rng.randint(1, 5)) for _ in range(n)],
                     [Fraction(0)] * n):
             dense = solve_linear(a, rhs)
-            got_set = by_set.solve(rhs)
-            got_cols = by_cols.solve_keyed({keys[i]: rhs[i] for i in range(n)})
+            got_set = solve_vector(by_set, dict(enumerate(rhs)))
+            got_cols = solve_vector(by_cols, {keys[i]: rhs[i] for i in range(n)})
             if dense.status == "solution":
                 assert got_set == got_cols == dense.solution
                 # int when integral, else a Fraction with denominator > 1
@@ -183,15 +197,30 @@ def test_inconsistent_integer_systems():
     # a zero row with a nonzero rhs, and a dependent row whose rhs breaks
     # the dependency, each with a rational rhs
     s = SparseSystem.from_columns(
-        [{"a": 2, "b": 4}, {"a": Fraction(1, 3), "b": Fraction(2, 3)}], ["c"])
+        [{"a": 2, "b": 4}, {"a": Fraction(1, 3), "b": Fraction(2, 3)}])
     assert s.rank() == 1
-    assert s.solve_keyed({"c": Fraction(1, 2)}) is None
-    assert s.solve_keyed({"a": 1, "b": 3}) is None
-    assert s.solve_keyed({"a": Fraction(1, 2), "b": 1}) == [Fraction(1, 4), Fraction(0)]
-    empty = SparseSystem(2, 3)
+    assert solve_vector(s, {"c": Fraction(1, 2)}) is None
+    assert solve_vector(s, {"a": 1, "b": 3}) is None
+    assert solve_vector(s, {"a": Fraction(1, 2), "b": 1}) == [Fraction(1, 4), Fraction(0)]
+    empty = SparseSystem.from_columns([{}, {}, {}])
     assert empty.rank() == 0
-    assert empty.solve([0, 0]) == [Fraction(0)] * 3
-    assert empty.solve([0, Fraction(1, 7)]) is None
+    assert solve_vector(empty, {"a": 0, "b": 0}) == [Fraction(0)] * 3
+    assert solve_vector(empty, {"a": 0, "b": Fraction(1, 7)}) is None
+
+
+@pytest.mark.parametrize("outside", [3, -1, Fraction(2, 5), Fraction(-7, 3)])
+def test_solve_outside_every_column(outside):
+    # a right-hand side at a key no column touches: a nonzero value (int
+    # or Fraction) has no solution, a zero one changes nothing
+    s = SparseSystem.from_columns([{"a": 1}, {"a": 1, "b": Fraction(1, 2)}])
+    basis = [("u", 0), ("v", 0)]
+    want = {"u": {0: 1}, "v": {0: 2}}
+    assert s.solve({"a": 3, "b": 1}, basis) == want
+    assert s.solve({"a": 3, "b": 1, "z": outside}, basis) is None
+    assert s.solve({"z": outside}, basis) is None
+    for zero in (0, Fraction(0)):
+        assert s.solve({"a": 3, "b": 1, "z": zero}, basis) == want
+        assert s.solve({"z": zero}, basis) == {}
 
 
 def test_set_rejects_inexact_values():
@@ -199,4 +228,55 @@ def test_set_rejects_inexact_values():
     with pytest.raises(RingError):
         SparseSystem.from_columns([{"a": 0.5}]).rank()
     with pytest.raises(RingError):
-        SparseSystem.from_columns([{"a": 1}]).solve_keyed({"a": 0.5})
+        SparseSystem.from_columns([{"a": 1}]).solve({"a": 0.5}, [(0, 0)])
+    with pytest.raises(RingError):
+        SparseSystem.from_columns([{"a": 1}]).solve({"z": 0.5}, [(0, 0)])
+
+
+@st.composite
+def integer_matrix(draw):
+    """(rows, ncols): a random, an all-zero or a full-rank integer matrix,
+    any of them with zero rows or zero columns.  A full-rank one is upper
+    triangular with a nonzero diagonal, its columns then permuted."""
+    n, m = draw(st.integers(0, 6)), draw(st.integers(0, 7))
+    kind = draw(st.sampled_from(("random", "zero", "full")))
+    entry = st.integers(-4, 4)
+    if kind == "zero":
+        return [[0] * m for _ in range(n)], m
+    rows = [[draw(entry) for _ in range(m)] for _ in range(n)]
+    if kind == "full":
+        for i in range(min(n, m)):
+            rows[i][:i] = [0] * i
+            rows[i][i] = draw(st.integers(1, 4)) * draw(st.sampled_from((1, -1)))
+        for i in range(m, n):
+            rows[i] = [0] * m
+        order = draw(st.permutations(range(m)))
+        rows = [[r[j] for j in order] for r in rows]
+    return rows, m
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(integer_matrix(), st.sampled_from((1, 1, 2, 6)))
+@example(([], 3), 1)                   # no rows
+@example(([[], []], 0), 1)             # no columns
+@example(([[0, 0, 0], [0, 0, 0]], 3), 2)   # rank 0
+@example(([[0, 2, 1], [3, 0, 0]], 3), 1)   # full rank
+def test_kernel_matches_dense_reference(matrix, denominator):
+    """`kernel` is the dense `integer_kernel`, vector for vector; entries
+    divided by a denominator leave the kernel as it is."""
+    rows, m = matrix
+    s = system_of_rows([[Fraction(v, denominator) for v in r] for r in rows], m)
+    got = s.kernel()
+    assert tuple(got) == integer_kernel(rows, m)
+    a = RationalMatrix(len(rows), m, rows)
+    assert len(got) == m - rank(a)
+    for v in got:
+        assert all(type(x) is int for x in v)
+        assert a.mul_vector(v) == [0] * len(rows)
+    # one vector per non-pivot column, ascending: positive there, zero at
+    # the others, coprime
+    free = [c for c in range(m) if c not in s.pivot_columns()]
+    assert len(got) == len(free)
+    for v, f in zip(got, free):
+        assert v[f] > 0 and not any(v[c] for c in free if c != f)
+        assert gcd(*v) == 1

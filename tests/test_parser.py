@@ -130,6 +130,24 @@ def test_round_trip_render():
                     == {i: str(v) for i, v in b.coeffs.items()}
 
 
+def test_zero_forms_keep_their_degree():
+    # a zero p-form renders as one zero term of degree p, a zero 0-form
+    # as "0"; a zero twist stays a 2-form for the relations that read it
+    text = PLANE + "".join("form z%d on T = %s;\n" % (p, body) for p, body in (
+        (0, "0"), (1, "0 * e2^"), (2, "0 * e2^ ^ e1^"), (3, "0 * e1^ ^ e2^ ^ e1^")))
+    text += "relations Z on T twist z2;\n"
+    defs = parse(text)
+    assert defs.ok(), defs.diagnostics
+    canonical = render(defs)
+    assert "form z0 on T = 0;\nform z1 on T = 0 * e1^;\n" \
+        "form z2 on T = 0 * e1^ ^ e2^;\nform z3 on T = 0 * e1^ ^ e2^ ^ e1^;\n" in canonical
+    again = parse(canonical)
+    assert again.ok(), (canonical, again.diagnostics)
+    assert render(again) == canonical
+    assert [again.objects["z%d" % p].degree for p in range(4)] == [0, 1, 2, 3]
+    assert all(again.objects["z%d" % p].is_zero() for p in range(4))
+
+
 def held_data(defs):
     """What each cover, cocycle and bunch holds, as text: a renderer that
     drops data renders stably, so comparing renderings alone misses it."""

@@ -59,7 +59,11 @@ def edited_catalog_file(draw):
 @SETTINGS
 @given(edited_catalog_file())
 def test_edited_catalog_files_round_trip(text):
-    canonical = render(only_diagnostics(text))
+    defs = only_diagnostics(text)
+    canonical = render(defs)
     again = parse(canonical)
     assert again.ok(), (canonical, again.diagnostics)
     assert render(again) == canonical
+    # a form's degree survives, a zero p-form's too
+    assert [again.objects[n].degree for n in again.order if again.kinds[n] == "form"] \
+        == [defs.objects[n].degree for n in defs.order if defs.kinds[n] == "form"]

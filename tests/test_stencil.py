@@ -201,9 +201,9 @@ def test_cech_chart_columns_match_scatter(monkeypatch):
 
     class Recording(SparseSystem):
         @classmethod
-        def from_columns(cls, cols, keys=()):
+        def from_columns(cls, cols):
             captured.append(cols)
-            return SparseSystem.from_columns(cols, keys)
+            return SparseSystem.from_columns(cols)
 
     monkeypatch.setattr(cech, "SparseSystem", Recording)
     charts = [(l.base, l) for l in algebroids()]

@@ -3,6 +3,7 @@
 (`_WindowedComplex.dims`, `exactness_solve`), against the whole-slice
 references of oracles.py and a rank over a prime field."""
 
+import pathlib
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -14,9 +15,12 @@ from algebroid.core import (Algebroid, make_foliation, make_lie_algebra_bundle,
 from algebroid.forms import (LForm, TruncationWindow, _ce_complex, compile_d,
                              exactness_solve, truncated_cohomology)
 from algebroid.linalg import SparseSystem
+from algebroid.matched import twilled_sum
+from algebroid.parser import parse
 from algebroid.rings import laurent_ring, poly_ring
 
-from oracles import (rank_mod_prime, whole_slice_dims, whole_slice_primitive)
+from oracles import (rank_mod_prime, weight_lattice, whole_slice_dims,
+                     whole_slice_primitive)
 from test_stencil import rank2_connection, sparse_columns
 
 
@@ -118,6 +122,25 @@ def test_connection_terms_constrain_the_grading():
     matrices = [[[(1, x)], []], [[], []]]
     assert len(compile_d(l).weights()) == 2
     assert len(compile_d(l, matrices).weights()) == 1
+
+
+def test_weights_match_reference_lattice():
+    """The lattice of every algebroid in the catalog files, of the twilled
+    sum of each matched pair there and of the algebroids above is the
+    dense reference's, vector for vector."""
+    algebroids, twilled = [], 0
+    for path in sorted((pathlib.Path(__file__).parent / "data").glob("*.adf")):
+        defs = parse(path.read_text())
+        for name in defs.order:
+            if defs.kinds[name] == "algebroid":
+                algebroids.append(defs.objects[name])
+            elif defs.kinds[name] == "matched":
+                algebroids.append(twilled_sum(defs.objects[name]))
+                twilled += 1
+    assert len(algebroids) >= 8 and twilled
+    algebroids += [make() for _, make, *_ in ALGEBROIDS]
+    for l in algebroids:
+        assert compile_d(l).weights() == weight_lattice(l)
 
 
 @pytest.mark.parametrize("name,make,lattice,windows", ALGEBROIDS, ids=IDS)
