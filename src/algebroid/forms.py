@@ -18,7 +18,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, combinations, permutations, product
+from itertools import chain, combinations, permutations
+from math import comb
 from operator import add, mul
 from typing import (Dict, Hashable, Iterable, List, Mapping, Optional,
                     Sequence, Tuple)
@@ -482,157 +483,131 @@ class _WindowedComplex:
     Degree p has the basis (ascending p-tuple of 0..rank-1, window
     monomial), in that order, and `column(idx, mono)` is the image of a
     basis element keyed ((index tuple, 0), monomial), as `Stencil.column`
-    keys it.  `grading` lists vectors (w | u) as `Stencil.weights` gives
-    them: the differential maps the basis elements of each weight into
-    the same weight one degree up, so every slice splits into blocks by
-    weight.  With no grading a slice is one block.
+    keys it.  `grading` returns vectors (w | u) as `Stencil.weights`
+    gives them: the differential maps the basis elements of each weight
+    into the same weight one degree up.  It is called only when a weight
+    is asked for.
     """
 
     def __init__(self, ring: ChartRing, rank: int, column,
-                 grading: Sequence[Sequence[int]] = ()):
+                 grading=tuple):
         self.ring = ring
         self.rank = rank
         self.column = column
-        # a weight is kept as one int, component k as the digit at
-        # _RADIX^k (digits signed, so the packing is injective while every
-        # component is smaller than _RADIX / 2 in size); packing is linear,
-        # so an element's weight is its monomial's plus its indices'
-        nv = len(ring.variables)
-        self._mono_weight = [sum(g[v] * _RADIX ** k for k, g in enumerate(grading))
-                             for v in range(nv)]
-        self._index_weight = [sum(g[nv + i] * _RADIX ** k for k, g in enumerate(grading))
-                              for i in range(rank)]
+        self._grading = grading
+        self._packed: Optional[Tuple[List[int], List[int]]] = None
 
     def basis(self, p: int, window: TruncationWindow
               ) -> List[Tuple[IndexTuple, IndexTuple]]:
         monos = window.monomials(self.ring)
         return [(idx, m) for idx in combinations(range(self.rank), p) for m in monos]
 
+    def _weights(self) -> Tuple[List[int], List[int]]:
+        """(weight of each variable's exponent, weight of each index).  A
+        weight is kept as one int, component k as the digit at _RADIX^k
+        (digits signed, so the packing is injective while every component
+        is smaller than _RADIX / 2 in size); packing is linear, so an
+        element's weight is its monomial's plus its indices'."""
+        if self._packed is None:
+            grading, nv = self._grading(), len(self.ring.variables)
+            packed = [sum(g[at] * _RADIX ** k for k, g in enumerate(grading))
+                      for at in range(nv + self.rank)]
+            self._packed = (packed[:nv], packed[nv:])
+        return self._packed
+
     def weight(self, idx: IndexTuple, mono: IndexTuple) -> int:
-        return (sum(map(mul, self._mono_weight, mono))
-                + sum(self._index_weight[i] for i in idx))
-
-    def _grouped(self, window: TruncationWindow) -> Dict[int, List[IndexTuple]]:
-        """{weight of a monomial alone: its window monomials, ascending}."""
-        monos = window.monomials(self.ring)
-        groups: Dict[int, List[IndexTuple]] = {}
-        for m in monos:
-            wt = sum(map(mul, self._mono_weight, m))
-            if wt in groups:
-                groups[wt].append(m)
-            else:
-                groups[wt] = [m]
-        return groups
-
-    def _tuples(self, p: int) -> List[Tuple[IndexTuple, int]]:
-        """(p-tuple, weight of its indices alone), in basis order."""
-        return [(idx, sum(self._index_weight[i] for i in idx))
-                for idx in combinations(range(self.rank), p)]
+        mono_weight, index_weight = self._weights()
+        return sum(map(mul, mono_weight, mono)) + sum(index_weight[i] for i in idx)
 
     def weight_basis(self, p: int, window: TruncationWindow, weights: Iterable[int]
                      ) -> List[Tuple[IndexTuple, IndexTuple]]:
         """The basis elements of the given weights, in basis order."""
-        groups, weights = self._grouped(window), set(weights)
+        mono_weight, index_weight = self._weights()
+        weights = set(weights)
+        groups: Dict[int, List[IndexTuple]] = {}
+        for m in window.monomials(self.ring):
+            groups.setdefault(sum(map(mul, mono_weight, m)), []).append(m)
         out = []
-        for idx, shift in self._tuples(p):
+        for idx in combinations(range(self.rank), p):
+            shift = sum(index_weight[i] for i in idx)
             monos = [m for wt in weights for m in groups.get(wt - shift, ())]
             out.extend((idx, m) for m in sorted(monos))
         return out
-
-    def _blocks(self, p: int, groups: Mapping[int, Sequence[IndexTuple]]
-                ) -> Dict[int, List[Tuple[IndexTuple, IndexTuple]]]:
-        """{weight: the degree-p basis elements of that weight, in basis
-        order}, from the window's monomials grouped by weight."""
-        blocks: Dict[int, List[Tuple[IndexTuple, IndexTuple]]] = {}
-        for idx, shift in self._tuples(p):
-            for wt, monos in groups.items():
-                wt += shift
-                if wt in blocks:
-                    blocks[wt].extend([(idx, m) for m in monos])
-                else:
-                    blocks[wt] = [(idx, m) for m in monos]
-        return blocks
 
     def dims(self, degrees: Iterable[int], windows: Sequence[TruncationWindow],
              drop: int) -> Dict[TruncationWindow, Dict[int, Tuple[int, int]]]:
         """{window: {p: (kernel dim, windowed image dim)}}, degrees ascending,
         (0, 0) outside 0..rank.  The image counts the coboundaries of
         (p-1)-cochains from the window enlarged by `drop` that land inside
-        the window.  Both are sums over the weight blocks of d_p.
+        the window: their rank minus their rank on the rows outside it.
 
-        The windows are nested, so the slices a call reads are too: two
-        blocks of one degree and weight with as many columns are the same
-        block, and with as many basis elements of that weight inside the
-        image's window they split the same way.  Each block's rank, and
-        its rank outside each window, is computed once per call; a block
-        keeps only its rank and the windows that hold all of its rows."""
-        degrees, windows = sorted(set(degrees)), list(windows)
-        reads: Dict[tuple, list] = {}
-        for (t, w), p in product(enumerate(windows), degrees):
+        The windows and their enlargements by `drop` must be nested.  Each
+        degree's basis is ordered by the first of them that holds an
+        element, in basis order inside each such layer, so every window's
+        slice is a prefix of one list of columns, built and eliminated once
+        per degree.  A pivot column is independent of the columns before
+        it, so the rank of a window's slice is the number of pivots inside
+        its prefix.  The rank outside a window takes one more elimination,
+        of the rows outside it, run only when a column of the prefix
+        reaches one of them.  The differential preserves the weights of
+        `Stencil.weights` and blocks of different weights share no rows,
+        so the rank of one weight's block is the number of pivot columns
+        of that weight: per-weight answers can be read from the same
+        pivots."""
+        degrees = sorted(set(degrees))
+        reads: Dict[int, set] = {}          # degree -> the windows it is read at
+        for p in degrees:
             if 0 <= p <= self.rank:
-                reads.setdefault((p, w), []).append((t, p, False))
+                reads.setdefault(p, set()).update(windows)
                 if p > 0:
-                    reads.setdefault((p - 1, w.enlarged(drop)), []).append((t, p, True))
-        grouped = {w: self._grouped(w) for w in
-                   chain(windows, (w.enlarged(drop) for w in windows))}
-        kept = [set(w.monomials(self.ring)) for w in windows]
-        sizes: Dict[tuple, Dict[int, int]] = {}
-        ranks: Dict[tuple, Tuple[int, set]] = {}
-        outside: Dict[tuple, int] = {}
-        kernel: Dict[tuple, int] = {}
-        image: Dict[tuple, int] = {}
+                    reads.setdefault(p - 1, set()).update(w.enlarged(drop) for w in windows)
+        nested = sorted(set().union(*reads.values()), key=lambda w: (w.degree, w.laurent))
+        at = {w: k for k, w in enumerate(nested)}
+        layer: Dict[IndexTuple, int] = {}   # monomial -> first of `nested` holding it
+        layers, sizes = [], []
+        for k, w in enumerate(nested):
+            monos = w.monomials(self.ring)
+            layers.append([m for m in monos if m not in layer])
+            layer.update(dict.fromkeys(layers[-1], k))
+            if len(layer) != len(monos):
+                raise ValueError("windows are not nested")
+            sizes.append(len(monos))
+        systems: Dict[int, SparseSystem] = {}
+        ranks: Dict[tuple, int] = {}
+        for p, ws in reads.items():
+            tuples = list(combinations(range(self.rank), p))
+            systems[p] = SparseSystem.from_columns(
+                [self.column(idx, m) for k in range(max(map(at.get, ws)) + 1)
+                 for idx in tuples for m in layers[k]])
+            pivots = systems[p].pivot_columns()
+            for w in ws:
+                ranks[p, w] = bisect_left(pivots, len(tuples) * sizes[at[w]])
+        # (first of `nested` holding the row, row) for each row of the
+        # systems an image reads, found once per row
+        row_layers = {p: [(layer.get(key[1], len(nested)), t)
+                          for key, t in systems[p].row_pos.items()]
+                      for p in systems if p + 1 in reads}
 
-        def counts(p, w):
-            if (p, w) not in sizes:
-                sizes[p, w] = {wt: len(b) for wt, b in self._blocks(p, grouped[w]).items()}
-            return sizes[p, w]
+        def kernel(p: int, window: TruncationWindow) -> int:
+            return comb(self.rank, p) * sizes[at[window]] - ranks[p, window]
 
-        for (p, window), asks in reads.items():
-            blocks = self._blocks(p, grouped[window])
-            sizes[p, window] = {wt: len(b) for wt, b in blocks.items()}
-            keys = [((p, wt, len(b)), wt) for wt, b in blocks.items()]
-            new = {key: [self.column(idx, m) for idx, m in blocks[wt]]
-                   for key, wt in keys if key not in ranks}
-            for (key, cols), r in zip(new.items(), _block_ranks(new.values())):
-                rows = {k[1] for col in cols for k in col}
-                ranks[key] = (r, {t for t, monos in enumerate(kept) if rows <= monos})
-            for t, q, is_image in asks:
-                if not is_image:
-                    kernel[t, q] = sum(key[2] - ranks[key][0] for key, _ in keys)
-                    continue
-                inside, monos = counts(q, windows[t]), kept[t]
-                total, split, todo = 0, [], {}
-                for key, wt in keys:
-                    r, holds = ranks[key]
-                    n_in = inside.get(wt, 0)
-                    if not (r and n_in):
-                        continue
-                    total += r
-                    if t in holds:
-                        continue
-                    split.append(key + (n_in,))
-                    if split[-1] not in outside and split[-1] not in todo:
-                        cols = new.get(key) or [self.column(idx, m) for idx, m in blocks[wt]]
-                        todo[split[-1]] = [{k: c for k, c in col.items() if k[1] not in monos}
-                                           for col in cols]
-                outside.update(zip(todo, _block_ranks(todo.values())))
-                image[t, q] = total - sum(outside[key] for key in split)
-        return {w: {p: (kernel.get((t, p), 0), image.get((t, p), 0)) for p in degrees}
-                for t, w in enumerate(windows)}
+        def image(p: int, window: TruncationWindow) -> int:
+            if p == 0:
+                return 0
+            src, k = window.enlarged(drop), at[window]
+            n = comb(self.rank, p - 1) * sizes[at[src]]
+            rows = systems[p - 1].rows
+            far = [row for row in ({c: v for c, v in rows[t].items() if c < n}
+                                   for first, t in row_layers[p - 1] if first > k) if row]
+            if not far:
+                return ranks[p - 1, src]
+            beyond = SparseSystem(len(far), n)
+            beyond.rows = far
+            return ranks[p - 1, src] - beyond.rank()
 
-
-def _block_ranks(blocks: Iterable[Sequence[Mapping]]) -> List[int]:
-    """The rank of each list of columns, from one elimination of the
-    block-diagonal system they form; columns of different lists must
-    share no row."""
-    blocks = list(blocks)
-    owner = [t for t, cols in enumerate(blocks) for _ in cols]
-    cols = [col for b in blocks for col in b]
-    ranks = [0] * len(blocks)
-    if any(cols):
-        for c in SparseSystem.from_columns(cols).pivot_columns():
-            ranks[owner[c]] += 1
-    return ranks
+        return {w: {p: (kernel(p, w), image(p, w)) if 0 <= p <= self.rank else (0, 0)
+                    for p in degrees}
+                for w in windows}
 
 
 def _ce_complex(l: Algebroid) -> _WindowedComplex:
@@ -640,7 +615,7 @@ def _ce_complex(l: Algebroid) -> _WindowedComplex:
     graded by the weights its stencil preserves."""
     stencil = compile_d(l)
     return _WindowedComplex(l.base, l.rank, lambda idx, m: stencil.column(idx, 0, m),
-                            stencil.weights())
+                            stencil.weights)
 
 
 def _extent(ring: ChartRing, elements: Iterable[RingElement]) -> Tuple[int, int]:

@@ -278,7 +278,8 @@ def _total_complex(sl: DoubleComplexSlice) -> _WindowedComplex:
     the twilled sum's cochains: l2's indices follow l1's, shifted by its
     rank, and the two parts land in different bidegrees.  Both parts come
     from the slice's column memo, so the columns `commutation_check` has
-    read are not built again."""
+    read are not built again; `dims` reads each column once, so it is
+    taken out of the memo as it is read."""
     n1, n2 = sl.pair.l1.rank, sl.pair.l2.rank
     # (I, J) -> (merged index tuple, 0), and back
     merged = {(i1, i2): (i1 + tuple(n1 + j for j in i2), 0)
@@ -288,9 +289,11 @@ def _total_complex(sl: DoubleComplexSlice) -> _WindowedComplex:
 
     def column(idx, mono):
         key = (split[idx], mono)
-        col = {(merged[pair], mm): c for (pair, mm), c in sl._d1_column(key).items()}
+        d1, d2 = sl._d1_column(key), sl._d2_column(key)
+        del sl._cols1[key], sl._cols2[key]
+        col = {(merged[pair], mm): c for (pair, mm), c in d1.items()}
         sgn = -1 if len(key[0][0]) % 2 else 1
-        for (pair, mm), c in sl._d2_column(key).items():
+        for (pair, mm), c in d2.items():
             col[(merged[pair], mm)] = sgn * c
         return col
 

@@ -30,7 +30,9 @@ Fraction, the reference for the int-or-Fraction coefficients of `rings`.
 systems out overlap by overlap, the reference for the one restriction
 column in `cech`.  `whole_slice_dims` and `whole_slice_primitive` solve
 each windowed cohomology and exactness question from a whole degree
-slice, the reference for the weight blocks of `forms`, and
+slice, the reference for `forms._WindowedComplex.dims` and the weight
+blocks of `exactness_solve`; `block_dims` is the block-wise `dims` that
+ranked each weight block of each slice once per call, and
 `rank_mod_prime` is a rank over a prime field that shares no code with
 the eliminator.  `char_walk_tokenize` is the tokenizer that walks every
 whitespace character, the reference for the one-pass `parser.tokenize`;
@@ -622,6 +624,76 @@ def whole_slice_dims(complex_, degrees, windows, drop):
                 im = system(p - 1, w.enlarged(drop)).image_rank_inside(inside)
             out[w][p] = (d.ncols - d.rank(), im)
     return out
+
+
+def block_dims(complex_, degrees, windows, drop):
+    """{window: {p: (kernel dim, windowed image dim)}} as `whole_slice_dims`
+    gives them, summed over the weight blocks of each slice (grouped by
+    `complex_.weight`).  The windows are nested, so two blocks of one
+    degree and weight with as many columns are the same block, and with as
+    many basis elements of that weight inside the image's window they
+    split the same way: each block's rank, and its rank outside each
+    window, is computed once per call, and a block keeps only its rank and
+    the windows that hold all of its rows."""
+    from algebroid.linalg import SparseSystem
+
+    def block_ranks(blocks):
+        # one elimination of the block-diagonal system of the blocks
+        owner = [t for t, cols in enumerate(blocks) for _ in cols]
+        cols = [col for b in blocks for col in b]
+        ranks = [0] * len(blocks)
+        if any(cols):
+            for c in SparseSystem.from_columns(cols).pivot_columns():
+                ranks[owner[c]] += 1
+        return ranks
+
+    def blocks_of(p, w):
+        out = {}
+        for idx, m in complex_.basis(p, w):
+            out.setdefault(complex_.weight(idx, m), []).append((idx, m))
+        return out
+
+    degrees, windows = sorted(set(degrees)), list(windows)
+    reads = {}
+    for t, w in enumerate(windows):
+        for p in degrees:
+            if 0 <= p <= complex_.rank:
+                reads.setdefault((p, w), []).append((t, p, False))
+                if p > 0:
+                    reads.setdefault((p - 1, w.enlarged(drop)), []).append((t, p, True))
+    kept = [set(w.monomials(complex_.ring)) for w in windows]
+    ranks, outside, kernel, image = {}, {}, {}, {}
+    for (p, window), asks in reads.items():
+        blocks = blocks_of(p, window)
+        keys = [((p, wt, len(b)), wt) for wt, b in blocks.items()]
+        new = {key: [complex_.column(idx, m) for idx, m in blocks[wt]]
+               for key, wt in keys if key not in ranks}
+        for (key, cols), r in zip(new.items(), block_ranks(list(new.values()))):
+            rows = {k[1] for col in cols for k in col}
+            ranks[key] = (r, {t for t, monos in enumerate(kept) if rows <= monos})
+        for t, q, is_image in asks:
+            if not is_image:
+                kernel[t, q] = sum(key[2] - ranks[key][0] for key, _ in keys)
+                continue
+            inside = {wt: len(b) for wt, b in blocks_of(q, windows[t]).items()}
+            total, split, todo = 0, [], {}
+            for key, wt in keys:
+                r, holds = ranks[key]
+                n_in = inside.get(wt, 0)
+                if not (r and n_in):
+                    continue
+                total += r
+                if t in holds:
+                    continue
+                split.append(key + (n_in,))
+                if split[-1] not in outside and split[-1] not in todo:
+                    todo[split[-1]] = [
+                        {k: c for k, c in complex_.column(idx, m).items()
+                         if k[1] not in kept[t]} for idx, m in blocks[wt]]
+            outside.update(zip(todo, block_ranks(list(todo.values()))))
+            image[t, q] = total - sum(outside[key] for key in split)
+    return {w: {p: (kernel.get((t, p), 0), image.get((t, p), 0)) for p in degrees}
+            for t, w in enumerate(windows)}
 
 
 def whole_slice_primitive(theta, window):

@@ -278,40 +278,43 @@ algebroid T over R3 { basis e1, e2, e3; anchor e1 -> d/dx, e2 -> d/dy, e3 -> d/d
 """
 
 
-@pytest.mark.parametrize("argv,expected", [
-    # one elimination per slice for the weight blocks it has not ranked
-    # yet; d_3 is zero, so three slices per window.  so(3)* is graded by
-    # polynomial degree, the window holds whole blocks and each block's
-    # rows, so the image needs no rank outside the window
-    (["cohomology", "{tmp}", "S", "--degrees", "0..3", "--window", "4"], 6),
-    # the tangent algebroid has drop 1: the image slices at window + 1 hold
-    # new blocks too, but no block straddles a window
-    (["cohomology", "{tmp}", "T", "--degrees", "0..3", "--window", "4"], 12),
-    (["compare-total", "matched.adf", "M", "--degrees", "0..2", "--window", "2,2"], 14),
-])
-def test_windowed_cohomology_eliminations(tmp_path, monkeypatch, argv, expected):
-    """Slice eliminations, counted apart from the one elimination of the
-    weight lattice (`SparseSystem.kernel`) each of these questions reads."""
+@pytest.mark.parametrize("argv,degrees,outside", [
+    # so(3)* preserves polynomial degree, so its windows hold whole
+    # degrees: no column reaches outside a window and no image needs a
+    # rank outside it
+    (["cohomology", "{tmp}", "S", "--degrees", "0..3", "--window", "4"], 4, 0),
+    # the tangent algebroid has drop 1, and the columns of the window + 1
+    # land inside the window, since d lowers degree
+    (["cohomology", "{tmp}", "T", "--degrees", "0..3", "--window", "4"], 4, 0),
+    # the total complex and the twilled sum each read degrees 0..2; f1 ->
+    # x d/dx + d/dz keeps x^m at its degree, so the columns of the window
+    # + 1 reach outside the window at both image degrees of each complex
+    (["compare-total", "matched.adf", "M", "--degrees", "0..2", "--window", "2,2"], 6, 4),
+], ids=["so3", "tangent", "compare-total"])
+def test_windowed_cohomology_eliminations(tmp_path, monkeypatch, argv, degrees, outside):
+    """One elimination per degree read (`pivot_columns`), one more per
+    (window, degree) whose image columns reach outside the window (`rank`),
+    and no elimination of the weight lattice (`kernel`): cohomology and
+    compare-total read no grading."""
     from algebroid.linalg import SparseSystem
     path = tmp_path / "so3.adf"
     path.write_text(SO3_AND_TANGENT)
-    calls, kernels = [], []
-    eliminate, kernel = SparseSystem._eliminate, SparseSystem.kernel
+    calls = {"_eliminate": 0, "pivot_columns": 0, "rank": 0, "kernel": 0}
 
-    def counted(self, *args):
-        calls.append(self)
-        return eliminate(self, *args)
+    def counted(name):
+        real = getattr(SparseSystem, name)
 
-    def counted_kernel(self):
-        kernels.append(self)
-        return kernel(self)
+        def method(self, *args):
+            calls[name] += 1
+            return real(self, *args)
+        return method
 
-    monkeypatch.setattr(SparseSystem, "_eliminate", counted)
-    monkeypatch.setattr(SparseSystem, "kernel", counted_kernel)
+    for name in calls:
+        monkeypatch.setattr(SparseSystem, name, counted(name))
     code, _ = invoke([str(path) if a == "{tmp}" else a for a in argv])
     assert code in (0, 3)
-    assert len(kernels) == 1
-    assert len(calls) == expected + 1
+    assert calls == {"_eliminate": degrees + outside, "pivot_columns": degrees,
+                     "rank": outside, "kernel": 0}
 
 
 def test_parser_reuse_matches_fresh_process():

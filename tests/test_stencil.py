@@ -156,9 +156,22 @@ def test_differential_entries_match_oracle_columns(window):
             assert want == gathered
 
 
+class RecordedStencil:
+    """A stencil that records the (index tuple, label, monomial) of every
+    column it builds."""
+
+    def __init__(self, stencil, built):
+        self.stencil, self.built = stencil, built
+
+    def column(self, idx, t, mono):
+        self.built.append((idx, t, mono))
+        return self.stencil.column(idx, t, mono)
+
+
 def test_total_columns_match_gather_columns():
     """On a cold slice, and on one whose column memo commutation_check
-    has filled: those columns are read as they are, not built again."""
+    has filled: those columns are taken out of the memo as they are read,
+    not built again, and they are the gather columns."""
     for m in matched_pairs():
         ring = m.l1.base
         n1 = m.l1.rank
@@ -166,14 +179,24 @@ def test_total_columns_match_gather_columns():
         window = TruncationWindow(2, 2)
         warm = DoubleComplexSlice(m, top, window)
         assert warm.commutation_check() is None
-        built = [(memo, key, col) for memo in (warm._cols1, warm._cols2)
-                 for key, col in memo.items()]
+        # the memo as the total phase finds it, checked against the gather
+        # differentials before that phase takes its columns out
+        warm_cols = [dict(warm._cols1), dict(warm._cols2)]
+        assert all(warm_cols)
+        for gather, cols in zip((gather_d1, gather_d2), warm_cols):
+            for ((i1, i2), mono), col in cols.items():
+                image = gather(m, len(i1), len(i2), {(i1, i2): ring.monomial(mono)})
+                assert [col] == flatten_columns([image], lambda label, mm: (label, mm))
+        rebuilt = [[], []]
+        warm._d1 = RecordedStencil(warm._d1, rebuilt[0])
+        warm._d2 = RecordedStencil(warm._d2, rebuilt[1])
         complexes = [_total_complex(DoubleComplexSlice(m, top, window)),
                      _total_complex(warm)]
 
         def merged(a1, a2):
             return (a1 + tuple(n1 + j for j in a2), 0)
 
+        read = set()
         for n in range(top + 1):
             basis = complexes[0].basis(n, window)
             want = []
@@ -181,6 +204,7 @@ def test_total_columns_match_gather_columns():
                 i1 = tuple(i for i in idx if i < n1)
                 i2 = tuple(i - n1 for i in idx if i >= n1)
                 p, q = len(i1), len(i2)
+                read.add(((i1, i2), mono))
                 term = {(i1, i2): ring.monomial(mono)}
                 col = {(merged(a1, a2), mm): c
                        for (a1, a2), val in gather_d1(m, p, q, term).items()
@@ -191,7 +215,13 @@ def test_total_columns_match_gather_columns():
                 want.append(col)
             for complex_ in complexes:
                 assert [complex_.column(idx, mono) for idx, mono in basis] == want
-        assert built and all(memo[key] is col for memo, key, col in built)
+        # d2's stencil is keyed (J, I); every column read has left the memo
+        built = [{((i1, i2), mono) for i1, i2, mono in rebuilt[0]},
+                 {((i1, i2), mono) for i2, i1, mono in rebuilt[1]}]
+        for cols, memo, fresh in zip(warm_cols, (warm._cols1, warm._cols2), built):
+            assert read & cols.keys() and not fresh & cols.keys()
+            assert fresh == read - cols.keys()
+            assert not read & memo.keys()
 
 
 def test_cech_chart_columns_match_scatter(monkeypatch):

@@ -1,7 +1,7 @@
 """The weight grading of the compiled Chevalley-Eilenberg kernel
-(`Stencil.weights`) and the windowed questions solved block by block
-(`_WindowedComplex.dims`, `exactness_solve`), against the whole-slice
-references of oracles.py and a rank over a prime field."""
+(`Stencil.weights`), the windowed questions that read it or once read it
+(`exactness_solve` by weight block, `_WindowedComplex.dims`), against the
+whole-slice references of oracles.py and a rank over a prime field."""
 
 import pathlib
 import random
@@ -164,8 +164,9 @@ def test_cohomology_matches_whole_slices(name, make, lattice, windows):
 @pytest.mark.parametrize("drop", [0, 1, 3])
 @pytest.mark.parametrize("name,make,lattice,windows", ALGEBROIDS, ids=IDS)
 def test_dims_at_any_drop_match_whole_slices(name, make, lattice, windows, drop):
-    # three nested windows in one call share blocks between the kernel of
-    # one window and the image of another, whatever the drop
+    # three nested windows in one call share each degree's elimination
+    # between the kernel of one window and the image of another, whatever
+    # the drop
     l = make()
     w = windows[0]
     chain = (w, w.enlarged(1), w.enlarged(3))
@@ -229,7 +230,7 @@ def test_primitives_match_whole_slice(name, make, lattice, windows):
 ], ids=["so3", "tangent3", "laurent"])
 def test_block_ranks_match_rank_mod_prime(make, window):
     # the ladder's slices: the rank over Z/p, the eliminator's rank of the
-    # whole slice and the sum of the block ranks behind the kernel dims
+    # whole slice and the pivots inside the window behind the kernel dims
     l = make()
     complex_ = _ce_complex(l)
     dims = complex_.dims(range(l.rank + 1), (window,), 0)[window]
