@@ -26,8 +26,8 @@ from .connections import (Connection, CurvatureTensor, EValuedForm, curvature,
 from .matched import (MatchedPair, DoubleComplexSlice, verify_matched,
                       twilled_sum, total_cohomology_compare)
 from .pbw import (RelationSystem, PbwElement, SymElement, AmbiguityReport,
-                  build_relations, normal_form, confluence_check, gr_symbol,
-                  extension_from_cocycle, cocycle_from_extension,
+                  GeneratorMap, build_relations, normal_form, confluence_check,
+                  gr_symbol, extension_from_cocycle, cocycle_from_extension,
                   pushforward_algebra_map)
 from .cech import (Cover, Overlap, CechPair, LocalConnectionBunch,
                    make_p1_cover, push_algebroid, verify_cocycle,

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .connections import (Connection, curvature, _mat_add, _mat_mul,
                           _mat_scale, _mat_sub)
@@ -29,7 +29,7 @@ from .core import (Algebroid, AlgebroidMorphism, InputError, Section,
 from .forms import (LForm, TruncationWindow, IndexTuple, compile_d, pullback,
                     _ring_det)
 from .linalg import SparseSystem
-from .pbw import PbwElement, RelationSystem, map_generators
+from .pbw import GeneratorMap, PbwElement, RelationSystem
 from .rings import (ChartRing, RingElement, RingMap, laurent_ring, mul_terms,
                     poly_ring)
 
@@ -478,42 +478,8 @@ def _verify_coboundary(cover: Cover, diff: CechPair,
 @dataclass
 class GluingReport:
     verified: bool
-    maps: Dict[Tuple[int, int], "GluingMap"]
+    maps: Dict[Tuple[int, int], GeneratorMap]
     failures: List[str] = field(default_factory=list)
-
-
-class GluingMap:
-    """Generator rule u -> u + phi(u) between the twisted systems of one
-    overlap, both in the reference frame."""
-
-    def __init__(self, source: RelationSystem, target: RelationSystem,
-                 phi: LForm):
-        self.source = source
-        self.target = target
-        self.phi = phi
-
-    def image_of_generator(self, i: int) -> PbwElement:
-        ring = self.target.ring
-        return PbwElement(self.target, {
-            (i,): ring.one, (): self.phi.component((i,))})
-
-    def __call__(self, p: PbwElement) -> PbwElement:
-        return map_generators(p, self.source, self.target,
-                              self.image_of_generator)
-
-    def broken_relations(self) -> List[Tuple[int, Union[int, str]]]:
-        """The source relations [u, v] = w that the rule does not carry
-        into the target, [g(u), g(v)] != g(w) there, as (u, v) pairs of a
-        generator index and a generator index or variable name."""
-        target, image = self.target, self.image_of_generator
-        broken = []
-        for i, right, rhs in self.source.relations():
-            u = image(i)
-            v = (target.scalar(target.ring.var(right))
-                 if isinstance(right, str) else image(right))
-            if not (u * v - v * u - self(rhs)).is_zero():
-                broken.append((i, right))
-        return broken
 
 
 def glue_sridharan(cover: Cover, pair: CechPair) -> GluingReport:
@@ -525,9 +491,12 @@ def glue_sridharan(cover: Cover, pair: CechPair) -> GluingReport:
     for (a, b) in sorted(cover.overlaps):
         frame = cover.frame_algebroid(a, b)
         qa, qb = cover.restrict(a, b, pair.q)
-        gmap = maps[(a, b)] = GluingMap(RelationSystem(frame, qa),
-                                        RelationSystem(frame, qb),
-                                        pair.phi[(a, b)])
+        target = RelationSystem(frame, qb)
+        phi = pair.phi[(a, b)]
+        # the generator rule u -> u + phi(u)
+        gmap = maps[(a, b)] = GeneratorMap(RelationSystem(frame, qa), target, [
+            PbwElement(target, {(i,): 1, (): phi.component((i,))})
+            for i in range(frame.rank)])
         for i, right in gmap.broken_relations():
             if isinstance(right, str):
                 failures.append(

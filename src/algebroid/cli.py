@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -490,8 +491,39 @@ COMMANDS = {
 }
 
 
+class _ArgvError(Exception):
+    """An argparse usage error: the message, and the text argparse writes."""
+
+    def __init__(self, message: str, text: str):
+        super().__init__(message)
+        self.text = text
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """Raises its usage errors as _ArgvError, and reads an argument that
+    starts with "-" and a digit as a value, so `--degrees -1..2` parses."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\d")
+
+    def error(self, message: str):
+        raise _ArgvError(message, "%s%s: error: %s\n"
+                         % (self.format_usage(), self.prog, message))
+
+
+def _wants_json(argv) -> bool:
+    """Whether argv asks for --json, read without the rest of its syntax."""
+    scan = _ArgumentParser(add_help=False)
+    scan.add_argument("--json", action="store_true")
+    try:
+        return scan.parse_known_args(argv)[0].json
+    except _ArgvError:
+        return False
+
+
 def build_arg_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
+    top = _ArgumentParser(
         prog="adf",
         description="exact Lie algebroid calculus over definition files")
     sub = top.add_subparsers(dest="command", required=True)
@@ -546,8 +578,15 @@ def run(argv) -> int:
         _PARSER = build_arg_parser()
     try:
         args = _PARSER.parse_args(argv)
-    except SystemExit as exc:
+    except SystemExit as exc:     # -h
         return EXIT_USAGE if exc.code else EXIT_OK
+    except _ArgvError as err:
+        if not _wants_json(argv):
+            sys.stderr.write(err.text)
+            return EXIT_USAGE
+        out = Output(True)
+        out.set("error", str(err))
+        return out.emit(EXIT_USAGE)
     out = Output(args.json)
     try:
         window = parse_window(args.window or os.environ.get("ADF_WINDOW"))

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from operator import add
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .core import (Algebroid, AlgebroidMorphism, InputError, Section,
                    StructureError)
@@ -268,32 +268,6 @@ class PbwElement:
         return " + ".join(parts)
 
     __repr__ = __str__
-
-
-def sum_elements(system: RelationSystem,
-                 parts: Iterable[PbwElement]) -> PbwElement:
-    """Sum of elements of one system, accumulated in one term dict."""
-    out: Dict[Word, RingElement] = {}
-    for p in parts:
-        if p.system is not system:
-            raise StructureError("elements belong to different systems")
-        _add_into(out, p.terms)
-    return PbwElement(system, out)
-
-
-def map_generators(p: PbwElement, source: RelationSystem,
-                   target: RelationSystem,
-                   image: Callable[[int], PbwElement]) -> PbwElement:
-    """p under the algebra map that fixes coefficients and sends e_i to image(i)."""
-    if p.system is not source:
-        raise StructureError("element is not in the source system")
-    parts = []
-    for word, coeff in p.terms.items():
-        acc = target.scalar(coeff)
-        for i in word:
-            acc = acc * image(i)
-        parts.append(acc)
-    return sum_elements(target, parts)
 
 
 def _word_string(word: Word, names: Sequence[str]) -> str:
@@ -622,42 +596,57 @@ def cocycle_from_extension(lp: Algebroid, base: Optional[Algebroid] = None,
     return LForm(base, 2, coeffs)
 
 
-class PbwMap:
-    """Filtered-algebra map induced by an algebroid morphism; the source
-    twist must be the pullback of the target twist (checked)."""
+class GeneratorMap:
+    """The algebra map source -> target that fixes coefficients and sends
+    each generator e_i of the source to images[i], a target element."""
 
-    def __init__(self, morphism: AlgebroidMorphism, target: RelationSystem):
-        if target.algebroid is not morphism.target:
-            raise StructureError("system does not live on the morphism target")
-        if not morphism.verify():
-            raise StructureError("not an algebroid morphism")
-        self.morphism = morphism
+    def __init__(self, source: RelationSystem, target: RelationSystem,
+                 images: Sequence[PbwElement]):
+        if (len(images) != source.algebroid.rank
+                or any(p.system is not target for p in images)):
+            raise StructureError("one target image per source generator required")
+        self.source = source
         self.target = target
-        self.source = RelationSystem(morphism.source, pullback(
-            target.twist, morphism.source, morphism.images))
+        self.images = list(images)
+
+    def image_of_generator(self, i: int) -> PbwElement:
+        return self.images[i]
 
     def __call__(self, p: PbwElement) -> PbwElement:
-        return map_generators(p, self.source, self.target,
-                              lambda i: self.target.of_section(self.morphism.images[i]))
+        if p.system is not self.source:
+            raise StructureError("element is not in the source system")
+        out: Dict[Word, RingElement] = {}
+        for word, coeff in p.terms.items():
+            acc = self.target.scalar(coeff)
+            for i in word:
+                acc = acc * self.images[i]
+            _add_into(out, acc.terms)
+        return PbwElement(self.target, out)
 
-    def image_of_raw(self, items: Sequence[Item]) -> PbwElement:
-        acc = self.target.one()
-        for it in items:
-            if isinstance(it, int):
-                acc = acc * self.target.of_section(self.morphism.images[it])
-            else:
-                acc = acc * self.target.scalar(it)
-        return acc
-
-    def preserves_normal_forms(self, words: Iterable[Sequence[Item]]) -> bool:
-        for items in words:
-            via_nf = self(normal_form(items, self.source))
-            direct = self.image_of_raw(items)
-            if not (via_nf - direct).is_zero():
-                return False
-        return True
+    def broken_relations(self) -> List[Tuple[int, Union[int, str]]]:
+        """The source relations [u, v] = w that the rule does not carry
+        into the target, [g(u), g(v)] != g(w) there, as (u, v) pairs of a
+        generator index and a generator index or variable name."""
+        target, image = self.target, self.image_of_generator
+        broken = []
+        for i, right, rhs in self.source.relations():
+            u = image(i)
+            v = (target.scalar(target.ring.var(right))
+                 if isinstance(right, str) else image(right))
+            if not (u * v - v * u - self(rhs)).is_zero():
+                broken.append((i, right))
+        return broken
 
 
 def pushforward_algebra_map(morphism: AlgebroidMorphism,
-                            target: RelationSystem) -> PbwMap:
-    return PbwMap(morphism, target)
+                            target: RelationSystem) -> GeneratorMap:
+    """The filtered-algebra map induced by an algebroid morphism, from the
+    system of the pulled-back target twist (the morphism is checked)."""
+    if target.algebroid is not morphism.target:
+        raise StructureError("system does not live on the morphism target")
+    if not morphism.verify():
+        raise StructureError("not an algebroid morphism")
+    source = RelationSystem(morphism.source, pullback(
+        target.twist, morphism.source, morphism.images))
+    return GeneratorMap(source, target,
+                        [target.of_section(s) for s in morphism.images])

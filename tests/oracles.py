@@ -46,6 +46,9 @@ bracket and the twist, and `glue_relation_failures` checks the gluing
 rule on them with its own images, its own frame change and products
 from `naive_normal_form`: the references for `RelationSystem.relations`
 and the `adf relations` and `glue` paths that read it.
+`preserves_normal_forms` maps raw words of a `pbw.GeneratorMap` both
+before and after reduction, the normal-form reference for its
+`broken_relations`.
 """
 
 import re
@@ -246,7 +249,6 @@ def naive_confluence_check(system):
     right-first normal form) of the first overlap whose two resolutions
     differ, or None."""
     from itertools import combinations
-    from algebroid.pbw import sum_elements
 
     l, ring = system.algebroid, system.ring
     overlaps = [((k, j, i), "gg") for i, j, k in combinations(range(l.rank), 3)]
@@ -255,7 +257,7 @@ def naive_confluence_check(system):
                  for v in ring.variables]
     for word, right_kind in overlaps:
         left, right = (
-            sum_elements(system, (naive_normal_form(r, system)
+            pbw_sum(system, (naive_normal_form(r, system)
                                   for r in rewrite_at(system, word, t, kind)))
             for t, kind in ((0, "gg"), (1, right_kind)))
         if not (left - right).is_zero():
@@ -1463,15 +1465,44 @@ def relation_rules(alg, twist):
     return rules
 
 
+def pbw_sum(system, parts):
+    """The sum of elements of one system, one `+` at a time."""
+    from algebroid.pbw import PbwElement
+
+    total = PbwElement(system, {})
+    for p in parts:
+        total = total + p
+    return total
+
+
 def naive_product(x, y):
     """x * y of two elements of one system, each pair of terms reduced by
     `naive_normal_form`."""
-    from algebroid.pbw import sum_elements
-
     system = x.system
-    return sum_elements(system, [
+    return pbw_sum(system, [
         naive_normal_form((c1,) + w1 + (c2,) + w2, system)
         for w1, c1 in x.terms.items() for w2, c2 in y.terms.items()])
+
+
+def image_of_raw(gmap, items):
+    """The product, in the target of the `pbw.GeneratorMap` gmap, of the
+    images of a raw word's items: generator indices and coefficients."""
+    target = gmap.target
+    acc = target.one()
+    for it in items:
+        acc = acc * (gmap.image_of_generator(it) if isinstance(it, int)
+                     else target.scalar(it))
+    return acc
+
+
+def preserves_normal_forms(gmap, words):
+    """Whether reducing each raw word in the source and then mapping it
+    agrees with mapping its items and multiplying in the target: the
+    normal-form reference for `GeneratorMap.broken_relations`."""
+    from algebroid.pbw import normal_form
+
+    return all((gmap(normal_form(items, gmap.source))
+                - image_of_raw(gmap, items)).is_zero() for items in words)
 
 
 def _overlap_twists(cover, pair, a, b):

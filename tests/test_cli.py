@@ -107,6 +107,50 @@ def test_usage_error_exit_code():
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["cohomology", "plane.adf", "T", "--bogus"],
+    ["cohomology", "plane.adf"],
+    ["chern", "plane.adf", "C", "--k", "3"],
+    ["no-such-command", "plane.adf"],
+    [],
+], ids=["unknown-flag", "missing-name", "bad-choice", "unknown-command", "empty"])
+def test_argparse_error_under_json_is_one_json_line(argv):
+    # without --json: argparse's usage text on stderr, nothing on stdout;
+    # with it: one JSON line on stdout carrying argparse's message
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        assert invoke(argv) == (2, "")
+    usage = err.getvalue()
+    assert usage.startswith("usage: adf")
+    message = usage.splitlines()[-1].partition(": error: ")[2]
+    assert message
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        code, text = invoke(argv + ["--json"])
+    assert code == 2 and err.getvalue() == ""
+    assert text.count("\n") == 1
+    assert json.loads(text) == {"error": message, "exit": 2}
+
+
+def test_help_still_exits_zero():
+    with contextlib.redirect_stderr(io.StringIO()):
+        code, text = invoke(["cohomology", "-h"])
+    assert code == 0 and text.startswith("usage: adf cohomology")
+    assert invoke(["cohomology", "-h", "--json"])[0] == 0
+
+
+@pytest.mark.parametrize("argv,spec", [
+    (["cohomology", "plane.adf", "T", "--window", "2"], "-1..2"),
+    (["cohomology", "plane.adf", "T", "--window", "2"], "-2,0"),
+    (["compare-total", "matched.adf", "M", "--window", "2,2", "--json"], "-2..1"),
+])
+def test_negative_degrees_parse_as_a_value(argv, spec):
+    # `--degrees -1..2` reads like `--degrees=-1..2`, not as an unknown flag
+    code, text = invoke(argv + ["--degrees", spec])
+    assert (code, text) == invoke(argv + ["--degrees=" + spec])
+    assert code == 0
+    if "--json" not in argv:
+        assert text.startswith("H^%s: dim 0" % spec[:2])
+
+
 @pytest.mark.parametrize("flags,env", [
     (["--window", "abc"], None),
     (["--window", "-1"], None),

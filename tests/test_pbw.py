@@ -14,15 +14,17 @@ from algebroid.core import (Algebroid, StructureError, make_foliation,
                             make_tangent, make_trivial_bundle,
                             AlgebroidMorphism)
 from algebroid.forms import LForm, d_L, pullback
-from algebroid.pbw import (AbelianExtension, PbwElement, RelationSystem,
-                           build_relations, cocycle_from_extension,
-                           confluence_check, extension_from_cocycle, gr_symbol,
-                           normal_form, pushforward_algebra_map)
+from algebroid.pbw import (AbelianExtension, GeneratorMap, PbwElement,
+                           RelationSystem, build_relations,
+                           cocycle_from_extension, confluence_check,
+                           extension_from_cocycle, gr_symbol, normal_form,
+                           pushforward_algebra_map)
 from algebroid.parser import Definitions, parse_word, render
 from algebroid.rings import ChartRing, RingError, laurent_ring, poly_ring
 
 from oracles import (is_normal_coefficient, naive_confluence_check,
-                     naive_normal_form, relation_rules, rewrite_at)
+                     naive_normal_form, preserves_normal_forms, relation_rules,
+                     rewrite_at)
 
 HEISENBERG = {(0, 1): {2: 1}}
 BAD_RANK3 = {(0, 1): {2: 1}, (0, 2): {0: 1}, (1, 2): {1: 1}}
@@ -360,14 +362,20 @@ def test_parsed_products_match_naive_randomized():
         [2, 2, x, 0, Fraction(3, 2), 1], s).terms
 
 
+def so3_relations():
+    """so(3) as the linear Poisson algebroid on Q[x, y, z]."""
+    r = poly_ring("x", "y", "z")
+    x, y, z = r.var("x"), r.var("y"), r.var("z")
+    return build_relations(Algebroid(
+        r, 3, [[0, z, -y], [-z, 0, x], [y, -x, 0]],
+        {(0, 1): [0, 0, 1], (1, 2): [1, 0, 0], (0, 2): [0, -1, 0]}))
+
+
 def test_memo_keys_hold_no_constant_coefficients():
     # so(3) brackets are constants: they ride on rewrite edges, never in
     # a word, so every coefficient a memo key holds is non-constant
-    r = poly_ring("x", "y", "z")
-    x, y, z = r.var("x"), r.var("y"), r.var("z")
-    so3 = Algebroid(r, 3, [[0, z, -y], [-z, 0, x], [y, -x, 0]],
-                    {(0, 1): [0, 0, 1], (1, 2): [1, 0, 0], (0, 2): [0, -1, 0]})
-    s = build_relations(so3)
+    s = so3_relations()
+    x, y = s.ring.var("x"), s.ring.var("y")
     got = normal_form([2] * 3 + [1] * 3 + [0] * 3, s)
     assert len(got.terms) == 33
     # generator indices are >= 0, coefficient codes < 0
@@ -548,7 +556,7 @@ def test_pushforward_embeds_weyl_line():
     f = pushforward_algebra_map(incl, target)
     assert f.source.twist.is_zero()
     words = [[0], [0, 0], [0, r.var("x")], [r.var("x"), 0, r.var("y"), 0]]
-    assert f.preserves_normal_forms(words)
+    assert preserves_normal_forms(f, words)
     image = f(normal_form([0, r.var("x")], f.source))
     assert image.terms == {(0,): r.var("x"), (): r.one}
 
@@ -584,6 +592,60 @@ def test_pullback_twist_checked():
     # rank-1 source: the pullback of any 2-form vanishes
     assert f.source.twist.is_zero()
     assert pullback(q, fol, incl.images).is_zero()
+
+
+def raw_words(system, length=3):
+    """Every raw word of at most `length` items over the generators and
+    the variables of the system's ring."""
+    items = list(range(system.algebroid.rank)) + [
+        system.ring.var(v) for v in system.ring.variables]
+    words = [[]]
+    for _ in range(length):
+        words += [w + [it] for w in words if len(w) == len(words[-1])
+                  for it in items]
+    return words[1:]
+
+
+def pushforward_cases():
+    """The pushforward maps of the tests above: the foliation line into
+    the plain and the twisted Weyl plane, the identity of the Weyl line,
+    and the zero algebroid into it."""
+    r = poly_ring("x", "y")
+    t = make_tangent(r)
+    incl = AlgebroidMorphism(make_foliation(r, [[1, 0]]), t, [t.basis_section(0)])
+    yield pushforward_algebra_map(incl, build_relations(t))
+    yield pushforward_algebra_map(
+        incl, build_relations(t, LForm(t, 2, {(0, 1): r.one})))
+    line = make_tangent(poly_ring("x"))
+    target = build_relations(line)
+    yield pushforward_algebra_map(AlgebroidMorphism.identity(line), target)
+    zero = Algebroid(line.base, 0, [], {}, basis_names=())
+    yield pushforward_algebra_map(AlgebroidMorphism(zero, line, []), target)
+
+
+def test_pushforwards_preserve_relations_and_normal_forms():
+    for f in pushforward_cases():
+        assert f.broken_relations() == []
+        assert preserves_normal_forms(f, raw_words(f.source))
+
+
+def test_generator_rules_that_are_no_morphism_fail_both_checks():
+    s = so3_relations()
+    e1, e2, e3 = (s.generator(i) for i in range(3))
+    words = raw_words(s, 2)
+    ident = GeneratorMap(s, s, [e1, e2, e3])
+    assert ident.broken_relations() == [] and preserves_normal_forms(ident, words)
+    scaled = GeneratorMap(s, s, [e1.scale(2), e2, e3])
+    swapped = GeneratorMap(s, s, [e2, e1, e3])
+    # [2 e1, e2] = 2 e3 and [e2, e1] = -e3, against the images e3 of [e1, e2]
+    assert (1, 0) in scaled.broken_relations()
+    assert (1, 0) in swapped.broken_relations()
+    for bad in (scaled, swapped):
+        assert not preserves_normal_forms(bad, words)
+    with pytest.raises(StructureError):
+        GeneratorMap(s, s, [e1, e2])
+    with pytest.raises(StructureError):
+        GeneratorMap(s, build_relations(s.algebroid), [e1, e2, e3])
 
 
 def test_pbw_element_checks_generators_and_coefficients():
