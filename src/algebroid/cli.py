@@ -492,11 +492,7 @@ COMMANDS = {
 
 
 class _ArgvError(Exception):
-    """An argparse usage error: the message, and the text argparse writes."""
-
-    def __init__(self, message: str, text: str):
-        super().__init__(message)
-        self.text = text
+    """An argparse usage error, as (message, the parser that found it)."""
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -505,11 +501,11 @@ class _ArgumentParser(argparse.ArgumentParser):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
+        # an argparse internal; test_negative_degrees_parse_as_a_value checks it
         self._negative_number_matcher = re.compile(r"-\d")
 
     def error(self, message: str):
-        raise _ArgvError(message, "%s%s: error: %s\n"
-                         % (self.format_usage(), self.prog, message))
+        raise _ArgvError(message, self)
 
 
 def _wants_json(argv) -> bool:
@@ -581,11 +577,14 @@ def run(argv) -> int:
     except SystemExit as exc:     # -h
         return EXIT_USAGE if exc.code else EXIT_OK
     except _ArgvError as err:
+        message, parser = err.args
         if not _wants_json(argv):
-            sys.stderr.write(err.text)
-            return EXIT_USAGE
+            try:    # argparse's own usage text on stderr
+                argparse.ArgumentParser.error(parser, message)
+            except SystemExit:
+                return EXIT_USAGE
         out = Output(True)
-        out.set("error", str(err))
+        out.set("error", message)
         return out.emit(EXIT_USAGE)
     out = Output(args.json)
     try:

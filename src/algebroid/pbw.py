@@ -607,10 +607,10 @@ class GeneratorMap:
             raise StructureError("one target image per source generator required")
         self.source = source
         self.target = target
-        self.images = list(images)
+        self._images = list(images)
 
     def image_of_generator(self, i: int) -> PbwElement:
-        return self.images[i]
+        return self._images[i]
 
     def __call__(self, p: PbwElement) -> PbwElement:
         if p.system is not self.source:
@@ -619,7 +619,7 @@ class GeneratorMap:
         for word, coeff in p.terms.items():
             acc = self.target.scalar(coeff)
             for i in word:
-                acc = acc * self.images[i]
+                acc = acc * self._images[i]
             _add_into(out, acc.terms)
         return PbwElement(self.target, out)
 
@@ -627,12 +627,12 @@ class GeneratorMap:
         """The source relations [u, v] = w that the rule does not carry
         into the target, [g(u), g(v)] != g(w) there, as (u, v) pairs of a
         generator index and a generator index or variable name."""
-        target, image = self.target, self.image_of_generator
+        target, images = self.target, self._images
         broken = []
         for i, right, rhs in self.source.relations():
-            u = image(i)
+            u = images[i]
             v = (target.scalar(target.ring.var(right))
-                 if isinstance(right, str) else image(right))
+                 if isinstance(right, str) else images[right])
             if not (u * v - v * u - self(rhs)).is_zero():
                 broken.append((i, right))
         return broken

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -10,6 +11,7 @@ import sys
 import pytest
 
 import algebroid
+from algebroid import cli
 from algebroid.cli import run
 
 from golden_cases import CASES
@@ -107,13 +109,30 @@ def test_usage_error_exit_code():
     assert code == 2
 
 
-@pytest.mark.parametrize("argv", [
+USAGE_ERRORS = pytest.mark.parametrize("argv", [
     ["cohomology", "plane.adf", "T", "--bogus"],
     ["cohomology", "plane.adf"],
     ["chern", "plane.adf", "C", "--k", "3"],
     ["no-such-command", "plane.adf"],
     [],
 ], ids=["unknown-flag", "missing-name", "bad-choice", "unknown-command", "empty"])
+
+
+@USAGE_ERRORS
+def test_usage_error_without_json_is_stock_argparse_text(argv, monkeypatch):
+    # the same arguments on plain argparse parsers write the same stderr
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        assert invoke(argv) == (2, "")
+    monkeypatch.setattr(cli, "_ArgumentParser", argparse.ArgumentParser)
+    stock = cli.build_arg_parser()
+    with contextlib.redirect_stderr(io.StringIO()) as stock_err:
+        with pytest.raises(SystemExit) as exc:
+            stock.parse_args(argv)
+    assert exc.value.code == 2
+    assert err.getvalue() == stock_err.getvalue()
+
+
+@USAGE_ERRORS
 def test_argparse_error_under_json_is_one_json_line(argv):
     # without --json: argparse's usage text on stderr, nothing on stdout;
     # with it: one JSON line on stdout carrying argparse's message
