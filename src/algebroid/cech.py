@@ -26,8 +26,8 @@ from .connections import (Connection, curvature, _mat_add, _mat_mul,
                           _mat_scale, _mat_sub)
 from .core import (Algebroid, AlgebroidMorphism, InputError, Section,
                    StructureError, make_log, make_tangent)
-from .forms import (LForm, TruncationWindow, IndexTuple, compile_d, pullback,
-                    _ring_det)
+from .forms import (LForm, RowCodes, TruncationWindow, IndexTuple, compile_d,
+                    pullback, _ring_det, _tuple_keys)
 from .linalg import SparseSystem
 from .pbw import GeneratorMap, PbwElement, RelationSystem
 from .rings import (ChartRing, RingElement, RingMap, laurent_ring, mul_terms,
@@ -421,14 +421,22 @@ def coboundary_test(cover: Cover, pair_a: CechPair, pair_b: CechPair,
     frames = {key: ov.transition_inverse for key, ov in cover.overlaps.items()}
 
     # overlap equations push_a(eta_a) - push_b(eta_b) = phi_diff, then the
-    # chart equations d eta_a = q_diff_a
-    cols = []
-    for (a, i), mono in basis:
-        col = _restriction_column(cover, frames, a, i, mono)
+    # chart equations d eta_a = q_diff_a, from the rows of each chart's
+    # columns, their codes decoded once per row
+    cols = [_restriction_column(cover, frames, a, i, mono) for (a, i), mono in basis]
+    start = 0
+    for a in range(len(cover.charts)):
+        ring, rank = cover.chart_ring(a), cover.chart_algebroid(a).rank
+        monos = window.monomials(ring)
         if a in stencils:
-            for ((jdx, _), exps), c in stencils[a].column((i,), 0, mono).items():
-                col[("ch", a, jdx, exps)] = c
-        cols.append(col)
+            codes = RowCodes(_tuple_keys(rank), len(ring.variables),
+                             window.bound(ring) + stencils[a].reach)
+            chart = [(idx, mono) for idx in combinations(range(rank), 1) for mono in monos]
+            for k, row in stencils[a].rows(codes, chart).items():
+                (jdx, _), exps = codes.decode(k)
+                for j, c in row.items():
+                    cols[start + j][("ch", a, jdx, exps)] = c
+        start += rank * len(monos)
     rhs = {}
     for (a, b), form in diff.phi.items():
         for (j,), val in form.coeffs.items():
@@ -439,7 +447,7 @@ def coboundary_test(cover: Cover, pair_a: CechPair, pair_b: CechPair,
             for exps, c in val.terms.items():
                 rhs[("ch", a, jdx, exps)] = c
 
-    terms = SparseSystem.from_columns(cols).solve(rhs, basis)
+    (terms,) = SparseSystem.from_columns(cols).solve([rhs], basis)
     if terms is not None:
         eta = {}
         for a in range(len(cover.charts)):

@@ -357,13 +357,16 @@ def make_foliation(r: ChartRing, generators: Sequence[Sequence]) -> Algebroid:
         [{(d, tuple(x + y for x, y in zip(sexps, mono))): scoeff
           for d in range(nder) for sexps, scoeff in gens[k][d].terms.items()}
          for k, mono in basis])
-    structure = {}
+    # every non-commuting pair's bracket, solved from one elimination
+    pairs, targets = [], []
     for i, j in combinations(range(m), 2):
         target = vector_field_bracket(r, gens[i], gens[j])
-        if all(t.is_zero() for t in target):
-            continue
-        terms = system.solve({(d, exps): coeff for d in range(nder)
-                              for exps, coeff in target[d].terms.items()}, basis)
+        if any(not t.is_zero() for t in target):
+            pairs.append((i, j))
+            targets.append({(d, exps): coeff for d in range(nder)
+                            for exps, coeff in target[d].terms.items()})
+    structure = {}
+    for (i, j), terms in zip(pairs, system.solve(targets, basis) if pairs else ()):
         if terms is None:
             raise StructureError(
                 "not involutive in given generators: [g%d, g%d] does not "

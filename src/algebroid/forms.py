@@ -16,17 +16,18 @@ unless a residue functional certifies them outright.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, combinations, permutations
 from math import comb
-from operator import add, mul
+from operator import mul
 from typing import (Dict, Hashable, Iterable, List, Mapping, Optional,
                     Sequence, Tuple)
 
 from .core import Algebroid, InputError, Section, StructureError
 from .linalg import SparseSystem
-from .rings import ChartRing, RingElement, as_fraction
+from .rings import ChartRing, Coefficient, RingElement, as_fraction
 
 IndexTuple = Tuple[int, ...]
 
@@ -79,6 +80,66 @@ def covariant_d(l: Algebroid,
     return compile_d(l, matrices).apply(coeffs)
 
 
+def _tuple_keys(rank: int) -> List[Tuple[IndexTuple, int]]:
+    """(index tuple, 0) for every ascending tuple of 0..rank-1, by length
+    and then in ascending order: the row keys of a Chevalley-Eilenberg
+    complex with trivial coefficients, in the order of its row codes."""
+    return [(idx, 0) for p in range(rank + 1) for idx in combinations(range(rank), p)]
+
+
+class RowCodes:
+    """Packed integer row codes of the windowed systems of one call.
+
+    The code of ((index tuple, module label), monomial) is
+    block * radix^nv + the packed monomial, where keys[block] is the
+    (tuple, label) pair and the packed monomial holds exponent e_v + bias
+    as its digit at radix^(nv-1-v), so the first variable is the most
+    significant digit and a Laurent exponent becomes a nonnegative digit.
+    With radix 2 * bias + 1, every exponent of size at most `bias` is one
+    digit and no digit carries: codes of one block sort like their
+    monomials, and blocks numbered in sorted key order sort like the keys.
+    A call takes bias = the largest |exponent| of its largest window plus
+    the largest shift of its stencils (`Stencil.reach`), so that the
+    images of its basis elements fit too.  An exponent shift s moves a
+    code by the unbiased packing of s, so a compiled stencil entry is one
+    int offset per call (`Stencil.rows`).
+    """
+
+    def __init__(self, keys: Iterable[Hashable], nv: int, bias: int):
+        self.keys = list(keys)
+        self.block = {key: b for b, key in enumerate(self.keys)}
+        self.nv, self.bias = nv, bias
+        radix = 2 * bias + 1
+        self.places = [radix ** (nv - 1 - v) for v in range(nv)]
+        self.scale = radix ** nv
+        self.zero = (self.scale - 1) // 2      # the packed exponent 0: every digit is bias
+        self._monos: Dict[int, IndexTuple] = {}  # packed monomial -> exponents, once decoded
+
+    def relabel(self, keys: Iterable[Hashable]) -> "RowCodes":
+        """The same codes under other names: keys[b] names block b."""
+        return RowCodes(keys, self.nv, self.bias)
+
+    def mono(self, mono: IndexTuple) -> int:
+        """The packed monomial: the code of (keys[0], mono), and the
+        remainder of every code of mono modulo `scale`."""
+        return self.zero + sum(map(mul, self.places, mono))
+
+    def code(self, key: Hashable, mono: IndexTuple) -> int:
+        return self.block[key] * self.scale + self.mono(mono)
+
+    def decode(self, code: int) -> Tuple[Hashable, IndexTuple]:
+        """(key, monomial) of a code."""
+        block, packed = divmod(code, self.scale)
+        mono = self._monos.get(packed)
+        if mono is None:
+            digits, rest = [], packed
+            for place in self.places:
+                digit, rest = divmod(rest, place)
+                digits.append(digit - self.bias)
+            mono = self._monos[packed] = tuple(digits)
+        return self.keys[block], mono
+
+
 class Stencil:
     """The differential of `covariant_d` for one (algebroid, connection),
     as integer stencils.
@@ -92,7 +153,9 @@ class Stencil:
     tuple I, module label t) gathers the terms that theta^I (x) b_t
     scatters: anchor and connection terms for each i not in I, bracket
     terms for each k in I through the c_ij^k with i, j outside I - {k}.
-    It is built on first use and kept.
+    It is built on first use and kept; `rows` turns it into offsets of
+    `RowCodes`, once per (codes, I, t).  `reach` is the largest size of a
+    component of a term's shift.
     """
 
     def __init__(self, l: Algebroid, matrices: Optional[Sequence[Mapping]] = None):
@@ -116,8 +179,29 @@ class Stencil:
             for k, c in enumerate(comps):
                 if not c.is_zero():
                     self.feeds[k].append((i, j, c))
+        self.reach = max((abs(e) for shift, _ in self._shifts() for e in shift), default=0)
         self._entries: Dict[Tuple[IndexTuple, Hashable], tuple] = {}
+        self._codes: Optional[RowCodes] = None
+        self._offsets: Dict[Tuple[IndexTuple, Hashable], tuple] = {}
         self._weights: Optional[Tuple[Tuple[int, ...], ...]] = None
+
+    def _shifts(self) -> Iterable[Tuple[IndexTuple, Tuple[Tuple[int, int], ...]]]:
+        """(shift, signed basis indices) of every term: (i, 1) for an anchor
+        or connection term of e_i, (i, 1), (j, 1), (k, -1) for a monomial
+        of c_ij^k."""
+        for i, terms in enumerate(self.anchor):
+            for _, shift, _ in terms:
+                yield shift, ((i, 1),)
+        for i, by_label in enumerate(self.matrices or ()):
+            for entries in (by_label.values() if isinstance(by_label, Mapping)
+                            else by_label):
+                for _, m in entries:
+                    for shift in m.terms:
+                        yield shift, ((i, 1),)
+        for k, feeds in enumerate(self.feeds):
+            for i, j, c in feeds:
+                for shift in c.terms:
+                    yield shift, ((i, 1), (j, 1), (k, -1))
 
     def weights(self) -> Tuple[Tuple[int, ...], ...]:
         """An integer basis of the gradings that every entry preserves:
@@ -131,34 +215,23 @@ class Stencil:
         if self._weights is None:
             nv = len(self.owner.base.variables)
             constraints = set()
-
-            def need(shift, *signed):
+            for shift, signed in self._shifts():
                 row = list(shift) + [0] * self.owner.rank
                 for i, sign in signed:
                     row[nv + i] += sign
                 constraints.add(tuple(row))
-
-            for i, terms in enumerate(self.anchor):
-                for _, shift, _ in terms:
-                    need(shift, (i, 1))
-            for i, by_label in enumerate(self.matrices or ()):
-                for entries in (by_label.values() if isinstance(by_label, Mapping)
-                                else by_label):
-                    for _, m in entries:
-                        for shift in m.terms:
-                            need(shift, (i, 1))
-            for k, feeds in enumerate(self.feeds):
-                for i, j, c in feeds:
-                    for shift in c.terms:
-                        need(shift, (i, 1), (j, 1), (k, -1))
-            system = SparseSystem(len(constraints), nv + self.owner.rank)
-            system.rows = [{j: x for j, x in enumerate(row) if x} for row in constraints]
+            system = SparseSystem([{j: x for j, x in enumerate(row) if x}
+                                   for row in constraints], nv + self.owner.rank)
             self._weights = tuple(system.kernel())
         return self._weights
 
     def _compile(self, idx: IndexTuple, t: Hashable) -> tuple:
         """(constant terms [(key, shift, c)], anchor terms [(key, v, shift, c)])
-        of theta^idx (x) b_t, keyed by (target tuple, module label)."""
+        of theta^idx (x) b_t, keyed by (target tuple, module label); built
+        on first use and kept."""
+        entries = self._entries.get((idx, t))
+        if entries is not None:
+            return entries
         consts: Dict[tuple, Fraction] = {}
         anchors: Dict[tuple, Fraction] = {}
 
@@ -186,44 +259,110 @@ class Stencil:
                 negate = (big.index(i) + big.index(j) + pos) % 2 == 1
                 for shift, c in c_ij.terms.items():
                     put(consts, ((big, t), shift), c, negate)
-        return ([(key, shift, as_fraction(c))
-                 for (key, shift), c in consts.items() if c],
-                [(key, v, shift, as_fraction(c))
-                 for (key, v, shift), c in anchors.items() if c])
+        entries = self._entries[(idx, t)] = (
+            [(key, shift, as_fraction(c)) for (key, shift), c in consts.items() if c],
+            [(key, v, shift, as_fraction(c))
+             for (key, v, shift), c in anchors.items() if c])
+        return entries
 
-    def column(self, idx: IndexTuple, t: Hashable, mono: IndexTuple
-               ) -> Dict[Tuple[Tuple[IndexTuple, Hashable], IndexTuple], Fraction]:
-        """The image of theta^idx (x) b_t * x^mono, keyed by ((target
-        tuple, module label), monomial), without zero values; each value
-        is an int or a Fraction."""
-        entries = self._entries.get((idx, t))
-        if entries is None:
-            entries = self._entries[(idx, t)] = self._compile(idx, t)
-        consts, anchors = entries
-        out: Dict[tuple, Fraction] = {}
-        for key, shift, c in consts:
-            k = (key, tuple(map(add, mono, shift)))
-            cur = out.get(k)
-            out[k] = c if cur is None else cur + c
+    def _offset_entries(self, codes: RowCodes, idx: IndexTuple, t: Hashable) -> tuple:
+        """The entries of theta^idx (x) b_t as offsets under `codes`, one
+        per target (key, shift): (constant terms [(offset, c)], lone anchor
+        terms [(offset, v, c)], targets that several terms share
+        [(offset, constant part, ((v, c), ...))]).  Made once per (codes,
+        idx, t) and kept until other codes are asked for."""
+        if self._codes is not codes:
+            self._codes, self._offsets = codes, {}
+        out = self._offsets.get((idx, t))
+        if out is not None:
+            return out
+        consts, anchors = self._compile(idx, t)
+        shared: Dict[tuple, list] = {(key, shift): [c, []] for key, shift, c in consts}
         for key, v, shift, c in anchors:
+            shared.setdefault((key, shift), [0, []])[1].append((v, c))
+        out = self._offsets[(idx, t)] = ([], [], [])
+        for (key, shift), (c, terms) in shared.items():
+            off = codes.block[key] * codes.scale + sum(map(mul, codes.places, shift))
+            if not terms:
+                out[0].append((off, c))
+            elif not c and len(terms) == 1:
+                out[1].append((off,) + terms[0])
+            else:
+                out[2].append((off, c, tuple(terms)))
+        return out
+
+    def rows(self, codes: RowCodes, basis: Sequence[Tuple[IndexTuple, IndexTuple]],
+             t: Hashable = 0) -> Dict[int, Dict[int, Coefficient]]:
+        """The images of theta^idx (x) b_t * x^mono over the (idx, mono) of
+        `basis`, as rows {row code: {column: value}} with column j the
+        image of basis[j], built row-wise in one pass and without zero
+        values; each value is an int or a Fraction.  Each entry costs one
+        int add: its offset plus the code of the column's monomial."""
+        zero, places = codes.zero, codes.places
+        rows: Dict[int, Dict[int, Coefficient]] = defaultdict(dict)
+        last = None
+        for j, (idx, mono) in enumerate(basis):
+            if idx is not last:
+                last = idx
+                consts, anchors, shared = self._offset_entries(codes, idx, t)
+            at = zero + sum(map(mul, places, mono))
+            for off, c in consts:
+                rows[off + at][j] = c
+            for off, v, c in anchors:
+                e = mono[v]
+                if e:
+                    rows[off + at][j] = c * e
+            for off, c, terms in shared:
+                for v, cv in terms:
+                    e = mono[v]
+                    if e:
+                        c = c + cv * e
+                if c:
+                    rows[off + at][j] = c
+        return rows
+
+    def column(self, codes: RowCodes, idx: IndexTuple, t: Hashable, mono: IndexTuple
+               ) -> Dict[int, Coefficient]:
+        """The image of theta^idx (x) b_t * x^mono as {row code: value}, from
+        the same offsets as `rows`: one column of it, for the callers that
+        read columns one at a time (a one-column `rows` would cost a dict
+        per entry)."""
+        consts, anchors, shared = self._offset_entries(codes, idx, t)
+        at = codes.zero + sum(map(mul, codes.places, mono))
+        out = {off + at: c for off, c in consts}
+        for off, v, c in anchors:
             e = mono[v]
             if e:
-                k = (key, tuple(map(add, mono, shift)))
-                cur = out.get(k)
-                out[k] = c * e if cur is None else cur + c * e
-        return {k: c for k, c in out.items() if c}
+                out[off + at] = c * e
+        for off, c, terms in shared:
+            for v, cv in terms:
+                e = mono[v]
+                if e:
+                    c = c + cv * e
+            if c:
+                out[off + at] = c
+        return out
 
     def apply(self, coeffs: Mapping[Tuple[IndexTuple, Hashable], RingElement]
               ) -> Dict[Tuple[IndexTuple, Hashable], RingElement]:
-        """`covariant_d` of `coeffs`: the columns of its terms, summed."""
-        flat: Dict[tuple, Fraction] = {}
+        """`covariant_d` of `coeffs`: the columns of its terms, summed and
+        decoded."""
+        keys: Dict[Hashable, None] = {}
+        for idx, t in coeffs:
+            for entries in self._compile(idx, t):
+                keys.update(dict.fromkeys(entry[0] for entry in entries))
+        bound = max((abs(e) for f in coeffs.values() for mono in f.terms for e in mono),
+                    default=0)
+        codes = RowCodes(keys, len(self.owner.base.variables), bound + self.reach)
+        flat: Dict[int, Coefficient] = {}
         for (idx, t), f in coeffs.items():
             for mono, a in f.terms.items():
-                for k, c in self.column(idx, t, mono).items():
+                for k, c in self.column(codes, idx, t, mono).items():
                     flat[k] = flat.get(k, 0) + a * c
-        grouped: Dict[tuple, Dict[IndexTuple, Fraction]] = {}
-        for (key, mono), c in flat.items():
+        grouped: Dict[tuple, Dict[IndexTuple, Coefficient]] = {}
+        for k, c in flat.items():
             if c:
+                key, mono = codes.decode(k)
                 grouped.setdefault(key, {})[mono] = c
         return {key: RingElement(self.owner.base, terms)
                 for key, terms in grouped.items()}
@@ -437,6 +576,11 @@ class TruncationWindow:
     def enlarged(self, amount: int) -> "TruncationWindow":
         return TruncationWindow(self.degree + amount, self.laurent + amount)
 
+    def bound(self, ring: ChartRing) -> int:
+        """The largest |exponent| of a window monomial over `ring`."""
+        return max((self.laurent if v in ring.laurent else self.degree
+                    for v in ring.variables), default=0)
+
     def monomials(self, ring: ChartRing) -> Tuple[IndexTuple, ...]:
         """The exponent tuples of the window in ascending order, built
         once per (ring, window) and kept on the ring."""
@@ -481,19 +625,22 @@ class _WindowedComplex:
     """A cochain complex on window slices.
 
     Degree p has the basis (ascending p-tuple of 0..rank-1, window
-    monomial), in that order, and `column(idx, mono)` is the image of a
-    basis element keyed ((index tuple, 0), monomial), as `Stencil.column`
-    keys it.  `grading` returns vectors (w | u) as `Stencil.weights`
-    gives them: the differential maps the basis elements of each weight
-    into the same weight one degree up.  It is called only when a weight
-    is asked for.
+    monomial), in that order.  `codes(bound)` gives the `RowCodes` of a
+    call whose monomials have exponents of size at most `bound`, keyed
+    (index tuple, 0) in the order of `_tuple_keys`, so within one degree
+    the codes sort like the keys ((index tuple, 0), monomial).
+    `rows(codes, basis)` gives the images of a list of basis elements as
+    rows {code: {column: value}}, column j the image of basis[j].
+    `grading` returns vectors (w | u) as `Stencil.weights` gives them: the
+    differential maps the basis elements of each weight into the same
+    weight one degree up.  It is called only when a weight is asked for.
     """
 
-    def __init__(self, ring: ChartRing, rank: int, column,
-                 grading=tuple):
+    def __init__(self, ring: ChartRing, rank: int, codes, rows, grading=tuple):
         self.ring = ring
         self.rank = rank
-        self.column = column
+        self.codes = codes
+        self.rows = rows
         self._grading = grading
         self._packed: Optional[Tuple[List[int], List[int]]] = None
 
@@ -563,6 +710,7 @@ class _WindowedComplex:
                     reads.setdefault(p - 1, set()).update(w.enlarged(drop) for w in windows)
         nested = sorted(set().union(*reads.values()), key=lambda w: (w.degree, w.laurent))
         at = {w: k for k, w in enumerate(nested)}
+        codes = self.codes(nested[-1].bound(self.ring))
         layer: Dict[IndexTuple, int] = {}   # monomial -> first of `nested` holding it
         layers, sizes = [], []
         for k, w in enumerate(nested):
@@ -576,16 +724,17 @@ class _WindowedComplex:
         ranks: Dict[tuple, int] = {}
         for p, ws in reads.items():
             tuples = list(combinations(range(self.rank), p))
-            systems[p] = SparseSystem.from_columns(
-                [self.column(idx, m) for k in range(max(map(at.get, ws)) + 1)
-                 for idx in tuples for m in layers[k]])
+            basis = [(idx, m) for k in range(max(map(at.get, ws)) + 1)
+                     for idx in tuples for m in layers[k]]
+            systems[p] = SparseSystem.from_rows(self.rows(codes, basis), len(basis))
             pivots = systems[p].pivot_columns()
             for w in ws:
                 ranks[p, w] = bisect_left(pivots, len(tuples) * sizes[at[w]])
         # (first of `nested` holding the row, row) for each row of the
-        # systems an image reads, found once per row
-        row_layers = {p: [(layer.get(key[1], len(nested)), t)
-                          for key, t in systems[p].row_pos.items()]
+        # systems an image reads, found once per row from its monomial's code
+        packed = {codes.mono(m): k for m, k in layer.items()}
+        row_layers = {p: [(packed.get(code % codes.scale, len(nested)), t)
+                          for t, code in enumerate(systems[p].row_keys)]
                       for p in systems if p + 1 in reads}
 
         def kernel(p: int, window: TruncationWindow) -> int:
@@ -601,9 +750,7 @@ class _WindowedComplex:
                                    for first, t in row_layers[p - 1] if first > k) if row]
             if not far:
                 return ranks[p - 1, src]
-            beyond = SparseSystem(len(far), n)
-            beyond.rows = far
-            return ranks[p - 1, src] - beyond.rank()
+            return ranks[p - 1, src] - SparseSystem(far, n).rank()
 
         return {w: {p: (kernel(p, w), image(p, w)) if 0 <= p <= self.rank else (0, 0)
                     for p in degrees}
@@ -613,9 +760,12 @@ class _WindowedComplex:
 def _ce_complex(l: Algebroid) -> _WindowedComplex:
     """The Chevalley-Eilenberg complex of l with trivial coefficients,
     graded by the weights its stencil preserves."""
-    stencil = compile_d(l)
-    return _WindowedComplex(l.base, l.rank, lambda idx, m: stencil.column(idx, 0, m),
-                            stencil.weights)
+    stencil, keys = compile_d(l), _tuple_keys(l.rank)
+    nv = len(l.base.variables)
+    return _WindowedComplex(
+        l.base, l.rank,
+        lambda bound: RowCodes(keys, nv, bound + stencil.reach),
+        stencil.rows, stencil.weights)
 
 
 def _extent(ring: ChartRing, elements: Iterable[RingElement]) -> Tuple[int, int]:
@@ -694,16 +844,19 @@ def exactness_solve(theta: LForm, window: TruncationWindow | None = None
     dom_window = TruncationWindow(max(window.degree, needed) + drop,
                                   max(window.laurent, needed) + drop)
     complex_, p = _ce_complex(l), theta.degree - 1
-    rhs = {((idx, 0), m): c for idx, val in theta.coeffs.items()
-           for m, c in val.terms.items()}
     # d preserves weight, so only the columns of the weights of theta's
     # terms can reach them; a pivot column is independent of the earlier
     # columns of its own weight and free columns are zero, so the other
     # weights would solve to zero
-    basis = complex_.weight_basis(p, dom_window,
-                                  {complex_.weight(idx, m) for (idx, _), m in rhs})
-    terms = SparseSystem.from_columns(
-        [complex_.column(idx, m) for idx, m in basis]).solve(rhs, basis)
+    basis = complex_.weight_basis(p, dom_window, {
+        complex_.weight(idx, m) for idx, val in theta.coeffs.items() for m in val.terms})
+    codes = complex_.codes(max(
+        [dom_window.bound(l.base)]
+        + [abs(e) for val in theta.coeffs.values() for m in val.terms for e in m]))
+    rhs = {codes.code((idx, 0), m): c for idx, val in theta.coeffs.items()
+           for m, c in val.terms.items()}
+    (terms,) = SparseSystem.from_rows(complex_.rows(codes, basis), len(basis)).solve(
+        [rhs], basis)
     if terms is not None:
         primitive = LForm(l, p, {idx: RingElement(l.base, t) for idx, t in terms.items()})
         if not (primitive._d_unchecked() - theta).is_zero():

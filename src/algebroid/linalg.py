@@ -1,15 +1,19 @@
 """Exact rational linear algebra.
 
-Every linear system the library solves is a `SparseSystem` built from
-keyed sparse columns (`SparseSystem.from_columns`) and reduced by one
-sparse eliminator with a fixed deterministic pivot order.  Elimination
-runs on integers: each column is scaled by the lcm of its denominators,
-rows are combined fraction-free and divided by their content, and only
-back-substitution returns to `Fraction`; solutions come back as `int`
-where they are integral (`rings.as_fraction`).  A right-hand side is
-eliminated as one more column.  The same elimination gives the
-primitive integer kernel basis (`SparseSystem.kernel`), from which
-`forms.Stencil.weights` reads its grading lattice.
+Every linear system the library solves is a `SparseSystem`, built from
+keyed sparse rows (`SparseSystem.from_rows`; the windowed cochain
+systems key theirs by the integer row codes of `forms.RowCodes`) or
+from keyed sparse columns (`SparseSystem.from_columns`, which transposes
+them into rows), and reduced by one sparse eliminator with a fixed
+deterministic pivot order.  Elimination runs on integers: each column is
+scaled by the lcm of its denominators, rows are combined fraction-free
+and divided by their content, and only back-substitution returns to
+`Fraction`; solutions come back as `int` where they are integral
+(`rings.as_fraction`).  Each right-hand side is eliminated as one more
+column, reduced against the system's own pivots only.  The same
+elimination gives the primitive integer kernel basis
+(`SparseSystem.kernel`), from which `forms.Stencil.weights` reads its
+grading lattice.
 """
 
 from __future__ import annotations
@@ -50,46 +54,56 @@ class SparseSystem:
     Used for the big windowed cochain matrices, which touch only a few
     columns per row. Pivot choice is by ascending column, then sparsest
     eligible row, then lowest row index, so results are reproducible.
+    `row_keys[t]` is the key of row t when the system was built from
+    keyed rows or columns.
     """
 
-    def __init__(self, nrows: int, ncols: int):
-        self.nrows = nrows
+    def __init__(self, rows: List[Dict[int, Coefficient]], ncols: int,
+                 row_keys: Sequence[Hashable] = ()):
+        self.rows = rows
         self.ncols = ncols
-        self.rows: List[Dict[int, Fraction]] = [dict() for _ in range(nrows)]
-        self.row_pos: Dict[Hashable, int] = {}
+        self.row_keys = row_keys
         self._rank: Optional[int] = None
 
     @classmethod
-    def from_columns(cls, cols: Sequence[Mapping[Hashable, Fraction]]
+    def from_rows(cls, rows: Mapping[Hashable, Dict[int, Coefficient]],
+                  ncols: int) -> "SparseSystem":
+        """Row t is rows[k] for the t-th smallest key k, used as given (so
+        without zero values).  Rank, the kernel and the solution `solve`
+        returns depend only on column order."""
+        keys = sorted(rows)
+        return cls([rows[k] for k in keys], ncols, keys)
+
+    @classmethod
+    def from_columns(cls, cols: Sequence[Mapping[Hashable, Coefficient]]
                      ) -> "SparseSystem":
         """Column j is cols[j], a {row key: value} map; the rows are the
-        sorted union of the column keys, placed by `row_pos`.  Rank, the
-        kernel and the solution `solve` returns depend only on column order.
-        """
-        row_keys = sorted({k for col in cols for k in col})
-        system = cls(len(row_keys), len(cols))
-        pos = system.row_pos = {k: t for t, k in enumerate(row_keys)}
-        rows = system.rows
+        sorted union of the column keys."""
+        rows: Dict[Hashable, Dict[int, Coefficient]] = defaultdict(dict)
         for j, col in enumerate(cols):
             for k, c in col.items():
                 if c:
-                    rows[pos[k]][j] = c
-        return system
+                    rows[k][j] = c
+        return cls.from_rows(rows, len(cols))
 
-    def _eliminate(self, rhs: Optional[Mapping[int, Coefficient]] = None):
+    def _eliminate(self, rhs: Sequence[Mapping[int, Coefficient]] = ()):
         """Forward elimination on the integer-scaled columns; returns
         (pivots, reduced rows, column scales).
 
         What is reduced is the system with column c multiplied by
-        scales.get(c, 1).  A right-hand side {row: value} joins it as the
-        last column, `ncols`, so the system is inconsistent exactly when
-        that column holds a pivot.  After the sweep every non-pivot row is
-        empty, so back-substitution reads off directly.
+        scales.get(c, 1).  The right-hand side rhs[k], {row: value}, joins
+        it as column ncols + k; only the system's own columns are pivoted,
+        so each right-hand side is reduced against those pivots and never
+        against another one.  After the sweep every non-pivot row holds
+        right-hand-side columns only, so back-substitution reads off
+        directly and rhs[k] is inconsistent exactly when a non-pivot row
+        holds column ncols + k.
         """
         rows = [dict(r) for r in self.rows]
-        for t, v in (rhs or {}).items():
-            if v:
-                rows[t][self.ncols] = v
+        for k, col in enumerate(rhs):
+            for t, v in col.items():
+                if v:
+                    rows[t][self.ncols + k] = v
         col_rows: Dict[int, Set[int]] = defaultdict(set)
         integral = True
         for i, r in enumerate(rows):
@@ -102,6 +116,8 @@ class SparseSystem:
         pivots: List[Tuple[int, int]] = []
         # fill-in only reaches columns of the pivot row, so no key is added
         for c in sorted(col_rows):
+            if c >= self.ncols:
+                break
             holders = [i for i in col_rows[c] if not used[i]]
             if not holders:
                 continue
@@ -154,10 +170,9 @@ class SparseSystem:
 
     def image_rank_inside(self, inside: Container[Hashable]) -> int:
         """Rank minus the rank left after deleting the rows keyed in
-        `inside` (a `from_columns` system): the windowed image dimension."""
-        outside = SparseSystem(self.nrows, self.ncols)
-        outside.rows = [{} if k in inside else self.rows[t]
-                        for k, t in self.row_pos.items()]
+        `inside`: the windowed image dimension."""
+        outside = SparseSystem([{} if k in inside else row
+                                for k, row in zip(self.row_keys, self.rows)], self.ncols)
         return self.rank() - outside.rank()
 
     def kernel(self) -> List[Tuple[int, ...]]:
@@ -188,35 +203,52 @@ class SparseSystem:
             basis.append(tuple(v) if g == 1 else tuple(x // g for x in v))
         return basis
 
-    def solve(self, rhs_by_key: Mapping[Hashable, Coefficient],
+    def solve(self, rhss: Sequence[Mapping[Hashable, Coefficient]],
               basis: Sequence[Tuple[Hashable, Hashable]]
-              ) -> Optional[Dict[Hashable, Dict[Hashable, Coefficient]]]:
-        """One exact solution of (rows) x = rhs, with the right-hand side
-        given as {row key: value} (keys not named are zero) and column j
-        keyed basis[j] = (label, monomial).  The nonzero solution comes
-        back as {label: {monomial: value}}, each value an int when
-        integral, otherwise a Fraction; None when there is no solution,
-        as when a nonzero value sits at a key that no column touches."""
-        rhs, m = {}, self.ncols
-        for k, v in rhs_by_key.items():
-            if k in self.row_pos:
-                rhs[self.row_pos[k]] = v
-            elif as_fraction(v):
-                return None
-        pivots, rows, scales = self._eliminate(rhs)
-        if pivots and pivots[-1][1] == m:
-            return None
-        # y solves the scaled system; x_c = scales[c] * y_c / scales[m]
-        y = [Fraction(0)] * (m + 1)
-        for i, c in reversed(pivots):
-            s = Fraction(rows[i].get(m, 0))
-            for cc, vv in rows[i].items():
-                if cc != c and y[cc]:
-                    s -= vv * y[cc]
-            y[c] = s / rows[i][c]
-        terms: Dict[Hashable, Dict[Hashable, Coefficient]] = {}
-        for c, ((label, mono), v) in enumerate(zip(basis, y)):
-            if v:
-                terms.setdefault(label, {})[mono] = as_fraction(
-                    v * scales.get(c, 1) / scales.get(m, 1))
-        return terms
+              ) -> List[Optional[Dict[Hashable, Dict[Hashable, Coefficient]]]]:
+        """One exact solution of (rows) x = rhs for each right-hand side,
+        all from one elimination.  Each is given as {row key: value} (keys
+        not named are zero) and column j is keyed basis[j] = (label,
+        monomial).  A nonzero solution comes back as {label: {monomial:
+        value}}, each value an int when integral, otherwise a Fraction;
+        None when there is no solution, as when a nonzero value sits at a
+        key that no column touches."""
+        pos = {k: t for t, k in enumerate(self.row_keys)}
+        cols: List[Optional[Dict[int, Coefficient]]] = []
+        for rhs_by_key in rhss:
+            col: Optional[Dict[int, Coefficient]] = {}
+            for k, v in rhs_by_key.items():
+                if k in pos:
+                    col[pos[k]] = v
+                elif as_fraction(v):
+                    col = None
+                    break
+            cols.append(col)
+        if all(col is None for col in cols):
+            return cols
+        m = self.ncols
+        pivots, rows, scales = self._eliminate([col or {} for col in cols])
+        pivot_rows = {i for i, _ in pivots}
+        # the right-hand-side columns that a non-pivot row still holds
+        unsolved = {c for i, row in enumerate(rows) if i not in pivot_rows for c in row}
+        out: List[Optional[Dict[Hashable, Dict[Hashable, Coefficient]]]] = []
+        for k, col in enumerate(cols):
+            r = m + k
+            if col is None or r in unsolved:
+                out.append(None)
+                continue
+            # y solves the scaled system; x_c = scales[c] * y_c / scales[r]
+            y = [Fraction(0)] * (m + len(cols))
+            for i, c in reversed(pivots):
+                s = Fraction(rows[i].get(r, 0))
+                for cc, vv in rows[i].items():
+                    if cc != c and y[cc]:
+                        s -= vv * y[cc]
+                y[c] = s / rows[i][c]
+            terms: Dict[Hashable, Dict[Hashable, Coefficient]] = {}
+            for c, ((label, mono), v) in enumerate(zip(basis, y)):
+                if v:
+                    terms.setdefault(label, {})[mono] = as_fraction(
+                        v * scales.get(c, 1) / scales.get(r, 1))
+            out.append(terms)
+        return out

@@ -11,14 +11,16 @@ total differential carries the alternating sign on the second one.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections import defaultdict
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .connections import Connection, is_flat
 from .core import Algebroid, Section, StructureError, vector_field_bracket
-from .forms import IndexTuple, TruncationWindow, compile_d, sort_with_sign, \
-    _ce_complex, _window_check, _WindowedComplex
+from .forms import IndexTuple, RowCodes, TruncationWindow, compile_d, sort_with_sign, \
+    _ce_complex, _tuple_keys, _window_check, _WindowedComplex
 from .rings import RingElement
 
 
@@ -166,7 +168,14 @@ def _on_forms(action: Connection) -> List[Dict[IndexTuple, list]]:
 
 class DoubleComplexSlice:
     """Windowed bases of (p, q) pieces with both differentials as sparse
-    column maps keyed by (I, J, monomial)."""
+    columns keyed by row codes.
+
+    The basis element ((I, J), monomial) has the code of ((merged tuple,
+    0), monomial) in the twilled sum's Chevalley-Eilenberg layout (`codes`),
+    the merged tuple being I followed by J shifted by rank(l1).  d1's
+    stencil keys its targets (I', J) and d2's (J', I), so each reads the
+    same codes under its own names, and every column comes out keyed in
+    the one layout."""
 
     def __init__(self, m: MatchedPair, max_total: int,
                  window: TruncationWindow):
@@ -188,10 +197,30 @@ class DoubleComplexSlice:
         # d1 on l1 with values in the forms of l2; d2 the mirror, keys swapped
         self._d1 = compile_d(m.l1, _on_forms(m.action12))
         self._d2 = compile_d(m.l2, _on_forms(m.action21))
-        # the integer columns of d1 and d2 read so far, each keyed by its
-        # basis element ((I, J), monomial) as the columns key their rows
-        self._cols1: Dict[tuple, dict] = {}
-        self._cols2: Dict[tuple, dict] = {}
+        self.reach = max(self._d1.reach, self._d2.reach)
+        n1 = m.l1.rank
+        self._keys = _tuple_keys(n1 + m.l2.rank)
+        self._pairs = [(idx[:bisect_left(idx, n1)],
+                        tuple(i - n1 for i in idx[bisect_left(idx, n1):]))
+                       for idx, _ in self._keys]
+        # (the layout, keyed (merged tuple, 0); it keyed (I, J); it keyed (J, I))
+        self._codes: Optional[Tuple[RowCodes, RowCodes, RowCodes]] = None
+        # the integer columns of d1 and d2 read so far, each keyed by the
+        # code of its basis element, as the columns key their rows
+        self._cols1: Dict[int, dict] = {}
+        self._cols2: Dict[int, dict] = {}
+
+    def codes(self, bias: int) -> RowCodes:
+        """The slice's row codes, with at least this bias.  A layout is
+        kept while it is large enough; a larger bias makes a new one and
+        empties the column memo, whose keys are codes of the old one."""
+        if self._codes is None or self._codes[0].bias < bias:
+            layout = RowCodes(self._keys, len(self.pair.l1.base.variables), bias)
+            self._codes = (layout, layout.relabel(self._pairs),
+                           layout.relabel([(j, i) for i, j in self._pairs]))
+            self._cols1.clear()
+            self._cols2.clear()
+        return self._codes[0]
 
     def d1_of_basis(self, p, q, i1, i2, mono):
         """image in K^{p+1,q} of the basis element, as {(I,J): element}."""
@@ -211,23 +240,24 @@ class DoubleComplexSlice:
         image = self._d2.apply({(i2, i1): v for (i1, i2), v in coeffs.items()})
         return {(i1, i2): v for (i2, i1), v in image.items()}
 
-    def _d1_column(self, key):
-        """The column of d1 at the basis element ((I, J), monomial), as
-        `Stencil.column` gives it; computed once per slice."""
-        col = self._cols1.get(key)
+    def _d1_column(self, code):
+        """The column of d1 at the basis element of this code, as
+        `Stencil.column` gives it; computed once per layout."""
+        col = self._cols1.get(code)
         if col is None:
-            (i1, i2), mono = key
-            col = self._cols1[key] = self._d1.column(i1, i2, mono)
+            _, pairs, _ = self._codes
+            (i1, i2), mono = pairs.decode(code)
+            col = self._cols1[code] = self._d1.column(pairs, i1, i2, mono)
         return col
 
-    def _d2_column(self, key):
-        """The column of d2 at ((I, J), monomial), its rows keyed ((I', J'),
-        monomial) like d1's; computed once per slice."""
-        col = self._cols2.get(key)
+    def _d2_column(self, code):
+        """The column of d2 at the basis element of this code, in the same
+        codes as d1's; computed once per layout."""
+        col = self._cols2.get(code)
         if col is None:
-            (i1, i2), mono = key
-            col = self._cols2[key] = {((a1, a2), mm): c for ((a2, a1), mm), c
-                                      in self._d2.column(i2, i1, mono).items()}
+            _, pairs, swapped = self._codes
+            (i1, i2), mono = pairs.decode(code)
+            col = self._cols2[code] = self._d2.column(swapped, i2, i1, mono)
         return col
 
     def commutation_check(self) -> Optional[Tuple[int, int, tuple]]:
@@ -237,23 +267,26 @@ class DoubleComplexSlice:
         witness (p, q, basis element) or None.  Both composites are sums
         of integer columns, compared with their zero values dropped."""
         m = self.pair
+        # a composite reaches two shifts past the window
+        self.codes(self.window.bound(m.l1.base) + 2 * self.reach)
+        pairs = self._codes[1]
         for (p, q), basis in sorted(self.bases.items()):
             if p + 1 > m.l1.rank or q + 1 > m.l2.rank:
                 continue
             if p + q + 2 > self.max_total + 1:
                 continue
             for (i1, i2, mono) in basis:
-                key = ((i1, i2), mono)
+                key = pairs.code((i1, i2), mono)
                 if (_compose(self._d1_column, self._d2_column(key))
                         != _compose(self._d2_column, self._d1_column(key))):
                     return (p, q, (i1, i2, mono))
         return None
 
 
-def _compose(column, image: Mapping[tuple, object]) -> Dict[tuple, object]:
+def _compose(column, image: Mapping[int, object]) -> Dict[int, object]:
     """The sum of c * column(key) over the (key, c) of `image`, without
     zero values."""
-    out: Dict[tuple, object] = {}
+    out: Dict[int, object] = {}
     for key, c in image.items():
         for k, v in column(key).items():
             cur = out.get(k)
@@ -276,28 +309,27 @@ class TotalCompareReport:
 def _total_complex(sl: DoubleComplexSlice) -> _WindowedComplex:
     """The total complex of the double complex, d1 + (-1)^p d2, keyed like
     the twilled sum's cochains: l2's indices follow l1's, shifted by its
-    rank, and the two parts land in different bidegrees.  Both parts come
-    from the slice's column memo, so the columns `commutation_check` has
-    read are not built again; `dims` reads each column once, so it is
-    taken out of the memo as it is read."""
-    n1, n2 = sl.pair.l1.rank, sl.pair.l2.rank
-    # (I, J) -> (merged index tuple, 0), and back
-    merged = {(i1, i2): (i1 + tuple(n1 + j for j in i2), 0)
-              for p in range(n1 + 1) for i1 in combinations(range(n1), p)
-              for q in range(n2 + 1) for i2 in combinations(range(n2), q)}
-    split = {idx: pair for pair, (idx, _) in merged.items()}
+    rank, and the two parts land in different bidegrees.  Its codes are
+    the slice's, so both parts come from the slice's column memo and the
+    columns `commutation_check` has read are not built again; `dims` reads
+    each column once, so it is taken out of the memo as it is read."""
+    n1 = sl.pair.l1.rank
 
-    def column(idx, mono):
-        key = (split[idx], mono)
-        d1, d2 = sl._d1_column(key), sl._d2_column(key)
-        del sl._cols1[key], sl._cols2[key]
-        col = {(merged[pair], mm): c for (pair, mm), c in d1.items()}
-        sgn = -1 if len(key[0][0]) % 2 else 1
-        for (pair, mm), c in d2.items():
-            col[(merged[pair], mm)] = sgn * c
-        return col
+    def rows(codes, basis):
+        out: Dict[int, Dict[int, object]] = defaultdict(dict)
+        for j, (idx, mono) in enumerate(basis):
+            key = codes.code((idx, 0), mono)
+            d1, d2 = sl._d1_column(key), sl._d2_column(key)
+            del sl._cols1[key], sl._cols2[key]
+            for k, c in d1.items():
+                out[k][j] = c
+            odd = bisect_left(idx, n1) % 2
+            for k, c in d2.items():
+                out[k][j] = -c if odd else c
+        return out
 
-    return _WindowedComplex(sl.pair.l1.base, n1 + n2, column)
+    return _WindowedComplex(sl.pair.l1.base, n1 + sl.pair.l2.rank,
+                            lambda bound: sl.codes(bound + sl.reach), rows)
 
 
 def total_cohomology_compare(m: MatchedPair, degrees: Sequence[int],

@@ -9,7 +9,10 @@ separately and merges equal words only at the end.  The gather
 differentials evaluate the Chevalley-Eilenberg formula one output tuple
 at a time; the scatter differential pushes each input term to the tuples
 it reaches with ring arithmetic.  Both are references for the compiled
-kernel behind `forms.covariant_d`, `total_dims_by_bidegree` lays
+kernel behind `forms.covariant_d`; `stencil_column` is the tuple-keyed
+column evaluator that the packed row codes replaced, the reference for
+`Stencil.rows` and `Stencil.column` once their codes are decoded
+(`decode_column`), and `total_dims_by_bidegree` lays
 the matched-pair total complex out by bidegree from them, and
 `commutation_witness` checks d1 d2 = d2 d1 with RingElement arithmetic,
 the reference for the integer `DoubleComplexSlice.commutation_check`.
@@ -320,6 +323,48 @@ def scatter_covariant_d(l, coeffs, matrices=None):
     return {key: val for key, val in out.items() if not val.is_zero()}
 
 
+def stencil_column(stencil, idx, t, mono):
+    """The image of theta^idx (x) b_t * x^mono under a `forms.Stencil`,
+    keyed ((target tuple, module label), monomial), without zero values:
+    the tuple-keyed column evaluator the row codes replaced, summing the
+    stencil's compiled entries one tuple key at a time.  The reference
+    for `Stencil.rows` and `Stencil.column`, decoded."""
+    consts, anchors = stencil._compile(idx, t)
+    out = {}
+    for key, shift, c in consts:
+        k = (key, tuple(a + b for a, b in zip(mono, shift)))
+        cur = out.get(k)
+        out[k] = c if cur is None else cur + c
+    for key, v, shift, c in anchors:
+        e = mono[v]
+        if e:
+            k = (key, tuple(a + b for a, b in zip(mono, shift)))
+            cur = out.get(k)
+            out[k] = c * e if cur is None else cur + c * e
+    return {k: c for k, c in out.items() if c}
+
+
+# added to the exponent bound of the row codes the references ask for, so
+# that they do not share the bias the windowed calls derive: a carry
+# there changes a call's rows but not the references'
+SLACK = 16
+
+
+def decode_column(codes, col):
+    """A column {row code: value} keyed (key, monomial) instead."""
+    return {codes.decode(k): c for k, c in col.items()}
+
+
+def complex_columns(complex_, codes, basis):
+    """The columns {row code: value} of a `forms._WindowedComplex` at the
+    basis elements, transposed from its rows."""
+    cols = [{} for _ in basis]
+    for k, row in complex_.rows(codes, basis).items():
+        for j, c in row.items():
+            cols[j][k] = c
+    return cols
+
+
 def flatten_columns(images, key):
     """Sparse columns from ring-valued images {label: element}: the term
     x^m of the value at `label` goes to row `key(label, m)`."""
@@ -608,22 +653,23 @@ def whole_slice_dims(complex_, degrees, windows, drop):
     the rows outside the window."""
     from algebroid.linalg import SparseSystem
 
-    def system(p, w):
+    def system(p, w, codes):
         return SparseSystem.from_columns(
-            [complex_.column(idx, m) for idx, m in complex_.basis(p, w)])
+            complex_columns(complex_, codes, complex_.basis(p, w)))
 
     out = {}
     for w in windows:
         out[w] = {}
+        codes = complex_.codes(w.enlarged(drop).bound(complex_.ring) + SLACK)
         for p in sorted(set(degrees)):
             if not 0 <= p <= complex_.rank:
                 out[w][p] = (0, 0)
                 continue
-            d = system(p, w)
+            d = system(p, w, codes)
             im = 0
             if p > 0:
-                inside = {((idx, 0), m) for idx, m in complex_.basis(p, w)}
-                im = system(p - 1, w.enlarged(drop)).image_rank_inside(inside)
+                inside = {codes.code((idx, 0), m) for idx, m in complex_.basis(p, w)}
+                im = system(p - 1, w.enlarged(drop), codes).image_rank_inside(inside)
             out[w][p] = (d.ncols - d.rank(), im)
     return out
 
@@ -656,6 +702,8 @@ def block_dims(complex_, degrees, windows, drop):
         return out
 
     degrees, windows = sorted(set(degrees)), list(windows)
+    codes = complex_.codes(max(w.enlarged(drop).bound(complex_.ring) for w in windows)
+                           + SLACK)
     reads = {}
     for t, w in enumerate(windows):
         for p in degrees:
@@ -663,15 +711,15 @@ def block_dims(complex_, degrees, windows, drop):
                 reads.setdefault((p, w), []).append((t, p, False))
                 if p > 0:
                     reads.setdefault((p - 1, w.enlarged(drop)), []).append((t, p, True))
-    kept = [set(w.monomials(complex_.ring)) for w in windows]
+    kept = [{codes.mono(m) for m in w.monomials(complex_.ring)} for w in windows]
     ranks, outside, kernel, image = {}, {}, {}, {}
     for (p, window), asks in reads.items():
         blocks = blocks_of(p, window)
         keys = [((p, wt, len(b)), wt) for wt, b in blocks.items()]
-        new = {key: [complex_.column(idx, m) for idx, m in blocks[wt]]
+        new = {key: complex_columns(complex_, codes, blocks[wt])
                for key, wt in keys if key not in ranks}
         for (key, cols), r in zip(new.items(), block_ranks(list(new.values()))):
-            rows = {k[1] for col in cols for k in col}
+            rows = {k % codes.scale for col in cols for k in col}
             ranks[key] = (r, {t for t, monos in enumerate(kept) if rows <= monos})
         for t, q, is_image in asks:
             if not is_image:
@@ -690,8 +738,8 @@ def block_dims(complex_, degrees, windows, drop):
                 split.append(key + (n_in,))
                 if split[-1] not in outside and split[-1] not in todo:
                     todo[split[-1]] = [
-                        {k: c for k, c in complex_.column(idx, m).items()
-                         if k[1] not in kept[t]} for idx, m in blocks[wt]]
+                        {k: c for k, c in col.items() if k % codes.scale not in kept[t]}
+                        for col in complex_columns(complex_, codes, blocks[wt])]
             outside.update(zip(todo, block_ranks(list(todo.values()))))
             image[t, q] = total - sum(outside[key] for key in split)
     return {w: {p: (kernel.get((t, p), 0), image.get((t, p), 0)) for p in degrees}
@@ -711,11 +759,15 @@ def whole_slice_primitive(theta, window):
     dom = TruncationWindow(max(window.degree, needed) + drop,
                            max(window.laurent, needed) + drop)
     complex_, p = _ce_complex(l), theta.degree - 1
-    rhs = {((idx, 0), m): c for idx, val in theta.coeffs.items()
+    codes = complex_.codes(max(
+        [dom.bound(l.base)]
+        + [abs(e) for val in theta.coeffs.values() for m in val.terms for e in m]))
+    rhs = {codes.code((idx, 0), m): c for idx, val in theta.coeffs.items()
            for m, c in val.terms.items()}
     basis = complex_.basis(p, dom)
-    return SparseSystem.from_columns(
-        [complex_.column(idx, m) for idx, m in basis]).solve(rhs, basis)
+    (terms,) = SparseSystem.from_columns(
+        complex_columns(complex_, codes, basis)).solve([rhs], basis)
+    return terms
 
 
 PRIME = (1 << 61) - 1

@@ -414,9 +414,9 @@ def test_coboundary_system_matches_overlap_oracle(monkeypatch):
             captured.append(cols)
             return super().from_columns(cols)
 
-        def solve(self, rhs_by_key, basis):
-            captured.append(rhs_by_key)
-            return super().solve(rhs_by_key, basis)
+        def solve(self, rhss, basis):
+            captured.extend(rhss)
+            return super().solve(rhss, basis)
 
     monkeypatch.setattr(cech, "SparseSystem", Recording)
     for window in (TruncationWindow(2, 2), TruncationWindow(4, 5)):

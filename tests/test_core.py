@@ -117,6 +117,35 @@ def test_make_foliation_not_involutive():
         make_foliation(r, [[1, 0], [0, r.var("x")]])
 
 
+def test_make_foliation_eliminates_once(monkeypatch):
+    # five generators over x, y, z with two non-commuting pairs: both
+    # brackets are solved from one elimination, to the structure table
+    # and the diagnostic that a solve per pair gave
+    from algebroid.linalg import SparseSystem
+    calls = []
+    eliminate = SparseSystem._eliminate
+
+    def counted(self, *args):
+        calls.append(args)
+        return eliminate(self, *args)
+
+    monkeypatch.setattr(SparseSystem, "_eliminate", counted)
+    r = poly_ring("x", "y", "z")
+    x, y, z = (r.var(v) for v in "xyz")
+    f = make_foliation(r, [[1, 0, 0], [0, x, 0], [0, 1, 0], [0, 0, 1], [0, 0, z * z]])
+    assert len(calls) == 1 and len(calls[0][0]) == 2
+    assert f.structure == {(0, 1): (0, 0, 1, 0, 0), (3, 4): (0, 0, 0, 2 * z, 0)}
+    assert f.verify().verified
+    # [d/dx, x d/dy] = d/dy is outside the span of d/dx, x d/dy, y d/dy,
+    # d/dz and z^2 d/dz; [x d/dy, y d/dy] = x d/dy and [d/dz, z^2 d/dz]
+    # re-expand, and the first pair that does not is named
+    calls.clear()
+    with pytest.raises(StructureError, match=r"^not involutive in given generators: "
+                       r"\[g1, g2\] does not re-expand \(degree bound 6\)$"):
+        make_foliation(r, [[1, 0, 0], [0, x, 0], [0, y, 0], [0, 0, 1], [0, 0, z * z]])
+    assert len(calls) == 1 and len(calls[0][0]) == 3
+
+
 def test_poisson_symplectic_plane():
     r = poly_ring("x", "y")
     p = make_poisson(r, {(0, 1): 1})

@@ -1,7 +1,9 @@
 """`_WindowedComplex.dims`, one elimination per degree whose pivots rank
 every nested window, against the whole-slice reference and the block-wise
 `dims` of oracles.py: random verified Poisson, foliation, Laurent and
-Heisenberg algebroids and matched total complexes, at degrees below 0 and
+Heisenberg algebroids, Laurent fields whose shifts cross the window's
+negative Laurent bound, Poisson structures whose shifts reach past the
+window enlarged by the drop, and matched total complexes, at degrees below 0 and
 above the rank, windows 0-4 and drops 0-3, so that the window enlarged by
 the drop comes before, equals and follows the window + 2 of the
 stability check."""
@@ -71,8 +73,28 @@ def random_heisenberg(rng):
                                                        (0, 2): {3: rng.choice((1, -2))}})
 
 
+def random_far_laurent(rng):
+    """Commuting fields a x^-3 d/dx and b y^2 d/dy on the torus: the first
+    moves the x-exponent by -4, past the window's negative Laurent bound,
+    the second moves the y-exponent up past its positive one."""
+    r = laurent_ring("x", "y")
+    x, y = r.var("x"), r.var("y")
+    a, b = (rng.choice((-3, -1, 2)) for _ in range(2))
+    return Algebroid(r, 2, [[a * x ** -3, 0], [0, b * y ** 2]], {})
+
+
+def random_steep_poisson(rng):
+    """{x, y} = a x^4 + b y^3 on the plane: the anchor moves total degree
+    up by 3, so columns reach past the window enlarged by the drop."""
+    r = poly_ring("x", "y")
+    x, y = r.var("x"), r.var("y")
+    a, b = (rng.choice((-2, 1, 3)) for _ in range(2))
+    return make_poisson(r, {(0, 1): a * x ** 4 + b * y ** 3})
+
+
 MAKERS = [("poisson", random_poisson), ("foliation", random_foliation),
-          ("laurent", random_laurent), ("heisenberg", random_heisenberg)]
+          ("laurent", random_laurent), ("heisenberg", random_heisenberg),
+          ("far_laurent", random_far_laurent), ("steep_poisson", random_steep_poisson)]
 
 
 def window(d):

@@ -331,3 +331,33 @@ def test_cohomology_invariant_under_rational_rescaling():
                         (Fraction(2, 3), 3, Fraction(5, 7))]]
     for rep in reports[1:]:
         assert rep.degrees == reports[0].degrees
+
+
+# -- closed forms at the windows and ranks the kernels are tuned for -----------
+
+
+@pytest.mark.parametrize("lam", [1, Fraction(-3, 2)])
+def test_so3_closed_form_at_large_windows(lam):
+    # lam * so(3)*: H^0 and H^3 are spanned by the powers of the Casimir
+    # x^2 + y^2 + z^2 times 1 and times the volume form, H^1 = H^2 = 0
+    # (Hochschild-Serre); scaling the bracket by lam scales d by lam
+    r = poly_ring("x", "y", "z")
+    x, y, z = (r.var(v) for v in ("x", "y", "z"))
+    l = make_poisson(r, {(0, 1): lam * z, (1, 2): lam * x, (2, 0): lam * y})
+    for w in (10, 14, 18):
+        rep = truncated_cohomology(l, range(4), TruncationWindow(w))
+        assert [rep.dim(p) for p in range(4)] == [w // 2 + 1, 0, 0, w // 2 + 1]
+
+
+def test_rank4_tangent_poincare_at_window_10():
+    t = make_tangent(poly_ring("x", "y", "z", "w"))
+    rep = truncated_cohomology(t, range(5), TruncationWindow(10))
+    assert [rep.dim(p) for p in range(5)] == [1, 0, 0, 0, 0]
+    assert all(d.stable for d in rep.degrees.values())
+
+
+def test_laurent_two_torus_at_window_12():
+    t = make_tangent(laurent_ring("x", "y"))
+    rep = truncated_cohomology(t, range(3), TruncationWindow(12, 12))
+    assert [rep.dim(p) for p in range(3)] == [1, 2, 1]
+    assert all(d.stable for d in rep.degrees.values())

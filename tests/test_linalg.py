@@ -79,7 +79,7 @@ def system_of_rows(rows, ncols=None):
 def solve_vector(system, rhs_by_key):
     """`solve` with column j keyed (j, 0), as a dense vector (zeros as
     int 0); None when there is no solution."""
-    terms = system.solve(rhs_by_key, [(j, 0) for j in range(system.ncols)])
+    (terms,) = system.solve([rhs_by_key], [(j, 0) for j in range(system.ncols)])
     if terms is None:
         return None
     assert all(is_normal_coefficient(v) for t in terms.values() for v in t.values())
@@ -215,12 +215,55 @@ def test_solve_outside_every_column(outside):
     s = SparseSystem.from_columns([{"a": 1}, {"a": 1, "b": Fraction(1, 2)}])
     basis = [("u", 0), ("v", 0)]
     want = {"u": {0: 1}, "v": {0: 2}}
-    assert s.solve({"a": 3, "b": 1}, basis) == want
-    assert s.solve({"a": 3, "b": 1, "z": outside}, basis) is None
-    assert s.solve({"z": outside}, basis) is None
+    assert s.solve([{"a": 3, "b": 1}], basis) == [want]
+    assert s.solve([{"a": 3, "b": 1, "z": outside}], basis) == [None]
+    assert s.solve([{"z": outside}], basis) == [None]
     for zero in (0, Fraction(0)):
-        assert s.solve({"a": 3, "b": 1, "z": zero}, basis) == want
-        assert s.solve({"z": zero}, basis) == {}
+        assert s.solve([{"a": 3, "b": 1, "z": zero}], basis) == [want]
+        assert s.solve([{"z": zero}], basis) == [{}]
+
+
+def test_right_hand_sides_solved_together():
+    # one elimination for all right-hand sides (none when each has a
+    # nonzero value at a key no column touches), each reduced against the
+    # system's pivots only: equal inconsistent ones are both inconsistent,
+    # and each answer is the answer of its own solve
+    rng = random.Random(47)
+    for _ in range(30):
+        n, m = rng.randint(1, 6), rng.randint(1, 6)
+        rows = rand_system(rng, n, m)
+        s = system_of_rows(rows)
+        a = RationalMatrix.from_rows(rows)
+        rhss = []
+        for _ in range(rng.randint(1, 4)):
+            if rng.random() < 0.5:
+                x = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(m)]
+                rhs = a.mul_vector(x)
+            else:
+                rhs = [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(n)]
+            rhss.append(dict(enumerate(rhs)))
+            if rng.random() < 0.3:
+                rhss.append(dict(rhss[-1]))
+        basis = [(j, 0) for j in range(m)]
+        calls = []
+        eliminate = s._eliminate
+
+        def counted(*args):
+            calls.append(args)
+            return eliminate(*args)
+
+        s._eliminate = counted
+        together = s.solve(rhss, basis)
+        assert len(calls) <= 1
+        del s._eliminate
+        assert together == [s.solve([rhs], basis)[0] for rhs in rhss]
+        for rhs, got in zip(rhss, together):
+            dense = solve_linear(a, [rhs[i] for i in range(n)])
+            assert (got is None) == (dense.status != "solution")
+    inconsistent = {"a": 1, "b": 3}
+    s = SparseSystem.from_columns([{"a": 2, "b": 4}])
+    assert s.solve([inconsistent, dict(inconsistent), {"a": 1, "b": 2}],
+                   [("u", 0)]) == [None, None, {"u": {0: Fraction(1, 2)}}]
 
 
 def test_set_rejects_inexact_values():
@@ -228,9 +271,9 @@ def test_set_rejects_inexact_values():
     with pytest.raises(RingError):
         SparseSystem.from_columns([{"a": 0.5}]).rank()
     with pytest.raises(RingError):
-        SparseSystem.from_columns([{"a": 1}]).solve({"a": 0.5}, [(0, 0)])
+        SparseSystem.from_columns([{"a": 1}]).solve([{"a": 0.5}], [(0, 0)])
     with pytest.raises(RingError):
-        SparseSystem.from_columns([{"a": 1}]).solve({"z": 0.5}, [(0, 0)])
+        SparseSystem.from_columns([{"a": 1}]).solve([{"z": 0.5}], [(0, 0)])
 
 
 @st.composite

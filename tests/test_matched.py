@@ -13,8 +13,9 @@ from algebroid.matched import (DoubleComplexSlice, MatchedPair, twilled_sum,
                                total_cohomology_compare, verify_matched)
 from algebroid.rings import ChartRing, poly_ring
 
-from oracles import (ce_cohomology_dims, commutation_witness, flatten_columns, gather_d1,
-                     gather_d2, matched_equations_by_factor, total_dims_by_bidegree)
+from oracles import (ce_cohomology_dims, commutation_witness, decode_column,
+                     flatten_columns, gather_d1, gather_d2,
+                     matched_equations_by_factor, total_dims_by_bidegree)
 
 HEISENBERG = {(0, 1): {2: 1}}
 
@@ -317,10 +318,13 @@ def test_integer_commutation_check_matches_oracles(window):
         assert got == commutation_witness(sl)
         assert got == commutation_witness(sl, gather=True)
         witnesses.append(got)
+        pairs = sl._codes[1]
         for gather, cols in ((gather_d1, sl._cols1), (gather_d2, sl._cols2)):
-            for ((i1, i2), mono), col in cols.items():
+            for code, col in cols.items():
+                (i1, i2), mono = pairs.decode(code)
                 image = gather(m, len(i1), len(i2), {(i1, i2): m.l1.base.monomial(mono)})
-                assert [col] == flatten_columns([image], lambda label, mm: (label, mm))
+                assert [decode_column(pairs, col)] == flatten_columns(
+                    [image], lambda label, mm: (label, mm))
     assert witnesses[:-1] == [None] * 6 and witnesses[-1] is not None
 
 

@@ -1,7 +1,8 @@
 """The compiled Chevalley-Eilenberg kernel (`forms.compile_d`) against its
 references: the ring-arithmetic scatter loop and the gather loops of
-oracles.py, image by image, and every windowed column it builds against
-the columns flattened from those references."""
+oracles.py, image by image, and every windowed column it builds, its row
+codes decoded, against the columns flattened from those references and
+the tuple-keyed column evaluator `oracles.stencil_column`."""
 
 import random
 from fractions import Fraction
@@ -14,14 +15,15 @@ from algebroid.cech import Cover, coboundary_test, zero_pair
 from algebroid.connections import Connection, EValuedForm, extend_connection
 from algebroid.core import (Algebroid, make_foliation, make_log, make_poisson,
                             make_tangent)
-from algebroid.forms import (LForm, TruncationWindow, _ce_complex, compile_d,
-                             covariant_d)
+from algebroid.forms import (LForm, RowCodes, TruncationWindow, _ce_complex,
+                             _tuple_keys, compile_d, covariant_d)
 from algebroid.linalg import SparseSystem
 from algebroid.matched import DoubleComplexSlice, _total_complex
 from algebroid.rings import ChartRing, laurent_ring, poly_ring
 
-from oracles import (flatten_columns, gather_d1, gather_d2, gather_d_form,
-                     gather_extend_connection, scatter_covariant_d)
+from oracles import (complex_columns, decode_column, flatten_columns, gather_d1,
+                     gather_d2, gather_d_form, gather_extend_connection,
+                     scatter_covariant_d, stencil_column)
 from test_matched import matched_pairs
 
 
@@ -70,6 +72,14 @@ def sparse_columns(c):
     """covariant_d's matrices argument for a Connection."""
     return [[[(s, row[t]) for s, row in enumerate(mat) if not row[t].is_zero()]
              for t in range(c.rank)] for mat in c.matrices]
+
+
+def label_codes(stencil, labels, bound):
+    """Row codes keyed (index tuple, label) for every label, for monomials
+    with exponents of size at most `bound`."""
+    l = stencil.owner
+    return RowCodes([(idx, t) for idx, _ in _tuple_keys(l.rank) for t in labels],
+                    len(l.base.variables), bound + stencil.reach)
 
 
 def test_algebroids_verified():
@@ -132,11 +142,13 @@ def test_columns_match_scatter_monomial_by_monomial():
                     basis = ring.monomial(mono)
                     for stencil, matrices, labels in ((plain, None, [0]),
                                                       (twisted, mats, [0, 1])):
+                        codes = label_codes(stencil, labels, 3)
                         for t in labels:
                             (want,) = flatten_columns(
                                 [scatter_covariant_d(l, {(idx, t): basis}, matrices)],
                                 lambda key, m: (key, m))
-                            assert stencil.column(idx, t, mono) == want
+                            got = decode_column(codes, stencil.column(codes, idx, t, mono))
+                            assert got == stencil_column(stencil, idx, t, mono) == want
 
 
 @pytest.mark.parametrize("window", [TruncationWindow(2, 1), TruncationWindow(3, 2)])
@@ -144,12 +156,15 @@ def test_differential_entries_match_oracle_columns(window):
     for l in algebroids():
         ring = l.base
         complex_ = _ce_complex(l)
+        codes = complex_.codes(window.bound(ring))
         for p in range(l.rank + 1):
             basis = complex_.basis(p, window)
             want = flatten_columns(
                 [scatter_covariant_d(l, {(idx, 0): ring.monomial(m)})
                  for idx, m in basis], lambda key, m: (key, m))
-            assert [complex_.column(idx, m) for idx, m in basis] == want
+            assert [decode_column(codes, col)
+                    for col in complex_columns(complex_, codes, basis)] == want
+            assert [stencil_column(compile_d(l), idx, 0, m) for idx, m in basis] == want
             gathered = flatten_columns(
                 [gather_d_form(LForm(l, p, {idx: ring.monomial(m)})).coeffs
                  for idx, m in basis], lambda idx, m: ((idx, 0), m))
@@ -163,9 +178,9 @@ class RecordedStencil:
     def __init__(self, stencil, built):
         self.stencil, self.built = stencil, built
 
-    def column(self, idx, t, mono):
+    def column(self, codes, idx, t, mono):
         self.built.append((idx, t, mono))
-        return self.stencil.column(idx, t, mono)
+        return self.stencil.column(codes, idx, t, mono)
 
 
 def test_total_columns_match_gather_columns():
@@ -181,12 +196,15 @@ def test_total_columns_match_gather_columns():
         assert warm.commutation_check() is None
         # the memo as the total phase finds it, checked against the gather
         # differentials before that phase takes its columns out
-        warm_cols = [dict(warm._cols1), dict(warm._cols2)]
+        pairs = warm._codes[1]
+        warm_cols = [{pairs.decode(k): col for k, col in memo.items()}
+                     for memo in (warm._cols1, warm._cols2)]
         assert all(warm_cols)
         for gather, cols in zip((gather_d1, gather_d2), warm_cols):
             for ((i1, i2), mono), col in cols.items():
                 image = gather(m, len(i1), len(i2), {(i1, i2): ring.monomial(mono)})
-                assert [col] == flatten_columns([image], lambda label, mm: (label, mm))
+                assert [decode_column(pairs, col)] == flatten_columns(
+                    [image], lambda label, mm: (label, mm))
         rebuilt = [[], []]
         warm._d1 = RecordedStencil(warm._d1, rebuilt[0])
         warm._d2 = RecordedStencil(warm._d2, rebuilt[1])
@@ -214,14 +232,18 @@ def test_total_columns_match_gather_columns():
                             for mm, c in val.terms.items()})
                 want.append(col)
             for complex_ in complexes:
-                assert [complex_.column(idx, mono) for idx, mono in basis] == want
-        # d2's stencil is keyed (J, I); every column read has left the memo
+                codes = complex_.codes(window.bound(ring))
+                assert [decode_column(codes, col)
+                        for col in complex_columns(complex_, codes, basis)] == want
+        # the warm slice kept the layout its memo is keyed in; d2's stencil
+        # is keyed (J, I); every column read has left the memo
+        assert warm._codes[1] is pairs
         built = [{((i1, i2), mono) for i1, i2, mono in rebuilt[0]},
                  {((i1, i2), mono) for i2, i1, mono in rebuilt[1]}]
         for cols, memo, fresh in zip(warm_cols, (warm._cols1, warm._cols2), built):
             assert read & cols.keys() and not fresh & cols.keys()
             assert fresh == read - cols.keys()
-            assert not read & memo.keys()
+            assert not read & {pairs.decode(k) for k in memo}
 
 
 def test_cech_chart_columns_match_scatter(monkeypatch):
@@ -269,8 +291,9 @@ def test_column_values_are_int_on_integer_data():
                 for idx in combinations(range(l.rank), degree):
                     mono = tuple(rng.randint(-2 if v in ring.laurent else 0, 3)
                                  for v in ring.variables)
+                    codes = label_codes(stencil, labels, 3)
                     for t in labels:
-                        for v in stencil.column(idx, t, mono).values():
+                        for v in stencil.column(codes, idx, t, mono).values():
                             if integral and stencil.matrices is None:
                                 assert type(v) is int
                             else:

@@ -19,8 +19,8 @@ from algebroid.matched import twilled_sum
 from algebroid.parser import parse
 from algebroid.rings import laurent_ring, poly_ring
 
-from oracles import (rank_mod_prime, weight_lattice, whole_slice_dims,
-                     whole_slice_primitive)
+from oracles import (complex_columns, rank_mod_prime, weight_lattice,
+                     whole_slice_dims, whole_slice_primitive)
 from test_stencil import rank2_connection, sparse_columns
 
 
@@ -236,6 +236,6 @@ def test_block_ranks_match_rank_mod_prime(make, window):
     dims = complex_.dims(range(l.rank + 1), (window,), 0)[window]
     for p in range(l.rank + 1):
         basis = complex_.basis(p, window)
-        cols = [complex_.column(idx, m) for idx, m in basis]
+        cols = complex_columns(complex_, complex_.codes(window.bound(l.base)), basis)
         rank = SparseSystem.from_columns(cols).rank()
         assert rank_mod_prime(cols) == rank == len(basis) - dims[p][0]
