@@ -626,12 +626,15 @@ def verify_lambda_module(cover: Cover, pair: CechPair,
 
 def line_bundle_cech_dims(cover: Cover, window: TruncationWindow | None = None
                           ) -> Tuple[int, int]:
-    """(h0, h1) of the bundle by windowed elimination on the two-term
+    """(h0, h1) of the bundle from one column reduction of the two-term
     Cech complex of chart sections against overlap sections.
 
     The chart windows are enlarged past the overlap exponent window by
     the transition degree, so the windowed cokernel has no boundary
     artifacts: every missing monomial is a genuine cohomology class.
+    The rows inside the overlap window come first, so the image inside
+    it is the number of reduced columns whose low is one of them
+    (`linalg`), and h1 is the rest of the window.
     """
     window = window or TruncationWindow()
     slack = 0
@@ -652,8 +655,7 @@ def line_bundle_cech_dims(cover: Cover, window: TruncationWindow | None = None
     cols = [_restriction_column(cover, frames, a, 0, mono)
             for a in range(len(cover.charts))
             for mono in chart_window.monomials(cover.chart_ring(a))]
-    sys = SparseSystem.from_columns(cols)
-    h0 = sys.ncols - sys.rank()
-    # windowed cokernel: rank drop after deleting the window rows
-    h1 = len(window_keys) - sys.image_rank_inside(window_keys)
-    return h0, h1
+    sys = SparseSystem.from_columns(cols, key=lambda k: (k not in window_keys, k))
+    pivots = sys.pivots()
+    inside = sum(k in window_keys for k in sys.row_keys)
+    return sys.ncols - len(pivots), len(window_keys) - sum(low < inside for low, _ in pivots)

@@ -19,7 +19,7 @@ from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, combinations, permutations
+from itertools import accumulate, chain, combinations, permutations
 from math import comb
 from operator import mul
 from typing import (Dict, Hashable, Iterable, List, Mapping, Optional,
@@ -686,17 +686,21 @@ class _WindowedComplex:
         """{window: {p: (kernel dim, windowed image dim)}}, degrees ascending,
         (0, 0) outside 0..rank.  The image counts the coboundaries of
         (p-1)-cochains from the window enlarged by `drop` that land inside
-        the window: their rank minus their rank on the rows outside it.
+        the window.
 
-        The windows and their enlargements by `drop` must be nested.  Each
-        degree's basis is ordered by the first of them that holds an
-        element, in basis order inside each such layer, so every window's
-        slice is a prefix of one list of columns, built and eliminated once
-        per degree.  A pivot column is independent of the columns before
-        it, so the rank of a window's slice is the number of pivots inside
-        its prefix.  The rank outside a window takes one more elimination,
-        of the rows outside it, run only when a column of the prefix
-        reaches one of them.  The differential preserves the weights of
+        The windows and their enlargements by `drop` must be nested, and
+        one column reduction per degree (`SparseSystem.pivots`) reads them
+        all.  Each degree's basis is ordered by the first of them that
+        holds an element, in basis order inside each such layer, so each
+        window's slice is a prefix of one list of columns, whose rank is
+        its pivot count.  Each system's rows are ordered the same way, by
+        the first window holding the row's monomial, then by code: the
+        column order of the degree above.  A window's image is then the
+        number of reduced columns of the enlarged window's prefix whose
+        low is a row inside the window.  Degree p skips the columns that
+        are lows of degree p - 1 (clearing: Chen & Kerber, EuroCG 2011):
+        each is the last entry of a coboundary, so its column depends on
+        the ones before it.  The differential preserves the weights of
         `Stencil.weights` and blocks of different weights share no rows,
         so the rank of one weight's block is the number of pivot columns
         of that weight: per-weight answers can be read from the same
@@ -720,22 +724,40 @@ class _WindowedComplex:
             if len(layer) != len(monos):
                 raise ValueError("windows are not nested")
             sizes.append(len(monos))
-        systems: Dict[int, SparseSystem] = {}
+        # packed monomial -> (first of `nested` holding it, its place in that layer)
+        packed = {codes.mono(m): (k, t) for k, monos in enumerate(layers)
+                  for t, m in enumerate(monos)}
+        far = (len(nested), 0)
+        pivots: Dict[int, List[Tuple[int, int]]] = {}
+        held: Dict[int, List[int]] = {}     # degree -> its rows inside each of `nested`
+        low_codes: Dict[int, List[int]] = {}
         ranks: Dict[tuple, int] = {}
-        for p, ws in reads.items():
+        for p in sorted(reads):
             tuples = list(combinations(range(self.rank), p))
-            basis = [(idx, m) for k in range(max(map(at.get, ws)) + 1)
-                     for idx in tuples for m in layers[k]]
-            systems[p] = SparseSystem.from_rows(self.rows(codes, basis), len(basis))
-            pivots = systems[p].pivot_columns()
-            for w in ws:
-                ranks[p, w] = bisect_left(pivots, len(tuples) * sizes[at[w]])
-        # (first of `nested` holding the row, row) for each row of the
-        # systems an image reads, found once per row from its monomial's code
-        packed = {codes.mono(m): k for m, k in layer.items()}
-        row_layers = {p: [(packed.get(code % codes.scale, len(nested)), t)
-                          for t, code in enumerate(systems[p].row_keys)]
-                      for p in systems if p + 1 in reads}
+            top = max(map(at.get, reads[p]))
+            basis = [(idx, m) for k in range(top + 1) for idx in tuples for m in layers[k]]
+            rows = self.rows(codes, basis)
+            by_first: List[List[int]] = [[] for _ in range(len(nested) + 1)]
+            for code in rows:
+                by_first[packed.get(code % codes.scale, far)[0]].append(code)
+            keys = [code for codes_k in by_first for code in sorted(codes_k)]
+            system = SparseSystem([rows[code] for code in keys], len(basis), keys)
+            # a low of degree p - 1 is the code of a degree-p element: its
+            # block gives its tuple, its monomial's layer and place the rest
+            clear = set()
+            block = codes.block[tuples[0], 0]
+            for code in low_codes.get(p - 1, ()):
+                q, mono = divmod(code, codes.scale)
+                k, t = packed.get(mono, far)
+                if k <= top:
+                    clear.add(len(tuples) * (sizes[k - 1] if k else 0)
+                              + (q - block) * len(layers[k]) + t)
+            pivots[p] = system.pivots(clear)
+            low_codes[p] = [system.row_keys[t] for t, _ in pivots[p]]
+            held[p] = list(accumulate(map(len, by_first)))
+            columns = [c for _, c in pivots[p]]
+            for w in reads[p]:
+                ranks[p, w] = bisect_left(columns, len(tuples) * sizes[at[w]])
 
         def kernel(p: int, window: TruncationWindow) -> int:
             return comb(self.rank, p) * sizes[at[window]] - ranks[p, window]
@@ -743,14 +765,9 @@ class _WindowedComplex:
         def image(p: int, window: TruncationWindow) -> int:
             if p == 0:
                 return 0
-            src, k = window.enlarged(drop), at[window]
-            n = comb(self.rank, p - 1) * sizes[at[src]]
-            rows = systems[p - 1].rows
-            far = [row for row in ({c: v for c, v in rows[t].items() if c < n}
-                                   for first, t in row_layers[p - 1] if first > k) if row]
-            if not far:
-                return ranks[p - 1, src]
-            return ranks[p - 1, src] - SparseSystem(far, n).rank()
+            src = window.enlarged(drop)
+            inside = held[p - 1][at[window]]
+            return sum(low < inside for low, _ in pivots[p - 1][:ranks[p - 1, src]])
 
         return {w: {p: (kernel(p, w), image(p, w)) if 0 <= p <= self.rank else (0, 0)
                     for p in degrees}

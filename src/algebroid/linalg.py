@@ -1,19 +1,23 @@
 """Exact rational linear algebra.
 
 Every linear system the library solves is a `SparseSystem`, built from
-keyed sparse rows (`SparseSystem.from_rows`; the windowed cochain
-systems key theirs by the integer row codes of `forms.RowCodes`) or
-from keyed sparse columns (`SparseSystem.from_columns`, which transposes
-them into rows), and reduced by one sparse eliminator with a fixed
-deterministic pivot order.  Elimination runs on integers: each column is
-scaled by the lcm of its denominators, rows are combined fraction-free
-and divided by their content, and only back-substitution returns to
-`Fraction`; solutions come back as `int` where they are integral
-(`rings.as_fraction`).  Each right-hand side is eliminated as one more
-column, reduced against the system's own pivots only.  The same
-elimination gives the primitive integer kernel basis
-(`SparseSystem.kernel`), from which `forms.Stencil.weights` reads its
-grading lattice.
+keyed sparse rows (`from_rows`; the windowed cochain systems key theirs
+by the integer row codes of `forms.RowCodes`) or keyed sparse columns
+(`from_columns`), and reduced by one routine, the column reduction of
+persistent homology (Zomorodian & Carlsson, DCG 33, 2005): each column in
+turn is reduced by the earlier reduced columns until it is zero or its
+low, its last nonzero row in the row order the caller gives, is new.
+The nonzero reduced columns are the pivot columns, each independent of
+the columns before it, and their lows are distinct: the image vectors of
+a column prefix that lie in the first k rows are spanned by its reduced
+columns with low below k.  Columns are scaled to integers by the lcm of
+their denominators and combined fraction-free; solutions come back as
+`int` where they are integral (`rings.as_fraction`).  For a kernel or a
+solution each column also carries its transform, the combination of
+input columns it has been reduced to: that of a column reducing to zero
+is a kernel vector (`forms.Stencil.weights` reads its lattice from
+them), and each right-hand side is reduced as one more column, against
+the pivot columns only.
 """
 
 from __future__ import annotations
@@ -21,41 +25,53 @@ from __future__ import annotations
 from collections import defaultdict
 from fractions import Fraction
 from math import gcd
-from typing import (Container, Dict, Hashable, List, Mapping, Optional,
-                    Sequence, Set, Tuple)
+from typing import (Callable, Collection, Dict, Hashable, List, Mapping,
+                    Optional, Sequence, Tuple)
 
 from .rings import Coefficient, as_fraction
 
 
-def _scale_columns(rows: List[Dict[int, Fraction]]) -> Dict[int, int]:
+def _scale_columns(cols: List[Dict[int, Coefficient]]) -> Dict[int, int]:
     """Multiply each column by the lcm of its denominators, in place;
     returns the multipliers other than 1."""
     scales: Dict[int, int] = {}
-    for r in rows:
-        for c, v in r.items():
+    for c, col in enumerate(cols):
+        s = 1
+        for v in col.values():
             if type(v) is not int:
                 d = as_fraction(v).denominator
-                if d != 1:
-                    s = scales.get(c, 1)
-                    scales[c] = s * d // gcd(s, d)
-    for r in rows:
-        for c, v in r.items():
-            s = scales.get(c, 1)
+                s = s * d // gcd(s, d)
+        for r, v in col.items():
             if type(v) is not int:
-                r[c] = v.numerator * (s // v.denominator)
+                col[r] = v.numerator * (s // v.denominator)
             elif s != 1:
-                r[c] = v * s
+                col[r] = v * s
+        if s != 1:
+            scales[c] = s
     return scales
 
 
-class SparseSystem:
-    """Rows as {column: exact rational}; deterministic sparse elimination.
+def _combine(col: Dict[int, int], a: int, other: Dict[int, int], b: int) -> None:
+    """col := a * col - b * other, in place."""
+    if a != 1:
+        for r in col:
+            col[r] *= a
+    for r, v in other.items():
+        new = col.get(r, 0) - b * v
+        if new:
+            col[r] = new
+        else:
+            del col[r]
 
-    Used for the big windowed cochain matrices, which touch only a few
-    columns per row. Pivot choice is by ascending column, then sparsest
-    eligible row, then lowest row index, so results are reproducible.
-    `row_keys[t]` is the key of row t when the system was built from
-    keyed rows or columns.
+
+class SparseSystem:
+    """Rows as {column: exact rational}, reduced column by column.
+
+    `rows[t]` is row t of the input and `row_keys[t]` its key when the
+    system was built from keyed rows or columns; the row order is the
+    order of `rows`, and it decides the lows of the reduced columns.
+    Rank, the pivot columns, the kernel and the solution `solve` returns
+    depend only on column order.
     """
 
     def __init__(self, rows: List[Dict[int, Coefficient]], ncols: int,
@@ -63,142 +79,109 @@ class SparseSystem:
         self.rows = rows
         self.ncols = ncols
         self.row_keys = row_keys
-        self._rank: Optional[int] = None
 
     @classmethod
     def from_rows(cls, rows: Mapping[Hashable, Dict[int, Coefficient]],
-                  ncols: int) -> "SparseSystem":
-        """Row t is rows[k] for the t-th smallest key k, used as given (so
-        without zero values).  Rank, the kernel and the solution `solve`
-        returns depend only on column order."""
-        keys = sorted(rows)
+                  ncols: int, key: Optional[Callable] = None) -> "SparseSystem":
+        """Row t is rows[k] for the t-th smallest key k (by `key`, when
+        given), used as given (so without zero values)."""
+        keys = sorted(rows, key=key)
         return cls([rows[k] for k in keys], ncols, keys)
 
     @classmethod
-    def from_columns(cls, cols: Sequence[Mapping[Hashable, Coefficient]]
-                     ) -> "SparseSystem":
+    def from_columns(cls, cols: Sequence[Mapping[Hashable, Coefficient]],
+                     key: Optional[Callable] = None) -> "SparseSystem":
         """Column j is cols[j], a {row key: value} map; the rows are the
-        sorted union of the column keys."""
+        union of the column keys, sorted as `from_rows` sorts them."""
         rows: Dict[Hashable, Dict[int, Coefficient]] = defaultdict(dict)
         for j, col in enumerate(cols):
             for k, c in col.items():
                 if c:
                     rows[k][j] = c
-        return cls.from_rows(rows, len(cols))
+        return cls.from_rows(rows, len(cols), key)
 
-    def _eliminate(self, rhs: Sequence[Mapping[int, Coefficient]] = ()):
-        """Forward elimination on the integer-scaled columns; returns
-        (pivots, reduced rows, column scales).
+    def _eliminate(self, rhs: Sequence[Mapping[int, Coefficient]] = (),
+                   clear: Collection[int] = (), transforms: bool = False):
+        """Column reduction of the integer-scaled columns; returns
+        (pivots, relations, column scales).
 
-        What is reduced is the system with column c multiplied by
-        scales.get(c, 1).  The right-hand side rhs[k], {row: value}, joins
-        it as column ncols + k; only the system's own columns are pivoted,
-        so each right-hand side is reduced against those pivots and never
-        against another one.  After the sweep every non-pivot row holds
-        right-hand-side columns only, so back-substitution reads off
-        directly and rhs[k] is inconsistent exactly when a non-pivot row
-        holds column ncols + k.
+        `pivots` holds (low, column) of each nonzero reduced column, by
+        column, of the system with column c multiplied by scales.get(c, 1).
+        rhs[k], {row: value}, joins it as column ncols + k, reduced against
+        the pivot columns only.  The columns in `clear` must depend on the
+        columns before them; they are skipped, which leaves the pivots as
+        they are.  With `transforms` or a right-hand side, `relations` maps
+        each column that reduces to zero to its transform {column: int}, a
+        relation among the scaled columns, nonzero at its own column and
+        otherwise supported on pivot columns; else it is empty.
         """
-        rows = [dict(r) for r in self.rows]
-        for k, col in enumerate(rhs):
-            for t, v in col.items():
-                if v:
-                    rows[t][self.ncols + k] = v
-        col_rows: Dict[int, Set[int]] = defaultdict(set)
+        n = self.ncols
+        cols: List[Dict[int, Coefficient]] = [{} for _ in range(n + len(rhs))]
         integral = True
-        for i, r in enumerate(rows):
-            for c, v in r.items():
-                col_rows[c].add(i)
+        for t, row in enumerate(self.rows):
+            for c, v in row.items():
+                cols[c][t] = v
                 if type(v) is not int:
                     integral = False
-        scales = {} if integral else _scale_columns(rows)
-        used = [False] * len(rows)
+        for k, col in enumerate(rhs):
+            cols[n + k] = {t: v for t, v in col.items() if v}
+        scales = _scale_columns(cols) if not integral or rhs else {}
+        track = transforms or bool(rhs)
+        reduced: Dict[int, Tuple[Dict[int, int], Optional[Dict[int, int]]]] = {}
         pivots: List[Tuple[int, int]] = []
-        # fill-in only reaches columns of the pivot row, so no key is added
-        for c in sorted(col_rows):
-            if c >= self.ncols:
-                break
-            holders = [i for i in col_rows[c] if not used[i]]
-            if not holders:
+        relations: Dict[int, Dict[int, int]] = {}
+        for j, col in enumerate(cols):
+            if j in clear:
                 continue
-            if len(holders) == 1:
-                pivot = holders[0]
-                used[pivot] = True
-                pivots.append((pivot, c))
-                continue
-            holders.sort()
-            pivot = min(holders, key=lambda i: len(rows[i]))
-            used[pivot] = True
-            pivots.append((pivot, c))
-            prow = rows[pivot]
-            pv = prow[c]
-            for i in holders:
-                if i == pivot:
-                    continue
-                # row_i := (pv * row_i - f * row_pivot) / gcd(pv, f), then
-                # divided by its content; the same zero pattern as over Q
-                row = rows[i]
-                f = row[c]
+            vec = {j: 1} if track else None
+            while col:
+                low = max(col)
+                hit = reduced.get(low)
+                if hit is None:
+                    break
+                pcol, pvec = hit
+                pv, f = pcol[low], col[low]
                 g = gcd(pv, f)
                 a, b = pv // g, f // g
-                if a != 1:
-                    for cc in row:
-                        row[cc] *= a
-                for cc, vv in prow.items():
-                    new = row.get(cc, 0) - b * vv
-                    if new:
-                        row[cc] = new
-                        col_rows[cc].add(i)
-                    elif cc in row:
-                        del row[cc]
-                        col_rows[cc].discard(i)
-                content = gcd(*row.values())
-                if content > 1:
-                    for cc in row:
-                        row[cc] //= content
-        return pivots, rows, scales
+                _combine(col, a, pcol, b)
+                if track:
+                    _combine(vec, a, pvec, b)
+                if a != 1 and col:
+                    parts = (col, vec) if track else (col,)
+                    content = gcd(*(v for part in parts for v in part.values()))
+                    for part in parts if content > 1 else ():
+                        for r in part:
+                            part[r] //= content
+            if not col:
+                if track:
+                    relations[j] = vec
+            elif j < n:
+                reduced[low] = (col, vec)
+                pivots.append((low, j))
+        return pivots, relations, scales
+
+    def pivots(self, clear: Collection[int] = ()) -> List[Tuple[int, int]]:
+        """(low row, column) of each pivot column, ascending by column.
+        The pivot columns are the columns independent of the columns
+        before them, in a block-diagonal system the pivots of each block.
+        The columns in `clear` must be known to depend on the columns
+        before them; they are skipped."""
+        return self._eliminate(clear=clear)[0]
 
     def rank(self) -> int:
-        if self._rank is None:
-            self._rank = len(self._eliminate()[0])
-        return self._rank
-
-    def pivot_columns(self) -> List[int]:
-        """The columns independent of the columns before them, ascending:
-        in a block-diagonal system, the pivots of each block."""
-        return [c for _, c in self._eliminate()[0]]
-
-    def image_rank_inside(self, inside: Container[Hashable]) -> int:
-        """Rank minus the rank left after deleting the rows keyed in
-        `inside`: the windowed image dimension."""
-        outside = SparseSystem([{} if k in inside else row
-                                for k, row in zip(self.row_keys, self.rows)], self.ncols)
-        return self.rank() - outside.rank()
+        return len(self.pivots())
 
     def kernel(self) -> List[Tuple[int, ...]]:
         """The primitive integer basis of the kernel: one vector per
         non-pivot column, ascending, zero at the other non-pivot columns,
-        with coprime entries and positive at its own column.  Back-substitution stays
-        fraction-free: the vector is rescaled at each pivot instead."""
-        pivots, rows, scales = self._eliminate()
-        back = [(c, rows[i][c], rows[i].items()) for i, c in reversed(pivots)]
+        with coprime entries and positive at its own column.  It is the
+        transform of that column, which reduces to zero."""
+        _, relations, scales = self._eliminate(transforms=True)
         basis = []
-        for free in sorted(set(range(self.ncols)) - {c for _, c in pivots}):
-            v = [0] * self.ncols
-            v[free] = 1
-            for c, p, items in back:
-                s = 0
-                for cc, vv in items:
-                    if v[cc]:
-                        s -= vv * v[cc]
-                if s:
-                    g = gcd(s, p)
-                    if p != g:
-                        v = [x * (p // g) for x in v]
-                    v[c] = s // g
-            # v solves the scaled system; the kernel vector is scales * v
-            if scales:
-                v = [x * scales.get(c, 1) for c, x in enumerate(v)]
+        for free, vec in relations.items():
+            v = [0] * self.ncols        # scales * vec: a relation among the columns
+            for c, x in vec.items():
+                v[c] = x * scales.get(c, 1)
             g = gcd(*v) if v[free] > 0 else -gcd(*v)
             basis.append(tuple(v) if g == 1 else tuple(x // g for x in v))
         return basis
@@ -207,12 +190,12 @@ class SparseSystem:
               basis: Sequence[Tuple[Hashable, Hashable]]
               ) -> List[Optional[Dict[Hashable, Dict[Hashable, Coefficient]]]]:
         """One exact solution of (rows) x = rhs for each right-hand side,
-        all from one elimination.  Each is given as {row key: value} (keys
-        not named are zero) and column j is keyed basis[j] = (label,
-        monomial).  A nonzero solution comes back as {label: {monomial:
-        value}}, each value an int when integral, otherwise a Fraction;
-        None when there is no solution, as when a nonzero value sits at a
-        key that no column touches."""
+        all from one reduction, zero at every non-pivot column.  Each is
+        given as {row key: value} (keys not named are zero) and column j
+        is keyed basis[j] = (label, monomial).  A nonzero solution comes
+        back as {label: {monomial: value}}, each value an int when
+        integral, otherwise a Fraction; None when there is no solution, as
+        when a nonzero value sits at a key that no column touches."""
         pos = {k: t for t, k in enumerate(self.row_keys)}
         cols: List[Optional[Dict[int, Coefficient]]] = []
         for rhs_by_key in rhss:
@@ -226,29 +209,21 @@ class SparseSystem:
             cols.append(col)
         if all(col is None for col in cols):
             return cols
-        m = self.ncols
-        pivots, rows, scales = self._eliminate([col or {} for col in cols])
-        pivot_rows = {i for i, _ in pivots}
-        # the right-hand-side columns that a non-pivot row still holds
-        unsolved = {c for i, row in enumerate(rows) if i not in pivot_rows for c in row}
+        _, relations, scales = self._eliminate([col or {} for col in cols])
         out: List[Optional[Dict[Hashable, Dict[Hashable, Coefficient]]]] = []
         for k, col in enumerate(cols):
-            r = m + k
-            if col is None or r in unsolved:
+            r = self.ncols + k
+            vec = relations.get(r)
+            if col is None or vec is None:
                 out.append(None)
                 continue
-            # y solves the scaled system; x_c = scales[c] * y_c / scales[r]
-            y = [Fraction(0)] * (m + len(cols))
-            for i, c in reversed(pivots):
-                s = Fraction(rows[i].get(r, 0))
-                for cc, vv in rows[i].items():
-                    if cc != c and y[cc]:
-                        s -= vv * y[cc]
-                y[c] = s / rows[i][c]
+            # (scaled columns) vec = 0 with vec[r] != 0, so
+            # x_c = -scales[c] * vec[c] / (scales[r] * vec[r])
+            den = -vec.pop(r) * scales.get(r, 1)
             terms: Dict[Hashable, Dict[Hashable, Coefficient]] = {}
-            for c, ((label, mono), v) in enumerate(zip(basis, y)):
-                if v:
-                    terms.setdefault(label, {})[mono] = as_fraction(
-                        v * scales.get(c, 1) / scales.get(r, 1))
+            for c in sorted(vec):
+                label, mono = basis[c]
+                terms.setdefault(label, {})[mono] = as_fraction(
+                    Fraction(vec[c] * scales.get(c, 1), den))
             out.append(terms)
         return out

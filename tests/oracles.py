@@ -19,9 +19,12 @@ the reference for the integer `DoubleComplexSlice.commutation_check`.
 The dense fraction-free Bareiss
 routines (`RationalMatrix`, `rank`, `kernel_basis`, `solve_linear`, which
 raise `DimensionError` on a length mismatch) are the reference for the
-sparse integer eliminator `linalg.SparseSystem`, `fraction_eliminate` is
-that eliminator's pivot rule over Fraction, `integer_kernel` is the dense
-row reduction behind `SparseSystem.kernel`'s primitive basis, and
+sparse integer column reduction `linalg.SparseSystem`.  `row_eliminate`
+is the row-pivot eliminator that it replaced, `fraction_eliminate` that
+eliminator's pivot rule over Fraction, and `keyed_pivots` and
+`image_inside` read pivot columns and windowed images (by definition, a
+rank difference) from it; `integer_kernel` is the dense row reduction
+that `SparseSystem.kernel`'s primitive basis is tested against, and
 `weight_lattice` derives the constraints of `forms.Stencil.weights` from
 the anchor and the structure constants by Fraction arithmetic, and
 `substitute` is the ring-arithmetic reference for `rings.RingMap`, with
@@ -604,7 +607,6 @@ def total_dims_by_bidegree(m, degrees, window):
     gather_d1 + (-1)^p gather_d2 keyed the same way, and the image of
     degree n - 1 comes from the window enlarged by the twilled sum's
     degree drop."""
-    from algebroid.linalg import SparseSystem
     from algebroid.matched import twilled_sum
 
     ring = m.l1.base
@@ -633,11 +635,10 @@ def total_dims_by_bidegree(m, degrees, window):
     dims = {}
     for n in sorted(set(degrees)):
         dom = basis(n, window)
-        ker = len(dom) - SparseSystem.from_columns(columns(dom)).rank()
+        ker = len(dom) - len(keyed_pivots(columns(dom)))
         im = 0
         if n > 0:
-            prev = basis(n - 1, window.enlarged(drop))
-            im = SparseSystem.from_columns(columns(prev)).image_rank_inside(set(dom))
+            im = image_inside(columns(basis(n - 1, window.enlarged(drop))), dom)
         dims[n] = ker - im
     return dims
 
@@ -650,12 +651,10 @@ def whole_slice_dims(complex_, degrees, windows, drop):
     `forms._WindowedComplex.dims` defines them, with no weight blocks:
     the kernel from every column of the degree-p slice, the image as the
     rank of d_(p-1) on the window enlarged by `drop` minus its rank on
-    the rows outside the window."""
-    from algebroid.linalg import SparseSystem
+    the rows outside the window, all by `row_eliminate`."""
 
-    def system(p, w, codes):
-        return SparseSystem.from_columns(
-            complex_columns(complex_, codes, complex_.basis(p, w)))
+    def columns(p, w, codes):
+        return complex_columns(complex_, codes, complex_.basis(p, w))
 
     out = {}
     for w in windows:
@@ -665,12 +664,12 @@ def whole_slice_dims(complex_, degrees, windows, drop):
             if not 0 <= p <= complex_.rank:
                 out[w][p] = (0, 0)
                 continue
-            d = system(p, w, codes)
+            d = columns(p, w, codes)
             im = 0
             if p > 0:
                 inside = {codes.code((idx, 0), m) for idx, m in complex_.basis(p, w)}
-                im = system(p - 1, w.enlarged(drop), codes).image_rank_inside(inside)
-            out[w][p] = (d.ncols - d.rank(), im)
+                im = image_inside(columns(p - 1, w.enlarged(drop), codes), inside)
+            out[w][p] = (len(d) - len(keyed_pivots(d)), im)
     return out
 
 
@@ -683,7 +682,6 @@ def block_dims(complex_, degrees, windows, drop):
     split the same way: each block's rank, and its rank outside each
     window, is computed once per call, and a block keeps only its rank and
     the windows that hold all of its rows."""
-    from algebroid.linalg import SparseSystem
 
     def block_ranks(blocks):
         # one elimination of the block-diagonal system of the blocks
@@ -691,7 +689,7 @@ def block_dims(complex_, degrees, windows, drop):
         cols = [col for b in blocks for col in b]
         ranks = [0] * len(blocks)
         if any(cols):
-            for c in SparseSystem.from_columns(cols).pivot_columns():
+            for c in keyed_pivots(cols):
                 ranks[owner[c]] += 1
         return ranks
 
@@ -955,8 +953,8 @@ def rank(a: RationalMatrix) -> int:
 
 def fraction_eliminate(rows, ncols, rhs=None):
     """Sparse forward elimination over Fraction with the pivot rule of
-    `linalg.SparseSystem` (ascending column, sparsest eligible row, lowest
-    row index): row_i -= (row_i[c] / pivot) * row_pivot.  Returns
+    `row_eliminate` (ascending column, sparsest eligible row, lowest row
+    index): row_i -= (row_i[c] / pivot) * row_pivot.  Returns
     (pivots, reduced rows, reduced rhs)."""
     rows = [{c: Fraction(v) for c, v in r.items() if v} for r in rows]
     vec = [Fraction(v) for v in rhs] if rhs is not None else None
@@ -983,6 +981,82 @@ def fraction_eliminate(rows, ncols, rhs=None):
             if vec is not None:
                 vec[i] = vec[i] - factor * vec[pivot]
     return pivots, rows, vec
+
+
+def row_eliminate(rows, ncols):
+    """The row-pivot sparse eliminator that `linalg.SparseSystem` ran
+    before its column reduction: forward elimination on the columns each
+    scaled by the lcm of its denominators, pivoting at each column in
+    ascending order on its sparsest holder row, then the lowest row
+    index, with rows combined fraction-free and divided by their content.
+    Returns (pivots as (row, column), reduced rows, column scales); the
+    reduced rows are multiples of `fraction_eliminate`'s."""
+    rows = [dict(r) for r in rows]
+    scales = {}
+    for r in rows:
+        for c, v in r.items():
+            if type(v) is not int:
+                s, d = scales.get(c, 1), as_fraction(v).denominator
+                scales[c] = s * d // gcd(s, d)
+    for r in rows:
+        for c, v in r.items():
+            s = scales.get(c, 1)
+            r[c] = v * s if type(v) is int else v.numerator * (s // v.denominator)
+    col_rows = {}
+    for i, r in enumerate(rows):
+        for c in r:
+            col_rows.setdefault(c, set()).add(i)
+    used = [False] * len(rows)
+    pivots = []
+    for c in sorted(col_rows):
+        holders = sorted(i for i in col_rows[c] if not used[i])
+        if not holders:
+            continue
+        pivot = min(holders, key=lambda i: len(rows[i]))
+        used[pivot] = True
+        pivots.append((pivot, c))
+        prow = rows[pivot]
+        pv = prow[c]
+        for i in holders:
+            if i == pivot:
+                continue
+            row = rows[i]
+            f = row[c]
+            g = gcd(pv, f)
+            a, b = pv // g, f // g
+            for cc in row:
+                row[cc] *= a
+            for cc, vv in prow.items():
+                new = row.get(cc, 0) - b * vv
+                if new:
+                    row[cc] = new
+                    col_rows.setdefault(cc, set()).add(i)
+                elif cc in row:
+                    del row[cc]
+                    col_rows[cc].discard(i)
+            content = gcd(*row.values())
+            if content > 1:
+                for cc in row:
+                    row[cc] //= content
+    return pivots, rows, {c: s for c, s in scales.items() if s != 1}
+
+
+def keyed_pivots(cols, deleted=frozenset()):
+    """The pivot columns of keyed columns {row key: value}, ascending,
+    after deleting the rows keyed in `deleted`: `row_eliminate`'s."""
+    rows = {}
+    for j, col in enumerate(cols):
+        for k, v in col.items():
+            if v and k not in deleted:
+                rows.setdefault(k, {})[j] = v
+    return [c for _, c in row_eliminate(list(rows.values()), len(cols))[0]]
+
+
+def image_inside(cols, inside):
+    """The dimension of the image vectors of keyed columns that vanish
+    at every row key outside `inside`, by its definition: the rank minus
+    the rank after deleting the rows keyed in `inside`."""
+    return len(keyed_pivots(cols)) - len(keyed_pivots(cols, set(inside)))
 
 
 def integer_kernel(rows: Sequence[Sequence[int]], n: int
@@ -1272,7 +1346,6 @@ def line_bundle_dims_by_overlaps(cover, window):
     with sign -, a second-chart section with sign + after multiplication
     by the bundle transition g."""
     from algebroid.forms import TruncationWindow
-    from algebroid.linalg import SparseSystem
     from algebroid.rings import mul_terms
     slack = 0
     for ov in cover.overlaps.values():
@@ -1296,9 +1369,8 @@ def line_bundle_dims_by_overlaps(cover, window):
         for mono in chart_window.monomials(cover.chart_ring(b)):
             for exps, c in mul_terms(g.terms, ov.map_b.monomial_terms(mono)).items():
                 cols[position[(b, mono)]][(a, b, exps)] = c
-    system = SparseSystem.from_columns(cols)
-    h0 = system.ncols - system.rank()
-    h1 = len(window_keys) - system.image_rank_inside(window_keys)
+    h0 = len(cols) - len(keyed_pivots(cols))
+    h1 = len(window_keys) - image_inside(cols, window_keys)
     return h0, h1
 
 

@@ -279,19 +279,20 @@ def test_weyl_closed_form_e2_8_e1_8():
     assert json.loads(text)["terms"] == expected
 
 
-def test_cech_dims_eliminates_twice(monkeypatch):
+def test_cech_dims_eliminates_once(monkeypatch):
+    # h0 and h1 both come from one column reduction: h1 counts lows
     from algebroid.linalg import SparseSystem
     calls = []
     eliminate = SparseSystem._eliminate
 
-    def counted(self, *args):
+    def counted(self, *args, **kwargs):
         calls.append(self)
-        return eliminate(self, *args)
+        return eliminate(self, *args, **kwargs)
 
     monkeypatch.setattr(SparseSystem, "_eliminate", counted)
     code, _ = invoke(["cech-dims", "p1.adf", "P"])
     assert code == 0
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("text,message", [
@@ -341,43 +342,41 @@ algebroid T over R3 { basis e1, e2, e3; anchor e1 -> d/dx, e2 -> d/dy, e3 -> d/d
 """
 
 
-@pytest.mark.parametrize("argv,degrees,outside", [
+@pytest.mark.parametrize("argv,degrees", [
     # so(3)* preserves polynomial degree, so its windows hold whole
-    # degrees: no column reaches outside a window and no image needs a
-    # rank outside it
-    (["cohomology", "{tmp}", "S", "--degrees", "0..3", "--window", "4"], 4, 0),
+    # degrees: no column reaches outside a window
+    (["cohomology", "{tmp}", "S", "--degrees", "0..3", "--window", "4"], 4),
     # the tangent algebroid has drop 1, and the columns of the window + 1
     # land inside the window, since d lowers degree
-    (["cohomology", "{tmp}", "T", "--degrees", "0..3", "--window", "4"], 4, 0),
+    (["cohomology", "{tmp}", "T", "--degrees", "0..3", "--window", "4"], 4),
     # the total complex and the twilled sum each read degrees 0..2; f1 ->
     # x d/dx + d/dz keeps x^m at its degree, so the columns of the window
-    # + 1 reach outside the window at both image degrees of each complex
-    (["compare-total", "matched.adf", "M", "--degrees", "0..2", "--window", "2,2"], 6, 4),
+    # + 1 reach outside the window at both image degrees of each complex,
+    # and those images are still read from the lows of one reduction
+    (["compare-total", "matched.adf", "M", "--degrees", "0..2", "--window", "2,2"], 6),
 ], ids=["so3", "tangent", "compare-total"])
-def test_windowed_cohomology_eliminations(tmp_path, monkeypatch, argv, degrees, outside):
-    """One elimination per degree read (`pivot_columns`), one more per
-    (window, degree) whose image columns reach outside the window (`rank`),
-    and no elimination of the weight lattice (`kernel`): cohomology and
-    compare-total read no grading."""
+def test_windowed_cohomology_eliminations(tmp_path, monkeypatch, argv, degrees):
+    """One column reduction per degree read (`pivots`), none for the rows
+    outside a window (`rank`), and no elimination of the weight lattice
+    (`kernel`): cohomology and compare-total read no grading."""
     from algebroid.linalg import SparseSystem
     path = tmp_path / "so3.adf"
     path.write_text(SO3_AND_TANGENT)
-    calls = {"_eliminate": 0, "pivot_columns": 0, "rank": 0, "kernel": 0}
+    calls = {"_eliminate": 0, "pivots": 0, "rank": 0, "kernel": 0}
 
     def counted(name):
         real = getattr(SparseSystem, name)
 
-        def method(self, *args):
+        def method(self, *args, **kwargs):
             calls[name] += 1
-            return real(self, *args)
+            return real(self, *args, **kwargs)
         return method
 
     for name in calls:
         monkeypatch.setattr(SparseSystem, name, counted(name))
     code, _ = invoke([str(path) if a == "{tmp}" else a for a in argv])
     assert code in (0, 3)
-    assert calls == {"_eliminate": degrees + outside, "pivot_columns": degrees,
-                     "rank": outside, "kernel": 0}
+    assert calls == {"_eliminate": degrees, "pivots": degrees, "rank": 0, "kernel": 0}
 
 
 def test_parser_reuse_matches_fresh_process():

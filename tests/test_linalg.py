@@ -8,8 +8,8 @@ from algebroid.linalg import SparseSystem
 from algebroid.rings import RingError
 
 from oracles import (DimensionError, RationalMatrix, fraction_eliminate,
-                     integer_kernel, is_normal_coefficient, kernel_basis, rank,
-                     solve_linear)
+                     image_inside, integer_kernel, is_normal_coefficient,
+                     kernel_basis, rank, row_eliminate, solve_linear)
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
@@ -86,6 +86,15 @@ def solve_vector(system, rhs_by_key):
     return [terms.get(j, {}).get(0, 0) for j in range(system.ncols)]
 
 
+def image_from_lows(cols, inside):
+    """The image vectors of keyed columns that vanish outside the keys
+    `inside`, counted from lows: those rows come first, so a reduced
+    column lies inside exactly when its low is one of them."""
+    s = SparseSystem.from_columns(cols, key=lambda k: (k not in inside, k))
+    held = sum(k in inside for k in s.row_keys)
+    return sum(low < held for low, _ in s.pivots())
+
+
 def test_sparse_matches_dense():
     rng = random.Random(31)
     for _ in range(20):
@@ -120,9 +129,11 @@ def test_sparse_matches_dense():
         inside = set(rng.sample(keys, rng.randint(0, n)))
         outside = RationalMatrix.from_rows(
             [rows[i] for i in range(n) if keys[i] not in inside] or [[0] * m])
-        assert keyed.image_rank_inside(inside) == rank(a) - rank(outside)
-        assert moved.image_rank_inside({relabel[k] for k in inside}) == \
-            rank(a) - rank(outside)
+        assert image_from_lows(cols, inside) == rank(a) - rank(outside)
+        moved_inside = {relabel[k] for k in inside}
+        assert image_from_lows([{relabel[k]: c for k, c in col.items()} for col in cols],
+                               moved_inside) == rank(a) - rank(outside)
+        assert image_inside(cols, inside) == rank(a) - rank(outside)
         for rhs in (b, [Fraction(rng.randint(-2, 2)) for _ in range(n)]):
             dense = solve_linear(a, rhs)
             by_key = {keys[i]: rhs[i] for i in range(n) if rhs[i]}
@@ -158,24 +169,34 @@ def test_integer_elimination_matches_fraction_and_dense():
         keys = [(i % 3, i) for i in range(n)]
         by_cols = SparseSystem.from_columns(cols)
 
-        # the same pivots, and each reduced row a multiple of the Fraction
-        # one on the integer-scaled columns
+        # the reference row eliminator: the pivots of the Fraction one, and
+        # each reduced row a multiple of its row on the integer-scaled columns
         ref_pivots, ref_rows, _ = fraction_eliminate(by_set.rows, m)
-        pivots, int_rows, scales = by_set._eliminate()
-        assert pivots == ref_pivots
+        row_pivots, int_rows, scales = row_eliminate(by_set.rows, m)
+        assert row_pivots == ref_pivots
         for got, ref in zip(int_rows, ref_rows):
             assert got.keys() == ref.keys()
             assert all(type(v) is int for v in got.values())
             ratios = {v / (ref[c] * scales.get(c, 1)) for c, v in got.items()}
             assert len(ratios) <= 1
-        col_pivots = by_cols._eliminate()[0]
-        assert [c for _, c in col_pivots] == [c for _, c in pivots]
 
+        # the column reduction: the reference's pivot columns, whatever the
+        # row order, each with its own low
+        for system in (by_set, by_cols):
+            pivots = system.pivots()
+            assert [c for _, c in pivots] == [c for _, c in ref_pivots]
+            lows = [low for low, _ in pivots]
+            assert len(set(lows)) == len(lows)
+            assert all(0 <= low < len(system.rows) for low in lows)
         assert by_set.rank() == by_cols.rank() == rank(a)
         inside = set(rng.sample(keys, rng.randint(0, n)))
         outside = RationalMatrix.from_rows(
             [rows[i] for i in range(n) if keys[i] not in inside] or [[0] * m])
-        assert by_cols.image_rank_inside(inside) == rank(a) - rank(outside)
+        assert image_from_lows(cols, inside) == rank(a) - rank(outside)
+        # clearing columns known to depend on the earlier ones changes no pivot
+        free = [c for c in range(m) if c not in {c for _, c in ref_pivots}]
+        cleared = set(rng.sample(free, rng.randint(0, len(free))))
+        assert by_cols.pivots(cleared) == by_cols.pivots()
 
         x = [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(m)]
         for rhs in (a.mul_vector(x),
@@ -248,9 +269,9 @@ def test_right_hand_sides_solved_together():
         calls = []
         eliminate = s._eliminate
 
-        def counted(*args):
+        def counted(*args, **kwargs):
             calls.append(args)
-            return eliminate(*args)
+            return eliminate(*args, **kwargs)
 
         s._eliminate = counted
         together = s.solve(rhss, basis)
@@ -318,7 +339,7 @@ def test_kernel_matches_dense_reference(matrix, denominator):
         assert a.mul_vector(v) == [0] * len(rows)
     # one vector per non-pivot column, ascending: positive there, zero at
     # the others, coprime
-    free = [c for c in range(m) if c not in s.pivot_columns()]
+    free = [c for c in range(m) if c not in {c for _, c in s.pivots()}]
     assert len(got) == len(free)
     for v, f in zip(got, free):
         assert v[f] > 0 and not any(v[c] for c in free if c != f)
