@@ -321,32 +321,11 @@ class Stencil:
                     rows[off + at][j] = c
         return rows
 
-    def column(self, codes: RowCodes, idx: IndexTuple, t: Hashable, mono: IndexTuple
-               ) -> Dict[int, Coefficient]:
-        """The image of theta^idx (x) b_t * x^mono as {row code: value}, from
-        the same offsets as `rows`: one column of it, for the callers that
-        read columns one at a time (a one-column `rows` would cost a dict
-        per entry)."""
-        consts, anchors, shared = self._offset_entries(codes, idx, t)
-        at = codes.zero + sum(map(mul, codes.places, mono))
-        out = {off + at: c for off, c in consts}
-        for off, v, c in anchors:
-            e = mono[v]
-            if e:
-                out[off + at] = c * e
-        for off, c, terms in shared:
-            for v, cv in terms:
-                e = mono[v]
-                if e:
-                    c = c + cv * e
-            if c:
-                out[off + at] = c
-        return out
-
     def apply(self, coeffs: Mapping[Tuple[IndexTuple, Hashable], RingElement]
               ) -> Dict[Tuple[IndexTuple, Hashable], RingElement]:
-        """`covariant_d` of `coeffs`: the columns of its terms, summed and
-        decoded."""
+        """`covariant_d` of `coeffs`: one `rows` per module label over all
+        of that label's terms, each row summed against the terms'
+        coefficients, then decoded."""
         keys: Dict[Hashable, None] = {}
         for idx, t in coeffs:
             for entries in self._compile(idx, t):
@@ -354,11 +333,16 @@ class Stencil:
         bound = max((abs(e) for f in coeffs.values() for mono in f.terms for e in mono),
                     default=0)
         codes = RowCodes(keys, len(self.owner.base.variables), bound + self.reach)
-        flat: Dict[int, Coefficient] = {}
+        # label -> (basis, coefficients), each label's terms grouped by tuple
+        by_label: Dict[Hashable, Tuple[list, list]] = {}
         for (idx, t), f in coeffs.items():
-            for mono, a in f.terms.items():
-                for k, c in self.column(codes, idx, t, mono).items():
-                    flat[k] = flat.get(k, 0) + a * c
+            basis, scale = by_label.setdefault(t, ([], []))
+            basis.extend((idx, mono) for mono in f.terms)
+            scale.extend(f.terms.values())
+        flat: Dict[int, Coefficient] = {}
+        for t, (basis, scale) in by_label.items():
+            for k, row in self.rows(codes, basis, t).items():
+                flat[k] = flat.get(k, 0) + sum(scale[j] * v for j, v in row.items())
         grouped: Dict[tuple, Dict[IndexTuple, Coefficient]] = {}
         for k, c in flat.items():
             if c:

@@ -168,14 +168,14 @@ def _on_forms(action: Connection) -> List[Dict[IndexTuple, list]]:
 
 class DoubleComplexSlice:
     """Windowed bases of (p, q) pieces with both differentials as sparse
-    columns keyed by row codes.
+    rows keyed by row codes.
 
     The basis element ((I, J), monomial) has the code of ((merged tuple,
     0), monomial) in the twilled sum's Chevalley-Eilenberg layout (`codes`),
     the merged tuple being I followed by J shifted by rank(l1).  d1's
     stencil keys its targets (I', J) and d2's (J', I), so each reads the
-    same codes under its own names, and every column comes out keyed in
-    the one layout."""
+    same codes under its own names, and every row comes out keyed in the
+    one layout."""
 
     def __init__(self, m: MatchedPair, max_total: int,
                  window: TruncationWindow):
@@ -205,34 +205,20 @@ class DoubleComplexSlice:
                        for idx, _ in self._keys]
         # (the layout, keyed (merged tuple, 0); it keyed (I, J); it keyed (J, I))
         self._codes: Optional[Tuple[RowCodes, RowCodes, RowCodes]] = None
-        # the integer columns of d1 and d2 read so far, each keyed by the
-        # code of its basis element, as the columns key their rows
-        self._cols1: Dict[int, dict] = {}
-        self._cols2: Dict[int, dict] = {}
 
     def codes(self, bias: int) -> RowCodes:
         """The slice's row codes, with at least this bias.  A layout is
-        kept while it is large enough; a larger bias makes a new one and
-        empties the column memo, whose keys are codes of the old one."""
+        kept while it is large enough; a larger bias makes a new one."""
         if self._codes is None or self._codes[0].bias < bias:
             layout = RowCodes(self._keys, len(self.pair.l1.base.variables), bias)
             self._codes = (layout, layout.relabel(self._pairs),
                            layout.relabel([(j, i) for i, j in self._pairs]))
-            self._cols1.clear()
-            self._cols2.clear()
         return self._codes[0]
-
-    def d1_of_basis(self, p, q, i1, i2, mono):
-        """image in K^{p+1,q} of the basis element, as {(I,J): element}."""
-        return self.d1({(i1, i2): self.pair.l1.base.monomial(mono, 1)})
 
     def d1(self, coeffs):
         """The l1-differential of a cochain {(I, J): element}, with values
         in the forms of l2 under action12."""
         return self._d1.apply(coeffs)
-
-    def d2_of_basis(self, p, q, i1, i2, mono):
-        return self.d2({(i1, i2): self.pair.l1.base.monomial(mono, 1)})
 
     def d2(self, coeffs):
         """The mirror of d1: the l2-differential, with values in the forms
@@ -240,58 +226,74 @@ class DoubleComplexSlice:
         image = self._d2.apply({(i2, i1): v for (i1, i2), v in coeffs.items()})
         return {(i1, i2): v for (i2, i1), v in image.items()}
 
-    def _d1_column(self, code):
-        """The column of d1 at the basis element of this code, as
-        `Stencil.column` gives it; computed once per layout."""
-        col = self._cols1.get(code)
-        if col is None:
-            _, pairs, _ = self._codes
-            (i1, i2), mono = pairs.decode(code)
-            col = self._cols1[code] = self._d1.column(pairs, i1, i2, mono)
-        return col
+    def _rows(self, second: bool, items: Sequence[Tuple[IndexTuple, IndexTuple, tuple]]
+              ) -> Dict[int, Dict[int, object]]:
+        """d1, or d2 if `second`, at the basis elements (I, J, monomial) of
+        `items`, as rows {code: {column: value}} under the current codes,
+        column j the image of items[j]: one `Stencil.rows` per module label
+        (J for d1, I for d2), merged.  Labels share row codes, so rows are
+        updated, never replaced."""
+        _, pairs, swapped = self._codes
+        stencil, codes = (self._d2, swapped) if second else (self._d1, pairs)
+        by_label: Dict[IndexTuple, Tuple[List[int], list]] = {}
+        for j, (i1, i2, mono) in enumerate(items):
+            idx, t = (i2, i1) if second else (i1, i2)
+            cols, basis = by_label.setdefault(t, ([], []))
+            cols.append(j)
+            basis.append((idx, mono))
+        out: Dict[int, Dict[int, object]] = defaultdict(dict)
+        for t, (cols, basis) in by_label.items():
+            for code, row in stencil.rows(codes, basis, t).items():
+                target = out[code]
+                for j, c in row.items():
+                    target[cols[j]] = c
+        return out
 
-    def _d2_column(self, code):
-        """The column of d2 at the basis element of this code, in the same
-        codes as d1's; computed once per layout."""
-        col = self._cols2.get(code)
-        if col is None:
-            _, pairs, swapped = self._codes
-            (i1, i2), mono = pairs.decode(code)
-            col = self._cols2[code] = self._d2.column(swapped, i2, i1, mono)
-        return col
+    def _composite(self, second: bool, items) -> Dict[int, Dict[int, object]]:
+        """d1 d2 (or d2 d1 if `second`) at `items`, as rows without zero
+        values: the outer differential at the row codes of the inner
+        one's image, times that image."""
+        inner = self._rows(not second, items)
+        keys = sorted(inner)
+        outer = self._rows(second, [key + (mono,) for key, mono
+                                    in map(self._codes[1].decode, keys)])
+        out = {}
+        for code, row in outer.items():
+            acc: Dict[int, object] = {}
+            for k, a in row.items():
+                for j, b in inner[keys[k]].items():
+                    acc[j] = acc.get(j, 0) + a * b
+            acc = {j: c for j, c in acc.items() if c}
+            if acc:
+                out[code] = acc
+        return out
 
     def commutation_check(self) -> Optional[Tuple[int, int, tuple]]:
         """d1 d2 = d2 d1 on every bidegree of the slice (the alternating-
         sign rule in the standard normalization is this identity after
         rescaling the second differential by bidegree signs).  Returns a
-        witness (p, q, basis element) or None.  Both composites are sums
-        of integer columns, compared with their zero values dropped."""
+        witness (p, q, basis element) or None.  Both composites of a
+        bidegree are sparse products of integer rows; the witness is the
+        first basis element whose columns differ."""
         m = self.pair
         # a composite reaches two shifts past the window
         self.codes(self.window.bound(m.l1.base) + 2 * self.reach)
-        pairs = self._codes[1]
         for (p, q), basis in sorted(self.bases.items()):
             if p + 1 > m.l1.rank or q + 1 > m.l2.rank:
                 continue
             if p + q + 2 > self.max_total + 1:
                 continue
-            for (i1, i2, mono) in basis:
-                key = pairs.code((i1, i2), mono)
-                if (_compose(self._d1_column, self._d2_column(key))
-                        != _compose(self._d2_column, self._d1_column(key))):
-                    return (p, q, (i1, i2, mono))
+            one, two = self._composite(False, basis), self._composite(True, basis)
+            if one != two:
+                return (p, q, basis[min(j for code in one.keys() | two.keys()
+                                        for j in _differ(one.get(code, {}),
+                                                         two.get(code, {})))])
         return None
 
 
-def _compose(column, image: Mapping[int, object]) -> Dict[int, object]:
-    """The sum of c * column(key) over the (key, c) of `image`, without
-    zero values."""
-    out: Dict[int, object] = {}
-    for key, c in image.items():
-        for k, v in column(key).items():
-            cur = out.get(k)
-            out[k] = c * v if cur is None else cur + c * v
-    return {k: v for k, v in out.items() if v}
+def _differ(a: Mapping[int, object], b: Mapping[int, object]) -> List[int]:
+    """The columns where two rows hold different values."""
+    return [j for j in a.keys() | b.keys() if a.get(j) != b.get(j)]
 
 
 @dataclass
@@ -310,22 +312,17 @@ def _total_complex(sl: DoubleComplexSlice) -> _WindowedComplex:
     """The total complex of the double complex, d1 + (-1)^p d2, keyed like
     the twilled sum's cochains: l2's indices follow l1's, shifted by its
     rank, and the two parts land in different bidegrees.  Its codes are
-    the slice's, so both parts come from the slice's column memo and the
-    columns `commutation_check` has read are not built again; `dims` reads
-    each column once, so it is taken out of the memo as it is read."""
+    the slice's, so the d1 rows and the signed d2 rows share one layout
+    and are merged."""
     n1 = sl.pair.l1.rank
 
     def rows(codes, basis):
-        out: Dict[int, Dict[int, object]] = defaultdict(dict)
-        for j, (idx, mono) in enumerate(basis):
-            key = codes.code((idx, 0), mono)
-            d1, d2 = sl._d1_column(key), sl._d2_column(key)
-            del sl._cols1[key], sl._cols2[key]
-            for k, c in d1.items():
-                out[k][j] = c
-            odd = bisect_left(idx, n1) % 2
-            for k, c in d2.items():
-                out[k][j] = -c if odd else c
+        items = [sl._pairs[codes.block[idx, 0]] + (mono,) for idx, mono in basis]
+        out = sl._rows(False, items)
+        for code, row in sl._rows(True, items).items():
+            target = out[code]
+            for j, c in row.items():
+                target[j] = -c if len(items[j][0]) % 2 else c
         return out
 
     return _WindowedComplex(sl.pair.l1.base, n1 + sl.pair.l2.rank,
@@ -357,5 +354,5 @@ def total_cohomology_compare(m: MatchedPair, degrees: Sequence[int],
         return {n: ker - im for n, (ker, im) in dims.items()}
 
     total = cohomology(_total_complex(sl))
-    del sl      # free the column memo before the twilled sum's systems
+    del sl      # free the stencils' offsets before the twilled sum's systems
     return TotalCompareReport(window, total, cohomology(_ce_complex(tw)))

@@ -71,6 +71,11 @@ class Diagnostic:
                                  self.message)
 
 
+# the largest power a generator may carry in a word: e^n is built as a
+# word of n letters, so a larger power is refused before it is built
+MAX_GENERATOR_POWER = 10_000
+
+
 class ParseError(Exception):
     def __init__(self, message: str, token: "Token"):
         super().__init__(message)
@@ -877,6 +882,9 @@ class Parser:
             if power < 0:
                 raise ParseError("generators cannot carry negative powers",
                                  tok)
+            if power > MAX_GENERATOR_POWER:
+                raise ParseError("generator powers are limited to %d"
+                                 % MAX_GENERATOR_POWER, tok)
             # a generator power is already an ascending word
             return PbwElement(system, {(i,) * power: system.ring.one})
         return system.scalar(self.scalar_factor(system.ring))

@@ -11,8 +11,8 @@ at a time; the scatter differential pushes each input term to the tuples
 it reaches with ring arithmetic.  Both are references for the compiled
 kernel behind `forms.covariant_d`; `stencil_column` is the tuple-keyed
 column evaluator that the packed row codes replaced, the reference for
-`Stencil.rows` and `Stencil.column` once their codes are decoded
-(`decode_column`), and `total_dims_by_bidegree` lays
+`Stencil.rows` once its codes are decoded (`decode_column`), and
+`total_dims_by_bidegree` lays
 the matched-pair total complex out by bidegree from them, and
 `commutation_witness` checks d1 d2 = d2 d1 with RingElement arithmetic,
 the reference for the integer `DoubleComplexSlice.commutation_check`.
@@ -331,7 +331,7 @@ def stencil_column(stencil, idx, t, mono):
     keyed ((target tuple, module label), monomial), without zero values:
     the tuple-keyed column evaluator the row codes replaced, summing the
     stencil's compiled entries one tuple key at a time.  The reference
-    for `Stencil.rows` and `Stencil.column`, decoded."""
+    for `Stencil.rows`, decoded."""
     consts, anchors = stencil._compile(idx, t)
     out = {}
     for key, shift, c in consts:
@@ -588,13 +588,13 @@ def commutation_witness(sl, gather=False):
         if p + q + 2 > sl.max_total + 1:
             continue
         for (i1, i2, mono) in basis:
+            term = {(i1, i2): m.l1.base.monomial(mono)}
             if gather:
-                term = {(i1, i2): m.l1.base.monomial(mono)}
                 one = gather_d1(m, p, q + 1, gather_d2(m, p, q, term))
                 two = gather_d2(m, p + 1, q, gather_d1(m, p, q, term))
             else:
-                one = sl.d1(sl.d2_of_basis(p, q, i1, i2, mono))
-                two = sl.d2(sl.d1_of_basis(p, q, i1, i2, mono))
+                one = sl.d1(sl.d2(term))
+                two = sl.d2(sl.d1(term))
             if one != two:
                 return (p, q, (i1, i2, mono))
     return None

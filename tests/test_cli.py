@@ -332,6 +332,72 @@ def test_bunch_rank_must_match_overlap_bundles(tmp_path, as_json):
         assert out == message + "\n"
 
 
+@pytest.mark.parametrize("as_json", [False, True])
+def test_generator_power_over_the_limit_is_usage_error(as_json):
+    # e2^n is built as a word of n letters: one past the limit is refused
+    # before anything is built (a huge power printed a MemoryError)
+    from algebroid.parser import MAX_GENERATOR_POWER
+    flag = ["--json"] if as_json else []
+    word = "e2^%d" % (MAX_GENERATOR_POWER + 1)
+    code, text = invoke(["normal-form", "plane.adf", "monopole", word] + flag)
+    message = "generator powers are limited to %d" % MAX_GENERATOR_POWER
+    assert code == 2
+    if as_json:
+        assert json.loads(text) == {"error": message, "exit": 2}
+    else:
+        assert text == "error: %s\n" % message
+    code, text = invoke(["normal-form", "plane.adf", "monopole",
+                         "e2^%d" % MAX_GENERATOR_POWER] + flag)
+    assert code == 0
+    if as_json:
+        assert json.loads(text)["terms"] == {",".join(["2"] * MAX_GENERATOR_POWER): "1"}
+    else:
+        assert text == "normal form: e2^%d\n" % MAX_GENERATOR_POWER
+
+
+CURVED_MATCHED = """ring R = poly(Q; x, y);
+algebroid A over R { basis e1, e2; anchor e1 -> d/dx, e2 -> d/dy; }
+algebroid B over R { basis f1; anchor f1 -> d/dy; }
+connection act12 on A rank 1 { e2 -> [[x]]; }
+connection act21 on B rank 2 { }
+matched M { l1 A; l2 B; action12 act12; action21 act21; }
+"""
+
+
+@pytest.mark.parametrize("command", ["verify", "matched"])
+@pytest.mark.parametrize("as_json", [False, True])
+def test_verify_refutes_matched_pair_with_curved_action(tmp_path, command, as_json):
+    # a curved action is a real refutation, exit 1 with the curvature
+    # witness (the JSON line carries the verdict only)
+    path = tmp_path / "curved.adf"
+    path.write_text(CURVED_MATCHED)
+    code, text = invoke([command, str(path), "M"] + (["--json"] if as_json else []))
+    assert code == 1
+    if as_json:
+        assert json.loads(text) == {"exit": 1, "kind": "matched", "verified": False}
+    else:
+        assert text == ("refuted: action12 is not flat: curvature witness "
+                        "(0, 1, 0, 0, <1>)\n")
+
+
+@pytest.mark.parametrize("as_json", [False, True])
+def test_verify_of_mismatched_cover_is_parse_error(tmp_path, as_json):
+    # covers are verified when they are parsed, so a transition that does
+    # not match the charts is a positioned diagnostic with exit 2; verify's
+    # cover branch never prints refuted:
+    from test_parser import EXPLICIT_COVER
+    cover = EXPLICIT_COVER.partition("cocycle Z")[0]
+    path = tmp_path / "cover.adf"
+    path.write_text(cover.replace("transition [[-z^2]];", "transition [[z^2]];"))
+    code, text = invoke(["verify", str(path), "C"] + (["--json"] if as_json else []))
+    message = "error:19:1: transition on overlap (0,1) does not match structures"
+    assert code == 2
+    if as_json:
+        assert json.loads(text) == {"diagnostics": [message], "exit": 2}
+    else:
+        assert text == message + "\n"
+
+
 SO3_AND_TANGENT = """ring R3 = poly(Q; x, y, z);
 algebroid S over R3 {
   basis e1, e2, e3;

@@ -13,9 +13,9 @@ from algebroid.matched import (DoubleComplexSlice, MatchedPair, twilled_sum,
                                total_cohomology_compare, verify_matched)
 from algebroid.rings import ChartRing, poly_ring
 
-from oracles import (ce_cohomology_dims, commutation_witness, decode_column,
-                     flatten_columns, gather_d1, gather_d2,
-                     matched_equations_by_factor, total_dims_by_bidegree)
+from oracles import (ce_cohomology_dims, commutation_witness, flatten_columns,
+                     gather_d1, gather_d2, matched_equations_by_factor,
+                     total_dims_by_bidegree)
 
 HEISENBERG = {(0, 1): {2: 1}}
 
@@ -130,10 +130,11 @@ def test_double_complex_differentials_square_to_zero():
         if p + q > 1:
             continue
         for (i1, i2, mono) in basis:
-            once = sl.d1_of_basis(p, q, i1, i2, mono)
+            term = {(i1, i2): base.monomial(mono)}
+            once = sl.d1(term)
             twice = sl.d1(once)
             assert all(v.is_zero() for v in twice.values())
-            once2 = sl.d2_of_basis(p, q, i1, i2, mono)
+            once2 = sl.d2(term)
             twice2 = sl.d2(once2)
             assert all(v.is_zero() for v in twice2.values())
 
@@ -167,8 +168,8 @@ def test_sheared_total_matches_twilled():
 
 
 def test_slice_freed_before_twilled_systems(monkeypatch):
-    # the slice's column memo is released once the total dims are known,
-    # so the twilled sum's systems are built without it
+    # the slice, with its stencils' offset tables, is released once the
+    # total dims are known, so the twilled sum's systems are built without it
     from algebroid import matched
     slices, alive = [], []
 
@@ -249,11 +250,12 @@ def test_swapped_sheared_pair_nonzero_action12():
     acted = 0
     for (p, q), basis in sorted(sl.bases.items()):
         for (i1, i2, mono) in basis:
-            once = sl.d1_of_basis(p, q, i1, i2, mono)
+            term = {(i1, i2): m.l1.base.monomial(mono)}
+            once = sl.d1(term)
             assert all(v.is_zero() for v in sl.d1(once).values())
-            once2 = sl.d2_of_basis(p, q, i1, i2, mono)
+            once2 = sl.d2(term)
             assert all(v.is_zero() for v in sl.d2(once2).values())
-            plain = covariant_d(m.l1, {(i1, i2): m.l1.base.monomial(mono)})
+            plain = covariant_d(m.l1, term)
             acted += once != plain
     assert acted          # the action12 term of d1 is live
     rep = total_cohomology_compare(m, [0, 1, 2], TruncationWindow(2, 2))
@@ -306,11 +308,28 @@ def cancelling_pair():
     return MatchedPair(l1, l2, Connection(l1, 1, [[[0]]]), Connection(l2, 1, [[[0]]]))
 
 
+def assert_rows_match_gather(sl):
+    """Every row the slice's private `_rows` gives for d1 and d2, at every
+    bidegree under the slice's current codes, decodes to the gather
+    columns."""
+    m = sl.pair
+    pairs = sl._codes[1]
+    for (p, q), basis in sorted(sl.bases.items()):
+        for second, gather in ((False, gather_d1), (True, gather_d2)):
+            cols = [{} for _ in basis]
+            for code, row in sl._rows(second, basis).items():
+                for j, c in row.items():
+                    cols[j][pairs.decode(code)] = c
+            assert cols == flatten_columns(
+                [gather(m, p, q, {(i1, i2): m.l1.base.monomial(mono)})
+                 for i1, i2, mono in basis], lambda label, mm: (label, mm))
+
+
 @pytest.mark.parametrize("window", [TruncationWindow(2, 2), TruncationWindow(3, 2)])
 def test_integer_commutation_check_matches_oracles(window):
     """The integer check returns the witness of the RingElement loop and
     of the composite of the gather differentials, on every pair, and
-    every column it reads is the gather column."""
+    every row of d1 and d2 it is built from is the gather column."""
     witnesses = []
     for m in matched_pairs() + [cancelling_pair(), broken_sheared_pair()]:
         sl = DoubleComplexSlice(m, m.l1.rank + m.l2.rank, window)
@@ -318,14 +337,18 @@ def test_integer_commutation_check_matches_oracles(window):
         assert got == commutation_witness(sl)
         assert got == commutation_witness(sl, gather=True)
         witnesses.append(got)
-        pairs = sl._codes[1]
-        for gather, cols in ((gather_d1, sl._cols1), (gather_d2, sl._cols2)):
-            for code, col in cols.items():
-                (i1, i2), mono = pairs.decode(code)
-                image = gather(m, len(i1), len(i2), {(i1, i2): m.l1.base.monomial(mono)})
-                assert [decode_column(pairs, col)] == flatten_columns(
-                    [image], lambda label, mm: (label, mm))
+        assert_rows_match_gather(sl)
     assert witnesses[:-1] == [None] * 6 and witnesses[-1] is not None
+    # actions that mix module labels, so rows of different labels share
+    # row codes; matched or not, the witnesses and rows agree
+    rng = random.Random(1409)
+    for _ in range(3):
+        m = heisenberg_line_pair(rng)
+        for pair in (m, MatchedPair(m.l2, m.l1, m.action21, m.action12)):
+            sl = DoubleComplexSlice(pair, pair.l1.rank + pair.l2.rank, window)
+            got = sl.commutation_check()
+            assert got == commutation_witness(sl) == commutation_witness(sl, gather=True)
+            assert_rows_match_gather(sl)
 
 
 def heisenberg_line_pair(rng):

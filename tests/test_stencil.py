@@ -24,7 +24,7 @@ from algebroid.rings import ChartRing, laurent_ring, poly_ring
 from oracles import (complex_columns, decode_column, flatten_columns, gather_d1,
                      gather_d2, gather_d_form, gather_extend_connection,
                      scatter_covariant_d, stencil_column)
-from test_matched import matched_pairs
+from test_matched import assert_rows_match_gather, matched_pairs
 
 
 def euler_algebroid():
@@ -82,6 +82,21 @@ def label_codes(stencil, labels, bound):
                     len(l.base.variables), bound + stencil.reach)
 
 
+def shuffled_terms(rng, rank, degree, labels, poly):
+    """Coefficients {(index tuple, label): element} for every tuple of the
+    degree and label, inserted in a shuffled order, with each key's tuple
+    a fresh object equal to the others with its indices."""
+    keys = [(idx, t) for idx in combinations(range(rank), degree) for t in labels]
+    rng.shuffle(keys)
+    return {(tuple(list(idx)), t): poly() for idx, t in keys}
+
+
+def one_column(stencil, codes, idx, t, mono):
+    """The image of theta^idx (x) b_t * x^mono as {row code: value}, read
+    from a one-element `rows` batch."""
+    return {code: row[0] for code, row in stencil.rows(codes, [(idx, mono)], t).items()}
+
+
 def test_algebroids_verified():
     for l in algebroids():
         assert l.verify().verified, l
@@ -104,6 +119,16 @@ def test_covariant_d_matches_scatter_and_gather():
                 theta = LForm(l, degree, {idx: v for (idx, _), v in coeffs.items()})
                 assert got == {(idx, 0): v
                                for idx, v in gather_d_form(theta).coeffs.items()}
+            # two module labels, their terms interleaved in non-ascending
+            # tuple order: each label is a copy of the form differential
+            coeffs = shuffled_terms(rng, l.rank, degree, ("a", "b"),
+                                    lambda: rand_poly(l.base, rng, 3))
+            got = covariant_d(l, coeffs)
+            assert got == scatter_covariant_d(l, coeffs)
+            for t in ("a", "b"):
+                theta = LForm(l, degree, {idx: v for (idx, s), v in coeffs.items() if s == t})
+                assert {idx: v for (idx, s), v in got.items() if s == t} == \
+                    gather_d_form(theta).coeffs
 
 
 def test_connection_kernel_matches_scatter_and_gather():
@@ -125,6 +150,11 @@ def test_connection_kernel_matches_scatter_and_gather():
                     for idx in combinations(range(l.rank), degree)})
                 assert (extend_connection(c, omega).coeffs
                         == gather_extend_connection(c, omega).coeffs)
+            coeffs = shuffled_terms(rng, l.rank, degree, (0, 1),
+                                    lambda: rand_poly(l.base, rng, 2))
+            expected = scatter_covariant_d(l, coeffs, mats)
+            assert covariant_d(l, coeffs, mats) == expected
+            assert stencil.apply(coeffs) == expected
 
 
 def test_columns_match_scatter_monomial_by_monomial():
@@ -147,7 +177,7 @@ def test_columns_match_scatter_monomial_by_monomial():
                             (want,) = flatten_columns(
                                 [scatter_covariant_d(l, {(idx, t): basis}, matrices)],
                                 lambda key, m: (key, m))
-                            got = decode_column(codes, stencil.column(codes, idx, t, mono))
+                            got = decode_column(codes, one_column(stencil, codes, idx, t, mono))
                             assert got == stencil_column(stencil, idx, t, mono) == want
 
 
@@ -171,22 +201,10 @@ def test_differential_entries_match_oracle_columns(window):
             assert want == gathered
 
 
-class RecordedStencil:
-    """A stencil that records the (index tuple, label, monomial) of every
-    column it builds."""
-
-    def __init__(self, stencil, built):
-        self.stencil, self.built = stencil, built
-
-    def column(self, codes, idx, t, mono):
-        self.built.append((idx, t, mono))
-        return self.stencil.column(codes, idx, t, mono)
-
-
 def test_total_columns_match_gather_columns():
-    """On a cold slice, and on one whose column memo commutation_check
-    has filled: those columns are taken out of the memo as they are read,
-    not built again, and they are the gather columns."""
+    """The total complex's columns, on a cold slice and on one whose codes
+    commutation_check has widened, are d1 + (-1)^p d2 of the gather
+    differentials, and so is every row of d1 and d2 they merge."""
     for m in matched_pairs():
         ring = m.l1.base
         n1 = m.l1.rank
@@ -194,27 +212,13 @@ def test_total_columns_match_gather_columns():
         window = TruncationWindow(2, 2)
         warm = DoubleComplexSlice(m, top, window)
         assert warm.commutation_check() is None
-        # the memo as the total phase finds it, checked against the gather
-        # differentials before that phase takes its columns out
-        pairs = warm._codes[1]
-        warm_cols = [{pairs.decode(k): col for k, col in memo.items()}
-                     for memo in (warm._cols1, warm._cols2)]
-        assert all(warm_cols)
-        for gather, cols in zip((gather_d1, gather_d2), warm_cols):
-            for ((i1, i2), mono), col in cols.items():
-                image = gather(m, len(i1), len(i2), {(i1, i2): ring.monomial(mono)})
-                assert [decode_column(pairs, col)] == flatten_columns(
-                    [image], lambda label, mm: (label, mm))
-        rebuilt = [[], []]
-        warm._d1 = RecordedStencil(warm._d1, rebuilt[0])
-        warm._d2 = RecordedStencil(warm._d2, rebuilt[1])
+        assert_rows_match_gather(warm)
         complexes = [_total_complex(DoubleComplexSlice(m, top, window)),
                      _total_complex(warm)]
 
         def merged(a1, a2):
             return (a1 + tuple(n1 + j for j in a2), 0)
 
-        read = set()
         for n in range(top + 1):
             basis = complexes[0].basis(n, window)
             want = []
@@ -222,7 +226,6 @@ def test_total_columns_match_gather_columns():
                 i1 = tuple(i for i in idx if i < n1)
                 i2 = tuple(i - n1 for i in idx if i >= n1)
                 p, q = len(i1), len(i2)
-                read.add(((i1, i2), mono))
                 term = {(i1, i2): ring.monomial(mono)}
                 col = {(merged(a1, a2), mm): c
                        for (a1, a2), val in gather_d1(m, p, q, term).items()
@@ -235,15 +238,6 @@ def test_total_columns_match_gather_columns():
                 codes = complex_.codes(window.bound(ring))
                 assert [decode_column(codes, col)
                         for col in complex_columns(complex_, codes, basis)] == want
-        # the warm slice kept the layout its memo is keyed in; d2's stencil
-        # is keyed (J, I); every column read has left the memo
-        assert warm._codes[1] is pairs
-        built = [{((i1, i2), mono) for i1, i2, mono in rebuilt[0]},
-                 {((i1, i2), mono) for i2, i1, mono in rebuilt[1]}]
-        for cols, memo, fresh in zip(warm_cols, (warm._cols1, warm._cols2), built):
-            assert read & cols.keys() and not fresh & cols.keys()
-            assert fresh == read - cols.keys()
-            assert not read & {pairs.decode(k) for k in memo}
 
 
 def test_cech_chart_columns_match_scatter(monkeypatch):
@@ -293,7 +287,7 @@ def test_column_values_are_int_on_integer_data():
                                  for v in ring.variables)
                     codes = label_codes(stencil, labels, 3)
                     for t in labels:
-                        for v in stencil.column(codes, idx, t, mono).values():
+                        for v in one_column(stencil, codes, idx, t, mono).values():
                             if integral and stencil.matrices is None:
                                 assert type(v) is int
                             else:
