@@ -174,6 +174,7 @@ def cmd_verify(args, defs: Definitions, out: Output, window) -> int:
         try:
             v = verify_matched(obj)
         except StructureError as err:
+            out.set("witness", str(err))
             return out.verdict(False, "refuted: %s" % err)
         if v.verified:
             return out.verdict(True, "verified: %s is a matched pair" % name)

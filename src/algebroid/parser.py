@@ -47,6 +47,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .cech import CechPair, Cover, LocalConnectionBunch, Overlap, atiyah_cocycle, \
@@ -55,7 +56,7 @@ from .connections import Connection
 from .core import Algebroid, StructureError
 from .forms import LForm, sort_with_sign
 from .matched import MatchedPair
-from .pbw import PbwElement, RelationSystem
+from .pbw import Item, PbwElement, RelationSystem, normal_form
 from .rings import ChartRing, RingElement, RingError, RingMap
 
 
@@ -74,6 +75,12 @@ class Diagnostic:
 # the largest power a generator may carry in a word: e^n is built as a
 # word of n letters, so a larger power is refused before it is built
 MAX_GENERATOR_POWER = 10_000
+
+# the most terms a power of a sum may hold: the n-th power of a k-term
+# sum has at most C(n + k - 1, k - 1) terms, and expanding it costs about
+# the square of that, so a power whose bound is larger is refused before
+# it is expanded (a monomial's power is one term and always allowed)
+MAX_POWER_TERMS = 1_000
 
 
 class ParseError(Exception):
@@ -688,8 +695,15 @@ class Parser:
         if self.accept("SYM", "-"):
             return -self.scalar_factor(ring)
         atom = self.scalar_atom(ring)
-        while self.accept("SYM", "^"):
-            atom = atom ** self.int_literal()
+        while tok := self.accept("SYM", "^"):
+            power, k = self.int_literal(), len(atom.terms)
+            if k > 1 and power > 0 and (
+                    power >= MAX_POWER_TERMS
+                    or comb(power + k - 1, k - 1) > MAX_POWER_TERMS):
+                raise ParseError(
+                    "the power at column %d could hold more than %d terms"
+                    % (tok.column, MAX_POWER_TERMS), tok)
+            atom = atom ** power
         return atom
 
     def scalar_atom(self, ring: ChartRing) -> RingElement:
@@ -865,19 +879,28 @@ class Parser:
         return rows
 
     def word_expr(self, system: RelationSystem) -> PbwElement:
-        """Entry point for normal-form inputs: products and sums of
-        generators and scalars; evaluation is reduction."""
-        return self.sum_of(
-            lambda: self.product_of(lambda: self.word_factor(system)))
+        """Entry point for normal-form inputs: sums of products of
+        generators and scalars.  Each product is one raw word, reduced by
+        one normal_form call."""
+        return self.sum_of(lambda: normal_form(self.word_items(system), system))
 
-    def word_factor(self, system: RelationSystem) -> PbwElement:
+    def word_items(self, system: RelationSystem) -> List[Item]:
+        """factor (* factor)*, as the raw items of one word."""
+        items = self.word_factor(system)
+        while self.accept("SYM", "*"):
+            items += self.word_factor(system)
+        return items
+
+    def word_factor(self, system: RelationSystem) -> List[Item]:
+        """A generator or a generator power as its letters, or one
+        scalar."""
         tok = self.peek()
         names = list(system.algebroid.basis_names)
         if tok.kind in ("IDENT", "DERIV") and tok.text in names:
             self.advance()
             i = names.index(tok.text)
             if not self.accept("SYM", "^"):
-                return system.generator(i)
+                return [i]
             power = self.int_literal()
             if power < 0:
                 raise ParseError("generators cannot carry negative powers",
@@ -885,9 +908,8 @@ class Parser:
             if power > MAX_GENERATOR_POWER:
                 raise ParseError("generator powers are limited to %d"
                                  % MAX_GENERATOR_POWER, tok)
-            # a generator power is already an ascending word
-            return PbwElement(system, {(i,) * power: system.ring.one})
-        return system.scalar(self.scalar_factor(system.ring))
+            return [i] * power
+        return [self.scalar_factor(system.ring)]
 
 def parse(text: str) -> Definitions:
     return Parser(text).parse()

@@ -7,7 +7,9 @@ Generators e_1 < ... < e_n over the base ring, with rules
 
 mechanically generated from an algebroid and a degree-2 twist form.
 Normal forms are sums of ascending generator words with left ring
-coefficients.  The rewriting system is confluent exactly when the
+coefficients; inside a reduction an ascending word is its exponent
+vector, as Gr of the algebra is the symmetric algebra of the
+generators.  The rewriting system is confluent exactly when the
 algebroid axioms hold and the twist is closed; `confluence_check`
 resolves the minimal overlaps and returns the first broken diamond.
 """
@@ -22,18 +24,24 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 from .core import (Algebroid, AlgebroidMorphism, InputError, Section,
                    StructureError)
 from .forms import LForm, pullback
-from .rings import Coefficient, Exponents, RingElement, _clean
+from .rings import Coefficient, Exponents, RingElement
 
 # a word is a tuple of generator indices (>= 0) and coefficient codes (< 0,
 # see RelationSystem._code); normal-form words are ascending generator words
 Word = Tuple[int, ...]
 Item = Union[int, RingElement]
-# normal-form terms, flat: (ascending word, exponents) -> int or Fraction
-Terms = Dict[Tuple[Word, Exponents], Coefficient]
+# an ascending generator word as its exponent vector, how often each
+# generator occurs in it, packed into one int: generator i's count is
+# the digit i in radix 2^_BITS (a word holds fewer than 2^32 letters)
+Powers = int
+_BITS = 32
+# normal-form terms, flat: (powers, exponents) -> int or Fraction, the
+# term x^exponents * e^powers
+Terms = Dict[Tuple[Powers, Exponents], Coefficient]
 
-# a system's normal-form memo is emptied when a reduction starts with more
+# a system's product memo is emptied when a reduction starts with more
 # entries than this, so a long-lived system does not grow without bound;
-# e2^16 e1^16 needs about 1,500 and e2^32 e1^32 about 11,500
+# e2^n e1^n needs n^2 entries (1,024 at n = 32, 4,096 at n = 64)
 _MEMO_LIMIT = 20000
 
 
@@ -50,18 +58,19 @@ class RelationSystem:
         if twist.owner is not algebroid or twist.degree != 2:
             raise InputError("twist must be a 2-form on the same algebroid")
         self.twist = twist
-        # normal-form terms of every word reduced so far, see normal_form
-        self._normal_forms: Dict[Word, Terms] = {}
+        # NF(u * a) by (powers of u, item a), see normal_form
+        self._products: Dict[Tuple[Powers, int], Terms] = {}
         # the non-constant coefficients that words hold, by code
         self._coefficients: List[RingElement] = []
         self._codes: Dict[tuple, int] = {}
         self._rules = None      # see _compiled
 
     def _bound_memo(self) -> None:
-        """Empty the memo (and the codes its words hold) when it has grown
-        past _MEMO_LIMIT; called before a reduction encodes its word."""
-        if len(self._normal_forms) > _MEMO_LIMIT:
-            self._normal_forms = {}
+        """Empty the memo, the coefficient codes its keys hold and the
+        rules (whose gf edges hold codes too) when the memo has grown past
+        _MEMO_LIMIT; called before a reduction encodes its word."""
+        if len(self._products) > _MEMO_LIMIT:
+            self._products = {}
             self._coefficients = []
             self._codes = {}
             self._rules = None
@@ -124,8 +133,9 @@ class RelationSystem:
 
     def _compiled(self):
         """The rule tables, built on first use: for j > i the edges of
-        e_j e_i -> e_i e_j + [e_j, e_i], and for each generator its anchor
-        as (derivation name, coefficient) pairs."""
+        e_j e_i -> e_i e_j + [e_j, e_i], for each generator its anchor as
+        (derivation name, coefficient) pairs, and the gf edges met so far
+        (see _edges)."""
         if self._rules is None:
             l = self.algebroid
             gg = {(j, i): [(1, (i, j))] + [
@@ -135,25 +145,33 @@ class RelationSystem:
             anchors = [[(name, c) for name, c
                         in zip(self.ring.derivation_names, row)
                         if not c.is_zero()] for row in l.anchor]
-            self._rules = (gg, anchors)
+            self._rules = (gg, anchors, {})
         return self._rules
 
-    def _rewrite(self, word: Word, t: int) -> List[Tuple[Coefficient, Word]]:
-        """One rule application at the generator word[t] and word[t + 1]
-        (a gg redex, or gf when word[t + 1] is a coefficient): the edges
-        (c, r) such that word = sum of c * r."""
-        gg, anchors = self._compiled()
-        a, b = word[t], word[t + 1]
-        if b >= 0:
-            edges = gg[a, b]
-        else:           # e_a f -> f e_a + a(e_a)(f)
-            f = self._coefficients[~b]
+    def _edges(self, b: int, a: int) -> List[Tuple[Coefficient, Word]]:
+        """The edges (c, mid) of the redex e_b a, so that e_b a = sum of
+        c * mid: a gg redex for a generator a < b, a gf redex
+        e_b f -> f e_b + a(e_b)(f) for a coefficient code a."""
+        gg, anchors, gf = self._compiled()
+        if a >= 0:
+            return gg[b, a]
+        edges = gf.get((b, a))
+        if edges is None:
+            f = self._coefficients[~a]
             derived = self.ring.zero
-            for name, c in anchors[a]:
+            for name, c in anchors[b]:
                 derived = derived + c * self.ring.derive(name, f)
-            edges = [(1, (b, a)), self._edge(derived)]
+            edges = gf[b, a] = [(1, (a, b))]
+            if not derived.is_zero():
+                edges.append(self._edge(derived))
+        return edges
+
+    def _rewrite(self, word: Word, t: int) -> List[Tuple[Coefficient, Word]]:
+        """One rule application at the generator word[t] and word[t + 1]:
+        the edges (c, r) such that word = sum of c * r."""
         head, tail = word[:t], word[t + 2:]
-        return [(c, head + mid + tail) for c, mid in filter(None, edges)]
+        return [(c, head + mid + tail)
+                for c, mid in self._edges(word[t], word[t + 1])]
 
     def one(self) -> "PbwElement":
         return PbwElement(self, {(): self.ring.one})
@@ -218,7 +236,7 @@ class PbwElement:
     def __add__(self, other: "PbwElement") -> "PbwElement":
         self._check(other)
         out = dict(self.terms)
-        _add_into(out, other.terms)
+        _add_into(out, other.terms.items())
         return PbwElement(self.system, out)
 
     def __sub__(self, other: "PbwElement") -> "PbwElement":
@@ -228,13 +246,23 @@ class PbwElement:
         return PbwElement(self.system, {w: -c for w, c in self.terms.items()})
 
     def __mul__(self, other: "PbwElement") -> "PbwElement":
+        """The left element's flat terms multiplied on the right by each
+        term of other, its coefficient first."""
         self._check(other)
-        out: Dict[Word, RingElement] = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                _add_into(out, normal_form((c1,) + w1 + (c2,) + w2,
-                                           self.system).terms)
-        return PbwElement(self.system, out)
+        system = self.system
+        system._bound_memo()
+        state: Terms = {}
+        for w, coeff in self.terms.items():
+            u = 0
+            for i in w:
+                u += 1 << _BITS * i
+            for e, c in coeff.terms.items():
+                state[u, e] = c
+        out: Terms = {}
+        for w, coeff in other.terms.items():
+            scale, word = system._edge(coeff, w)
+            _add_into(out, _fold(system, state, word).items(), scale)
+        return _element(system, _nonzero(out))
 
     def scale(self, f) -> "PbwElement":
         f = self.system.ring._coerce(f)
@@ -283,18 +311,6 @@ def _word_string(word: Word, names: Sequence[str]) -> str:
     return "*".join(pieces)
 
 
-def _leftmost_redex(word: Word) -> Optional[int]:
-    """The position of the leftmost gf or gg redex of an encoded word that
-    starts with a generator; None if it is an ascending generator word.
-    Its first coefficient follows a generator, so a merge of two adjacent
-    coefficients is never the leftmost redex."""
-    for t in range(len(word) - 1):
-        b = word[t + 1]
-        if b < 0 or word[t] > b:
-            return t
-    return None
-
-
 def _as_word(items: Iterable[Item], ring, rank: int) -> Tuple[Item, ...]:
     """Raw items as a word: generator indices stay, scalars become ring
     elements of the system's base ring."""
@@ -313,78 +329,136 @@ def _as_word(items: Iterable[Item], ring, rank: int) -> Tuple[Item, ...]:
     return tuple(word)
 
 
-def _add_into(out: Dict[Word, RingElement],
-              terms: Dict[Word, RingElement]) -> None:
-    for w, c in terms.items():
-        cur = out.get(w)
-        out[w] = c if cur is None else cur + c
-
-
-def _reduce(system: RelationSystem, root: Word) -> Terms:
-    """The memoised normal-form terms of an encoded word.
-
-    NF(word) is the sum over the edges (c, r) of the leftmost redex of
-    c * NF(r), and NF(f * rest) = f * NF(rest) for a leading coefficient
-    f.  The evaluation runs on an explicit stack, so word length is not
-    bounded by the recursion limit."""
-    memo = system._normal_forms
-    zero = (0,) * len(system.ring.variables)
-    # frames: (word, leading coefficient's terms or None, edges or None)
-    stack = [(root, None, None)]
-    while stack:
-        word, fold, edges = stack.pop()
-        if edges is None:
-            if word in memo:
-                continue
-            if word and word[0] < 0:
-                fold = system._coefficients[~word[0]].terms.items()
-                edges = [(1, word[1:])]
-            else:
-                t = _leftmost_redex(word)
-                if t is None:
-                    memo[word] = {(word, zero): 1}
-                    continue
-                edges = system._rewrite(word, t)
-            stack.append((word, fold, edges))
-            stack.extend((w, None, None) for _, w in edges if w not in memo)
-        elif fold is not None:
-            out: Terms = {}
-            for (w, e), v in memo[edges[0][1]].items():
-                for f, c in fold:
-                    key = (w, tuple(map(add, f, e)))
-                    out[key] = out.get(key, 0) + c * v
-            memo[word] = _clean(out)
-        else:
-            memo[word] = _edge_sum(memo, edges)
-    return memo[root]
-
-
-def _edge_sum(memo: Dict[Word, Terms],
-              edges: List[Tuple[Coefficient, Word]]) -> Terms:
-    """The sum of c * NF(r) over the edges (c, r), without zero values.
-    It may be the memo's own dict and must not be changed."""
-    c, r = edges[0]
-    if len(edges) == 1:
-        # c and every memo value are nonzero, so no product is zero
-        return memo[r] if c == 1 else {k: c * v for k, v in memo[r].items()}
-    out = dict(memo[r]) if c == 1 else {k: c * v for k, v in memo[r].items()}
+def _add_into(out: dict, terms: Iterable, c: Coefficient = 1) -> None:
+    """out += c * terms, for terms given as (key, value) pairs."""
+    if c == 1 and not out:
+        out.update(terms)
+        return
     get = out.get
-    for c, r in edges[1:]:
-        terms = memo[r].items()
+    for k, v in terms:
         if c != 1:
-            terms = [(k, c * v) for k, v in terms]
-        for k, v in terms:
-            cur = get(k)
-            out[k] = v if cur is None else cur + v
-    return {k: v for k, v in out.items() if v}
+            v = c * v
+        cur = get(k)
+        out[k] = v if cur is None else cur + v
+
+
+def _nonzero(terms: Terms) -> Terms:
+    return {k: v for k, v in terms.items() if v}
+
+
+def _times(system: RelationSystem, terms: Iterable, a: int,
+           out: Terms) -> list:
+    """out += terms * a for one item a of an encoded word: each term
+    x^e u gives x^e NF(u a).  NF(u a) is immediate when u a is ascending
+    or u is empty, and is otherwise read from the system's product memo;
+    the terms whose entry the memo lacks are skipped and returned."""
+    memo = system._products
+    skipped = []
+    get = out.get
+    step = 1 << _BITS * a if a >= 0 else 0
+    for (u, e), c in terms:
+        if a >= 0:
+            if u < step << _BITS:           # u a is ascending
+                key = (u + step, e)
+                cur = get(key)
+                out[key] = c if cur is None else cur + c
+                continue
+            nf = memo.get((u, a))
+        elif u:
+            nf = memo.get((u, a))
+        else:                               # f times the empty word
+            nf = {(u, f): v for f, v
+                  in system._coefficients[~a].terms.items()}
+        if nf is None:
+            skipped.append(((u, e), c))
+            continue
+        shift = any(e)
+        if c == 1 and not shift and not out:
+            out.update(nf)
+            continue
+        for (w, f), v in nf.items():
+            key = (w, tuple(map(add, e, f)) if shift else f)
+            if c != 1:
+                v = c * v
+            cur = get(key)
+            out[key] = v if cur is None else cur + v
+    return skipped
+
+
+def _entry(system: RelationSystem, key: Tuple[Powers, int]):
+    """NF(u a) for the key (u, a) of a redex, as a generator: u = u' e_b
+    with b > a, or with a a coefficient code.  The redex e_b a is
+    replaced by its edges (c, mid), and NF(u a) is the sum of
+    c * NF(u' mid), u' multiplied by the items of mid in turn.  A step
+    whose memo entries are missing yields their keys, and is finished
+    once they are filled."""
+    u, a = key
+    b = (u.bit_length() - 1) // _BITS           # u's last generator
+    start = (u - (1 << _BITS * b), (0,) * len(system.ring.variables))
+    out: Terms = {}
+    for c, mid in system._edges(b, a):
+        terms = {start: 1}
+        for m in mid:
+            product: Terms = {}
+            skipped = _times(system, terms.items(), m, product)
+            if skipped:
+                yield [(v, m) for (v, _), _ in skipped]
+                _times(system, skipped, m, product)
+            terms = product
+        _add_into(out, terms.items(), c)
+    return _nonzero(out)
+
+
+def _fill(system: RelationSystem, keys: List[Tuple[Powers, int]]) -> None:
+    """Memoise NF(u a) for each key and every entry it needs, on an
+    explicit stack of suspended entries, so word length is not bounded
+    by the recursion limit."""
+    memo = system._products
+    stack = [[key, None] for key in keys]
+    while stack:
+        frame = stack[-1]
+        if frame[1] is None:
+            if frame[0] in memo:
+                stack.pop()
+                continue
+            frame[1] = _entry(system, frame[0])
+        try:
+            needed = next(frame[1])
+        except StopIteration as done:
+            memo[frame[0]] = done.value
+            stack.pop()
+        else:
+            stack.extend([key, None] for key in needed)
+
+
+def _fold(system: RelationSystem, state: Terms, word: Word) -> Terms:
+    """NF(state * word): the items of an encoded word multiplied into the
+    state one at a time, from the left, filling the memo entries a step
+    lacks before finishing it."""
+    for a in word:
+        out: Terms = {}
+        skipped = _times(system, state.items(), a, out)
+        if skipped:
+            _fill(system, [(u, a) for (u, _), _ in skipped])
+            _times(system, skipped, a, out)
+        state = _nonzero(out)
+    return state
+
+
+def _unit(system: RelationSystem) -> Terms:
+    """The state of the empty word, the element 1."""
+    return {(0, (0,) * len(system.ring.variables)): 1}
 
 
 def _element(system: RelationSystem, terms: Terms,
              scale: Coefficient = 1) -> PbwElement:
     """scale * terms as an element, one coefficient per word."""
     by_word: Dict[Word, Dict[Exponents, Coefficient]] = {}
-    for (w, e), v in terms.items():
-        by_word.setdefault(w, {})[e] = scale * v
+    for (u, e), v in terms.items():
+        word = ()
+        for i in range(system.algebroid.rank):
+            word += (i,) * (u >> _BITS * i & (1 << _BITS) - 1)
+        by_word.setdefault(word, {})[e] = scale * v
     ring = system.ring
     return PbwElement._trusted(system, {
         w: RingElement._trusted(ring, coeffs) for w, coeffs in by_word.items()})
@@ -405,16 +479,21 @@ def normal_form(items: Iterable[Item], system: RelationSystem) -> PbwElement:
     so NF(u c v) = c NF(u v).  Constants therefore never enter a word:
     they are factored out of the input, and a rewrite that yields one
     carries it as its edge's number.
-    The terms of every intermediate word are memoised on the system, so
-    shared subwords are reduced once (e2^n e1^n is polynomial in n).
-    Each memo value is one flat dict {(ascending word, exponents):
-    coefficient}; the result is grouped by word only on the way out.
+
+    The strategy rewrites every redex inside a prefix before the one at
+    its right boundary, so NF(w a) = NF(NF(w) a) for a word w and an item
+    a: the word is folded into a flat state {(powers, exponents):
+    coefficient} from the left, each term x^e u times a giving
+    x^e NF(u a).  NF(u a) for an ascending u is memoised on the system
+    under (exponent vector of u, a), so e2^n e1^n needs O(n^2) entries
+    of two terms each.  The result is grouped by word only on the way
+    out.
     """
     system._bound_memo()
     scale, word = system._encode(items)
     if not scale:
         return PbwElement._trusted(system, {})
-    return _element(system, _reduce(system, word), scale)
+    return _element(system, _fold(system, _unit(system), word), scale)
 
 
 @dataclass
@@ -434,13 +513,13 @@ class AmbiguityReport:
                    self.difference))
 
 
-def _resolve(system: RelationSystem, word: Word, t: int) -> PbwElement:
-    """The normal form of an encoded word after one rule application at
-    word[t], word[t + 1]."""
-    edges = system._rewrite(word, t)
-    for _, r in edges:
-        _reduce(system, r)
-    return _element(system, _edge_sum(system._normal_forms, edges))
+def _resolve(system: RelationSystem, word: Word, t: int) -> Terms:
+    """The normal-form terms of an encoded word after one rule
+    application at word[t], word[t + 1]."""
+    out: Terms = {}
+    for c, r in system._rewrite(word, t):
+        _add_into(out, _fold(system, _unit(system), r).items(), c)
+    return _nonzero(out)
 
 
 def confluence_check(system: RelationSystem) -> Optional[AmbiguityReport]:
@@ -460,8 +539,9 @@ def confluence_check(system: RelationSystem) -> Optional[AmbiguityReport]:
         _, word = system._encode(items)
         left = _resolve(system, word, 0)
         right = _resolve(system, word, 1)
-        if not (left - right).is_zero():
-            return AmbiguityReport(items, left, right)
+        if left != right:
+            return AmbiguityReport(items, _element(system, left),
+                                   _element(system, right))
     return None
 
 
@@ -620,7 +700,7 @@ class GeneratorMap:
             acc = self.target.scalar(coeff)
             for i in word:
                 acc = acc * self._images[i]
-            _add_into(out, acc.terms)
+            _add_into(out, acc.terms.items())
         return PbwElement(self.target, out)
 
     def broken_relations(self) -> List[Tuple[int, Union[int, str]]]:

@@ -54,7 +54,9 @@ from `naive_normal_form`: the references for `RelationSystem.relations`
 and the `adf relations` and `glue` paths that read it.
 `preserves_normal_forms` maps raw words of a `pbw.GeneratorMap` both
 before and after reduction, the normal-form reference for its
-`broken_relations`.
+`broken_relations`.  `whole_word_normal_form` is the PBW reduction
+memoised on whole intermediate words that the product memo of
+`pbw.normal_form` replaced.
 """
 
 import re
@@ -269,6 +271,72 @@ def naive_confluence_check(system):
         if not (left - right).is_zero():
             return word, left, right
     return None
+
+
+def whole_word_normal_form(items, system):
+    """`algebroid.pbw.normal_form` as it was before the product memo: the
+    same leftmost-innermost reduction, memoised on whole intermediate
+    words (in a dict local to the call).  NF(word) is the sum over the
+    edges (c, r) of the leftmost redex of c * NF(r), and NF(f * rest) =
+    f * NF(rest) for a leading coefficient f, evaluated on an explicit
+    stack.  Constants are factored out of the word by `system._encode`
+    and edges come from `system._rewrite`, as in the library."""
+    from operator import add
+
+    from algebroid.pbw import PbwElement
+    from algebroid.rings import _clean
+
+    def leftmost(word):
+        # the first coefficient of a word that starts with a generator
+        # follows a generator, so two adjacent coefficients never merge
+        for t in range(len(word) - 1):
+            b = word[t + 1]
+            if b < 0 or word[t] > b:
+                return t
+        return None
+
+    def edge_sum(edges):
+        out = {}
+        for c, r in edges:
+            for k, v in memo[r].items():
+                out[k] = out.get(k, 0) + c * v
+        return {k: v for k, v in out.items() if v}
+
+    scale, root = system._encode(items)
+    memo = {}
+    zero = (0,) * len(system.ring.variables)
+    # frames: (word, leading coefficient's terms or None, edges or None)
+    stack = [(root, None, None)]
+    while stack:
+        word, fold, edges = stack.pop()
+        if edges is None:
+            if word in memo:
+                continue
+            if word and word[0] < 0:
+                fold = system._coefficients[~word[0]].terms.items()
+                edges = [(1, word[1:])]
+            else:
+                t = leftmost(word)
+                if t is None:
+                    memo[word] = {(word, zero): 1}
+                    continue
+                edges = system._rewrite(word, t)
+            stack.append((word, fold, edges))
+            stack.extend((w, None, None) for _, w in edges if w not in memo)
+        elif fold is not None:
+            out = {}
+            for (w, e), v in memo[edges[0][1]].items():
+                for f, c in fold:
+                    key = (w, tuple(map(add, f, e)))
+                    out[key] = out.get(key, 0) + c * v
+            memo[word] = _clean(out)
+        else:
+            memo[word] = edge_sum(edges)
+    by_word = {}
+    for (w, e), v in memo[root].items():
+        by_word.setdefault(w, {})[e] = scale * v
+    return PbwElement(system, {w: RingElement._trusted(system.ring, coeffs)
+                               for w, coeffs in by_word.items() if scale})
 
 
 # -- gather- and scatter-style Chevalley-Eilenberg differentials ----------------

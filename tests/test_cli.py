@@ -355,6 +355,47 @@ def test_generator_power_over_the_limit_is_usage_error(as_json):
         assert text == "normal form: e2^%d\n" % MAX_GENERATOR_POWER
 
 
+@pytest.mark.parametrize("as_json", [False, True])
+def test_power_of_a_sum_over_the_term_limit_is_usage_error(tmp_path, as_json):
+    # (x+y)^n has n + 1 terms and costs about their square to expand: a
+    # power whose result could hold more than MAX_POWER_TERMS terms is
+    # refused before it is expanded, at its position
+    from algebroid.parser import MAX_POWER_TERMS
+    flag = ["--json"] if as_json else []
+    n = MAX_POWER_TERMS
+    code, text = invoke(["normal-form", "plane.adf", "monopole",
+                         "(x+y)^%d*e1" % n] + flag)
+    message = "the power at column 6 could hold more than %d terms" % n
+    assert code == 2
+    if as_json:
+        assert json.loads(text) == {"error": message, "exit": 2}
+    else:
+        assert text == "error: %s\n" % message
+    # C(n + 2, 2) terms bound a power of a three-term sum
+    code, _ = invoke(["normal-form", "plane.adf", "monopole",
+                      "e1*(1 + x + y)^44"] + flag)
+    assert code == 2
+    code, text = invoke(["normal-form", "plane.adf", "monopole",
+                         "(x+y)^%d*e1" % (n - 1)] + flag)
+    assert code == 0
+    # a monomial's power is one term, however large
+    code, text = invoke(["normal-form", "plane.adf", "monopole",
+                         "(2*x)^10000*e1"] + flag)
+    assert code == 0
+    assert "x^10000" in text
+    # in a file the refusal is a positioned diagnostic
+    path = tmp_path / "power.adf"
+    path.write_text("ring R = poly(Q; x, y);\n"
+                    "algebroid T over R { basis e1; anchor e1 -> (x+y)^5000*d/dx; }\n")
+    code, text = invoke(["verify", str(path), "T"] + flag)
+    message = "error:2:50: the power at column 50 could hold more than %d terms" % n
+    assert code == 2
+    if as_json:
+        assert json.loads(text) == {"diagnostics": [message], "exit": 2}
+    else:
+        assert text == message + "\n"
+
+
 CURVED_MATCHED = """ring R = poly(Q; x, y);
 algebroid A over R { basis e1, e2; anchor e1 -> d/dx, e2 -> d/dy; }
 algebroid B over R { basis f1; anchor f1 -> d/dy; }
@@ -368,16 +409,17 @@ matched M { l1 A; l2 B; action12 act12; action21 act21; }
 @pytest.mark.parametrize("as_json", [False, True])
 def test_verify_refutes_matched_pair_with_curved_action(tmp_path, command, as_json):
     # a curved action is a real refutation, exit 1 with the curvature
-    # witness (the JSON line carries the verdict only)
+    # witness, in the JSON line too
     path = tmp_path / "curved.adf"
     path.write_text(CURVED_MATCHED)
     code, text = invoke([command, str(path), "M"] + (["--json"] if as_json else []))
+    witness = "action12 is not flat: curvature witness (0, 1, 0, 0, <1>)"
     assert code == 1
     if as_json:
-        assert json.loads(text) == {"exit": 1, "kind": "matched", "verified": False}
+        assert json.loads(text) == {"exit": 1, "kind": "matched", "verified": False,
+                                    "witness": witness}
     else:
-        assert text == ("refuted: action12 is not flat: curvature witness "
-                        "(0, 1, 0, 0, <1>)\n")
+        assert text == "refuted: %s\n" % witness
 
 
 @pytest.mark.parametrize("as_json", [False, True])

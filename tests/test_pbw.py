@@ -23,8 +23,8 @@ from algebroid.parser import Definitions, parse_word, render
 from algebroid.rings import ChartRing, RingError, laurent_ring, poly_ring
 
 from oracles import (is_normal_coefficient, naive_confluence_check,
-                     naive_normal_form, preserves_normal_forms, relation_rules,
-                     rewrite_at)
+                     naive_normal_form, naive_product, preserves_normal_forms,
+                     relation_rules, rewrite_at, whole_word_normal_form)
 
 HEISENBERG = {(0, 1): {2: 1}}
 BAD_RANK3 = {(0, 1): {2: 1}, (0, 2): {0: 1}, (1, 2): {1: 1}}
@@ -344,8 +344,8 @@ def _random_word_text(rng, system, factors):
 
 
 def test_parsed_products_match_naive_randomized():
-    # a parsed word is a product of elements, so each factor after the
-    # first reaches the rewriter through PbwElement.__mul__
+    # each summand of a parsed word is one raw word: its factors'
+    # letters and scalars go to one normal_form call
     rng = random.Random(59)
     systems = (broken_systems() + fractional_twist_systems()
                + structure_function_systems() + [laurent_twist_system()])
@@ -362,13 +362,65 @@ def test_parsed_products_match_naive_randomized():
         [2, 2, x, 0, Fraction(3, 2), 1], s).terms
 
 
-def so3_relations():
-    """so(3) as the linear Poisson algebroid on Q[x, y, z]."""
+def so3_relations(lam=1):
+    """so(3) as the linear Poisson algebroid on Q[x, y, z], its anchor and
+    bracket scaled by lam."""
     r = poly_ring("x", "y", "z")
-    x, y, z = r.var("x"), r.var("y"), r.var("z")
+    x, y, z = (lam * r.var(v) for v in "xyz")
     return build_relations(Algebroid(
         r, 3, [[0, z, -y], [-z, 0, x], [y, -x, 0]],
-        {(0, 1): [0, 0, 1], (1, 2): [1, 0, 0], (0, 2): [0, -1, 0]}))
+        {(0, 1): [0, 0, lam], (1, 2): [lam, 0, 0], (0, 2): [0, -lam, 0]}))
+
+
+# the so(3) words of the pbw-words bench: the blocks e_a^3 e_b^3 e_c^3 and
+# the three alternating words
+SO3_BENCH_WORDS = ["e3^3*e2^3*e1^3", "e3^3*e1^3*e2^3", "e2^3*e3^3*e1^3",
+                   "e2^3*e1^3*e3^3", "e1^3*e3^3*e2^3", "e1^3*e2^3*e3^3",
+                   "e1*e2*e3*e1*e2*e3*e1*e2*e3", "e2*e3*e1*e2*e3*e1*e2*e3*e1",
+                   "e3*e1*e2*e3*e1*e2*e3*e1*e2"]
+
+
+@pytest.mark.parametrize("lam", [1, Fraction(-3, 2)])
+def test_so3_bench_words_match_whole_word_reduction(lam):
+    s = so3_relations(lam)
+    for text in SO3_BENCH_WORDS:
+        items = []
+        for factor in text.split("*"):
+            gen, _, power = factor.partition("^")
+            items += [int(gen[1:]) - 1] * int(power or 1)
+        got = normal_form(items, s)
+        assert_reduced(got)
+        assert got.terms == whole_word_normal_form(items, s).terms, text
+        assert parse_word(text, s).terms == got.terms
+    assert len(normal_form([2] * 3 + [1] * 3 + [0] * 3, s).terms) == 33
+
+
+def test_broken_systems_match_naive_on_seeded_words():
+    # no confluence gate: a broken system keeps the answer of the fixed
+    # leftmost-innermost strategy
+    rng = random.Random(61)
+    for s in broken_systems() + [structure_function_systems()[1]]:
+        for _ in range(12):
+            items = _random_items(rng, s, rng.randint(1, 10))
+            got = normal_form(items, s)
+            assert_reduced(got)
+            assert got.terms == naive_normal_form(items, s).terms
+            assert got.terms == whole_word_normal_form(items, s).terms
+
+
+def test_products_match_naive_randomized():
+    # PbwElement.__mul__ multiplies the left element's flat terms on the
+    # right by each term of the other
+    rng = random.Random(67)
+    systems = (broken_systems() + fractional_twist_systems()
+               + structure_function_systems() + [laurent_twist_system()])
+    for s in systems:
+        for _ in range(4):
+            x, y = (normal_form(_random_items(rng, s, rng.randint(0, 4)), s)
+                    for _ in range(2))
+            got = x * y
+            assert_reduced(got)
+            assert got.terms == naive_product(x, y).terms
 
 
 def test_memo_keys_hold_no_constant_coefficients():
@@ -378,15 +430,43 @@ def test_memo_keys_hold_no_constant_coefficients():
     x, y = s.ring.var("x"), s.ring.var("y")
     got = normal_form([2] * 3 + [1] * 3 + [0] * 3, s)
     assert len(got.terms) == 33
-    # generator indices are >= 0, coefficient codes < 0
-    assert s._normal_forms and all(item >= 0 for key in s._normal_forms
-                                   for item in key)
+    # a key is (exponent vector of an ascending word, item), the item a
+    # generator index (>= 0) or a coefficient code (< 0); a word of
+    # generators alone keys generators alone
+    assert s._products and all(a >= 0 for _, a in s._products)
     # a coefficient in the word is coded; the constants its rewrites
-    # yield (anchor derivatives of x*y) are not
+    # yield are not
     normal_form([2, 1, x * y, 0, 2], s)
-    coded = {item for key in s._normal_forms for item in key if item < 0}
+    coded = {a for _, a in s._products if a < 0}
     assert coded
-    assert not any(s._coefficients[~item].is_constant() for item in coded)
+    assert not any(s._coefficients[~a].is_constant() for a in coded)
+
+
+def test_small_memo_limit_gives_the_same_answers(monkeypatch):
+    # the memo is emptied between reductions once it holds more than
+    # _MEMO_LIMIT entries; its codes and rules go with it, so a session
+    # answers alike under any limit
+    from algebroid import pbw
+
+    def session():
+        rng = random.Random(71)
+        answers = []
+        for s in (broken_systems() + structure_function_systems()
+                  + [laurent_twist_system()]):
+            for _ in range(8):
+                p = normal_form(_random_items(rng, s, rng.randint(1, 8)), s)
+                answers.append({w: str(c) for w, c in p.terms.items()})
+            answers.append(str(confluence_check(s)))
+        return answers
+
+    expected = session()
+    monkeypatch.setattr(pbw, "_MEMO_LIMIT", 3)
+    assert session() == expected
+    s = structure_function_systems()[1]
+    normal_form([2, 1, s.ring.var("x"), 0, 2, 1], s)
+    assert len(s._products) > 3 and s._coefficients and s._rules is not None
+    s._bound_memo()
+    assert (s._products, s._coefficients, s._codes, s._rules) == ({}, [], {}, None)
 
 
 def test_weyl_closed_form():
@@ -395,7 +475,7 @@ def test_weyl_closed_form():
     t = make_tangent(r)
     c = Fraction(3, 2)
     s = build_relations(t, LForm(t, 2, {(0, 1): r.const(c)}))
-    for n in range(13):
+    for n in list(range(13)) + [32, 48]:
         got = normal_form([1] * n + [0] * n, s)
         assert got.terms == {
             (0,) * (n - k) + (1,) * (n - k):
