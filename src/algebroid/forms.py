@@ -565,6 +565,12 @@ class TruncationWindow:
         return max((self.laurent if v in ring.laurent else self.degree
                     for v in ring.variables), default=0)
 
+    def ranges(self, ring: ChartRing) -> List[Tuple[int, int]]:
+        """(lowest, highest) exponent of each variable of `ring`; a window
+        monomial also spends at most `degree` on its positive exponents."""
+        return [(-self.laurent, self.laurent) if v in ring.laurent else (0, self.degree)
+                for v in ring.variables]
+
     def monomials(self, ring: ChartRing) -> Tuple[IndexTuple, ...]:
         """The exponent tuples of the window in ascending order, built
         once per (ring, window) and kept on the ring."""
@@ -573,9 +579,7 @@ class TruncationWindow:
             # (prefix, degree budget left); extending in ascending exponent
             # order keeps the prefixes sorted
             level = [((), self.degree)]
-            for v in ring.variables:
-                lo, hi = ((-self.laurent, self.laurent) if v in ring.laurent
-                          else (0, self.degree))
+            for lo, hi in self.ranges(ring):
                 level = [(m + (e,), left - max(e, 0)) for m, left in level
                          for e in range(lo, min(hi, left) + 1)]
             monos = ring._window_monomials[self] = tuple(m for m, _ in level)
@@ -652,17 +656,42 @@ class _WindowedComplex:
 
     def weight_basis(self, p: int, window: TruncationWindow, weights: Iterable[int]
                      ) -> List[Tuple[IndexTuple, IndexTuple]]:
-        """The basis elements of the given weights, in basis order."""
+        """The basis elements of the given weights, in basis order.
+
+        Only the monomials of the first n - 1 variables are listed, with
+        their weights; the last exponent is solved from each wanted
+        weight by exact division of the packed ints, which finds every
+        match in range as packing is linear and injective there.  A last
+        variable of weight 0 matches its whole range or nothing."""
         mono_weight, index_weight = self._weights()
         weights = set(weights)
-        groups: Dict[int, List[IndexTuple]] = {}
-        for m in window.monomials(self.ring):
-            groups.setdefault(sum(map(mul, mono_weight, m)), []).append(m)
+        tuples = combinations(range(self.rank), p)
+        if not mono_weight:
+            return [(idx, ()) for idx in tuples
+                    if sum(index_weight[i] for i in idx) in weights]
+        *ranges, (lo, hi) = window.ranges(self.ring)
+        # (prefix, its weight, degree budget left), ascending like `monomials`
+        level = [((), 0, window.degree)]
+        for (first, last), w in zip(ranges, mono_weight):
+            level = [(m + (e,), wt + e * w, left - max(e, 0)) for m, wt, left in level
+                     for e in range(first, min(last, left) + 1)]
+        w = mono_weight[-1]
         out = []
-        for idx in combinations(range(self.rank), p):
+        for idx in tuples:
             shift = sum(index_weight[i] for i in idx)
-            monos = [m for wt in weights for m in groups.get(wt - shift, ())]
-            out.extend((idx, m) for m in sorted(monos))
+            # the last exponent (target - weight) / w rises with the target
+            # when w > 0, so the matches of one prefix come out ascending
+            targets = sorted({wt - shift for wt in weights}, reverse=w < 0)
+            for m, wt, left in level:
+                top = min(hi, left)
+                if not w:
+                    if wt in targets:
+                        out.extend((idx, m + (e,)) for e in range(lo, top + 1))
+                    continue
+                for t in targets:
+                    e, r = divmod(t - wt, w)
+                    if not r and lo <= e <= top:
+                        out.append((idx, m + (e,)))
         return out
 
     def dims(self, degrees: Iterable[int], windows: Sequence[TruncationWindow],

@@ -76,11 +76,32 @@ class Diagnostic:
 # word of n letters, so a larger power is refused before it is built
 MAX_GENERATOR_POWER = 10_000
 
-# the most terms a power of a sum may hold: the n-th power of a k-term
-# sum has at most C(n + k - 1, k - 1) terms, and expanding it costs about
-# the square of that, so a power whose bound is larger is refused before
-# it is expanded (a monomial's power is one term and always allowed)
+# the most terms a power of a sum may hold (see `_power_refused` for the
+# bounds): expanding it costs about the square of that, so a power whose
+# bound is larger is refused before it is expanded (a monomial's power
+# is one term and always allowed)
 MAX_POWER_TERMS = 1_000
+
+
+def _power_refused(base: RingElement, power: int) -> bool:
+    """Whether base^power could hold more than MAX_POWER_TERMS terms.
+
+    The n-th power of a k-term sum has at most C(n + k - 1, k - 1)
+    terms.  When the base has no negative exponent, it also has at most
+    as many as there are monomials, in the v variables the base holds,
+    of total degree n * dmin .. n * dmax, where dmin .. dmax are the
+    total degrees of the base's terms.  A power is refused only when
+    both bounds are too large.  A monomial's power is one term, and a
+    negative power of a sum is refused as it is taken."""
+    k = len(base.terms)
+    if k < 2 or power < 1 or (power < MAX_POWER_TERMS
+                              and comb(power + k - 1, k - 1) <= MAX_POWER_TERMS):
+        return False
+    if any(e < 0 for m in base.terms for e in m):
+        return True
+    v = sum(any(m[i] for m in base.terms) for i in range(len(base.ring.variables)))
+    lo, hi = base.total_degree_range()
+    return comb(power * hi + v, v) - comb(power * lo - 1 + v, v) > MAX_POWER_TERMS
 
 
 class ParseError(Exception):
@@ -679,27 +700,74 @@ class Parser:
             else:
                 return total
 
-    def product_of(self, factor):
-        """factor (* factor)*"""
-        value = factor()
-        while self.accept("SYM", "*"):
-            value = value * factor()
-        return value
-
     def scalar_expr(self, ring: ChartRing) -> RingElement:
         """+ - * ^ expression in the ring variables."""
-        return self.sum_of(
-            lambda: self.product_of(lambda: self.scalar_factor(ring)))
+        return self.sum_of(lambda: self._product(ring)[1])
+
+    def _product(self, ring: ChartRing, special=None
+                ) -> Tuple[list, RingElement, Token]:
+        """factor (* factor)*, as (hits, product of the scalar factors,
+        first token of the last factor).  `special(hits)`, when given, is
+        tried first at each factor (see `combination`).  The monomial
+        factors (`_monomial_factor`) go into one running coefficient and
+        exponent list, made a term once; every other scalar factor is
+        read by `scalar_factor`."""
+        hits: list = []
+        mono = [1, [0] * len(ring.variables)]
+        value, monomial = None, False
+        while True:
+            tok = self.peek()
+            if special is None or not special(hits):
+                if self._monomial_factor(ring, mono):
+                    monomial = True
+                else:
+                    factor = self.scalar_factor(ring)
+                    value = factor if value is None else value * factor
+            if not self.accept("SYM", "*"):
+                break
+        if monomial:
+            term = ring.monomial(mono[1], mono[0]) if mono[0] else ring.zero
+            value = term if value is None else value * term
+        return hits, ring.one if value is None else value, tok
+
+    def _monomial_factor(self, ring: ChartRing, mono: list) -> bool:
+        """Multiply the next factor into mono = [coefficient, exponents]
+        and read past it if it is a monomial factor: an INT not followed
+        by '/' or '^', or a ring variable with an optional power ^[-]INT
+        not followed by a second '^', negative only at a Laurent
+        variable.  Otherwise read nothing and return False: such a
+        factor, and every error, is left to `scalar_factor`."""
+        tokens, pos = self.tokens, self.pos
+        tok = tokens[pos]
+        if tok.kind == "INT":
+            if tokens[pos + 1].text in ("/", "^"):
+                return False
+            mono[0] *= int(tok.text)
+            self.pos = pos + 1
+            return True
+        if tok.kind != "IDENT" or tok.text not in ring.variables:
+            return False
+        power, pos = 1, pos + 1
+        if tokens[pos].text == "^":
+            negative = tokens[pos + 1].text == "-"
+            num = tokens[pos + 1 + negative]
+            if num.kind != "INT" or negative and tok.text not in ring.laurent:
+                return False
+            pos += 2 + negative
+            if tokens[pos].text == "^":
+                return False
+            power = -int(num.text) if negative else int(num.text)
+        mono[1][ring.variables.index(tok.text)] += power
+        self.pos = pos
+        return True
 
     def scalar_factor(self, ring: ChartRing) -> RingElement:
         if self.accept("SYM", "-"):
             return -self.scalar_factor(ring)
         atom = self.scalar_atom(ring)
         while tok := self.accept("SYM", "^"):
-            power, k = self.int_literal(), len(atom.terms)
-            if k > 1 and power > 0 and (
-                    power >= MAX_POWER_TERMS
-                    or comb(power + k - 1, k - 1) > MAX_POWER_TERMS):
+            power = self.int_literal()
+            if _power_refused(atom, power):
                 raise ParseError(
                     "the power at column %d could hold more than %d terms"
                     % (tok.column, MAX_POWER_TERMS), tok)
@@ -743,13 +811,7 @@ class Parser:
             return
         sign = 1
         while True:
-            coeff, hits = ring.one, []
-            while True:
-                tok = self.peek()
-                if not special(hits):
-                    coeff = coeff * self.scalar_factor(ring)
-                if not self.accept("SYM", "*"):
-                    break
+            hits, coeff, tok = self._product(ring, special)
             yield hits, (coeff if sign == 1 else -coeff), tok
             if self.accept("SYM", "+"):
                 sign = 1

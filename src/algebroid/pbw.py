@@ -44,6 +44,12 @@ Terms = Dict[Tuple[Powers, Exponents], Coefficient]
 # e2^n e1^n needs n^2 entries (1,024 at n = 32, 4,096 at n = 64)
 _MEMO_LIMIT = 20000
 
+# the most product-memo entries one reduction may add: past it the word
+# is refused (InputError).  In the twisted Weyl algebra e2^n e1^n adds
+# n^2 entries and peaks at 29 MB (n = 128), 58 MB (n = 256) and 106 MB
+# (n = 384), so a refused word stops below about 80 MB
+MAX_REDUCTION_ENTRIES = 100_000
+
 
 class RelationSystem:
     """Rule set for (algebroid, twist).  This raw constructor performs no
@@ -409,10 +415,12 @@ def _entry(system: RelationSystem, key: Tuple[Powers, int]):
     return _nonzero(out)
 
 
-def _fill(system: RelationSystem, keys: List[Tuple[Powers, int]]) -> None:
+def _fill(system: RelationSystem, keys: List[Tuple[Powers, int]],
+          ceiling: int) -> None:
     """Memoise NF(u a) for each key and every entry it needs, on an
     explicit stack of suspended entries, so word length is not bounded
-    by the recursion limit."""
+    by the recursion limit.  Raises InputError when the memo grows past
+    `ceiling` entries."""
     memo = system._products
     stack = [[key, None] for key in keys]
     while stack:
@@ -427,6 +435,9 @@ def _fill(system: RelationSystem, keys: List[Tuple[Powers, int]]) -> None:
         except StopIteration as done:
             memo[frame[0]] = done.value
             stack.pop()
+            if len(memo) > ceiling:
+                raise InputError("the reduction needs more than %d product "
+                                 "entries" % MAX_REDUCTION_ENTRIES)
         else:
             stack.extend([key, None] for key in needed)
 
@@ -434,12 +445,13 @@ def _fill(system: RelationSystem, keys: List[Tuple[Powers, int]]) -> None:
 def _fold(system: RelationSystem, state: Terms, word: Word) -> Terms:
     """NF(state * word): the items of an encoded word multiplied into the
     state one at a time, from the left, filling the memo entries a step
-    lacks before finishing it."""
+    lacks before finishing it, at most MAX_REDUCTION_ENTRIES of them."""
+    ceiling = len(system._products) + MAX_REDUCTION_ENTRIES
     for a in word:
         out: Terms = {}
         skipped = _times(system, state.items(), a, out)
         if skipped:
-            _fill(system, [(u, a) for (u, _), _ in skipped])
+            _fill(system, [(u, a) for (u, _), _ in skipped], ceiling)
             _times(system, skipped, a, out)
         state = _nonzero(out)
     return state
@@ -487,7 +499,8 @@ def normal_form(items: Iterable[Item], system: RelationSystem) -> PbwElement:
     x^e NF(u a).  NF(u a) for an ascending u is memoised on the system
     under (exponent vector of u, a), so e2^n e1^n needs O(n^2) entries
     of two terms each.  The result is grouped by word only on the way
-    out.
+    out.  A reduction that would add more than MAX_REDUCTION_ENTRIES
+    memo entries is refused with InputError.
     """
     system._bound_memo()
     scale, word = system._encode(items)

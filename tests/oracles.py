@@ -37,7 +37,9 @@ systems out overlap by overlap, the reference for the one restriction
 column in `cech`.  `whole_slice_dims` and `whole_slice_primitive` solve
 each windowed cohomology and exactness question from a whole degree
 slice, the reference for `forms._WindowedComplex.dims` and the weight
-blocks of `exactness_solve`; `block_dims` is the block-wise `dims` that
+blocks of `exactness_solve`, and `window_weight_basis` lists a weight's
+basis elements from the weight of every window monomial, the reference
+for `forms._WindowedComplex.weight_basis`; `block_dims` is the block-wise `dims` that
 ranked each weight block of each slice once per call, and
 `rank_mod_prime` is a rank over a prime field that shares no code with
 the eliminator.  `char_walk_tokenize` is the tokenizer that walks every
@@ -65,6 +67,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
+from operator import mul
 from typing import List, Optional, Sequence, Tuple
 
 from algebroid.rings import RingElement, RingError, as_fraction
@@ -834,6 +837,23 @@ def whole_slice_primitive(theta, window):
     (terms,) = SparseSystem.from_columns(
         complex_columns(complex_, codes, basis)).solve([rhs], basis)
     return terms
+
+
+def window_weight_basis(complex_, p, window, weights):
+    """The basis elements of the given weights in basis order, as
+    `forms._WindowedComplex.weight_basis` gives them, from the weight of
+    every monomial of the window."""
+    mono_weight, index_weight = complex_._weights()
+    weights = set(weights)
+    groups = {}
+    for m in window.monomials(complex_.ring):
+        groups.setdefault(sum(map(mul, mono_weight, m)), []).append(m)
+    out = []
+    for idx in combinations(range(complex_.rank), p):
+        shift = sum(index_weight[i] for i in idx)
+        monos = [m for wt in weights for m in groups.get(wt - shift, ())]
+        out.extend((idx, m) for m in sorted(monos))
+    return out
 
 
 PRIME = (1 << 61) - 1

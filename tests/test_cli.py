@@ -396,6 +396,41 @@ def test_power_of_a_sum_over_the_term_limit_is_usage_error(tmp_path, as_json):
         assert text == message + "\n"
 
 
+@pytest.mark.parametrize("as_json", [False, True])
+def test_nested_power_is_bounded_by_its_degree_range(as_json):
+    # ((x+y)^10)^10 has 101 terms: its base has 11 terms, but its degrees
+    # bound it, so it is taken; ((x+y)^30)^40 has 1,201 and is refused
+    flag = ["--json"] if as_json else []
+    code, text = invoke(["normal-form", "plane.adf", "monopole",
+                         "((x+y)^10)^10*e1"] + flag)
+    assert code == 0
+    assert "x^100 + 100*x^99*y + " in text and "100*x*y^99 + y^100" in text
+    code, text = invoke(["normal-form", "plane.adf", "monopole",
+                         "((x+y)^30)^40*e1"] + flag)
+    message = "the power at column 11 could hold more than 1000 terms"
+    assert code == 2
+    if as_json:
+        assert json.loads(text) == {"error": message, "exit": 2}
+    else:
+        assert text == "error: %s\n" % message
+
+
+@pytest.mark.parametrize("as_json", [False, True])
+def test_reduction_over_the_entry_budget_is_usage_error(as_json):
+    # e2^n e1^n adds n^2 product entries: n = 316 fits the budget, and
+    # n = 400 is refused once the budget is spent
+    from algebroid.pbw import MAX_REDUCTION_ENTRIES
+    assert 316 ** 2 <= MAX_REDUCTION_ENTRIES < 317 ** 2
+    flag = ["--json"] if as_json else []
+    code, text = invoke(["normal-form", "plane.adf", "monopole", "e2^400*e1^400"] + flag)
+    message = "the reduction needs more than %d product entries" % MAX_REDUCTION_ENTRIES
+    assert code == 2
+    if as_json:
+        assert json.loads(text) == {"error": message, "exit": 2}
+    else:
+        assert text == "error: %s\n" % message
+
+
 CURVED_MATCHED = """ring R = poly(Q; x, y);
 algebroid A over R { basis e1, e2; anchor e1 -> d/dx, e2 -> d/dy; }
 algebroid B over R { basis f1; anchor f1 -> d/dy; }

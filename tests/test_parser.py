@@ -408,3 +408,61 @@ def test_tokenize_matches_char_walk_oracle():
               for _ in range(5000)]
     for text in texts:
         assert tokenize(text) == char_walk_tokenize(text), text
+
+
+@pytest.mark.parametrize("body,column,message", [
+    ("2*x^-1*e1^", 20, "element is not a unit: x"),
+    ("3*x ^ -1 * e1^", 22, "element is not a unit: x"),
+    ("x*0^-1*e1^", 20, "element is not a unit: 0"),
+    ("x + 2/0*x", 21, "division by zero"),
+])
+def test_scalar_factor_diagnostics(body, column, message):
+    # a negative power at a polynomial variable, a power of zero and a
+    # zero denominator are read by `scalar_factor`, not as monomial
+    # factors, so they keep their message and position
+    diag = first_error("ring R = poly(Q; x);\n"
+                       "algebroid T over R { basis e1; anchor e1 -> d/dx; }\n"
+                       "form f on T = %s;\n" % body)
+    assert diag == Diagnostic("error", 3, column, message)
+
+
+def test_nested_power_is_bounded_by_its_degree_range():
+    from algebroid.parser import Parser, ParseError
+    from algebroid.rings import ChartRing
+
+    r = ChartRing(["x", "y", "z"])
+    value = Parser("((x+y)^10)^10").scalar_expr(r)
+    assert len(value.terms) == 101
+    assert value == (r.var("x") + r.var("y")) ** 100
+    # 5,151 monomials of degree 100 in three variables
+    with pytest.raises(ParseError, match="could hold more than 1000 terms"):
+        Parser("(x+y+z)^100").scalar_expr(r)
+    # a Laurent base has no degree bound: C(110, 10) still refuses it
+    lr = ChartRing(["x", "y"], laurent=["x"])
+    with pytest.raises(ParseError, match="could hold more than 1000 terms"):
+        Parser("((x^-1+y)^10)^10").scalar_expr(lr)
+
+
+def test_power_bound_never_refuses_what_the_term_bound_accepts():
+    # the degree-range bound only admits more: a refused power is one
+    # the term bound C(n + k - 1, k - 1) refuses too, and an admitted
+    # one holds at most MAX_POWER_TERMS terms
+    from math import comb
+
+    from algebroid.parser import MAX_POWER_TERMS, _power_refused
+    from algebroid.rings import ChartRing
+
+    r = ChartRing(["x", "y", "z"], laurent=["z"])
+    rng = random.Random(5)
+    for _ in range(300):
+        base = r.zero
+        for _ in range(rng.randint(1, 6)):
+            exps = tuple(rng.randint(-2 if v == 2 else 0, 3) for v in range(3))
+            base = base + r.monomial(exps, rng.randint(1, 5))
+        k = len(base.terms)
+        for n in (1, 2, 5, 12, 40, 300, 999, 1000, 5000):
+            if _power_refused(base, n):
+                assert k > 1 and (n >= MAX_POWER_TERMS
+                                  or comb(n + k - 1, k - 1) > MAX_POWER_TERMS)
+            elif n <= 5:
+                assert len((base ** n).terms) <= MAX_POWER_TERMS

@@ -1,15 +1,19 @@
 """Property tests for the parser: any token stream gives diagnostics,
-never an exception out of `parse`, and what did parse renders to text
-that parses back to the same rendering."""
+never an exception out of `parse`, what did parse renders to text that
+parses back to the same rendering, and a scalar expression parses to
+the element that RingElement arithmetic gives."""
 
 import pathlib
+from fractions import Fraction
 
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from algebroid.parser import Definitions, Diagnostic, parse, render, tokenize  # noqa: E402
+from algebroid.parser import (Definitions, Diagnostic, Parser, parse,  # noqa: E402
+                              render, tokenize)
+from algebroid.rings import ChartRing  # noqa: E402
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -67,3 +71,68 @@ def test_edited_catalog_files_round_trip(text):
     # a form's degree survives, a zero p-form's too
     assert [again.objects[n].degree for n in again.order if again.kinds[n] == "form"] \
         == [defs.objects[n].degree for n in defs.order if defs.kinds[n] == "form"]
+
+
+# -- scalar expressions against RingElement arithmetic --------------------------
+
+RING = ChartRing(["x", "y"], laurent=["x"])    # x Laurent, y polynomial
+X, Y = RING.var("x"), RING.var("y")
+
+
+@st.composite
+def leaf(draw):
+    """(text, value, needs parentheses as a factor) of a literal, a
+    fraction, a constant power, a variable, a power of one or a power of
+    a power of one."""
+    kind = draw(st.sampled_from(("int", "fraction", "constant power", "variable",
+                                 "power", "power", "power of power")))
+    if kind == "int":
+        n = draw(st.integers(0, 12))
+        return str(n), RING.const(n), False
+    if kind == "fraction":
+        a, b = draw(st.integers(0, 9)), draw(st.integers(1, 9))
+        return "%d/%d" % (a, b), RING.const(Fraction(a, b)), False
+    if kind == "constant power":
+        a, n = draw(st.integers(0, 4)), draw(st.integers(0, 3))
+        return "%d^%d" % (a, n), RING.const(a ** n), False
+    name = draw(st.sampled_from("xy"))
+    var, low = (X, -4) if name == "x" else (Y, 0)
+    text, value = name, var
+    for _ in range(("variable", "power", "power of power").index(kind)):
+        n = draw(st.integers(low, 4))     # x^-2^3 is (x^-2)^3
+        text, value = "%s^%d" % (text, n), value ** n
+    return text, value, False
+
+
+def factor_text(node):
+    text, _, compound = node
+    return "(%s)" % text if compound else text
+
+
+def combine(children):
+    return st.one_of(
+        st.tuples(children, children).map(lambda ab: (
+            "%s*%s" % (factor_text(ab[0]), factor_text(ab[1])),
+            ab[0][1] * ab[1][1], False)),
+        st.tuples(children, st.sampled_from("+-"), children).map(lambda asb: (
+            "%s %s %s" % (asb[0][0], asb[1], factor_text(asb[2])),
+            asb[0][1] + asb[2][1] if asb[1] == "+" else asb[0][1] - asb[2][1], True)),
+        children.map(lambda a: ("-%s" % factor_text(a), -a[1], False)),
+        st.tuples(children.filter(lambda a: len(a[1].terms) <= 4),
+                  st.integers(0, 3)).map(lambda an: (
+                      "(%s)^%d" % (an[0][0], an[1]), an[0][1] ** an[1], False)),
+    )
+
+
+@settings(SETTINGS, max_examples=400)
+@given(st.recursive(leaf(), combine, max_leaves=10))
+def test_scalar_expressions_parse_to_ring_arithmetic(node):
+    # monomial factors are multiplied into one term as they are read,
+    # every other factor by RingElement arithmetic: the two agree
+    text, value, _ = node
+    parser = Parser(text)
+    parsed = parser.scalar_expr(RING)
+    assert parser.peek().kind == "EOF", text
+    assert parsed == value, text
+    assert str(parsed) == str(value)
+    assert all(type(c) is int or c.denominator > 1 for c in parsed.terms.values())

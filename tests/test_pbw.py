@@ -442,6 +442,29 @@ def test_memo_keys_hold_no_constant_coefficients():
     assert not any(s._coefficients[~a].is_constant() for a in coded)
 
 
+def test_reduction_budget_refuses_a_word_and_keeps_the_memo_whole(monkeypatch):
+    # one reduction may add MAX_REDUCTION_ENTRIES memo entries; past them
+    # it stops with InputError, and the entries it did add are whole, so
+    # the next words reduce as on a fresh system
+    from algebroid import pbw
+    from algebroid.core import InputError
+
+    def twisted_weyl():
+        t = make_tangent(poly_ring("x", "y"))
+        return RelationSystem(t, LForm(t, 2, {(0, 1): t.base.const(-5)}))
+
+    fresh = twisted_weyl()
+    expected = [str(normal_form([1] * n + [0] * n, fresh)) for n in (6, 9)]
+    assert len(fresh._products) == 81
+    monkeypatch.setattr(pbw, "MAX_REDUCTION_ENTRIES", 50)
+    s = twisted_weyl()
+    normal_form([1] * 7 + [0] * 7, s)
+    assert len(s._products) == 49
+    with pytest.raises(InputError, match="more than 50 product entries"):
+        normal_form([1] * 12 + [0] * 12, s)
+    assert [str(normal_form([1] * n + [0] * n, s)) for n in (6, 9)] == expected
+
+
 def test_small_memo_limit_gives_the_same_answers(monkeypatch):
     # the memo is emptied between reductions once it holds more than
     # _MEMO_LIMIT entries; its codes and rules go with it, so a session
