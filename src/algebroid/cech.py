@@ -17,6 +17,7 @@ conditions on file-supplied covers).
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
@@ -26,8 +27,8 @@ from .connections import (Connection, curvature, _mat_add, _mat_mul,
                           _mat_scale, _mat_sub)
 from .core import (Algebroid, AlgebroidMorphism, InputError, Section,
                    StructureError, make_log, make_tangent)
-from .forms import (LForm, RowCodes, TruncationWindow, IndexTuple, compile_d,
-                    pullback, _ring_det, _tuple_keys)
+from .forms import (LForm, TruncationWindow, IndexTuple, pullback, _ce_complex,
+                    _ring_det)
 from .linalg import SparseSystem
 from .pbw import GeneratorMap, PbwElement, RelationSystem
 from .rings import (ChartRing, RingElement, RingMap, laurent_ring, mul_terms,
@@ -377,24 +378,23 @@ class ClassComparison:
         return self.status == "inequivalent"
 
 
-def _restriction_column(cover: Cover, frames: Mapping[Tuple[int, int], Sequence],
-                        a: int, i: int, mono: IndexTuple) -> Dict[tuple, Fraction]:
-    """The Cech image of x^mono * e_i on chart a: its restriction to every
-    overlap (a, b) with sign +, and to every overlap (b, a) with sign -,
-    where the second chart's component j is frames[(b, a)][i][j] times the
-    restricted monomial.  Keyed ("ov", first chart, second chart, j,
-    overlap exponents)."""
-    col: Dict[tuple, Fraction] = {}
+def _restrict_into(rows: Dict[tuple, Dict[int, Fraction]], cover: Cover,
+                   frames: Mapping[Tuple[int, int], Sequence],
+                   j: int, a: int, i: int, mono: IndexTuple) -> None:
+    """Write the Cech image of x^mono * e_i on chart a into column j of
+    `rows`: its restriction to every overlap (a, b) with sign +, and to
+    every overlap (b, a) with sign -, where the second chart's component
+    k is frames[(b, a)][i][k] times the restricted monomial.  Rows are
+    keyed ("ov", first chart, second chart, k, overlap exponents)."""
     for (first, second), ov in cover.overlaps.items():
         if a == first:
             for exps, c in ov.map_a.monomial_terms(mono).items():
-                col[("ov", first, second, i, exps)] = c
+                rows[("ov", first, second, i, exps)][j] = c
         elif a == second:
             img = ov.map_b.monomial_terms(mono)
-            for j, coeff in enumerate(frames[(first, second)][i]):
+            for k, coeff in enumerate(frames[(first, second)][i]):
                 for exps, c in mul_terms(coeff.terms, img).items():
-                    col[("ov", first, second, j, exps)] = -c
-    return col
+                    rows[("ov", first, second, k, exps)][j] = -c
 
 
 def coboundary_test(cover: Cover, pair_a: CechPair, pair_b: CechPair,
@@ -412,42 +412,35 @@ def coboundary_test(cover: Cover, pair_a: CechPair, pair_b: CechPair,
     basis = [((a, i), mono) for a in range(len(cover.charts))
              for i in range(cover.chart_algebroid(a).rank)
              for mono in window.monomials(cover.chart_ring(a))]
-    stencils = {}
-    for a in range(len(cover.charts)):
-        alg = cover.chart_algebroid(a)
-        if alg.rank >= 2:
-            alg.require_verified("coboundary testing")
-            stencils[a] = compile_d(alg)
+    # overlap equations push_a(eta_a) - push_b(eta_b) = phi_diff
     frames = {key: ov.transition_inverse for key, ov in cover.overlaps.items()}
-
-    # overlap equations push_a(eta_a) - push_b(eta_b) = phi_diff, then the
-    # chart equations d eta_a = q_diff_a, from the rows of each chart's
-    # columns, their codes decoded once per row
-    cols = [_restriction_column(cover, frames, a, i, mono) for (a, i), mono in basis]
-    start = 0
-    for a in range(len(cover.charts)):
-        ring, rank = cover.chart_ring(a), cover.chart_algebroid(a).rank
-        monos = window.monomials(ring)
-        if a in stencils:
-            codes = RowCodes(_tuple_keys(rank), len(ring.variables),
-                             window.bound(ring) + stencils[a].reach)
-            chart = [(idx, mono) for idx in combinations(range(rank), 1) for mono in monos]
-            for k, row in stencils[a].rows(codes, chart).items():
-                (jdx, _), exps = codes.decode(k)
-                for j, c in row.items():
-                    cols[start + j][("ch", a, jdx, exps)] = c
-        start += rank * len(monos)
+    rows: Dict[tuple, Dict[int, Fraction]] = defaultdict(dict)
+    for j, ((a, i), mono) in enumerate(basis):
+        _restrict_into(rows, cover, frames, j, a, i, mono)
     rhs = {}
     for (a, b), form in diff.phi.items():
         for (j,), val in form.coeffs.items():
             for exps, c in val.terms.items():
                 rhs[("ov", a, b, j, exps)] = c
-    for a in stencils:
-        for jdx, val in diff.q[a].coeffs.items():
-            for exps, c in val.terms.items():
-                rhs[("ch", a, jdx, exps)] = c
+    # chart equations d eta_a = q_diff_a, keyed ("ch", a, row code); the
+    # codes cover q's exponents too, so a term of q that no column
+    # reaches has a code of its own
+    start = 0
+    for a in range(len(cover.charts)):
+        ring, alg = cover.chart_ring(a), cover.chart_algebroid(a)
+        if alg.rank >= 2:
+            alg.require_verified("coboundary testing")
+            complex_, q = _ce_complex(alg), diff.q[a].coeffs
+            codes = complex_.codes(max([window.bound(ring)] + [
+                abs(e) for val in q.values() for exps in val.terms for e in exps]))
+            for k, row in complex_.rows(codes, complex_.basis(1, window)).items():
+                rows[("ch", a, k)] = {start + j: c for j, c in row.items()}
+            for idx, val in q.items():
+                for exps, c in val.terms.items():
+                    rhs[("ch", a, codes.code((idx, 0), exps))] = c
+        start += alg.rank * len(window.monomials(ring))
 
-    (terms,) = SparseSystem.from_columns(cols).solve([rhs], basis)
+    (terms,) = SparseSystem.from_rows(rows, len(basis)).solve([rhs], basis)
     if terms is not None:
         eta = {}
         for a in range(len(cover.charts)):
@@ -652,10 +645,12 @@ def line_bundle_cech_dims(cover: Cover, window: TruncationWindow | None = None
     window_keys = {("ov", a, b, 0, exps) for (a, b), ov in cover.overlaps.items()
                    for exps in box.monomials(ov.ring)}
     frames = {key: ov.bundle for key, ov in cover.overlaps.items()}
-    cols = [_restriction_column(cover, frames, a, 0, mono)
-            for a in range(len(cover.charts))
-            for mono in chart_window.monomials(cover.chart_ring(a))]
-    sys = SparseSystem.from_columns(cols, key=lambda k: (k not in window_keys, k))
+    sections = [(a, mono) for a in range(len(cover.charts))
+                for mono in chart_window.monomials(cover.chart_ring(a))]
+    rows: Dict[tuple, Dict[int, Fraction]] = defaultdict(dict)
+    for j, (a, mono) in enumerate(sections):
+        _restrict_into(rows, cover, frames, j, a, 0, mono)
+    sys = SparseSystem.from_rows(rows, len(sections), key=lambda k: (k not in window_keys, k))
     pivots = sys.pivots()
     inside = sum(k in window_keys for k in sys.row_keys)
     return sys.ncols - len(pivots), len(window_keys) - sum(low < inside for low, _ in pivots)

@@ -10,11 +10,12 @@ construction.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .rings import ChartRing, RingElement, RingError, as_fraction
+from .rings import ChartRing, Coefficient, RingElement, RingError, as_fraction
 
 
 class StructureError(Exception):
@@ -350,13 +351,15 @@ def make_foliation(r: ChartRing, generators: Sequence[Sequence]) -> Algebroid:
                             if not c.is_zero()), default=0) + 2
 
     # unknowns: coefficients of each g_k over the monomial window;
-    # column (k, mono) is mono * g_k, keyed by (derivation, exponents)
+    # column (k, mono) is mono * g_k, its rows keyed (derivation, exponents)
     basis = [(k, mono) for k in range(m)
              for mono in _poly_monomials(r, degree_bound)]
-    system = SparseSystem.from_columns(
-        [{(d, tuple(x + y for x, y in zip(sexps, mono))): scoeff
-          for d in range(nder) for sexps, scoeff in gens[k][d].terms.items()}
-         for k, mono in basis])
+    rows: Dict[tuple, Dict[int, Coefficient]] = defaultdict(dict)
+    for j, (k, mono) in enumerate(basis):
+        for d in range(nder):
+            for sexps, scoeff in gens[k][d].terms.items():
+                rows[d, tuple(x + y for x, y in zip(sexps, mono))][j] = scoeff
+    system = SparseSystem.from_rows(rows, len(basis))
     # every non-commuting pair's bracket, solved from one elimination
     pairs, targets = [], []
     for i, j in combinations(range(m), 2):

@@ -108,16 +108,12 @@ class RowCodes:
     def __init__(self, keys: Iterable[Hashable], nv: int, bias: int):
         self.keys = list(keys)
         self.block = {key: b for b, key in enumerate(self.keys)}
-        self.nv, self.bias = nv, bias
+        self.bias = bias
         radix = 2 * bias + 1
         self.places = [radix ** (nv - 1 - v) for v in range(nv)]
         self.scale = radix ** nv
         self.zero = (self.scale - 1) // 2      # the packed exponent 0: every digit is bias
         self._monos: Dict[int, IndexTuple] = {}  # packed monomial -> exponents, once decoded
-
-    def relabel(self, keys: Iterable[Hashable]) -> "RowCodes":
-        """The same codes under other names: keys[b] names block b."""
-        return RowCodes(keys, self.nv, self.bias)
 
     def mono(self, mono: IndexTuple) -> int:
         """The packed monomial: the code of (keys[0], mono), and the
@@ -154,7 +150,7 @@ class Stencil:
     scatters: anchor and connection terms for each i not in I, bracket
     terms for each k in I through the c_ij^k with i, j outside I - {k}.
     It is built on first use and kept; `rows` turns it into offsets of
-    `RowCodes`, once per (codes, I, t).  `reach` is the largest size of a
+    `RowCodes`, once per (codes, (I, t)).  `reach` is the largest size of a
     component of a term's shift.
     """
 
@@ -225,13 +221,14 @@ class Stencil:
             self._weights = tuple(system.kernel())
         return self._weights
 
-    def _compile(self, idx: IndexTuple, t: Hashable) -> tuple:
+    def _compile(self, key: Tuple[IndexTuple, Hashable]) -> tuple:
         """(constant terms [(key, shift, c)], anchor terms [(key, v, shift, c)])
-        of theta^idx (x) b_t, keyed by (target tuple, module label); built
-        on first use and kept."""
-        entries = self._entries.get((idx, t))
+        of theta^idx (x) b_t at key = (idx, t), keyed by (target tuple,
+        module label); built on first use and kept."""
+        entries = self._entries.get(key)
         if entries is not None:
             return entries
+        idx, t = key
         consts: Dict[tuple, Fraction] = {}
         anchors: Dict[tuple, Fraction] = {}
 
@@ -259,30 +256,32 @@ class Stencil:
                 negate = (big.index(i) + big.index(j) + pos) % 2 == 1
                 for shift, c in c_ij.terms.items():
                     put(consts, ((big, t), shift), c, negate)
-        entries = self._entries[(idx, t)] = (
-            [(key, shift, as_fraction(c)) for (key, shift), c in consts.items() if c],
-            [(key, v, shift, as_fraction(c))
-             for (key, v, shift), c in anchors.items() if c])
+        entries = self._entries[key] = (
+            [(target, shift, as_fraction(c)) for (target, shift), c in consts.items() if c],
+            [(target, v, shift, as_fraction(c))
+             for (target, v, shift), c in anchors.items() if c])
         return entries
 
-    def _offset_entries(self, codes: RowCodes, idx: IndexTuple, t: Hashable) -> tuple:
-        """The entries of theta^idx (x) b_t as offsets under `codes`, one
-        per target (key, shift): (constant terms [(offset, c)], lone anchor
-        terms [(offset, v, c)], targets that several terms share
-        [(offset, constant part, ((v, c), ...))]).  Made once per (codes,
-        idx, t) and kept until other codes are asked for."""
+    def _offset_entries(self, codes: RowCodes, key: Tuple[IndexTuple, Hashable]) -> tuple:
+        """The entries of theta^idx (x) b_t at key = (idx, t) as offsets
+        under `codes`, one per target (key, shift): (constant terms
+        [(offset, c)], lone anchor terms [(offset, v, c)], targets that
+        several terms share [(offset, constant part, ((v, c), ...))]).
+        Made once per (codes, key) and kept until other codes are asked
+        for."""
         if self._codes is not codes:
             self._codes, self._offsets = codes, {}
-        out = self._offsets.get((idx, t))
+        out = self._offsets.get(key)
         if out is not None:
             return out
-        consts, anchors = self._compile(idx, t)
-        shared: Dict[tuple, list] = {(key, shift): [c, []] for key, shift, c in consts}
-        for key, v, shift, c in anchors:
-            shared.setdefault((key, shift), [0, []])[1].append((v, c))
-        out = self._offsets[(idx, t)] = ([], [], [])
-        for (key, shift), (c, terms) in shared.items():
-            off = codes.block[key] * codes.scale + sum(map(mul, codes.places, shift))
+        consts, anchors = self._compile(key)
+        shared: Dict[tuple, list] = {(target, shift): [c, []]
+                                     for target, shift, c in consts}
+        for target, v, shift, c in anchors:
+            shared.setdefault((target, shift), [0, []])[1].append((v, c))
+        out = self._offsets[key] = ([], [], [])
+        for (target, shift), (c, terms) in shared.items():
+            off = codes.block[target] * codes.scale + sum(map(mul, codes.places, shift))
             if not terms:
                 out[0].append((off, c))
             elif not c and len(terms) == 1:
@@ -291,20 +290,23 @@ class Stencil:
                 out[2].append((off, c, tuple(terms)))
         return out
 
-    def rows(self, codes: RowCodes, basis: Sequence[Tuple[IndexTuple, IndexTuple]],
-             t: Hashable = 0) -> Dict[int, Dict[int, Coefficient]]:
-        """The images of theta^idx (x) b_t * x^mono over the (idx, mono) of
-        `basis`, as rows {row code: {column: value}} with column j the
-        image of basis[j], built row-wise in one pass and without zero
-        values; each value is an int or a Fraction.  Each entry costs one
-        int add: its offset plus the code of the column's monomial."""
+    def rows(self, codes: RowCodes,
+             basis: Sequence[Tuple[Tuple[IndexTuple, Hashable], IndexTuple]]
+             ) -> Dict[int, Dict[int, Coefficient]]:
+        """The images of theta^idx (x) b_t * x^mono over the (key, mono) of
+        `basis`, key = (idx, t), as rows {row code: {column: value}} with
+        column j the image of basis[j], built row-wise in one pass and
+        without zero values; each value is an int or a Fraction.  Each
+        entry costs one int add: its offset plus the code of the column's
+        monomial.  The offsets are fetched when the key object changes, so
+        consecutive elements of one key should share one key object."""
         zero, places = codes.zero, codes.places
         rows: Dict[int, Dict[int, Coefficient]] = defaultdict(dict)
         last = None
-        for j, (idx, mono) in enumerate(basis):
-            if idx is not last:
-                last = idx
-                consts, anchors, shared = self._offset_entries(codes, idx, t)
+        for j, (key, mono) in enumerate(basis):
+            if key is not last:
+                last = key
+                consts, anchors, shared = self._offset_entries(codes, key)
             at = zero + sum(map(mul, places, mono))
             for off, c in consts:
                 rows[off + at][j] = c
@@ -323,28 +325,20 @@ class Stencil:
 
     def apply(self, coeffs: Mapping[Tuple[IndexTuple, Hashable], RingElement]
               ) -> Dict[Tuple[IndexTuple, Hashable], RingElement]:
-        """`covariant_d` of `coeffs`: one `rows` per module label over all
-        of that label's terms, each row summed against the terms'
-        coefficients, then decoded."""
+        """`covariant_d` of `coeffs`: one `rows` over all terms, each row
+        summed against the terms' coefficients, then decoded."""
         keys: Dict[Hashable, None] = {}
-        for idx, t in coeffs:
-            for entries in self._compile(idx, t):
+        for key in coeffs:
+            for entries in self._compile(key):
                 keys.update(dict.fromkeys(entry[0] for entry in entries))
         bound = max((abs(e) for f in coeffs.values() for mono in f.terms for e in mono),
                     default=0)
         codes = RowCodes(keys, len(self.owner.base.variables), bound + self.reach)
-        # label -> (basis, coefficients), each label's terms grouped by tuple
-        by_label: Dict[Hashable, Tuple[list, list]] = {}
-        for (idx, t), f in coeffs.items():
-            basis, scale = by_label.setdefault(t, ([], []))
-            basis.extend((idx, mono) for mono in f.terms)
-            scale.extend(f.terms.values())
-        flat: Dict[int, Coefficient] = {}
-        for t, (basis, scale) in by_label.items():
-            for k, row in self.rows(codes, basis, t).items():
-                flat[k] = flat.get(k, 0) + sum(scale[j] * v for j, v in row.items())
+        basis = [(key, mono) for key, f in coeffs.items() for mono in f.terms]
+        scale = [c for f in coeffs.values() for c in f.terms.values()]
         grouped: Dict[tuple, Dict[IndexTuple, Coefficient]] = {}
-        for k, c in flat.items():
+        for k, row in self.rows(codes, basis).items():
+            c = sum(scale[j] * v for j, v in row.items())
             if c:
                 key, mono = codes.decode(k)
                 grouped.setdefault(key, {})[mono] = c
@@ -612,30 +606,34 @@ _RADIX = 1 << 64
 class _WindowedComplex:
     """A cochain complex on window slices.
 
-    Degree p has the basis (ascending p-tuple of 0..rank-1, window
-    monomial), in that order.  `codes(bound)` gives the `RowCodes` of a
-    call whose monomials have exponents of size at most `bound`, keyed
-    (index tuple, 0) in the order of `_tuple_keys`, so within one degree
-    the codes sort like the keys ((index tuple, 0), monomial).
-    `rows(codes, basis)` gives the images of a list of basis elements as
-    rows {code: {column: value}}, column j the image of basis[j].
+    Degree p has the basis (key of an ascending p-tuple of 0..rank-1,
+    window monomial), in that order; `keys` maps each tuple to its key,
+    one object shared by all of that tuple's basis elements.
+    `codes(bound)` gives the `RowCodes` of a call whose monomials have
+    exponents of size at most `bound`, whose blocks are the keys of the
+    tuples in the order of `_tuple_keys`, so within one degree the codes
+    sort like (tuple, monomial).  `rows(codes, basis)` gives the images
+    of a list of basis elements as rows {code: {column: value}}, column j
+    the image of basis[j].
     `grading` returns vectors (w | u) as `Stencil.weights` gives them: the
     differential maps the basis elements of each weight into the same
     weight one degree up.  It is called only when a weight is asked for.
     """
 
-    def __init__(self, ring: ChartRing, rank: int, codes, rows, grading=tuple):
+    def __init__(self, ring: ChartRing, rank: int, keys: Mapping[IndexTuple, Hashable],
+                 codes, rows, grading=tuple):
         self.ring = ring
         self.rank = rank
+        self.keys = keys
         self.codes = codes
         self.rows = rows
         self._grading = grading
         self._packed: Optional[Tuple[List[int], List[int]]] = None
 
-    def basis(self, p: int, window: TruncationWindow
-              ) -> List[Tuple[IndexTuple, IndexTuple]]:
+    def basis(self, p: int, window: TruncationWindow) -> List[Tuple[Hashable, IndexTuple]]:
         monos = window.monomials(self.ring)
-        return [(idx, m) for idx in combinations(range(self.rank), p) for m in monos]
+        return [(self.keys[idx], m) for idx in combinations(range(self.rank), p)
+                for m in monos]
 
     def _weights(self) -> Tuple[List[int], List[int]]:
         """(weight of each variable's exponent, weight of each index).  A
@@ -655,7 +653,7 @@ class _WindowedComplex:
         return sum(map(mul, mono_weight, mono)) + sum(index_weight[i] for i in idx)
 
     def weight_basis(self, p: int, window: TruncationWindow, weights: Iterable[int]
-                     ) -> List[Tuple[IndexTuple, IndexTuple]]:
+                     ) -> List[Tuple[Hashable, IndexTuple]]:
         """The basis elements of the given weights, in basis order.
 
         Only the monomials of the first n - 1 variables are listed, with
@@ -667,7 +665,7 @@ class _WindowedComplex:
         weights = set(weights)
         tuples = combinations(range(self.rank), p)
         if not mono_weight:
-            return [(idx, ()) for idx in tuples
+            return [(self.keys[idx], ()) for idx in tuples
                     if sum(index_weight[i] for i in idx) in weights]
         *ranges, (lo, hi) = window.ranges(self.ring)
         # (prefix, its weight, degree budget left), ascending like `monomials`
@@ -678,7 +676,7 @@ class _WindowedComplex:
         w = mono_weight[-1]
         out = []
         for idx in tuples:
-            shift = sum(index_weight[i] for i in idx)
+            key, shift = self.keys[idx], sum(index_weight[i] for i in idx)
             # the last exponent (target - weight) / w rises with the target
             # when w > 0, so the matches of one prefix come out ascending
             targets = sorted({wt - shift for wt in weights}, reverse=w < 0)
@@ -686,12 +684,12 @@ class _WindowedComplex:
                 top = min(hi, left)
                 if not w:
                     if wt in targets:
-                        out.extend((idx, m + (e,)) for e in range(lo, top + 1))
+                        out.extend((key, m + (e,)) for e in range(lo, top + 1))
                     continue
                 for t in targets:
                     e, r = divmod(t - wt, w)
                     if not r and lo <= e <= top:
-                        out.append((idx, m + (e,)))
+                        out.append((key, m + (e,)))
         return out
 
     def dims(self, degrees: Iterable[int], windows: Sequence[TruncationWindow],
@@ -725,6 +723,8 @@ class _WindowedComplex:
                 reads.setdefault(p, set()).update(windows)
                 if p > 0:
                     reads.setdefault(p - 1, set()).update(w.enlarged(drop) for w in windows)
+        if not reads:
+            return {w: dict.fromkeys(degrees, (0, 0)) for w in windows}
         nested = sorted(set().union(*reads.values()), key=lambda w: (w.degree, w.laurent))
         at = {w: k for k, w in enumerate(nested)}
         codes = self.codes(nested[-1].bound(self.ring))
@@ -746,31 +746,31 @@ class _WindowedComplex:
         low_codes: Dict[int, List[int]] = {}
         ranks: Dict[tuple, int] = {}
         for p in sorted(reads):
-            tuples = list(combinations(range(self.rank), p))
+            keys = [self.keys[idx] for idx in combinations(range(self.rank), p)]
             top = max(map(at.get, reads[p]))
-            basis = [(idx, m) for k in range(top + 1) for idx in tuples for m in layers[k]]
+            basis = [(key, m) for k in range(top + 1) for key in keys for m in layers[k]]
             rows = self.rows(codes, basis)
             by_first: List[List[int]] = [[] for _ in range(len(nested) + 1)]
             for code in rows:
                 by_first[packed.get(code % codes.scale, far)[0]].append(code)
-            keys = [code for codes_k in by_first for code in sorted(codes_k)]
-            system = SparseSystem([rows[code] for code in keys], len(basis), keys)
+            order = [code for codes_k in by_first for code in sorted(codes_k)]
+            system = SparseSystem([rows[code] for code in order], len(basis), order)
             # a low of degree p - 1 is the code of a degree-p element: its
             # block gives its tuple, its monomial's layer and place the rest
             clear = set()
-            block = codes.block[tuples[0], 0]
+            block = codes.block[keys[0]]
             for code in low_codes.get(p - 1, ()):
                 q, mono = divmod(code, codes.scale)
                 k, t = packed.get(mono, far)
                 if k <= top:
-                    clear.add(len(tuples) * (sizes[k - 1] if k else 0)
+                    clear.add(len(keys) * (sizes[k - 1] if k else 0)
                               + (q - block) * len(layers[k]) + t)
             pivots[p] = system.pivots(clear)
             low_codes[p] = [system.row_keys[t] for t, _ in pivots[p]]
             held[p] = list(accumulate(map(len, by_first)))
             columns = [c for _, c in pivots[p]]
             for w in reads[p]:
-                ranks[p, w] = bisect_left(columns, len(tuples) * sizes[at[w]])
+                ranks[p, w] = bisect_left(columns, len(keys) * sizes[at[w]])
 
         def kernel(p: int, window: TruncationWindow) -> int:
             return comb(self.rank, p) * sizes[at[window]] - ranks[p, window]
@@ -793,7 +793,7 @@ def _ce_complex(l: Algebroid) -> _WindowedComplex:
     stencil, keys = compile_d(l), _tuple_keys(l.rank)
     nv = len(l.base.variables)
     return _WindowedComplex(
-        l.base, l.rank,
+        l.base, l.rank, {key[0]: key for key in keys},
         lambda bound: RowCodes(keys, nv, bound + stencil.reach),
         stencil.rows, stencil.weights)
 
@@ -888,7 +888,8 @@ def exactness_solve(theta: LForm, window: TruncationWindow | None = None
     (terms,) = SparseSystem.from_rows(complex_.rows(codes, basis), len(basis)).solve(
         [rhs], basis)
     if terms is not None:
-        primitive = LForm(l, p, {idx: RingElement(l.base, t) for idx, t in terms.items()})
+        primitive = LForm(l, p, {idx: RingElement(l.base, t)
+                                 for (idx, _), t in terms.items()})
         if not (primitive._d_unchecked() - theta).is_zero():
             raise StructureError("internal error: primitive failed verification")
         return ExactnessResult("primitive", primitive=primitive, window=window)

@@ -1,9 +1,9 @@
 """Exact rational linear algebra.
 
 Every linear system the library solves is a `SparseSystem`, built from
-keyed sparse rows (`from_rows`; the windowed cochain systems key theirs
-by the integer row codes of `forms.RowCodes`) or keyed sparse columns
-(`from_columns`), and reduced by one routine, the column reduction of
+keyed sparse rows (`from_rows`: the windowed cochain systems key theirs
+by the integer row codes of `forms.RowCodes`, the Cech systems by
+overlap and chart), and reduced by one routine, the column reduction of
 persistent homology (Zomorodian & Carlsson, DCG 33, 2005): each column in
 turn is reduced by the earlier reduced columns until it is zero or its
 low, its last nonzero row in the row order the caller gives, is new.
@@ -22,7 +22,6 @@ the pivot columns only.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from fractions import Fraction
 from math import gcd
 from typing import (Callable, Collection, Dict, Hashable, List, Mapping,
@@ -68,7 +67,7 @@ class SparseSystem:
     """Rows as {column: exact rational}, reduced column by column.
 
     `rows[t]` is row t of the input and `row_keys[t]` its key when the
-    system was built from keyed rows or columns; the row order is the
+    system was built from keyed rows; the row order is the
     order of `rows`, and it decides the lows of the reduced columns.
     Rank, the pivot columns, the kernel and the solution `solve` returns
     depend only on column order.
@@ -87,18 +86,6 @@ class SparseSystem:
         given), used as given (so without zero values)."""
         keys = sorted(rows, key=key)
         return cls([rows[k] for k in keys], ncols, keys)
-
-    @classmethod
-    def from_columns(cls, cols: Sequence[Mapping[Hashable, Coefficient]],
-                     key: Optional[Callable] = None) -> "SparseSystem":
-        """Column j is cols[j], a {row key: value} map; the rows are the
-        union of the column keys, sorted as `from_rows` sorts them."""
-        rows: Dict[Hashable, Dict[int, Coefficient]] = defaultdict(dict)
-        for j, col in enumerate(cols):
-            for k, c in col.items():
-                if c:
-                    rows[k][j] = c
-        return cls.from_rows(rows, len(cols), key)
 
     def _eliminate(self, rhs: Sequence[Mapping[int, Coefficient]] = (),
                    clear: Collection[int] = (), transforms: bool = False):

@@ -12,7 +12,6 @@ total differential carries the alternating sign on the second one.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import defaultdict
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -170,49 +169,49 @@ class DoubleComplexSlice:
     """Windowed bases of (p, q) pieces with both differentials as sparse
     rows keyed by row codes.
 
-    The basis element ((I, J), monomial) has the code of ((merged tuple,
-    0), monomial) in the twilled sum's Chevalley-Eilenberg layout (`codes`),
-    the merged tuple being I followed by J shifted by rank(l1).  d1's
-    stencil keys its targets (I', J) and d2's (J', I), so each reads the
-    same codes under its own names, and every row comes out keyed in the
-    one layout."""
+    A basis element is ((I, J), monomial), one key object (I, J) per
+    pair of index tuples.  Its code is that of ((merged tuple, 0),
+    monomial) in the twilled sum's Chevalley-Eilenberg layout, the merged
+    tuple being I followed by J shifted by rank(l1): the slice's codes
+    number the keys (I, J) in that order.  d1's stencil keys its targets
+    (I', J) and d2's (J', I), so d2 reads the same codes under swapped
+    keys, and every row comes out keyed in the one layout."""
 
     def __init__(self, m: MatchedPair, max_total: int,
                  window: TruncationWindow):
         self.pair = m
         self.window = window
         self.max_total = max_total
-        base = m.l1.base
-        monos = window.monomials(base)
-        self.bases: Dict[Tuple[int, int], List[Tuple[IndexTuple, IndexTuple, tuple]]] = {}
-        for p in range(0, m.l1.rank + 1):
-            for q in range(0, m.l2.rank + 1):
-                if p + q > max_total + 1:
-                    continue
-                self.bases[(p, q)] = [
-                    (i1, i2, mm)
-                    for i1 in combinations(range(m.l1.rank), p)
-                    for i2 in combinations(range(m.l2.rank), q)
-                    for mm in monos]
+        n1 = m.l1.rank
+        # merged tuple -> its key (I, J), in the order of _tuple_keys
+        self.keys: Dict[IndexTuple, Tuple[IndexTuple, IndexTuple]] = {
+            idx: (idx[:bisect_left(idx, n1)],
+                  tuple(i - n1 for i in idx[bisect_left(idx, n1):]))
+            for idx, _ in _tuple_keys(n1 + m.l2.rank)}
+        # each key's swapped key (J, I), one object per pair
+        self._swapped = {key: key[::-1] for key in self.keys.values()}
+        # (p, q) -> its basis; the merged tuples of one (p, q) ascend as
+        # their pairs (I, J) do
+        monos = window.monomials(m.l1.base)
+        self.bases: Dict[Tuple[int, int], List[Tuple[tuple, IndexTuple]]] = {}
+        for key in self.keys.values():
+            if len(key[0]) + len(key[1]) <= max_total + 1:
+                self.bases.setdefault((len(key[0]), len(key[1])), []).extend(
+                    (key, mm) for mm in monos)
         # d1 on l1 with values in the forms of l2; d2 the mirror, keys swapped
         self._d1 = compile_d(m.l1, _on_forms(m.action12))
         self._d2 = compile_d(m.l2, _on_forms(m.action21))
         self.reach = max(self._d1.reach, self._d2.reach)
-        n1 = m.l1.rank
-        self._keys = _tuple_keys(n1 + m.l2.rank)
-        self._pairs = [(idx[:bisect_left(idx, n1)],
-                        tuple(i - n1 for i in idx[bisect_left(idx, n1):]))
-                       for idx, _ in self._keys]
-        # (the layout, keyed (merged tuple, 0); it keyed (I, J); it keyed (J, I))
-        self._codes: Optional[Tuple[RowCodes, RowCodes, RowCodes]] = None
+        # (the codes keyed (I, J), the same codes keyed (J, I))
+        self._codes: Optional[Tuple[RowCodes, RowCodes]] = None
 
     def codes(self, bias: int) -> RowCodes:
-        """The slice's row codes, with at least this bias.  A layout is
-        kept while it is large enough; a larger bias makes a new one."""
+        """The slice's row codes keyed (I, J), with at least this bias.
+        They are kept while large enough; a larger bias makes new ones."""
         if self._codes is None or self._codes[0].bias < bias:
-            layout = RowCodes(self._keys, len(self.pair.l1.base.variables), bias)
-            self._codes = (layout, layout.relabel(self._pairs),
-                           layout.relabel([(j, i) for i, j in self._pairs]))
+            nv = len(self.pair.l1.base.variables)
+            self._codes = (RowCodes(self.keys.values(), nv, bias),
+                           RowCodes(self._swapped.values(), nv, bias))
         return self._codes[0]
 
     def d1(self, coeffs):
@@ -226,28 +225,21 @@ class DoubleComplexSlice:
         image = self._d2.apply({(i2, i1): v for (i1, i2), v in coeffs.items()})
         return {(i1, i2): v for (i2, i1), v in image.items()}
 
-    def _rows(self, second: bool, items: Sequence[Tuple[IndexTuple, IndexTuple, tuple]]
+    def _rows(self, second: bool, items: Sequence[Tuple[tuple, IndexTuple]]
               ) -> Dict[int, Dict[int, object]]:
-        """d1, or d2 if `second`, at the basis elements (I, J, monomial) of
-        `items`, as rows {code: {column: value}} under the current codes,
-        column j the image of items[j]: one `Stencil.rows` per module label
-        (J for d1, I for d2), merged.  Labels share row codes, so rows are
-        updated, never replaced."""
-        _, pairs, swapped = self._codes
-        stencil, codes = (self._d2, swapped) if second else (self._d1, pairs)
-        by_label: Dict[IndexTuple, Tuple[List[int], list]] = {}
-        for j, (i1, i2, mono) in enumerate(items):
-            idx, t = (i2, i1) if second else (i1, i2)
-            cols, basis = by_label.setdefault(t, ([], []))
-            cols.append(j)
-            basis.append((idx, mono))
-        out: Dict[int, Dict[int, object]] = defaultdict(dict)
-        for t, (cols, basis) in by_label.items():
-            for code, row in stencil.rows(codes, basis, t).items():
-                target = out[code]
-                for j, c in row.items():
-                    target[cols[j]] = c
-        return out
+        """d1, or d2 if `second`, at the basis elements ((I, J), monomial)
+        of `items`, as rows {code: {column: value}} under the current
+        codes, column j the image of items[j]: one `Stencil.rows`, on the
+        keys (I, J) for d1 and on their swapped keys (J, I) for d2."""
+        codes, swapped = self._codes
+        if not second:
+            return self._d1.rows(codes, items)
+        basis, last = [], None
+        for key, mono in items:
+            if key is not last:
+                last, swap = key, self._swapped[key]
+            basis.append((swap, mono))
+        return self._d2.rows(swapped, basis)
 
     def _composite(self, second: bool, items) -> Dict[int, Dict[int, object]]:
         """d1 d2 (or d2 d1 if `second`) at `items`, as rows without zero
@@ -255,8 +247,7 @@ class DoubleComplexSlice:
         one's image, times that image."""
         inner = self._rows(not second, items)
         keys = sorted(inner)
-        outer = self._rows(second, [key + (mono,) for key, mono
-                                    in map(self._codes[1].decode, keys)])
+        outer = self._rows(second, list(map(self._codes[0].decode, keys)))
         out = {}
         for code, row in outer.items():
             acc: Dict[int, object] = {}
@@ -272,7 +263,7 @@ class DoubleComplexSlice:
         """d1 d2 = d2 d1 on every bidegree of the slice (the alternating-
         sign rule in the standard normalization is this identity after
         rescaling the second differential by bidegree signs).  Returns a
-        witness (p, q, basis element) or None.  Both composites of a
+        witness (p, q, (I, J, monomial)) or None.  Both composites of a
         bidegree are sparse products of integer rows; the witness is the
         first basis element whose columns differ."""
         m = self.pair
@@ -285,9 +276,10 @@ class DoubleComplexSlice:
                 continue
             one, two = self._composite(False, basis), self._composite(True, basis)
             if one != two:
-                return (p, q, basis[min(j for code in one.keys() | two.keys()
-                                        for j in _differ(one.get(code, {}),
-                                                         two.get(code, {})))])
+                key, mono = basis[min(j for code in one.keys() | two.keys()
+                                      for j in _differ(one.get(code, {}),
+                                                       two.get(code, {})))]
+                return (p, q, key + (mono,))
         return None
 
 
@@ -309,23 +301,22 @@ class TotalCompareReport:
 
 
 def _total_complex(sl: DoubleComplexSlice) -> _WindowedComplex:
-    """The total complex of the double complex, d1 + (-1)^p d2, keyed like
-    the twilled sum's cochains: l2's indices follow l1's, shifted by its
-    rank, and the two parts land in different bidegrees.  Its codes are
-    the slice's, so the d1 rows and the signed d2 rows share one layout
-    and are merged."""
-    n1 = sl.pair.l1.rank
+    """The total complex of the double complex, d1 + (-1)^p d2, on the
+    twilled sum's cochains: l2's indices follow l1's, shifted by its rank,
+    and each merged tuple is keyed by its (I, J), so the basis elements
+    are the slice's.  Its codes are the slice's, so the d1 rows and the
+    signed d2 rows share one layout and are merged; the two parts land in
+    different bidegrees."""
 
     def rows(codes, basis):
-        items = [sl._pairs[codes.block[idx, 0]] + (mono,) for idx, mono in basis]
-        out = sl._rows(False, items)
-        for code, row in sl._rows(True, items).items():
+        out = sl._rows(False, basis)
+        for code, row in sl._rows(True, basis).items():
             target = out[code]
             for j, c in row.items():
-                target[j] = -c if len(items[j][0]) % 2 else c
+                target[j] = -c if len(basis[j][0][0]) % 2 else c
         return out
 
-    return _WindowedComplex(sl.pair.l1.base, n1 + sl.pair.l2.rank,
+    return _WindowedComplex(sl.pair.l1.base, sl.pair.l1.rank + sl.pair.l2.rank, sl.keys,
                             lambda bound: sl.codes(bound + sl.reach), rows)
 
 

@@ -39,16 +39,18 @@ _BITS = 32
 # term x^exponents * e^powers
 Terms = Dict[Tuple[Powers, Exponents], Coefficient]
 
-# a system's product memo is emptied when a reduction starts with more
-# entries than this, so a long-lived system does not grow without bound;
-# e2^n e1^n needs n^2 entries (1,024 at n = 32, 4,096 at n = 64)
-_MEMO_LIMIT = 20000
+# Both bounds count the terms of the product memo's entries, not the
+# entries: a twisted Weyl entry holds two terms, an so(3)* entry with a
+# polynomial in the word thousands.  A system's memo is emptied when a
+# reduction starts with more terms than this, so a long-lived system does
+# not grow without bound (e2^n e1^n needs 2 n^2)
+_MEMO_LIMIT = 40_000
 
-# the most product-memo entries one reduction may add: past it the word
-# is refused (InputError).  In the twisted Weyl algebra e2^n e1^n adds
-# n^2 entries and peaks at 29 MB (n = 128), 58 MB (n = 256) and 106 MB
-# (n = 384), so a refused word stops below about 80 MB
-MAX_REDUCTION_ENTRIES = 100_000
+# the most memo terms one reduction may add: past it the word is refused
+# (InputError).  e2^n e1^n fits up to n = 316 (80 MB peak as a process);
+# e3^n e2^n e1^n x^n in so(3)* adds 140,818 at n = 5 and is refused from
+# n = 6 on; a refused word stops below about 95 MB
+MAX_REDUCTION_TERMS = 200_000
 
 
 class RelationSystem:
@@ -64,8 +66,10 @@ class RelationSystem:
         if twist.owner is not algebroid or twist.degree != 2:
             raise InputError("twist must be a 2-form on the same algebroid")
         self.twist = twist
-        # NF(u * a) by (powers of u, item a), see normal_form
+        # NF(u * a) by (powers of u, item a), see normal_form, and the
+        # number of terms it holds
         self._products: Dict[Tuple[Powers, int], Terms] = {}
+        self._terms = 0
         # the non-constant coefficients that words hold, by code
         self._coefficients: List[RingElement] = []
         self._codes: Dict[tuple, int] = {}
@@ -73,10 +77,12 @@ class RelationSystem:
 
     def _bound_memo(self) -> None:
         """Empty the memo, the coefficient codes its keys hold and the
-        rules (whose gf edges hold codes too) when the memo has grown past
-        _MEMO_LIMIT; called before a reduction encodes its word."""
-        if len(self._products) > _MEMO_LIMIT:
+        rules (whose gf edges hold codes too) when the memo holds more
+        than _MEMO_LIMIT terms; called before a reduction encodes its
+        word."""
+        if self._terms > _MEMO_LIMIT:
             self._products = {}
+            self._terms = 0
             self._coefficients = []
             self._codes = {}
             self._rules = None
@@ -419,8 +425,8 @@ def _fill(system: RelationSystem, keys: List[Tuple[Powers, int]],
           ceiling: int) -> None:
     """Memoise NF(u a) for each key and every entry it needs, on an
     explicit stack of suspended entries, so word length is not bounded
-    by the recursion limit.  Raises InputError when the memo grows past
-    `ceiling` entries."""
+    by the recursion limit.  Raises InputError when the memo's terms
+    grow past `ceiling`."""
     memo = system._products
     stack = [[key, None] for key in keys]
     while stack:
@@ -434,10 +440,11 @@ def _fill(system: RelationSystem, keys: List[Tuple[Powers, int]],
             needed = next(frame[1])
         except StopIteration as done:
             memo[frame[0]] = done.value
+            system._terms += len(done.value)
             stack.pop()
-            if len(memo) > ceiling:
+            if system._terms > ceiling:
                 raise InputError("the reduction needs more than %d product "
-                                 "entries" % MAX_REDUCTION_ENTRIES)
+                                 "terms" % MAX_REDUCTION_TERMS)
         else:
             stack.extend([key, None] for key in needed)
 
@@ -445,8 +452,9 @@ def _fill(system: RelationSystem, keys: List[Tuple[Powers, int]],
 def _fold(system: RelationSystem, state: Terms, word: Word) -> Terms:
     """NF(state * word): the items of an encoded word multiplied into the
     state one at a time, from the left, filling the memo entries a step
-    lacks before finishing it, at most MAX_REDUCTION_ENTRIES of them."""
-    ceiling = len(system._products) + MAX_REDUCTION_ENTRIES
+    lacks before finishing it and adding at most MAX_REDUCTION_TERMS terms
+    to the memo."""
+    ceiling = system._terms + MAX_REDUCTION_TERMS
     for a in word:
         out: Terms = {}
         skipped = _times(system, state.items(), a, out)
@@ -499,8 +507,8 @@ def normal_form(items: Iterable[Item], system: RelationSystem) -> PbwElement:
     x^e NF(u a).  NF(u a) for an ascending u is memoised on the system
     under (exponent vector of u, a), so e2^n e1^n needs O(n^2) entries
     of two terms each.  The result is grouped by word only on the way
-    out.  A reduction that would add more than MAX_REDUCTION_ENTRIES
-    memo entries is refused with InputError.
+    out.  A reduction that would add more than MAX_REDUCTION_TERMS terms
+    to the memo is refused with InputError.
     """
     system._bound_memo()
     scale, word = system._encode(items)

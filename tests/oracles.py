@@ -34,7 +34,8 @@ and covariant derivatives on term dicts whose coefficients are all
 Fraction, the reference for the int-or-Fraction coefficients of `rings`.
 `coboundary_system` and `line_bundle_dims_by_overlaps` lay the Cech
 systems out overlap by overlap, the reference for the one restriction
-column in `cech`.  `whole_slice_dims` and `whole_slice_primitive` solve
+that writes the rows of `cech`, and `system_from_columns` builds a
+`linalg.SparseSystem` from keyed columns for the tests that give one so.  `whole_slice_dims` and `whole_slice_primitive` solve
 each windowed cohomology and exactness question from a whole degree
 slice, the reference for `forms._WindowedComplex.dims` and the weight
 blocks of `exactness_solve`, and `window_weight_basis` lists a weight's
@@ -403,7 +404,7 @@ def stencil_column(stencil, idx, t, mono):
     the tuple-keyed column evaluator the row codes replaced, summing the
     stencil's compiled entries one tuple key at a time.  The reference
     for `Stencil.rows`, decoded."""
-    consts, anchors = stencil._compile(idx, t)
+    consts, anchors = stencil._compile((idx, t))
     out = {}
     for key, shift, c in consts:
         k = (key, tuple(a + b for a, b in zip(mono, shift)))
@@ -437,6 +438,21 @@ def complex_columns(complex_, codes, basis):
         for j, c in row.items():
             cols[j][k] = c
     return cols
+
+
+def system_from_columns(cols, key=None):
+    """The `linalg.SparseSystem` whose column j is cols[j], a {row key:
+    value} map: its rows are the union of the column keys, sorted as
+    `SparseSystem.from_rows` sorts them, and zero values are dropped."""
+    from collections import defaultdict
+    from algebroid.linalg import SparseSystem
+
+    rows = defaultdict(dict)
+    for j, col in enumerate(cols):
+        for k, c in col.items():
+            if c:
+                rows[k][j] = c
+    return SparseSystem.from_rows(rows, len(cols), key)
 
 
 def flatten_columns(images, key):
@@ -658,7 +674,7 @@ def commutation_witness(sl, gather=False):
             continue
         if p + q + 2 > sl.max_total + 1:
             continue
-        for (i1, i2, mono) in basis:
+        for (i1, i2), mono in basis:
             term = {(i1, i2): m.l1.base.monomial(mono)}
             if gather:
                 one = gather_d1(m, p, q + 1, gather_d2(m, p, q, term))
@@ -738,7 +754,7 @@ def whole_slice_dims(complex_, degrees, windows, drop):
             d = columns(p, w, codes)
             im = 0
             if p > 0:
-                inside = {codes.code((idx, 0), m) for idx, m in complex_.basis(p, w)}
+                inside = {codes.code(key, m) for key, m in complex_.basis(p, w)}
                 im = image_inside(columns(p - 1, w.enlarged(drop), codes), inside)
             out[w][p] = (len(d) - len(keyed_pivots(d)), im)
     return out
@@ -766,8 +782,8 @@ def block_dims(complex_, degrees, windows, drop):
 
     def blocks_of(p, w):
         out = {}
-        for idx, m in complex_.basis(p, w):
-            out.setdefault(complex_.weight(idx, m), []).append((idx, m))
+        for key, m in complex_.basis(p, w):
+            out.setdefault(complex_.weight(key[0], m), []).append((key, m))
         return out
 
     degrees, windows = sorted(set(degrees)), list(windows)
@@ -820,7 +836,6 @@ def whole_slice_primitive(theta, window):
     returns as its primitive, solved from every column of the
     degree-(p-1) slice of its domain window; None when there is none."""
     from algebroid.forms import TruncationWindow, _ce_complex, _extent
-    from algebroid.linalg import SparseSystem
 
     l = theta.owner
     drop, _ = l.coefficient_degree_profile()
@@ -834,9 +849,9 @@ def whole_slice_primitive(theta, window):
     rhs = {codes.code((idx, 0), m): c for idx, val in theta.coeffs.items()
            for m, c in val.terms.items()}
     basis = complex_.basis(p, dom)
-    (terms,) = SparseSystem.from_columns(
+    (terms,) = system_from_columns(
         complex_columns(complex_, codes, basis)).solve([rhs], basis)
-    return terms
+    return None if terms is None else {idx: t for (idx, _), t in terms.items()}
 
 
 def window_weight_basis(complex_, p, window, weights):
@@ -852,7 +867,7 @@ def window_weight_basis(complex_, p, window, weights):
     for idx in combinations(range(complex_.rank), p):
         shift = sum(index_weight[i] for i in idx)
         monos = [m for wt in weights for m in groups.get(wt - shift, ())]
-        out.extend((idx, m) for m in sorted(monos))
+        out.extend((complex_.keys[idx], m) for m in sorted(monos))
     return out
 
 

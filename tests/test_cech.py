@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from algebroid import cech
+from algebroid import cech, forms
 from algebroid.cech import (CechPair, Cover, GluingReport, LocalConnectionBunch,
                             Overlap, atiyah_cocycle,
                             coboundary_test, glue_sridharan,
@@ -373,7 +373,8 @@ def test_gluing_maps_are_algebra_morphisms_on_short_words():
 def coboundary_pairs():
     """(cover, pair_a, pair_b): the p1 tangent and log covers with their
     Atiyah pairs, the three-chart cover, and the sheared planes with chart
-    2-forms, so that overlap and chart rows both occur."""
+    2-forms, so that overlap and chart rows both occur, one of them of a
+    degree no window reaches."""
     for structure, k in (("tangent", 2), ("log", 3)):
         cover = make_p1_cover(structure, bundle=k)
         yield cover, zero_pair(cover), atiyah_cocycle(cover)
@@ -389,6 +390,10 @@ def coboundary_pairs():
         cover, {(0, 1): LForm(frame, 1, {(0,): x * y, (1,): r.const(4)})},
         {a: LForm(cover.chart_algebroid(a), 2,
                   {(0, 1): cover.chart_ring(a).var("xu"[a]) + a}) for a in (0, 1)})
+    # a chart 2-form of degree 12, past the exponents of every window's
+    # columns: its right-hand side must be coded apart from their rows
+    yield cover, zero_pair(cover), CechPair(
+        cover, {}, {0: LForm(cover.chart_algebroid(0), 2, {(0, 1): x ** 12 + y})})
 
 
 def sheared_plane_cover():
@@ -405,25 +410,57 @@ def sheared_plane_cover():
     return cover
 
 
-def test_coboundary_system_matches_overlap_oracle(monkeypatch):
-    captured = []
+def recorded_coboundary_system(cover, pair_a, pair_b, window):
+    """(result, columns, rhs) of one `coboundary_test`: the keyed rows it
+    gives `SparseSystem.from_rows`, read as columns, and the right-hand
+    side it solves for, with each chart row code ("ch", a, code) decoded
+    to ("ch", a, index tuple, exponents) by the codes chart a asked its
+    complex for."""
+    systems, rhss, made = [], [], []
 
     class Recording(SparseSystem):
         @classmethod
-        def from_columns(cls, cols):
-            captured.append(cols)
-            return super().from_columns(cols)
+        def from_rows(cls, rows, ncols, key=None):
+            systems.append((rows, ncols))
+            return super().from_rows(rows, ncols, key)
 
-        def solve(self, rhss, basis):
-            captured.extend(rhss)
-            return super().solve(rhss, basis)
+        def solve(self, rhs, basis):
+            rhss.extend(rhs)
+            return super().solve(rhs, basis)
 
-    monkeypatch.setattr(cech, "SparseSystem", Recording)
+    def recording_complex(l):
+        complex_ = forms._ce_complex(l)
+        make = complex_.codes
+        complex_.codes = lambda bound: made.append(make(bound)) or made[-1]
+        return complex_
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cech, "SparseSystem", Recording)
+        mp.setattr(cech, "_ce_complex", recording_complex)
+        result = coboundary_test(cover, pair_a, pair_b, window)
+    ((rows, ncols),), (rhs,) = systems, rhss
+    # the charts of rank >= 2 ask for their codes in chart order
+    codes = dict(zip([a for a in range(len(cover.charts))
+                      if cover.chart_algebroid(a).rank >= 2], made))
+    assert len(codes) == len(made)
+
+    def decode(key):
+        if key[0] != "ch":
+            return key
+        (idx, _), exps = codes[key[1]].decode(key[2])
+        return ("ch", key[1], idx, exps)
+
+    cols = [{} for _ in range(ncols)]
+    for key, row in rows.items():
+        for j, c in row.items():
+            cols[j][decode(key)] = c
+    return result, cols, {decode(key): c for key, c in rhs.items()}
+
+
+def test_coboundary_system_matches_overlap_oracle():
     for window in (TruncationWindow(2, 2), TruncationWindow(4, 5)):
         for cover, pair_a, pair_b in coboundary_pairs():
-            captured.clear()
-            coboundary_test(cover, pair_a, pair_b, window)
-            (cols, rhs) = captured
+            _, cols, rhs = recorded_coboundary_system(cover, pair_a, pair_b, window)
             assert (cols, rhs) == coboundary_system(cover, pair_a, pair_b, window)
 
 

@@ -7,6 +7,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -168,6 +169,29 @@ def test_negative_degrees_parse_as_a_value(argv, spec):
     assert code == 0
     if "--json" not in argv:
         assert text.startswith("H^%s: dim 0" % spec[:2])
+
+
+ZERO = "dim 0 (kernel 0, image 0) [stable]"
+ZERO_JSON = {"dim": 0, "image": 0, "kernel": 0, "stable": True}
+
+
+@pytest.mark.parametrize("argv,plain,as_json", [
+    # plane.adf's T has rank 2: no degree of these ranges is in 0..2
+    (["cohomology", "plane.adf", "T", "--degrees", "3"], "H^3: %s\n" % ZERO,
+     {"cohomology": {"3": ZERO_JSON}, "exit": 0, "window": [8, 12]}),
+    (["cohomology", "plane.adf", "T", "--degrees=-3..-1"],
+     "".join("H^%d: %s\n" % (p, ZERO) for p in (-3, -2, -1)),
+     {"cohomology": {str(p): ZERO_JSON for p in (-3, -2, -1)}, "exit": 0,
+      "window": [8, 12]}),
+    (["compare-total", "matched.adf", "M", "--degrees", "5..6"],
+     "degree 5: total 0, twilled 0\ndegree 6: total 0, twilled 0\nagree\n",
+     {"agree": True, "exit": 0, "total": {"5": 0, "6": 0}, "twilled": {"5": 0, "6": 0}}),
+], ids=["cohomology-3", "cohomology-negative", "compare-total-5..6"])
+def test_degrees_outside_the_rank_are_zero(argv, plain, as_json):
+    # a range that holds no degree in 0..rank answers (0, 0) at each degree
+    assert invoke(argv) == (0, plain)
+    code, text = invoke(argv + ["--json"])
+    assert code == 0 and json.loads(text) == as_json
 
 
 @pytest.mark.parametrize("flags,env", [
@@ -416,14 +440,35 @@ def test_nested_power_is_bounded_by_its_degree_range(as_json):
 
 
 @pytest.mark.parametrize("as_json", [False, True])
-def test_reduction_over_the_entry_budget_is_usage_error(as_json):
-    # e2^n e1^n adds n^2 product entries: n = 316 fits the budget, and
-    # n = 400 is refused once the budget is spent
-    from algebroid.pbw import MAX_REDUCTION_ENTRIES
-    assert 316 ** 2 <= MAX_REDUCTION_ENTRIES < 317 ** 2
+def test_reduction_over_the_term_budget_is_usage_error(as_json):
+    # e2^n e1^n adds n^2 product entries of two terms each: n = 316 fits
+    # the budget, and n = 400 is refused once the budget is spent
+    from algebroid.pbw import MAX_REDUCTION_TERMS
+    assert 2 * 316 ** 2 <= MAX_REDUCTION_TERMS < 2 * 317 ** 2
     flag = ["--json"] if as_json else []
     code, text = invoke(["normal-form", "plane.adf", "monopole", "e2^400*e1^400"] + flag)
-    message = "the reduction needs more than %d product entries" % MAX_REDUCTION_ENTRIES
+    message = "the reduction needs more than %d product terms" % MAX_REDUCTION_TERMS
+    assert code == 2
+    if as_json:
+        assert json.loads(text) == {"error": message, "exit": 2}
+    else:
+        assert text == "error: %s\n" % message
+
+
+@pytest.mark.parametrize("as_json", [False, True])
+def test_so3_word_over_the_term_budget_exits_quickly(tmp_path, as_json):
+    # in so(3)* a product entry of e3^n e2^n e1^n x^n holds many terms:
+    # n = 5 fills 3,055 entries of 140,818 terms, and at n = 7 the 10,362
+    # entries would hold 1,428,466, so the term budget refuses the word
+    # long before the entries grow large
+    from algebroid.pbw import MAX_REDUCTION_TERMS
+    path = tmp_path / "so3.adf"
+    path.write_text(SO3_AND_TANGENT + "relations SR on S;\n")
+    flag = ["--json"] if as_json else []
+    start = time.perf_counter()
+    code, text = invoke(["normal-form", str(path), "SR", "e3^7*e2^7*e1^7*x^7"] + flag)
+    assert time.perf_counter() - start < 10
+    message = "the reduction needs more than %d product terms" % MAX_REDUCTION_TERMS
     assert code == 2
     if as_json:
         assert json.loads(text) == {"error": message, "exit": 2}
@@ -648,7 +693,7 @@ def argv(draw):
     if window is not None:
         out += ["--window", window]
     if command in ("cohomology", "compare-total") and draw(st.booleans()):
-        lo, hi = sorted(draw(st.lists(st.integers(0, 3), min_size=2, max_size=2)))
+        lo, hi = sorted(draw(st.lists(st.integers(-2, 6), min_size=2, max_size=2)))
         out += ["--degrees", draw(st.sampled_from(
             ("%d..%d" % (lo, hi), "%d,%d" % (lo, hi), "%d.." % lo, "x", "-1..1")))]
     if command in ("chern", "atiyah") and draw(st.booleans()):

@@ -129,7 +129,7 @@ def test_double_complex_differentials_square_to_zero():
     for (p, q), basis in sorted(sl.bases.items()):
         if p + q > 1:
             continue
-        for (i1, i2, mono) in basis:
+        for (i1, i2), mono in basis:
             term = {(i1, i2): base.monomial(mono)}
             once = sl.d1(term)
             twice = sl.d1(once)
@@ -249,7 +249,7 @@ def test_swapped_sheared_pair_nonzero_action12():
     assert sl.commutation_check() is None
     acted = 0
     for (p, q), basis in sorted(sl.bases.items()):
-        for (i1, i2, mono) in basis:
+        for (i1, i2), mono in basis:
             term = {(i1, i2): m.l1.base.monomial(mono)}
             once = sl.d1(term)
             assert all(v.is_zero() for v in sl.d1(once).values())
@@ -313,7 +313,7 @@ def assert_rows_match_gather(sl):
     bidegree under the slice's current codes, decodes to the gather
     columns."""
     m = sl.pair
-    pairs = sl._codes[1]
+    pairs = sl._codes[0]
     for (p, q), basis in sorted(sl.bases.items()):
         for second, gather in ((False, gather_d1), (True, gather_d2)):
             cols = [{} for _ in basis]
@@ -322,7 +322,7 @@ def assert_rows_match_gather(sl):
                     cols[j][pairs.decode(code)] = c
             assert cols == flatten_columns(
                 [gather(m, p, q, {(i1, i2): m.l1.base.monomial(mono)})
-                 for i1, i2, mono in basis], lambda label, mm: (label, mm))
+                 for (i1, i2), mono in basis], lambda label, mm: (label, mm))
 
 
 @pytest.mark.parametrize("window", [TruncationWindow(2, 2), TruncationWindow(3, 2)])

@@ -443,9 +443,10 @@ def test_memo_keys_hold_no_constant_coefficients():
 
 
 def test_reduction_budget_refuses_a_word_and_keeps_the_memo_whole(monkeypatch):
-    # one reduction may add MAX_REDUCTION_ENTRIES memo entries; past them
-    # it stops with InputError, and the entries it did add are whole, so
-    # the next words reduce as on a fresh system
+    # one reduction may add MAX_REDUCTION_TERMS memo terms; past them it
+    # stops with InputError, and the entries it did add are whole, so the
+    # next words reduce as on a fresh system.  Each entry of e2^n e1^n
+    # here holds two terms
     from algebroid import pbw
     from algebroid.core import InputError
 
@@ -456,18 +457,19 @@ def test_reduction_budget_refuses_a_word_and_keeps_the_memo_whole(monkeypatch):
     fresh = twisted_weyl()
     expected = [str(normal_form([1] * n + [0] * n, fresh)) for n in (6, 9)]
     assert len(fresh._products) == 81
-    monkeypatch.setattr(pbw, "MAX_REDUCTION_ENTRIES", 50)
+    assert fresh._terms == sum(map(len, fresh._products.values())) == 162
+    monkeypatch.setattr(pbw, "MAX_REDUCTION_TERMS", 100)
     s = twisted_weyl()
     normal_form([1] * 7 + [0] * 7, s)
-    assert len(s._products) == 49
-    with pytest.raises(InputError, match="more than 50 product entries"):
+    assert len(s._products) == 49 and s._terms == 98
+    with pytest.raises(InputError, match="more than 100 product terms"):
         normal_form([1] * 12 + [0] * 12, s)
     assert [str(normal_form([1] * n + [0] * n, s)) for n in (6, 9)] == expected
 
 
 def test_small_memo_limit_gives_the_same_answers(monkeypatch):
     # the memo is emptied between reductions once it holds more than
-    # _MEMO_LIMIT entries; its codes and rules go with it, so a session
+    # _MEMO_LIMIT terms; its codes and rules go with it, so a session
     # answers alike under any limit
     from algebroid import pbw
 
@@ -487,9 +489,10 @@ def test_small_memo_limit_gives_the_same_answers(monkeypatch):
     assert session() == expected
     s = structure_function_systems()[1]
     normal_form([2, 1, s.ring.var("x"), 0, 2, 1], s)
-    assert len(s._products) > 3 and s._coefficients and s._rules is not None
+    assert s._terms > 3 and s._coefficients and s._rules is not None
     s._bound_memo()
-    assert (s._products, s._coefficients, s._codes, s._rules) == ({}, [], {}, None)
+    assert (s._products, s._terms, s._coefficients, s._codes, s._rules) \
+        == ({}, 0, [], {}, None)
 
 
 def test_weyl_closed_form():

@@ -10,20 +10,19 @@ from itertools import combinations
 
 import pytest
 
-from algebroid import cech
-from algebroid.cech import Cover, coboundary_test, zero_pair
+from algebroid.cech import Cover, zero_pair
 from algebroid.connections import Connection, EValuedForm, extend_connection
 from algebroid.core import (Algebroid, make_foliation, make_log, make_poisson,
                             make_tangent)
 from algebroid.forms import (LForm, RowCodes, TruncationWindow, _ce_complex,
                              _tuple_keys, compile_d, covariant_d)
-from algebroid.linalg import SparseSystem
 from algebroid.matched import DoubleComplexSlice, _total_complex
 from algebroid.rings import ChartRing, laurent_ring, poly_ring
 
 from oracles import (complex_columns, decode_column, flatten_columns, gather_d1,
                      gather_d2, gather_d_form, gather_extend_connection,
                      scatter_covariant_d, stencil_column)
+from test_cech import recorded_coboundary_system
 from test_matched import assert_rows_match_gather, matched_pairs
 
 
@@ -94,7 +93,7 @@ def shuffled_terms(rng, rank, degree, labels, poly):
 def one_column(stencil, codes, idx, t, mono):
     """The image of theta^idx (x) b_t * x^mono as {row code: value}, read
     from a one-element `rows` batch."""
-    return {code: row[0] for code, row in stencil.rows(codes, [(idx, mono)], t).items()}
+    return {code: row[0] for code, row in stencil.rows(codes, [((idx, t), mono)]).items()}
 
 
 def test_algebroids_verified():
@@ -190,14 +189,14 @@ def test_differential_entries_match_oracle_columns(window):
         for p in range(l.rank + 1):
             basis = complex_.basis(p, window)
             want = flatten_columns(
-                [scatter_covariant_d(l, {(idx, 0): ring.monomial(m)})
-                 for idx, m in basis], lambda key, m: (key, m))
+                [scatter_covariant_d(l, {key: ring.monomial(m)})
+                 for key, m in basis], lambda key, m: (key, m))
             assert [decode_column(codes, col)
                     for col in complex_columns(complex_, codes, basis)] == want
-            assert [stencil_column(compile_d(l), idx, 0, m) for idx, m in basis] == want
+            assert [stencil_column(compile_d(l), idx, 0, m) for (idx, _), m in basis] == want
             gathered = flatten_columns(
                 [gather_d_form(LForm(l, p, {idx: ring.monomial(m)})).coeffs
-                 for idx, m in basis], lambda idx, m: ((idx, 0), m))
+                 for (idx, _), m in basis], lambda idx, m: ((idx, 0), m))
             assert want == gathered
 
 
@@ -216,22 +215,20 @@ def test_total_columns_match_gather_columns():
         complexes = [_total_complex(DoubleComplexSlice(m, top, window)),
                      _total_complex(warm)]
 
-        def merged(a1, a2):
-            return (a1 + tuple(n1 + j for j in a2), 0)
-
+        monos = window.monomials(ring)
         for n in range(top + 1):
             basis = complexes[0].basis(n, window)
+            # keyed (I, J), in the twilled sum's order of merged tuples
+            assert [i1 + tuple(n1 + j for j in i2) for (i1, i2), _ in basis[::len(monos)]] \
+                == list(combinations(range(top), n))
             want = []
-            for idx, mono in basis:
-                i1 = tuple(i for i in idx if i < n1)
-                i2 = tuple(i - n1 for i in idx if i >= n1)
+            for (i1, i2), mono in basis:
                 p, q = len(i1), len(i2)
                 term = {(i1, i2): ring.monomial(mono)}
-                col = {(merged(a1, a2), mm): c
-                       for (a1, a2), val in gather_d1(m, p, q, term).items()
+                col = {(key, mm): c for key, val in gather_d1(m, p, q, term).items()
                        for mm, c in val.terms.items()}
-                col.update({(merged(a1, a2), mm): (-1) ** p * c
-                            for (a1, a2), val in gather_d2(m, p, q, term).items()
+                col.update({(key, mm): (-1) ** p * c
+                            for key, val in gather_d2(m, p, q, term).items()
                             for mm, c in val.terms.items()})
                 want.append(col)
             for complex_ in complexes:
@@ -240,24 +237,15 @@ def test_total_columns_match_gather_columns():
                         for col in complex_columns(complex_, codes, basis)] == want
 
 
-def test_cech_chart_columns_match_scatter(monkeypatch):
+def test_cech_chart_columns_match_scatter():
     """The chart equations d eta_a of coboundary_test, on a cover of
     unglued charts of rank 2 and 3, column by column."""
-    captured = []
-
-    class Recording(SparseSystem):
-        @classmethod
-        def from_columns(cls, cols):
-            captured.append(cols)
-            return SparseSystem.from_columns(cols)
-
-    monkeypatch.setattr(cech, "SparseSystem", Recording)
     charts = [(l.base, l) for l in algebroids()]
     cover = Cover(charts, {})
     window = TruncationWindow(2, 2)
-    assert coboundary_test(cover, zero_pair(cover), zero_pair(cover),
-                           window).status == "equivalent"
-    (cols,) = captured
+    result, cols, _ = recorded_coboundary_system(cover, zero_pair(cover),
+                                                 zero_pair(cover), window)
+    assert result.status == "equivalent"
     want = []
     for a, (ring, l) in enumerate(charts):
         for i in range(l.rank):

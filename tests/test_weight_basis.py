@@ -2,6 +2,8 @@
 of a window and solves the last from each wanted weight, against
 `oracles.window_weight_basis`, which weighs every window monomial."""
 
+from itertools import combinations
+
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -34,7 +36,9 @@ def graded_complex(draw):
     if nv and draw(st.booleans()):
         for g in vectors:
             g[nv - 1] = 0
-    complex_ = _WindowedComplex(ring, rank, None, None, lambda: tuple(map(tuple, vectors)))
+    keys = {idx: (idx, 0) for q in range(rank + 1) for idx in combinations(range(rank), q)}
+    complex_ = _WindowedComplex(ring, rank, keys, None, None,
+                                lambda: tuple(map(tuple, vectors)))
     window = TruncationWindow(draw(st.integers(0, 5)), draw(st.integers(1, 4)))
     p = draw(st.integers(0, rank))
     elements = st.tuples(
@@ -61,7 +65,7 @@ def test_weight_basis_of_every_element_is_the_basis(name, make, lattice, windows
     for window in windows:
         for p in range(complex_.rank + 1):
             basis = complex_.basis(p, window)
-            weights = {complex_.weight(idx, m) for idx, m in basis}
+            weights = {complex_.weight(idx, m) for (idx, _), m in basis}
             assert complex_.weight_basis(p, window, weights) == basis
 
 
@@ -72,4 +76,4 @@ def test_large_window_lists_only_the_wanted_weight():
     wanted = [complex_.weight((0,), (-1, -1))]
     assert complex_.weight_basis(1, TruncationWindow(10000, 10000), wanted) \
         == window_weight_basis(complex_, 1, TruncationWindow(5, 5), wanted) \
-        == [((0,), (-1, -1)), ((1,), (0, -2))]
+        == [(((0,), 0), (-1, -1)), (((1,), 0), (0, -2))]
