@@ -48,12 +48,7 @@ def push_algebroid(alg: Algebroid, rmap: RingMap,
     for k, name in enumerate(alg.base.derivation_names):
         for v in alg.base.variables:
             lhs = rmap(alg.base.derive(name, alg.base.var(v)))
-            rhs = target.zero
-            img = rmap(alg.base.var(v))
-            for e, dname in enumerate(target.derivation_names):
-                coeff = der_transport[k][e]
-                if not coeff.is_zero():
-                    rhs = rhs + coeff * target.derive(dname, img)
+            rhs = target.apply_vector(der_transport[k], rmap(alg.base.var(v)))
             if lhs != rhs:
                 raise StructureError(
                     "derivation transport violates the chain rule on %r" % v)
@@ -359,7 +354,7 @@ def atiyah_cocycle(cover: Cover) -> CechPair:
         ginv = g.inverse()
         coeffs = {}
         for i in range(frame.rank):
-            val = ginv * frame.anchor_apply(frame.basis_section(i), g)
+            val = ginv * frame.base.apply_vector(frame.anchor[i], g)
             if not val.is_zero():
                 coeffs[(i,)] = val
         phi[key] = LForm(frame, 1, coeffs)
@@ -600,9 +595,8 @@ def verify_lambda_module(cover: Cover, pair: CechPair,
                 if not row[jdir].is_zero():
                     b_dir = _mat_add(b_dir, _mat_scale(row[jdir], mats_b[i]))
             # gauge to the first chart's module frame: g (a(g^-1) + B g^-1)
-            direction = frame.basis_section(jdir)
-            a_ginv = tuple(tuple(frame.anchor_apply(direction, x) for x in row)
-                           for row in ginv)
+            a_ginv = tuple(tuple(frame.base.apply_vector(frame.anchor[jdir], x)
+                                 for x in row) for row in ginv)
             gauged = _mat_mul(g, _mat_add(a_ginv, _mat_mul(b_dir, ginv, zero)), zero)
             got = _mat_sub(mats_a[jdir], gauged)
             phival = pair.phi[(a, b)].component((jdir,))

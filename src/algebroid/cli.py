@@ -112,11 +112,20 @@ def parse_window(spec: str | None) -> TruncationWindow:
     return TruncationWindow(*map(int, parts))
 
 
+MAX_DEGREE_RANGE = 1000    # degrees in one "lo..hi" range
+
+
 def parse_degrees(spec: str) -> list:
-    """"lo..hi" or a comma list of integers; ValueError if bad."""
+    """"lo..hi" or a comma list of integers; ValueError if bad, or if the
+    range holds more than MAX_DEGREE_RANGE degrees (every degree past the
+    rank answers zero, so a longer range only fills memory)."""
     if ".." in spec:
         lo, _, hi = spec.partition("..")
-        degrees = list(range(int(lo), int(hi) + 1))
+        lo, hi = int(lo), int(hi)
+        if hi - lo >= MAX_DEGREE_RANGE:
+            raise ValueError("degree range %r holds more than %d degrees"
+                             % (spec, MAX_DEGREE_RANGE))
+        degrees = list(range(lo, hi + 1))
     else:
         degrees = [int(p) for p in spec.split(",")]
     if not degrees:

@@ -76,10 +76,9 @@ class Connection:
         l = self.algebroid
         if len(vector) != self.rank:
             raise StructureError("vector length does not match module rank")
-        e = l.basis_section(i)
         out = []
         for a in range(self.rank):
-            val = l.anchor_apply(e, vector[a])
+            val = l.base.apply_vector(l.anchor[i], vector[a])
             for b in range(self.rank):
                 if not self.matrices[i][a][b].is_zero():
                     val = val + self.matrices[i][a][b] * vector[b]
@@ -181,10 +180,9 @@ def curvature(c: Connection) -> CurvatureTensor:
     zero = l.base.zero
     entries = {}
     for i, j in combinations(range(l.rank), 2):
-        ei, ej = l.basis_section(i), l.basis_section(j)
-        ai_of_aj = tuple(tuple(l.anchor_apply(ei, x) for x in row)
+        ai_of_aj = tuple(tuple(l.base.apply_vector(l.anchor[i], x) for x in row)
                          for row in c.matrices[j])
-        aj_of_ai = tuple(tuple(l.anchor_apply(ej, x) for x in row)
+        aj_of_ai = tuple(tuple(l.base.apply_vector(l.anchor[j], x) for x in row)
                          for row in c.matrices[i])
         mat = _mat_sub(ai_of_aj, aj_of_ai)
         mat = _mat_add(mat, _mat_sub(_mat_mul(c.matrices[i], c.matrices[j], zero),

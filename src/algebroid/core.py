@@ -28,7 +28,11 @@ class InputError(StructureError):
 
 
 class Section:
-    """A section of an algebroid: coordinates in the module basis."""
+    """A section of an algebroid: coordinates in the module basis.
+
+    Sections are immutable: `coefficients` is a tuple and every operation
+    returns a new section, so one section may be shared (see
+    `Algebroid.basis_section`)."""
 
     __slots__ = ("owner", "coefficients")
 
@@ -130,6 +134,7 @@ class Algebroid:
             raise StructureError("basis name count does not match rank")
         self._verification: Optional[Verification] = None
         self._stencil = None        # forms.compile_d's trivial-connection kernel
+        self._basis: Optional[Tuple[Section, ...]] = None    # see basis_section
 
     def _anchor_row(self, row, nder) -> Tuple[RingElement, ...]:
         vals = tuple(self.base._coerce(c) for c in row)
@@ -144,9 +149,13 @@ class Algebroid:
         return Section(self, coefficients)
 
     def basis_section(self, i: int) -> Section:
-        coeffs = [self.base.zero] * self.rank
-        coeffs[i] = self.base.one
-        return Section(self, coeffs)
+        """e_i, one shared section per index, built on first use."""
+        if self._basis is None:
+            one, zero = self.base.one, self.base.zero
+            self._basis = tuple(
+                Section(self, [one if k == t else zero for k in range(self.rank)])
+                for t in range(self.rank))
+        return self._basis[i]
 
     def zero_section(self) -> Section:
         return Section(self, [self.base.zero] * self.rank)
@@ -176,16 +185,15 @@ class Algebroid:
         return tuple(out)
 
     def anchor_apply(self, u: Section, f: RingElement) -> RingElement:
+        """a(u)(f); a constant f gives the zero without building a(u).  On a
+        basis section e_i, `base.apply_vector(anchor[i], f)` is the same."""
         if f.ring is not self.base:
             raise RingError("function does not live on this chart")
         if u.owner is not self:
             raise StructureError("section belongs to a different algebroid")
-        result = self.base.zero
-        vec = self.anchor_derivation(u)
-        for d, name in enumerate(self.base.derivation_names):
-            if not vec[d].is_zero():
-                result = result + vec[d] * self.base.derive(name, f)
-        return result
+        if f.is_constant():
+            return self.base.zero
+        return self.base.apply_vector(self.anchor_derivation(u), f)
 
     def bracket(self, u: Section, v: Section) -> Section:
         """Bracket of sections, expanded by bilinearity and Leibniz."""
@@ -282,17 +290,7 @@ def vector_field_bracket(r: ChartRing, v: Sequence[RingElement],
                          w: Sequence[RingElement]) -> Tuple[RingElement, ...]:
     """[v, w] of vector fields given as coefficients of the ring's declared
     (commuting) derivations: [v, w]_d = sum_e v_e d_e(w_d) - w_e d_e(v_d)."""
-    names = r.derivation_names
-    out = []
-    for d in range(len(names)):
-        acc = r.zero
-        for e, name in enumerate(names):
-            if not v[e].is_zero():
-                acc = acc + v[e] * r.derive(name, w[d])
-            if not w[e].is_zero():
-                acc = acc - w[e] * r.derive(name, v[d])
-        out.append(acc)
-    return tuple(out)
+    return tuple(r.apply_vector(v, wd) - r.apply_vector(w, vd) for vd, wd in zip(v, w))
 
 
 def verify_axioms(l: Algebroid) -> Verification:
@@ -490,7 +488,7 @@ class AlgebroidMorphism:
 
     def verify(self) -> bool:
         for i in range(self.source.rank):
-            lhs = self.source.anchor_derivation(self.source.basis_section(i))
+            lhs = self.source.anchor[i]
             rhs = self.target.anchor_derivation(self.images[i])
             if any((a - b) != 0 for a, b in zip(lhs, rhs)):
                 return False

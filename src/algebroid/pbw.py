@@ -136,8 +136,7 @@ class RelationSystem:
         rhs): the gf relations [e_i, x] = a(e_i)(x) on the variable names
         x, then the gg relations [e_j, e_i] for j > i (see _commutator)."""
         l, ring = self.algebroid, self.ring
-        rels = [(i, v, self.scalar(
-                    l.anchor_apply(l.basis_section(i), ring.var(v))))
+        rels = [(i, v, self.scalar(ring.apply_vector(l.anchor[i], ring.var(v))))
                 for v in ring.variables for i in range(l.rank)]
         rels += [(j, i, self._commutator(j, i))
                  for j in range(l.rank) for i in range(j)]
@@ -145,34 +144,28 @@ class RelationSystem:
 
     def _compiled(self):
         """The rule tables, built on first use: for j > i the edges of
-        e_j e_i -> e_i e_j + [e_j, e_i], for each generator its anchor as
-        (derivation name, coefficient) pairs, and the gf edges met so far
-        (see _edges)."""
+        e_j e_i -> e_i e_j + [e_j, e_i], and the gf edges met so far (see
+        _edges)."""
         if self._rules is None:
             l = self.algebroid
             gg = {(j, i): [(1, (i, j))] + [
                       self._edge(c, w)
                       for w, c in self._commutator(j, i).terms.items()]
                   for j in range(l.rank) for i in range(j)}
-            anchors = [[(name, c) for name, c
-                        in zip(self.ring.derivation_names, row)
-                        if not c.is_zero()] for row in l.anchor]
-            self._rules = (gg, anchors, {})
+            self._rules = (gg, {})
         return self._rules
 
     def _edges(self, b: int, a: int) -> List[Tuple[Coefficient, Word]]:
         """The edges (c, mid) of the redex e_b a, so that e_b a = sum of
         c * mid: a gg redex for a generator a < b, a gf redex
         e_b f -> f e_b + a(e_b)(f) for a coefficient code a."""
-        gg, anchors, gf = self._compiled()
+        gg, gf = self._compiled()
         if a >= 0:
             return gg[b, a]
         edges = gf.get((b, a))
         if edges is None:
-            f = self._coefficients[~a]
-            derived = self.ring.zero
-            for name, c in anchors[b]:
-                derived = derived + c * self.ring.derive(name, f)
+            derived = self.ring.apply_vector(self.algebroid.anchor[b],
+                                             self._coefficients[~a])
             edges = gf[b, a] = [(1, (a, b))]
             if not derived.is_zero():
                 edges.append(self._edge(derived))

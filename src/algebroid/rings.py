@@ -59,8 +59,9 @@ class ChartRing:
         if unknown:
             raise RingError("laurent flag for unknown variables: %s" % sorted(unknown))
         self.laurent: frozenset = frozenset(laurent)
+        self._origin = (0,) * len(self.variables)   # the exponents of a constant
         self.zero = RingElement(self, {})
-        self.one = RingElement(self, {(0,) * len(self.variables): 1})
+        self.one = RingElement(self, {self._origin: 1})
         # TruncationWindow -> its monomials, filled by forms on first use
         self._window_monomials: Dict[object, tuple] = {}
 
@@ -123,10 +124,13 @@ class ChartRing:
             raise RingError("unknown derivation %r" % name) from None
 
     def derive(self, name: str, f: "RingElement") -> "RingElement":
-        """Apply the named derivation to f (Leibniz extension, power rule)."""
+        """Apply the named derivation to f (Leibniz extension, power rule);
+        a constant f gives the zero."""
         if f.ring is not self:
             raise RingError("element belongs to a different ring")
         action = self.derivation_action(name)
+        if f.is_constant():
+            return self.zero
         out: Dict[Exponents, Coefficient] = {}
         for exps, coeff in f.terms.items():
             for i, e in enumerate(exps):
@@ -142,6 +146,21 @@ class ChartRing:
                     key = tuple(x + y for x, y in zip(lowered, aexps))
                     out[key] = out.get(key, 0) + base * acoeff
         return RingElement._trusted(self, out)
+
+    def apply_vector(self, vector: Sequence["RingElement"], f: "RingElement"
+                     ) -> "RingElement":
+        """The vector field sum_d vector[d] * D_d, given by its coefficients
+        over the declared derivations D_d, applied to f; a constant f gives
+        the zero."""
+        if f.ring is not self:
+            raise RingError("element belongs to a different ring")
+        out = self.zero
+        if f.is_constant():
+            return out
+        for name, c in zip(self.derivation_names, vector):
+            if c.terms:
+                out = out + c * self.derive(name, f)
+        return out
 
     def _check_derivations_commute(self) -> None:
         names = self.derivation_names
@@ -347,12 +366,11 @@ class RingElement:
         return self.ring.derive(name, self)
 
     def constant_term(self) -> Coefficient:
-        zero = (0,) * len(self.ring.variables)
-        return self.terms.get(zero, 0)
+        return self.terms.get(self.ring._origin, 0)
 
     def is_constant(self) -> bool:
-        zero = (0,) * len(self.ring.variables)
-        return all(e == zero for e in self.terms)
+        terms = self.terms
+        return not terms or (len(terms) == 1 and self.ring._origin in terms)
 
     def total_degree_range(self) -> Tuple[int, int]:
         """(min, max) of the signed total degree over the support; (0, 0) if zero."""

@@ -31,7 +31,10 @@ the anchor and the structure constants by Fraction arithmetic, and
 `power_by_squaring` the reference for `RingElement.__pow__`.  The `frac_*`
 functions redo ring arithmetic, derivations, ring maps, section brackets
 and covariant derivatives on term dicts whose coefficients are all
-Fraction, the reference for the int-or-Fraction coefficients of `rings`.
+Fraction, the reference for the int-or-Fraction coefficients of `rings`,
+and `anchor_vector_apply` builds a(u) and applies it derivation by
+derivation, the reference for `anchor_apply` and `derive`, which return
+zero on a constant without building a(u).
 `coboundary_system` and `line_bundle_dims_by_overlaps` lay the Cech
 systems out overlap by overlap, the reference for the one restriction
 that writes the rows of `cech`, and `system_from_columns` builds a
@@ -1353,6 +1356,23 @@ def frac_anchor_apply(l, u, f):
         for name, a in zip(l.base.derivation_names, l.anchor[i]):
             out = frac_add(out, frac_mul(frac_mul(ui, fraction_terms(a)),
                                          frac_derive(l.base, name, f)))
+    return out
+
+
+def anchor_vector_apply(l, u, f):
+    """a(u)(f) by the route that does not look at f first: the vector a(u)
+    summed from u's coefficients and the anchor with ring arithmetic, then
+    applied derivation by derivation, each derivative of f by
+    `frac_derive`.  The reference for `Algebroid.anchor_apply` and
+    `ChartRing.derive`, which return zero on a constant f at once."""
+    ring = l.base
+    out = ring.zero
+    for d, name in enumerate(ring.derivation_names):
+        coeff = ring.zero
+        for i, c in enumerate(u.coefficients):
+            coeff = coeff + c * l.anchor[i][d]
+        if not coeff.is_zero():
+            out = out + coeff * RingElement(ring, frac_derive(ring, name, fraction_terms(f)))
     return out
 
 

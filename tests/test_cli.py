@@ -194,6 +194,36 @@ def test_degrees_outside_the_rank_are_zero(argv, plain, as_json):
     assert code == 0 and json.loads(text) == as_json
 
 
+@pytest.mark.parametrize("spec", ["0..1000000000", "0..1000", "-1000000000..0"])
+@pytest.mark.parametrize("as_json", [False, True])
+def test_degree_range_over_the_bound_is_usage_error(spec, as_json):
+    # the range is refused before its list is built: one line, exit 2
+    from algebroid.cli import MAX_DEGREE_RANGE
+    assert MAX_DEGREE_RANGE == 1000
+    flag = ["--json"] if as_json else []
+    code, text = invoke(["cohomology", "plane.adf", "T", "--degrees=" + spec] + flag)
+    message = "degree range %r holds more than 1000 degrees" % spec
+    assert code == 2
+    if as_json:
+        assert json.loads(text) == {"error": message, "exit": 2}
+    else:
+        assert text == "error: %s\n" % message
+
+
+def test_degree_range_at_the_bound_answers_every_degree():
+    # 1,000 degrees are answered and printed as before the bound
+    code, text = invoke(["cohomology", "plane.adf", "T", "--degrees", "-997..2",
+                         "--window", "2"])
+    lines = text.splitlines()
+    assert code == 0 and len(lines) == 1000
+    assert lines[:997] == ["H^%d: %s" % (p, ZERO) for p in range(-997, 0)]
+    assert lines[997:] == invoke(["cohomology", "plane.adf", "T", "--degrees", "0..2",
+                                  "--window", "2"])[1].splitlines()
+    code, text = invoke(["compare-total", "matched.adf", "M", "--degrees", "3..1002",
+                         "--window", "2,2", "--json"])
+    assert code == 0 and len(json.loads(text)["total"]) == 1000
+
+
 @pytest.mark.parametrize("flags,env", [
     (["--window", "abc"], None),
     (["--window", "-1"], None),
@@ -502,6 +532,71 @@ def test_verify_refutes_matched_pair_with_curved_action(tmp_path, command, as_js
         assert text == "refuted: %s\n" % witness
 
 
+WITNESSES = """# the sheared pair of matched.adf with action21 perturbed: equation 1 fails
+ring R = poly(Q; x, y, z, w);
+algebroid L1 over R { basis e1, e2; anchor e1 -> d/dx, e2 -> d/dy; }
+algebroid L2 over R { basis f1, f2; anchor f1 -> x*d/dx + d/dz, f2 -> d/dw; }
+connection act12 on L1 rank 2 { }
+connection bad21 on L2 rank 2 { f1 -> [[-1, 0], [0, 1]]; }
+matched E1 { l1 L1; l2 L2; action12 act12; action21 bad21; }
+# the Heisenberg algebra and a line, the line acting on e1 alone: equation
+# 3 fails, and equation 2 once the factors are exchanged
+ring S = poly(Q; x);
+algebroid H over S { basis e1, e2, e3; bracket [e1, e2] = e3; }
+algebroid A over S { basis f1; }
+connection onA on H rank 1 { }
+connection onH on A rank 3 { f1 -> [[1, 0, 0], [0, 0, 0], [0, 0, 0]]; }
+matched E3 { l1 H; l2 A; action12 onA; action21 onH; }
+matched E2 { l1 A; l2 H; action12 onH; action21 onA; }
+# the anchor is no bracket morphism: [d/dx, x*d/dy] = d/dy, a([e1, e2]) = x*d/dy
+ring P = poly(Q; x, y);
+algebroid N over P { basis e1, e2; anchor e1 -> d/dx, e2 -> x*d/dy; bracket [e1, e2] = e2; }
+"""
+
+
+@pytest.mark.parametrize("name,equation,indices,indices0", [
+    ("E1", 1, "(2, 1)", "(1, 0)"),
+    ("E2", 2, "(1, 1, 2)", "(0, 0, 1)"),
+    ("E3", 3, "(1, 1, 2)", "(0, 0, 1)"),
+])
+@pytest.mark.parametrize("as_json", [False, True])
+def test_matched_equation_witnesses(tmp_path, name, equation, indices, indices0, as_json):
+    # each equation's refutation through every command that checks the
+    # pair, as the command line prints it (verify and matched number the
+    # indices from 1, twilled from 0)
+    path = tmp_path / "witnesses.adf"
+    path.write_text(WITNESSES)
+    flag = ["--json"] if as_json else []
+    verdict = "refuted: equation %d fails at indices %s\n" % (equation, indices)
+    as_verdict = {"equation": equation, "exit": 1, "kind": "matched", "verified": False}
+    twilled = "not a matched pair: equation %d fails on %s" % (equation, indices0)
+    total = "not a matched pair; equation %d fails" % equation
+    for command, plain, data in (
+            ("verify", verdict, as_verdict), ("matched", verdict, as_verdict),
+            ("twilled", "refuted: %s\n" % twilled, {"error": twilled, "exit": 1}),
+            ("compare-total", "refuted: %s\n" % total, {"error": total, "exit": 1})):
+        code, text = invoke([command, str(path), name] + flag)
+        assert code == 1, command
+        if as_json:
+            assert json.loads(text) == data, command
+        else:
+            assert text == plain, command
+
+
+@pytest.mark.parametrize("as_json", [False, True])
+def test_anchor_morphism_witness(tmp_path, as_json):
+    path = tmp_path / "witnesses.adf"
+    path.write_text(WITNESSES)
+    code, text = invoke(["verify", str(path), "N"] + (["--json"] if as_json else []))
+    witness = "anchor-morphism-failure on (e1, e2): residual (<0>, <x - 1>)"
+    assert code == 1
+    if as_json:
+        assert json.loads(text) == {"exit": 1, "kind": "algebroid", "verified": False,
+                                    "witness": witness}
+    else:
+        assert text == "refuted: %s\n" % witness
+
+
 @pytest.mark.parametrize("as_json", [False, True])
 def test_verify_of_mismatched_cover_is_parse_error(tmp_path, as_json):
     # covers are verified when they are parsed, so a transition that does
@@ -693,7 +788,9 @@ def argv(draw):
     if window is not None:
         out += ["--window", window]
     if command in ("cohomology", "compare-total") and draw(st.booleans()):
-        lo, hi = sorted(draw(st.lists(st.integers(-2, 6), min_size=2, max_size=2)))
+        # a degree past 10^9 makes a range longer than the bound
+        lo, hi = sorted(draw(st.lists(st.integers(-2, 6) | st.just(10 ** 9),
+                                      min_size=2, max_size=2)))
         out += ["--degrees", draw(st.sampled_from(
             ("%d..%d" % (lo, hi), "%d,%d" % (lo, hi), "%d.." % lo, "x", "-1..1")))]
     if command in ("chern", "atiyah") and draw(st.booleans()):

@@ -8,8 +8,9 @@ import pytest
 from algebroid.connections import Connection, is_flat
 from algebroid.core import (Algebroid, StructureError, make_lie_algebra_bundle,
                             make_tangent, make_trivial_bundle)
-from algebroid.forms import TruncationWindow, covariant_d, truncated_cohomology
-from algebroid.matched import (DoubleComplexSlice, MatchedPair, twilled_sum,
+from algebroid.forms import (RowCodes, TruncationWindow, covariant_d, truncated_cohomology,
+                             _ce_complex, _tuple_keys)
+from algebroid.matched import (DoubleComplexSlice, MatchedPair, _total_complex, twilled_sum,
                                total_cohomology_compare, verify_matched)
 from algebroid.rings import ChartRing, poly_ring
 
@@ -398,3 +399,31 @@ def test_verify_matched_matches_per_factor_oracle():
         assert got == want
         equations.add(got.witness.equation if got.witness else None)
     assert equations == {None, 1, 2, 3}
+
+
+def heisenberg_derivation_pair():
+    """The Heisenberg algebra h and a line a acting on h by the derivation
+    e1 -> e1, e2 -> 0, e3 -> e3: a matched pair with a nonzero action."""
+    base = kunneth_pair()
+    on_h = Connection(base.l2, 3, [[[1, 0, 0], [0, 0, 0], [0, 0, 1]]])
+    return MatchedPair(base.l1, base.l2, base.action12, on_h)
+
+
+@pytest.mark.parametrize("window", [TruncationWindow(2, 2), TruncationWindow(3, 3)])
+def test_total_and_twilled_systems_are_one_matrix(window):
+    """The total complex of the double complex and the twilled sum's
+    Chevalley-Eilenberg complex list the same basis and give identical
+    rows in every degree under one code layout: `compare-total`
+    eliminates one matrix twice."""
+    pairs = matched_pairs() + [heisenberg_derivation_pair()]
+    for m in pairs + [MatchedPair(m.l2, m.l1, m.action21, m.action12) for m in pairs]:
+        n = m.l1.rank + m.l2.rank
+        tw = twilled_sum(m)
+        sl = DoubleComplexSlice(m, n, window)
+        total, ce = _total_complex(sl), _ce_complex(tw)
+        codes = sl.codes(window.bound(tw.base) + max(sl.reach, tw._stencil.reach))
+        ce_codes = RowCodes(_tuple_keys(n), len(tw.base.variables), codes.bias)
+        for p in range(n + 1):
+            basis, ce_basis = total.basis(p, window), ce.basis(p, window)
+            assert [(sl.keys[idx], mono) for (idx, _), mono in ce_basis] == basis
+            assert total.rows(codes, basis) == ce.rows(ce_codes, ce_basis)
