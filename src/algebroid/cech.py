@@ -21,15 +21,15 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from operator import mul
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .connections import (Connection, curvature, _mat_add, _mat_mul,
                           _mat_scale, _mat_sub)
 from .core import (Algebroid, AlgebroidMorphism, InputError, Section,
                    StructureError, make_log, make_tangent)
-from .forms import (LForm, TruncationWindow, IndexTuple, pullback, _ce_complex,
-                    _ring_det)
-from .linalg import SparseSystem
+from .forms import (LForm, RowCodes, TruncationWindow, IndexTuple, compile_d, pullback,
+                    _ring_det, _WindowedComplex)
 from .pbw import GeneratorMap, PbwElement, RelationSystem
 from .rings import (ChartRing, RingElement, RingMap, laurent_ring, mul_terms,
                     poly_ring)
@@ -373,76 +373,112 @@ class ClassComparison:
         return self.status == "inequivalent"
 
 
-def _restrict_into(rows: Dict[tuple, Dict[int, Fraction]], cover: Cover,
-                   frames: Mapping[Tuple[int, int], Sequence],
-                   j: int, a: int, i: int, mono: IndexTuple) -> None:
-    """Write the Cech image of x^mono * e_i on chart a into column j of
-    `rows`: its restriction to every overlap (a, b) with sign +, and to
-    every overlap (b, a) with sign -, where the second chart's component
-    k is frames[(b, a)][i][k] times the restricted monomial.  Rows are
-    keyed ("ov", first chart, second chart, k, overlap exponents)."""
-    for (first, second), ov in cover.overlaps.items():
-        if a == first:
-            for exps, c in ov.map_a.monomial_terms(mono).items():
-                rows[("ov", first, second, i, exps)][j] = c
-        elif a == second:
-            img = ov.map_b.monomial_terms(mono)
-            for k, coeff in enumerate(frames[(first, second)][i]):
-                for exps, c in mul_terms(coeff.terms, img).items():
-                    rows[("ov", first, second, k, exps)][j] = -c
+def _size(terms) -> int:
+    """The largest |exponent| of the terms, 0 without any."""
+    return max((abs(e) for exps in terms for e in exps), default=0)
+
+
+def _cech_complex(cover: Cover, lo: int, hi: int, frames: Mapping) -> _WindowedComplex:
+    """The windowed Cech-Chevalley-Eilenberg complex of the cover in total
+    degrees lo and lo + 1 of its cut lo <= q <= hi, lo 0 or 1.
+
+    Block (sigma, I, t) is an ascending q-tuple I of the basis of a chart,
+    or of the reference frame of an overlap, sigma, over its ring, with
+    the module label t = 0, in total degree q on a chart and q + 1 on an
+    overlap.  It is keyed (I, (sigma, t)), so each chart's stencil writes
+    its rows under the complex's codes.  A chart block of degree lo has
+    its chart's stencil rows when lo < hi, and restricts to every overlap
+    (a, b) it is the first chart of with sign +, and to every overlap
+    (b, a) with sign -, its component i = I[0] (0 for I = ()) landing on
+    component k times frames[(b, a)][i][k]: the bundle transition at
+    q = 0, the inverse transition at q = 1.  Nothing of total degree
+    lo + 2 or on a triple overlap is built."""
+    blocks: Dict[int, List[Tuple[tuple, ChartRing]]] = {lo: [], lo + 1: []}
+    stencils = {}
+    for a, (ring, alg) in enumerate(cover.charts):
+        for q in range(lo, min(hi, lo + 1) + 1):
+            blocks[q] += [((idx, (a, 0)), ring) for idx in combinations(range(alg.rank), q)]
+        if lo < hi and alg.rank > lo:
+            alg.require_verified("the Cech complex")
+            stencils[a] = compile_d(alg)
+    restricting = {key for key, _ in blocks[lo]}    # the chart blocks of degree lo
+    for key in sorted(cover.overlaps):
+        ov = cover.overlaps[key]
+        blocks[lo + 1] += [((idx, (key, 0)), ov.ring)
+                           for idx in combinations(range(len(ov.transition)), lo)]
+    keys = [key for n in sorted(blocks) for key, _ in blocks[n]]
+    nv = max(len(ring.variables) for found in blocks.values() for _, ring in found)
+    # a monomial with exponents of size at most `bound` restricts to one of
+    # size at most bound * spread, which a frame or a stencil moves by at
+    # most reach
+    spread = max([1] + [sum(_size(img.terms) for img in m.images.values())
+                        for ov in cover.overlaps.values() for m in (ov.map_a, ov.map_b)])
+    reach = max([stencil.reach for stencil in stencils.values()]
+                + [_size(c.terms) for frame in frames.values() for row in frame for c in row],
+                default=0)
+
+    def plan(codes: RowCodes, idx: IndexTuple, a: int) -> list:
+        """(restriction map, [(code of the target block at exponent 0, frame
+        coefficient terms, or None for 1)]) per overlap of chart a."""
+        out = []
+        for key, ov in cover.overlaps.items():
+            if a == key[0]:
+                out.append((ov.map_a, [(codes.code((idx, (key, 0)), ()), None)]))
+            elif a == key[1]:
+                out.append((ov.map_b, [
+                    (codes.code(((k,) if idx else (), (key, 0)), ()), (-c).terms)
+                    for k, c in enumerate(frames[key][idx[0] if idx else 0])]))
+        return out
+
+    def rows(codes: RowCodes, basis) -> Dict[int, dict]:
+        out: Dict[int, dict] = defaultdict(dict)
+        runs: Dict[int, list] = defaultdict(list)   # chart -> (column, element) of its stencil
+        last, places = None, codes.places
+        for j, (key, mono) in enumerate(basis):
+            if key is not last:
+                last, (idx, (a, _)) = key, key
+                live = key in restricting
+                targets = plan(codes, idx, a) if live else ()
+            for rmap, images in targets:
+                img = rmap.monomial_terms(mono)
+                for base, terms in images:
+                    for exps, c in (img if terms is None else mul_terms(terms, img)).items():
+                        out[base + sum(map(mul, places, exps))][j] = c
+            if live and a in stencils:
+                runs[a].append((j, basis[j]))
+        for a, run in runs.items():
+            for code, row in stencils[a].rows(codes, [item for _, item in run]).items():
+                for i, c in row.items():
+                    out[code][run[i][0]] = c
+        return out
+
+    return _WindowedComplex(blocks, lambda bound: RowCodes(keys, nv, bound * spread + reach),
+                            rows)
 
 
 def coboundary_test(cover: Cover, pair_a: CechPair, pair_b: CechPair,
                     window: TruncationWindow | None = None) -> ClassComparison:
     """Decide whether the two cocycle pairs differ by a coboundary
-    (delta eta, d eta) with per-chart 1-forms eta inside the window.
-
-    A positive answer returns the eta and is verified by substitution.
-    A negative answer is window-relative unless the cover carries a
-    residue functional, whose nonzero value is an exact certificate.
+    (delta eta, d eta) with per-chart 1-forms eta inside the window: one
+    solve from total degree 1 to total degree 2 of the cut q >= 1 of
+    `_cech_complex`, with phi on its overlap blocks and Q on its chart
+    blocks.  A positive answer returns the eta and is verified by
+    substitution.  A negative answer is window-relative unless the cover
+    carries a residue functional, whose nonzero value is an exact
+    certificate.
     """
     window = window or TruncationWindow()
     diff = pair_b.difference(pair_a)
-    # unknowns: (chart a, basis index i) x window monomial of chart a
-    basis = [((a, i), mono) for a in range(len(cover.charts))
-             for i in range(cover.chart_algebroid(a).rank)
-             for mono in window.monomials(cover.chart_ring(a))]
-    # overlap equations push_a(eta_a) - push_b(eta_b) = phi_diff
-    frames = {key: ov.transition_inverse for key, ov in cover.overlaps.items()}
-    rows: Dict[tuple, Dict[int, Fraction]] = defaultdict(dict)
-    for j, ((a, i), mono) in enumerate(basis):
-        _restrict_into(rows, cover, frames, j, a, i, mono)
-    rhs = {}
-    for (a, b), form in diff.phi.items():
-        for (j,), val in form.coeffs.items():
-            for exps, c in val.terms.items():
-                rhs[("ov", a, b, j, exps)] = c
-    # chart equations d eta_a = q_diff_a, keyed ("ch", a, row code); the
-    # codes cover q's exponents too, so a term of q that no column
-    # reaches has a code of its own
-    start = 0
-    for a in range(len(cover.charts)):
-        ring, alg = cover.chart_ring(a), cover.chart_algebroid(a)
-        if alg.rank >= 2:
-            alg.require_verified("coboundary testing")
-            complex_, q = _ce_complex(alg), diff.q[a].coeffs
-            codes = complex_.codes(max([window.bound(ring)] + [
-                abs(e) for val in q.values() for exps in val.terms for e in exps]))
-            for k, row in complex_.rows(codes, complex_.basis(1, window)).items():
-                rows[("ch", a, k)] = {start + j: c for j, c in row.items()}
-            for idx, val in q.items():
-                for exps, c in val.terms.items():
-                    rhs[("ch", a, codes.code((idx, 0), exps))] = c
-        start += alg.rank * len(window.monomials(ring))
-
-    (terms,) = SparseSystem.from_rows(rows, len(basis)).solve([rhs], basis)
+    complex_ = _cech_complex(cover, 1, 2, {key: ov.transition_inverse
+                                            for key, ov in cover.overlaps.items()})
+    terms = complex_.solve(
+        complex_.basis(1, window), max(window.bound(ring) for ring, _ in cover.charts),
+        {((idx, (sigma, 0)), m): c for sigma, form in [*diff.phi.items(), *diff.q.items()]
+         for idx, val in form.coeffs.items() for m, c in val.terms.items()})
     if terms is not None:
-        eta = {}
-        for a in range(len(cover.charts)):
-            ring = cover.chart_ring(a)
-            alg = cover.chart_algebroid(a)
-            eta[a] = LForm(alg, 1, {(i,): RingElement(ring, terms[(a, i)])
-                                    for i in range(alg.rank) if (a, i) in terms})
+        eta = {a: LForm(alg, 1, {idx: RingElement(ring, t)
+                                 for (idx, (b, _)), t in terms.items() if b == a})
+               for a, (ring, alg) in enumerate(cover.charts)}
         _verify_coboundary(cover, diff, eta)
         return ClassComparison("equivalent", eta=eta, window=window)
 
@@ -612,16 +648,14 @@ def verify_lambda_module(cover: Cover, pair: CechPair,
 
 
 def line_bundle_cech_dims(cover: Cover, window: TruncationWindow | None = None
-                          ) -> Tuple[int, int]:
-    """(h0, h1) of the bundle from one column reduction of the two-term
-    Cech complex of chart sections against overlap sections.
-
-    The chart windows are enlarged past the overlap exponent window by
-    the transition degree, so the windowed cokernel has no boundary
-    artifacts: every missing monomial is a genuine cohomology class.
-    The rows inside the overlap window come first, so the image inside
-    it is the number of reduced columns whose low is one of them
-    (`linalg`), and h1 is the rest of the window.
+                          ) -> Tuple[int, int, bool]:
+    """(h0, h1) of the line bundle at the window, and whether they are the
+    same at the window enlarged by 2, from one column reduction of the
+    cut q = 0 of `_cech_complex`.  h1 is the cokernel of degree 1, the
+    overlap sections in the box of exponents of size at most the window's
+    Laurent bound, under the chart sections of the box enlarged by the
+    transition degree, so that every missing monomial is a genuine
+    cohomology class; h0 is the kernel on those chart sections.
     """
     window = window or TruncationWindow()
     slack = 0
@@ -630,21 +664,16 @@ def line_bundle_cech_dims(cover: Cover, window: TruncationWindow | None = None
             raise InputError("cover has no bundle data")
         if len(ov.bundle) != 1:
             raise InputError("dimension counts are built for line bundles")
-        g = ov.bundle[0][0]
-        lo, hi = g.total_degree_range()
+        lo, hi = ov.bundle[0][0].total_degree_range()
         slack = max(slack, abs(lo), abs(hi))
-    chart_window = TruncationWindow(window.laurent + slack, window.laurent + slack)
-
     box = TruncationWindow(window.laurent, window.laurent)
-    window_keys = {("ov", a, b, 0, exps) for (a, b), ov in cover.overlaps.items()
-                   for exps in box.monomials(ov.ring)}
-    frames = {key: ov.bundle for key, ov in cover.overlaps.items()}
-    sections = [(a, mono) for a in range(len(cover.charts))
-                for mono in chart_window.monomials(cover.chart_ring(a))]
-    rows: Dict[tuple, Dict[int, Fraction]] = defaultdict(dict)
-    for j, (a, mono) in enumerate(sections):
-        _restrict_into(rows, cover, frames, j, a, 0, mono)
-    sys = SparseSystem.from_rows(rows, len(sections), key=lambda k: (k not in window_keys, k))
-    pivots = sys.pivots()
-    inside = sum(k in window_keys for k in sys.row_keys)
-    return sys.ncols - len(pivots), len(window_keys) - sum(low < inside for low, _ in pivots)
+    wide = box.enlarged(2)
+    dims = _cech_complex(cover, 0, 0, {key: ov.bundle for key, ov in cover.overlaps.items()}
+                         ).dims({0: (box.enlarged(slack), wide.enlarged(slack)),
+                                 1: (box, wide)}, slack)
+
+    def at(w: TruncationWindow) -> Tuple[int, int]:
+        kernel, image = dims[w][1]
+        return dims[w.enlarged(slack)][0][0], kernel - image
+
+    return at(box) + (at(box) == at(wide),)

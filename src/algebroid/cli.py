@@ -188,9 +188,7 @@ def cmd_verify(args, defs: Definitions, out: Output, window) -> int:
         if v.verified:
             return out.verdict(True, "verified: %s is a matched pair" % name)
         out.set("equation", v.witness.equation)
-        return out.verdict(False, "refuted: equation %d fails at indices %s"
-                           % (v.witness.equation,
-                              tuple(t + 1 for t in v.witness.indices)))
+        return out.verdict(False, "refuted: %s" % v.witness.describe())
     if kind == "cocycle":
         rep = verify_cocycle(obj.cover, obj)
         out.set("kind", "cocycle")
@@ -470,12 +468,17 @@ def cmd_lambda_check(args, defs, out, window) -> int:
 
 def cmd_cech_dims(args, defs, out, window) -> int:
     cover = need(defs, args.cover, "cover")
-    h0, h1 = line_bundle_cech_dims(cover, window)
+    h0, h1, stable = line_bundle_cech_dims(cover, window)
     out.line("h0 = %d" % h0)
     out.line("h1 = %d" % h1)
     out.set("h0", h0)
     out.set("h1", h1)
-    return out.emit(EXIT_OK)
+    if stable:
+        return out.emit(EXIT_OK)
+    out.line("window-unstable: the dims change at the window enlarged by 2; "
+             "inconclusive")
+    out.set("stable", False)
+    return out.emit(EXIT_WINDOW)
 
 
 COMMANDS = {

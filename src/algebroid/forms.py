@@ -20,7 +20,6 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, chain, combinations, permutations
-from math import comb
 from operator import mul
 from typing import (Dict, Hashable, Iterable, List, Mapping, Optional,
                     Sequence, Tuple)
@@ -102,7 +101,10 @@ class RowCodes:
     the largest shift of its stencils (`Stencil.reach`), so that the
     images of its basis elements fit too.  An exponent shift s moves a
     code by the unbiased packing of s, so a compiled stencil entry is one
-    int offset per call (`Stencil.rows`).
+    int offset per call (`Stencil.rows`).  A monomial in fewer variables
+    packs into the leading digits, its missing variables at exponent 0,
+    so the blocks of rings with fewer variables share the codes: their
+    codes too sort like their monomials.
     """
 
     def __init__(self, keys: Iterable[Hashable], nv: int, bias: int):
@@ -572,11 +574,15 @@ class TruncationWindow:
         if monos is None:
             # (prefix, degree budget left); extending in ascending exponent
             # order keeps the prefixes sorted
-            level = [((), self.degree)]
-            for lo, hi in self.ranges(ring):
+            level, ranges = [((), self.degree)], self.ranges(ring)
+            for lo, hi in ranges[:-1]:
                 level = [(m + (e,), left - max(e, 0)) for m, left in level
                          for e in range(lo, min(hi, left) + 1)]
-            monos = ring._window_monomials[self] = tuple(m for m, _ in level)
+            monos = ((),)
+            if ranges:      # the last exponent leaves no budget to track
+                lo, hi = ranges[-1]
+                monos = tuple(m + (e,) for m, left in level for e in range(lo, min(hi, left) + 1))
+            ring._window_monomials[self] = monos
         return monos
 
 
@@ -606,34 +612,46 @@ _RADIX = 1 << 64
 class _WindowedComplex:
     """A cochain complex on window slices.
 
-    Degree p has the basis (key of an ascending p-tuple of 0..rank-1,
-    window monomial), in that order; `keys` maps each tuple to its key,
-    one object shared by all of that tuple's basis elements.
-    `codes(bound)` gives the `RowCodes` of a call whose monomials have
-    exponents of size at most `bound`, whose blocks are the keys of the
-    tuples in the order of `_tuple_keys`, so within one degree the codes
-    sort like (tuple, monomial).  `rows(codes, basis)` gives the images
-    of a list of basis elements as rows {code: {column: value}}, column j
-    the image of basis[j].
+    Degree p is the list blocks[p] of blocks (key, ring): its basis is
+    (key, window monomial of the ring) for each block in turn, one key
+    object shared by all of a block's basis elements, and a degree that
+    `blocks` does not name is zero.  `codes(bound)` gives the `RowCodes`
+    of a call whose monomials have exponents of size at most `bound`,
+    numbering the blocks so that within one degree the codes sort like
+    (block, monomial).  `rows(codes, basis)` gives the images of a list
+    of basis elements as rows {code: {column: value}}, column j the image
+    of basis[j].
     `grading` returns vectors (w | u) as `Stencil.weights` gives them: the
     differential maps the basis elements of each weight into the same
-    weight one degree up.  It is called only when a weight is asked for.
+    weight one degree up.  It is called only when a weight is asked for,
+    and only on a Chevalley-Eilenberg complex: one ring, degrees 0..rank,
+    blocks keyed (index tuple, label).
     """
 
-    def __init__(self, ring: ChartRing, rank: int, keys: Mapping[IndexTuple, Hashable],
+    def __init__(self, blocks: Mapping[int, Sequence[Tuple[Hashable, ChartRing]]],
                  codes, rows, grading=tuple):
-        self.ring = ring
-        self.rank = rank
-        self.keys = keys
+        self.blocks = blocks
         self.codes = codes
         self.rows = rows
         self._grading = grading
         self._packed: Optional[Tuple[List[int], List[int]]] = None
 
     def basis(self, p: int, window: TruncationWindow) -> List[Tuple[Hashable, IndexTuple]]:
-        monos = window.monomials(self.ring)
-        return [(self.keys[idx], m) for idx in combinations(range(self.rank), p)
-                for m in monos]
+        return [(key, m) for key, ring in self.blocks.get(p, ())
+                for m in window.monomials(ring)]
+
+    def solve(self, basis: Sequence[Tuple[Hashable, IndexTuple]], bound: int,
+              rhs: Mapping[Tuple[Hashable, IndexTuple], Coefficient]
+              ) -> Optional[Dict[Hashable, Dict[IndexTuple, Coefficient]]]:
+        """`SparseSystem.solve` of d x = rhs, a cochain {(key, monomial):
+        value}, for x in the span of `basis`, whose monomials have
+        exponents of size at most `bound`: {key: {monomial: value}}, or
+        None.  The codes cover the exponents of rhs too, so a term that no
+        column reaches has a code of its own."""
+        codes = self.codes(max([bound] + [abs(e) for _, m in rhs for e in m]))
+        (terms,) = SparseSystem.from_rows(self.rows(codes, basis), len(basis)).solve(
+            [{codes.code(key, m): c for (key, m), c in rhs.items()}], basis)
+        return terms
 
     def _weights(self) -> Tuple[List[int], List[int]]:
         """(weight of each variable's exponent, weight of each index).  A
@@ -642,9 +660,9 @@ class _WindowedComplex:
         is smaller than _RADIX / 2 in size); packing is linear, so an
         element's weight is its monomial's plus its indices'."""
         if self._packed is None:
-            grading, nv = self._grading(), len(self.ring.variables)
+            grading, nv = self._grading(), len(self.blocks[0][0][1].variables)
             packed = [sum(g[at] * _RADIX ** k for k, g in enumerate(grading))
-                      for at in range(nv + self.rank)]
+                      for at in range(nv + max(self.blocks))]
             self._packed = (packed[:nv], packed[nv:])
         return self._packed
 
@@ -663,11 +681,11 @@ class _WindowedComplex:
         variable of weight 0 matches its whole range or nothing."""
         mono_weight, index_weight = self._weights()
         weights = set(weights)
-        tuples = combinations(range(self.rank), p)
+        blocks = self.blocks.get(p, ())
         if not mono_weight:
-            return [(self.keys[idx], ()) for idx in tuples
-                    if sum(index_weight[i] for i in idx) in weights]
-        *ranges, (lo, hi) = window.ranges(self.ring)
+            return [(key, ()) for key, _ in blocks
+                    if sum(index_weight[i] for i in key[0]) in weights]
+        *ranges, (lo, hi) = window.ranges(self.blocks[0][0][1])
         # (prefix, its weight, degree budget left), ascending like `monomials`
         level = [((), 0, window.degree)]
         for (first, last), w in zip(ranges, mono_weight):
@@ -675,8 +693,8 @@ class _WindowedComplex:
                      for e in range(first, min(last, left) + 1)]
         w = mono_weight[-1]
         out = []
-        for idx in tuples:
-            key, shift = self.keys[idx], sum(index_weight[i] for i in idx)
+        for key, _ in blocks:
+            shift = sum(index_weight[i] for i in key[0])
             # the last exponent (target - weight) / w rises with the target
             # when w > 0, so the matches of one prefix come out ascending
             targets = sorted({wt - shift for wt in weights}, reverse=w < 0)
@@ -692,109 +710,127 @@ class _WindowedComplex:
                         out.append((key, m + (e,)))
         return out
 
-    def dims(self, degrees: Iterable[int], windows: Sequence[TruncationWindow],
-             drop: int) -> Dict[TruncationWindow, Dict[int, Tuple[int, int]]]:
-        """{window: {p: (kernel dim, windowed image dim)}}, degrees ascending,
-        (0, 0) outside 0..rank.  The image counts the coboundaries of
-        (p-1)-cochains from the window enlarged by `drop` that land inside
-        the window.
+    def dims(self, asks: Mapping[int, Iterable[TruncationWindow]], drop: int
+             ) -> Dict[TruncationWindow, Dict[int, Tuple[int, int]]]:
+        """{window: {p: (kernel dim, windowed image dim)}} for each degree p
+        and each window asks[p], degrees ascending; (0, 0) at a degree with
+        no blocks.  The image counts the coboundaries of (p-1)-cochains
+        from the window enlarged by `drop` that land inside the window.
 
         The windows and their enlargements by `drop` must be nested, and
         one column reduction per degree (`SparseSystem.pivots`) reads them
         all.  Each degree's basis is ordered by the first of them that
-        holds an element, in basis order inside each such layer, so each
-        window's slice is a prefix of one list of columns, whose rank is
-        its pivot count.  Each system's rows are ordered the same way, by
-        the first window holding the row's monomial, then by code: the
-        column order of the degree above.  A window's image is then the
-        number of reduced columns of the enlarged window's prefix whose
-        low is a row inside the window.  Degree p skips the columns that
-        are lows of degree p - 1 (clearing: Chen & Kerber, EuroCG 2011):
-        each is the last entry of a coboundary, so its column depends on
-        the ones before it.  The differential preserves the weights of
-        `Stencil.weights` and blocks of different weights share no rows,
-        so the rank of one weight's block is the number of pivot columns
-        of that weight: per-weight answers can be read from the same
-        pivots."""
-        degrees = sorted(set(degrees))
+        holds an element, in basis order inside each such layer (the
+        layers of each block's ring), so each window's slice is a prefix
+        of one list of columns, whose rank is its pivot count.  Each
+        system's rows are ordered the same way, by the first window
+        holding the row's monomial, then by code: the column order of the
+        degree above.  A window's image is then the number of reduced
+        columns of the enlarged window's prefix whose low is a row inside
+        the window.  Degree p skips the columns that are lows of degree
+        p - 1 (clearing: Chen & Kerber, EuroCG 2011): each is the last
+        entry of a coboundary, so its column depends on the ones before
+        it.  The differential preserves the weights of `Stencil.weights`
+        and blocks of different weights share no rows, so the rank of one
+        weight's block is the number of pivot columns of that weight:
+        per-weight answers can be read from the same pivots."""
+        out: Dict[TruncationWindow, Dict[int, Tuple[int, int]]] = {}
         reads: Dict[int, set] = {}          # degree -> the windows it is read at
-        for p in degrees:
-            if 0 <= p <= self.rank:
-                reads.setdefault(p, set()).update(windows)
-                if p > 0:
-                    reads.setdefault(p - 1, set()).update(w.enlarged(drop) for w in windows)
+        for p in sorted(asks):
+            for w in asks[p]:
+                out.setdefault(w, {})[p] = (0, 0)
+            if p in self.blocks:
+                reads.setdefault(p, set()).update(asks[p])
+                if p - 1 in self.blocks:
+                    reads.setdefault(p - 1, set()).update(w.enlarged(drop) for w in asks[p])
         if not reads:
-            return {w: dict.fromkeys(degrees, (0, 0)) for w in windows}
+            return out
         nested = sorted(set().union(*reads.values()), key=lambda w: (w.degree, w.laurent))
         at = {w: k for k, w in enumerate(nested)}
-        codes = self.codes(nested[-1].bound(self.ring))
-        layer: Dict[IndexTuple, int] = {}   # monomial -> first of `nested` holding it
-        layers, sizes = [], []
-        for k, w in enumerate(nested):
-            monos = w.monomials(self.ring)
-            layers.append([m for m in monos if m not in layer])
-            layer.update(dict.fromkeys(layers[-1], k))
-            if len(layer) != len(monos):
-                raise ValueError("windows are not nested")
-            sizes.append(len(monos))
-        # packed monomial -> (first of `nested` holding it, its place in that layer)
-        packed = {codes.mono(m): (k, t) for k, monos in enumerate(layers)
-                  for t, m in enumerate(monos)}
+        ring_of = {key: ring for found in self.blocks.values() for key, ring in found}
+        codes = self.codes(max(nested[-1].bound(ring) for ring in ring_of.values()))
+        # per ring: the monomials first held by each of `nested`, counting
+        # only the windows that a degree with blocks over the ring is read
+        # at (the other layers are empty), and for the rings of the rows
+        # each packed monomial's (first of `nested` holding it, its place)
+        targets = {ring for p in reads for _, ring in self.blocks.get(p + 1, ())}
+        layers: Dict[ChartRing, List[List[IndexTuple]]] = {}
+        packed: Dict[ChartRing, Dict[int, Tuple[int, int]]] = {}
+        reads_at = {p: {at[w] for w in ws} for p, ws in reads.items()}
+        for ring in dict.fromkeys(ring_of.values()):
+            kept = set().union(*(reads_at[p] for p in reads
+                                 if any(r is ring for _, r in self.blocks[p])))
+            layer: Dict[IndexTuple, int] = {}
+            layers[ring] = []
+            for k, w in enumerate(nested):
+                monos = w.monomials(ring) if k in kept else ()
+                layers[ring].append([m for m in monos if m not in layer])
+                layer.update(dict.fromkeys(layers[ring][-1], k))
+                if monos and len(layer) != len(monos):
+                    raise ValueError("windows are not nested")
+            if ring in targets:
+                packed[ring] = {codes.mono(m): (k, t) for k, monos in enumerate(layers[ring])
+                                for t, m in enumerate(monos)}
+        by_block = [packed.get(ring_of[key], {}) for key in codes.keys]
         far = (len(nested), 0)
         pivots: Dict[int, List[Tuple[int, int]]] = {}
         held: Dict[int, List[int]] = {}     # degree -> its rows inside each of `nested`
+        sizes: Dict[int, List[int]] = {}    # degree -> its basis elements inside each
         low_codes: Dict[int, List[int]] = {}
         ranks: Dict[tuple, int] = {}
         for p in sorted(reads):
-            keys = [self.keys[idx] for idx in combinations(range(self.rank), p)]
             top = max(map(at.get, reads[p]))
-            basis = [(key, m) for k in range(top + 1) for key in keys for m in layers[k]]
+            # first[k][block]: the column of the block's first element in layer k
+            basis, first, sizes[p] = [], [], []
+            for k in range(top + 1):
+                first.append({})
+                for key, ring in self.blocks[p]:
+                    first[k][codes.block[key]] = len(basis)
+                    basis.extend((key, m) for m in layers[ring][k])
+                sizes[p].append(len(basis))
             rows = self.rows(codes, basis)
             by_first: List[List[int]] = [[] for _ in range(len(nested) + 1)]
             for code in rows:
-                by_first[packed.get(code % codes.scale, far)[0]].append(code)
+                block, mono = divmod(code, codes.scale)
+                by_first[by_block[block].get(mono, far)[0]].append(code)
             order = [code for codes_k in by_first for code in sorted(codes_k)]
             system = SparseSystem([rows[code] for code in order], len(basis), order)
             # a low of degree p - 1 is the code of a degree-p element: its
-            # block gives its tuple, its monomial's layer and place the rest
+            # block, its monomial's layer and its place there give its column
             clear = set()
-            block = codes.block[keys[0]]
             for code in low_codes.get(p - 1, ()):
-                q, mono = divmod(code, codes.scale)
-                k, t = packed.get(mono, far)
+                block, mono = divmod(code, codes.scale)
+                k, t = by_block[block].get(mono, far)
                 if k <= top:
-                    clear.add(len(keys) * (sizes[k - 1] if k else 0)
-                              + (q - block) * len(layers[k]) + t)
+                    clear.add(first[k][block] + t)
             pivots[p] = system.pivots(clear)
-            low_codes[p] = [system.row_keys[t] for t, _ in pivots[p]]
+            low_codes[p] = [order[t] for t, _ in pivots[p]]
             held[p] = list(accumulate(map(len, by_first)))
             columns = [c for _, c in pivots[p]]
             for w in reads[p]:
-                ranks[p, w] = bisect_left(columns, len(keys) * sizes[at[w]])
-
-        def kernel(p: int, window: TruncationWindow) -> int:
-            return comb(self.rank, p) * sizes[at[window]] - ranks[p, window]
-
-        def image(p: int, window: TruncationWindow) -> int:
-            if p == 0:
-                return 0
-            src = window.enlarged(drop)
-            inside = held[p - 1][at[window]]
-            return sum(low < inside for low, _ in pivots[p - 1][:ranks[p - 1, src]])
-
-        return {w: {p: (kernel(p, w), image(p, w)) if 0 <= p <= self.rank else (0, 0)
-                    for p in degrees}
-                for w in windows}
+                ranks[p, w] = bisect_left(columns, sizes[p][at[w]])
+        for p in reads.keys() & asks.keys():
+            for w in asks[p]:
+                image = 0
+                if p - 1 in self.blocks:
+                    inside = held[p - 1][at[w]]
+                    image = sum(low < inside
+                                for low, _ in pivots[p - 1][:ranks[p - 1, w.enlarged(drop)]])
+                out[w][p] = (sizes[p][at[w]] - ranks[p, w], image)
+        return out
 
 
 def _ce_complex(l: Algebroid) -> _WindowedComplex:
     """The Chevalley-Eilenberg complex of l with trivial coefficients,
-    graded by the weights its stencil preserves."""
+    graded by the weights its stencil preserves: degree p holds one block
+    per ascending p-tuple."""
     stencil, keys = compile_d(l), _tuple_keys(l.rank)
     nv = len(l.base.variables)
+    blocks: Dict[int, List[Tuple[Hashable, ChartRing]]] = {}
+    for key in keys:
+        blocks.setdefault(len(key[0]), []).append((key, l.base))
     return _WindowedComplex(
-        l.base, l.rank, {key[0]: key for key in keys},
-        lambda bound: RowCodes(keys, nv, bound + stencil.reach),
+        blocks, lambda bound: RowCodes(keys, nv, bound + stencil.reach),
         stencil.rows, stencil.weights)
 
 
@@ -836,7 +872,7 @@ def truncated_cohomology(l: Algebroid, degrees: Iterable[int],
     _window_check(l, window)
     drop, _bump = l.coefficient_degree_profile()
     wider = window.enlarged(2)
-    dims = _ce_complex(l).dims(degrees, (window, wider), drop)
+    dims = _ce_complex(l).dims(dict.fromkeys(degrees, (window, wider)), drop)
     report = CohomologyReport(window)
     for p, (ker, im) in dims[window].items():
         ker2, im2 = dims[wider][p]
@@ -880,13 +916,8 @@ def exactness_solve(theta: LForm, window: TruncationWindow | None = None
     # weights would solve to zero
     basis = complex_.weight_basis(p, dom_window, {
         complex_.weight(idx, m) for idx, val in theta.coeffs.items() for m in val.terms})
-    codes = complex_.codes(max(
-        [dom_window.bound(l.base)]
-        + [abs(e) for val in theta.coeffs.values() for m in val.terms for e in m]))
-    rhs = {codes.code((idx, 0), m): c for idx, val in theta.coeffs.items()
-           for m, c in val.terms.items()}
-    (terms,) = SparseSystem.from_rows(complex_.rows(codes, basis), len(basis)).solve(
-        [rhs], basis)
+    terms = complex_.solve(basis, dom_window.bound(l.base), {
+        ((idx, 0), m): c for idx, val in theta.coeffs.items() for m, c in val.terms.items()})
     if terms is not None:
         primitive = LForm(l, p, {idx: RingElement(l.base, t)
                                  for (idx, _), t in terms.items()})

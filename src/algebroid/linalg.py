@@ -1,9 +1,9 @@
 """Exact rational linear algebra.
 
 Every linear system the library solves is a `SparseSystem`, built from
-keyed sparse rows (`from_rows`: the windowed cochain systems key theirs
-by the integer row codes of `forms.RowCodes`, the Cech systems by
-overlap and chart), and reduced by one routine, the column reduction of
+keyed sparse rows (`from_rows`: the windowed cochain systems, the Cech
+ones among them, key theirs by the integer row codes of
+`forms.RowCodes`), and reduced by one routine, the column reduction of
 persistent homology (Zomorodian & Carlsson, DCG 33, 2005): each column in
 turn is reduced by the earlier reduced columns until it is zero or its
 low, its last nonzero row in the row order the caller gives, is new.
@@ -24,8 +24,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import (Callable, Collection, Dict, Hashable, List, Mapping,
-                    Optional, Sequence, Tuple)
+from typing import (Collection, Dict, Hashable, List, Mapping, Optional,
+                    Sequence, Tuple)
 
 from .rings import Coefficient, as_fraction
 
@@ -81,10 +81,10 @@ class SparseSystem:
 
     @classmethod
     def from_rows(cls, rows: Mapping[Hashable, Dict[int, Coefficient]],
-                  ncols: int, key: Optional[Callable] = None) -> "SparseSystem":
-        """Row t is rows[k] for the t-th smallest key k (by `key`, when
-        given), used as given (so without zero values)."""
-        keys = sorted(rows, key=key)
+                  ncols: int) -> "SparseSystem":
+        """Row t is rows[k] for the t-th smallest key k, used as given (so
+        without zero values)."""
+        keys = sorted(rows)
         return cls([rows[k] for k in keys], ncols, keys)
 
     def _eliminate(self, rhs: Sequence[Mapping[int, Coefficient]] = (),

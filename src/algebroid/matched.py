@@ -20,7 +20,7 @@ from .connections import Connection, is_flat
 from .core import Algebroid, Section, StructureError, vector_field_bracket
 from .forms import IndexTuple, RowCodes, TruncationWindow, compile_d, sort_with_sign, \
     _ce_complex, _tuple_keys, _window_check, _WindowedComplex
-from .rings import RingElement
+from .rings import ChartRing, RingElement
 
 
 @dataclass
@@ -44,6 +44,11 @@ class MatchedWitness:
     equation: int                   # 1, 2 or 3
     indices: Tuple[int, ...]
     residual: object
+
+    def describe(self) -> str:
+        """The failing equation and its basis indices, numbered from 1."""
+        return "equation %d fails at indices %s" % (
+            self.equation, tuple(t + 1 for t in self.indices))
 
 
 @dataclass
@@ -111,9 +116,7 @@ def twilled_sum(m: MatchedPair, check: bool = True) -> Algebroid:
     if check:
         v = verify_matched(m)
         if not v.verified:
-            raise StructureError(
-                "not a matched pair: equation %d fails on %s"
-                % (v.witness.equation, v.witness.indices))
+            raise StructureError("not a matched pair: %s" % v.witness.describe())
     base = m.l1.base
     n1, n2 = m.l1.rank, m.l2.rank
     n = n1 + n2
@@ -316,8 +319,10 @@ def _total_complex(sl: DoubleComplexSlice) -> _WindowedComplex:
                 target[j] = -c if len(basis[j][0][0]) % 2 else c
         return out
 
-    return _WindowedComplex(sl.pair.l1.base, sl.pair.l1.rank + sl.pair.l2.rank, sl.keys,
-                            lambda bound: sl.codes(bound + sl.reach), rows)
+    blocks: Dict[int, List[Tuple[tuple, ChartRing]]] = {}
+    for idx, key in sl.keys.items():
+        blocks.setdefault(len(idx), []).append((key, sl.pair.l1.base))
+    return _WindowedComplex(blocks, lambda bound: sl.codes(bound + sl.reach), rows)
 
 
 def total_cohomology_compare(m: MatchedPair, degrees: Sequence[int],
@@ -334,8 +339,7 @@ def total_cohomology_compare(m: MatchedPair, degrees: Sequence[int],
     window = window or TruncationWindow()
     v = verify_matched(m)
     if not v.verified:
-        raise StructureError("not a matched pair; equation %d fails"
-                             % v.witness.equation)
+        raise StructureError("not a matched pair: %s" % v.witness.describe())
     tw = twilled_sum(m, check=False)
     tw.require_verified("total complex comparison")
     _window_check(tw, window)
@@ -347,7 +351,7 @@ def total_cohomology_compare(m: MatchedPair, degrees: Sequence[int],
         raise StructureError("double complex commutation fails at %s" % (wit,))
 
     def cohomology(complex_):
-        dims = complex_.dims(degrees, (window,), drop)[window]
+        dims = complex_.dims(dict.fromkeys(degrees, (window,)), drop)[window]
         return {n: ker - im for n, (ker, im) in dims.items()}
 
     total = cohomology(_total_complex(sl))

@@ -445,8 +445,8 @@ def complex_columns(complex_, codes, basis):
 
 def system_from_columns(cols, key=None):
     """The `linalg.SparseSystem` whose column j is cols[j], a {row key:
-    value} map: its rows are the union of the column keys, sorted as
-    `SparseSystem.from_rows` sorts them, and zero values are dropped."""
+    value} map: its rows are the union of the column keys, sorted (by
+    `key`, when given), and zero values are dropped."""
     from collections import defaultdict
     from algebroid.linalg import SparseSystem
 
@@ -455,7 +455,8 @@ def system_from_columns(cols, key=None):
         for k, c in col.items():
             if c:
                 rows[k][j] = c
-    return SparseSystem.from_rows(rows, len(cols), key)
+    keys = sorted(rows, key=key)
+    return SparseSystem([rows[k] for k in keys], len(cols), keys)
 
 
 def flatten_columns(images, key):
@@ -736,6 +737,12 @@ def total_dims_by_bidegree(m, degrees, window):
 # -- windowed cohomology and exactness, one whole slice at a time ----------------
 
 
+def one_ring(complex_):
+    """The ring of every block of a `forms._WindowedComplex` over one ring."""
+    (ring,) = {ring for blocks in complex_.blocks.values() for _, ring in blocks}
+    return ring
+
+
 def whole_slice_dims(complex_, degrees, windows, drop):
     """{window: {p: (kernel dim, windowed image dim)}} as
     `forms._WindowedComplex.dims` defines them, with no weight blocks:
@@ -749,9 +756,9 @@ def whole_slice_dims(complex_, degrees, windows, drop):
     out = {}
     for w in windows:
         out[w] = {}
-        codes = complex_.codes(w.enlarged(drop).bound(complex_.ring) + SLACK)
+        codes = complex_.codes(w.enlarged(drop).bound(one_ring(complex_)) + SLACK)
         for p in sorted(set(degrees)):
-            if not 0 <= p <= complex_.rank:
+            if p not in complex_.blocks:
                 out[w][p] = (0, 0)
                 continue
             d = columns(p, w, codes)
@@ -790,16 +797,17 @@ def block_dims(complex_, degrees, windows, drop):
         return out
 
     degrees, windows = sorted(set(degrees)), list(windows)
-    codes = complex_.codes(max(w.enlarged(drop).bound(complex_.ring) for w in windows)
+    ring = one_ring(complex_)
+    codes = complex_.codes(max(w.enlarged(drop).bound(ring) for w in windows)
                            + SLACK)
     reads = {}
     for t, w in enumerate(windows):
         for p in degrees:
-            if 0 <= p <= complex_.rank:
+            if p in complex_.blocks:
                 reads.setdefault((p, w), []).append((t, p, False))
                 if p > 0:
                     reads.setdefault((p - 1, w.enlarged(drop)), []).append((t, p, True))
-    kept = [{codes.mono(m) for m in w.monomials(complex_.ring)} for w in windows]
+    kept = [{codes.mono(m) for m in w.monomials(ring)} for w in windows]
     ranks, outside, kernel, image = {}, {}, {}, {}
     for (p, window), asks in reads.items():
         blocks = blocks_of(p, window)
@@ -864,13 +872,13 @@ def window_weight_basis(complex_, p, window, weights):
     mono_weight, index_weight = complex_._weights()
     weights = set(weights)
     groups = {}
-    for m in window.monomials(complex_.ring):
+    for m in window.monomials(one_ring(complex_)):
         groups.setdefault(sum(map(mul, mono_weight, m)), []).append(m)
     out = []
-    for idx in combinations(range(complex_.rank), p):
-        shift = sum(index_weight[i] for i in idx)
+    for key, _ in complex_.blocks.get(p, ()):
+        shift = sum(index_weight[i] for i in key[0])
         monos = [m for wt in weights for m in groups.get(wt - shift, ())]
-        out.extend((complex_.keys[idx], m) for m in sorted(monos))
+        out.extend((key, m) for m in sorted(monos))
     return out
 
 
@@ -1463,11 +1471,14 @@ def coboundary_system(cover, pair_a, pair_b, window):
     return cols, rhs
 
 
-def line_bundle_dims_by_overlaps(cover, window):
-    """(h0, h1) as `cech.line_bundle_cech_dims` defines them, with the
-    columns laid out overlap by overlap: a first-chart section restricts
-    with sign -, a second-chart section with sign + after multiplication
-    by the bundle transition g."""
+def line_bundle_columns(cover, window):
+    """(chart window, columns, window keys) of the Cech complex of
+    `cech.line_bundle_cech_dims`, laid out overlap by overlap: one column
+    per (chart, monomial of the chart window, the window enlarged by the
+    transition degree), keyed (first chart, second chart, exponents); a
+    first-chart section restricts with sign -, a second-chart section
+    with sign + after multiplication by the bundle transition g.  The
+    window keys are those of the overlap monomials inside the window."""
     from algebroid.forms import TruncationWindow
     from algebroid.rings import mul_terms
     slack = 0
@@ -1492,6 +1503,13 @@ def line_bundle_dims_by_overlaps(cover, window):
         for mono in chart_window.monomials(cover.chart_ring(b)):
             for exps, c in mul_terms(g.terms, ov.map_b.monomial_terms(mono)).items():
                 cols[position[(b, mono)]][(a, b, exps)] = c
+    return chart_window, cols, window_keys
+
+
+def line_bundle_dims_by_overlaps(cover, window):
+    """(h0, h1) as `cech.line_bundle_cech_dims` defines them, from the
+    columns of `line_bundle_columns`."""
+    _, cols, window_keys = line_bundle_columns(cover, window)
     h0 = len(cols) - len(keyed_pivots(cols))
     h1 = len(window_keys) - image_inside(cols, window_keys)
     return h0, h1

@@ -19,8 +19,8 @@ from algebroid.pbw import normal_form
 from algebroid.rings import RingMap, laurent_ring, poly_ring
 
 from algebroid.parser import parse
-from oracles import (coboundary_system, glue_relation_failures,
-                     integrate_univariate, lambda_overlap_failures,
+from oracles import (SLACK, coboundary_system, glue_relation_failures,
+                     integrate_univariate, lambda_overlap_failures, line_bundle_columns,
                      line_bundle_dims_by_overlaps, p1_line_bundle_dims_by_counting)
 
 
@@ -313,7 +313,7 @@ def test_cech_dims_match_counting_oracle():
         cover = make_p1_cover("tangent", bundle=k)
         got = line_bundle_cech_dims(cover, TruncationWindow(8, 12))
         expected = p1_line_bundle_dims_by_counting(k, 12)
-        assert got == expected
+        assert got == expected + (True,)
     assert p1_line_bundle_dims_by_counting(-2, 12) == (0, 1)
     assert p1_line_bundle_dims_by_counting(4, 12) == (5, 0)
 
@@ -372,9 +372,10 @@ def test_gluing_maps_are_algebra_morphisms_on_short_words():
 
 def coboundary_pairs():
     """(cover, pair_a, pair_b): the p1 tangent and log covers with their
-    Atiyah pairs, the three-chart cover, and the sheared planes with chart
+    Atiyah pairs, the three-chart cover, the sheared planes with chart
     2-forms, so that overlap and chart rows both occur, one of them of a
-    degree no window reaches."""
+    degree no window reaches, and the cover whose restriction doubles
+    exponents."""
     for structure, k in (("tangent", 2), ("log", 3)):
         cover = make_p1_cover(structure, bundle=k)
         yield cover, zero_pair(cover), atiyah_cocycle(cover)
@@ -394,6 +395,25 @@ def coboundary_pairs():
     # columns: its right-hand side must be coded apart from their rows
     yield cover, zero_pair(cover), CechPair(
         cover, {}, {0: LForm(cover.chart_algebroid(0), 2, {(0, 1): x ** 12 + y})})
+    cover = squared_line_cover()
+    frame = cover.frame_algebroid(0, 1)
+    u = frame.base.var("u")
+    yield cover, zero_pair(cover), CechPair(
+        cover, {(0, 1): LForm(frame, 1, {(0,): 2 * u ** 4 - 3 * u ** -6})}, {})
+
+
+def squared_line_cover():
+    """Two lines glued through u, z = u^2 and w = u^-2, with the line
+    bundle u^2: restriction doubles exponents, so the codes of the Cech
+    complex must reach past the window's."""
+    rz, rw, o = poly_ring("z"), poly_ring("w"), laurent_ring("u")
+    u = o.var("u")
+    ov = Overlap(o, RingMap(rz, o, {"z": u ** 2}), RingMap(rw, o, {"w": u ** -2}),
+                 [[Fraction(1, 2) * u ** -1]], [[Fraction(-1, 2) * u ** 3]],
+                 [[-(u ** 4)]], bundle=[[u ** 2]])
+    cover = Cover([(rz, make_tangent(rz)), (rw, make_tangent(rw))], {(0, 1): ov})
+    cover.verify()
+    return cover
 
 
 def sheared_plane_cover():
@@ -410,51 +430,58 @@ def sheared_plane_cover():
     return cover
 
 
+def decode_cech(complex_, codes, code):
+    """((index tuple, (chart or overlap, label)), exponents) of a row code
+    of a `cech._cech_complex`, the exponents those of its block's ring."""
+    key, exps = codes.decode(code)
+    ring = dict(block for found in complex_.blocks.values() for block in found)[key]
+    assert not any(exps[len(ring.variables):])
+    return key, exps[:len(ring.variables)]
+
+
 def recorded_coboundary_system(cover, pair_a, pair_b, window):
-    """(result, columns, rhs) of one `coboundary_test`: the keyed rows it
-    gives `SparseSystem.from_rows`, read as columns, and the right-hand
-    side it solves for, with each chart row code ("ch", a, code) decoded
-    to ("ch", a, index tuple, exponents) by the codes chart a asked its
-    complex for."""
+    """(result, columns, rhs) of one `coboundary_test`: the rows it reads
+    from its Cech complex, as `_WindowedComplex.solve` gives them to
+    `SparseSystem.from_rows`, read as columns, and the right-hand side it
+    solves for, each row code decoded to ("ov", first chart, second
+    chart, index, exponents) or ("ch", chart, index tuple, exponents) by
+    the codes it asked the complex for."""
     systems, rhss, made = [], [], []
+    cech_complex = cech._cech_complex
 
     class Recording(SparseSystem):
         @classmethod
-        def from_rows(cls, rows, ncols, key=None):
+        def from_rows(cls, rows, ncols):
             systems.append((rows, ncols))
-            return super().from_rows(rows, ncols, key)
+            return super().from_rows(rows, ncols)
 
         def solve(self, rhs, basis):
             rhss.extend(rhs)
             return super().solve(rhs, basis)
 
-    def recording_complex(l):
-        complex_ = forms._ce_complex(l)
+    def recording_complex(*args, **kwargs):
+        complex_ = cech_complex(*args, **kwargs)
         make = complex_.codes
-        complex_.codes = lambda bound: made.append(make(bound)) or made[-1]
+        complex_.codes = lambda bound: made.append((complex_, make(bound))) or made[-1][1]
         return complex_
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cech, "SparseSystem", Recording)
-        mp.setattr(cech, "_ce_complex", recording_complex)
+        mp.setattr(forms, "SparseSystem", Recording)
+        mp.setattr(cech, "_cech_complex", recording_complex)
         result = coboundary_test(cover, pair_a, pair_b, window)
-    ((rows, ncols),), (rhs,) = systems, rhss
-    # the charts of rank >= 2 ask for their codes in chart order
-    codes = dict(zip([a for a in range(len(cover.charts))
-                      if cover.chart_algebroid(a).rank >= 2], made))
-    assert len(codes) == len(made)
+    ((rows, ncols),), (rhs,), ((complex_, codes),) = systems, rhss, made
 
-    def decode(key):
-        if key[0] != "ch":
-            return key
-        (idx, _), exps = codes[key[1]].decode(key[2])
-        return ("ch", key[1], idx, exps)
+    def decode(code):
+        (idx, (sigma, _)), exps = decode_cech(complex_, codes, code)
+        if isinstance(sigma, tuple):
+            return ("ov",) + sigma + (idx[0], exps)
+        return ("ch", sigma, idx, exps)
 
     cols = [{} for _ in range(ncols)]
-    for key, row in rows.items():
+    for code, row in rows.items():
         for j, c in row.items():
-            cols[j][decode(key)] = c
-    return result, cols, {decode(key): c for key, c in rhs.items()}
+            cols[j][decode(code)] = c
+    return result, cols, {decode(code): c for code, c in rhs.items()}
 
 
 def test_coboundary_system_matches_overlap_oracle():
@@ -465,11 +492,28 @@ def test_coboundary_system_matches_overlap_oracle():
 
 
 def test_cech_dims_match_overlap_oracle():
-    for k in range(-3, 4):
-        cover = make_p1_cover("tangent", bundle=k)
-        for window in (TruncationWindow(8, 2), TruncationWindow(8, 5),
-                       TruncationWindow(3, 12)):
-            assert (line_bundle_cech_dims(cover, window)
+    """The rows of the complex that `line_bundle_cech_dims` reads, on the
+    chart sections of the window enlarged by the transition degree, are
+    the overlap-by-overlap reference's columns with the opposite sign,
+    and its dims are the reference's, on the p1 covers, the three-chart
+    cover and the cover whose restriction doubles exponents."""
+    covers = [make_p1_cover(structure, bundle=k) for structure in ("tangent", "log")
+              for k in range(-3, 4)] + [toy_three_chart_cover()[0], squared_line_cover()]
+    for cover in covers:
+        complex_ = cech._cech_complex(
+            cover, 0, 0, {key: ov.bundle for key, ov in cover.overlaps.items()})
+        for window in (TruncationWindow(8, 1), TruncationWindow(8, 2),
+                       TruncationWindow(8, 5), TruncationWindow(3, 12)):
+            chart_window, want, _ = line_bundle_columns(cover, window)
+            basis = complex_.basis(0, chart_window)
+            codes = complex_.codes(chart_window.laurent + SLACK)
+            cols = [{} for _ in basis]
+            for code, row in complex_.rows(codes, basis).items():
+                (_, ((a, b), _)), exps = decode_cech(complex_, codes, code)
+                for j, c in row.items():
+                    cols[j][(a, b, exps)] = -c
+            assert cols == want
+            assert (line_bundle_cech_dims(cover, window)[:2]
                     == line_bundle_dims_by_overlaps(cover, window))
 
 
