@@ -264,6 +264,21 @@ class Stencil:
              for (target, v, shift), c in anchors.items() if c])
         return entries
 
+    def affine(self, key: Tuple[IndexTuple, Hashable]
+               ) -> Dict[Tuple[Tuple[IndexTuple, Hashable], IndexTuple], Tuple[Coefficient, ...]]:
+        """The entries of theta^idx (x) b_t at key = (idx, t) as affine
+        functions of the source exponents m: {(target key, shift): (c_0,
+        c_1, .., c_nv)}, the image of x^m holding c_0 + sum_v c_(v+1) * m_v
+        at the target key times x^(m + shift).  No entry is all zero."""
+        consts, anchors = self._compile(key)
+        width = len(self.owner.base.variables) + 1
+        out: Dict[tuple, list] = {}
+        for target, shift, c in consts:
+            out.setdefault((target, shift), [0] * width)[0] = c
+        for target, v, shift, c in anchors:
+            out.setdefault((target, shift), [0] * width)[v + 1] = c
+        return {entry: tuple(f) for entry, f in out.items()}
+
     def _offset_entries(self, codes: RowCodes, key: Tuple[IndexTuple, Hashable]) -> tuple:
         """The entries of theta^idx (x) b_t at key = (idx, t) as offsets
         under `codes`, one per target (key, shift): (constant terms
@@ -276,20 +291,16 @@ class Stencil:
         out = self._offsets.get(key)
         if out is not None:
             return out
-        consts, anchors = self._compile(key)
-        shared: Dict[tuple, list] = {(target, shift): [c, []]
-                                     for target, shift, c in consts}
-        for target, v, shift, c in anchors:
-            shared.setdefault((target, shift), [0, []])[1].append((v, c))
         out = self._offsets[key] = ([], [], [])
-        for (target, shift), (c, terms) in shared.items():
+        for (target, shift), (c, *linear) in self.affine(key).items():
             off = codes.block[target] * codes.scale + sum(map(mul, codes.places, shift))
+            terms = tuple((v, cv) for v, cv in enumerate(linear) if cv)
             if not terms:
                 out[0].append((off, c))
             elif not c and len(terms) == 1:
                 out[1].append((off,) + terms[0])
             else:
-                out[2].append((off, c, tuple(terms)))
+                out[2].append((off, c, terms))
         return out
 
     def rows(self, codes: RowCodes,
@@ -719,8 +730,9 @@ class _WindowedComplex:
 
         The windows and their enlargements by `drop` must be nested, and
         one column reduction per degree (`SparseSystem.pivots`) reads them
-        all.  Each degree's basis is ordered by the first of them that
-        holds an element, in basis order inside each such layer (the
+        all; a degree whose next degree has no blocks has rank 0 and
+        builds nothing.  Each degree's basis is ordered by the first of
+        them that holds an element, in basis order inside each such layer (the
         layers of each block's ring), so each window's slice is a prefix
         of one list of columns, whose rank is its pivot count.  Each
         system's rows are ordered the same way, by the first window
@@ -780,14 +792,19 @@ class _WindowedComplex:
         ranks: Dict[tuple, int] = {}
         for p in sorted(reads):
             top = max(map(at.get, reads[p]))
+            sizes[p] = list(accumulate(
+                sum(len(layers[ring][k]) for _, ring in self.blocks[p]) for k in range(top + 1)))
+            if p + 1 not in self.blocks:
+                # the differential into a zero degree is zero: no system
+                ranks.update(((p, w), 0) for w in reads[p])
+                continue
             # first[k][block]: the column of the block's first element in layer k
-            basis, first, sizes[p] = [], [], []
+            basis, first = [], []
             for k in range(top + 1):
                 first.append({})
                 for key, ring in self.blocks[p]:
                     first[k][codes.block[key]] = len(basis)
                     basis.extend((key, m) for m in layers[ring][k])
-                sizes[p].append(len(basis))
             rows = self.rows(codes, basis)
             by_first: List[List[int]] = [[] for _ in range(len(nested) + 1)]
             for code in rows:

@@ -7,14 +7,21 @@ complex we differentiate each tensor slot with the other factor's action
 as coefficients, with no interleaving sign; in this normalization the
 two differentials commute exactly when the pair is matched, and the
 total differential carries the alternating sign on the second one.
+
+The total-cohomology comparison decides d1 d2 = d2 d1, and that the total
+differential is the twilled sum's Chevalley-Eilenberg differential
+(Mokri, Glasgow Math. J. 39, 1997), once per key on the compiled stencil
+entries; when the second holds, one reduction gives the dims of both.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from operator import add, mul
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .connections import Connection, is_flat
 from .core import Algebroid, Section, StructureError, vector_field_bracket
@@ -170,7 +177,7 @@ def _on_forms(action: Connection) -> List[Dict[IndexTuple, list]]:
 
 class DoubleComplexSlice:
     """Windowed bases of (p, q) pieces with both differentials as sparse
-    rows keyed by row codes.
+    rows keyed by row codes, and as compiled entries per key.
 
     A basis element is ((I, J), monomial), one key object (I, J) per
     pair of index tuples.  Its code is that of ((merged tuple, 0),
@@ -193,25 +200,32 @@ class DoubleComplexSlice:
             for idx, _ in _tuple_keys(n1 + m.l2.rank)}
         # each key's swapped key (J, I), one object per pair
         self._swapped = {key: key[::-1] for key in self.keys.values()}
-        # (p, q) -> its basis; the merged tuples of one (p, q) ascend as
-        # their pairs (I, J) do
-        monos = window.monomials(m.l1.base)
-        self.bases: Dict[Tuple[int, int], List[Tuple[tuple, IndexTuple]]] = {}
-        for key in self.keys.values():
-            if len(key[0]) + len(key[1]) <= max_total + 1:
-                self.bases.setdefault((len(key[0]), len(key[1])), []).extend(
-                    (key, mm) for mm in monos)
         # d1 on l1 with values in the forms of l2; d2 the mirror, keys swapped
         self._d1 = compile_d(m.l1, _on_forms(m.action12))
         self._d2 = compile_d(m.l2, _on_forms(m.action21))
         self.reach = max(self._d1.reach, self._d2.reach)
-        # (the codes keyed (I, J), the same codes keyed (J, I))
-        self._codes: Optional[Tuple[RowCodes, RowCodes]] = None
+        # (the codes keyed (I, J), the same codes keyed (J, I)), made for
+        # the images of the window's basis
+        self._codes: Tuple[RowCodes, RowCodes] = ()
+        self.codes(window.bound(m.l1.base) + self.reach)
+
+    @cached_property
+    def bases(self) -> Dict[Tuple[int, int], List[Tuple[tuple, IndexTuple]]]:
+        """(p, q) -> its window basis, up to total degree max_total + 1;
+        the merged tuples of one (p, q) ascend as their pairs (I, J) do.
+        Listed on first use: only a failed commutation identity reads it."""
+        monos = self.window.monomials(self.pair.l1.base)
+        bases: Dict[Tuple[int, int], List[Tuple[tuple, IndexTuple]]] = {}
+        for key in self.keys.values():
+            if len(key[0]) + len(key[1]) <= self.max_total + 1:
+                bases.setdefault((len(key[0]), len(key[1])), []).extend(
+                    (key, mm) for mm in monos)
+        return bases
 
     def codes(self, bias: int) -> RowCodes:
         """The slice's row codes keyed (I, J), with at least this bias.
         They are kept while large enough; a larger bias makes new ones."""
-        if self._codes is None or self._codes[0].bias < bias:
+        if not self._codes or self._codes[0].bias < bias:
             nv = len(self.pair.l1.base.variables)
             self._codes = (RowCodes(self.keys.values(), nv, bias),
                            RowCodes(self._swapped.values(), nv, bias))
@@ -244,51 +258,64 @@ class DoubleComplexSlice:
             basis.append((swap, mono))
         return self._d2.rows(swapped, basis)
 
-    def _composite(self, second: bool, items) -> Dict[int, Dict[int, object]]:
-        """d1 d2 (or d2 d1 if `second`) at `items`, as rows without zero
-        values: the outer differential at the row codes of the inner
-        one's image, times that image."""
-        inner = self._rows(not second, items)
-        keys = sorted(inner)
-        outer = self._rows(second, list(map(self._codes[0].decode, keys)))
-        out = {}
-        for code, row in outer.items():
-            acc: Dict[int, object] = {}
-            for k, a in row.items():
-                for j, b in inner[keys[k]].items():
-                    acc[j] = acc.get(j, 0) + a * b
-            acc = {j: c for j, c in acc.items() if c}
-            if acc:
-                out[code] = acc
-        return out
+    def affine(self, second: bool, key: tuple) -> Dict[tuple, tuple]:
+        """d1's (or d2's if `second`) entries at key (I, J) as affine
+        functions of the source exponents (`Stencil.affine`), with targets
+        keyed (I', J') for both."""
+        if second:
+            return {(target[::-1], shift): f
+                    for (target, shift), f in self._d2.affine(key[::-1]).items()}
+        return self._d1.affine(key)
+
+    def _commutator(self, key: tuple) -> List[Dict[Tuple[int, int], object]]:
+        """d1 d2 - d2 d1 at key (I, J) as polynomials in the source
+        exponents m, one per (target key, shift), the nonzero ones only.
+        A polynomial {(i, j): c} with i <= j sums c * a_i * a_j over
+        a = (1, m_1, .., m_nv): each composite multiplies an inner entry,
+        affine in m, by an outer entry read at the inner image's exponents
+        m + shift, so it has degree at most 2."""
+        out: Dict[tuple, Dict[Tuple[int, int], object]] = {}
+        for outer, sign in ((False, 1), (True, -1)):
+            for (middle, shift), inner in self.affine(not outer, key).items():
+                for (target, more), f in self.affine(outer, middle).items():
+                    f = (f[0] + sum(map(mul, f[1:], shift)),) + f[1:]
+                    poly = out.setdefault((target, tuple(map(add, shift, more))), {})
+                    for i, a in enumerate(inner):
+                        for j, b in enumerate(f):
+                            if a and b:
+                                ij = (i, j) if i <= j else (j, i)
+                                poly[ij] = poly.get(ij, 0) + sign * a * b
+        return [poly for poly in ({ij: c for ij, c in poly.items() if c}
+                                  for poly in out.values()) if poly]
 
     def commutation_check(self) -> Optional[Tuple[int, int, tuple]]:
         """d1 d2 = d2 d1 on every bidegree of the slice (the alternating-
         sign rule in the standard normalization is this identity after
         rescaling the second differential by bidegree signs).  Returns a
-        witness (p, q, (I, J, monomial)) or None.  Both composites of a
-        bidegree are sparse products of integer rows; the witness is the
-        first basis element whose columns differ."""
+        witness (p, q, (I, J, monomial)) or None.
+
+        The identity is decided per key on the compiled entries: the
+        commutator's polynomials (`_commutator`) vanish at every key, or
+        the bidegrees of the keys where they do not are scanned, sorted,
+        each basis in order, for the first basis element at which one of
+        its key's polynomials is nonzero: the first column where the two
+        composites differ on the window.  An identity that fails only off
+        the window has no witness."""
         m = self.pair
-        # a composite reaches two shifts past the window
-        self.codes(self.window.bound(m.l1.base) + 2 * self.reach)
-        for (p, q), basis in sorted(self.bases.items()):
-            if p + 1 > m.l1.rank or q + 1 > m.l2.rank:
-                continue
-            if p + q + 2 > self.max_total + 1:
-                continue
-            one, two = self._composite(False, basis), self._composite(True, basis)
-            if one != two:
-                key, mono = basis[min(j for code in one.keys() | two.keys()
-                                      for j in _differ(one.get(code, {}),
-                                                       two.get(code, {})))]
-                return (p, q, key + (mono,))
+        gaps = {}
+        for key in self.keys.values():
+            p, q = len(key[0]), len(key[1])
+            if p < m.l1.rank and q < m.l2.rank and p + q + 1 <= self.max_total:
+                polys = self._commutator(key)
+                if polys:
+                    gaps[key] = polys
+        for p, q in sorted({(len(key[0]), len(key[1])) for key in gaps}):
+            for key, mono in self.bases[p, q]:
+                at = (1,) + mono
+                if any(sum(c * at[i] * at[j] for (i, j), c in poly.items())
+                       for poly in gaps.get(key, ())):
+                    return (p, q, key + (mono,))
         return None
-
-
-def _differ(a: Mapping[int, object], b: Mapping[int, object]) -> List[int]:
-    """The columns where two rows hold different values."""
-    return [j for j in a.keys() | b.keys() if a.get(j) != b.get(j)]
 
 
 @dataclass
@@ -301,6 +328,32 @@ class TotalCompareReport:
     def agree(self) -> bool:
         return all(self.total_dims[n] == self.twilled_dims[n]
                    for n in self.total_dims)
+
+
+def _d2_sign(key: tuple) -> int:
+    """The sign of d2 in the total differential at a source key (I, J):
+    (-1)^|I|."""
+    return -1 if len(key[0]) % 2 else 1
+
+
+def _total_is_twilled(sl: DoubleComplexSlice, tw: Algebroid) -> bool:
+    """Whether the total differential d1 + (-1)^|I| d2 has the compiled
+    entries of the twilled sum's Chevalley-Eilenberg differential at every
+    key, read as affine functions of the source exponents (`affine`) with
+    the twilled sum's merged tuples keyed (I, J).  Then the two complexes
+    have one matrix on every window, under one code layout, so one column
+    reduction answers for both.  d1 and d2 land in different bidegrees,
+    so their entries never share a target."""
+    ce = compile_d(tw)
+    for idx, key in sl.keys.items():
+        sign = _d2_sign(key)
+        total = dict(sl.affine(False, key))
+        total.update((entry, tuple(sign * c for c in f))
+                     for entry, f in sl.affine(True, key).items())
+        if total != {(sl.keys[target], shift): f
+                     for ((target, _), shift), f in ce.affine((idx, 0)).items()}:
+            return False
+    return True
 
 
 def _total_complex(sl: DoubleComplexSlice) -> _WindowedComplex:
@@ -316,7 +369,7 @@ def _total_complex(sl: DoubleComplexSlice) -> _WindowedComplex:
         for code, row in sl._rows(True, basis).items():
             target = out[code]
             for j, c in row.items():
-                target[j] = -c if len(basis[j][0][0]) % 2 else c
+                target[j] = _d2_sign(basis[j][0]) * c
         return out
 
     blocks: Dict[int, List[Tuple[tuple, ChartRing]]] = {}
@@ -331,11 +384,15 @@ def total_cohomology_compare(m: MatchedPair, degrees: Sequence[int],
     """Dims of the total complex of the double complex against the
     twilled sum's truncated cohomology, in matching degrees.
 
-    The two are one matrix: on the same basis, under one code layout, the
-    total complex's rows equal those of the twilled sum's
-    Chevalley-Eilenberg complex in every degree (pinned by
-    `test_total_and_twilled_systems_are_one_matrix`), so the second
-    elimination repeats the first."""
+    Two identities are decided on the compiled stencils, once per key and
+    so for every window at once: d1 d2 = d2 d1 (`commutation_check`,
+    whose failure is refused with its witness), and that the total
+    differential is the twilled sum's Chevalley-Eilenberg differential
+    (`_total_is_twilled`).  When the second holds, the two complexes are
+    one matrix on the window, and one column reduction per degree read,
+    of the twilled sum's complex, gives both dims.  Otherwise the total
+    complex is reduced first, the slice released, and then the twilled
+    sum's complex."""
     window = window or TruncationWindow()
     v = verify_matched(m)
     if not v.verified:
@@ -354,6 +411,7 @@ def total_cohomology_compare(m: MatchedPair, degrees: Sequence[int],
         dims = complex_.dims(dict.fromkeys(degrees, (window,)), drop)[window]
         return {n: ker - im for n, (ker, im) in dims.items()}
 
-    total = cohomology(_total_complex(sl))
+    total = None if _total_is_twilled(sl, tw) else cohomology(_total_complex(sl))
     del sl      # free the stencils' offsets before the twilled sum's systems
-    return TotalCompareReport(window, total, cohomology(_ce_complex(tw)))
+    twilled = cohomology(_ce_complex(tw))
+    return TotalCompareReport(window, dict(twilled) if total is None else total, twilled)

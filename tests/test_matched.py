@@ -413,8 +413,9 @@ def heisenberg_derivation_pair():
 def test_total_and_twilled_systems_are_one_matrix(window):
     """The total complex of the double complex and the twilled sum's
     Chevalley-Eilenberg complex list the same basis and give identical
-    rows in every degree under one code layout: `compare-total`
-    eliminates one matrix twice."""
+    rows in every degree under one code layout, as the compiled identity
+    that lets `compare-total` reduce only the twilled sum's complex
+    promises."""
     pairs = matched_pairs() + [heisenberg_derivation_pair()]
     for m in pairs + [MatchedPair(m.l2, m.l1, m.action21, m.action12) for m in pairs]:
         n = m.l1.rank + m.l2.rank
@@ -427,3 +428,84 @@ def test_total_and_twilled_systems_are_one_matrix(window):
             basis, ce_basis = total.basis(p, window), ce.basis(p, window)
             assert [(sl.keys[idx], mono) for (idx, _), mono in ce_basis] == basis
             assert total.rows(codes, basis) == ce.rows(ce_codes, ce_basis)
+
+
+def mirrored(pairs):
+    return pairs + [MatchedPair(m.l2, m.l1, m.action21, m.action12) for m in pairs]
+
+
+def has_d2(m):
+    """Whether d2 has a compiled entry at some key (the Kunneth pair's
+    line acts by zero and has a zero anchor, so its d2 is zero)."""
+    sl = DoubleComplexSlice(m, m.l1.rank + m.l2.rank, TruncationWindow(0, 1))
+    return any(sl.affine(True, key) for key in sl.keys.values())
+
+
+def test_total_differential_is_twilled_on_compiled_entries(monkeypatch):
+    """The compiled identity holds on every matched pair and its mirror,
+    and a flipped sign on the d2 part of the total differential breaks it
+    wherever d2 is not zero."""
+    from algebroid import matched
+    pairs = mirrored(matched_pairs() + [heisenberg_derivation_pair()])
+    slices = [DoubleComplexSlice(m, m.l1.rank + m.l2.rank, TruncationWindow(1, 1))
+              for m in pairs]
+    for m, sl in zip(pairs, slices):
+        assert matched._total_is_twilled(sl, twilled_sum(m))
+    flipped = matched._d2_sign
+    monkeypatch.setattr(matched, "_d2_sign", lambda key: -flipped(key))
+    planted = [not has_d2(m) for m in pairs]
+    assert planted.count(True) == 1
+    assert [matched._total_is_twilled(sl, twilled_sum(m))
+            for m, sl in zip(pairs, slices)] == planted
+
+
+def test_flipped_d2_sign_reduces_the_total_complex(monkeypatch):
+    """With the sign of d2 flipped in the total differential, identity (a)
+    fails, so the total complex itself is reduced: it is isomorphic to the
+    correct one (scale bidegree (p, q) by (-1)^q), and its dims are the
+    bidegree oracle's."""
+    from algebroid import matched
+    flipped = matched._d2_sign
+    reduced = []
+
+    def total_complex(sl, real=matched._total_complex):
+        reduced.append(sl.pair)
+        return real(sl)
+
+    monkeypatch.setattr(matched, "_d2_sign", lambda key: -flipped(key))
+    monkeypatch.setattr(matched, "_total_complex", total_complex)
+    window = TruncationWindow(2, 2)
+    pairs = [m for m in mirrored(matched_pairs()) if has_d2(m)]
+    for m in pairs:
+        degrees = range(m.l1.rank + m.l2.rank + 2)
+        rep = total_cohomology_compare(m, degrees, window)
+        assert reduced[-1] is m
+        assert rep.total_dims == total_dims_by_bidegree(m, degrees, window)
+        assert rep.agree
+    assert len(reduced) == len(pairs) == 9
+
+
+def test_fallback_report_matches_fast_path(monkeypatch):
+    """Refusing identity (a) reduces both complexes and gives the report
+    of the one-matrix path on every pair."""
+    from algebroid import matched
+    window = TruncationWindow(2, 2)
+    fast = [total_cohomology_compare(m, range(m.l1.rank + m.l2.rank + 1), window)
+            for m in matched_pairs()]
+    monkeypatch.setattr(matched, "_total_is_twilled", lambda sl, tw: False)
+    slow = [total_cohomology_compare(m, range(m.l1.rank + m.l2.rank + 1), window)
+            for m in matched_pairs()]
+    assert slow == fast
+
+
+@pytest.mark.parametrize("window,want", [
+    # the operators differ, but at no window monomial: no witness
+    (TruncationWindow(0, 1), None),
+    (TruncationWindow(1, 1), (0, 0, ((), (), (0, 1, 0, 0)))),
+])
+def test_commutation_witness_scans_the_window(window, want):
+    m = broken_sheared_pair()
+    sl = DoubleComplexSlice(m, m.l1.rank + m.l2.rank, window)
+    assert sl._commutator(((), ()))
+    assert sl.commutation_check() == want
+    assert commutation_witness(sl) == commutation_witness(sl, gather=True) == want

@@ -201,8 +201,8 @@ def test_differential_entries_match_oracle_columns(window):
 
 
 def test_total_columns_match_gather_columns():
-    """The total complex's columns, on a cold slice and on one whose codes
-    commutation_check has widened, are d1 + (-1)^p d2 of the gather
+    """The total complex's columns, on a fresh slice and on one that has
+    run commutation_check, are d1 + (-1)^p d2 of the gather
     differentials, and so is every row of d1 and d2 they merge."""
     for m in matched_pairs():
         ring = m.l1.base
