@@ -42,22 +42,32 @@ class Section:
         self.owner = owner
         self.coefficients = tuple(owner.base._coerce(c) for c in coefficients)
 
+    @classmethod
+    def _trusted(cls, owner: "Algebroid", coefficients: Sequence[RingElement]
+                 ) -> "Section":
+        """A section from rank-many coefficients known to be elements of
+        the owner's base ring (the results of closed ring operations)."""
+        self = object.__new__(cls)
+        self.owner = owner
+        self.coefficients = tuple(coefficients)
+        return self
+
     def __add__(self, other: "Section") -> "Section":
         self._check(other)
-        return Section(self.owner, [a + b for a, b in
-                                    zip(self.coefficients, other.coefficients)])
+        return Section._trusted(self.owner, [a + b for a, b in
+                                             zip(self.coefficients, other.coefficients)])
 
     def __sub__(self, other: "Section") -> "Section":
         self._check(other)
-        return Section(self.owner, [a - b for a, b in
-                                    zip(self.coefficients, other.coefficients)])
+        return Section._trusted(self.owner, [a - b for a, b in
+                                             zip(self.coefficients, other.coefficients)])
 
     def __neg__(self):
-        return Section(self.owner, [-a for a in self.coefficients])
+        return Section._trusted(self.owner, [-a for a in self.coefficients])
 
     def scale(self, f) -> "Section":
         f = self.owner.base._coerce(f)
-        return Section(self.owner, [f * a for a in self.coefficients])
+        return Section._trusted(self.owner, [f * a for a in self.coefficients])
 
     def _check(self, other):
         if not isinstance(other, Section) or other.owner is not self.owner:
@@ -219,7 +229,7 @@ class Algebroid:
         for i, ui in enumerate(u.coefficients):
             if not ui.is_zero():
                 out[i] = out[i] - self.anchor_apply(v, ui)
-        return Section(self, out)
+        return Section._trusted(self, out)
 
     # -- axioms --------------------------------------------------------------
 

@@ -45,6 +45,7 @@ is the wedge product.
 from __future__ import annotations
 
 import re
+import string
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
@@ -111,42 +112,66 @@ class ParseError(Exception):
         self.token = token
 
 
-@dataclass
 class Token:
-    kind: str          # IDENT DERIV DUAL INT SYM EOF
-    text: str
-    line: int
-    column: int
+    """A token's kind (IDENT DERIV DUAL INT SYM ERROR EOF) and text; a
+    DUAL's text is its identifier without the marker caret.  Tokens keep
+    no position: `token_positions` finds it when a message needs one."""
+
+    __slots__ = ("kind", "text")
+
+    def __init__(self, kind: str, text: str):
+        self.kind = kind
+        self.text = text
 
 
-# a caret glued to an identifier marks a dual basis element, unless it
-# introduces an integer power
-_TOKEN_RE = re.compile(r"""
-    (?P<ws>\s+)
-  | (?P<comment>\#[^\n]*)
-  | (?P<DERIV>d/d[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<DUAL>[A-Za-z_][A-Za-z0-9_]*)\^(?![0-9-])
-  | (?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<INT>[0-9]+)
-  | (?P<SYM>->|[(){}\[\],;=+\-*^/.])
-  | (?P<ERROR>.)
-""", re.VERBOSE | re.DOTALL)
+# every token, and comments; whitespace matches nothing.  A caret glued
+# to an identifier marks a dual basis element, unless it introduces an
+# integer power; any other non-space character is a token of its own
+_TOKEN_RE = re.compile(r"#[^\n]*|d/d[A-Za-z_][A-Za-z0-9_]*"
+                       r"|[A-Za-z_][A-Za-z0-9_]*(?:\^(?![0-9-]))?|[0-9]+|->|\S")
+
+# a token's kind by its first character, ASCII only as the grammar's
+# [A-Za-z_] and [0-9] are (str.isalpha and str.isdigit accept é and ²);
+# None marks a comment, and a character not listed is an ERROR
+_FIRST_KIND = {**dict.fromkeys(string.ascii_letters + "_", "IDENT"),
+               **dict.fromkeys(string.digits, "INT"),
+               **dict.fromkeys("(){}[],;=+-*^/.", "SYM"), "#": None}
+
+# the whitespace and comments before a token
+_GAP_RE = re.compile(r"(?:\s+|#[^\n]*)*")
 
 
 def tokenize(text: str) -> List[Token]:
-    tokens: List[Token] = []
-    line, line_start = 1, 0     # line_start: offset of the line's first character
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind == "ws":
-            newlines = m.group().count("\n")
-            if newlines:
-                line += newlines
-                line_start = text.rindex("\n", 0, m.end()) + 1
-        elif kind != "comment":
-            tokens.append(Token(kind, m.group(kind), line, m.start() - line_start + 1))
-    tokens.append(Token("EOF", "", line, len(text) - line_start + 1))
+    tokens = []
+    for chunk in _TOKEN_RE.findall(text):
+        kind = _FIRST_KIND.get(chunk[0], "ERROR")
+        if kind == "IDENT":
+            if chunk[-1] == "^":
+                kind, chunk = "DUAL", chunk[:-1]
+            elif chunk[1:2] == "/":
+                kind = "DERIV"
+        elif kind is None:
+            continue
+        tokens.append(Token(kind, chunk))
+    tokens.append(Token("EOF", ""))
     return tokens
+
+
+def token_positions(text: str, tokens: Sequence[Token]) -> List[Tuple[int, int]]:
+    """(line, column) of each of `tokenize(text)`, both from 1, a column
+    counted in characters from the last newline: the whitespace and
+    comments before each token are walked, and their newlines counted."""
+    out = []
+    line, line_start, pos = 1, 0, 0
+    for tok in tokens:
+        start = _GAP_RE.match(text, pos).end()
+        newlines = text.count("\n", pos, start)
+        if newlines:
+            line += newlines
+            line_start = text.rindex("\n", pos, start) + 1
+        out.append((line, start - line_start + 1))
+        pos = start + len(tok.text) + (tok.kind == "DUAL")
+    return out
 
 
 @dataclass
@@ -185,9 +210,18 @@ def _article(noun: str) -> str:
 
 class Parser:
     def __init__(self, text: str):
+        self.text = text
         self.tokens = tokenize(text)
         self.pos = 0
         self.defs = Definitions()
+        self._positions: Optional[List[Tuple[int, int]]] = None
+
+    def position(self, tok: Token) -> Tuple[int, int]:
+        """(line, column) of `tok`, one of this parser's tokens; the
+        positions are found on the first call, for a message."""
+        if self._positions is None:
+            self._positions = token_positions(self.text, self.tokens)
+        return self._positions[self.tokens.index(tok)]
 
     # -- token plumbing ------------------------------------------------------
 
@@ -200,17 +234,22 @@ class Parser:
             self.pos += 1
         return tok
 
+    # `expect` and `accept` read the token list themselves, and step past
+    # a match at once: no caller asks for EOF, so a match is never EOF
+
     def expect(self, kind: str, text: Optional[str] = None) -> Token:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.kind != kind or (text is not None and tok.text != text):
             want = text or kind
             raise ParseError("expected %r, found %r" % (want, tok.text or "end of input"), tok)
-        return self.advance()
+        self.pos += 1
+        return tok
 
     def accept(self, kind: str, text: Optional[str] = None) -> Optional[Token]:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.kind == kind and (text is None or tok.text == text):
-            return self.advance()
+            self.pos += 1
+            return tok
         return None
 
     def _skip_statement(self, start: int):
@@ -253,14 +292,14 @@ class Parser:
                 self.statement()
             except (ParseError,) as err:
                 self.defs.diagnostics.append(Diagnostic(
-                    "error", err.token.line, err.token.column, err.message))
+                    "error", *self.position(err.token), err.message))
                 self._skip_statement(start)
             except (RingError, StructureError) as err:
                 # at the last token the failed statement read: the error
                 # may come after its ';' or '}' (e.g. Cover.verify)
                 tok = self.tokens[max(self.pos - 1, start)]
                 self.defs.diagnostics.append(Diagnostic(
-                    "error", tok.line, tok.column, str(err)))
+                    "error", *self.position(tok), str(err)))
                 self._skip_statement(start)
         return self.defs
 
@@ -268,21 +307,11 @@ class Parser:
         tok = self.peek()
         if tok.kind != "IDENT":
             raise ParseError("expected a declaration keyword", tok)
-        handler = {
-            "ring": self.ring_stmt,
-            "algebroid": self.algebroid_stmt,
-            "form": self.form_stmt,
-            "connection": self.connection_stmt,
-            "relations": self.relations_stmt,
-            "matched": self.matched_stmt,
-            "cover": self.cover_stmt,
-            "cocycle": self.cocycle_stmt,
-            "bunch": self.bunch_stmt,
-        }.get(tok.text)
+        handler = self._STATEMENTS.get(tok.text)
         if handler is None:
             raise ParseError("unknown declaration %r" % tok.text, tok)
         self.advance()
-        handler()
+        handler(self)
 
     def fresh_name(self) -> str:
         tok = self.expect("IDENT")
@@ -658,6 +687,13 @@ class Parser:
         self.defs.define(name, "bunch", bunch,
                          {"cover": cover_name, "rank": rank})
 
+    # the statement reader of each declaration keyword (see `statement`)
+    _STATEMENTS = {"ring": ring_stmt, "algebroid": algebroid_stmt,
+                   "form": form_stmt, "connection": connection_stmt,
+                   "relations": relations_stmt, "matched": matched_stmt,
+                   "cover": cover_stmt, "cocycle": cocycle_stmt,
+                   "bunch": bunch_stmt}
+
     def arrows(self, key, value) -> dict:
         """`{ k -> v; ... }` with k read by `key()`, v by `value()`; each k
         at most once."""
@@ -770,7 +806,7 @@ class Parser:
             if _power_refused(atom, power):
                 raise ParseError(
                     "the power at column %d could hold more than %d terms"
-                    % (tok.column, MAX_POWER_TERMS), tok)
+                    % (self.position(tok)[1], MAX_POWER_TERMS), tok)
             atom = atom ** power
         return atom
 

@@ -47,7 +47,8 @@ for `forms._WindowedComplex.weight_basis`; `block_dims` is the block-wise `dims`
 ranked each weight block of each slice once per call, and
 `rank_mod_prime` is a rank over a prime field that shares no code with
 the eliminator.  `char_walk_tokenize` is the tokenizer that walks every
-whitespace character, the reference for the one-pass `parser.tokenize`;
+whitespace character, the reference for `parser.tokenize` and the
+positions `parser.token_positions` finds;
 `matched_equations_by_factor` spells the matched-pair equations 2 and 3
 out once per factor, the reference for the one mirrored loop of
 `matched.verify_matched`; and `lambda_overlap_failures` sums the overlap
@@ -1529,16 +1530,17 @@ _CHAR_WALK_RE = re.compile(r"""
 
 
 def char_walk_tokenize(text):
-    """Tokens with line and column kept by walking every whitespace
-    character, and the dual caret found by looking past each identifier."""
-    from algebroid.parser import Token
+    """Tokens as (kind, text, line, column), line and column kept by
+    walking every whitespace character, and the dual caret found by
+    looking past each identifier: a caret followed by an ASCII digit or
+    '-' is a power, as the grammar's integers are [0-9]."""
     tokens = []
     line, col = 1, 1
     pos = 0
     while pos < len(text):
         m = _CHAR_WALK_RE.match(text, pos)
         if m is None:
-            tokens.append(Token("ERROR", text[pos], line, col))
+            tokens.append(("ERROR", text[pos], line, col))
             pos += 1
             col += 1
             continue
@@ -1561,23 +1563,23 @@ def char_walk_tokenize(text):
             end = m.end()
             if end < len(text) and text[end] == "^":
                 nxt = text[end + 1: end + 2]
-                if not (nxt.isdigit() or nxt == "-"):
-                    tokens.append(Token("DUAL", chunk, line, col))
+                if not (nxt.isascii() and nxt.isdigit() or nxt == "-"):
+                    tokens.append(("DUAL", chunk, line, col))
                     col += len(chunk) + 1
                     pos = end + 1
                     continue
-            tokens.append(Token("IDENT", chunk, line, col))
+            tokens.append(("IDENT", chunk, line, col))
         elif kind == "deriv":
-            tokens.append(Token("DERIV", chunk, line, col))
+            tokens.append(("DERIV", chunk, line, col))
         elif kind == "int":
-            tokens.append(Token("INT", chunk, line, col))
+            tokens.append(("INT", chunk, line, col))
         elif kind == "arrow":
-            tokens.append(Token("SYM", "->", line, col))
+            tokens.append(("SYM", "->", line, col))
         else:
-            tokens.append(Token("SYM", chunk, line, col))
+            tokens.append(("SYM", chunk, line, col))
         col += len(chunk)
         pos = m.end()
-    tokens.append(Token("EOF", "", line, col))
+    tokens.append(("EOF", "", line, col))
     return tokens
 
 

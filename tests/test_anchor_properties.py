@@ -10,7 +10,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from algebroid.core import Algebroid, StructureError  # noqa: E402
+from algebroid.core import Algebroid, Section, StructureError  # noqa: E402
 from algebroid.rings import (ChartRing, RingElement, RingError,  # noqa: E402
                              laurent_ring, poly_ring)
 
@@ -120,3 +120,27 @@ def test_basis_section_is_one_shared_section():
     assert alg.basis_section(-1) is alg.basis_section(2)
     with pytest.raises(IndexError):
         alg.basis_section(3)
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(setting(), st.data())
+def test_trusted_sections_equal_coerced_sections(case, data):
+    """The sections that `+`, `-`, negation, `scale` and `bracket` build
+    without coercing their coefficients equal the ones built through
+    `Section`, which coerces each coefficient into the base ring."""
+    ring, anchored, _, f = case
+    structure = {(0, 1): [data.draw(element(ring)) for _ in range(2)]}
+    alg = Algebroid(ring, 2, anchored.anchor, structure)
+    u, v = (alg.section([data.draw(element(ring)) for _ in range(2)]) for _ in range(2))
+    c = data.draw(coefficients)
+    built = [(u + v, [a + b for a, b in zip(u.coefficients, v.coefficients)]),
+             (u - v, [a - b for a, b in zip(u.coefficients, v.coefficients)]),
+             (-u, [-a for a in u.coefficients]),
+             (u.scale(f), [f * a for a in u.coefficients]),
+             (u.scale(c), [c * a for a in u.coefficients])]
+    bracket = alg.bracket(u, v)
+    built.append((bracket, list(bracket.coefficients)))
+    for trusted, coeffs in built:
+        assert trusted == Section(alg, coeffs)
+        assert type(trusted.coefficients) is tuple
+        assert all(type(x) is RingElement and x.ring is ring for x in trusted.coefficients)

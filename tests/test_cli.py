@@ -536,6 +536,21 @@ def test_verify_refutes_matched_pair_with_curved_action(tmp_path, command, as_js
         assert text == "refuted: %s\n" % witness
 
 
+@pytest.mark.parametrize("as_json", [False, True])
+def test_compare_total_refuses_matched_pair_with_curved_action(tmp_path, as_json):
+    # the action is checked before the twilled sum is built, so a curved
+    # one is refused with its curvature witness
+    path = tmp_path / "curved.adf"
+    path.write_text(CURVED_MATCHED)
+    code, text = invoke(["compare-total", str(path), "M"] + (["--json"] if as_json else []))
+    witness = "action12 is not flat: curvature witness (0, 1, 0, 0, <1>)"
+    assert code == 1
+    if as_json:
+        assert json.loads(text) == {"error": witness, "exit": 1}
+    else:
+        assert text == "refuted: %s\n" % witness
+
+
 WITNESSES = """# the sheared pair of matched.adf with action21 perturbed: equation 1 fails
 ring R = poly(Q; x, y, z, w);
 algebroid L1 over R { basis e1, e2; anchor e1 -> d/dx, e2 -> d/dy; }

@@ -509,3 +509,25 @@ def test_commutation_witness_scans_the_window(window, want):
     assert sl._commutator(((), ()))
     assert sl.commutation_check() == want
     assert commutation_witness(sl) == commutation_witness(sl, gather=True) == want
+
+
+def test_twilled_sum_of_a_matched_pair_is_verified():
+    """`total_cohomology_compare` does not verify the twilled sum: on every
+    matched pair the tests build, its axioms hold whenever `verify_matched`
+    holds, and a pair that is not matched is refused with its witness
+    before the twilled sum is built."""
+    rng = random.Random(1411)
+    pairs = mirrored(matched_pairs() + [heisenberg_derivation_pair()])
+    pairs += mirrored([heisenberg_line_pair(rng) for _ in range(12)])
+    pairs += [perturbed_sheared_pair(rng) for _ in range(12)]
+    verified = 0
+    for m in pairs:
+        if not (is_flat(m.action12).flat and is_flat(m.action21).flat):
+            continue
+        if verify_matched(m).verified:
+            assert twilled_sum(m, check=False)._verify_now().verified
+            verified += 1
+    assert verified >= 12
+    with pytest.raises(StructureError, match=r"^not a matched pair: equation 1 "
+                       r"fails at indices \(2, 1\)$"):
+        total_cohomology_compare(broken_sheared_pair(), [0, 1, 2], TruncationWindow(2, 2))

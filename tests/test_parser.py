@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from algebroid.parser import Diagnostic, parse, parse_word, render, tokenize
+from algebroid.parser import (Diagnostic, parse, parse_word, render, token_positions,
+                              tokenize)
 from algebroid.forms import LForm
 
 from oracles import char_walk_tokenize
@@ -393,10 +394,18 @@ def test_repeated_matched_clause_diagnostic(old, new, column, clause):
     assert diag == Diagnostic("error", 22, column, "%s is given twice" % clause)
 
 
+def positioned_tokens(text):
+    """(kind, text, line, column) of each token, as the oracle gives them."""
+    tokens = tokenize(text)
+    return [(tok.kind, tok.text, line, column) for tok, (line, column)
+            in zip(tokens, token_positions(text, tokens), strict=True)]
+
+
 def test_tokenize_matches_char_walk_oracle():
-    """The one-pass tokenizer gives the character walk's tokens, positions
-    included, on every data file and on seeded random strings built from
-    the language's pieces, whitespace and a few stray characters."""
+    """The tokenizer gives the character walk's tokens, and
+    `token_positions` its lines and columns, on every data file and on
+    seeded random strings built from the language's pieces, whitespace
+    and a few stray characters."""
     pieces = ["d/d", "d", "x", "e1", "_", "^", "-", ">", "->", "0", "27", "/",
               "*", "+", "(", ")", "{", "}", "[", "]", ",", ";", "=", ".", "# c",
               " ", "  ", "\n", "\t", "\r", "\u00a0", "@", "\u00e9", "!"]
@@ -407,7 +416,7 @@ def test_tokenize_matches_char_walk_oracle():
     texts += ["".join(rng.choice(pieces) for _ in range(rng.randint(0, 30)))
               for _ in range(5000)]
     for text in texts:
-        assert tokenize(text) == char_walk_tokenize(text), text
+        assert positioned_tokens(text) == char_walk_tokenize(text), text
 
 
 @pytest.mark.parametrize("body,column,message", [

@@ -15,6 +15,9 @@ from algebroid.parser import (Definitions, Diagnostic, Parser, parse,  # noqa: E
                               render, tokenize)
 from algebroid.rings import ChartRing  # noqa: E402
 
+from oracles import char_walk_tokenize  # noqa: E402
+from test_parser import positioned_tokens  # noqa: E402
+
 DATA = pathlib.Path(__file__).parent / "data"
 
 
@@ -136,3 +139,23 @@ def test_scalar_expressions_parse_to_ring_arithmetic(node):
     assert parsed == value, text
     assert str(parsed) == str(value)
     assert all(type(c) is int or c.denominator > 1 for c in parsed.terms.values())
+
+
+# ASCII identifiers and integers, every symbol, comments, derivations and
+# carets; whitespace beyond ASCII; letters and digits beyond ASCII (e with
+# acute, sharp s, superscript two, Arabic-Indic three, Roman numeral
+# twelve, mathematical italic x), which the grammar's [A-Za-z_] and [0-9]
+# leave out
+UNICODE_PIECES = (["x", "e1", "_b", "Z9", "d", "0", "27", "d/d", "d/dx", "->", "^",
+                   "# ring x", "#", " ", "\n"] + list("(){}[],;=+-*/.")
+                  + ["\t", "\r", "\x0b", "\x0c", "\u00a0", "\u2028", "\u3000"]
+                  + ["\u00e9", "\u00df", "\u00b2", "\u0663", "\u216b", "\U0001d465"])
+
+
+@settings(SETTINGS, max_examples=1000)
+@given(st.lists(st.sampled_from(UNICODE_PIECES), max_size=30), st.booleans())
+def test_tokens_and_positions_match_char_walk_oracle(pieces, caret_at_end):
+    # the kind, text, line and column of every token, against the walk
+    # over every character; a caret may end the input
+    text = "".join(pieces) + "^" * caret_at_end
+    assert positioned_tokens(text) == char_walk_tokenize(text)
