@@ -31,7 +31,7 @@ from .core import (Algebroid, AlgebroidMorphism, InputError, Section,
 from .forms import (LForm, RowCodes, TruncationWindow, IndexTuple, compile_d, pullback,
                     _ring_det, _WindowedComplex)
 from .pbw import GeneratorMap, PbwElement, RelationSystem
-from .rings import (ChartRing, RingElement, RingMap, laurent_ring, mul_terms,
+from .rings import (ChartRing, Coefficient, RingElement, RingMap, laurent_ring,
                     poly_ring)
 
 
@@ -378,6 +378,58 @@ def _size(terms) -> int:
     return max((abs(e) for exps in terms for e in exps), default=0)
 
 
+def _pack(codes: RowCodes, terms) -> List[Tuple[int, Coefficient]]:
+    """Terms {exponents: coefficient} as packed (offset, coefficient): the
+    offset of x^e is the code of x^e minus the code of x^0 under `codes`,
+    so offsets add as exponents do."""
+    places = codes.places
+    return [(sum(map(mul, places, exps)), c) for exps, c in terms.items()]
+
+
+def _packed_product(a, b) -> List[Tuple[int, Coefficient]]:
+    """The product of two packed term lists, equal offsets summed, without
+    zero values and with integral coefficients as int, as `mul_terms`.
+    Packing is a ring map, so this is the packed `mul_terms` of the terms;
+    it decodes wherever the product's exponents fit the codes."""
+    out: Dict[int, Coefficient] = {}
+    for o1, c1 in a:
+        for o2, c2 in b:
+            o = o1 + o2
+            cur = out.get(o)
+            out[o] = c1 * c2 if cur is None else cur + c1 * c2
+    return [(o, c if type(c) is int or c.denominator != 1 else c.numerator)
+            for o, c in out.items() if c]
+
+
+def _packed_image(codes: RowCodes, rmap: RingMap, powers: Dict, mono: IndexTuple) -> list:
+    """The packed image of x^mono under rmap: the packed product of the
+    packed powers of each variable's image (of its inverse, for a negative
+    exponent).  powers[rmap][i] holds variable i's packed powers by
+    exponent, for the call's codes, filled outward from exponent 0 on
+    first use, each the packed product of its neighbour towards 0 and the
+    power at 1 or -1, the packed image or inverse."""
+    tables = powers.get(rmap)
+    if tables is None:
+        tables = powers[rmap] = [{0: [(0, 1)]} for _ in mono]
+    out = None
+    for i, e in enumerate(mono):
+        if not e:
+            continue
+        table = tables[i]
+        if e not in table:
+            step = 1 if e > 0 else -1
+            if step not in table:
+                unit = tuple(step if v == i else 0 for v in range(len(mono)))
+                table[step] = _pack(codes, rmap.monomial_terms(unit))
+            k = e
+            while k - step not in table:
+                k -= step
+            for k in range(k, e + step, step):
+                table[k] = _packed_product(table[k - step], table[step])
+        out = table[e] if out is None else _packed_product(out, table[e])
+    return [(0, 1)] if out is None else out
+
+
 def _cech_complex(cover: Cover, lo: int, hi: int, frames: Mapping) -> _WindowedComplex:
     """The windowed Cech-Chevalley-Eilenberg complex of the cover in total
     degrees lo and lo + 1 of its cut lo <= q <= hi, lo 0 or 1.
@@ -391,8 +443,11 @@ def _cech_complex(cover: Cover, lo: int, hi: int, frames: Mapping) -> _WindowedC
     (a, b) it is the first chart of with sign +, and to every overlap
     (b, a) with sign -, its component i = I[0] (0 for I = ()) landing on
     component k times frames[(b, a)][i][k]: the bundle transition at
-    q = 0, the inverse transition at q = 1.  Nothing of total degree
-    lo + 2 or on a triple overlap is built."""
+    q = 0, the inverse transition at q = 1.  A restriction row is read
+    from packed terms under the call's codes (`_packed_image`, times the
+    frame coefficient's `_pack`), the packed form of the term-dict
+    products `RingMap.monomial_terms` and `mul_terms` give.  Nothing of
+    total degree lo + 2 or on a triple overlap is built."""
     blocks: Dict[int, List[Tuple[tuple, ChartRing]]] = {lo: [], lo + 1: []}
     stencils = {}
     for a, (ring, alg) in enumerate(cover.charts):
@@ -418,32 +473,33 @@ def _cech_complex(cover: Cover, lo: int, hi: int, frames: Mapping) -> _WindowedC
                 default=0)
 
     def plan(codes: RowCodes, idx: IndexTuple, a: int) -> list:
-        """(restriction map, [(code of the target block at exponent 0, frame
-        coefficient terms, or None for 1)]) per overlap of chart a."""
+        """(restriction map, [(code of the target block at exponent 0, packed
+        frame coefficient, or None for 1)]) per overlap of chart a."""
         out = []
         for key, ov in cover.overlaps.items():
             if a == key[0]:
                 out.append((ov.map_a, [(codes.code((idx, (key, 0)), ()), None)]))
             elif a == key[1]:
                 out.append((ov.map_b, [
-                    (codes.code(((k,) if idx else (), (key, 0)), ()), (-c).terms)
+                    (codes.code(((k,) if idx else (), (key, 0)), ()), _pack(codes, (-c).terms))
                     for k, c in enumerate(frames[key][idx[0] if idx else 0])]))
         return out
 
     def rows(codes: RowCodes, basis) -> Dict[int, dict]:
         out: Dict[int, dict] = defaultdict(dict)
         runs: Dict[int, list] = defaultdict(list)   # chart -> (column, element) of its stencil
-        last, places = None, codes.places
+        powers: Dict[RingMap, List[Dict[int, list]]] = {}
+        last = None
         for j, (key, mono) in enumerate(basis):
             if key is not last:
                 last, (idx, (a, _)) = key, key
                 live = key in restricting
                 targets = plan(codes, idx, a) if live else ()
             for rmap, images in targets:
-                img = rmap.monomial_terms(mono)
-                for base, terms in images:
-                    for exps, c in (img if terms is None else mul_terms(terms, img)).items():
-                        out[base + sum(map(mul, places, exps))][j] = c
+                img = _packed_image(codes, rmap, powers, mono)
+                for base, frame in images:
+                    for off, c in (img if frame is None else _packed_product(frame, img)):
+                        out[base + off][j] = c
             if live and a in stencils:
                 runs[a].append((j, basis[j]))
         for a, run in runs.items():

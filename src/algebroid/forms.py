@@ -19,7 +19,7 @@ from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, chain, combinations, permutations
+from itertools import chain, combinations, count, permutations, repeat
 from operator import mul
 from typing import (Dict, Hashable, Iterable, List, Mapping, Optional,
                     Sequence, Tuple)
@@ -732,20 +732,23 @@ class _WindowedComplex:
         one column reduction per degree (`SparseSystem.pivots`) reads them
         all; a degree whose next degree has no blocks has rank 0 and
         builds nothing.  Each degree's basis is ordered by the first of
-        them that holds an element, in basis order inside each such layer (the
-        layers of each block's ring), so each window's slice is a prefix
-        of one list of columns, whose rank is its pivot count.  Each
-        system's rows are ordered the same way, by the first window
-        holding the row's monomial, then by code: the column order of the
-        degree above.  A window's image is then the number of reduced
-        columns of the enlarged window's prefix whose low is a row inside
-        the window.  Degree p skips the columns that are lows of degree
-        p - 1 (clearing: Chen & Kerber, EuroCG 2011): each is the last
-        entry of a coboundary, so its column depends on the ones before
-        it.  The differential preserves the weights of `Stencil.weights`
-        and blocks of different weights share no rows, so the rank of one
-        weight's block is the number of pivot columns of that weight:
-        per-weight answers can be read from the same pivots."""
+        them that holds an element, in basis order inside each such layer
+        (the layers of each block's ring), so each window's slice is a
+        prefix of one list of columns, whose rank is its pivot count.
+        Each row of degree p's system is keyed by its column in degree
+        p + 1's basis, or by len(that basis) + its code when that basis
+        lacks it, so the rows inside each window read at p + 1 are again
+        a prefix; a window's image is the number of reduced columns of the
+        enlarged window's prefix whose low lies below the window's size.
+        The rows past every such window need no order of their own: ranks
+        and pivot columns do not depend on the row order.  Degree p
+        does not build the columns that are lows of degree p - 1
+        (clearing: Chen & Kerber, EuroCG 2011): each is the last entry of
+        a coboundary, so its column depends on the ones before it.  The
+        differential preserves the weights of `Stencil.weights` and blocks
+        of different weights share no rows, so the rank of one weight's
+        block is the number of pivot columns of that weight: per-weight
+        answers can be read from the same pivots."""
         out: Dict[TruncationWindow, Dict[int, Tuple[int, int]]] = {}
         reads: Dict[int, set] = {}          # degree -> the windows it is read at
         for p in sorted(asks):
@@ -763,11 +766,8 @@ class _WindowedComplex:
         codes = self.codes(max(nested[-1].bound(ring) for ring in ring_of.values()))
         # per ring: the monomials first held by each of `nested`, counting
         # only the windows that a degree with blocks over the ring is read
-        # at (the other layers are empty), and for the rings of the rows
-        # each packed monomial's (first of `nested` holding it, its place)
-        targets = {ring for p in reads for _, ring in self.blocks.get(p + 1, ())}
+        # at (the other layers are empty)
         layers: Dict[ChartRing, List[List[IndexTuple]]] = {}
-        packed: Dict[ChartRing, Dict[int, Tuple[int, int]]] = {}
         reads_at = {p: {at[w] for w in ws} for p, ws in reads.items()}
         for ring in dict.fromkeys(ring_of.values()):
             kept = set().union(*(reads_at[p] for p in reads
@@ -780,59 +780,51 @@ class _WindowedComplex:
                 layer.update(dict.fromkeys(layers[ring][-1], k))
                 if monos and len(layer) != len(monos):
                     raise ValueError("windows are not nested")
-            if ring in targets:
-                packed[ring] = {codes.mono(m): (k, t) for k, monos in enumerate(layers[ring])
-                                for t, m in enumerate(monos)}
-        by_block = [packed.get(ring_of[key], {}) for key in codes.keys]
-        far = (len(nested), 0)
-        pivots: Dict[int, List[Tuple[int, int]]] = {}
-        held: Dict[int, List[int]] = {}     # degree -> its rows inside each of `nested`
-        sizes: Dict[int, List[int]] = {}    # degree -> its basis elements inside each
-        low_codes: Dict[int, List[int]] = {}
+        # per read degree: its basis, layer by layer, its size inside each
+        # of `nested` up to the last it is read at, and when it holds the
+        # rows of the degree below, the {code: column} of its basis
+        bases: Dict[int, List[Tuple[Hashable, IndexTuple]]] = {}
+        sizes: Dict[int, List[int]] = {}
+        index: Dict[int, Dict[int, int]] = {}
+        packed: Dict[ChartRing, List[List[int]]] = {}   # a ring's layers, packed
+        for p in reads:
+            basis, sizes[p], row_codes = bases.setdefault(p, []), [], []
+            for k in range(max(reads_at[p]) + 1):
+                for key, ring in self.blocks[p]:
+                    basis.extend(zip(repeat(key), layers[ring][k]))
+                    if p - 1 in reads:
+                        if ring not in packed:
+                            packed[ring] = [list(map(codes.mono, monos)) for monos in layers[ring]]
+                        base = codes.block[key] * codes.scale
+                        row_codes.extend(map(base.__add__, packed[ring][k]))
+                sizes[p].append(len(basis))
+            index[p] = dict(zip(row_codes, count()))
+        lows: Dict[int, List[int]] = {}     # degree -> the low of each pivot, by column
         ranks: Dict[tuple, int] = {}
         for p in sorted(reads):
-            top = max(map(at.get, reads[p]))
-            sizes[p] = list(accumulate(
-                sum(len(layers[ring][k]) for _, ring in self.blocks[p]) for k in range(top + 1)))
             if p + 1 not in self.blocks:
                 # the differential into a zero degree is zero: no system
                 ranks.update(((p, w), 0) for w in reads[p])
                 continue
-            # first[k][block]: the column of the block's first element in layer k
-            basis, first = [], []
-            for k in range(top + 1):
-                first.append({})
-                for key, ring in self.blocks[p]:
-                    first[k][codes.block[key]] = len(basis)
-                    basis.extend((key, m) for m in layers[ring][k])
-            rows = self.rows(codes, basis)
-            by_first: List[List[int]] = [[] for _ in range(len(nested) + 1)]
-            for code in rows:
-                block, mono = divmod(code, codes.scale)
-                by_first[by_block[block].get(mono, far)[0]].append(code)
-            order = [code for codes_k in by_first for code in sorted(codes_k)]
-            system = SparseSystem([rows[code] for code in order], len(basis), order)
-            # a low of degree p - 1 is the code of a degree-p element: its
-            # block, its monomial's layer and its place there give its column
-            clear = set()
-            for code in low_codes.get(p - 1, ()):
-                block, mono = divmod(code, codes.scale)
-                k, t = by_block[block].get(mono, far)
-                if k <= top:
-                    clear.add(first[k][block] + t)
-            pivots[p] = system.pivots(clear)
-            low_codes[p] = [order[t] for t, _ in pivots[p]]
-            held[p] = list(accumulate(map(len, by_first)))
-            columns = [c for _, c in pivots[p]]
+            basis, ids = bases[p], index.get(p + 1, {})
+            cleared = {low for low in lows.get(p - 1, ()) if low < len(basis)}
+            columns = [j for j in range(len(basis)) if j not in cleared]
+            far = len(ids)
+            system = SparseSystem.from_rows(
+                {ids.get(code, far + code): row for code, row in self.rows(
+                    codes, [basis[j] for j in columns] if cleared else basis).items()},
+                len(columns))
+            pivots = system.pivots()
+            lows[p] = [system.row_keys[t] for t, _ in pivots]
+            pivot_columns = [columns[j] for _, j in pivots]
             for w in reads[p]:
-                ranks[p, w] = bisect_left(columns, sizes[p][at[w]])
+                ranks[p, w] = bisect_left(pivot_columns, sizes[p][at[w]])
         for p in reads.keys() & asks.keys():
             for w in asks[p]:
                 image = 0
                 if p - 1 in self.blocks:
-                    inside = held[p - 1][at[w]]
-                    image = sum(low < inside
-                                for low, _ in pivots[p - 1][:ranks[p - 1, w.enlarged(drop)]])
+                    inside = sizes[p][at[w]]
+                    image = sum(low < inside for low in lows[p - 1][:ranks[p - 1, w.enlarged(drop)]])
                 out[w][p] = (sizes[p][at[w]] - ranks[p, w], image)
         return out
 

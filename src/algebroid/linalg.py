@@ -3,7 +3,8 @@
 Every linear system the library solves is a `SparseSystem`, built from
 keyed sparse rows (`from_rows`: the windowed cochain systems, the Cech
 ones among them, key theirs by the integer row codes of
-`forms.RowCodes`), and reduced by one routine, the column reduction of
+`forms.RowCodes`, or in `dims` by the column of each row in the next
+degree's basis), and reduced by one routine, the column reduction of
 persistent homology (Zomorodian & Carlsson, DCG 33, 2005): each column in
 turn is reduced by the earlier reduced columns until it is zero or its
 low, its last nonzero row in the row order the caller gives, is new.
