@@ -14,9 +14,9 @@ from .rings import (ChartRing, RingElement, RingMap, RingError, poly_ring,
                     laurent_ring, ring_arith, apply_derivation, apply_ring_map)
 from .linalg import SparseSystem
 from .core import (Algebroid, AlgebroidMorphism, Section, StructureError,
-                   InputError, make_tangent, make_trivial_bundle,
-                   make_lie_algebra_bundle, make_foliation, make_poisson,
-                   make_log, verify_axioms)
+                   InputError, InternalError, make_tangent,
+                   make_trivial_bundle, make_lie_algebra_bundle,
+                   make_foliation, make_poisson, make_log, verify_axioms)
 from .forms import (LForm, TruncationWindow, CohomologyReport, d_L, wedge,
                     contract, function_form, basis_covector, covariant_d,
                     truncated_cohomology, exactness_solve, residue_certificate)

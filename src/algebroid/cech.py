@@ -26,8 +26,8 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .connections import (Connection, curvature, _mat_add, _mat_mul,
                           _mat_scale, _mat_sub)
-from .core import (Algebroid, AlgebroidMorphism, InputError, Section,
-                   StructureError, make_log, make_tangent)
+from .core import (Algebroid, AlgebroidMorphism, InputError, InternalError,
+                   Section, StructureError, make_log, make_tangent)
 from .forms import (LForm, RowCodes, TruncationWindow, IndexTuple, compile_d, pullback,
                     _ring_det, _WindowedComplex)
 from .pbw import GeneratorMap, PbwElement, RelationSystem
@@ -554,13 +554,13 @@ def _verify_coboundary(cover: Cover, diff: CechPair,
     for (a, b) in cover.overlaps:
         ea, eb = cover.restrict(a, b, eta)
         if not ((ea - eb) - diff.phi[(a, b)]).is_zero():
-            raise StructureError("internal error: overlap equation unverified")
+            raise InternalError("overlap equation unverified")
     for a in range(len(cover.charts)):
         alg = cover.chart_algebroid(a)
         if alg.rank < 2:
             continue
         if not (eta[a].d() - diff.q[a]).is_zero():
-            raise StructureError("internal error: chart equation unverified")
+            raise InternalError("chart equation unverified")
 
 
 @dataclass

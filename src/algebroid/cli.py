@@ -22,7 +22,7 @@ from .cech import (atiyah_cocycle, coboundary_test, glue_sridharan,
                    verify_lambda_module)
 from .connections import (chern_trace_form, curvature, is_flat,
                           obstruction_trace_check)
-from .core import InputError, StructureError, verify_axioms
+from .core import InputError, InternalError, StructureError, verify_axioms
 from .forms import (LForm, TruncationWindow, exactness_solve,
                     truncated_cohomology)
 from .matched import total_cohomology_compare, twilled_sum, verify_matched
@@ -35,6 +35,7 @@ EXIT_OK = 0
 EXIT_REFUTED = 1
 EXIT_USAGE = 2
 EXIT_WINDOW = 3
+EXIT_INTERNAL = 4
 
 
 def frac_str(x: Fraction) -> str:
@@ -375,9 +376,10 @@ def cmd_normal_form(args, defs, out, window) -> int:
     except (ParseError, RingError, StructureError) as err:
         raise UsageError(str(err)) from err
     out.line("normal form: %s" % element)
-    out.set("terms", {
-        ",".join(str(t + 1) for t in word): str(coeff)
-        for word, coeff in sorted(element.terms.items())})
+    if out.as_json:
+        out.set("terms", {
+            ",".join(str(t + 1) for t in word): str(coeff)
+            for word, coeff in sorted(element.terms.items())})
     return out.emit(EXIT_OK)
 
 
@@ -621,6 +623,11 @@ def run(argv) -> int:
         out.line("refuted: %s" % err)
         out.set("error", str(err))
         return out.emit(EXIT_REFUTED)
+    except InternalError as err:
+        out = Output(args.json)     # one line, whatever the handler wrote
+        out.line("internal error: %s" % err)
+        out.set("error", str(err))
+        return out.emit(EXIT_INTERNAL)
 
 
 def main() -> None:

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .core import (Algebroid, AlgebroidMorphism, InputError, Section,
-                   StructureError)
+from .core import (Algebroid, AlgebroidMorphism, InputError, InternalError,
+                   Section, StructureError)
 from .forms import (ExactnessResult, IndexTuple, LForm, TruncationWindow,
                     covariant_d, exactness_solve, sort_with_sign)
 from .rings import RingElement
@@ -260,7 +260,7 @@ def chern_trace_form(c: Connection, k: int = 1) -> LForm:
     else:
         raise StructureError("trace powers beyond 2 are not offered")
     if not out.d().is_zero():
-        raise StructureError("internal error: trace form is not closed")
+        raise InternalError("trace form is not closed")
     return out
 
 

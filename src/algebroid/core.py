@@ -27,6 +27,11 @@ class InputError(StructureError):
     the wrong degree or not closed): a usage error, not a refutation."""
 
 
+class InternalError(Exception):
+    """An answer failed the check made on it before it is returned: a
+    fault of the program, neither a refutation nor an input error."""
+
+
 class Section:
     """A section of an algebroid: coordinates in the module basis.
 

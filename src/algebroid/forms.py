@@ -24,7 +24,7 @@ from operator import mul
 from typing import (Dict, Hashable, Iterable, List, Mapping, Optional,
                     Sequence, Tuple)
 
-from .core import Algebroid, InputError, Section, StructureError
+from .core import Algebroid, InputError, InternalError, Section, StructureError
 from .linalg import SparseSystem
 from .rings import ChartRing, Coefficient, RingElement, as_fraction
 
@@ -931,7 +931,7 @@ def exactness_solve(theta: LForm, window: TruncationWindow | None = None
         primitive = LForm(l, p, {idx: RingElement(l.base, t)
                                  for (idx, _), t in terms.items()})
         if not (primitive._d_unchecked() - theta).is_zero():
-            raise StructureError("internal error: primitive failed verification")
+            raise InternalError("primitive failed verification")
         return ExactnessResult("primitive", primitive=primitive, window=window)
     witness = residue_certificate(theta)
     if witness is not None:

@@ -25,8 +25,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import (Collection, Dict, Hashable, List, Mapping, Optional,
-                    Sequence, Tuple)
+from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
 from .rings import Coefficient, as_fraction
 
@@ -89,19 +88,18 @@ class SparseSystem:
         return cls([rows[k] for k in keys], ncols, keys)
 
     def _eliminate(self, rhs: Sequence[Mapping[int, Coefficient]] = (),
-                   clear: Collection[int] = (), transforms: bool = False):
+                   transforms: bool = False):
         """Column reduction of the integer-scaled columns; returns
         (pivots, relations, column scales).
 
         `pivots` holds (low, column) of each nonzero reduced column, by
         column, of the system with column c multiplied by scales.get(c, 1).
         rhs[k], {row: value}, joins it as column ncols + k, reduced against
-        the pivot columns only.  The columns in `clear` must depend on the
-        columns before them; they are skipped, which leaves the pivots as
-        they are.  With `transforms` or a right-hand side, `relations` maps
-        each column that reduces to zero to its transform {column: int}, a
-        relation among the scaled columns, nonzero at its own column and
-        otherwise supported on pivot columns; else it is empty.
+        the pivot columns only.  With `transforms` or a right-hand side,
+        `relations` maps each column that reduces to zero to its transform
+        {column: int}, a relation among the scaled columns, nonzero at its
+        own column and otherwise supported on pivot columns; else it is
+        empty.
         """
         n = self.ncols
         cols: List[Dict[int, Coefficient]] = [{} for _ in range(n + len(rhs))]
@@ -119,8 +117,6 @@ class SparseSystem:
         pivots: List[Tuple[int, int]] = []
         relations: Dict[int, Dict[int, int]] = {}
         for j, col in enumerate(cols):
-            if j in clear:
-                continue
             vec = {j: 1} if track else None
             while col:
                 low = max(col)
@@ -148,13 +144,11 @@ class SparseSystem:
                 pivots.append((low, j))
         return pivots, relations, scales
 
-    def pivots(self, clear: Collection[int] = ()) -> List[Tuple[int, int]]:
+    def pivots(self) -> List[Tuple[int, int]]:
         """(low row, column) of each pivot column, ascending by column.
         The pivot columns are the columns independent of the columns
-        before them, in a block-diagonal system the pivots of each block.
-        The columns in `clear` must be known to depend on the columns
-        before them; they are skipped."""
-        return self._eliminate(clear=clear)[0]
+        before them, in a block-diagonal system the pivots of each block."""
+        return self._eliminate()[0]
 
     def rank(self) -> int:
         return len(self.pivots())

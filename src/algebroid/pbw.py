@@ -381,8 +381,9 @@ def _times(system: RelationSystem, terms: Iterable, a: int,
         if c == 1 and not shift and not out:
             out.update(nf)
             continue
-        for (w, f), v in nf.items():
-            key = (w, tuple(map(add, e, f)) if shift else f)
+        for key, v in nf.items():
+            if shift:
+                key = (key[0], tuple(map(add, e, key[1])))
             if c != 1:
                 v = c * v
             cur = get(key)
@@ -394,16 +395,29 @@ def _entry(system: RelationSystem, key: Tuple[Powers, int]):
     """NF(u a) for the key (u, a) of a redex, as a generator: u = u' e_b
     with b > a, or with a a coefficient code.  The redex e_b a is
     replaced by its edges (c, mid), and NF(u a) is the sum of
-    c * NF(u' mid), u' multiplied by the items of mid in turn.  A step
-    whose memo entries are missing yields their keys, and is finished
-    once they are filled."""
+    c * NF(u' mid).  NF(u' m) for mid's first item m is one term when
+    u' e_m is ascending, the terms of f when m codes f and u' is empty,
+    and otherwise the memo entry (u', m) itself, which is only read; the
+    items after m are multiplied in by _times.  A step whose memo entries
+    are missing yields their keys, and is finished once they are filled."""
     u, a = key
     b = (u.bit_length() - 1) // _BITS           # u's last generator
-    start = (u - (1 << _BITS * b), (0,) * len(system.ring.variables))
+    head, zero = u - (1 << _BITS * b), (0,) * len(system.ring.variables)
     out: Terms = {}
     for c, mid in system._edges(b, a):
-        terms = {start: 1}
-        for m in mid:
+        if not mid:
+            terms = {(head, zero): 1}
+        elif mid[0] >= 0 and head < 1 << _BITS * (mid[0] + 1):
+            terms = {(head + (1 << _BITS * mid[0]), zero): 1}
+        elif mid[0] < 0 and not head:
+            terms = {(0, f): v for f, v
+                     in system._coefficients[~mid[0]].terms.items()}
+        else:
+            terms = system._products.get((head, mid[0]))
+            if terms is None:
+                yield [(head, mid[0])]
+                terms = system._products[head, mid[0]]
+        for m in mid[1:]:
             product: Terms = {}
             skipped = _times(system, terms.items(), m, product)
             if skipped:
@@ -499,9 +513,11 @@ def normal_form(items: Iterable[Item], system: RelationSystem) -> PbwElement:
     coefficient} from the left, each term x^e u times a giving
     x^e NF(u a).  NF(u a) for an ascending u is memoised on the system
     under (exponent vector of u, a), so e2^n e1^n needs O(n^2) entries
-    of two terms each.  The result is grouped by word only on the way
-    out.  A reduction that would add more than MAX_REDUCTION_TERMS terms
-    to the memo is refused with InputError.
+    of two terms each.  An entry is filled in one pass over its rewrite
+    edges, the first item of each edge found by one lookup (see _entry).
+    The result is grouped by word only on the way out.  A reduction that
+    would add more than MAX_REDUCTION_TERMS terms to the memo is refused
+    with InputError.
     """
     system._bound_memo()
     scale, word = system._encode(items)

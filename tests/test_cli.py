@@ -761,6 +761,91 @@ def test_cech_dims_needs_a_line_bundle(tmp_path, file, name, message, as_json):
         assert text == "error: %s\n" % message
 
 
+# two planes glued by u = x, v = y + x: rank-2 charts, so class-compare
+# checks each chart's equation d eta = Q as well as the overlap's
+SHEARED = """\
+ring S = poly(Q; u, v);
+ring R = poly(Q; x, y);
+algebroid U over S { basis f1, f2; anchor f1 -> d/du, f2 -> d/dv; }
+algebroid T over R { basis e1, e2; anchor e1 -> d/dx, e2 -> d/dy; }
+cover C {
+  chart S U;
+  chart R T;
+  overlap 0 1 {
+    ring R;
+    map 0 { u -> x; v -> y + x; }
+    map 1 { x -> x; y -> y; }
+    derivations 0 { d/du -> d/dx - d/dy; d/dv -> d/dy; }
+    derivations 1 { d/dx -> d/dx; d/dy -> d/dy; }
+    transition [[1, 0], [1, 1]];
+    bundle [[1]];
+  }
+}
+cocycle Z on C { }
+cocycle A on C { phi 0 1 = (2*x*y - x^2)*f1^ + x^2*f2^; }
+"""
+
+
+def _break_primitive(monkeypatch):
+    """Every windowed solve returns twice its solution."""
+    from algebroid import forms
+    solve = forms._WindowedComplex.solve
+
+    def doubled(self, *args):
+        terms = solve(self, *args)
+        return terms and {key: {m: 2 * c for m, c in t.items()} for key, t in terms.items()}
+    monkeypatch.setattr(forms._WindowedComplex, "solve", doubled)
+
+
+def _break_chart_equation(monkeypatch):
+    """The chart equations are checked against Q plus a nonzero 2-form."""
+    from algebroid import cech
+    from algebroid.forms import LForm
+    verify = cech._verify_coboundary
+
+    def shifted(cover, diff, eta):
+        diff.q = {a: q + LForm(q.owner, 2, {(0, 1): q.owner.base.one})
+                  for a, q in diff.q.items()}
+        verify(cover, diff, eta)
+    monkeypatch.setattr(cech, "_verify_coboundary", shifted)
+
+
+def _break_trace_form(monkeypatch):
+    """Every form the connections module builds is its own differential."""
+    from algebroid import connections
+
+    class Unclosed(connections.LForm):
+        def d(self):
+            return self
+    monkeypatch.setattr(connections, "LForm", Unclosed)
+
+
+@pytest.mark.parametrize("argv,breaks,message", [
+    (["exact", "plane.adf", "area"], _break_primitive, "primitive failed verification"),
+    (["class-compare", "p1log.adf", "Z", "A"], _break_primitive,
+     "overlap equation unverified"),
+    (["class-compare", "{sheared}", "Z", "A", "--window", "4,4"], _break_chart_equation,
+     "chart equation unverified"),
+    (["chern", "plane.adf", "C"], _break_trace_form, "trace form is not closed"),
+], ids=["primitive", "overlap", "chart", "trace"])
+@pytest.mark.parametrize("as_json", [False, True])
+def test_failed_self_check_is_internal_error(tmp_path, monkeypatch, argv, breaks,
+                                             message, as_json):
+    # an answer that fails the check made on it is a fault of the program:
+    # one line and exit 4, neither a refutation (1) nor a usage error (2)
+    path = tmp_path / "sheared.adf"
+    path.write_text(SHEARED)
+    argv = [str(path) if a == "{sheared}" else a for a in argv]
+    assert invoke(argv)[0] == 0
+    breaks(monkeypatch)
+    code, text = invoke(argv + (["--json"] if as_json else []))
+    assert code == cli.EXIT_INTERNAL == 4
+    if as_json:
+        assert json.loads(text) == {"error": message, "exit": 4}
+    else:
+        assert text == "internal error: %s\n" % message
+
+
 # -- argv fuzzing --------------------------------------------------------------
 
 hypothesis = pytest.importorskip("hypothesis")

@@ -214,8 +214,8 @@ def check_row_ids(complex_, drop, w, monkeypatch):
         return rows(codes, basis)
 
     class Recording(SparseSystem):
-        def pivots(self, clear=()):
-            found = super().pivots(clear)
+        def pivots(self):
+            found = super().pivots()
             systems[max(handed)] = (self.row_keys, [self.row_keys[t] for t, _ in found])
             return found
 

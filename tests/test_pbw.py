@@ -408,6 +408,126 @@ def test_broken_systems_match_naive_on_seeded_words():
             assert got.terms == whole_word_normal_form(items, s).terms
 
 
+def bench_broken_tables():
+    """The broken tables of the pbw-words bench, BR3 and BR4: [e1, e2] =
+    a e3, [e1, e3] = b e1 and [e2, e3] = d e2 over Q[x], unanchored, on
+    rank 3 and 4, for two draws of (a, b, d)."""
+    r = poly_ring("x")
+    return [RelationSystem(make_lie_algebra_bundle(
+                r, rank, {(0, 1): {2: a}, (0, 2): {0: b}, (1, 2): {1: d}}))
+            for rank in (3, 4) for a, b, d in ((1, 1, 1), (4, 2, 5))]
+
+
+class _RecordedMemo(dict):
+    """A product memo that records the keys read by indexing: only the
+    first item of a rewrite edge whose memo entry was missing is read so
+    (`_times` reads with get, `_fill` asks with in)."""
+
+    def __init__(self):
+        super().__init__()
+        self.indexed = []
+
+    def __getitem__(self, key):
+        self.indexed.append(key)
+        return super().__getitem__(key)
+
+
+def _reduce_recording_branches(s, items, monkeypatch):
+    """normal_form(items, s) on an empty memo, and the ways NF(u' m) was
+    found for the first item m of each rewrite edge of each entry filled:
+    "empty" (an edge with no item, a twist or a constant derivative),
+    "ascending" (u' e_m ascending), "coefficient" (m codes a coefficient
+    and u' is empty), "hit" (the memo held (u', m) when the entry
+    started), "miss" (read from the memo after suspending on it), and
+    "shift" when a product of _times moved a memo entry by exponents."""
+    from algebroid import pbw
+    seen = set()
+    bits, rank = pbw._BITS, s.algebroid.rank
+    entry, times = pbw._entry, pbw._times
+
+    def generators(u):
+        return [i for i in range(rank) if u >> bits * i & (1 << bits) - 1]
+
+    def spy_entry(system, key):
+        u, a = key
+        b = generators(u)[-1]
+        head = u - (1 << bits * b)
+        for _, mid in system._edges(b, a):
+            if not mid:
+                seen.add("empty")
+            elif mid[0] >= 0 and all(i <= mid[0] for i in generators(head)):
+                seen.add("ascending")
+            elif mid[0] < 0 and not head:
+                seen.add("coefficient")
+            elif (head, mid[0]) in system._products:
+                seen.add("hit")
+        return entry(system, key)
+
+    def spy_times(system, terms, a, out):
+        terms = list(terms)
+        if any(any(e) and u and (a < 0 or max(generators(u)) > a)
+               for (u, e), _ in terms):
+            seen.add("shift")
+        return times(system, terms, a, out)
+
+    s._products, s._terms = _RecordedMemo(), 0
+    with monkeypatch.context() as mp:
+        mp.setattr(pbw, "_entry", spy_entry)
+        mp.setattr(pbw, "_times", spy_times)
+        got = normal_form(items, s)
+    if s._products.indexed:
+        seen.add("miss")
+    return got, seen
+
+
+def test_first_items_of_rewrite_edges_match_both_references(monkeypatch):
+    # NF(u' m) for the first item of each edge is a lookup, not a product:
+    # every way of finding it, on seeded words over confluent and broken
+    # systems, agrees with the whole-word and the naive reduction, and a
+    # second reduction reads the first one's entries without changing them
+    rng = random.Random(79)
+    w = weyl()
+    x, y = w.ring.var("x"), w.ring.var("y")
+    t = make_tangent(w.ring)
+    monopole = RelationSystem(t, LForm(t, 2, {(0, 1): w.ring.const(-5)}))
+    words = [(monopole, [1, 1, 0, 0]), (monopole, [1, 0, 1, 1, 0, 0]),
+             (w, [0, x, 1, x * y, 0, y]), (w, [1, x * y, 0, 1, x ** 2, 0])]
+    for s in (fractional_twist_systems() + structure_function_systems()
+              + [laurent_twist_system()] + bench_broken_tables()):
+        words += [(s, _random_items(rng, s, rng.randint(3, 7))) for _ in range(3)]
+    words += [(bench_broken_tables()[k], [2, 1, 0, 2, 1, 0]) for k in (0, 3)]
+    seen = set()
+    for s, items in words:
+        got, branches = _reduce_recording_branches(s, items, monkeypatch)
+        seen |= branches
+        assert_reduced(got)
+        assert got.terms == naive_normal_form(items, s).terms, items
+        assert got.terms == whole_word_normal_form(items, s).terms, items
+        assert s._terms == sum(map(len, s._products.values()))
+        first = {key: dict(terms) for key, terms in s._products.items()}
+        again = normal_form(items + items[:2], s)
+        assert again.terms == whole_word_normal_form(items + items[:2], s).terms
+        assert all(s._products[key] == terms for key, terms in first.items())
+    assert seen == {"empty", "ascending", "coefficient", "hit", "miss", "shift"}
+
+
+def test_so3_entries_need_one_product_per_item_after_the_first(monkeypatch):
+    # e3^3 e2^3 e1^3 in so(3)*: only the items after the first of each
+    # edge go through _times, so the fold fills 98 entries with 115 calls
+    from algebroid import pbw
+    s = so3_relations()
+    calls = []
+    times = pbw._times
+
+    def counted(*args):
+        calls.append(args[2])
+        return times(*args)
+    monkeypatch.setattr(pbw, "_times", counted)
+    got = normal_form([2] * 3 + [1] * 3 + [0] * 3, s)
+    assert len(got.terms) == 33
+    assert len(s._products) == 98 and len(calls) == 115
+
+
 def test_products_match_naive_randomized():
     # PbwElement.__mul__ multiplies the left element's flat terms on the
     # right by each term of the other
