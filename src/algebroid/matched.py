@@ -11,7 +11,10 @@ total differential carries the alternating sign on the second one.
 The total-cohomology comparison decides d1 d2 = d2 d1, and that the total
 differential is the twilled sum's Chevalley-Eilenberg differential
 (Mokri, Glasgow Math. J. 39, 1997), once per key on the compiled stencil
-entries; when the second holds, one reduction gives the dims of both.
+entries.  The second is a formal identity of the compiled formulas, so
+the two complexes are one matrix and one reduction, of the twilled sum's
+complex, gives the dims of both; the total complex itself is built only
+by the tests, as their reference.
 """
 
 from __future__ import annotations
@@ -24,10 +27,10 @@ from operator import add, mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .connections import Connection, is_flat
-from .core import Algebroid, Section, StructureError, vector_field_bracket
-from .forms import IndexTuple, RowCodes, TruncationWindow, compile_d, sort_with_sign, \
-    _ce_complex, _tuple_keys, _window_check, _WindowedComplex
-from .rings import ChartRing, RingElement
+from .core import Algebroid, InternalError, Section, StructureError, vector_field_bracket
+from .forms import IndexTuple, TruncationWindow, compile_d, sort_with_sign, \
+    _ce_complex, _tuple_keys, _window_check
+from .rings import RingElement
 
 
 @dataclass
@@ -179,16 +182,14 @@ def _on_forms(action: Connection) -> List[Dict[IndexTuple, list]]:
 
 
 class DoubleComplexSlice:
-    """Windowed bases of (p, q) pieces with both differentials as sparse
-    rows keyed by row codes, and as compiled entries per key.
+    """Windowed bases of (p, q) pieces, with both differentials as
+    compiled entries per key.
 
     A basis element is ((I, J), monomial), one key object (I, J) per
-    pair of index tuples.  Its code is that of ((merged tuple, 0),
-    monomial) in the twilled sum's Chevalley-Eilenberg layout, the merged
-    tuple being I followed by J shifted by rank(l1): the slice's codes
-    number the keys (I, J) in that order.  d1's stencil keys its targets
-    (I', J) and d2's (J', I), so d2 reads the same codes under swapped
-    keys, and every row comes out keyed in the one layout."""
+    pair of index tuples.  `keys` maps each merged tuple, I followed by J
+    shifted by rank(l1), to its key (I, J), in the twilled sum's order of
+    merged tuples.  d1's stencil keys its targets (I', J) and d2's
+    (J', I), so d2 reads the same entries under swapped keys."""
 
     def __init__(self, m: MatchedPair, max_total: int,
                  window: TruncationWindow):
@@ -201,16 +202,9 @@ class DoubleComplexSlice:
             idx: (idx[:bisect_left(idx, n1)],
                   tuple(i - n1 for i in idx[bisect_left(idx, n1):]))
             for idx, _ in _tuple_keys(n1 + m.l2.rank)}
-        # each key's swapped key (J, I), one object per pair
-        self._swapped = {key: key[::-1] for key in self.keys.values()}
         # d1 on l1 with values in the forms of l2; d2 the mirror, keys swapped
         self._d1 = compile_d(m.l1, _on_forms(m.action12))
         self._d2 = compile_d(m.l2, _on_forms(m.action21))
-        self.reach = max(self._d1.reach, self._d2.reach)
-        # (the codes keyed (I, J), the same codes keyed (J, I)), made for
-        # the images of the window's basis
-        self._codes: Tuple[RowCodes, RowCodes] = ()
-        self.codes(window.bound(m.l1.base) + self.reach)
 
     @cached_property
     def bases(self) -> Dict[Tuple[int, int], List[Tuple[tuple, IndexTuple]]]:
@@ -225,15 +219,6 @@ class DoubleComplexSlice:
                     (key, mm) for mm in monos)
         return bases
 
-    def codes(self, bias: int) -> RowCodes:
-        """The slice's row codes keyed (I, J), with at least this bias.
-        They are kept while large enough; a larger bias makes new ones."""
-        if not self._codes or self._codes[0].bias < bias:
-            nv = len(self.pair.l1.base.variables)
-            self._codes = (RowCodes(self.keys.values(), nv, bias),
-                           RowCodes(self._swapped.values(), nv, bias))
-        return self._codes[0]
-
     def d1(self, coeffs):
         """The l1-differential of a cochain {(I, J): element}, with values
         in the forms of l2 under action12."""
@@ -244,22 +229,6 @@ class DoubleComplexSlice:
         of l1 under action21."""
         image = self._d2.apply({(i2, i1): v for (i1, i2), v in coeffs.items()})
         return {(i1, i2): v for (i2, i1), v in image.items()}
-
-    def _rows(self, second: bool, items: Sequence[Tuple[tuple, IndexTuple]]
-              ) -> Dict[int, Dict[int, object]]:
-        """d1, or d2 if `second`, at the basis elements ((I, J), monomial)
-        of `items`, as rows {code: {column: value}} under the current
-        codes, column j the image of items[j]: one `Stencil.rows`, on the
-        keys (I, J) for d1 and on their swapped keys (J, I) for d2."""
-        codes, swapped = self._codes
-        if not second:
-            return self._d1.rows(codes, items)
-        basis, last = [], None
-        for key, mono in items:
-            if key is not last:
-                last, swap = key, self._swapped[key]
-            basis.append((swap, mono))
-        return self._d2.rows(swapped, basis)
 
     def affine(self, second: bool, key: tuple) -> Dict[tuple, tuple]:
         """d1's (or d2's if `second`) entries at key (I, J) as affine
@@ -344,9 +313,9 @@ def _total_is_twilled(sl: DoubleComplexSlice, tw: Algebroid) -> bool:
     entries of the twilled sum's Chevalley-Eilenberg differential at every
     key, read as affine functions of the source exponents (`affine`) with
     the twilled sum's merged tuples keyed (I, J).  Then the two complexes
-    have one matrix on every window, under one code layout, so one column
-    reduction answers for both.  d1 and d2 land in different bidegrees,
-    so their entries never share a target."""
+    have one matrix on every window, so one column reduction answers for
+    both.  d1 and d2 land in different bidegrees, so their entries never
+    share a target."""
     ce = compile_d(tw)
     for idx, key in sl.keys.items():
         sign = _d2_sign(key)
@@ -359,28 +328,6 @@ def _total_is_twilled(sl: DoubleComplexSlice, tw: Algebroid) -> bool:
     return True
 
 
-def _total_complex(sl: DoubleComplexSlice) -> _WindowedComplex:
-    """The total complex of the double complex, d1 + (-1)^p d2, on the
-    twilled sum's cochains: l2's indices follow l1's, shifted by its rank,
-    and each merged tuple is keyed by its (I, J), so the basis elements
-    are the slice's.  Its codes are the slice's, so the d1 rows and the
-    signed d2 rows share one layout and are merged; the two parts land in
-    different bidegrees."""
-
-    def rows(codes, basis):
-        out = sl._rows(False, basis)
-        for code, row in sl._rows(True, basis).items():
-            target = out[code]
-            for j, c in row.items():
-                target[j] = _d2_sign(basis[j][0]) * c
-        return out
-
-    blocks: Dict[int, List[Tuple[tuple, ChartRing]]] = {}
-    for idx, key in sl.keys.items():
-        blocks.setdefault(len(idx), []).append((key, sl.pair.l1.base))
-    return _WindowedComplex(blocks, lambda bound: sl.codes(bound + sl.reach), rows)
-
-
 def total_cohomology_compare(m: MatchedPair, degrees: Sequence[int],
                              window: TruncationWindow | None = None
                              ) -> TotalCompareReport:
@@ -391,11 +338,10 @@ def total_cohomology_compare(m: MatchedPair, degrees: Sequence[int],
     so for every window at once: d1 d2 = d2 d1 (`commutation_check`,
     whose failure is refused with its witness), and that the total
     differential is the twilled sum's Chevalley-Eilenberg differential
-    (`_total_is_twilled`).  When the second holds, the two complexes are
-    one matrix on the window, and one column reduction per degree read,
-    of the twilled sum's complex, gives both dims.  Otherwise the total
-    complex is reduced first, the slice released, and then the twilled
-    sum's complex."""
+    (`_total_is_twilled`).  The second holds for every matched pair, so
+    its failure is an `InternalError`; the two complexes are then one
+    matrix on the window, and one column reduction per degree read, of
+    the twilled sum's complex, gives both dims."""
     window = window or TruncationWindow()
     v = verify_matched(m)
     if not v.verified:
@@ -410,12 +356,9 @@ def total_cohomology_compare(m: MatchedPair, degrees: Sequence[int],
     wit = sl.commutation_check()
     if wit is not None:
         raise StructureError("double complex commutation fails at %s" % (wit,))
-
-    def cohomology(complex_):
-        dims = complex_.dims(dict.fromkeys(degrees, (window,)), drop)[window]
-        return {n: ker - im for n, (ker, im) in dims.items()}
-
-    total = None if _total_is_twilled(sl, tw) else cohomology(_total_complex(sl))
-    del sl      # free the stencils' offsets before the twilled sum's systems
-    twilled = cohomology(_ce_complex(tw))
-    return TotalCompareReport(window, dict(twilled) if total is None else total, twilled)
+    if not _total_is_twilled(sl, tw):
+        raise InternalError("total differential is not the twilled sum's")
+    del sl      # free the compiled stencils before the twilled sum's systems
+    dims = _ce_complex(tw).dims(dict.fromkeys(degrees, (window,)), drop)[window]
+    twilled = {n: ker - im for n, (ker, im) in dims.items()}
+    return TotalCompareReport(window, dict(twilled), twilled)

@@ -13,7 +13,11 @@ kernel behind `forms.covariant_d`; `stencil_column` is the tuple-keyed
 column evaluator that the packed row codes replaced, the reference for
 `Stencil.rows` once its codes are decoded (`decode_column`), and
 `total_dims_by_bidegree` lays
-the matched-pair total complex out by bidegree from them, and
+the matched-pair total complex out by bidegree from them;
+`total_complex` builds that total complex from a slice's compiled d1 and
+d2 under row codes of its own (`double_complex_codes`,
+`double_complex_rows`), the reference that `compare-total`'s one
+reduction of the twilled sum's complex answers for; and
 `commutation_witness` checks d1 d2 = d2 d1 with RingElement arithmetic,
 the reference for the integer `DoubleComplexSlice.commutation_check`.
 The dense fraction-free Bareiss
@@ -690,6 +694,66 @@ def commutation_witness(sl, gather=False):
             if one != two:
                 return (p, q, (i1, i2, mono))
     return None
+
+
+def double_complex_codes(sl, bias):
+    """Row codes for the rows of a `matched.DoubleComplexSlice`: (the
+    codes keyed (I, J), the same block numbers keyed (J, I)), the second
+    for d2's stencil, which keys its targets (J', I)."""
+    from algebroid.forms import RowCodes
+
+    nv, keys = len(sl.pair.l1.base.variables), list(sl.keys.values())
+    return RowCodes(keys, nv, bias), RowCodes([key[::-1] for key in keys], nv, bias)
+
+
+def double_complex_rows(sl, codes, basis, second):
+    """d1, or d2 if `second`, at the basis elements ((I, J), monomial) of
+    a slice, as rows {code: {column: value}} under the pair `codes` of
+    `double_complex_codes`, column j the image of basis[j]: one
+    `Stencil.rows` of the slice's `_d1` on the keys (I, J), or of its
+    `_d2` on the swapped keys (J, I), one swapped object per run of a key."""
+    if not second:
+        return sl._d1.rows(codes[0], basis)
+    swapped, last = [], None
+    for key, mono in basis:
+        if key is not last:
+            last, swap = key, key[::-1]
+        swapped.append((swap, mono))
+    return sl._d2.rows(codes[1], swapped)
+
+
+def total_complex(sl):
+    """The total complex of a matched pair's double complex, d1 + (-1)^|I|
+    d2, on the twilled sum's cochains, as a `forms._WindowedComplex`: each
+    merged tuple (I followed by J shifted by rank(l1)) is keyed by the
+    slice's (I, J), so the basis elements are the slice's, and the d1 rows
+    and the signed d2 rows share one code layout and are merged; the two
+    parts land in different bidegrees.  The reference that the one
+    reduction of `matched.total_cohomology_compare`, of the twilled sum's
+    complex, answers for."""
+    from algebroid.forms import _WindowedComplex
+
+    reach = max(sl._d1.reach, sl._d2.reach)
+    made = {}
+
+    def codes(bound):
+        pair = double_complex_codes(sl, bound + reach)
+        made[pair[0]] = pair
+        return pair[0]
+
+    def rows(codes, basis):
+        pair = made[codes]
+        out = double_complex_rows(sl, pair, basis, False)
+        for code, row in double_complex_rows(sl, pair, basis, True).items():
+            target = out[code]
+            for j, c in row.items():
+                target[j] = -c if len(basis[j][0][0]) % 2 else c
+        return out
+
+    blocks = {}
+    for idx, key in sl.keys.items():
+        blocks.setdefault(len(idx), []).append((key, sl.pair.l1.base))
+    return _WindowedComplex(blocks, codes, rows)
 
 
 def total_dims_by_bidegree(m, degrees, window):

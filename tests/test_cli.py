@@ -645,29 +645,26 @@ algebroid T over R3 { basis e1, e2, e3; anchor e1 -> d/dx, e2 -> d/dy, e3 -> d/d
 """
 
 
-@pytest.mark.parametrize("argv,degrees,one_matrix", [
+@pytest.mark.parametrize("argv,degrees", [
     # so(3)* preserves polynomial degree, so its windows hold whole
     # degrees: no column reaches outside a window; degree 3 is the top
     # degree, whose differential is zero, so it builds no system
-    (["cohomology", "{tmp}", "S", "--degrees", "0..3", "--window", "4"], 3, True),
+    (["cohomology", "{tmp}", "S", "--degrees", "0..3", "--window", "4"], 3),
     # the tangent algebroid has drop 1, and the columns of the window + 1
     # land inside the window, since d lowers degree
-    (["cohomology", "{tmp}", "T", "--degrees", "0..3", "--window", "4"], 3, True),
+    (["cohomology", "{tmp}", "T", "--degrees", "0..3", "--window", "4"], 3),
     # the total differential has the twilled sum's compiled entries, so
     # only the twilled sum's complex is reduced, at degrees 0..2; f1 ->
     # x d/dx + d/dz keeps x^m at its degree, so the columns of the window
     # + 1 reach outside the window at both image degrees, and those images
     # are still read from the lows of one reduction
-    (["compare-total", "matched.adf", "M", "--degrees", "0..2", "--window", "2,2"], 3, True),
-    # with that identity refused, the total complex is reduced too
-    (["compare-total", "matched.adf", "M", "--degrees", "0..2", "--window", "2,2"], 6, False),
-], ids=["so3", "tangent", "compare-total", "compare-total-two-complexes"])
-def test_windowed_cohomology_eliminations(tmp_path, monkeypatch, argv, degrees, one_matrix):
+    (["compare-total", "matched.adf", "M", "--degrees", "0..2", "--window", "2,2"], 3),
+], ids=["so3", "tangent", "compare-total"])
+def test_windowed_cohomology_eliminations(tmp_path, monkeypatch, argv, degrees):
     """One column reduction per degree read (`pivots`), none at a degree
     whose differential is zero, none for the rows outside a window
     (`rank`), and no elimination of the weight lattice (`kernel`):
     cohomology and compare-total read no grading."""
-    from algebroid import matched
     from algebroid.linalg import SparseSystem
     path = tmp_path / "so3.adf"
     path.write_text(SO3_AND_TANGENT)
@@ -683,8 +680,6 @@ def test_windowed_cohomology_eliminations(tmp_path, monkeypatch, argv, degrees, 
 
     for name in calls:
         monkeypatch.setattr(SparseSystem, name, counted(name))
-    if not one_matrix:
-        monkeypatch.setattr(matched, "_total_is_twilled", lambda sl, tw: False)
     code, _ = invoke([str(path) if a == "{tmp}" else a for a in argv])
     assert code in (0, 3)
     assert calls == {"_eliminate": degrees, "pivots": degrees, "rank": 0, "kernel": 0}
@@ -820,6 +815,19 @@ def _break_trace_form(monkeypatch):
     monkeypatch.setattr(connections, "LForm", Unclosed)
 
 
+def _break_total_identity(monkeypatch):
+    """The compiled identity total differential = twilled sum's fails."""
+    from algebroid import matched
+    monkeypatch.setattr(matched, "_total_is_twilled", lambda sl, tw: False)
+
+
+def _flip_d2_sign(monkeypatch):
+    """The total differential carries the wrong sign on d2."""
+    from algebroid import matched
+    sign = matched._d2_sign
+    monkeypatch.setattr(matched, "_d2_sign", lambda key: -sign(key))
+
+
 @pytest.mark.parametrize("argv,breaks,message", [
     (["exact", "plane.adf", "area"], _break_primitive, "primitive failed verification"),
     (["class-compare", "p1log.adf", "Z", "A"], _break_primitive,
@@ -827,7 +835,11 @@ def _break_trace_form(monkeypatch):
     (["class-compare", "{sheared}", "Z", "A", "--window", "4,4"], _break_chart_equation,
      "chart equation unverified"),
     (["chern", "plane.adf", "C"], _break_trace_form, "trace form is not closed"),
-], ids=["primitive", "overlap", "chart", "trace"])
+    (["compare-total", "matched.adf", "M", "--degrees", "0..2", "--window", "2,2"],
+     _break_total_identity, "total differential is not the twilled sum's"),
+    (["compare-total", "matched.adf", "M", "--degrees", "0..2", "--window", "2,2"],
+     _flip_d2_sign, "total differential is not the twilled sum's"),
+], ids=["primitive", "overlap", "chart", "trace", "compare-total", "compare-total-d2-sign"])
 @pytest.mark.parametrize("as_json", [False, True])
 def test_failed_self_check_is_internal_error(tmp_path, monkeypatch, argv, breaks,
                                              message, as_json):

@@ -2,7 +2,9 @@
 `coboundary_test` certifies B = A + (delta eta, d eta), the chart rules
 h_a: e_i -> e_i + eta_a(e_i) are algebra maps Lambda(L_a, q^B_a) ->
 Lambda(L_a, q^A_a), and on every overlap they intertwine the gluing maps
-of `glue_sridharan`: h_b g^B_ab = g^A_ab h_a on generators."""
+of `glue_sridharan`: h_b g^B_ab = g^A_ab h_a on generators.  Such a B is
+in A's class, so compared with the zero pair it keeps A's verdict: a
+nonzero residue stays a certified "inequivalent" with the same value."""
 
 import pathlib
 
@@ -80,10 +82,11 @@ BASE_PAIRS = base_pairs()
 
 
 @st.composite
-def shifted_pairs(draw):
-    """(cover, A, B, eta) with B = A + (delta eta, d eta) and eta a chart
-    1-form per chart, with coefficients of degree at most 2."""
-    cover, pair_a = draw(st.sampled_from(BASE_PAIRS))
+def shifted_pairs(draw, bases=BASE_PAIRS):
+    """(cover, A, B, eta) with (cover, A) one of `bases`, B = A + (delta
+    eta, d eta) and eta a chart 1-form per chart, with coefficients of
+    degree at most 2."""
+    cover, pair_a = draw(st.sampled_from(bases))
     eta = {}
     for a in range(len(cover.charts)):
         ring, alg = cover.chart_ring(a), cover.chart_algebroid(a)
@@ -113,3 +116,24 @@ def test_certified_coboundaries_intertwine_the_gluings(case):
     # a global closed form) both pass
     check_intertwined(cover, pair_a, pair_b, eta)
     check_intertwined(cover, pair_a, pair_b, cmp.eta)
+
+
+# the p1.adf cover with its pairs Z and A: A's residue is nonzero
+P1_PAIRS = BASE_PAIRS[:2]
+
+
+def test_p1_atiyah_pair_is_certified():
+    (cover, zero), (_, pair_a) = P1_PAIRS
+    cmp = coboundary_test(cover, zero, pair_a, WINDOW)
+    assert cmp.certified and cmp.residue_value
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(shifted_pairs(P1_PAIRS))
+def test_coboundaries_keep_the_residue_certificate(case):
+    cover, pair_a, pair_b, _ = case
+    zero = P1_PAIRS[0][1]
+    against_a = coboundary_test(cover, zero, pair_a, WINDOW)
+    against_b = coboundary_test(cover, zero, pair_b, WINDOW)
+    assert against_b.status == against_a.status
+    assert against_b.residue_value == against_a.residue_value

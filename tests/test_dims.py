@@ -23,12 +23,11 @@ from algebroid.core import (Algebroid, make_foliation, make_lie_algebra_bundle,
                             make_poisson, make_tangent)
 from algebroid.forms import TruncationWindow, _ce_complex
 from algebroid.linalg import SparseSystem
-from algebroid.matched import (DoubleComplexSlice, MatchedPair, _total_complex,
-                               verify_matched)
+from algebroid.matched import DoubleComplexSlice, MatchedPair, verify_matched
 from algebroid.rings import laurent_ring, poly_ring
 
 from oracles import (SLACK, block_dims, complex_columns, line_bundle_dims_by_overlaps,
-                     one_ring, system_from_columns, whole_slice_dims)
+                     one_ring, system_from_columns, total_complex, whole_slice_dims)
 from test_matched import heisenberg_line_pair, matched_pairs
 from test_weights import random_poly
 
@@ -144,7 +143,7 @@ def test_dims_match_references_on_total_complexes():
     for m in matched_pairs() + verified_pairs(rng):
         assert verify_matched(m).verified
         top = m.l1.rank + m.l2.rank
-        complex_ = _total_complex(DoubleComplexSlice(m, top, window(0)))
+        complex_ = total_complex(DoubleComplexSlice(m, top, window(0)))
         small = len(m.l1.base.variables) <= 2
         for d, drop in GRID:
             if small or d == 0:
@@ -277,7 +276,7 @@ def test_dims_row_ids_clear_and_read_far_rows(name, monkeypatch):
     elif name == "total":
         m = matched_pairs()[0]
         top = m.l1.rank + m.l2.rank
-        cases = [(_total_complex(DoubleComplexSlice(m, top, window(1))), drop, window(1))
+        cases = [(total_complex(DoubleComplexSlice(m, top, window(1))), drop, window(1))
                  for drop in (0, 3)]
     else:
         cases = [(_ce_complex(quadratic_poisson()), drop, TruncationWindow(2))

@@ -6,17 +6,17 @@ from itertools import combinations
 import pytest
 
 from algebroid.connections import Connection, is_flat
-from algebroid.core import (Algebroid, StructureError, make_lie_algebra_bundle,
-                            make_tangent, make_trivial_bundle)
+from algebroid.core import (Algebroid, InternalError, StructureError,
+                            make_lie_algebra_bundle, make_tangent, make_trivial_bundle)
 from algebroid.forms import (RowCodes, TruncationWindow, covariant_d, truncated_cohomology,
                              _ce_complex, _tuple_keys)
-from algebroid.matched import (DoubleComplexSlice, MatchedPair, _total_complex, twilled_sum,
+from algebroid.matched import (DoubleComplexSlice, MatchedPair, twilled_sum,
                                total_cohomology_compare, verify_matched)
 from algebroid.rings import ChartRing, poly_ring
 
-from oracles import (ce_cohomology_dims, commutation_witness, flatten_columns,
-                     gather_d1, gather_d2, matched_equations_by_factor,
-                     total_dims_by_bidegree)
+from oracles import (ce_cohomology_dims, commutation_witness, double_complex_codes,
+                     double_complex_rows, flatten_columns, gather_d1, gather_d2,
+                     matched_equations_by_factor, total_complex, total_dims_by_bidegree)
 
 HEISENBERG = {(0, 1): {2: 1}}
 
@@ -169,8 +169,8 @@ def test_sheared_total_matches_twilled():
 
 
 def test_slice_freed_before_twilled_systems(monkeypatch):
-    # the slice, with its stencils' offset tables, is released once the
-    # total dims are known, so the twilled sum's systems are built without it
+    # the slice, with its compiled stencils, is released once both
+    # identities are decided, so the twilled sum's systems are built without it
     from algebroid import matched
     slices, alive = [], []
 
@@ -310,17 +310,19 @@ def cancelling_pair():
 
 
 def assert_rows_match_gather(sl):
-    """Every row the slice's private `_rows` gives for d1 and d2, at every
-    bidegree under the slice's current codes, decodes to the gather
+    """Every row of d1 and d2 that `oracles.double_complex_rows` reads
+    from the slice's compiled stencils, at every bidegree under codes
+    that cover the images of the slice's window, decodes to the gather
     columns."""
     m = sl.pair
-    pairs = sl._codes[0]
+    codes = double_complex_codes(
+        sl, sl.window.bound(m.l1.base) + max(sl._d1.reach, sl._d2.reach))
     for (p, q), basis in sorted(sl.bases.items()):
         for second, gather in ((False, gather_d1), (True, gather_d2)):
             cols = [{} for _ in basis]
-            for code, row in sl._rows(second, basis).items():
+            for code, row in double_complex_rows(sl, codes, basis, second).items():
                 for j, c in row.items():
-                    cols[j][pairs.decode(code)] = c
+                    cols[j][codes[0].decode(code)] = c
             assert cols == flatten_columns(
                 [gather(m, p, q, {(i1, i2): m.l1.base.monomial(mono)})
                  for (i1, i2), mono in basis], lambda label, mm: (label, mm))
@@ -411,18 +413,18 @@ def heisenberg_derivation_pair():
 
 @pytest.mark.parametrize("window", [TruncationWindow(2, 2), TruncationWindow(3, 3)])
 def test_total_and_twilled_systems_are_one_matrix(window):
-    """The total complex of the double complex and the twilled sum's
-    Chevalley-Eilenberg complex list the same basis and give identical
-    rows in every degree under one code layout, as the compiled identity
-    that lets `compare-total` reduce only the twilled sum's complex
-    promises."""
+    """The oracle total complex of the double complex and the twilled
+    sum's Chevalley-Eilenberg complex list the same basis and give
+    identical rows in every degree under one code layout, as the compiled
+    identity that lets `compare-total` reduce only the twilled sum's
+    complex promises."""
     pairs = matched_pairs() + [heisenberg_derivation_pair()]
     for m in pairs + [MatchedPair(m.l2, m.l1, m.action21, m.action12) for m in pairs]:
         n = m.l1.rank + m.l2.rank
         tw = twilled_sum(m)
         sl = DoubleComplexSlice(m, n, window)
-        total, ce = _total_complex(sl), _ce_complex(tw)
-        codes = sl.codes(window.bound(tw.base) + max(sl.reach, tw._stencil.reach))
+        total, ce = total_complex(sl), _ce_complex(tw)
+        codes = total.codes(window.bound(tw.base) + tw._stencil.reach)
         ce_codes = RowCodes(_tuple_keys(n), len(tw.base.variables), codes.bias)
         for p in range(n + 1):
             basis, ce_basis = total.basis(p, window), ce.basis(p, window)
@@ -459,43 +461,48 @@ def test_total_differential_is_twilled_on_compiled_entries(monkeypatch):
             for m, sl in zip(pairs, slices)] == planted
 
 
-def test_flipped_d2_sign_reduces_the_total_complex(monkeypatch):
-    """With the sign of d2 flipped in the total differential, identity (a)
-    fails, so the total complex itself is reduced: it is isomorphic to the
-    correct one (scale bidegree (p, q) by (-1)^q), and its dims are the
-    bidegree oracle's."""
+def test_flipped_d2_sign_is_internal_error(monkeypatch):
+    """With the sign of d2 flipped in the total differential, the compiled
+    identity fails on the 9 pairs whose d2 is not zero: a fault of the
+    program, so compare-total raises InternalError and reduces no complex.
+    The one pair whose d2 is zero still gets the bidegree oracle's dims."""
     from algebroid import matched
     flipped = matched._d2_sign
     reduced = []
 
-    def total_complex(sl, real=matched._total_complex):
-        reduced.append(sl.pair)
-        return real(sl)
+    def ce_complex(tw, real=matched._ce_complex):
+        reduced.append(tw)
+        return real(tw)
 
     monkeypatch.setattr(matched, "_d2_sign", lambda key: -flipped(key))
-    monkeypatch.setattr(matched, "_total_complex", total_complex)
+    monkeypatch.setattr(matched, "_ce_complex", ce_complex)
     window = TruncationWindow(2, 2)
-    pairs = [m for m in mirrored(matched_pairs()) if has_d2(m)]
-    for m in pairs:
-        degrees = range(m.l1.rank + m.l2.rank + 2)
+    pairs = mirrored(matched_pairs())
+    broken = [m for m in pairs if has_d2(m)]
+    for m in broken:
+        with pytest.raises(InternalError, match="total differential is not the twilled sum's"):
+            total_cohomology_compare(m, range(m.l1.rank + m.l2.rank + 2), window)
+    assert len(broken) == 9 and reduced == []
+    (still,) = [m for m in pairs if not has_d2(m)]
+    degrees = range(still.l1.rank + still.l2.rank + 2)
+    rep = total_cohomology_compare(still, degrees, window)
+    assert rep.total_dims == total_dims_by_bidegree(still, degrees, window)
+    assert len(reduced) == 1
+
+
+def test_report_dims_match_oracle_total_complex():
+    """Each report's dims, read from the one reduction of the twilled
+    sum's complex, are the `dims` of the oracle total complex on the
+    window, on every pair."""
+    window = TruncationWindow(2, 2)
+    for m in matched_pairs():
+        degrees = range(m.l1.rank + m.l2.rank + 1)
         rep = total_cohomology_compare(m, degrees, window)
-        assert reduced[-1] is m
-        assert rep.total_dims == total_dims_by_bidegree(m, degrees, window)
-        assert rep.agree
-    assert len(reduced) == len(pairs) == 9
-
-
-def test_fallback_report_matches_fast_path(monkeypatch):
-    """Refusing identity (a) reduces both complexes and gives the report
-    of the one-matrix path on every pair."""
-    from algebroid import matched
-    window = TruncationWindow(2, 2)
-    fast = [total_cohomology_compare(m, range(m.l1.rank + m.l2.rank + 1), window)
-            for m in matched_pairs()]
-    monkeypatch.setattr(matched, "_total_is_twilled", lambda sl, tw: False)
-    slow = [total_cohomology_compare(m, range(m.l1.rank + m.l2.rank + 1), window)
-            for m in matched_pairs()]
-    assert slow == fast
+        drop, _ = twilled_sum(m).coefficient_degree_profile()
+        total = total_complex(DoubleComplexSlice(m, max(degrees) + 1, window))
+        dims = total.dims(dict.fromkeys(degrees, (window,)), drop)[window]
+        assert rep.total_dims == rep.twilled_dims == {
+            n: ker - im for n, (ker, im) in dims.items()}
 
 
 @pytest.mark.parametrize("window,want", [

@@ -16,12 +16,12 @@ from algebroid.core import (Algebroid, make_foliation, make_log, make_poisson,
                             make_tangent)
 from algebroid.forms import (LForm, RowCodes, TruncationWindow, _ce_complex,
                              _tuple_keys, compile_d, covariant_d)
-from algebroid.matched import DoubleComplexSlice, _total_complex
+from algebroid.matched import DoubleComplexSlice
 from algebroid.rings import ChartRing, laurent_ring, poly_ring
 
 from oracles import (complex_columns, decode_column, flatten_columns, gather_d1,
                      gather_d2, gather_d_form, gather_extend_connection,
-                     scatter_covariant_d, stencil_column)
+                     scatter_covariant_d, stencil_column, total_complex)
 from test_cech import recorded_coboundary_system
 from test_matched import assert_rows_match_gather, matched_pairs
 
@@ -201,8 +201,8 @@ def test_differential_entries_match_oracle_columns(window):
 
 
 def test_total_columns_match_gather_columns():
-    """The total complex's columns, on a fresh slice and on one that has
-    run commutation_check, are d1 + (-1)^p d2 of the gather
+    """The oracle total complex's columns, on a fresh slice and on one
+    that has run commutation_check, are d1 + (-1)^p d2 of the gather
     differentials, and so is every row of d1 and d2 they merge."""
     for m in matched_pairs():
         ring = m.l1.base
@@ -212,8 +212,8 @@ def test_total_columns_match_gather_columns():
         warm = DoubleComplexSlice(m, top, window)
         assert warm.commutation_check() is None
         assert_rows_match_gather(warm)
-        complexes = [_total_complex(DoubleComplexSlice(m, top, window)),
-                     _total_complex(warm)]
+        complexes = [total_complex(DoubleComplexSlice(m, top, window)),
+                     total_complex(warm)]
 
         monos = window.monomials(ring)
         for n in range(top + 1):
